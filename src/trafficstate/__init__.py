@@ -9,13 +9,11 @@ builds synthetic scenes with exact ground truth.
 """
 
 from .assoc import (
-    AppearanceGallery,
     CostMatrix,
+    appearance_distances,
     build_cost_matrix,
-    cosine_gallery_distance,
-    gate,
-    iou,
-    mahalanobis_sq,
+    iou_matrix,
+    motion_distances,
     solve_assignment,
 )
 from .calib import CalibrationParams, ReferenceObject, derive_magnification, to_pixel, to_world
@@ -35,9 +33,8 @@ from .metrics import (
     recall,
     rmse,
 )
-from .motion import KalmanFilter, MeasurementProjection, TrackState
-from .synth import AgentSpec, GroundTruth, ScenarioSpec, generate
-from .tracker import Track, Tracker, TrackerConfig, TrackSnapshot, TrackStatus
+from .motion import KalmanFilter
+from .tracker import Tracker, TrackerConfig, TrackSnapshot, TrackStatus
 from .traffic import (
     IntervalMeasurement,
     LineOfInterest,
@@ -50,3 +47,14 @@ from .traffic import (
 )
 
 __version__ = "0.1.0"
+
+_SYNTH_NAMES = ("AgentSpec", "GroundTruth", "ScenarioSpec", "generate")
+
+
+def __getattr__(name):
+    # synth builds test scenes; loading it on first use keeps it out of the
+    # import of every pipeline module
+    if name in _SYNTH_NAMES:
+        from . import synth
+        return getattr(synth, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,23 +1,23 @@
 """Track-to-detection association: distances, gating, cost matrix, solver.
 
-Motion distance is the squared Mahalanobis distance between a detection
-and a track's projected measurement distribution; appearance distance is
-the smallest cosine distance against the track's descriptor gallery. Both
-are thresholded into a joint admissibility gate, combined into one cost
-matrix, and solved as a linear assignment problem.
+Every kernel takes all tracks and detections at once, as the arrays the
+tracker holds. Motion distance is the squared Mahalanobis distance between
+a detection and a track's projected measurement distribution; appearance
+distance is the smallest cosine distance against the track's descriptor
+gallery. Both are thresholded into a joint admissibility gate, combined
+into one cost matrix, and solved as a linear assignment problem. The
+second matching stage uses IoU distance instead; `iou_matrix` also serves
+detection evaluation in `metrics`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .detstream import Detection
-from .errors import ContractError, NumericalError, ValidationError
-from .motion import MeasurementProjection
+from .errors import NumericalError, ValidationError
 
 # 0.95 quantile of chi-square with 4 dof: the motion gate for a 4-dim measurement.
 CHI2_95_4DOF = 9.4877
@@ -28,46 +28,6 @@ SENTINEL_COST = 1e5
 DEFAULT_IOU_GATE = 0.7
 
 GALLERY_CAPACITY = 100
-
-
-class AppearanceGallery:
-    """Bounded FIFO of the most recent unit-norm appearance descriptors.
-
-    Backed by a preallocated ring buffer: once full, each insertion
-    overwrites the oldest descriptor in place, and matrix() stays a
-    zero-copy view (cosine distances only care about the member set).
-    """
-
-    def __init__(self, capacity: int = GALLERY_CAPACITY):
-        if capacity < 1:
-            raise ValidationError(f"gallery capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._arr: Optional[np.ndarray] = None
-        self._size = 0
-        self._next = 0
-
-    def __len__(self) -> int:
-        return self._size
-
-    def add(self, descriptor: np.ndarray) -> None:
-        descriptor = np.asarray(descriptor, dtype=np.float64)
-        if abs(np.linalg.norm(descriptor) - 1.0) > 1e-9:
-            raise ValidationError("gallery descriptors must be unit-norm")
-        if self._arr is None:
-            self._arr = np.empty((self.capacity, descriptor.shape[0]))
-        elif descriptor.shape[0] != self._arr.shape[1]:
-            raise ValidationError(
-                f"descriptor dimension {descriptor.shape[0]} does not match "
-                f"gallery dimension {self._arr.shape[1]}"
-            )
-        self._arr[self._next] = descriptor
-        self._next = (self._next + 1) % self.capacity
-        self._size = min(self._size + 1, self.capacity)
-
-    def matrix(self) -> np.ndarray:
-        if self._size == 0:
-            raise ContractError("appearance gallery is empty")
-        return self._arr[:self._size]
 
 
 @dataclass
@@ -89,126 +49,110 @@ class AssignmentResult:
     unmatched_detections: list[int]
 
 
-def mahalanobis_sq(proj: MeasurementProjection, d: np.ndarray) -> float:
-    """Squared Mahalanobis distance of measurement d from the projection.
+def iou_matrix(a, b) -> np.ndarray:
+    """Intersection over union (n, m) of (x, y, w, h) pixel boxes a (n, 4), b (m, 4).
 
-    Solved through a Cholesky factorization; S is never inverted explicitly.
+    Each entry is computed in the operation order of the two-box formula, so
+    it does not depend on which other boxes share the call.
     """
-    resid = np.asarray(d, dtype=np.float64) - proj.y
-    try:
-        chol = np.linalg.cholesky(proj.s)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"projection covariance not positive-definite: {exc}") from None
-    z = np.linalg.solve(chol, resid)
-    return float(z @ z)
-
-
-def cosine_gallery_distance(gallery: AppearanceGallery, r: np.ndarray) -> float:
-    """Smallest cosine distance between the query and any gallery member."""
-    dots = gallery.matrix() @ np.asarray(r, dtype=np.float64)
-    return float(min(2.0, max(0.0, 1.0 - dots.max())))
-
-
-def gate(d1: float, d2: float, t1: float, t2: float) -> bool:
-    """Admissible iff both distances sit within their gating regions."""
-    if t1 <= 0 or t2 <= 0:
-        raise ValidationError("gate thresholds must be positive")
-    return d1 <= t1 and d2 <= t2
-
-
-def iou(box_a, box_b) -> float:
-    """Intersection over union of two (x, y, w, h) pixel boxes."""
-    ax, ay, aw, ah = box_a
-    bx, by, bw, bh = box_b
-    if aw <= 0 or ah <= 0 or bw <= 0 or bh <= 0:
+    a = np.asarray(a, dtype=np.float64).reshape(-1, 4)
+    b = np.asarray(b, dtype=np.float64).reshape(-1, 4)
+    if (a[:, 2:] <= 0).any() or (b[:, 2:] <= 0).any():
         raise ValidationError("boxes must have positive width and height")
-    ix = max(0.0, min(ax + aw, bx + bw) - max(ax, bx))
-    iy = max(0.0, min(ay + ah, by + bh) - max(ay, by))
+    ax, ay, aw, ah = (a[:, i, None] for i in range(4))
+    bx, by, bw, bh = (b[None, :, i] for i in range(4))
+    ix = np.maximum(0.0, np.minimum(ax + aw, bx + bw) - np.maximum(ax, bx))
+    iy = np.maximum(0.0, np.minimum(ay + ah, by + bh) - np.maximum(ay, by))
     inter = ix * iy
     union = aw * ah + bw * bh - inter
-    return inter / union if union > 0 else 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(union > 0, inter / union, 0.0)
 
 
-def _motion_distances(projections, measurements) -> tuple[np.ndarray, np.ndarray]:
-    """All-pairs squared Mahalanobis distances, batched over tracks.
+def motion_distances(y: np.ndarray, s: np.ndarray, ok: np.ndarray,
+                     measurements: np.ndarray) -> np.ndarray:
+    """All-pairs squared Mahalanobis distances (n, m).
 
-    Returns (d1 (n, m), row_ok (n,)); rows without a usable projection get
-    +inf distances.
+    y (n, 4) and s (n, 4, 4) are the tracks' projected measurement means
+    and covariances; rows with ok False get +inf. Each distance is solved
+    through a Cholesky factor of s, which is never inverted explicitly.
     """
-    n, m = len(projections), len(measurements)
+    n, m = len(y), len(measurements)
     d1 = np.full((n, m), np.inf)
-    row_ok = np.array([p is not None for p in projections], dtype=bool)
-    if not row_ok.any() or m == 0:
-        return d1, row_ok
-    ys = np.stack([p.y for p, ok in zip(projections, row_ok) if ok])
-    ss = np.stack([p.s for p, ok in zip(projections, row_ok) if ok])
-    z = np.asarray(measurements)
-    resid = z[None, :, :] - ys[:, None, :]          # (k, m, 4)
+    if not ok.any() or m == 0:
+        return d1
+    resid = measurements[None, :, :] - y[ok][:, None, :]     # (k, m, 4)
     try:
-        chol = np.linalg.cholesky(ss)
+        chol = np.linalg.cholesky(s[ok])
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"projection covariance not positive-definite: {exc}") from None
     sol = np.linalg.solve(chol, np.transpose(resid, (0, 2, 1)))  # (k, 4, m)
-    d1[row_ok] = np.einsum("kim,kim->km", sol, sol)
-    return d1, row_ok
+    d1[ok] = np.einsum("kim,kim->km", sol, sol)
+    return d1
 
 
-def _appearance_distances(galleries, detections) -> tuple[np.ndarray, np.ndarray]:
-    """All-pairs min cosine distances; defined (n, m) mask marks usable pairs."""
-    n, m = len(galleries), len(detections)
+def appearance_distances(members: np.ndarray, sizes: np.ndarray,
+                         descriptors: np.ndarray, has_desc: np.ndarray
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """All-pairs smallest cosine distances (n, m) and the mask of defined pairs.
+
+    members (sum(sizes), D) stacks the tracks' unit-norm gallery rows,
+    sizes[i] of them for track i, in track order. descriptors (m, D) holds
+    the detections' unit-norm descriptors; rows with has_desc False are
+    ignored. A pair is defined when its track has a gallery member and its
+    detection a descriptor; undefined pairs read 0.
+    """
+    n, m = len(sizes), len(has_desc)
     d2 = np.zeros((n, m))
-    has_gallery = np.array(
-        [g is not None and len(g) > 0 for g in galleries], dtype=bool
-    )
-    has_desc = np.array([d.appearance is not None for d in detections], dtype=bool)
+    has_gallery = sizes > 0
     defined = has_gallery[:, None] & has_desc[None, :]
     if not defined.any():
         return d2, defined
-    mats = [g.matrix() for g, ok in zip(galleries, has_gallery) if ok]
-    sizes = np.array([mat.shape[0] for mat in mats])
-    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    stacked = np.vstack(mats)                               # (sum L, D)
-    descs = np.stack([d.appearance for d in detections if d.appearance is not None])
-    dots = stacked @ descs.T                                # (sum L, m_desc)
-    best = np.maximum.reduceat(dots, starts, axis=0)        # (k, m_desc)
-    vals = np.clip(1.0 - best, 0.0, 2.0)
-    d2[np.ix_(has_gallery, has_desc)] = vals
+    starts = np.concatenate(([0], np.cumsum(sizes[has_gallery])[:-1]))
+    dots = members @ descriptors[has_desc].T                 # (sum L, m_desc)
+    best = np.maximum.reduceat(dots, starts, axis=0)         # (k, m_desc)
+    d2[np.ix_(has_gallery, has_desc)] = np.clip(1.0 - best, 0.0, 2.0)
     return d2, defined
 
 
 def build_cost_matrix(
-    projections: Sequence[Optional[MeasurementProjection]],
-    galleries: Sequence[Optional[AppearanceGallery]],
-    detections: Sequence[Detection],
+    y: np.ndarray,
+    s: np.ndarray,
+    ok: np.ndarray,
+    measurements: np.ndarray,
+    members: np.ndarray,
+    sizes: np.ndarray,
+    descriptors: np.ndarray,
+    has_desc: np.ndarray,
     lam: float,
     t1: float = CHI2_95_4DOF,
     t2: float = DEFAULT_APPEARANCE_GATE,
-    measurements: Optional[np.ndarray] = None,
 ) -> CostMatrix:
     """Weighted sum of motion and appearance distances, gated.
 
+    Tracks come as in `motion_distances` and `appearance_distances`, and
+    detections as their (m, 4) measurement vectors plus descriptors.
     cost = lam * d_motion + (1 - lam) * d_appearance on admissible pairs;
     everything else carries the sentinel. Pairs for which no appearance
-    distance exists (no gallery or no descriptor) fall back to motion-only
-    cost and a motion-only gate. measurements, when given, must be the
-    (m, 4) measurement vectors of the detections.
+    distance exists (no gallery member or no descriptor) fall back to
+    motion-only cost and a motion-only gate.
     """
     if not 0.0 <= lam <= 1.0:
         raise ValidationError(f"lambda must be in [0,1], got {lam}")
-    n, m = len(projections), len(detections)
+    if t1 <= 0 or t2 <= 0:
+        raise ValidationError("gate thresholds must be positive")
+    n, m = len(y), len(measurements)
     values = np.full((n, m), SENTINEL_COST)
     if n == 0 or m == 0:
         return CostMatrix(values=values, admissible=np.zeros((n, m), dtype=bool))
 
-    if measurements is None:
-        measurements = measurements_of(detections)
-    d1, row_ok = _motion_distances(projections, measurements)
-    d2, defined = _appearance_distances(galleries, detections)
+    d1 = motion_distances(y, s, ok, measurements)
+    d2, defined = appearance_distances(members, sizes, descriptors, has_desc)
 
     with np.errstate(invalid="ignore"):
         motion_ok = d1 <= t1
     appearance_ok = np.where(defined, d2 <= t2, True)
-    admissible = row_ok[:, None] & motion_ok & appearance_ok
+    admissible = ok[:, None] & motion_ok & appearance_ok
 
     lam_pair = np.where(defined, lam, 1.0)
     combined = lam_pair * np.where(np.isfinite(d1), d1, 0.0) + (1.0 - lam_pair) * d2
@@ -216,12 +160,9 @@ def build_cost_matrix(
     return CostMatrix(values=values, admissible=admissible)
 
 
-def measurements_of(detections: Sequence[Detection]) -> np.ndarray:
-    """(m, 4) measurement vectors (center x, center y, aspect, height)."""
-    if not detections:
-        return np.empty((0, 4))
-    boxes = np.array([d.bbox for d in detections])
-    out = np.empty((len(detections), 4))
+def measurements_of(boxes: np.ndarray) -> np.ndarray:
+    """(m, 4) measurement vectors (center x, center y, aspect, height) of (m, 4) boxes."""
+    out = np.empty((len(boxes), 4))
     out[:, 0] = boxes[:, 0] + boxes[:, 2] / 2.0
     out[:, 1] = boxes[:, 1] + boxes[:, 3] / 2.0
     out[:, 2] = boxes[:, 2] / boxes[:, 3]
@@ -230,21 +171,15 @@ def measurements_of(detections: Sequence[Detection]) -> np.ndarray:
 
 
 def build_iou_cost_matrix(
-    track_boxes: Sequence[tuple[float, float, float, float]],
-    detections: Sequence[Detection],
+    track_boxes: np.ndarray,
+    det_boxes: np.ndarray,
     max_distance: float = DEFAULT_IOU_GATE,
 ) -> CostMatrix:
     """Second-stage cost matrix: IoU distance (1 - IoU), gated at max_distance."""
-    n, m = len(track_boxes), len(detections)
-    values = np.full((n, m), SENTINEL_COST)
-    admissible = np.zeros((n, m), dtype=bool)
-    for i, tb in enumerate(track_boxes):
-        for j, det in enumerate(detections):
-            dist = 1.0 - iou(tb, det.bbox)
-            if dist <= max_distance:
-                values[i, j] = dist
-                admissible[i, j] = True
-    return CostMatrix(values=values, admissible=admissible)
+    dist = 1.0 - iou_matrix(track_boxes, det_boxes)
+    admissible = dist <= max_distance
+    return CostMatrix(values=np.where(admissible, dist, SENTINEL_COST),
+                      admissible=admissible)
 
 
 def solve_assignment(cost: CostMatrix) -> AssignmentResult:

@@ -183,7 +183,7 @@ def cmd_synth(spec_path: str, seed: int | None, out_dir: str) -> int:
     spec, loi_px, direction, interval_s = synth.parse_scenario(_read_text(spec_path))
     if seed is not None:
         spec.seed = seed
-    loi = synth.loi_to_world(loi_px, direction, spec.calibration)
+    loi = traffic.loi_to_world(loi_px, direction, spec.calibration)
     batches, truth = synth.generate(spec, loi, interval_s)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

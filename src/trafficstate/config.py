@@ -15,8 +15,7 @@ from typing import Optional
 from .calib import CalibrationParams, ReferenceObject, derive_magnification
 from .errors import ValidationError
 from .tracker import TrackerConfig
-from .traffic import LineOfInterest
-from .synth import loi_to_world
+from .traffic import LineOfInterest, loi_to_world
 
 DEFAULT_CONFIG = """\
 [calibration]

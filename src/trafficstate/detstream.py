@@ -19,6 +19,11 @@ import numpy as np
 
 from .errors import ParseError, ValidationError
 
+# Largest |x|, |y|, w or h accepted, in pixels. Squares of box values stay
+# far from float overflow in the filter, and the tallest boxes still
+# project to a covariance within motion.MAX_CONDITION.
+MAX_BOX_PX = 1e5
+
 # Registered road-user classes of the default catalog; override per run.
 DEFAULT_CLASS_NAMES = (
     "Ambulance",
@@ -109,6 +114,9 @@ def parse_row(parts: Sequence[str], line_no: int, path) -> tuple[int, Detection,
     except ValueError as exc:
         raise ParseError(f"unparseable field ({exc})", line_no, path) from None
 
+    if not all(abs(v) <= MAX_BOX_PX for v in (x, y, w, h)):
+        raise ParseError(f"bounding box values must be finite and within "
+                         f"±{MAX_BOX_PX:g} px, got {(x, y, w, h)}", line_no, path)
     if frame < 1:
         raise ValidationError(f"line {line_no}: frame index must be >= 1, got {frame}")
     if class_id < 0:

@@ -16,7 +16,7 @@ from typing import IO, Iterable, Optional, Sequence
 import numpy as np
 from scipy.special import betainc
 
-from .assoc import iou
+from .assoc import iou_matrix
 from .detstream import Detection
 from .errors import NumericalError, ParseError, ValidationError
 
@@ -64,21 +64,21 @@ def match_to_ground_truth(
     det_is_tp = [False] * len(detections)
     det_matched_gt: list[Optional[int]] = [None] * len(detections)
     gt_matched = [False] * len(ground_truths)
+    overlaps = iou_matrix([d.bbox for d in detections], [g.bbox for g in ground_truths])
+    # a pair is a candidate while its IoU is positive and clears the threshold
+    candidate = (overlaps >= iou_threshold) & (overlaps > 0.0)
+    if same_class:
+        candidate &= (np.array([d.class_id for d in detections])[:, None]
+                      == np.array([g.class_id for g in ground_truths])[None, :])
     for i in order:
-        det = detections[i]
-        best_j, best_iou = None, 0.0
-        for j, gt in enumerate(ground_truths):
-            if gt_matched[j]:
-                continue
-            if same_class and gt.class_id != det.class_id:
-                continue
-            overlap = iou(det.bbox, gt.bbox)
-            if overlap >= iou_threshold and overlap > best_iou:
-                best_j, best_iou = j, overlap
-        if best_j is not None:
-            det_is_tp[i] = True
-            det_matched_gt[i] = best_j
-            gt_matched[best_j] = True
+        if not candidate[i].any():
+            continue
+        # the first maximum wins, as a strict > scan would pick
+        j = int(np.argmax(np.where(candidate[i], overlaps[i], -1.0)))
+        det_is_tp[i] = True
+        det_matched_gt[i] = j
+        gt_matched[j] = True
+        candidate[:, j] = False
     return MatchLabeling(det_is_tp, det_matched_gt, gt_matched)
 
 
@@ -158,19 +158,6 @@ class ClassEval:
     @property
     def f1(self) -> float:
         return f1(self.precision, self.recall)
-
-    def pr_points(self) -> list[tuple[float, float]]:
-        """(recall, precision) at every confidence threshold, best first."""
-        if self.n_gt < 1:
-            return []
-        order = sorted(range(len(self.labeled)),
-                       key=lambda i: (-self.labeled[i][0], i))
-        points = []
-        tp_cum = 0
-        for rank, i in enumerate(order, start=1):
-            tp_cum += 1 if self.labeled[i][1] else 0
-            points.append((tp_cum / self.n_gt, tp_cum / rank))
-        return points
 
 
 @dataclass

@@ -3,16 +3,14 @@
 The 8-dimensional state is (u, v, g, h, du, dv, dg, dh): box center in
 pixels, aspect ratio, box height, and their per-frame velocities. Noise
 scales with box height, so near and far objects get comparable relative
-uncertainty. Batched variants (`predict_many` etc.) exist because the
-tracker touches every live track every frame.
+uncertainty. Every operation but `initiate` is batched over stacked
+states, mean (n, 8) and covariance (n, 8, 8), because the tracker keeps
+its live tracks in those arrays and touches all of them every frame.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericalError, ValidationError
 
@@ -27,22 +25,6 @@ HEIGHT_FLOOR = 1e-6
 MAX_CONDITION = 1e12
 
 
-@dataclass
-class TrackState:
-    """Gaussian belief over one track: mean (8,) and covariance (8, 8)."""
-
-    mean: np.ndarray
-    covariance: np.ndarray
-
-
-@dataclass
-class MeasurementProjection:
-    """Track belief projected into measurement space: y (4,), s (4, 4)."""
-
-    y: np.ndarray
-    s: np.ndarray
-
-
 def measurement_from_bbox(bbox) -> np.ndarray:
     """(x, y, w, h) pixel box to (center x, center y, aspect, height)."""
     x, y, w, h = (float(v) for v in bbox)
@@ -51,11 +33,11 @@ def measurement_from_bbox(bbox) -> np.ndarray:
     return np.array([x + w / 2.0, y + h / 2.0, w / h, h])
 
 
-def bbox_from_state(mean: np.ndarray) -> tuple[float, float, float, float]:
-    """(x, y, w, h) pixel box from the positional part of a state mean."""
-    u, v, g, h = (float(x) for x in mean[:4])
+def bbox_from_state(means: np.ndarray) -> np.ndarray:
+    """(x, y, w, h) pixel boxes (..., 4) from state means (..., 8)."""
+    u, v, g, h = (means[..., i] for i in range(4))
     w = g * h
-    return u - w / 2.0, v - h / 2.0, w, h
+    return np.stack([u - w / 2.0, v - h / 2.0, w, h], axis=-1)
 
 
 class KalmanFilter:
@@ -106,55 +88,13 @@ class KalmanFilter:
         one = np.ones_like(h)
         return np.stack([wp * h, wp * h, self.aspect_meas_std * one, wp * h], axis=-1)
 
-    # -- single-track operations --------------------------------------------
-
-    def initiate(self, bbox) -> TrackState:
-        """Start a track from an unassociated detection box."""
+    def initiate(self, bbox) -> tuple[np.ndarray, np.ndarray]:
+        """(mean (8,), covariance (8, 8)) of a track started from a detection box."""
         z = measurement_from_bbox(bbox)
         mean = np.zeros(_DIM)
         mean[:4] = z
         std = self._initiate_std(z[3])
-        return TrackState(mean=mean, covariance=np.diag(std * std))
-
-    def predict(self, state: TrackState) -> TrackState:
-        """Advance the belief one frame under constant velocity."""
-        std = self._process_std(state.mean[3])
-        q = np.diag(std * std)
-        mean = self._F @ state.mean
-        cov = self._F @ state.covariance @ self._F.T + q
-        return TrackState(mean=mean, covariance=0.5 * (cov + cov.T))
-
-    def project(self, state: TrackState) -> MeasurementProjection:
-        """Project the belief into measurement space (adds measurement noise)."""
-        std = self._measurement_std(state.mean[3])
-        y = state.mean[:4].copy()
-        s = state.covariance[:4, :4] + np.diag(std * std)
-        s = 0.5 * (s + s.T)
-        eig = np.linalg.eigvalsh(s)
-        if eig[0] <= 0 or eig[-1] / eig[0] > MAX_CONDITION:
-            raise NumericalError(
-                f"innovation covariance ill-conditioned (eigenvalues {eig})"
-            )
-        return MeasurementProjection(y=y, s=s)
-
-    def update(self, state: TrackState, measurement) -> TrackState:
-        """Standard Kalman correction against a (u, v, g, h) measurement."""
-        z = np.asarray(measurement, dtype=np.float64)
-        proj = self.project(state)
-        try:
-            chol = scipy.linalg.cho_factor(proj.s, lower=True, check_finite=False)
-            gain = scipy.linalg.cho_solve(
-                chol, (state.covariance[:, :4]).T, check_finite=False
-            ).T
-        except scipy.linalg.LinAlgError as exc:
-            raise NumericalError(f"singular innovation covariance: {exc}") from None
-        mean = state.mean + gain @ (z - proj.y)
-        cov = state.covariance - gain @ proj.s @ gain.T
-        mean[2] = max(mean[2], ASPECT_FLOOR)
-        mean[3] = max(mean[3], HEIGHT_FLOOR)
-        return TrackState(mean=mean, covariance=0.5 * (cov + cov.T))
-
-    # -- batched operations (one numpy call chain for all live tracks) ------
+        return mean, np.diag(std * std)
 
     def predict_many(self, means: np.ndarray, covs: np.ndarray):
         """Vectorized predict over stacked states (n, 8) and (n, 8, 8)."""

@@ -21,10 +21,11 @@ from typing import Optional
 
 import numpy as np
 
-from .calib import CalibrationParams, to_pixel, to_world
+from .calib import CalibrationParams, to_pixel
 from .detstream import Detection
 from .errors import ValidationError
 from .traffic import IntervalMeasurement, LineOfInterest, interval_grid
+from .traffic import loi_to_world  # noqa: F401  (kept importable as synth.loi_to_world)
 
 SECONDS_PER_HOUR = 3600.0
 MPS_TO_KMH = 3.6
@@ -347,10 +348,3 @@ def parse_scenario(text: str):
     if "measure" in cp:
         interval_s = cp["measure"].getfloat("interval_s", 60.0)
     return spec, loi_px, direction, interval_s
-
-
-def loi_to_world(loi_px, direction, calib: CalibrationParams) -> LineOfInterest:
-    """Map pixel LoI endpoints into the world frame used for counting."""
-    (ax, ay), (bx, by) = loi_px
-    return LineOfInterest(a=to_world(ax, ay, calib), b=to_world(bx, by, calib),
-                          direction=direction)

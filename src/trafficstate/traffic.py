@@ -48,6 +48,13 @@ class LineOfInterest:
             raise ValidationError(f"direction must be +1, -1 or unset, got {self.direction}")
 
 
+def loi_to_world(loi_px, direction, calib: CalibrationParams) -> LineOfInterest:
+    """Map pixel LoI endpoints into the world frame used for counting."""
+    (ax, ay), (bx, by) = loi_px
+    return LineOfInterest(a=to_world(ax, ay, calib), b=to_world(bx, by, calib),
+                          direction=direction)
+
+
 @dataclass
 class IntervalMeasurement:
     """Counts, flows and speeds for one time interval."""

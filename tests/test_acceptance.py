@@ -14,10 +14,9 @@ import scipy.stats
 
 from trafficstate.assoc import (
     SENTINEL_COST,
-    AppearanceGallery,
     CostMatrix,
-    cosine_gallery_distance,
-    mahalanobis_sq,
+    appearance_distances,
+    motion_distances,
     solve_assignment,
 )
 from trafficstate.calib import (
@@ -36,7 +35,7 @@ from trafficstate.metrics import (
     pearson,
     rmse,
 )
-from trafficstate.motion import KalmanFilter, MeasurementProjection
+from trafficstate.motion import KalmanFilter
 from trafficstate.synth import AgentSpec, ScenarioSpec, generate
 from trafficstate.tracker import Tracker, TrackerConfig
 from trafficstate.traffic import (
@@ -112,27 +111,28 @@ def test_kalman_convergence():
 @criterion(3, "Mahalanobis/cosine distance identities")
 def test_distance_identities():
     rng = np.random.default_rng(103)
+    one = np.array([True])
     for _ in range(1000):
         sigma2 = float(rng.uniform(0.05, 100.0))
         y = rng.normal(scale=50.0, size=4)
         d = rng.normal(scale=50.0, size=4)
-        proj = MeasurementProjection(y=y, s=sigma2 * np.eye(4))
-        got = mahalanobis_sq(proj, d)
+        got = motion_distances(y[None], sigma2 * np.eye(4)[None], one, d[None])[0, 0]
         want = float((d - y) @ (d - y)) / sigma2
         assert abs(got - want) <= 1e-9 * max(1.0, want)
-    gallery = AppearanceGallery()
+    members = []
     for _ in range(50):
         v = rng.normal(size=16)
-        gallery.add(v / np.linalg.norm(v))
+        members.append(v / np.linalg.norm(v))
+    members = np.array(members)
     for _ in range(200):
         q = rng.normal(size=16)
         q /= np.linalg.norm(q)
-        assert 0.0 <= cosine_gallery_distance(gallery, q) <= 2.0
+        d2, defined = appearance_distances(members, np.array([50]), q[None], one)
+        assert defined[0, 0] and 0.0 <= d2[0, 0] <= 2.0
     exact = np.zeros(16)
     exact[3] = 1.0
-    g2 = AppearanceGallery()
-    g2.add(exact)
-    assert cosine_gallery_distance(g2, exact) == 0.0
+    d2, _ = appearance_distances(exact[None], np.array([1]), exact[None], one)
+    assert d2[0, 0] == 0.0
 
 
 # -- 4: end-to-end tracking fidelity ------------------------------------------------

@@ -4,25 +4,20 @@ import pytest
 from trafficstate.assoc import (
     CHI2_95_4DOF,
     SENTINEL_COST,
-    AppearanceGallery,
     CostMatrix,
+    appearance_distances,
     build_cost_matrix,
     build_iou_cost_matrix,
-    cosine_gallery_distance,
-    gate,
-    iou,
-    mahalanobis_sq,
+    iou_matrix,
+    measurements_of,
+    motion_distances,
     solve_assignment,
 )
 from trafficstate.detstream import Detection
-from trafficstate.errors import ContractError, NumericalError, ValidationError
-from trafficstate.motion import MeasurementProjection
+from trafficstate.errors import NumericalError, ValidationError
+from trafficstate.tracker import Tracker, TrackerConfig
 
-from oracles import brute_force_assignment
-
-
-def proj(y, s):
-    return MeasurementProjection(y=np.asarray(y, float), s=np.asarray(s, float))
+from oracles import brute_force_assignment, cosine_gallery_distance, gate, iou, mahalanobis_sq
 
 
 def det(bbox, appearance=None, frame=1, class_id=0, conf=1.0):
@@ -31,21 +26,63 @@ def det(bbox, appearance=None, frame=1, class_id=0, conf=1.0):
                      confidence=conf, appearance=app)
 
 
+def mahalanobis(y, s, d):
+    """Engine distance of one measurement from one projection."""
+    return motion_distances(np.asarray(y, float)[None], np.asarray(s, float)[None],
+                            np.array([True]), np.asarray(d, float)[None])[0, 0]
+
+
+def cosine(members, r):
+    """Engine distance of one query from one gallery, or None if undefined."""
+    r = np.asarray(r, float)
+    members = np.asarray(members, float).reshape(len(members), len(r))
+    d2, defined = appearance_distances(members, np.array([len(members)]),
+                                       r[None], np.array([True]))
+    return d2[0, 0] if defined[0, 0] else None
+
+
+def cost_matrix(projections, galleries, dets, lam, **gates):
+    """build_cost_matrix over (y, s) projections (None: unusable), gallery
+    member lists and Detection objects."""
+    ok = np.array([p is not None for p in projections])
+    y = np.array([p[0] if p is not None else np.zeros(4) for p in projections], float)
+    s = np.array([p[1] if p is not None else np.eye(4) for p in projections], float)
+    dim = max([len(d.appearance) for d in dets if d.appearance is not None], default=0)
+    sizes = np.array([len(g) for g in galleries])
+    members = np.array([m for g in galleries for m in g], float).reshape(sizes.sum(), dim)
+    has_desc = np.array([d.appearance is not None for d in dets])
+    descs = np.array([d.appearance if d.appearance is not None else np.zeros(dim)
+                      for d in dets], float).reshape(len(dets), dim)
+    boxes = np.array([d.bbox for d in dets], float).reshape(-1, 4)
+    return build_cost_matrix(y, s, ok, measurements_of(boxes), members, sizes,
+                             descs, has_desc, lam=lam, **gates)
+
+
+def galleries(descriptors, capacity=100):
+    """Yield, frame by frame, the gallery members a tracker holds for one
+    stationary object that carries the given descriptors in turn."""
+    tr = Tracker(TrackerConfig(gallery_capacity=capacity))
+    for frame, d in enumerate(descriptors, start=1):
+        tr.step(frame, [det((0, 0, 10, 20), appearance=d, frame=frame)])
+        assert tr.tracks == [1]
+        members, sizes = tr._gallery_members(np.array([0]))
+        assert sizes.tolist() == [len(members)]
+        yield members
+
+
 # -- mahalanobis ------------------------------------------------------------
 
 def test_mahalanobis_zero_residual():
-    p = proj([1, 2, 3, 4], np.diag([2.0, 3, 4, 5]))
-    assert mahalanobis_sq(p, np.array([1.0, 2, 3, 4])) == 0.0
+    assert mahalanobis([1, 2, 3, 4], np.diag([2.0, 3, 4, 5]), [1.0, 2, 3, 4]) == 0.0
 
 
 def test_mahalanobis_identity_is_squared_euclidean():
-    p = proj([0, 0, 0, 0], np.eye(4))
-    assert mahalanobis_sq(p, np.array([3.0, 4, 0, 0])) == pytest.approx(25.0)
+    assert mahalanobis([0, 0, 0, 0], np.eye(4), [3.0, 4, 0, 0]) == pytest.approx(25.0)
 
 
 def test_mahalanobis_diagonal():
-    p = proj([0, 0, 0, 0], np.diag([4.0, 1, 1, 1]))
-    assert mahalanobis_sq(p, np.array([2.0, 0, 0, 0])) == pytest.approx(1.0)
+    assert mahalanobis([0, 0, 0, 0], np.diag([4.0, 1, 1, 1]), [2.0, 0, 0, 0]) \
+        == pytest.approx(1.0)
 
 
 def test_mahalanobis_scaled_identity_property():
@@ -54,15 +91,16 @@ def test_mahalanobis_scaled_identity_property():
         sigma2 = rng.uniform(0.1, 50.0)
         y = rng.normal(size=4)
         d = rng.normal(size=4)
-        got = mahalanobis_sq(proj(y, sigma2 * np.eye(4)), d)
+        got = mahalanobis(y, sigma2 * np.eye(4), d)
         want = float((d - y) @ (d - y)) / sigma2
         assert got == pytest.approx(want, abs=1e-9, rel=1e-9)
+        assert got == pytest.approx(mahalanobis_sq(y, sigma2 * np.eye(4), d),
+                                    abs=1e-9, rel=1e-9)
 
 
 def test_mahalanobis_rejects_non_pd():
-    p = proj([0, 0, 0, 0], -np.eye(4))
     with pytest.raises(NumericalError):
-        mahalanobis_sq(p, np.zeros(4))
+        mahalanobis([0, 0, 0, 0], -np.eye(4), np.zeros(4))
 
 
 # -- gallery + cosine distance ------------------------------------------------
@@ -73,46 +111,35 @@ def unit(v):
 
 
 def test_cosine_self_query_zero():
-    g = AppearanceGallery()
-    g.add(np.array([0.6, 0.8]))
-    assert cosine_gallery_distance(g, np.array([0.6, 0.8])) == 0.0
+    assert cosine([[0.6, 0.8]], [0.6, 0.8]) == 0.0
 
 
 def test_cosine_orthogonal_is_one():
-    g = AppearanceGallery()
-    g.add(np.array([1.0, 0.0]))
-    assert cosine_gallery_distance(g, np.array([0.0, 1.0])) == pytest.approx(1.0)
+    assert cosine([[1.0, 0.0]], [0.0, 1.0]) == pytest.approx(1.0)
 
 
 def test_cosine_takes_min_over_members():
-    g = AppearanceGallery()
-    g.add(np.array([1.0, 0.0]))
-    g.add(np.array([0.0, 1.0]))
-    assert cosine_gallery_distance(g, np.array([1.0, 0.0])) == 0.0
+    assert cosine([[1.0, 0.0], [0.0, 1.0]], [1.0, 0.0]) == 0.0
 
 
-def test_cosine_empty_gallery_is_contract_error():
-    with pytest.raises(ContractError):
-        cosine_gallery_distance(AppearanceGallery(), np.array([1.0, 0.0]))
+def test_cosine_empty_gallery_is_undefined():
+    assert cosine(np.empty((0, 2)), [1.0, 0.0]) is None
 
 
 def test_cosine_range_bounds():
     rng = np.random.default_rng(2)
-    g = AppearanceGallery()
-    for _ in range(30):
-        g.add(unit(rng.normal(size=8)))
+    members = [unit(rng.normal(size=8)) for _ in range(30)]
     for _ in range(200):
-        d = cosine_gallery_distance(g, unit(rng.normal(size=8)))
+        q = unit(rng.normal(size=8))
+        d = cosine(members, q)
         assert 0.0 <= d <= 2.0
+        assert d == pytest.approx(cosine_gallery_distance(members, q), abs=1e-12)
 
 
 def test_gallery_capacity_and_fifo_eviction():
-    g = AppearanceGallery(capacity=3)
     vecs = [unit([1, i]) for i in range(5)]
-    for v in vecs:
-        g.add(v)
-    assert len(g) == 3
-    members = g.matrix()
+    *_, members = galleries(vecs, capacity=3)
+    assert len(members) == 3
     for kept in vecs[2:]:
         assert any(np.allclose(kept, row) for row in members)
     for evicted in vecs[:2]:
@@ -121,114 +148,191 @@ def test_gallery_capacity_and_fifo_eviction():
 
 def test_gallery_min_distance_monotone_under_insertion():
     rng = np.random.default_rng(3)
-    g = AppearanceGallery(capacity=100)
     query = unit(rng.normal(size=6))
-    g.add(unit(rng.normal(size=6)))
-    prev = cosine_gallery_distance(g, query)
-    for _ in range(50):
-        g.add(unit(rng.normal(size=6)))
-        cur = cosine_gallery_distance(g, query)
-        assert cur <= prev + 1e-12
-        prev = cur
+    vecs = [unit(rng.normal(size=6)) for _ in range(51)]
+    distances = [cosine(members, query) for members in galleries(vecs)]
+    assert all(cur <= prev + 1e-12 for prev, cur in zip(distances, distances[1:]))
 
 
 def test_gallery_rejects_non_unit():
-    g = AppearanceGallery()
     with pytest.raises(ValidationError):
-        g.add(np.array([1.0, 1.0]))
+        Tracker().step(1, [det((0, 0, 10, 20), appearance=[1.0, 1.0])])
+
+
+def test_gallery_rejects_dimension_change():
+    tr = Tracker()
+    tr.step(1, [det((0, 0, 10, 20), appearance=[1.0, 0.0])])
+    with pytest.raises(ValidationError):
+        tr.step(2, [det((0, 0, 10, 20), appearance=[1.0, 0.0, 0.0], frame=2)])
+
+
+def test_gallery_starts_with_first_descriptor_mid_stream():
+    tr = Tracker()
+    for frame in range(1, 7):
+        app = None if frame <= 3 else [1.0, 0.0]
+        snaps = tr.step(frame, [det((0, 0, 10, 20), appearance=app, frame=frame)])
+        assert [s.track_id for s in snaps] == [1]
+    members, sizes = tr._gallery_members(np.array([0]))
+    assert sizes.tolist() == [3] and members.shape == (3, 2)
+
+
+def test_gallery_of_a_new_track_holds_only_its_own_descriptors():
+    # track 2 leaves after frame 3 and is deleted at frame 7; track 3, born
+    # at frame 9, may take over its buffer
+    e = np.eye(3)
+    tr = Tracker()
+    for frame in range(1, 10):
+        dets = [det((100, 0, 10, 20), appearance=e[1], frame=frame)]
+        if frame <= 3:
+            dets.append(det((0, 0, 10, 20), appearance=e[0], frame=frame))
+        if frame == 9:
+            dets.append(det((300, 0, 10, 20), appearance=e[2], frame=frame))
+        tr.step(frame, dets)
+    assert tr.tracks == [1, 3]
+    members, sizes = tr._gallery_members(np.array([0, 1]))
+    assert sizes.tolist() == [9, 1]
+    assert np.array_equal(members, np.array([e[1]] * 9 + [e[2]]))
 
 
 # -- gate ---------------------------------------------------------------------
 
+def gate_inputs(d1, d2):
+    """One track and one detection whose motion and appearance distances
+    are d1 and d2: (projection, gallery member, detection)."""
+    query = unit([1.0, 2.0])
+    side = np.array([query[1], -query[0]])
+    member = (1.0 - d2) * query + np.sqrt(1.0 - (1.0 - d2) ** 2) * side
+    z = np.array([np.sqrt(d1), 0.0, 1.0, 10.0])     # unit covariance: d1 = z0^2
+    return ([0, 0, 1, 10], np.eye(4)), member, det((z[0] - 5, -5, 10, 10), appearance=query)
+
+
+def gate_pair(d1, d2, t1, t2):
+    """Admissibility of one pair whose motion and appearance distances are d1, d2."""
+    projection, member, d = gate_inputs(d1, d2)
+    cm = cost_matrix([projection], [[member]], [d], lam=0.5, t1=t1, t2=t2)
+    return bool(cm.admissible[0, 0])
+
+
 def test_gate_examples():
-    assert gate(5.0, 0.1, CHI2_95_4DOF, 0.2) is True
-    assert gate(10.0, 0.1, CHI2_95_4DOF, 0.2) is False
+    for d1, d2, want in [(5.0, 0.1, True), (10.0, 0.1, False), (4.0, 0.19, True),
+                         (4.0, 0.21, False)]:
+        assert gate_pair(d1, d2, CHI2_95_4DOF, 0.2) is want
+        assert gate(d1, d2, CHI2_95_4DOF, 0.2) is want
     assert gate(CHI2_95_4DOF, 0.2, CHI2_95_4DOF, 0.2) is True
+
+
+def test_gate_is_inclusive_at_both_thresholds():
+    (y, s), member, d = gate_inputs(4.0, 0.15)
+    d1 = mahalanobis(y, s, measurements_of(np.array([d.bbox], float))[0])
+    d2 = cosine([member], d.appearance)
+    for t1, t2, want in [(d1, d2, True), (np.nextafter(d1, 0.0), d2, False),
+                         (d1, np.nextafter(d2, 0.0), False)]:
+        cm = cost_matrix([(y, s)], [[member]], [d], lam=0.5, t1=t1, t2=t2)
+        assert bool(cm.admissible[0, 0]) is want
+        assert bool(gate(d1, d2, t1, t2)) is want
 
 
 def test_gate_rejects_bad_thresholds():
     with pytest.raises(ValidationError):
-        gate(1.0, 1.0, 0.0, 1.0)
+        gate_pair(1.0, 0.1, 0.0, 1.0)
+    with pytest.raises(ValidationError):
+        gate_pair(1.0, 0.1, 1.0, -1.0)
 
 
 # -- iou ------------------------------------------------------------------------
 
 def test_iou_examples():
-    assert iou((0, 0, 10, 10), (0, 0, 10, 10)) == 1.0
-    assert iou((0, 0, 10, 10), (100, 100, 5, 5)) == 0.0
-    assert iou((0, 0, 10, 10), (5, 0, 10, 10)) == pytest.approx(1 / 3)
+    got = iou_matrix([(0, 0, 10, 10)], [(0, 0, 10, 10), (100, 100, 5, 5), (5, 0, 10, 10)])
+    assert got[0, 0] == 1.0
+    assert got[0, 1] == 0.0
+    assert got[0, 2] == pytest.approx(1 / 3)
+
+
+def test_iou_matrix_bitwise_equals_pairwise():
+    rng = np.random.default_rng(6)
+    a = np.column_stack([rng.uniform(-50, 50, (40, 2)), rng.uniform(0.1, 40, (40, 2))])
+    b = np.column_stack([rng.uniform(-50, 50, (30, 2)), rng.uniform(0.1, 40, (30, 2))])
+    b[:5] = a[:5]                                   # identical boxes
+    b[5:10, :2] = a[5:10, :2] + a[5:10, 2:]         # boxes touching at a corner
+    got = iou_matrix(a, b)
+    for i in range(len(a)):
+        for j in range(len(b)):
+            assert got[i, j] == iou(tuple(a[i]), tuple(b[j]))
+    assert iou_matrix(a, np.empty((0, 4))).shape == (40, 0)
+
+
+def test_iou_rejects_degenerate_boxes():
+    with pytest.raises(ValidationError):
+        iou_matrix([(0, 0, 0, 10)], [(0, 0, 10, 10)])
 
 
 # -- cost matrix -----------------------------------------------------------------
 
 def two_track_setup():
-    projections = [proj([0, 0, 1, 10], np.eye(4)), proj([50, 0, 1, 10], np.eye(4))]
-    g1, g2 = AppearanceGallery(), AppearanceGallery()
-    g1.add(np.array([1.0, 0.0]))
-    g2.add(np.array([0.0, 1.0]))
+    projections = [([0, 0, 1, 10], np.eye(4)), ([50, 0, 1, 10], np.eye(4))]
+    galleries = [[[1.0, 0.0]], [[0.0, 1.0]]]
     d1 = det((-5, -5, 10, 10), appearance=[1.0, 0.0])    # center (0,0) near track 1
     d2 = det((45, -5, 10, 10), appearance=[0.0, 1.0])    # center (50,0) near track 2
-    return projections, [g1, g2], [d1, d2]
+    return projections, galleries, [d1, d2]
 
 
 def test_cost_matrix_lambda_one_is_motion_only():
     projections, galleries, dets = two_track_setup()
-    cm = build_cost_matrix(projections, galleries, dets, lam=1.0, t1=100.0, t2=0.5)
-    for i, p in enumerate(projections):
+    cm = cost_matrix(projections, galleries, dets, lam=1.0, t1=100.0, t2=0.5)
+    for i, (y, s) in enumerate(projections):
         for j, d in enumerate(dets):
             if cm.admissible[i, j]:
-                x, y, w, h = d.bbox
-                z = np.array([x + w / 2, y + h / 2, w / h, h])
-                assert cm.values[i, j] == pytest.approx(mahalanobis_sq(p, z))
+                x, yy, w, h = d.bbox
+                z = np.array([x + w / 2, yy + h / 2, w / h, h])
+                assert cm.values[i, j] == pytest.approx(mahalanobis_sq(np.array(y, float), s, z))
 
 
 def test_cost_matrix_lambda_zero_is_appearance_only():
     projections, galleries, dets = two_track_setup()
-    cm = build_cost_matrix(projections, galleries, dets, lam=0.0, t1=1e6, t2=2.0)
+    cm = cost_matrix(projections, galleries, dets, lam=0.0, t1=1e6, t2=2.0)
     for i, g in enumerate(galleries):
         for j, d in enumerate(dets):
             assert cm.admissible[i, j]
             assert cm.values[i, j] == pytest.approx(
-                cosine_gallery_distance(g, d.appearance), abs=1e-12
+                cosine_gallery_distance(np.array(g), d.appearance), abs=1e-12
             )
 
 
 def test_cost_matrix_convex_combination():
     # d_motion = 4, d_appearance = 0.2 at lambda 0.5 -> 2.1
-    projections = [proj([0, 0, 1, 10], np.eye(4))]
-    g = AppearanceGallery()
+    projections = [([0, 0, 1, 10], np.eye(4))]
     z = np.array([2.0, 0.0, 1.0, 10.0])
     bbox = (z[0] - 5, z[1] - 5, 10, 10)
     query = unit([1.0, 3.0])
     # choose gallery member so that 1 - dot(query, member) = 0.2
     member = unit(0.8 * query + np.sqrt(1 - 0.64) * np.array([query[1], -query[0]]))
-    g.add(member)
     d = det(bbox, appearance=query)
-    assert mahalanobis_sq(projections[0], z) == pytest.approx(4.0)
-    assert cosine_gallery_distance(g, query) == pytest.approx(0.2)
-    cm = build_cost_matrix(projections, [g], [d], lam=0.5, t1=10.0, t2=0.5)
+    assert mahalanobis_sq(np.zeros(4) + [0, 0, 1, 10], np.eye(4), z) == pytest.approx(4.0)
+    assert cosine_gallery_distance([member], query) == pytest.approx(0.2)
+    cm = cost_matrix(projections, [[member]], [d], lam=0.5, t1=10.0, t2=0.5)
     assert cm.values[0, 0] == pytest.approx(2.1)
 
 
 def test_cost_matrix_missing_appearance_falls_back_to_motion():
-    projections = [proj([0, 0, 1, 10], np.eye(4))]
+    projections = [([0, 0, 1, 10], np.eye(4))]
     d = det((-5, -5, 10, 10))  # no descriptor
-    cm = build_cost_matrix(projections, [AppearanceGallery()], [d], lam=0.0)
+    cm = cost_matrix(projections, [[]], [d], lam=0.0)
     assert cm.admissible[0, 0]
     z = np.array([0.0, 0.0, 1.0, 10.0])
-    assert cm.values[0, 0] == pytest.approx(mahalanobis_sq(projections[0], z))
+    assert cm.values[0, 0] == pytest.approx(mahalanobis_sq(np.array([0.0, 0, 1, 10]),
+                                                           np.eye(4), z))
 
 
 def test_cost_matrix_gating_sets_sentinel():
-    projections = [proj([0, 0, 1, 10], np.eye(4))]
+    projections = [([0, 0, 1, 10], np.eye(4))]
     far = det((995, -5, 10, 10))
-    cm = build_cost_matrix(projections, [None], [far], lam=1.0)
+    cm = cost_matrix(projections, [[]], [far], lam=1.0)
     assert not cm.admissible[0, 0]
     assert cm.values[0, 0] == SENTINEL_COST
 
 
 def test_cost_matrix_unusable_projection_row():
-    cm = build_cost_matrix([None], [None], [det((0, 0, 10, 10))], lam=1.0)
+    cm = cost_matrix([None], [[]], [det((0, 0, 10, 10))], lam=1.0)
     assert not cm.admissible.any()
 
 
@@ -300,9 +404,10 @@ def test_assignment_invariant_to_constant_shift():
 
 def test_iou_cost_matrix_gate():
     tracks = [(0.0, 0.0, 10.0, 10.0)]
-    near = det((2, 0, 10, 10))
-    far = det((9.5, 0, 10, 10))
+    near = (2, 0, 10, 10)
+    far = (9.5, 0, 10, 10)
     cm = build_iou_cost_matrix(tracks, [near, far], max_distance=0.7)
     assert cm.admissible[0, 0]
     assert not cm.admissible[0, 1]
-    assert cm.values[0, 0] == pytest.approx(1 - iou(tracks[0], near.bbox))
+    assert cm.values[0, 0] == pytest.approx(1 - iou(tracks[0], near))
+    assert cm.values[0, 1] == SENTINEL_COST

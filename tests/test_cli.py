@@ -1,7 +1,12 @@
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import trafficstate
 from trafficstate.cli import main
 from trafficstate.config import default_config_text, parse_config
 from trafficstate.traffic import parse_intervals
@@ -266,3 +271,20 @@ def test_track_reads_stdin(tmp_path, monkeypatch):
     assert main(["track", "--detections", "-", "--config", cfg,
                  "--out-dir", str(tmp_path / "out")]) == 0
     assert (tmp_path / "out" / "tracks.txt").exists()
+
+
+@pytest.mark.parametrize("field", ["x", "y"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_track_rejects_non_finite_box_position(tmp_path, capsys, field, value):
+    x, y = (value, "10") if field == "x" else ("1", value)
+    dets = write(tmp_path / "dets.txt", f"1,2,3,5,10,0.9,0\n1,{x},{y},5,10,0.9,0\n")
+    assert main(["track", "--detections", dets, "--out-dir", str(tmp_path / "out")]) == 1
+    assert f"{dets}:2:" in capsys.readouterr().err
+
+
+def test_config_import_leaves_synth_unloaded():
+    src = str(Path(trafficstate.__file__).resolve().parents[1])
+    probe = "import sys, trafficstate.config; print('trafficstate.synth' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "False"

@@ -72,6 +72,8 @@ def test_bad_field_types_name_line():
     "1,0,0,10,10,1.5,0",     # confidence out of range
     "0,0,0,10,10,0.5,0",     # frame below 1
     "1,0,0,10,10,0.5,-2",    # negative class
+    "1,-2e5,0,10,10,0.5,0",  # x beyond the pixel bound
+    "1,0,0,10,1e155,0.5,0",  # height beyond the pixel bound
 ])
 def test_invalid_values_rejected(row):
     with pytest.raises(ValidationError):

@@ -25,7 +25,7 @@ from trafficstate.metrics import (
     write_eval_report,
 )
 
-from oracles import threshold_enumeration_ap
+from oracles import greedy_match, threshold_enumeration_ap
 
 
 def box(bbox, class_id=0, conf=1.0, frame=1):
@@ -63,6 +63,21 @@ def test_match_prefers_highest_iou():
     det = box((2, 0, 10, 10))
     lab = match_to_ground_truth([det], gt, 0.3)
     assert lab.det_matched_gt[0] == 1
+
+
+def test_match_equals_scalar_greedy_oracle():
+    # equal IoUs: the first ground truth wins
+    twins = [box((0, 0, 10, 10)), box((0, 0, 10, 10))]
+    assert match_to_ground_truth([box((1, 0, 10, 10))], twins, 0.5).det_matched_gt == [0]
+    rng = np.random.default_rng(12)
+    for _ in range(300):
+        preds, gts = random_instance(rng)
+        for frame in set(preds) | set(gts):
+            dets, gt = preds.get(frame, []), gts.get(frame, [])
+            for same_class in (True, False):
+                for threshold in (0.3, 0.5):
+                    lab = match_to_ground_truth(dets, gt, threshold, same_class)
+                    assert lab.det_matched_gt == greedy_match(dets, gt, threshold, same_class)
 
 
 # -- scalar metrics ---------------------------------------------------------------
@@ -324,14 +339,3 @@ def test_evaluate_rejects_unknown_class():
 def test_evaluate_requires_some_ground_truth():
     with pytest.raises(ValidationError):
         evaluate_detections({1: [box((0, 0, 10, 10))]}, {}, n_classes=2)
-
-
-def test_pr_points_trace_the_curve():
-    gts = {1: [box((0, 0, 10, 10)), box((100, 0, 10, 10))]}
-    preds = {1: [box((0, 0, 10, 10), conf=0.9),
-                 box((300, 0, 10, 10), conf=0.8),
-                 box((100, 0, 10, 10), conf=0.7)]}
-    report = evaluate_detections(preds, gts, n_classes=1)
-    assert report.per_class[0].pr_points() == [
-        (0.5, 1.0), (0.5, 0.5), (1.0, pytest.approx(2 / 3)),
-    ]

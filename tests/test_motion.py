@@ -2,14 +2,9 @@ import numpy as np
 import pytest
 
 from trafficstate.errors import NumericalError, ValidationError
-from trafficstate.motion import (
-    KalmanFilter,
-    TrackState,
-    bbox_from_state,
-    measurement_from_bbox,
-)
+from trafficstate.motion import KalmanFilter, bbox_from_state, measurement_from_bbox
 
-from oracles import simulate_constant_velocity
+from oracles import kalman_predict, kalman_project, kalman_update, simulate_constant_velocity
 
 # near-zero measurement noise: the right setting for noiseless streams
 EXACT_KF = dict(pos_weight=1e-6)
@@ -25,23 +20,33 @@ def random_state(rng):
     mean[7] = rng.normal(scale=2.0)
     a = rng.normal(size=(8, 8))
     cov = a @ a.T + 1e-3 * np.eye(8)
-    return TrackState(mean=mean, covariance=cov)
+    return mean, cov
+
+
+def random_states(rng, n):
+    """n random states stacked as (n, 8) means and (n, 8, 8) covariances."""
+    states = [random_state(rng) for _ in range(n)]
+    return np.stack([m for m, _ in states]), np.stack([c for _, c in states])
+
+
+def one(mean, cov):
+    """One track's state as a batch of one."""
+    return np.asarray(mean, float)[None], np.asarray(cov, float)[None]
 
 
 def test_initiate_center_aspect():
     kf = KalmanFilter()
-    st = kf.initiate((0, 0, 50, 100))
-    assert np.allclose(st.mean, [25, 50, 0.5, 100, 0, 0, 0, 0])
+    mean, _ = kf.initiate((0, 0, 50, 100))
+    assert np.allclose(mean, [25, 50, 0.5, 100, 0, 0, 0, 0])
 
 
 def test_initiate_square_box():
-    st = KalmanFilter().initiate((10, 10, 100, 100))
-    assert st.mean[2] == 1.0
+    mean, _ = KalmanFilter().initiate((10, 10, 100, 100))
+    assert mean[2] == 1.0
 
 
 def test_initiate_covariance_psd_diagonal():
-    st = KalmanFilter().initiate((5, -3, 17, 23))
-    cov = st.covariance
+    _, cov = KalmanFilter().initiate((5, -3, 17, 23))
     assert np.array_equal(cov, np.diag(np.diag(cov)))
     assert np.all(np.linalg.eigvalsh(cov) > 0)
 
@@ -53,52 +58,50 @@ def test_initiate_rejects_bad_box():
 
 def test_predict_moves_position_by_velocity():
     kf = KalmanFilter()
-    st = TrackState(np.array([10.0, 10, 1, 100, 2, 3, 0, 0]), np.eye(8))
-    out = kf.predict(st)
-    assert np.allclose(out.mean[:4], [12, 13, 1, 100])
-    assert np.allclose(out.mean[4:], [2, 3, 0, 0])
+    means, _ = kf.predict_many(*one([10.0, 10, 1, 100, 2, 3, 0, 0], np.eye(8)))
+    assert np.allclose(means[0, :4], [12, 13, 1, 100])
+    assert np.allclose(means[0, 4:], [2, 3, 0, 0])
 
 
 def test_predict_zero_velocity_fixed_point():
     kf = KalmanFilter()
-    st = TrackState(np.array([10.0, 20, 0.5, 40, 0, 0, 0, 0]), np.eye(8))
-    assert np.allclose(kf.predict(st).mean[:4], st.mean[:4])
+    mean = np.array([10.0, 20, 0.5, 40, 0, 0, 0, 0])
+    means, _ = kf.predict_many(*one(mean, np.eye(8)))
+    assert np.allclose(means[0, :4], mean[:4])
 
 
 def test_predict_increases_covariance_trace():
     kf = KalmanFilter()
     rng = np.random.default_rng(3)
-    for _ in range(20):
-        st = random_state(rng)
-        st.mean[4:] = 0  # keep F neutral on positions, isolate additive Q
-        out = kf.predict(st)
-        assert np.trace(out.covariance) > np.trace(st.covariance)
+    means, covs = random_states(rng, 20)
+    means[:, 4:] = 0  # keep F neutral on positions, isolate additive Q
+    _, out = kf.predict_many(means, covs)
+    assert np.all(np.trace(out, axis1=1, axis2=2) > np.trace(covs, axis1=1, axis2=2))
 
 
 def test_project_selects_position_block():
     kf = KalmanFilter()
     mean = np.array([1.0, 2, 0.5, 50, 9, 9, 9, 9])
-    proj = kf.project(TrackState(mean, np.eye(8)))
-    assert np.array_equal(proj.y, mean[:4])
+    y, _, _ = kf.project_many(*one(mean, np.eye(8)))
+    assert np.array_equal(y[0], mean[:4])
 
 
 def test_project_adds_measurement_noise_to_identity_cov():
     kf = KalmanFilter()
-    mean = np.array([0.0, 0, 1, 40, 0, 0, 0, 0])
-    proj = kf.project(TrackState(mean, np.eye(8)))
+    _, s, ok = kf.project_many(*one([0.0, 0, 1, 40, 0, 0, 0, 0], np.eye(8)))
     std = np.array([40 / 20, 40 / 20, 1e-1, 40 / 20])
-    assert np.allclose(proj.s, np.eye(4) + np.diag(std * std))
+    assert ok[0]
+    assert np.allclose(s[0], np.eye(4) + np.diag(std * std))
 
 
 def test_project_s_minus_r_psd():
     kf = KalmanFilter()
     rng = np.random.default_rng(4)
-    for _ in range(50):
-        st = random_state(rng)
-        proj = kf.project(st)
-        h = st.mean[3]
+    means, covs = random_states(rng, 50)
+    _, s, _ = kf.project_many(means, covs)
+    for h, s_i in zip(means[:, 3], s):
         std = np.array([h / 20, h / 20, 1e-1, h / 20])
-        diff = proj.s - np.diag(std * std)
+        diff = s_i - np.diag(std * std)
         assert np.min(np.linalg.eigvalsh(diff)) >= -1e-9
 
 
@@ -106,28 +109,28 @@ def test_project_rejects_ill_conditioned():
     kf = KalmanFilter(pos_weight=1e-12)
     cov = np.zeros((8, 8))
     cov[0, 0] = 1e14  # condition vastly above the guard with tiny R elsewhere
-    st = TrackState(np.array([0.0, 0, 1, 1e-3, 0, 0, 0, 0]), cov)
+    means, covs = one([0.0, 0, 1, 1e-3, 0, 0, 0, 0], cov)
+    _, _, ok = kf.project_many(means, covs)
+    assert not ok[0]
     with pytest.raises(NumericalError):
-        kf.project(st)
+        kf.update_many(means, covs, np.zeros((1, 4)))
 
 
 def test_update_zero_innovation_keeps_positional_mean():
     kf = KalmanFilter()
     rng = np.random.default_rng(5)
-    for _ in range(1000):
-        st = random_state(rng)
-        st2 = kf.predict(st)
-        proj = kf.project(st2)
-        out = kf.update(st2, proj.y)
-        assert np.allclose(out.mean[:4], st2.mean[:4], atol=1e-9)
+    means, covs = kf.predict_many(*random_states(rng, 1000))
+    y, _, _ = kf.project_many(means, covs)
+    out, _ = kf.update_many(means, covs, y)
+    assert np.allclose(out[:, :4], means[:, :4], atol=1e-9)
 
 
 def test_update_r_to_zero_limit_matches_measurement():
     kf = KalmanFilter(pos_weight=1e-12, aspect_meas_std=1e-12)
-    st = KalmanFilter().initiate((0, 0, 50, 100))
+    start = KalmanFilter().initiate((0, 0, 50, 100))
     z = np.array([30.0, 55.0, 0.6, 110.0])
-    out = kf.update(st, z)
-    assert np.allclose(out.mean[:4], z, atol=1e-6)
+    out, _ = kf.update_many(*one(*start), z[None])
+    assert np.allclose(out[0, :4], z, atol=1e-6)
 
 
 def test_update_convergence_noiseless_constant_velocity():
@@ -140,23 +143,21 @@ def test_update_convergence_noiseless_constant_velocity():
 
 def test_update_clamps_aspect_and_height():
     kf = KalmanFilter(pos_weight=1e-12)
-    st = KalmanFilter().initiate((0, 0, 50, 100))
-    out = kf.update(st, np.array([0.0, 0.0, -5.0, -5.0]))
-    assert out.mean[2] >= 1e-6 and out.mean[3] >= 1e-6
+    start = KalmanFilter().initiate((0, 0, 50, 100))
+    out, _ = kf.update_many(*one(*start), np.array([[0.0, 0.0, -5.0, -5.0]]))
+    assert out[0, 2] >= 1e-6 and out[0, 3] >= 1e-6
 
 
 def test_predict_update_preserve_symmetry_and_psd():
     kf = KalmanFilter()
     rng = np.random.default_rng(6)
-    for _ in range(200):
-        st = random_state(rng)
-        pred = kf.predict(st)
-        assert np.allclose(pred.covariance, pred.covariance.T, atol=1e-9)
-        assert np.min(np.linalg.eigvalsh(pred.covariance)) >= -1e-9
-        z = pred.mean[:4] + rng.normal(scale=5.0, size=4)
-        upd = kf.update(pred, z)
-        assert np.allclose(upd.covariance, upd.covariance.T, atol=1e-9)
-        assert np.min(np.linalg.eigvalsh(upd.covariance)) >= -1e-9
+    means, covs = random_states(rng, 200)
+    means, covs = kf.predict_many(means, covs)
+    zs = means[:, :4] + rng.normal(scale=5.0, size=(200, 4))
+    _, upd = kf.update_many(means, covs, zs)
+    for cov in (covs, upd):
+        assert np.allclose(cov, np.transpose(cov, (0, 2, 1)), atol=1e-9)
+        assert np.min(np.linalg.eigvalsh(cov)) >= -1e-9
 
 
 def test_velocity_converges_to_constant_rate():
@@ -173,33 +174,35 @@ def test_velocity_converges_to_constant_rate():
 
 def test_posterior_mean_between_prior_and_measurement():
     kf = KalmanFilter()
-    st = TrackState(np.array([0.0, 0, 1, 40, 0, 0, 0, 0]), np.diag([4.0] * 4 + [1.0] * 4))
+    mean = np.array([0.0, 0, 1, 40, 0, 0, 0, 0])
     z = np.array([10.0, -10.0, 1.0, 40.0])
-    out = kf.update(st, z)
+    out, _ = kf.update_many(*one(mean, np.diag([4.0] * 4 + [1.0] * 4)), z[None])
     for i in (0, 1):
-        lo, hi = sorted((st.mean[i], z[i]))
-        assert lo <= out.mean[i] <= hi
+        lo, hi = sorted((mean[i], z[i]))
+        assert lo <= out[0, i] <= hi
 
 
 def test_batched_ops_match_single():
     kf = KalmanFilter()
     rng = np.random.default_rng(8)
-    states = [random_state(rng) for _ in range(7)]
-    means = np.stack([s.mean for s in states])
-    covs = np.stack([s.covariance for s in states])
+    means, covs = random_states(rng, 7)
     pm, pc = kf.predict_many(means.copy(), covs.copy())
-    for i, s in enumerate(states):
-        single = kf.predict(s)
-        assert np.allclose(single.mean, pm[i], atol=1e-12)
-        assert np.allclose(single.covariance, pc[i], atol=1e-12)
+    for i in range(7):
+        mean, cov = kalman_predict(kf, means[i], covs[i])
+        assert np.allclose(mean, pm[i], atol=1e-12)
+        assert np.allclose(cov, pc[i], atol=1e-12)
     ys, ss, ok = kf.project_many(pm, pc)
     assert ok.all()
+    for i in range(7):
+        y, s = kalman_project(kf, pm[i], pc[i])
+        assert np.array_equal(y, ys[i])
+        assert np.allclose(s, ss[i], atol=1e-12)
     zs = ys + rng.normal(scale=2.0, size=ys.shape)
     um, uc = kf.update_many(pm.copy(), pc.copy(), zs)
-    for i in range(len(states)):
-        single = kf.update(TrackState(pm[i], pc[i]), zs[i])
-        assert np.allclose(single.mean, um[i], atol=1e-9)
-        assert np.allclose(single.covariance, uc[i], atol=1e-9)
+    for i in range(7):
+        mean, cov = kalman_update(kf, pm[i], pc[i], zs[i])
+        assert np.allclose(mean, um[i], atol=1e-9)
+        assert np.allclose(cov, uc[i], atol=1e-9)
 
 
 def test_measurement_bbox_helpers_invert():

@@ -8,7 +8,6 @@ from trafficstate.tracker import (
     Tracker,
     TrackerConfig,
     TrackStatus,
-    class_of,
     format_track_row,
 )
 from trafficstate.synth import AgentSpec, ScenarioSpec, generate
@@ -105,14 +104,14 @@ def test_wrong_frame_in_batch_rejected():
 
 def test_class_votes_majority_and_ties():
     tr = Tracker()
-    tr.step(1, [det(1, 50, 50, class_id=1)])
-    track = tr.tracks[0]
-    assert class_of(track) == 1
-    for c in (2, 2):
-        track.vote(c)
-    assert class_of(track) == 2          # votes {1:1, 2:2}
-    track.vote(1)
-    assert class_of(track) == 1          # tie 2-2 breaks low
+    votes = [3, 1, 3, 3, 1, 1]
+    shown = []
+    for frame, c in enumerate(votes, start=1):
+        snaps = tr.step(frame, [det(frame, 50, 50, class_id=c)])
+        assert [s.track_id for s in snaps] == [1]
+        shown.append(snaps[0].class_id)
+    # {3:1} {3:1,1:1} tie breaks low, {3:2,1:1} {3:3,1:1} {3:3,1:2}, {3:3,1:3} tie
+    assert shown == [3, 1, 3, 3, 3, 1]
 
 
 def test_no_detection_shared_between_tracks():
@@ -222,10 +221,25 @@ def test_coasting_snapshot_uses_prediction():
 
 def test_history_frames_strictly_increasing():
     tr = Tracker()
+    frames = []
     for frame in range(1, 15):
-        tr.step(frame, [det(frame, 5.0 * frame, 50)])
-    frames = [h[0] for h in tr.tracks[0].history]
+        frames += [s.frame for s in tr.step(frame, [det(frame, 5.0 * frame, 50)])
+                   if s.track_id == 1]
     assert frames == sorted(frames) and len(set(frames)) == len(frames)
+    assert frames == list(range(1, 15))
+
+
+@pytest.mark.parametrize("h", [1e-38, 1e-7])
+def test_ill_conditioned_track_is_left_unmatched(h):
+    # the same sub-pixel box every frame: each frame's tentative track has an
+    # ill-conditioned projection, so stage 2 leaves it unmatched and a new
+    # track is born instead of update_many raising
+    tr = Tracker()
+    for frame in range(1, 6):
+        snaps = tr.step(frame, [Detection(frame=frame, class_id=0, bbox=(0.0, 0.0, 1.0, h),
+                                          confidence=0.9)])
+        assert [s.track_id for s in snaps] == [frame]
+        assert snaps[0].status is TrackStatus.TENTATIVE
 
 
 def test_format_track_row():
