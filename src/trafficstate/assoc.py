@@ -4,10 +4,13 @@ Every kernel takes all tracks and detections at once, as the arrays the
 tracker holds. Motion distance is the squared Mahalanobis distance between
 a detection and a track's projected measurement distribution; appearance
 distance is the smallest cosine distance against the track's descriptor
-gallery. Both are thresholded into a joint admissibility gate, combined
-into one cost matrix, and solved as a linear assignment problem. The
-second matching stage uses IoU distance instead; `iou_matrix` also serves
-detection evaluation in `metrics`.
+gallery, a ring buffer in the tracker's shared gallery store. Both are
+thresholded into a joint admissibility gate, motion first: appearance
+distances are computed only for the pairs inside the motion gate, since no
+other pair can be admissible. The gated distances are combined into one
+cost matrix and solved as a linear assignment problem. The second matching
+stage uses IoU distance instead; `iou_matrix` also serves detection
+evaluation in `metrics`.
 """
 
 from __future__ import annotations
@@ -74,45 +77,56 @@ def motion_distances(y: np.ndarray, s: np.ndarray, ok: np.ndarray,
     """All-pairs squared Mahalanobis distances (n, m).
 
     y (n, 4) and s (n, 4, 4) are the tracks' projected measurement means
-    and covariances; rows with ok False get +inf. Each distance is solved
-    through a Cholesky factor of s, which is never inverted explicitly.
+    and covariances; rows with ok False get +inf. Each residual is whitened
+    by the explicit inverse of a Cholesky factor of s, L^-1 (z - y), and
+    its squares are summed: one 4 x 4 inverse per track and one batched
+    matmul cost less than a triangular solve against every residual.
     """
     n, m = len(y), len(measurements)
     d1 = np.full((n, m), np.inf)
     if not ok.any() or m == 0:
         return d1
-    resid = measurements[None, :, :] - y[ok][:, None, :]     # (k, m, 4)
+    resid = measurements.T[None, :, :] - y[ok][:, :, None]   # (k, 4, m)
     try:
         chol = np.linalg.cholesky(s[ok])
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"projection covariance not positive-definite: {exc}") from None
-    sol = np.linalg.solve(chol, np.transpose(resid, (0, 2, 1)))  # (k, 4, m)
-    d1[ok] = np.einsum("kim,kim->km", sol, sol)
+    white = np.linalg.inv(chol) @ resid                       # (k, 4, m)
+    d1[ok] = np.einsum("kim,kim->km", white, white)
     return d1
 
 
-def appearance_distances(members: np.ndarray, sizes: np.ndarray,
-                         descriptors: np.ndarray, has_desc: np.ndarray
-                         ) -> tuple[np.ndarray, np.ndarray]:
-    """All-pairs smallest cosine distances (n, m) and the mask of defined pairs.
+def appearance_distances(gallery: np.ndarray, rows: np.ndarray, fill: np.ndarray,
+                         descriptors: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """Smallest cosine distances (n, m) over the requested pairs; NaN elsewhere.
 
-    members (sum(sizes), D) stacks the tracks' unit-norm gallery rows,
-    sizes[i] of them for track i, in track order. descriptors (m, D) holds
-    the detections' unit-norm descriptors; rows with has_desc False are
-    ignored. A pair is defined when its track has a gallery member and its
-    detection a descriptor; undefined pairs read 0.
+    gallery (S, cap, D) holds unit-norm descriptor buffers: track i's
+    members are the first fill[i] slots of gallery[rows[i]]. descriptors
+    (m, D) holds the detections' unit-norm descriptors. A pair gets a
+    distance when pairs (n, m) marks it and its track has a member; every
+    other entry is undefined and reads NaN.
+
+    Only tracks with a requested pair are read, and only their filled
+    slots: the tracks of one fill f are gathered as one (r, f, D) block,
+    and round k multiplies it by each track's k-th requested descriptor.
+    No block holds more than the tracks' members, however many pairs are
+    requested.
     """
-    n, m = len(sizes), len(has_desc)
-    d2 = np.zeros((n, m))
-    has_gallery = sizes > 0
-    defined = has_gallery[:, None] & has_desc[None, :]
-    if not defined.any():
-        return d2, defined
-    starts = np.concatenate(([0], np.cumsum(sizes[has_gallery])[:-1]))
-    dots = members @ descriptors[has_desc].T                 # (sum L, m_desc)
-    best = np.maximum.reduceat(dots, starts, axis=0)         # (k, m_desc)
-    d2[np.ix_(has_gallery, has_desc)] = np.clip(1.0 - best, 0.0, 2.0)
-    return d2, defined
+    n, m = pairs.shape
+    d2 = np.full((n, m), np.nan)
+    pairs = pairs & (fill > 0)[:, None]
+    count = pairs.sum(axis=1)
+    first = np.cumsum(count) - count
+    wanted = np.nonzero(pairs)[1]                  # requested columns, track by track
+    for f in np.unique(fill[count > 0]):
+        group = np.flatnonzero((count > 0) & (fill == f))
+        block = gallery[rows[group], :f]                               # (r, f, D)
+        for k in range(count[group].max()):
+            # each track's k-th requested column, or its last if it wants fewer
+            cols = wanted[first[group] + np.minimum(k, count[group] - 1)]
+            best = (block @ descriptors[cols, :, None]).max(axis=(1, 2))
+            d2[group, cols] = np.clip(1.0 - best, 0.0, 2.0)
+    return d2
 
 
 def build_cost_matrix(
@@ -120,8 +134,9 @@ def build_cost_matrix(
     s: np.ndarray,
     ok: np.ndarray,
     measurements: np.ndarray,
-    members: np.ndarray,
-    sizes: np.ndarray,
+    gallery: np.ndarray,
+    rows: np.ndarray,
+    fill: np.ndarray,
     descriptors: np.ndarray,
     has_desc: np.ndarray,
     lam: float,
@@ -131,32 +146,35 @@ def build_cost_matrix(
     """Weighted sum of motion and appearance distances, gated.
 
     Tracks come as in `motion_distances` and `appearance_distances`, and
-    detections as their (m, 4) measurement vectors plus descriptors.
-    cost = lam * d_motion + (1 - lam) * d_appearance on admissible pairs;
-    everything else carries the sentinel. Pairs for which no appearance
-    distance exists (no gallery member or no descriptor) fall back to
-    motion-only cost and a motion-only gate.
+    detections as their (m, 4) measurement vectors plus descriptors (m, D)
+    and the mask has_desc (m,) of those present. The motion gate goes
+    first: only a pair inside it can be admissible, so only such a pair
+    gets an appearance distance. cost = lam * d_motion + (1 - lam) *
+    d_appearance on admissible pairs; everything else carries the
+    sentinel. Pairs for which no appearance distance exists (no gallery
+    member or no descriptor) fall back to motion-only cost and a
+    motion-only gate.
     """
     if not 0.0 <= lam <= 1.0:
         raise ValidationError(f"lambda must be in [0,1], got {lam}")
     if t1 <= 0 or t2 <= 0:
         raise ValidationError("gate thresholds must be positive")
     n, m = len(y), len(measurements)
-    values = np.full((n, m), SENTINEL_COST)
     if n == 0 or m == 0:
-        return CostMatrix(values=values, admissible=np.zeros((n, m), dtype=bool))
+        return CostMatrix(values=np.full((n, m), SENTINEL_COST),
+                          admissible=np.zeros((n, m), dtype=bool))
 
     d1 = motion_distances(y, s, ok, measurements)
-    d2, defined = appearance_distances(members, sizes, descriptors, has_desc)
+    motion_ok = ok[:, None] & (d1 <= t1)
+    defined = (fill > 0)[:, None] & has_desc[None, :]
+    d2 = appearance_distances(gallery, rows, fill, descriptors, motion_ok & defined)
+    admissible = motion_ok & np.where(defined, d2 <= t2, True)
 
-    with np.errstate(invalid="ignore"):
-        motion_ok = d1 <= t1
-    appearance_ok = np.where(defined, d2 <= t2, True)
-    admissible = ok[:, None] & motion_ok & appearance_ok
-
-    lam_pair = np.where(defined, lam, 1.0)
-    combined = lam_pair * np.where(np.isfinite(d1), d1, 0.0) + (1.0 - lam_pair) * d2
-    values[admissible] = combined[admissible]
+    # d2 is NaN on admissible pairs without an appearance distance; where()
+    # drops those combinations, and NaN arithmetic raises no warning
+    d1, d2 = d1[admissible], d2[admissible]
+    values = np.full((n, m), SENTINEL_COST)
+    values[admissible] = np.where(defined[admissible], lam * d1 + (1.0 - lam) * d2, d1)
     return CostMatrix(values=values, admissible=admissible)
 
 

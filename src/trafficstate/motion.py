@@ -122,9 +122,14 @@ class KalmanFilter:
         ok = (eig[:, 0] > 0) & (eig[:, -1] <= MAX_CONDITION * eig[:, 0])
         return y, s, ok
 
-    def update_many(self, means: np.ndarray, covs: np.ndarray, measurements: np.ndarray):
-        """Vectorized update; measurements is (n, 4), aligned with states."""
-        y, s, ok = self.project_many(means, covs)
+    def update_many(self, means: np.ndarray, covs: np.ndarray, measurements: np.ndarray,
+                    y: np.ndarray, s: np.ndarray, ok: np.ndarray):
+        """Vectorized update; measurements is (n, 4), aligned with states.
+
+        y, s and ok are `project_many`'s projection of these same states,
+        which the caller already holds. A row with ok False raises
+        NumericalError.
+        """
         if not np.all(ok):
             raise NumericalError("ill-conditioned innovation covariance in batch")
         # gain K = P H^T S^-1, via solve(S, H P) transposed per batch element

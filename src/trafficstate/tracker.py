@@ -9,11 +9,14 @@ these arrays directly; each frame appends its births once and drops its
 deleted tracks with one mask. The galleries themselves sit in one shared
 store whose rows are reused after their tracks end.
 
-Stage 1 associates confirmed tracks to detections through the gated
-motion/appearance cost matrix, in a cascade that prefers recently updated
-tracks. Stage 2 mops up with plain IoU matching. New tracks start
-tentative and must associate in each of their first n_init frames;
-confirmed tracks survive up to max_age missed frames.
+Every live track is projected into measurement space once per frame; the
+projection serves both matching stages and the Kalman update. Stage 1
+builds one gated motion/appearance cost matrix per frame, over all
+confirmed tracks and detections, and solves it in a cascade that prefers
+recently updated tracks: each miss age takes the slice of its own rows and
+the detections still unmatched. Stage 2 mops up with plain IoU matching.
+New tracks start tentative and must associate in each of their first
+n_init frames; confirmed tracks survive up to max_age missed frames.
 """
 
 from __future__ import annotations
@@ -122,15 +125,17 @@ class Tracker:
 
         class_cols = self._class_columns([d.class_id for d in detections])
         boxes = np.array([d.bbox for d in detections], dtype=np.float64).reshape(-1, 4)
-        if len(self._ids):
-            self._mean, self._cov = self.kf.predict_many(self._mean, self._cov)
+        self._mean, self._cov = self.kf.predict_many(self._mean, self._cov)
+        # one projection of every live track serves both stages and the update
+        y, s, ok = self.kf.project_many(self._mean, self._cov)
         measurements = assoc.measurements_of(boxes)
         rows, cols, unmatched, births = self._match(boxes, measurements,
-                                                    descriptors, has_desc)
+                                                    descriptors, has_desc, y, s, ok)
 
         if len(rows):
             self._mean[rows], self._cov[rows] = self.kf.update_many(
-                self._mean[rows], self._cov[rows], measurements[cols])
+                self._mean[rows], self._cov[rows], measurements[cols],
+                y[rows], s[rows], ok[rows])
         self._misses[unmatched] += 1
         n = len(self._ids)
         dead = np.zeros(n + len(births), dtype=bool)
@@ -186,8 +191,6 @@ class Tracker:
                    for d in detections if d.appearance is not None]
         dim = self._gallery.shape[2]
         for desc in present:
-            if abs(np.linalg.norm(desc) - 1.0) > UNIT_NORM_TOL:
-                raise ValidationError("gallery descriptors must be unit-norm")
             if dim == 0:
                 dim = desc.shape[0]
             elif desc.shape[0] != dim:
@@ -195,12 +198,15 @@ class Tracker:
                     f"descriptor dimension {desc.shape[0]} does not match "
                     f"gallery dimension {dim}"
                 )
-        if dim != self._gallery.shape[2]:
-            self._gallery = np.zeros((len(self._gallery), self.config.gallery_capacity, dim))
         has_desc = np.array([d.appearance is not None for d in detections], dtype=bool)
         descriptors = np.zeros((len(detections), dim))
         if present:
             descriptors[has_desc] = present
+            if (np.abs(np.linalg.norm(descriptors[has_desc], axis=1) - 1.0)
+                    > UNIT_NORM_TOL).any():
+                raise ValidationError("gallery descriptors must be unit-norm")
+        if dim != self._gallery.shape[2]:
+            self._gallery = np.zeros((len(self._gallery), self.config.gallery_capacity, dim))
         return descriptors, has_desc
 
     def _class_columns(self, class_ids: list[int]) -> np.ndarray:
@@ -215,8 +221,13 @@ class Tracker:
         return np.array([column[c] for c in class_ids], dtype=np.int64)
 
     def _match(self, boxes: np.ndarray, measurements: np.ndarray,
-               descriptors: np.ndarray, has_desc: np.ndarray):
-        """Two-stage matching.
+               descriptors: np.ndarray, has_desc: np.ndarray,
+               y: np.ndarray, s: np.ndarray, ok: np.ndarray):
+        """Two-stage matching of the live tracks, projected as (y, s, ok).
+
+        Stage 1 builds one gated cost matrix per frame, over all confirmed
+        tracks and all detections; each cascade age, freshest first, solves
+        the slice of its own rows and the detections still unmatched.
 
         Returns (matched rows, their detection indices, unmatched rows,
         unmatched detection indices), all as index arrays.
@@ -225,28 +236,27 @@ class Tracker:
         remaining = np.arange(len(boxes))
         rows: list[int] = []
         cols: list[int] = []
-        if not len(self._ids):
-            return (np.empty(0, dtype=np.int64),) * 3 + (remaining,)
-        # one projection of every live track serves both stages
-        y, s, ok = self.kf.project_many(self._mean, self._cov)
 
         # stage 1: gated cost matrix over confirmed tracks, freshest first
         confirmed = np.flatnonzero(self._confirmed)
         leftover = [np.flatnonzero(~self._confirmed)]
-        misses = self._misses[confirmed]
-        for age in sorted(set(misses.tolist())):
-            group = confirmed[misses == age]
-            members, sizes = self._gallery_members(group)
+        if len(confirmed):
             cost = assoc.build_cost_matrix(
-                y[group], s[group], ok[group], measurements[remaining],
-                members, sizes, descriptors[remaining], has_desc[remaining],
+                y[confirmed], s[confirmed], ok[confirmed], measurements,
+                self._gallery, self._store[confirmed], self._fill[confirmed],
+                descriptors, has_desc,
                 lam=cfg.cost_lambda, t1=cfg.motion_gate, t2=cfg.appearance_gate,
             )
-            result = assoc.solve_assignment(cost)
-            rows += [group[gi] for gi, _ in result.matches]
-            cols += [remaining[rj] for _, rj in result.matches]
-            leftover.append(group[result.unmatched_tracks])
-            remaining = remaining[result.unmatched_detections]
+            misses = self._misses[confirmed]
+            for age in sorted(set(misses.tolist())):
+                group = np.flatnonzero(misses == age)
+                cells = np.ix_(group, remaining)
+                result = assoc.solve_assignment(assoc.CostMatrix(
+                    values=cost.values[cells], admissible=cost.admissible[cells]))
+                rows += [confirmed[group[gi]] for gi, _ in result.matches]
+                cols += [remaining[rj] for _, rj in result.matches]
+                leftover.append(confirmed[group[result.unmatched_tracks]])
+                remaining = remaining[result.unmatched_detections]
 
         # stage 2: IoU matching over everything still unmatched, in id order;
         # tracks whose projection is ill-conditioned stay unmatched, as they
@@ -268,12 +278,6 @@ class Tracker:
 
         return (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64),
                 unmatched, remaining)
-
-    def _gallery_members(self, rows: np.ndarray):
-        """Filled gallery members of the given tracks, stacked in row order, and their counts."""
-        sizes = self._fill[rows]
-        track, slot = np.nonzero(np.arange(self.config.gallery_capacity) < sizes[:, None])
-        return self._gallery[self._store[rows[track]], slot], sizes
 
     def _push(self, rows: np.ndarray, descriptors: np.ndarray) -> None:
         """Write one descriptor into each given track's ring buffer, evicting the oldest."""

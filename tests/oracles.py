@@ -75,7 +75,7 @@ def simulate_constant_velocity(kf, h, pos0, vel, steps):
         true_pos = pos0 + vel * k
         z = np.array([[true_pos[0], true_pos[1], 0.5, h]])
         means, covs = kf.predict_many(means, covs)
-        means, covs = kf.update_many(means, covs, z)
+        means, covs = kf.update_many(means, covs, z, *kf.project_many(means, covs))
         pos_err = float(np.max(np.abs(means[0, :2] - true_pos)))
         vel_err = float(np.max(np.abs(means[0, 4:6] - vel)))
         history.append((k, pos_err, vel_err))

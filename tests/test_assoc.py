@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from trafficstate import assoc
 from trafficstate.assoc import (
     CHI2_95_4DOF,
     SENTINEL_COST,
@@ -32,13 +35,30 @@ def mahalanobis(y, s, d):
                             np.array([True]), np.asarray(d, float)[None])[0, 0]
 
 
+def store(galleries, dim):
+    """(gallery, rows, fill) from lists of member rows, laid out as the
+    tracker holds them: track i's members lead gallery[rows[i]], whose
+    slots past fill[i] are NaN, so any of them that reached a distance
+    would show."""
+    fill = np.array([len(g) for g in galleries], dtype=np.int64)
+    n = len(galleries)
+    rows = np.arange(n)[::-1].copy()
+    out = np.full((n, fill.max(initial=0) + 1, dim), np.nan)
+    for i, g in enumerate(galleries):
+        out[rows[i], :fill[i]] = np.asarray(g, float).reshape(fill[i], dim)
+    return out, rows, fill
+
+
+def members_of(tracker, row):
+    """The gallery members a tracker holds for the track in the given row."""
+    return tracker._gallery[tracker._store[row], :tracker._fill[row]]
+
+
 def cosine(members, r):
     """Engine distance of one query from one gallery, or None if undefined."""
     r = np.asarray(r, float)
-    members = np.asarray(members, float).reshape(len(members), len(r))
-    d2, defined = appearance_distances(members, np.array([len(members)]),
-                                       r[None], np.array([True]))
-    return d2[0, 0] if defined[0, 0] else None
+    d2 = appearance_distances(*store([members], len(r)), r[None], np.ones((1, 1), bool))
+    return None if np.isnan(d2[0, 0]) else d2[0, 0]
 
 
 def cost_matrix(projections, galleries, dets, lam, **gates):
@@ -48,13 +68,11 @@ def cost_matrix(projections, galleries, dets, lam, **gates):
     y = np.array([p[0] if p is not None else np.zeros(4) for p in projections], float)
     s = np.array([p[1] if p is not None else np.eye(4) for p in projections], float)
     dim = max([len(d.appearance) for d in dets if d.appearance is not None], default=0)
-    sizes = np.array([len(g) for g in galleries])
-    members = np.array([m for g in galleries for m in g], float).reshape(sizes.sum(), dim)
     has_desc = np.array([d.appearance is not None for d in dets])
     descs = np.array([d.appearance if d.appearance is not None else np.zeros(dim)
                       for d in dets], float).reshape(len(dets), dim)
     boxes = np.array([d.bbox for d in dets], float).reshape(-1, 4)
-    return build_cost_matrix(y, s, ok, measurements_of(boxes), members, sizes,
+    return build_cost_matrix(y, s, ok, measurements_of(boxes), *store(galleries, dim),
                              descs, has_desc, lam=lam, **gates)
 
 
@@ -65,9 +83,7 @@ def galleries(descriptors, capacity=100):
     for frame, d in enumerate(descriptors, start=1):
         tr.step(frame, [det((0, 0, 10, 20), appearance=d, frame=frame)])
         assert tr.tracks == [1]
-        members, sizes = tr._gallery_members(np.array([0]))
-        assert sizes.tolist() == [len(members)]
-        yield members
+        yield members_of(tr, 0)
 
 
 # -- mahalanobis ------------------------------------------------------------
@@ -126,6 +142,19 @@ def test_cosine_empty_gallery_is_undefined():
     assert cosine(np.empty((0, 2)), [1.0, 0.0]) is None
 
 
+def test_cosine_defined_only_on_requested_pairs():
+    # requests of different counts within one fill, and a track of another fill
+    rng = np.random.default_rng(3)
+    members = [unit_rows(rng, (2, 4)), unit_rows(rng, (2, 4)), unit_rows(rng, (1, 4))]
+    descs = unit_rows(rng, (3, 4))
+    pairs = np.array([[False, True, False], [True, True, True], [True, False, False]])
+    d2 = appearance_distances(*store(members, 4), descs, pairs)
+    assert np.isnan(d2[~pairs]).all()
+    for i, j in zip(*np.nonzero(pairs)):
+        assert d2[i, j] == pytest.approx(cosine_gallery_distance(members[i], descs[j]),
+                                         abs=1e-12)
+
+
 def test_cosine_range_bounds():
     rng = np.random.default_rng(2)
     members = [unit(rng.normal(size=8)) for _ in range(30)]
@@ -172,8 +201,7 @@ def test_gallery_starts_with_first_descriptor_mid_stream():
         app = None if frame <= 3 else [1.0, 0.0]
         snaps = tr.step(frame, [det((0, 0, 10, 20), appearance=app, frame=frame)])
         assert [s.track_id for s in snaps] == [1]
-    members, sizes = tr._gallery_members(np.array([0]))
-    assert sizes.tolist() == [3] and members.shape == (3, 2)
+    assert members_of(tr, 0).shape == (3, 2)
 
 
 def test_gallery_of_a_new_track_holds_only_its_own_descriptors():
@@ -189,9 +217,8 @@ def test_gallery_of_a_new_track_holds_only_its_own_descriptors():
             dets.append(det((300, 0, 10, 20), appearance=e[2], frame=frame))
         tr.step(frame, dets)
     assert tr.tracks == [1, 3]
-    members, sizes = tr._gallery_members(np.array([0, 1]))
-    assert sizes.tolist() == [9, 1]
-    assert np.array_equal(members, np.array([e[1]] * 9 + [e[2]]))
+    assert np.array_equal(members_of(tr, 0), np.array([e[1]] * 9))
+    assert np.array_equal(members_of(tr, 1), np.array([e[2]]))
 
 
 # -- gate ---------------------------------------------------------------------
@@ -334,6 +361,80 @@ def test_cost_matrix_gating_sets_sentinel():
 def test_cost_matrix_unusable_projection_row():
     cm = cost_matrix([None], [[]], [det((0, 0, 10, 10))], lam=1.0)
     assert not cm.admissible.any()
+
+
+def test_cost_matrix_asks_appearance_only_inside_the_motion_gate(monkeypatch):
+    # each track's own detection is the only one inside its motion gate, and
+    # the third track's projection is unusable, so it is inside none
+    projections, galleries, dets = two_track_setup()
+    asked = []
+    kernel = assoc.appearance_distances
+
+    def spy(*args):
+        asked.append(args[-1].copy())
+        return kernel(*args)
+
+    monkeypatch.setattr(assoc, "appearance_distances", spy)
+    cm = cost_matrix(projections + [None], galleries + [[[1.0, 0.0]]], dets, lam=0.0)
+    inside = np.array([[True, False], [False, True], [False, False]])
+    assert len(asked) == 1 and np.array_equal(asked[0], inside)
+    assert np.array_equal(cm.admissible, inside)
+
+
+def unit_rows(rng, shape):
+    v = rng.normal(size=shape)
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+def stacked_stage1(y, s, ok, z, gallery, rows, fill, descriptors, t1, t2):
+    """Stage-1 costs at lam 0 in the all-pairs layout the gated path must not
+    outgrow: the cost matrix allocated up front, the motion distances of
+    every pair, then every track's members stacked, times every
+    descriptor, reduced per track."""
+    values = np.full((len(y), len(z)), SENTINEL_COST)
+    d1 = motion_distances(y, s, ok, z)
+    track, slot = np.nonzero(np.arange(gallery.shape[1]) < fill[:, None])
+    stacked = gallery[rows[track], slot]                                  # (sum fill, D)
+    best = np.maximum.reduceat(stacked @ descriptors.T, np.cumsum(fill) - fill, axis=0)
+    d2 = np.clip(1.0 - best, 0.0, 2.0)
+    admissible = ok[:, None] & (d1 <= t1) & (d2 <= t2)
+    values[admissible] = d2[admissible]
+    return values
+
+
+def traced_peak(fn):
+    """(fn(), peak bytes NumPy and Python allocated during the call)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("fills", [[1] * 40, [3] * 40, [100] + [1] * 39, [100] * 40],
+                         ids=["fill-1", "fill-3", "one-full", "all-full"])
+def test_all_pairs_in_gate_stays_within_the_stacked_footprint(fills):
+    # coincident boxes put every pair inside the motion gate, so stage 1 is
+    # asked for all n * m appearance distances; a full gallery beside fresh
+    # ones must not make theirs cost as much, and full galleries must cost
+    # no more than their stacked members
+    rng = np.random.default_rng(8)
+    fill = np.array(fills)
+    n, m, dim, cap = len(fill), 50, 64, 100
+    rows = rng.permutation(2 * n)[:n]
+    gallery = unit_rows(rng, (2 * n, cap, dim))
+    y = np.tile([5.0, 5.0, 1.0, 10.0], (n, 1))
+    s = np.tile(np.eye(4), (n, 1, 1))
+    ok = np.ones(n, bool)
+    has_desc = np.ones(m, bool)
+    args = (y, s, ok, np.tile(y[0], (m, 1)), gallery, rows, fill, unit_rows(rng, (m, dim)))
+    cm, peak = traced_peak(lambda: build_cost_matrix(*args, has_desc, lam=0.0, t2=2.0))
+    want, stacked_peak = traced_peak(lambda: stacked_stage1(*args, CHI2_95_4DOF, 2.0))
+    assert cm.admissible.all()
+    np.testing.assert_allclose(cm.values, want, rtol=0, atol=1e-12)
+    assert peak <= stacked_peak
 
 
 # -- assignment --------------------------------------------------------------------

@@ -34,6 +34,11 @@ def one(mean, cov):
     return np.asarray(mean, float)[None], np.asarray(cov, float)[None]
 
 
+def update(kf, means, covs, measurements):
+    """update_many with the states' own projection."""
+    return kf.update_many(means, covs, measurements, *kf.project_many(means, covs))
+
+
 def test_initiate_center_aspect():
     kf = KalmanFilter()
     mean, _ = kf.initiate((0, 0, 50, 100))
@@ -110,18 +115,18 @@ def test_project_rejects_ill_conditioned():
     cov = np.zeros((8, 8))
     cov[0, 0] = 1e14  # condition vastly above the guard with tiny R elsewhere
     means, covs = one([0.0, 0, 1, 1e-3, 0, 0, 0, 0], cov)
-    _, _, ok = kf.project_many(means, covs)
+    y, s, ok = kf.project_many(means, covs)
     assert not ok[0]
     with pytest.raises(NumericalError):
-        kf.update_many(means, covs, np.zeros((1, 4)))
+        kf.update_many(means, covs, np.zeros((1, 4)), y, s, ok)
 
 
 def test_update_zero_innovation_keeps_positional_mean():
     kf = KalmanFilter()
     rng = np.random.default_rng(5)
     means, covs = kf.predict_many(*random_states(rng, 1000))
-    y, _, _ = kf.project_many(means, covs)
-    out, _ = kf.update_many(means, covs, y)
+    y, s, ok = kf.project_many(means, covs)
+    out, _ = kf.update_many(means, covs, y, y, s, ok)
     assert np.allclose(out[:, :4], means[:, :4], atol=1e-9)
 
 
@@ -129,7 +134,7 @@ def test_update_r_to_zero_limit_matches_measurement():
     kf = KalmanFilter(pos_weight=1e-12, aspect_meas_std=1e-12)
     start = KalmanFilter().initiate((0, 0, 50, 100))
     z = np.array([30.0, 55.0, 0.6, 110.0])
-    out, _ = kf.update_many(*one(*start), z[None])
+    out, _ = update(kf, *one(*start), z[None])
     assert np.allclose(out[0, :4], z, atol=1e-6)
 
 
@@ -144,7 +149,7 @@ def test_update_convergence_noiseless_constant_velocity():
 def test_update_clamps_aspect_and_height():
     kf = KalmanFilter(pos_weight=1e-12)
     start = KalmanFilter().initiate((0, 0, 50, 100))
-    out, _ = kf.update_many(*one(*start), np.array([[0.0, 0.0, -5.0, -5.0]]))
+    out, _ = update(kf, *one(*start), np.array([[0.0, 0.0, -5.0, -5.0]]))
     assert out[0, 2] >= 1e-6 and out[0, 3] >= 1e-6
 
 
@@ -154,7 +159,7 @@ def test_predict_update_preserve_symmetry_and_psd():
     means, covs = random_states(rng, 200)
     means, covs = kf.predict_many(means, covs)
     zs = means[:, :4] + rng.normal(scale=5.0, size=(200, 4))
-    _, upd = kf.update_many(means, covs, zs)
+    _, upd = update(kf, means, covs, zs)
     for cov in (covs, upd):
         assert np.allclose(cov, np.transpose(cov, (0, 2, 1)), atol=1e-9)
         assert np.min(np.linalg.eigvalsh(cov)) >= -1e-9
@@ -176,7 +181,7 @@ def test_posterior_mean_between_prior_and_measurement():
     kf = KalmanFilter()
     mean = np.array([0.0, 0, 1, 40, 0, 0, 0, 0])
     z = np.array([10.0, -10.0, 1.0, 40.0])
-    out, _ = kf.update_many(*one(mean, np.diag([4.0] * 4 + [1.0] * 4)), z[None])
+    out, _ = update(kf, *one(mean, np.diag([4.0] * 4 + [1.0] * 4)), z[None])
     for i in (0, 1):
         lo, hi = sorted((mean[i], z[i]))
         assert lo <= out[0, i] <= hi
@@ -198,11 +203,18 @@ def test_batched_ops_match_single():
         assert np.array_equal(y, ys[i])
         assert np.allclose(s, ss[i], atol=1e-12)
     zs = ys + rng.normal(scale=2.0, size=ys.shape)
-    um, uc = kf.update_many(pm.copy(), pc.copy(), zs)
+    um, uc = kf.update_many(pm.copy(), pc.copy(), zs, ys, ss, ok)
     for i in range(7):
         mean, cov = kalman_update(kf, pm[i], pc[i], zs[i])
         assert np.allclose(mean, um[i], atol=1e-9)
         assert np.allclose(cov, uc[i], atol=1e-9)
+    # rows project and update independently: a subset with its rows of the
+    # whole batch's projection gives the same bits
+    rows = np.array([5, 0, 3])
+    for whole, part in zip((ys, ss, ok), kf.project_many(pm[rows], pc[rows])):
+        assert np.array_equal(whole[rows], part)
+    sub = kf.update_many(pm[rows], pc[rows], zs[rows], ys[rows], ss[rows], ok[rows])
+    assert np.array_equal(sub[0], um[rows]) and np.array_equal(sub[1], uc[rows])
 
 
 def test_measurement_bbox_helpers_invert():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from trafficstate import assoc
 from trafficstate.detstream import Detection
 from trafficstate.errors import ContractError
 from trafficstate.motion import KalmanFilter
@@ -227,6 +228,32 @@ def test_history_frames_strictly_increasing():
                    if s.track_id == 1]
     assert frames == sorted(frames) and len(set(frames)) == len(frames)
     assert frames == list(range(1, 15))
+
+
+def test_cascade_gives_the_freshest_track_priority(monkeypatch):
+    # tracks 1, 2, 3 sit 2 px apart; by frame 4 they have missed 2, 1 and 0
+    # frames. One detection lands next to track 1, inside all three motion
+    # gates: the cheapest pair is track 1's, but track 3, the freshest, wins
+    tr = Tracker(TrackerConfig(n_init=1))
+    tr.step(1, [det(1, 100, 50), det(1, 102, 50), det(1, 104, 50)])
+    tr.step(2, [det(2, 102, 50), det(2, 104, 50)])
+    tr.step(3, [det(3, 104, 50)])
+    stage2 = []
+    build_iou = assoc.build_iou_cost_matrix
+
+    def spy(tracks, *args, **kwargs):
+        stage2.append(tracks)
+        return build_iou(tracks, *args, **kwargs)
+
+    monkeypatch.setattr(assoc, "build_iou_cost_matrix", spy)
+    contested, far = det(4, 100.5, 50), det(4, 500, 50)
+    snaps = {s.track_id: s for s in tr.step(4, [contested, far])}
+    assert snaps[3].bbox == contested.bbox
+    assert snaps[1].bbox != contested.bbox and snaps[2].bbox != contested.bbox
+    # the losers reach stage 2, in id order, and the far detection starts track 4
+    assert len(stage2) == 1
+    assert np.array_equal(stage2[0], np.array([snaps[1].bbox, snaps[2].bbox]))
+    assert sorted(snaps) == [1, 2, 3, 4]
 
 
 @pytest.mark.parametrize("h", [1e-38, 1e-7])
