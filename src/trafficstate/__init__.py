@@ -40,8 +40,6 @@ from .traffic import (
     LineOfInterest,
     Trajectory,
     assemble_trajectories,
-    count_and_flow,
-    interval_speed,
     measure_intervals,
     segment_crosses,
 )

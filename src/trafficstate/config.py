@@ -87,7 +87,7 @@ class RunConfig:
         return loi_to_world(self.loi_px, self.loi_direction, self.calibration)
 
 
-def _calibration_from(section) -> CalibrationParams:
+def _calibration_from(section, default: CalibrationParams) -> CalibrationParams:
     ref_keys = ("ref_true_x_m", "ref_true_y_m",
                 "ref_apparent_x_px", "ref_apparent_y_px")
     has_ref = [k for k in ref_keys if section.get(k, "").strip()]
@@ -104,16 +104,17 @@ def _calibration_from(section) -> CalibrationParams:
         )
         phi, omega = derive_magnification(ref)
     else:
-        phi = section.getfloat("phi", 1.0)
-        omega = section.getfloat("omega", 1.0)
+        phi = section.getfloat("phi", default.phi)
+        omega = section.getfloat("omega", default.omega)
     return CalibrationParams(
         phi=phi, omega=omega,
-        delta_deg=section.getfloat("delta_deg", 90.0),
-        x0=section.getfloat("x0", 0.0), y0=section.getfloat("y0", 0.0),
+        delta_deg=section.getfloat("delta_deg", default.delta_deg),
+        x0=section.getfloat("x0", default.x0), y0=section.getfloat("y0", default.y0),
     )
 
 
 def parse_config(text: str) -> RunConfig:
+    """Run configuration from config text; absent keys keep RunConfig's defaults."""
     cp = configparser.ConfigParser()
     try:
         cp.read_string(text)
@@ -123,35 +124,35 @@ def parse_config(text: str) -> RunConfig:
     try:
         cfg = RunConfig()
         if "calibration" in cp:
-            cfg.calibration = _calibration_from(cp["calibration"])
+            cfg.calibration = _calibration_from(cp["calibration"], cfg.calibration)
         if "loi" in cp:
-            lo = cp["loi"]
-            cfg.loi_px = ((lo.getfloat("ax_px"), lo.getfloat("ay_px")),
-                          (lo.getfloat("bx_px"), lo.getfloat("by_px")))
+            lo, ((ax, ay), (bx, by)) = cp["loi"], cfg.loi_px
+            cfg.loi_px = ((lo.getfloat("ax_px", ax), lo.getfloat("ay_px", ay)),
+                          (lo.getfloat("bx_px", bx), lo.getfloat("by_px", by)))
             raw = lo.get("direction", "").strip()
             cfg.loi_direction = int(raw) if raw else None
         if "tracking" in cp:
-            tr = cp["tracking"]
+            tr, d = cp["tracking"], cfg.tracker
             cfg.tracker = TrackerConfig(
-                cost_lambda=tr.getfloat("cost_lambda", 0.0),
-                motion_gate=tr.getfloat("motion_gate", 9.4877),
-                appearance_gate=tr.getfloat("appearance_gate", 0.2),
-                iou_gate=tr.getfloat("iou_gate", 0.7),
-                max_age=tr.getint("max_age", 3),
-                n_init=tr.getint("n_init", 3),
-                gallery_capacity=tr.getint("gallery_capacity", 100),
+                cost_lambda=tr.getfloat("cost_lambda", d.cost_lambda),
+                motion_gate=tr.getfloat("motion_gate", d.motion_gate),
+                appearance_gate=tr.getfloat("appearance_gate", d.appearance_gate),
+                iou_gate=tr.getfloat("iou_gate", d.iou_gate),
+                max_age=tr.getint("max_age", d.max_age),
+                n_init=tr.getint("n_init", d.n_init),
+                gallery_capacity=tr.getint("gallery_capacity", d.gallery_capacity),
             )
-            cfg.confidence_floor = tr.getfloat("confidence_floor", 0.0)
+            cfg.confidence_floor = tr.getfloat("confidence_floor", cfg.confidence_floor)
         if "measure" in cp:
             me = cp["measure"]
-            cfg.interval_s = me.getfloat("interval_s", 60.0)
-            cfg.fps = me.getfloat("fps", 25.0)
+            cfg.interval_s = me.getfloat("interval_s", cfg.interval_s)
+            cfg.fps = me.getfloat("fps", cfg.fps)
             raw = me.get("duration_s", "").strip()
             cfg.duration_s = float(raw) if raw else None
         if "io" in cp:
             io_sec = cp["io"]
-            cfg.tracks_name = io_sec.get("tracks_name", "tracks.txt")
-            cfg.intervals_name = io_sec.get("intervals_name", "intervals.txt")
+            cfg.tracks_name = io_sec.get("tracks_name", cfg.tracks_name)
+            cfg.intervals_name = io_sec.get("intervals_name", cfg.intervals_name)
     except (TypeError, ValueError) as exc:
         if isinstance(exc, ValidationError):
             raise

@@ -118,15 +118,14 @@ def parse_row(parts: Sequence[str], line_no: int, path) -> tuple[int, Detection,
         raise ParseError(f"bounding box values must be finite and within "
                          f"±{MAX_BOX_PX:g} px, got {(x, y, w, h)}", line_no, path)
     if frame < 1:
-        raise ValidationError(f"line {line_no}: frame index must be >= 1, got {frame}")
+        raise ParseError(f"frame index must be >= 1, got {frame}", line_no, path)
     if class_id < 0:
-        raise ValidationError(f"line {line_no}: class id must be >= 0, got {class_id}")
+        raise ParseError(f"class id must be >= 0, got {class_id}", line_no, path)
     if not (w > 0 and h > 0):
-        raise ValidationError(
-            f"line {line_no}: bounding box width/height must be positive, got ({w}, {h})"
-        )
+        raise ParseError(f"bounding box width/height must be positive, got ({w}, {h})",
+                         line_no, path)
     if not 0.0 <= conf <= 1.0:
-        raise ValidationError(f"line {line_no}: confidence must be in [0,1], got {conf}")
+        raise ParseError(f"confidence must be in [0,1], got {conf}", line_no, path)
 
     appearance = None
     dim = len(parts) - 7
@@ -136,8 +135,11 @@ def parse_row(parts: Sequence[str], line_no: int, path) -> tuple[int, Detection,
         except ValueError as exc:
             raise ParseError(f"unparseable embedding ({exc})", line_no, path) from None
         if not np.all(np.isfinite(raw)):
-            raise ValidationError(f"line {line_no}: non-finite embedding value")
-        appearance = normalize_appearance(raw)
+            raise ParseError("non-finite embedding value", line_no, path)
+        try:
+            appearance = normalize_appearance(raw)
+        except ValidationError as exc:
+            raise ParseError(str(exc), line_no, path) from None
 
     det = Detection(frame=frame, class_id=class_id, bbox=(x, y, w, h),
                     confidence=conf, appearance=appearance)
@@ -175,9 +177,9 @@ def parse_detections(
         if embed_dim is None:
             embed_dim = dim
         elif dim != embed_dim:
-            raise ValidationError(
-                f"line {line_no}: embedding dimension {dim} does not match "
-                f"expected {embed_dim}"
+            raise ParseError(
+                f"embedding dimension {dim} does not match expected {embed_dim}",
+                line_no, path,
             )
 
         if current_frame is None:

@@ -24,11 +24,8 @@ import numpy as np
 from .calib import CalibrationParams, to_pixel
 from .detstream import Detection
 from .errors import ValidationError
-from .traffic import IntervalMeasurement, LineOfInterest, interval_grid
+from .traffic import SECONDS_PER_HOUR, IntervalMeasurement, LineOfInterest, interval_grid
 from .traffic import loi_to_world  # noqa: F401  (kept importable as synth.loi_to_world)
-
-SECONDS_PER_HOUR = 3600.0
-MPS_TO_KMH = 3.6
 
 
 @dataclass(frozen=True)
@@ -121,7 +118,6 @@ class GroundTruth:
                 m.flows[k] = c * SECONDS_PER_HOUR / self.interval_s
             for k, vals in sorted(self.speeds.get(i, {}).items()):
                 m.speeds[k] = list(vals)
-                m.mean_speed_kmh[k] = (sum(vals) / len(vals)) * MPS_TO_KMH
             out.append(m)
         return out
 

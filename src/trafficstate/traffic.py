@@ -3,12 +3,22 @@
 Tracks become world-coordinate trajectories; a user-defined Line of
 Interest is intersected with each trajectory to produce per-interval,
 per-class crossing counts and flows, and per-interval speeds are path
-length over elapsed time.
+length over elapsed time. `measure_intervals` does both in one sweep over
+each trajectory's points.
+
+Time is frame / fps, on the grid of `interval_grid`. The two rules that
+place a time in an interval differ:
+
+- a crossing at time t goes to interval min(int(t / interval_s), n - 1),
+  and only when t <= total_duration;
+- a point at time t belongs to the interval with start <= t < end; the
+  last interval also takes a point at exactly its end.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Optional, Sequence
 
@@ -65,7 +75,6 @@ class IntervalMeasurement:
     counts: dict[int, int] = field(default_factory=dict)
     flows: dict[int, float] = field(default_factory=dict)          # vehicles/hour
     speeds: dict[int, list[float]] = field(default_factory=dict)   # m/s per track
-    mean_speed_kmh: dict[int, float] = field(default_factory=dict)
 
 
 def assemble_trajectories(
@@ -141,107 +150,6 @@ def interval_grid(interval_s: float, total_duration: float) -> list[tuple[float,
     ]
 
 
-def _interval_index(t: float, interval_s: float, n_intervals: int,
-                    total_duration: float) -> Optional[int]:
-    if t > total_duration or n_intervals == 0:
-        return None
-    return min(int(t / interval_s), n_intervals - 1)
-
-
-def first_crossing(traj: Trajectory, loi: LineOfInterest) -> Optional[int]:
-    """Frame index ending the first segment of the trajectory that crosses
-    the line, honoring the direction filter; None if it never crosses."""
-    pts = traj.points
-    for (f0, x0, y0), (f1, x1, y1) in zip(pts, pts[1:]):
-        if segment_crosses((x0, y0), (x1, y1), loi):
-            if loi.direction is not None \
-                    and crossing_sign((x0, y0), (x1, y1), loi) != loi.direction:
-                continue
-            return f1
-    return None
-
-
-def count_and_flow(
-    trajectories: Sequence[Trajectory],
-    loi: LineOfInterest,
-    interval_s: float,
-    fps: float,
-    total_duration: float,
-) -> list[IntervalMeasurement]:
-    """Per-interval classified crossing counts and flows (vehicles/hour).
-
-    Each track contributes at most one crossing, attributed to the
-    interval containing the later frame of its first crossing segment.
-    """
-    if fps <= 0:
-        raise ValidationError(f"fps must be positive, got {fps}")
-    grid = interval_grid(interval_s, total_duration)
-    measurements = [
-        IntervalMeasurement(index=i, start=s, end=e) for i, (s, e) in enumerate(grid)
-    ]
-    for traj in trajectories:
-        frame = first_crossing(traj, loi)
-        if frame is None:
-            continue
-        idx = _interval_index(frame / fps, interval_s, len(grid), total_duration)
-        if idx is None:
-            continue
-        counts = measurements[idx].counts
-        counts[traj.class_id] = counts.get(traj.class_id, 0) + 1
-    for m in measurements:
-        for k, c in m.counts.items():
-            m.flows[k] = c * SECONDS_PER_HOUR / interval_s
-    return measurements
-
-
-def interval_speed(
-    traj: Trajectory,
-    start: float,
-    end: float,
-    fps: float,
-    closed_end: bool = False,
-) -> Optional[float]:
-    """Path length over elapsed seconds for the trajectory's points inside
-    [start, end); None with fewer than two points inside."""
-    if fps <= 0:
-        raise ValidationError(f"fps must be positive, got {fps}")
-    inside = [
-        (f, x, y) for f, x, y in traj.points
-        if start <= f / fps < end or (closed_end and f / fps == end)
-    ]
-    if len(inside) < 2:
-        return None
-    path = 0.0
-    for (f0, x0, y0), (f1, x1, y1) in zip(inside, inside[1:]):
-        path += math.hypot(x1 - x0, y1 - y0)
-    elapsed = (inside[-1][0] - inside[0][0]) / fps
-    return path / elapsed
-
-
-def collect_speeds(
-    measurements: list[IntervalMeasurement],
-    trajectories: Sequence[Trajectory],
-    fps: float,
-) -> None:
-    """Fill per-interval per-class speed lists (m/s), in track-id order."""
-    last = len(measurements) - 1
-    for m_idx, m in enumerate(measurements):
-        for traj in trajectories:
-            v = interval_speed(traj, m.start, m.end, fps, closed_end=(m_idx == last))
-            if v is None:
-                continue
-            m.speeds.setdefault(traj.class_id, []).append(v)
-
-
-def aggregate(measurements: list[IntervalMeasurement]) -> list[IntervalMeasurement]:
-    """Compute per-class mean speeds in km/h; classes without speeds stay absent."""
-    for m in measurements:
-        for k, vals in m.speeds.items():
-            if vals:
-                m.mean_speed_kmh[k] = (sum(vals) / len(vals)) * MPS_TO_KMH
-    return measurements
-
-
 def measure_intervals(
     trajectories: Sequence[Trajectory],
     loi: LineOfInterest,
@@ -249,10 +157,71 @@ def measure_intervals(
     fps: float,
     total_duration: float,
 ) -> list[IntervalMeasurement]:
-    """Counts, flows, and speeds in one pass over assembled trajectories."""
-    measurements = count_and_flow(trajectories, loi, interval_s, fps, total_duration)
-    collect_speeds(measurements, trajectories, fps)
-    return aggregate(measurements)
+    """Per-interval classified counts, flows (vehicles/hour) and speeds (m/s).
+
+    One sweep over each trajectory's points, in the given (track-id) order;
+    points must be in non-decreasing frame order, as assemble_trajectories
+    yields them. A point's time is frame / fps.
+
+    Crossings: a track counts once, at the later frame of its first segment
+    that crosses the line and passes the direction filter. A crossing at
+    time t goes to interval min(int(t / interval_s), n - 1), and only when
+    t <= total_duration.
+
+    Speeds: a point belongs to the interval with start <= t < end; the last
+    interval also takes a point at exactly its end. Each interval holding
+    two or more of a track's points gets one speed: the path length through
+    those points over the seconds between the first and the last.
+    """
+    if fps <= 0:
+        raise ValidationError(f"fps must be positive, got {fps}")
+    grid = interval_grid(interval_s, total_duration)
+    measurements = [
+        IntervalMeasurement(index=i, start=s, end=e) for i, (s, e) in enumerate(grid)
+    ]
+    starts = [s for s, _ in grid]
+    last = len(grid) - 1
+
+    def interval_of(t: float) -> Optional[int]:
+        i = bisect_right(starts, t) - 1
+        if i < 0:
+            return None
+        end = grid[i][1]
+        return i if t < end or (i == last and t == end) else None
+
+    for traj in trajectories:
+        k = traj.class_id
+        crossed = False
+        prev = None
+        # the open run of consecutive points inside interval `run`
+        run = first = last_frame = None
+        path = 0.0
+        for f, x, y in traj.points:
+            p, t = (x, y), f / fps
+            if prev is not None and not crossed and segment_crosses(prev, p, loi) \
+                    and (loi.direction is None
+                         or crossing_sign(prev, p, loi) == loi.direction):
+                crossed = True
+                if grid and t <= total_duration:
+                    counts = measurements[min(int(t / interval_s), last)].counts
+                    counts[k] = counts.get(k, 0) + 1
+            i = interval_of(t)
+            if i is not None and i == run:
+                path += math.hypot(x - prev[0], y - prev[1])
+                last_frame = f
+            else:
+                if last_frame is not None:
+                    measurements[run].speeds.setdefault(k, []).append(
+                        path / ((last_frame - first) / fps))
+                run, first, last_frame, path = i, f, None, 0.0
+            prev = p
+        if last_frame is not None:
+            measurements[run].speeds.setdefault(k, []).append(
+                path / ((last_frame - first) / fps))
+    for m in measurements:
+        for k, c in m.counts.items():
+            m.flows[k] = c * SECONDS_PER_HOUR / interval_s
+    return measurements
 
 
 INTERVALS_HEADER = "interval\tt_start_s\tt_end_s\tclass\tcount\tflow_vph\tmean_speed_kmh\tn_speed_tracks"
@@ -265,16 +234,15 @@ def write_intervals(out: IO[str], measurements: Sequence[IntervalMeasurement]) -
         classes = sorted(set(m.counts) | set(m.speeds))
         for k in classes:
             count = m.counts.get(k, 0)
-            n_speeds = len(m.speeds.get(k, []))
-            if count == 0 and n_speeds == 0:
+            vals = m.speeds.get(k, [])
+            if count == 0 and not vals:
                 continue
             flow = m.flows.get(k, 0.0)
-            mean = m.mean_speed_kmh.get(k)
             cols = [
                 str(m.index), f"{m.start:.6g}", f"{m.end:.6g}", str(k),
                 str(count), f"{flow:.6g}",
-                f"{mean:.6g}" if mean is not None else "nan",
-                str(n_speeds),
+                f"{(sum(vals) / len(vals)) * MPS_TO_KMH:.6g}" if vals else "nan",
+                str(len(vals)),
             ]
             out.write("\t".join(cols) + "\n")
 
@@ -294,6 +262,7 @@ class IntervalRow:
 
 
 def parse_intervals(source: IO[str] | Iterable[str], path=None) -> list[IntervalRow]:
+    """Rows of an intervals file; a nan mean_speed_kmh means no speed."""
     rows = []
     for line_no, line in enumerate(source, start=1):
         line = line.rstrip("\n")
@@ -304,11 +273,18 @@ def parse_intervals(source: IO[str] | Iterable[str], path=None) -> list[Interval
             raise ParseError(f"expected 8 tab-separated columns, got {len(parts)}",
                              line_no, path)
         try:
-            rows.append(IntervalRow(
+            row = IntervalRow(
                 interval=int(parts[0]), start=float(parts[1]), end=float(parts[2]),
                 class_id=int(parts[3]), count=int(parts[4]), flow_vph=float(parts[5]),
                 mean_speed_kmh=float(parts[6]), n_speed_tracks=int(parts[7]),
-            ))
+            )
         except ValueError as exc:
             raise ParseError(f"unparseable field ({exc})", line_no, path) from None
+        if not all(map(math.isfinite, (row.start, row.end, row.flow_vph))):
+            raise ParseError("t_start_s, t_end_s and flow_vph must be finite", line_no, path)
+        if math.isinf(row.mean_speed_kmh):
+            raise ParseError("mean_speed_kmh must be finite or nan", line_no, path)
+        if row.count < 0 or row.n_speed_tracks < 0:
+            raise ParseError("count and n_speed_tracks must be >= 0", line_no, path)
+        rows.append(row)
     return rows

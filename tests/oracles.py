@@ -174,3 +174,48 @@ def greedy_match(detections, ground_truths, iou_threshold, same_class=True):
             matched_gt[i] = best_j
             taken.add(best_j)
     return matched_gt
+
+
+# -- interval measurement by per-interval rescan ----------------------------------
+
+def measure_by_rescan(trajectories, crosses, interval_s, fps, total_duration):
+    """Per-interval counts, flows and speeds, rescanning every track per interval.
+
+    trajectories carry .class_id and .points [(frame, x, y), ...];
+    crosses(p, q) says whether the segment p -> q counts as a crossing
+    (line test and direction filter). Returns one dict per interval of the
+    grid [i * interval_s, min((i + 1) * interval_s, total_duration)), with
+    keys start, end, counts, flows and speeds. A track counts once, at the
+    later frame of its first counting segment, in interval
+    min(int(t / interval_s), n - 1) when t <= total_duration. Its speed in
+    an interval is the path through the points with start <= t < end (the
+    last interval also takes t == end) over their elapsed time.
+    """
+    n = max(0, math.ceil(total_duration / interval_s - 1e-12))
+    out = [dict(start=i * interval_s, end=min((i + 1) * interval_s, total_duration),
+                counts={}, flows={}, speeds={}) for i in range(n)]
+    for traj in trajectories:
+        pts = traj.points
+        frame = next((f1 for (_, x0, y0), (f1, x1, y1) in zip(pts, pts[1:])
+                      if crosses((x0, y0), (x1, y1))), None)
+        if frame is None or n == 0 or frame / fps > total_duration:
+            continue
+        counts = out[min(int(frame / fps / interval_s), n - 1)]["counts"]
+        counts[traj.class_id] = counts.get(traj.class_id, 0) + 1
+    for m in out:
+        for k, c in m["counts"].items():
+            m["flows"][k] = c * 3600.0 / interval_s
+    for idx, m in enumerate(out):
+        closed = idx == n - 1
+        for traj in trajectories:
+            inside = [(f, x, y) for f, x, y in traj.points
+                      if m["start"] <= f / fps < m["end"]
+                      or (closed and f / fps == m["end"])]
+            if len(inside) < 2:
+                continue
+            path = 0.0
+            for (_, x0, y0), (_, x1, y1) in zip(inside, inside[1:]):
+                path += math.hypot(x1 - x0, y1 - y0)
+            elapsed = (inside[-1][0] - inside[0][0]) / fps
+            m["speeds"].setdefault(traj.class_id, []).append(path / elapsed)
+    return out

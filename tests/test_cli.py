@@ -8,7 +8,7 @@ import pytest
 
 import trafficstate
 from trafficstate.cli import main
-from trafficstate.config import default_config_text, parse_config
+from trafficstate.config import RunConfig, default_config_text, parse_config
 from trafficstate.traffic import parse_intervals
 
 SCENARIO = """\
@@ -81,6 +81,14 @@ def test_print_config_parses_back(capsys):
     assert cfg.tracker.appearance_gate == pytest.approx(0.2)
     assert cfg.fps == 25.0
     assert text == default_config_text()
+
+
+def test_config_defaults_have_one_source():
+    assert parse_config("") == RunConfig()
+    assert parse_config(default_config_text()) == RunConfig()
+    # sections present with every key absent fall back to RunConfig's defaults
+    assert parse_config("[calibration]\n[loi]\n[tracking]\n[measure]\n[io]\n") == RunConfig()
+    assert parse_config("[loi]\nax_px = 1\n").loi_px == ((1.0, 500.0), (1920.0, 500.0))
 
 
 def test_synth_then_track_matches_sidecar_counts(tmp_path):
@@ -256,6 +264,17 @@ def test_stats_mismatched_grids_rejected(tmp_path):
                  "--out-dir", str(tmp_path / "s")]) == 1
 
 
+def test_stats_rejects_non_finite_flow(tmp_path, capsys):
+    head = "interval\tt_start_s\tt_end_s\tclass\tcount\tflow_vph\tmean_speed_kmh\tn_speed_tracks\n"
+    good = head + "0\t0\t60\t0\t1\t60\tnan\t0\n1\t60\t120\t0\t1\t60\tnan\t0\n"
+    a = write(tmp_path / "a.txt", good.replace("120\t0\t1\t60", "120\t0\t1\tinf"))
+    b = write(tmp_path / "b.txt", good)
+    assert main(["stats", "--measured", a, "--truth", b,
+                 "--out-dir", str(tmp_path / "s")]) == 1
+    assert f"{a}:3:" in capsys.readouterr().err
+    assert not (tmp_path / "s" / "stats.txt").exists()
+
+
 def test_exit_codes(tmp_path):
     assert main(["track", "--detections", str(tmp_path / "missing.txt"),
                  "--out-dir", str(tmp_path)]) == 2
@@ -280,6 +299,30 @@ def test_track_rejects_non_finite_box_position(tmp_path, capsys, field, value):
     dets = write(tmp_path / "dets.txt", f"1,2,3,5,10,0.9,0\n1,{x},{y},5,10,0.9,0\n")
     assert main(["track", "--detections", dets, "--out-dir", str(tmp_path / "out")]) == 1
     assert f"{dets}:2:" in capsys.readouterr().err
+
+
+BAD_ROWS = [
+    "0,10,10,5,5,0.9,0,1,0",      # frame below 1
+    "1,10,10,5,5,0.9,-1,1,0",     # negative class
+    "1,10,10,0,5,0.9,0,1,0",      # zero width
+    "1,10,10,5,-5,0.9,0,1,0",     # negative height
+    "1,10,10,5,5,1.5,0,1,0",      # confidence above 1
+    "1,10,10,5,5,0.9,0,nan,0",    # non-finite embedding
+    "1,10,10,5,5,0.9,0,0,0",      # zero embedding
+]
+
+
+# eval rows may carry embeddings of any dimension; track rows may not
+@pytest.mark.parametrize("command,row", [(c, r) for c in ("track", "eval") for r in BAD_ROWS]
+                         + [("track", "1,10,10,5,5,0.9,0,1,0,0")])
+def test_malformed_row_names_file_and_line(tmp_path, capsys, command, row):
+    bad = write(tmp_path / "bad.txt", f"1,2,3,5,10,0.9,0,1,0\n{row}\n")
+    if command == "track":
+        argv = ["track", "--detections", bad]
+    else:
+        argv = ["eval", "--pred", bad, "--gt", write(tmp_path / "gt.txt", "1,2,3,5,10,0\n")]
+    assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 1
+    assert f"{bad}:2:" in capsys.readouterr().err
 
 
 def test_config_import_leaves_synth_unloaded():

@@ -5,18 +5,14 @@ import numpy as np
 import pytest
 
 from trafficstate.calib import CalibrationParams
-from trafficstate.errors import ValidationError
+from trafficstate.errors import ParseError, ValidationError
 from trafficstate.tracker import TrackSnapshot, TrackStatus
 from trafficstate.traffic import (
     IntervalMeasurement,
     LineOfInterest,
     Trajectory,
-    aggregate,
     assemble_trajectories,
-    count_and_flow,
-    collect_speeds,
     interval_grid,
-    interval_speed,
     measure_intervals,
     parse_intervals,
     segment_crosses,
@@ -35,6 +31,26 @@ def snap(frame, track_id, cx, cy, class_id=0):
 
 def traj(track_id, points, class_id=0):
     return Trajectory(track_id=track_id, class_id=class_id, points=points)
+
+
+def interval_speed(trajectory, interval_s, fps, index=0, total_duration=None):
+    """The trajectory's speed in interval `index` of the grid, None if absent.
+
+    The grid is one interval long unless total_duration says otherwise.
+    """
+    ms = measure_intervals([trajectory], LOI_X0, interval_s, fps,
+                           total_duration or interval_s)
+    speeds = ms[index].speeds.get(trajectory.class_id)
+    if speeds is None:
+        return None
+    assert len(speeds) == 1
+    return speeds[0]
+
+
+def written_rows(measurement):
+    buf = io.StringIO()
+    write_intervals(buf, [measurement])
+    return {r.class_id: r for r in parse_intervals(io.StringIO(buf.getvalue()))}
 
 
 # -- trajectory assembly -------------------------------------------------------
@@ -101,8 +117,8 @@ def test_flow_example_12_crossings_720_vph():
         traj(i, [(10 + i, -1.0, float(i)), (11 + i, 1.0, float(i))], class_id=4)
         for i in range(12)
     ]
-    ms = count_and_flow(trajectories, LOI_X0, interval_s=60.0, fps=25.0,
-                        total_duration=60.0)
+    ms = measure_intervals(trajectories, LOI_X0, interval_s=60.0, fps=25.0,
+                           total_duration=60.0)
     assert len(ms) == 1
     assert ms[0].counts == {4: 12}
     assert ms[0].flows[4] == pytest.approx(720.0)
@@ -110,14 +126,14 @@ def test_flow_example_12_crossings_720_vph():
 
 def test_oscillating_track_counted_once():
     pts = [(1, -1.0, 0.0), (2, 1.0, 0.0), (3, -1.0, 0.0), (4, 1.0, 0.0)]
-    ms = count_and_flow([traj(1, pts)], LOI_X0, 60.0, 25.0, 60.0)
+    ms = measure_intervals([traj(1, pts)], LOI_X0, 60.0, 25.0, 60.0)
     assert ms[0].counts == {0: 1}
 
 
 def test_crossing_attributed_to_later_frame_interval():
     # crossing segment spans frames 250 -> 251 at 25 fps: t=10.04 s, second interval
     pts = [(250, -1.0, 0.0), (251, 1.0, 0.0)]
-    ms = count_and_flow([traj(1, pts)], LOI_X0, 10.0, 25.0, 30.0)
+    ms = measure_intervals([traj(1, pts)], LOI_X0, 10.0, 25.0, 30.0)
     assert ms[0].counts == {} and ms[1].counts == {0: 1}
 
 
@@ -125,8 +141,8 @@ def test_direction_filter():
     up = LineOfInterest(a=(0.0, -100.0), b=(0.0, 100.0), direction=1)
     down = LineOfInterest(a=(0.0, -100.0), b=(0.0, 100.0), direction=-1)
     rightward = [traj(1, [(1, -1.0, 0.0), (2, 1.0, 0.0)])]
-    ms_up = count_and_flow(rightward, up, 60.0, 25.0, 60.0)
-    ms_down = count_and_flow(rightward, down, 60.0, 25.0, 60.0)
+    ms_up = measure_intervals(rightward, up, 60.0, 25.0, 60.0)
+    ms_down = measure_intervals(rightward, down, 60.0, 25.0, 60.0)
     counted = [m for m in (ms_up + ms_down) if m.counts]
     assert len(counted) == 1
 
@@ -141,7 +157,7 @@ def test_counts_bounded_by_distinct_tracks():
             x += rng.uniform(-2, 2)
             pts.append((f, x, rng.uniform(-50, 50)))
         trajectories.append(traj(tid, pts, class_id=int(rng.integers(0, 3))))
-    ms = count_and_flow(trajectories, LOI_X0, 0.4, 25.0, 39 / 25)
+    ms = measure_intervals(trajectories, LOI_X0, 0.4, 25.0, 39 / 25)
     per_class_total = {}
     for m in ms:
         for k, c in m.counts.items():
@@ -155,9 +171,9 @@ def test_counts_bounded_by_distinct_tracks():
 
 def test_flow_invariant_under_whole_interval_time_shift():
     pts = [(10, -1.0, 0.0), (11, 1.0, 0.0)]
-    ms1 = count_and_flow([traj(1, pts)], LOI_X0, 2.0, 25.0, 10.0)
+    ms1 = measure_intervals([traj(1, pts)], LOI_X0, 2.0, 25.0, 10.0)
     shifted = [(f + 50, x, y) for f, x, y in pts]  # exactly one 2 s interval
-    ms2 = count_and_flow([traj(1, shifted)], LOI_X0, 2.0, 25.0, 10.0)
+    ms2 = measure_intervals([traj(1, shifted)], LOI_X0, 2.0, 25.0, 10.0)
     flows1 = sorted(v for m in ms1 for v in m.flows.values())
     flows2 = sorted(v for m in ms2 for v in m.flows.values())
     assert flows1 == flows2
@@ -170,22 +186,22 @@ def test_flow_invariant_under_whole_interval_time_shift():
 
 def test_interval_speed_uniform_motion():
     pts = [(f, 0.4 * f, 0.0) for f in range(0, 26)]
-    v = interval_speed(traj(1, pts), 0.0, 60.0, fps=25.0)
+    v = interval_speed(traj(1, pts), 60.0, fps=25.0)
     assert v == pytest.approx(10.0)
 
 
 def test_interval_speed_stationary():
     pts = [(f, 3.0, 4.0) for f in range(0, 10)]
-    assert interval_speed(traj(1, pts), 0.0, 10.0, fps=25.0) == 0.0
+    assert interval_speed(traj(1, pts), 10.0, fps=25.0) == 0.0
 
 
 def test_interval_speed_single_point_absent():
-    assert interval_speed(traj(1, [(1, 0.0, 0.0)]), 0.0, 10.0, fps=25.0) is None
+    assert interval_speed(traj(1, [(1, 0.0, 0.0)]), 10.0, fps=25.0) is None
 
 
 def test_interval_speed_uses_only_in_interval_points():
     pts = [(f, 1.0 * f, 0.0) for f in range(1, 101)]
-    v = interval_speed(traj(1, pts), 1.0, 2.0, fps=25.0)
+    v = interval_speed(traj(1, pts), 1.0, fps=25.0, index=1, total_duration=4.0)
     # frames 25..49 fall in [1, 2): 24 steps of 1 m over 24/25 s
     assert v == pytest.approx(25.0)
 
@@ -194,20 +210,20 @@ def test_interval_speed_translation_and_rotation_invariant():
     rng = np.random.default_rng(13)
     pts = [(f, float(rng.uniform(-10, 10)), float(rng.uniform(-10, 10)))
            for f in range(1, 30)]
-    base = interval_speed(traj(1, pts), 0.0, 2.0, fps=25.0)
+    base = interval_speed(traj(1, pts), 2.0, fps=25.0)
     dx, dy = rng.uniform(-100, 100, size=2)
     shifted = [(f, x + dx, y + dy) for f, x, y in pts]
     theta = rng.uniform(0, 2 * math.pi)
     c, s = math.cos(theta), math.sin(theta)
     rotated = [(f, c * x - s * y, s * x + c * y) for f, x, y in pts]
-    assert interval_speed(traj(1, shifted), 0.0, 2.0, 25.0) == pytest.approx(base, abs=1e-9)
-    assert interval_speed(traj(1, rotated), 0.0, 2.0, 25.0) == pytest.approx(base, abs=1e-9)
+    assert interval_speed(traj(1, shifted), 2.0, 25.0) == pytest.approx(base, abs=1e-9)
+    assert interval_speed(traj(1, rotated), 2.0, 25.0) == pytest.approx(base, abs=1e-9)
 
 
 def test_interval_speed_doubles_with_fps():
     pts = [(f, 0.5 * f, 0.0) for f in range(1, 40)]
-    v1 = interval_speed(traj(1, pts), 0.0, 100.0, fps=25.0)
-    v2 = interval_speed(traj(1, pts), 0.0, 100.0, fps=50.0)
+    v1 = interval_speed(traj(1, pts), 100.0, fps=25.0)
+    v2 = interval_speed(traj(1, pts), 100.0, fps=50.0)
     assert v2 == pytest.approx(2.0 * v1, abs=1e-9)
 
 
@@ -216,22 +232,23 @@ def test_interval_speed_doubles_with_fps():
 def test_aggregate_mean_and_unit_conversion():
     m = IntervalMeasurement(index=0, start=0.0, end=60.0)
     m.speeds = {2: [10.0, 20.0]}
-    aggregate([m])
-    assert m.mean_speed_kmh[2] == pytest.approx(54.0)
+    row = written_rows(m)[2]
+    assert row.mean_speed_kmh == pytest.approx(54.0)
+    assert row.n_speed_tracks == 2
 
 
 def test_aggregate_empty_class_absent():
     m = IntervalMeasurement(index=0, start=0.0, end=60.0)
-    m.speeds = {}
-    aggregate([m])
-    assert m.mean_speed_kmh == {}
+    m.counts, m.flows, m.speeds = {1: 1}, {1: 60.0}, {}
+    row = written_rows(m)[1]
+    assert math.isnan(row.mean_speed_kmh) and row.n_speed_tracks == 0
+    assert written_rows(IntervalMeasurement(index=0, start=0.0, end=60.0)) == {}
 
 
 def test_aggregate_singleton():
     m = IntervalMeasurement(index=0, start=0.0, end=60.0)
     m.speeds = {1: [7.5]}
-    aggregate([m])
-    assert m.mean_speed_kmh[1] == pytest.approx(27.0)
+    assert written_rows(m)[1].mean_speed_kmh == pytest.approx(27.0)
 
 
 # -- interval grid ----------------------------------------------------------------
@@ -249,8 +266,7 @@ def test_interval_grid_validation():
 def test_speed_measured_in_final_closed_interval():
     pts = [(f, 0.4 * f, 0.0) for f in range(45, 51)]  # t in [1.8, 2.0]
     trajectories = [traj(1, pts)]
-    ms = count_and_flow(trajectories, LOI_X0, 1.0, 25.0, 2.0)
-    collect_speeds(ms, trajectories, 25.0)
+    ms = measure_intervals(trajectories, LOI_X0, 1.0, 25.0, 2.0)
     assert ms[1].speeds[0] == [pytest.approx(10.0)]
 
 
@@ -275,3 +291,19 @@ def test_write_and_parse_intervals():
     row0 = next(r for r in rows if r.class_id == 0)
     assert row0.count == 1
     assert row0.flow_vph == pytest.approx(60.0)
+
+
+@pytest.mark.parametrize("row", [
+    "0\tinf\t60\t1\t1\t60\t30\t1",     # t_start_s
+    "0\t0\tnan\t1\t1\t60\t30\t1",      # t_end_s
+    "0\t0\t60\t1\t1\tinf\t30\t1",      # flow_vph
+    "0\t0\t60\t1\t1\tnan\t30\t1",
+    "0\t0\t60\t1\t1\t60\t-inf\t1",     # mean_speed_kmh may be nan, not inf
+    "0\t0\t60\t1\t-1\t-60\t30\t1",     # count
+    "0\t0\t60\t1\t1\t60\t30\t-1",      # n_speed_tracks
+])
+def test_parse_intervals_rejects_non_finite_and_negative_values(row):
+    with pytest.raises(ParseError) as exc:
+        parse_intervals(io.StringIO("0\t0\t60\t0\t1\t60\tnan\t0\n" + row + "\n"),
+                        path="m.txt")
+    assert str(exc.value).startswith("m.txt:2:")
