@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import NumericalError, ValidationError
 
@@ -204,11 +203,17 @@ def solve_assignment(cost: CostMatrix) -> AssignmentResult:
     """Minimum-cost matching over admissible pairs.
 
     Sentinel (inadmissible) pairs never end up matched; tracks and
-    detections left over come back as unmatched.
+    detections left over come back as unmatched. The solver is scipy's
+    `linear_sum_assignment`, imported here rather than at module level:
+    loading `scipy.optimize` takes longer than importing the rest of the
+    package, and only `track` ever solves an assignment, so `eval` and the
+    config path, which import this module, never load it.
     """
     n, m = cost.shape
     if n == 0 or m == 0:
         return AssignmentResult([], list(range(n)), list(range(m)))
+    from scipy.optimize import linear_sum_assignment
+
     rows, cols = linear_sum_assignment(cost.values)
     matches = []
     matched_rows, matched_cols = set(), set()

@@ -5,13 +5,18 @@ scaled version of the ground plane. The transform is affine: a per-axis
 magnification (phi along X, omega along Y), a skew angle delta between
 the skewed axis and the geodetic X axis, and a reference-point offset
 (x0, y0) in a projected coordinate system (meters).
+
+The sine and cotangent of delta come from scipy's degree-native
+`sindg`/`cosdg`, which keep the 90-degree (no-skew) case exact. They are
+computed once per angle in `_sin_cot`, which also imports `scipy.special`
+on first use, so importing this module (as `eval` and the config path
+do) does not load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from scipy.special import cosdg, sindg
+from functools import lru_cache
 
 from .errors import ValidationError
 
@@ -73,15 +78,22 @@ def derive_magnification(ref: ReferenceObject) -> tuple[float, float]:
     return ref.apparent_x_px / ref.true_x_m, ref.apparent_y_px / ref.true_y_m
 
 
+@lru_cache
+def _sin_cot(delta_deg: float) -> tuple[float, float]:
+    """(sin(delta), cot(delta)) of an angle in degrees."""
+    from scipy.special import cosdg, sindg
+
+    sin_d = float(sindg(delta_deg))
+    return sin_d, float(cosdg(delta_deg)) / sin_d
+
+
 def to_world(x: float, y: float, p: CalibrationParams) -> tuple[float, float]:
     """Map a skewed image point (pixels) to world coordinates (meters).
 
     Y is scaled by sin(delta)/omega; X removes the skew-induced shear of y
-    before dividing by the magnification. Degree-native trigonometry keeps
-    the 90-degree (no-skew) case exact.
+    before dividing by the magnification.
     """
-    sin_d = float(sindg(p.delta_deg))
-    cot = float(cosdg(p.delta_deg)) / sin_d
+    sin_d, cot = _sin_cot(p.delta_deg)
     wy = p.y0 + y * sin_d / p.omega
     wx = p.x0 + (x + p.phi * cot * y) / p.phi
     return wx, wy
@@ -89,8 +101,7 @@ def to_world(x: float, y: float, p: CalibrationParams) -> tuple[float, float]:
 
 def to_pixel(wx: float, wy: float, p: CalibrationParams) -> tuple[float, float]:
     """Exact inverse of to_world; the transform is affine and invertible."""
-    sin_d = float(sindg(p.delta_deg))
-    cot = float(cosdg(p.delta_deg)) / sin_d
+    sin_d, cot = _sin_cot(p.delta_deg)
     y = (wy - p.y0) * p.omega / sin_d
     x = (wx - p.x0) * p.phi - p.phi * cot * y
     return x, y

@@ -93,12 +93,21 @@ def normalize_appearance(v: np.ndarray) -> np.ndarray:
     """Scale a descriptor to unit Euclidean norm.
 
     Vectors already unit-norm within 1e-9 pass through unchanged, so
-    serialization round-trips bit for bit.
+    serialization round-trips bit for bit. The raw values are looked at
+    only when the norm is 0 or not finite: non-finite values are rejected,
+    as is the zero vector, and a finite descriptor whose squared sum
+    overflows or underflows is first divided by its largest |value|.
     """
     v = np.asarray(v, dtype=np.float64)
-    norm = float(np.linalg.norm(v))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(v))
     if norm == 0.0 or not np.isfinite(norm):
-        raise ValidationError("appearance descriptor has zero or non-finite norm")
+        if not np.isfinite(v).all():
+            raise ValidationError("non-finite embedding value")
+        if not v.any():
+            raise ValidationError("appearance descriptor has zero norm")
+        v = v / np.abs(v).max()
+        norm = float(np.linalg.norm(v))
     if abs(norm - 1.0) <= UNIT_NORM_TOL:
         return v
     return v / norm
@@ -134,8 +143,6 @@ def parse_row(parts: Sequence[str], line_no: int, path) -> tuple[int, Detection,
             raw = np.array([float(p) for p in parts[7:]], dtype=np.float64)
         except ValueError as exc:
             raise ParseError(f"unparseable embedding ({exc})", line_no, path) from None
-        if not np.all(np.isfinite(raw)):
-            raise ParseError("non-finite embedding value", line_no, path)
         try:
             appearance = normalize_appearance(raw)
         except ValidationError as exc:

@@ -15,11 +15,10 @@ class ParseError(ValidationError):
     def __init__(self, message, line_no=None, path=None):
         self.line_no = line_no
         self.path = path
-        where = ""
-        if path is not None:
-            where += str(path)
-        if line_no is not None:
-            where += f":{line_no}"
+        if path is None:
+            where = None if line_no is None else f"line {line_no}"
+        else:
+            where = str(path) if line_no is None else f"{path}:{line_no}"
         super().__init__(f"{where}: {message}" if where else message)
 
 

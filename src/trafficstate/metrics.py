@@ -14,10 +14,9 @@ from dataclasses import dataclass, field
 from typing import IO, Iterable, Optional, Sequence
 
 import numpy as np
-from scipy.special import betainc
 
 from .assoc import iou_matrix
-from .detstream import Detection
+from .detstream import Detection, parse_row
 from .errors import NumericalError, ParseError, ValidationError
 
 DEFAULT_IOU_THRESHOLD = 0.5
@@ -269,7 +268,9 @@ def paired_t_test(a, b) -> tuple[float, float]:
     The p-value comes from the t distribution with n-1 degrees of freedom,
     evaluated through the regularized incomplete beta function. Zero
     variance of the differences yields t=0, p=1 when the series agree and
-    an infinite t (p=0) when they differ by a constant.
+    an infinite t (p=0) when they differ by a constant. `betainc` is
+    imported on first use: only `stats` needs it, and `eval`, which
+    imports this module, would otherwise load `scipy.special` for nothing.
     """
     a, b = _as_series(a, b)
     d = a - b
@@ -282,6 +283,8 @@ def paired_t_test(a, b) -> tuple[float, float]:
         return math.copysign(math.inf, mean), 0.0
     t = mean / (sd / math.sqrt(n))
     df = n - 1
+    from scipy.special import betainc
+
     p = float(betainc(df / 2.0, 0.5, df / (df + t * t)))
     return t, p
 
@@ -300,8 +303,6 @@ def load_boxes(
     path=None,
 ) -> dict[int, list[Detection]]:
     """Frame-indexed boxes from an evaluation file, order-insensitive."""
-    from .detstream import parse_row
-
     frames: dict[int, list[Detection]] = {}
     for line_no, line in enumerate(source, start=1):
         line = line.strip()

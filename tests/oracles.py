@@ -4,7 +4,8 @@ Everything here is deliberately brute force: permutation enumeration for
 assignment, threshold enumeration for average precision, direct
 definition-scanning for the interpolated precision, and one-track,
 one-pair scalar forms of the engine's batched Kalman, distance and IoU
-kernels. None of it shares code with the package under test.
+kernels, and the calibration transform with its trigonometry evaluated
+afresh on every call. None of it shares code with the package under test.
 """
 
 import itertools
@@ -12,6 +13,7 @@ import math
 
 import numpy as np
 import scipy.linalg
+import scipy.special
 
 
 def brute_force_assignment(values: np.ndarray) -> float:
@@ -151,6 +153,21 @@ def iou(box_a, box_b):
     inter = ix * iy
     union = aw * ah + bw * bh - inter
     return inter / union if union > 0 else 0.0
+
+
+def calib_to_world(x, y, phi, omega, delta_deg, x0, y0):
+    """Skewed image point (pixels) to world (meters), trig taken per call."""
+    sin_d = float(scipy.special.sindg(delta_deg))
+    cot = float(scipy.special.cosdg(delta_deg)) / sin_d
+    return x0 + (x + phi * cot * y) / phi, y0 + y * sin_d / omega
+
+
+def calib_to_pixel(wx, wy, phi, omega, delta_deg, x0, y0):
+    """Inverse of calib_to_world, trig taken per call."""
+    sin_d = float(scipy.special.sindg(delta_deg))
+    cot = float(scipy.special.cosdg(delta_deg)) / sin_d
+    y = (wy - y0) * omega / sin_d
+    return (wx - x0) * phi - phi * cot * y, y
 
 
 def greedy_match(detections, ground_truths, iou_threshold, same_class=True):

@@ -12,6 +12,8 @@ from trafficstate.calib import (
 )
 from trafficstate.errors import ValidationError
 
+from oracles import calib_to_pixel, calib_to_world
+
 
 def test_derive_magnification_direct_ratio():
     ref = ReferenceObject(true_x_m=10, true_y_m=8, apparent_x_px=20, apparent_y_px=16)
@@ -126,3 +128,22 @@ def test_to_pixel_inverts_to_world():
         rx, ry = to_pixel(wx, wy, p)
         assert rx == pytest.approx(x, abs=1e-6)
         assert ry == pytest.approx(y, abs=1e-6)
+
+
+@pytest.mark.parametrize("delta_deg", [1, 30, 45, 60, 89.999, 90, 120, 179.5])
+@pytest.mark.parametrize("phi,omega,x0,y0", [
+    (1.0, 1.0, 0.0, 0.0),
+    (2.5, 0.4, 10.0, -20.0),
+    (0.07, 13.0, -3.5e5, 6.1e5),
+])
+def test_transform_matches_per_call_trig_oracle(delta_deg, phi, omega, x0, y0):
+    def bits(point):
+        return np.asarray(point, dtype=np.float64).tobytes()
+
+    p = CalibrationParams(phi=phi, omega=omega, delta_deg=delta_deg, x0=x0, y0=y0)
+    args = (phi, omega, delta_deg, x0, y0)
+    for x in np.linspace(-1500.0, 1500.0, 7):
+        for y in np.linspace(-900.0, 900.0, 7):
+            x, y = float(x), float(y)
+            assert bits(to_world(x, y, p)) == bits(calib_to_world(x, y, *args))
+            assert bits(to_pixel(x, y, p)) == bits(calib_to_pixel(x, y, *args))

@@ -308,6 +308,8 @@ BAD_ROWS = [
     "1,10,10,5,-5,0.9,0,1,0",     # negative height
     "1,10,10,5,5,1.5,0,1,0",      # confidence above 1
     "1,10,10,5,5,0.9,0,nan,0",    # non-finite embedding
+    "1,10,10,5,5,0.9,0,inf,0",
+    "1,10,10,5,5,0.9,0,1e308,-inf",
     "1,10,10,5,5,0.9,0,0,0",      # zero embedding
 ]
 
@@ -325,9 +327,53 @@ def test_malformed_row_names_file_and_line(tmp_path, capsys, command, row):
     assert f"{bad}:2:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("row", ["1,10,10,5,5,0.9,0,1e308,1e308",
+                                 "1,10,10,5,5,0.9,0,1e-200,1e-200"])
+def test_track_accepts_finite_embedding_whose_squares_leave_float_range(tmp_path, row):
+    # pytest turns RuntimeWarnings into errors, so this also proves no warning
+    dets = write(tmp_path / "dets.txt", f"1,2,3,5,10,0.9,0,1,0\n{row}\n")
+    assert main(["track", "--detections", dets, "--out-dir", str(tmp_path / "out")]) == 0
+
+
 def test_config_import_leaves_synth_unloaded():
     src = str(Path(trafficstate.__file__).resolve().parents[1])
     probe = "import sys, trafficstate.config; print('trafficstate.synth' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH=src))
     assert out.stdout.strip() == "False"
+
+
+IMPORT_GUARD = """
+import sys
+from pathlib import Path
+import trafficstate, trafficstate.cli as cli
+
+def scipy_loaded():
+    return [m for m in ("scipy.optimize", "scipy.special") if m in sys.modules]
+
+tmp = Path(sys.argv[1])
+pred, gt = tmp / "pred.txt", tmp / "gt.txt"
+pred.write_text("1,2,3,5,10,0.9,0\\n1,40,3,5,10,0.8,1\\n")
+gt.write_text("1,2,3,5,10,0\\n1,41,3,5,10,1\\n")
+assert cli.main(["print-config"]) == 0
+assert cli.main(["eval", "--pred", str(pred), "--gt", str(gt),
+                 "--out-dir", str(tmp / "eval")]) == 0
+print(scipy_loaded())
+dets = tmp / "dets.txt"
+dets.write_text("".join(f"{f},{10 + 3 * f},10,5,10,0.9,0\\n{f},{10 + 3 * f},60,5,10,0.9,1\\n"
+                        for f in range(1, 6)))
+assert cli.main(["track", "--detections", str(dets), "--out-dir", str(tmp / "track")]) == 0
+print(scipy_loaded())
+"""
+
+
+def test_print_config_and_eval_leave_scipy_unloaded_until_track(tmp_path):
+    # the assignment solver and scipy.special load on first use only; a track
+    # run must still load the solver, or it was lost rather than deferred
+    src = str(Path(trafficstate.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", IMPORT_GUARD, str(tmp_path)],
+                         capture_output=True, text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    after_eval, after_track = out.stdout.splitlines()[-2:]
+    assert after_eval == "[]"
+    assert "'scipy.optimize'" in after_track

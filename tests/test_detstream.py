@@ -49,6 +49,49 @@ def test_normalize_appearance_examples():
         normalize_appearance(np.array([0.0, 0.0]))
 
 
+@pytest.mark.parametrize("value", [1e308, 1e-200, 5e-324])
+def test_normalize_appearance_rescales_when_squares_leave_float_range(value):
+    # the squared sum overflows or underflows; the descriptor is still finite
+    # and nonzero, so it normalizes without a warning
+    v = normalize_appearance(np.array([value, value]))
+    assert np.array_equal(v, normalize_appearance(np.array([1.0, 1.0])))
+
+
+def test_normalize_appearance_keeps_bits_of_ordinary_descriptors():
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        v = rng.normal(size=64) * 10.0 ** rng.uniform(-100, 100)
+        assert np.array_equal(normalize_appearance(v), v / np.linalg.norm(v))
+
+
+@pytest.mark.parametrize("v,message", [
+    ([np.nan, 1.0], "non-finite embedding value"),
+    ([np.inf, 0.0], "non-finite embedding value"),
+    ([1e308, -np.inf], "non-finite embedding value"),
+    ([0.0, 0.0], "zero norm"),
+])
+def test_normalize_appearance_rejects_non_finite_and_zero(v, message):
+    with pytest.raises(ValidationError, match=message):
+        normalize_appearance(np.array(v))
+
+
+@pytest.mark.parametrize("row", ["1,0,0,10,10,1.0,0,1e308,1e308",
+                                 "1,0,0,10,10,1.0,0,1e-200,1e-200"])
+def test_parse_extreme_finite_embedding_is_unit(row):
+    (_, dets), = parse_all(row + "\n")
+    assert np.array_equal(dets[0].appearance, normalize_appearance(np.ones(2)))
+
+
+@pytest.mark.parametrize("path,line_no,rendered", [
+    (None, None, "x"),
+    (None, 3, "line 3: x"),
+    ("dets.txt", None, "dets.txt: x"),
+    ("dets.txt", 3, "dets.txt:3: x"),
+])
+def test_parse_error_location(path, line_no, rendered):
+    assert str(ParseError("x", line_no, path)) == rendered
+
+
 def test_comments_and_blank_lines_skipped():
     batches = parse_all("# header\n\n1,0,0,10,10,0.5,0\n")
     assert len(batches) == 1 and len(batches[0][1]) == 1
