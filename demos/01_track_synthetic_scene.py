@@ -38,23 +38,24 @@ loi = LineOfInterest(a=(0.0, -10.0), b=(0.0, 80.0))
 batches, truth = generate(spec, loi, interval_s=4.0)
 
 tracker = Tracker(TrackerConfig())
-snapshots = []
-for frame, detections in batches:
-    snapshots.extend(tracker.step(frame, detections))
+# one LiveTracks record per frame: the live tracks' ids, confirmed flags,
+# classes and boxes as arrays, in id order
+frames = [tracker.step(frame, detections) for frame, detections in batches]
 
-print(f"frames processed : {len(batches)}")
-print(f"snapshots emitted: {len(snapshots)}")
-ids = sorted({s.track_id for s in snapshots})
+print(f"frames processed : {len(frames)}")
+print(f"track rows       : {sum(len(live.ids) for live in frames)}")
+ids = sorted({tid for live in frames for tid in live.ids.tolist()})
 print(f"identities used  : {ids}")
 
 # Identity stability: with a 3-frame gap (the survivable maximum) the
 # occluded agent keeps its id, so six agents need exactly six ids.
 assert len(ids) == len(agents)
 
-print("\nlast frame, live tracks:")
-last_frame = max(s.frame for s in snapshots)
-for s in snapshots:
-    if s.frame == last_frame:
-        u, v = s.centroid
-        print(f"  id {s.track_id}  class {s.class_id}  "
-              f"center ({u:7.1f}, {v:7.1f}) px  status {s.status.value}")
+last = frames[-1]
+print(f"\nlast frame ({last.frame}), live tracks:")
+for tid, class_id, confirmed, (x, y, w, h) in zip(
+        last.ids.tolist(), last.class_ids.tolist(), last.confirmed.tolist(),
+        last.boxes.tolist()):
+    status = "confirmed" if confirmed else "tentative"
+    print(f"  id {tid}  class {class_id}  "
+          f"center ({x + w / 2.0:7.1f}, {y + h / 2.0:7.1f}) px  status {status}")

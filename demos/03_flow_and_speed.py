@@ -41,11 +41,9 @@ interval_s = 5.0
 batches, truth = generate(spec, loi, interval_s)
 
 tracker = Tracker()
-snapshots = []
-for frame, dets in batches:
-    snapshots.extend(tracker.step(frame, dets))
+frames = [tracker.step(frame, dets) for frame, dets in batches]
 
-trajectories = assemble_trajectories(snapshots, calib)
+trajectories = assemble_trajectories(frames, calib)
 measurements = measure_intervals(trajectories, loi, interval_s, spec.fps,
                                  spec.duration_s)
 

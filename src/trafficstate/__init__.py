@@ -34,7 +34,7 @@ from .metrics import (
     rmse,
 )
 from .motion import KalmanFilter
-from .tracker import Tracker, TrackerConfig, TrackSnapshot, TrackStatus
+from .tracker import LiveTracks, Tracker, TrackerConfig
 from .traffic import (
     IntervalMeasurement,
     LineOfInterest,

@@ -24,7 +24,7 @@ from .errors import NumericalError, ValidationError
 # 0.95 quantile of chi-square with 4 dof: the motion gate for a 4-dim measurement.
 CHI2_95_4DOF = 9.4877
 DEFAULT_APPEARANCE_GATE = 0.2
-# Larger than any admissible cost (Mahalanobis gated <= t1, cosine <= 2).
+# What inadmissible pairs carry in a cost matrix; the solver ignores it.
 SENTINEL_COST = 1e5
 # Second-stage gate on IoU distance (1 - IoU).
 DEFAULT_IOU_GATE = 0.7
@@ -200,21 +200,29 @@ def build_iou_cost_matrix(
 
 
 def solve_assignment(cost: CostMatrix) -> AssignmentResult:
-    """Minimum-cost matching over admissible pairs.
+    """Matching with the most admissible pairs, and among those the least cost.
 
-    Sentinel (inadmissible) pairs never end up matched; tracks and
-    detections left over come back as unmatched. The solver is scipy's
-    `linear_sum_assignment`, imported here rather than at module level:
-    loading `scipy.optimize` takes longer than importing the rest of the
-    package, and only `track` ever solves an assignment, so `eval` and the
-    config path, which import this module, never load it.
+    Inadmissible pairs never end up matched; tracks and detections left
+    over come back as unmatched. Whatever values inadmissible cells carry,
+    the solver fills them with one cost larger than the admissible maximum
+    plus (min(n, m) - 1) times the admissible spread: then dropping an
+    admissible match always costs more than any cheaper arrangement gains.
+    The solver is scipy's `linear_sum_assignment`, imported here rather
+    than at module level: loading `scipy.optimize` takes longer than
+    importing the rest of the package, and only `track` ever solves an
+    assignment, so `eval` and the config path, which import this module,
+    never load it.
     """
     n, m = cost.shape
     if n == 0 or m == 0:
         return AssignmentResult([], list(range(n)), list(range(m)))
     from scipy.optimize import linear_sum_assignment
 
-    rows, cols = linear_sum_assignment(cost.values)
+    allowed = cost.values[cost.admissible]
+    lo, hi = (allowed.min(), allowed.max()) if allowed.size else (0.0, 0.0)
+    # abs(hi) + 1 keeps fill above the bound once rounded, whatever hi's size
+    fill = hi + min(n, m) * (hi - lo) + abs(hi) + 1.0
+    rows, cols = linear_sum_assignment(np.where(cost.admissible, cost.values, fill))
     matches = []
     matched_rows, matched_cols = set(), set()
     for i, j in zip(rows, cols):

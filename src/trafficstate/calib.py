@@ -87,11 +87,12 @@ def _sin_cot(delta_deg: float) -> tuple[float, float]:
     return sin_d, float(cosdg(delta_deg)) / sin_d
 
 
-def to_world(x: float, y: float, p: CalibrationParams) -> tuple[float, float]:
+def to_world(x, y, p: CalibrationParams):
     """Map a skewed image point (pixels) to world coordinates (meters).
 
     Y is scaled by sin(delta)/omega; X removes the skew-induced shear of y
-    before dividing by the magnification.
+    before dividing by the magnification. x and y may be floats or arrays;
+    arrays map elementwise with a float's bits.
     """
     sin_d, cot = _sin_cot(p.delta_deg)
     wy = p.y0 + y * sin_d / p.omega

@@ -15,7 +15,7 @@ from . import detstream, metrics, synth, traffic
 from .config import RunConfig, default_config_text, parse_config
 from .detstream import ClassCatalog
 from .errors import NumericalError, ValidationError
-from .tracker import Tracker, TrackStatus, format_track_row
+from .tracker import Tracker
 
 TRACKS_HEADER = "frame\tid\tclass\tu\tv\tw\th"
 
@@ -36,8 +36,7 @@ def cmd_track(detections_path: str, config_path: str | None, out_dir: str) -> in
     out.mkdir(parents=True, exist_ok=True)
 
     tracker = Tracker(cfg.tracker)
-    all_snaps = []
-    last_frame = 0
+    frames = []
     src = _open_detections(detections_path)
     try:
         batches = detstream.parse_detections(
@@ -46,18 +45,22 @@ def cmd_track(detections_path: str, config_path: str | None, out_dir: str) -> in
         with open(out / cfg.tracks_name, "w", encoding="utf-8") as tf:
             tf.write(TRACKS_HEADER + "\n")
             for frame, batch in detstream.iter_frames(batches):
-                snaps = tracker.step(frame, batch)
-                for snap in snaps:
-                    if snap.status is TrackStatus.CONFIRMED:
-                        tf.write(format_track_row(snap) + "\n")
-                all_snaps.extend(snaps)
-                last_frame = frame
+                live = tracker.step(frame, batch)
+                frames.append(live)
+                c = live.confirmed
+                for track_id, class_id, (x, y, w, h) in zip(
+                        live.ids[c].tolist(), live.class_ids[c].tolist(),
+                        live.boxes[c].tolist()):
+                    u, v = x + w / 2.0, y + h / 2.0
+                    tf.write(f"{frame}\t{track_id}\t{class_id}\t"
+                             f"{u:.6g}\t{v:.6g}\t{w:.6g}\t{h:.6g}\n")
     finally:
         if src is not sys.stdin:
             src.close()
 
+    last_frame = frames[-1].frame if frames else 0
     duration = cfg.duration_s if cfg.duration_s is not None else last_frame / cfg.fps
-    trajectories = traffic.assemble_trajectories(all_snaps, cfg.calibration)
+    trajectories = traffic.assemble_trajectories(frames, cfg.calibration)
     measurements = traffic.measure_intervals(
         trajectories, cfg.loi_world(), cfg.interval_s, cfg.fps, duration
     )

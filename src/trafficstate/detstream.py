@@ -59,11 +59,6 @@ class Detection:
     confidence: float
     appearance: Optional[np.ndarray] = None
 
-    @property
-    def centroid(self) -> tuple[float, float]:
-        x, y, w, h = self.bbox
-        return x + w / 2.0, y + h / 2.0
-
 
 @dataclass(frozen=True)
 class ClassCatalog:
@@ -80,13 +75,6 @@ class ClassCatalog:
     @property
     def count(self) -> int:
         return len(self.names)
-
-    def name_of(self, class_id: int) -> str:
-        if not 0 <= class_id < self.count:
-            raise ValidationError(
-                f"class id {class_id} outside catalog of {self.count} classes"
-            )
-        return self.names[class_id]
 
 
 def normalize_appearance(v: np.ndarray) -> np.ndarray:
@@ -155,7 +143,6 @@ def parse_row(parts: Sequence[str], line_no: int, path) -> tuple[int, Detection,
 
 def parse_detections(
     source: IO[str] | Iterable[str],
-    expected_embedding_dim: Optional[int] = None,
     min_confidence: float = 0.0,
     path=None,
 ) -> Iterator[tuple[int, list[Detection]]]:
@@ -163,9 +150,10 @@ def parse_detections(
 
     Batches come out in strictly increasing frame order; frames absent from
     the input yield no batch (see iter_frames for gap filling). Detections
-    below min_confidence are dropped at ingest.
+    below min_confidence are dropped at ingest. Every row must carry as
+    many embedding columns as the first.
     """
-    embed_dim = expected_embedding_dim
+    embed_dim: Optional[int] = None
     current_frame: Optional[int] = None
     batch: list[Detection] = []
 

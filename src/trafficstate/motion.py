@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError
 
 # Per-frame time step; real time enters only at the measurement stage.
 _DIM = 8
@@ -23,14 +23,6 @@ HEIGHT_FLOOR = 1e-6
 
 # Condition number above which an innovation covariance is unusable.
 MAX_CONDITION = 1e12
-
-
-def measurement_from_bbox(bbox) -> np.ndarray:
-    """(x, y, w, h) pixel box to (center x, center y, aspect, height)."""
-    x, y, w, h = (float(v) for v in bbox)
-    if not (w > 0 and h > 0):
-        raise ValidationError(f"box width/height must be positive, got ({w}, {h})")
-    return np.array([x + w / 2.0, y + h / 2.0, w / h, h])
 
 
 def bbox_from_state(means: np.ndarray) -> np.ndarray:
@@ -88,9 +80,9 @@ class KalmanFilter:
         one = np.ones_like(h)
         return np.stack([wp * h, wp * h, self.aspect_meas_std * one, wp * h], axis=-1)
 
-    def initiate(self, bbox) -> tuple[np.ndarray, np.ndarray]:
-        """(mean (8,), covariance (8, 8)) of a track started from a detection box."""
-        z = measurement_from_bbox(bbox)
+    def initiate(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(mean (8,), covariance (8, 8)) of a track started from a measurement
+        z (4,): center x, center y, aspect, height, with height > 0."""
         mean = np.zeros(_DIM)
         mean[:4] = z
         std = self._initiate_std(z[3])

@@ -7,7 +7,8 @@ the fill count and next slot of a ring-buffer gallery (capacity, D) of
 appearance descriptors. The batched kernels of `motion` and `assoc` read
 these arrays directly; each frame appends its births once and drops its
 deleted tracks with one mask. The galleries themselves sit in one shared
-store whose rows are reused after their tracks end.
+store whose rows are reused after their tracks end. The live tracks leave
+`step` the same way, as one `LiveTracks` record of arrays per frame.
 
 Every live track is projected into measurement space once per frame; the
 projection serves both matching stages and the Kalman update. Stage 1
@@ -21,14 +22,13 @@ n_init frames; confirmed tracks survive up to max_age missed frames.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import assoc, motion
-from .detstream import UNIT_NORM_TOL, Detection
+from .detstream import MAX_BOX_PX, UNIT_NORM_TOL, Detection
 from .errors import ContractError, ValidationError
 
 DEFAULT_MAX_AGE = 3
@@ -40,21 +40,20 @@ _TRACK_ARRAYS = ("_ids", "_mean", "_cov", "_confirmed", "_hits", "_misses",
                  "_votes", "_store", "_fill", "_slot")
 
 
-class TrackStatus(enum.Enum):
-    TENTATIVE = "tentative"
-    CONFIRMED = "confirmed"
+@dataclass(frozen=True, slots=True)
+class LiveTracks:
+    """The tracks alive after one frame, one row per track, in id order.
 
-
-@dataclass
-class TrackSnapshot:
-    """Per-frame public view of one live track."""
+    boxes (n, 4) holds each track's (x, y, w, h) pixel box: the box of the
+    detection it matched this frame, or its predicted box when it had none.
+    class_ids holds each track's most-voted class, ties toward the lower id.
+    """
 
     frame: int
-    track_id: int
-    status: TrackStatus
-    class_id: int
-    bbox: tuple[float, float, float, float]
-    centroid: tuple[float, float]
+    ids: np.ndarray        # (n,) int64
+    confirmed: np.ndarray  # (n,) bool
+    class_ids: np.ndarray  # (n,) int64
+    boxes: np.ndarray      # (n, 4) float64
 
 
 @dataclass
@@ -68,6 +67,13 @@ class TrackerConfig:
     gallery_capacity: int = assoc.GALLERY_CAPACITY
 
     def __post_init__(self):
+        # written as not (in range) so that NaN is rejected too
+        if not (0.0 <= self.cost_lambda <= 1.0):
+            raise ValidationError(f"cost_lambda must be in [0, 1], got {self.cost_lambda}")
+        if not (self.motion_gate > 0 and self.appearance_gate > 0):
+            raise ValidationError("motion_gate and appearance_gate must be > 0")
+        if not (0.0 <= self.iou_gate <= 1.0):
+            raise ValidationError(f"iou_gate must be in [0, 1], got {self.iou_gate}")
         if self.max_age < 1 or self.n_init < 1 or self.gallery_capacity < 1:
             raise ValidationError("max_age, n_init and gallery_capacity must be >= 1")
 
@@ -109,8 +115,8 @@ class Tracker:
 
     # -- public API ----------------------------------------------------------
 
-    def step(self, frame: int, detections: Sequence[Detection]) -> list[TrackSnapshot]:
-        """Advance one frame and return snapshots of all live tracks."""
+    def step(self, frame: int, detections: Sequence[Detection]) -> LiveTracks:
+        """Advance one frame and return the tracks alive after it."""
         if frame <= self._last_frame:
             raise ContractError(
                 f"frame {frame} not after previous frame {self._last_frame}"
@@ -120,11 +126,15 @@ class Tracker:
                 raise ContractError(
                     f"detection for frame {det.frame} in batch for frame {frame}"
                 )
+        boxes = np.array([d.bbox for d in detections], dtype=np.float64).reshape(-1, 4)
+        # the parser's bound: NaN fails it, and no square of a value overflows
+        if not ((np.abs(boxes) <= MAX_BOX_PX).all() and (boxes[:, 2:] > 0).all()):
+            raise ValidationError(f"detection boxes must lie within ±{MAX_BOX_PX:g} px, "
+                                  "with positive width and height")
         descriptors, has_desc = self._descriptors(detections)
         self._last_frame = frame
 
         class_cols = self._class_columns([d.class_id for d in detections])
-        boxes = np.array([d.bbox for d in detections], dtype=np.float64).reshape(-1, 4)
         self._mean, self._cov = self.kf.predict_many(self._mean, self._cov)
         # one projection of every live track serves both stages and the update
         y, s, ok = self.kf.project_many(self._mean, self._cov)
@@ -143,7 +153,7 @@ class Tracker:
             | (self._misses[unmatched] > self.config.max_age)
 
         # births join the matched rows as tracks associated with a detection this frame
-        self._start_tracks(detections, births)
+        self._start_tracks(measurements[births])
         rows = np.concatenate([rows, np.arange(n, n + len(births))])
         cols = np.concatenate([cols, births])
         pushed = has_desc[cols]
@@ -155,29 +165,19 @@ class Tracker:
         det_of = np.full(len(dead), -1)
         det_of[rows] = cols
 
-        live = np.flatnonzero(~dead)
-        snapshots = []
-        if len(live):
-            predicted = motion.bbox_from_state(self._mean[live]).tolist()
-            class_ids = [self._classes[k]
-                         for k in np.argmax(self._votes[live], axis=1).tolist()]
-            for i, (row, track_id, confirmed) in enumerate(zip(
-                    live.tolist(), self._ids[live].tolist(),
-                    self._confirmed[live].tolist())):
-                j = det_of[row]
-                bbox = detections[j].bbox if j >= 0 else tuple(predicted[i])
-                x, y, w, h = bbox
-                snapshots.append(TrackSnapshot(
-                    frame=frame, track_id=track_id,
-                    status=TrackStatus.CONFIRMED if confirmed else TrackStatus.TENTATIVE,
-                    class_id=class_ids[i], bbox=bbox,
-                    centroid=(x + w / 2.0, y + h / 2.0),
-                ))
         if dead.any():
             self._free += self._store[dead].tolist()
             for name in _TRACK_ARRAYS:
                 setattr(self, name, getattr(self, name)[~dead])
-        return snapshots
+            det_of = det_of[~dead]
+        out_boxes = motion.bbox_from_state(self._mean)
+        matched = det_of >= 0
+        out_boxes[matched] = boxes[det_of[matched]]
+        # with no live track there may be no class column to take an argmax over
+        top = self._votes.argmax(axis=1) if len(self._ids) else np.empty(0, np.int64)
+        return LiveTracks(frame=frame, ids=self._ids.copy(), confirmed=self._confirmed.copy(),
+                          class_ids=np.array(self._classes, dtype=np.int64)[top],
+                          boxes=out_boxes)
 
     # -- internals -------------------------------------------------------------
 
@@ -286,16 +286,16 @@ class Tracker:
         self._slot[rows] = (self._slot[rows] + 1) % cap
         self._fill[rows] = np.minimum(self._fill[rows] + 1, cap)
 
-    def _start_tracks(self, detections: Sequence[Detection], births: np.ndarray) -> None:
-        """Append one tentative track per unmatched detection, ids in detection
+    def _start_tracks(self, measurements: np.ndarray) -> None:
+        """Append one tentative track per given measurement row, ids in row
         order, with empty counters and gallery."""
-        k = len(births)
+        k = len(measurements)
         if k == 0:
             return
         mean = np.empty((k, 8))
         cov = np.empty((k, 8, 8))
-        for i, j in enumerate(births.tolist()):
-            mean[i], cov[i] = self.kf.initiate(detections[j].bbox)
+        for i, z in enumerate(measurements):
+            mean[i], cov[i] = self.kf.initiate(z)
         grow = k - len(self._free)
         if grow > 0:
             grow = max(grow, len(self._gallery))  # double, so growth stays rare
@@ -315,11 +315,3 @@ class Tracker:
         for name in _TRACK_ARRAYS:
             setattr(self, name, np.concatenate([getattr(self, name), new[name]]))
 
-
-def format_track_row(snap: TrackSnapshot) -> str:
-    """One line of the tracks output file: frame, id, class, u, v, w, h."""
-    x, y, w, h = snap.bbox
-    u, v = snap.centroid
-    cols = [str(snap.frame), str(snap.track_id), str(snap.class_id)]
-    cols += [f"{val:.6g}" for val in (u, v, w, h)]
-    return "\t".join(cols)

@@ -1,10 +1,12 @@
 """Flow and speed measurement from calibrated trajectories.
 
-Tracks become world-coordinate trajectories; a user-defined Line of
-Interest is intersected with each trajectory to produce per-interval,
-per-class crossing counts and flows, and per-interval speeds are path
-length over elapsed time. `measure_intervals` does both in one sweep over
-each trajectory's points.
+`assemble_trajectories` turns the tracker's per-frame `LiveTracks` records
+into world-coordinate trajectories: all box centres go through the
+calibration in one call on arrays, then a stable sort groups them by track.
+A user-defined Line of Interest is intersected with each trajectory to
+produce per-interval, per-class crossing counts and flows, and
+per-interval speeds are path length over elapsed time.
+`measure_intervals` does both in one sweep over each trajectory's points.
 
 Time is frame / fps, on the grid of `interval_grid`. The two rules that
 place a time in an interval differ:
@@ -22,9 +24,11 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Optional, Sequence
 
+import numpy as np
+
 from .calib import CalibrationParams, to_world
 from .errors import ParseError, ValidationError
-from .tracker import TrackSnapshot
+from .tracker import LiveTracks
 
 MPS_TO_KMH = 3.6
 SECONDS_PER_HOUR = 3600.0
@@ -78,26 +82,31 @@ class IntervalMeasurement:
 
 
 def assemble_trajectories(
-    snapshots: Iterable[TrackSnapshot], calib: CalibrationParams
+    frames: Sequence[LiveTracks], calib: CalibrationParams
 ) -> list[Trajectory]:
-    """Group a frame-ordered snapshot stream into world trajectories.
+    """Group the live tracks of frame-ordered records into world trajectories.
 
-    Each snapshot contributes its centroid mapped through the calibration;
-    a track's class is its final (most-voted) label.
+    Each track contributes its box centre on each frame, mapped through the
+    calibration; a track's class is its label on its last frame.
+    Trajectories come in id order.
     """
-    by_id: dict[int, Trajectory] = {}
-    for snap in snapshots:
-        wx, wy = to_world(snap.centroid[0], snap.centroid[1], calib)
-        traj = by_id.get(snap.track_id)
-        if traj is None:
-            by_id[snap.track_id] = Trajectory(
-                track_id=snap.track_id, class_id=snap.class_id,
-                points=[(snap.frame, wx, wy)],
-            )
-        else:
-            traj.points.append((snap.frame, wx, wy))
-            traj.class_id = snap.class_id
-    return [by_id[tid] for tid in sorted(by_id)]
+    if not frames:
+        return []
+    ids = np.concatenate([f.ids for f in frames])
+    boxes = np.concatenate([f.boxes for f in frames])
+    labels = np.concatenate([f.class_ids for f in frames])
+    frame_of = np.repeat([f.frame for f in frames], [len(f.ids) for f in frames])
+    wx, wy = to_world(boxes[:, 0] + boxes[:, 2] / 2.0,
+                      boxes[:, 1] + boxes[:, 3] / 2.0, calib)
+
+    order = np.argsort(ids, kind="stable")   # keeps each track's points in frame order
+    ids = ids[order]
+    starts = np.flatnonzero(np.diff(ids, prepend=-1)).tolist()
+    ends = starts[1:] + [len(ids)]
+    points = list(zip(frame_of[order].tolist(), wx[order].tolist(), wy[order].tolist()))
+    labels = labels[order].tolist()
+    return [Trajectory(track_id=int(ids[a]), class_id=labels[b - 1], points=points[a:b])
+            for a, b in zip(starts, ends)]
 
 
 def _orient(p, q, r) -> float:

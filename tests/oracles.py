@@ -4,8 +4,9 @@ Everything here is deliberately brute force: permutation enumeration for
 assignment, threshold enumeration for average precision, direct
 definition-scanning for the interpolated precision, and one-track,
 one-pair scalar forms of the engine's batched Kalman, distance and IoU
-kernels, and the calibration transform with its trigonometry evaluated
-afresh on every call. None of it shares code with the package under test.
+kernels, the calibration transform with its trigonometry evaluated
+afresh on every call, and trajectory assembly one track row at a time.
+None of it shares code with the package under test.
 """
 
 import itertools
@@ -34,6 +35,25 @@ def brute_force_assignment(values: np.ndarray) -> float:
         for rows in itertools.permutations(range(n), m):
             total = sum(values[i, j] for j, i in enumerate(rows))
             best = min(best, total)
+    return best
+
+
+def brute_force_gated_assignment(values: np.ndarray, admissible: np.ndarray):
+    """(most admissible matches, least total cost among those) of a gated matrix.
+
+    Every matching of admissible pairs is the admissible part of some map of
+    the smaller side into the larger, so enumerating those maps finds both.
+    The values of inadmissible cells are never read.
+    """
+    if values.shape[0] > values.shape[1]:
+        values, admissible = values.T, admissible.T
+    n, m = values.shape
+    best = (0, 0.0)
+    for cols in itertools.permutations(range(m), n):
+        pairs = [(i, j) for i, j in enumerate(cols) if admissible[i, j]]
+        cost = sum(values[i, j] for i, j in pairs)
+        if (len(pairs), -cost) > (best[0], -best[1]):
+            best = (len(pairs), cost)
     return best
 
 
@@ -70,7 +90,7 @@ def simulate_constant_velocity(kf, h, pos0, vel, steps):
     each predict/update cycle of the noiseless constant-velocity sequence,
     run through the filter's batched operations with one track.
     """
-    mean, cov = kf.initiate((pos0[0] - 0.25 * h, pos0[1] - 0.5 * h, 0.5 * h, h))
+    mean, cov = kf.initiate(np.array([pos0[0], pos0[1], 0.5, h]))
     means, covs = mean[None], cov[None]
     history = []
     for k in range(1, steps + 1):
@@ -191,6 +211,26 @@ def greedy_match(detections, ground_truths, iou_threshold, same_class=True):
             matched_gt[i] = best_j
             taken.add(best_j)
     return matched_gt
+
+
+# -- trajectory assembly, one track row at a time -----------------------------------
+
+def assemble_by_rows(frames, calib):
+    """(track_id, class_id, points) per track, in id order, from LiveTracks records.
+
+    Each row's box centre goes through calib_to_world on its own; a track's
+    class is its label on its last row.
+    """
+    by_id = {}
+    for rec in frames:
+        for tid, k, (x, y, w, h) in zip(rec.ids.tolist(), rec.class_ids.tolist(),
+                                        rec.boxes.tolist()):
+            wx, wy = calib_to_world(x + w / 2.0, y + h / 2.0, calib.phi, calib.omega,
+                                    calib.delta_deg, calib.x0, calib.y0)
+            entry = by_id.setdefault(tid, [tid, k, []])
+            entry[1] = k
+            entry[2].append((rec.frame, wx, wy))
+    return [tuple(by_id[tid]) for tid in sorted(by_id)]
 
 
 # -- interval measurement by per-interval rescan ----------------------------------

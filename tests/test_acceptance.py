@@ -167,18 +167,17 @@ def test_end_to_end_fidelity():
 
     start = time.perf_counter()
     tracker = Tracker(TrackerConfig())
-    snaps = []
-    for frame, dets in batches:
-        snaps.extend(tracker.step(frame, dets))
-    trajectories = assemble_trajectories(snaps, calib)
+    frames = [tracker.step(frame, dets) for frame, dets in batches]
+    trajectories = assemble_trajectories(frames, calib)
     measurements = measure_intervals(trajectories, loi, 60.0, spec.fps, spec.duration_s)
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"engine took {elapsed:.2f}s for 10,000 frames"
 
     # one id per agent over the whole run
     by_key = {}
-    for s in snaps:
-        by_key[(s.frame, round(s.centroid[0], 4), round(s.centroid[1], 4))] = s.track_id
+    for live in frames:
+        for tid, (x, y, w, h) in zip(live.ids.tolist(), live.boxes.tolist()):
+            by_key[(live.frame, round(x + w / 2.0, 4), round(y + h / 2.0, 4))] = tid
     agent_ids = [set() for _ in spec.agents]
     for idx, traj in truth.trajectories.items():
         for frame, wx, wy in traj:
@@ -232,17 +231,18 @@ def ids_per_agent(spec, calib):
     tracker = Tracker(TrackerConfig())
     per_frame = {}
     for frame, dets in batches:
-        for s in tracker.step(frame, dets):
-            per_frame.setdefault(frame, []).append(s)
+        live = tracker.step(frame, dets)
+        per_frame[frame] = [(tid, x + w / 2.0, y + h / 2.0)
+                            for tid, (x, y, w, h) in zip(live.ids.tolist(), live.boxes.tolist())]
     out = [set() for _ in spec.agents]
     for idx, traj in truth.trajectories.items():
         for frame, wx, wy in traj:
             px, py = to_pixel(wx, wy, calib)
             best, best_d = None, 10.0
-            for s in per_frame.get(frame, []):
-                d = math.hypot(s.centroid[0] - px, s.centroid[1] - py)
+            for tid, u, v in per_frame.get(frame, []):
+                d = math.hypot(u - px, v - py)
                 if d < best_d:
-                    best, best_d = s.track_id, d
+                    best, best_d = tid, d
             if best is not None:
                 out[idx].add(best)
     return out

@@ -199,8 +199,7 @@ def test_gallery_starts_with_first_descriptor_mid_stream():
     tr = Tracker()
     for frame in range(1, 7):
         app = None if frame <= 3 else [1.0, 0.0]
-        snaps = tr.step(frame, [det((0, 0, 10, 20), appearance=app, frame=frame)])
-        assert [s.track_id for s in snaps] == [1]
+        assert tr.step(frame, [det((0, 0, 10, 20), appearance=app, frame=frame)]).ids.tolist() == [1]
     assert members_of(tr, 0).shape == (3, 2)
 
 
@@ -471,6 +470,14 @@ def test_assignment_never_matches_sentinel():
     assert result.matches == [(0, 0)]
     assert result.unmatched_tracks == [1]
     assert result.unmatched_detections == [1]
+
+
+def test_assignment_keeps_every_admissible_match_near_the_sentinel():
+    # admissible costs near and at SENTINEL_COST: a solver that relied on the
+    # sentinel would trade both admissible matches for the one at 0
+    result = solve_assignment(matrix([[0.0, 6e4], [6e4, 1e5]],
+                                     admissible=[[True, True], [True, False]]))
+    assert result.matches == [(0, 1), (1, 0)]
 
 
 def random_gated_matrix(rng, n, m):

@@ -1,4 +1,4 @@
-"""Gated stage-1 costs against a pairwise brute-force oracle.
+"""Gated stage-1 costs and the assignment solver against brute-force oracles.
 
 Needs hypothesis (the `test` extra in pyproject.toml); skipped without it.
 """
@@ -9,9 +9,20 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from trafficstate.assoc import SENTINEL_COST, build_cost_matrix, motion_distances  # noqa: E402
+from trafficstate.assoc import (  # noqa: E402
+    SENTINEL_COST,
+    CostMatrix,
+    build_cost_matrix,
+    motion_distances,
+    solve_assignment,
+)
 
-from oracles import cosine_gallery_distance, gate, mahalanobis_sq  # noqa: E402
+from oracles import (  # noqa: E402
+    brute_force_gated_assignment,
+    cosine_gallery_distance,
+    gate,
+    mahalanobis_sq,
+)
 
 
 def unit_rows(rng, shape):
@@ -67,3 +78,25 @@ def test_cost_matrix_matches_pairwise_oracle(n, m, dim, cap, lam, coincident, da
     both = cm.admissible & want
     np.testing.assert_allclose(cm.values[both], value[both], rtol=1e-9, atol=1e-12)
     assert (cm.values[~cm.admissible] == SENTINEL_COST).all()
+
+
+# exact ties, values on both sides of SENTINEL_COST, and everything between
+COST = st.one_of(st.sampled_from([0.0, 1.0, 2.0, 6e4, SENTINEL_COST, 1e6]),
+                 st.floats(0.0, 2e5))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(n=st.integers(1, 5), m=st.integers(1, 5), data=st.data())
+def test_assignment_matches_gated_brute_force(n, m, data):
+    values = np.array(data.draw(st.lists(COST, min_size=n * m, max_size=n * m))).reshape(n, m)
+    admissible = np.array(data.draw(st.lists(st.booleans(), min_size=n * m,
+                                             max_size=n * m))).reshape(n, m)
+    result = solve_assignment(CostMatrix(values=values, admissible=admissible))
+    count, cost = brute_force_gated_assignment(values, admissible)
+    assert all(admissible[i, j] for i, j in result.matches)
+    rows = [i for i, _ in result.matches]
+    cols = [j for _, j in result.matches]
+    assert sorted(rows + result.unmatched_tracks) == list(range(n))
+    assert sorted(cols + result.unmatched_detections) == list(range(m))
+    assert len(result.matches) == count
+    assert sum(values[i, j] for i, j in result.matches) == pytest.approx(cost, rel=1e-12)

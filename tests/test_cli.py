@@ -91,6 +91,37 @@ def test_config_defaults_have_one_source():
     assert parse_config("[loi]\nax_px = 1\n").loi_px == ((1.0, 500.0), (1920.0, 500.0))
 
 
+TWO_ROWS = "1,10,10,20,40,0.9,3\n2,12,10,20,40,0.9,3\n"
+
+
+@pytest.mark.parametrize("setting", [
+    "cost_lambda = 2", "cost_lambda = -0.1", "cost_lambda = nan",
+    "motion_gate = -5", "motion_gate = 0", "motion_gate = nan",
+    "appearance_gate = 0", "appearance_gate = nan",
+    "iou_gate = -1", "iou_gate = 1.5", "iou_gate = nan",
+])
+def test_bad_tracking_setting_exits_before_the_first_frame(tmp_path, capsys, setting):
+    cfg = write(tmp_path / "run.ini", f"[tracking]\n{setting}\n")
+    dets = write(tmp_path / "dets.txt", TWO_ROWS)
+    assert main(["track", "--detections", dets, "--config", cfg,
+                 "--out-dir", str(tmp_path / "out")]) == 1
+    assert setting.split()[0] in capsys.readouterr().err
+    assert not (tmp_path / "out" / "tracks.txt").exists()
+
+
+def test_tracks_rows_hold_box_centre_and_size(tmp_path):
+    # a track confirmed at frame 3 writes one row per frame from then on;
+    # tentative frames write nothing, and a coasting frame writes the predicted box
+    rows = "".join(f"{f},{40 + 2 * f},30,20,40,0.9,3\n" for f in range(1, 4)) + "5,48,30,20,40,0.9,3\n"
+    dets = write(tmp_path / "dets.txt", rows)
+    assert main(["track", "--detections", dets, "--out-dir", str(tmp_path / "out")]) == 0
+    lines = (tmp_path / "out" / "tracks.txt").read_text().splitlines()
+    assert lines[0] == "frame\tid\tclass\tu\tv\tw\th"
+    assert lines[1].split("\t") == ["3", "1", "3", "56", "50", "20", "40"]
+    assert [line.split("\t")[:3] for line in lines[2:]] == [["4", "1", "3"], ["5", "1", "3"]]
+    assert lines[3].split("\t")[3:] == ["58", "50", "20", "40"]
+
+
 def test_synth_then_track_matches_sidecar_counts(tmp_path):
     spec = write(tmp_path / "scenario.ini", SCENARIO)
     out = tmp_path / "gen"

@@ -129,11 +129,6 @@ def test_embedding_dim_must_be_consistent():
         parse_all(text)
 
 
-def test_expected_embedding_dim_enforced():
-    with pytest.raises(ValidationError):
-        parse_all("1,0,0,10,10,1,0,1,0\n", expected_embedding_dim=3)
-
-
 def test_zero_embedding_rejected():
     with pytest.raises(ValidationError):
         parse_all("1,0,0,10,10,1,0,0,0\n")
@@ -167,11 +162,11 @@ def test_iter_frames_fills_gaps():
 def test_class_catalog_defaults_and_validation():
     cat = ClassCatalog()
     assert cat.count == 14
-    assert cat.name_of(0) == "Ambulance"
+    assert cat.names[0] == "Ambulance"
     with pytest.raises(ValidationError):
         ClassCatalog(names=("a", "a"))
     with pytest.raises(ValidationError):
-        cat.name_of(14)
+        ClassCatalog(names=())
 
 
 def rand_detection(rng, frame):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from trafficstate.errors import NumericalError, ValidationError
-from trafficstate.motion import KalmanFilter, bbox_from_state, measurement_from_bbox
+from trafficstate.assoc import measurements_of
+from trafficstate.errors import NumericalError
+from trafficstate.motion import KalmanFilter, bbox_from_state
 
 from oracles import kalman_predict, kalman_project, kalman_update, simulate_constant_velocity
 
@@ -39,26 +40,26 @@ def update(kf, means, covs, measurements):
     return kf.update_many(means, covs, measurements, *kf.project_many(means, covs))
 
 
+def measurement(bbox):
+    """The (4,) measurement row of one (x, y, w, h) box, as the tracker computes it."""
+    return measurements_of(np.array([bbox], dtype=float))[0]
+
+
 def test_initiate_center_aspect():
     kf = KalmanFilter()
-    mean, _ = kf.initiate((0, 0, 50, 100))
+    mean, _ = kf.initiate(measurement((0, 0, 50, 100)))
     assert np.allclose(mean, [25, 50, 0.5, 100, 0, 0, 0, 0])
 
 
 def test_initiate_square_box():
-    mean, _ = KalmanFilter().initiate((10, 10, 100, 100))
+    mean, _ = KalmanFilter().initiate(measurement((10, 10, 100, 100)))
     assert mean[2] == 1.0
 
 
 def test_initiate_covariance_psd_diagonal():
-    _, cov = KalmanFilter().initiate((5, -3, 17, 23))
+    _, cov = KalmanFilter().initiate(measurement((5, -3, 17, 23)))
     assert np.array_equal(cov, np.diag(np.diag(cov)))
     assert np.all(np.linalg.eigvalsh(cov) > 0)
-
-
-def test_initiate_rejects_bad_box():
-    with pytest.raises(ValidationError):
-        KalmanFilter().initiate((0, 0, 0, 10))
 
 
 def test_predict_moves_position_by_velocity():
@@ -218,7 +219,7 @@ def test_batched_ops_match_single():
 
 
 def test_measurement_bbox_helpers_invert():
-    z = measurement_from_bbox((10, 20, 30, 40))
+    z = measurement((10, 20, 30, 40))
     assert np.allclose(z, [25, 40, 0.75, 40])
     mean = np.array([25.0, 40, 0.75, 40, 0, 0, 0, 0])
     assert np.allclose(bbox_from_state(mean), [10, 20, 30, 40])

@@ -53,7 +53,8 @@ def test_noiseless_centroids_equal_projected_positions():
     batches, truth = generate(spec, LOI, 2.0)
     for (frame, dets), (tf, wx, wy) in zip(batches, truth.trajectories[0]):
         assert frame == tf and len(dets) == 1
-        cx, cy = dets[0].centroid
+        x, y, w, h = dets[0].bbox
+        cx, cy = x + w / 2.0, y + h / 2.0
         px, py = to_pixel(wx, wy, CALIB)
         assert cx == pytest.approx(px, abs=1e-9)
         assert cy == pytest.approx(py, abs=1e-9)

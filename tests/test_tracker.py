@@ -3,14 +3,9 @@ import pytest
 
 from trafficstate import assoc
 from trafficstate.detstream import Detection
-from trafficstate.errors import ContractError
+from trafficstate.errors import ContractError, ValidationError
 from trafficstate.motion import KalmanFilter
-from trafficstate.tracker import (
-    Tracker,
-    TrackerConfig,
-    TrackStatus,
-    format_track_row,
-)
+from trafficstate.tracker import LiveTracks, Tracker, TrackerConfig
 from trafficstate.synth import AgentSpec, ScenarioSpec, generate
 from trafficstate.calib import CalibrationParams
 from trafficstate.traffic import LineOfInterest
@@ -25,20 +20,20 @@ def det(frame, cx, cy, w=20.0, h=40.0, class_id=0, appearance=None):
 
 def test_cold_start_creates_tentative_tracks():
     tr = Tracker()
-    snaps = tr.step(1, [det(1, 10, 10), det(1, 100, 10), det(1, 200, 10)])
-    assert [s.track_id for s in snaps] == [1, 2, 3]
-    assert all(s.status is TrackStatus.TENTATIVE for s in snaps)
+    live = tr.step(1, [det(1, 10, 10), det(1, 100, 10), det(1, 200, 10)])
+    assert live.ids.tolist() == [1, 2, 3]
+    assert not live.confirmed.any()
 
 
 def test_empty_batches_delete_confirmed_tracks():
     tr = Tracker()
     frame = 0
     for frame in range(1, 4):
-        snaps = tr.step(frame, [det(frame, 50, 50)])
-    assert snaps[0].status is TrackStatus.CONFIRMED
+        live = tr.step(frame, [det(frame, 50, 50)])
+    assert live.confirmed.tolist() == [True]
     for frame in range(4, 8):
-        snaps = tr.step(frame, [])
-    assert snaps == []
+        live = tr.step(frame, [])
+    assert len(live.ids) == 0 and live.boxes.shape == (0, 4)
     assert tr.tracks == []
 
 
@@ -47,19 +42,19 @@ def test_confirmed_survives_up_to_max_age_misses():
     for frame in range(1, 4):
         tr.step(frame, [det(frame, 50, 50)])
     for frame in range(4, 7):  # 3 misses: still alive
-        snaps = tr.step(frame, [])
-    assert len(snaps) == 1 and snaps[0].status is TrackStatus.CONFIRMED
-    snaps = tr.step(7, [det(7, 50, 50)])
-    assert [s.track_id for s in snaps] == [1]
+        live = tr.step(frame, [])
+    assert live.confirmed.tolist() == [True]
+    live = tr.step(7, [det(7, 50, 50)])
+    assert live.ids.tolist() == [1]
 
 
 def test_tentative_deleted_on_single_miss():
     tr = Tracker()
     tr.step(1, [det(1, 50, 50)])
-    snaps = tr.step(2, [])
-    assert snaps == []
-    snaps = tr.step(3, [det(3, 50, 50)])
-    assert [s.track_id for s in snaps] == [2]
+    live = tr.step(2, [])
+    assert len(live.ids) == 0
+    live = tr.step(3, [det(3, 50, 50)])
+    assert live.ids.tolist() == [2]
 
 
 def test_promotion_at_n_init_hits():
@@ -67,9 +62,7 @@ def test_promotion_at_n_init_hits():
     s1 = tr.step(1, [det(1, 50, 50)])
     s2 = tr.step(2, [det(2, 52, 50)])
     s3 = tr.step(3, [det(3, 54, 50)])
-    assert s1[0].status is TrackStatus.TENTATIVE
-    assert s2[0].status is TrackStatus.TENTATIVE
-    assert s3[0].status is TrackStatus.CONFIRMED
+    assert [s.confirmed.tolist() for s in (s1, s2, s3)] == [[False], [False], [True]]
 
 
 def test_single_stream_keeps_one_id_100_frames():
@@ -83,8 +76,7 @@ def test_single_stream_keeps_one_id_100_frames():
     tr = Tracker()
     ids = set()
     for frame, dets in batches:
-        for s in tr.step(frame, dets):
-            ids.add(s.track_id)
+        ids.update(tr.step(frame, dets).ids.tolist())
     assert ids == {1}
 
 
@@ -108,9 +100,9 @@ def test_class_votes_majority_and_ties():
     votes = [3, 1, 3, 3, 1, 1]
     shown = []
     for frame, c in enumerate(votes, start=1):
-        snaps = tr.step(frame, [det(frame, 50, 50, class_id=c)])
-        assert [s.track_id for s in snaps] == [1]
-        shown.append(snaps[0].class_id)
+        live = tr.step(frame, [det(frame, 50, 50, class_id=c)])
+        assert live.ids.tolist() == [1]
+        shown.append(int(live.class_ids[0]))
     # {3:1} {3:1,1:1} tie breaks low, {3:2,1:1} {3:3,1:1} {3:3,1:2}, {3:3,1:3} tie
     assert shown == [3, 1, 3, 3, 3, 1]
 
@@ -122,10 +114,10 @@ def test_no_detection_shared_between_tracks():
     for frame in range(2, 6):
         dets = [det(frame, 0 + 2 * frame, 0), det(frame, 300 + 2 * frame, 0),
                 det(frame, 600 + 2 * frame, 0)]
-        snaps = tr.step(frame, dets)
-        centers = [s.centroid for s in snaps]
-        assert len(set(centers)) == len(centers)
-        assert len({s.track_id for s in snaps}) == len(snaps)
+        live = tr.step(frame, dets)
+        boxes = [tuple(b) for b in live.boxes.tolist()]
+        assert len(set(boxes)) == len(boxes) == 3
+        assert len(set(live.ids.tolist())) == len(live.ids)
 
 
 def test_ids_strictly_grow_and_never_reused():
@@ -133,8 +125,7 @@ def test_ids_strictly_grow_and_never_reused():
     seen = []
     for frame in range(1, 30):
         dets = [det(frame, 50, 50)] if frame % 3 == 1 else []
-        for s in tr.step(frame, dets):
-            seen.append(s.track_id)
+        seen += tr.step(frame, dets).ids.tolist()
     assert seen == sorted(seen)
     # every tentative blip dies and the next id is fresh
     assert len(set(seen)) == len({s for s in seen})
@@ -148,8 +139,7 @@ def test_occlusion_gap_within_max_age_keeps_id():
             dets = []
         else:
             dets = [det(frame, 10.0 + 3 * frame, 50)]
-        for s in tr.step(frame, dets):
-            ids.add(s.track_id)
+        ids.update(tr.step(frame, dets).ids.tolist())
     assert ids == {1}
 
 
@@ -161,8 +151,7 @@ def test_occlusion_gap_beyond_max_age_changes_id():
             dets = []
         else:
             dets = [det(frame, 10.0 + 3 * frame, 50)]
-        for s in tr.step(frame, dets):
-            ids.add(s.track_id)
+        ids.update(tr.step(frame, dets).ids.tolist())
     assert len(ids) == 2
 
 
@@ -177,12 +166,11 @@ def test_deterministic_replay_bitwise():
 
     def run():
         tr = Tracker()
-        rows = []
-        for frame, dets in batches:
-            rows.extend(format_track_row(s) for s in tr.step(frame, dets))
-        return rows
+        return [tr.step(frame, dets) for frame, dets in batches]
 
-    assert run() == run()
+    for a, b in zip(run(), run(), strict=True):
+        for name in LiveTracks.__slots__:
+            assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
 def test_appearance_gating_separates_crossing_objects():
@@ -196,17 +184,17 @@ def test_appearance_gating_separates_crossing_objects():
         x = 10.0 * frame
         dets = [det(frame, x, 50, appearance=e1, class_id=0),
                 det(frame, 220 - x, 50, appearance=e2, class_id=1)]
-        snaps = tr.step(frame, dets)
-    by_class = {s.class_id: s.track_id for s in snaps}
+        live = tr.step(frame, dets)
+    by_class = dict(zip(live.class_ids.tolist(), live.ids.tolist()))
     assert by_class[0] == 1 and by_class[1] == 2
 
 
 def test_snapshot_bbox_is_measured_box_when_matched():
     tr = Tracker()
-    snaps = tr.step(1, [det(1, 50, 50, w=20, h=40)])
-    assert snaps[0].bbox == (40.0, 30.0, 20.0, 40.0)
-    snaps = tr.step(2, [det(2, 53, 50, w=20, h=40)])
-    assert snaps[0].bbox == (43.0, 30.0, 20.0, 40.0)
+    live = tr.step(1, [det(1, 50, 50, w=20, h=40)])
+    assert live.boxes.tolist() == [[40.0, 30.0, 20.0, 40.0]]
+    live = tr.step(2, [det(2, 53, 50, w=20, h=40)])
+    assert live.boxes.tolist() == [[43.0, 30.0, 20.0, 40.0]]
 
 
 def test_coasting_snapshot_uses_prediction():
@@ -214,18 +202,19 @@ def test_coasting_snapshot_uses_prediction():
     tr = Tracker(kf=kf)
     for frame in range(1, 11):
         tr.step(frame, [det(frame, 10.0 * frame, 50)])
-    snaps = tr.step(11, [])
-    assert len(snaps) == 1
+    live = tr.step(11, [])
+    assert len(live.ids) == 1
     # predicted center continues the 10 px/frame motion
-    assert snaps[0].centroid[0] == pytest.approx(110.0, abs=1e-3)
+    x, _, w, _ = live.boxes[0]
+    assert x + w / 2.0 == pytest.approx(110.0, abs=1e-3)
 
 
 def test_history_frames_strictly_increasing():
     tr = Tracker()
     frames = []
     for frame in range(1, 15):
-        frames += [s.frame for s in tr.step(frame, [det(frame, 5.0 * frame, 50)])
-                   if s.track_id == 1]
+        live = tr.step(frame, [det(frame, 5.0 * frame, 50)])
+        frames += [live.frame] * live.ids.tolist().count(1)
     assert frames == sorted(frames) and len(set(frames)) == len(frames)
     assert frames == list(range(1, 15))
 
@@ -247,13 +236,14 @@ def test_cascade_gives_the_freshest_track_priority(monkeypatch):
 
     monkeypatch.setattr(assoc, "build_iou_cost_matrix", spy)
     contested, far = det(4, 100.5, 50), det(4, 500, 50)
-    snaps = {s.track_id: s for s in tr.step(4, [contested, far])}
-    assert snaps[3].bbox == contested.bbox
-    assert snaps[1].bbox != contested.bbox and snaps[2].bbox != contested.bbox
+    live = tr.step(4, [contested, far])
+    box = dict(zip(live.ids.tolist(), map(tuple, live.boxes.tolist())))
+    assert box[3] == contested.bbox
+    assert box[1] != contested.bbox and box[2] != contested.bbox
     # the losers reach stage 2, in id order, and the far detection starts track 4
     assert len(stage2) == 1
-    assert np.array_equal(stage2[0], np.array([snaps[1].bbox, snaps[2].bbox]))
-    assert sorted(snaps) == [1, 2, 3, 4]
+    assert np.array_equal(stage2[0], np.array([box[1], box[2]]))
+    assert sorted(box) == [1, 2, 3, 4]
 
 
 @pytest.mark.parametrize("h", [1e-38, 1e-7])
@@ -263,14 +253,33 @@ def test_ill_conditioned_track_is_left_unmatched(h):
     # track is born instead of update_many raising
     tr = Tracker()
     for frame in range(1, 6):
-        snaps = tr.step(frame, [Detection(frame=frame, class_id=0, bbox=(0.0, 0.0, 1.0, h),
-                                          confidence=0.9)])
-        assert [s.track_id for s in snaps] == [frame]
-        assert snaps[0].status is TrackStatus.TENTATIVE
+        live = tr.step(frame, [Detection(frame=frame, class_id=0, bbox=(0.0, 0.0, 1.0, h),
+                                         confidence=0.9)])
+        assert live.ids.tolist() == [frame]
+        assert live.confirmed.tolist() == [False]
 
 
-def test_format_track_row():
+@pytest.mark.parametrize("bbox", [(0.0, 0.0, 0.0, 10.0), (0.0, 0.0, 5.0, 0.0),
+                                  (0.0, 0.0, -5.0, 10.0), (0.0, float("nan"), 5.0, 10.0),
+                                  (float("inf"), 0.0, 5.0, 10.0), (0.0, 0.0, 1e200, 1e200)])
+def test_step_rejects_degenerate_box(bbox):
+    # checked once, as arrays, before any arithmetic: a zero height raises
+    # ValidationError, not a divide-by-zero warning, a huge box no overflow
+    # warning, and no state changes
     tr = Tracker()
-    snaps = tr.step(1, [det(1, 50, 50, w=20, h=40, class_id=3)])
-    row = format_track_row(snaps[0])
-    assert row.split("\t") == ["1", "1", "3", "50", "50", "20", "40"]
+    tr.step(1, [det(1, 50, 50)])
+    with pytest.raises(ValidationError):
+        tr.step(2, [det(2, 50, 50), Detection(frame=2, class_id=0, bbox=bbox, confidence=0.9)])
+    assert tr.step(2, [det(2, 50, 50)]).ids.tolist() == [1]
+
+
+def test_live_tracks_are_in_id_order_and_own_their_arrays():
+    tr = Tracker(TrackerConfig(n_init=2))
+    first = tr.step(1, [det(1, 300, 50, class_id=2), det(1, 50, 50, class_id=1)])
+    assert first.ids.tolist() == [1, 2] and first.class_ids.tolist() == [2, 1]
+    assert first.ids.dtype == np.int64 and first.class_ids.dtype == np.int64
+    second = tr.step(2, [det(2, 52, 50, class_id=1), det(2, 302, 50, class_id=2)])
+    assert second.confirmed.tolist() == [True, True]
+    # a later step leaves an earlier record as it was
+    assert first.confirmed.tolist() == [False, False]
+    assert first.boxes.tolist() == [[290.0, 30.0, 20.0, 40.0], [40.0, 30.0, 20.0, 40.0]]

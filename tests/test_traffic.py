@@ -6,7 +6,7 @@ import pytest
 
 from trafficstate.calib import CalibrationParams
 from trafficstate.errors import ParseError, ValidationError
-from trafficstate.tracker import TrackSnapshot, TrackStatus
+from trafficstate.tracker import LiveTracks
 from trafficstate.traffic import (
     IntervalMeasurement,
     LineOfInterest,
@@ -23,10 +23,14 @@ IDENTITY = CalibrationParams(1.0, 1.0, 90.0)
 LOI_X0 = LineOfInterest(a=(0.0, -100.0), b=(0.0, 100.0))
 
 
-def snap(frame, track_id, cx, cy, class_id=0):
-    return TrackSnapshot(frame=frame, track_id=track_id, status=TrackStatus.CONFIRMED,
-                         class_id=class_id, bbox=(cx - 5, cy - 5, 10, 10),
-                         centroid=(cx, cy))
+def live(frame, *rows):
+    """A LiveTracks record of (track_id, cx, cy[, class_id]) rows, 10 px boxes."""
+    rows = sorted(r + (0,) * (4 - len(r)) for r in rows)
+    return LiveTracks(
+        frame=frame, ids=np.array([r[0] for r in rows], dtype=np.int64),
+        confirmed=np.ones(len(rows), dtype=bool),
+        class_ids=np.array([r[3] for r in rows], dtype=np.int64),
+        boxes=np.array([(cx - 5, cy - 5, 10.0, 10.0) for _, cx, cy, _ in rows]).reshape(-1, 4))
 
 
 def traj(track_id, points, class_id=0):
@@ -56,18 +60,15 @@ def written_rows(measurement):
 # -- trajectory assembly -------------------------------------------------------
 
 def test_assemble_single_track():
-    snaps = [snap(f, 1, float(f), 0.0) for f in range(1, 6)]
-    out = assemble_trajectories(snaps, IDENTITY)
+    frames = [live(f, (1, float(f), 0.0)) for f in range(1, 6)]
+    out = assemble_trajectories(frames, IDENTITY)
     assert len(out) == 1
     assert out[0].points == [(f, float(f), 0.0) for f in range(1, 6)]
 
 
 def test_assemble_interleaved_tracks():
-    snaps = []
-    for f in range(1, 4):
-        snaps.append(snap(f, 2, 10.0 * f, 0.0))
-        snaps.append(snap(f, 1, -10.0 * f, 5.0))
-    out = assemble_trajectories(snaps, IDENTITY)
+    frames = [live(f, (2, 10.0 * f, 0.0), (1, -10.0 * f, 5.0)) for f in range(1, 4)]
+    out = assemble_trajectories(frames, IDENTITY)
     assert [t.track_id for t in out] == [1, 2]
     for t in out:
         frames = [p[0] for p in t.points]
@@ -75,16 +76,24 @@ def test_assemble_interleaved_tracks():
 
 
 def test_assemble_identity_calibration_keeps_centroids():
-    snaps = [snap(1, 1, 12.5, -3.25)]
-    out = assemble_trajectories(snaps, IDENTITY)
+    out = assemble_trajectories([live(1, (1, 12.5, -3.25))], IDENTITY)
     assert out[0].points[0] == (1, 12.5, -3.25)
 
 
 def test_assemble_applies_calibration():
     calib = CalibrationParams(phi=2.0, omega=4.0, delta_deg=90.0, x0=100.0, y0=50.0)
-    snaps = [snap(1, 1, 10.0, 20.0)]
-    out = assemble_trajectories(snaps, calib)
+    out = assemble_trajectories([live(1, (1, 10.0, 20.0))], calib)
     assert out[0].points[0] == (1, 100.0 + 10.0 / 2.0, 50.0 + 20.0 / 4.0)
+
+
+def test_assemble_labels_a_track_by_its_last_frame_and_skips_empty_frames():
+    frames = [live(1, (1, 0.0, 0.0, 3)), live(2), live(3, (1, 1.0, 0.0, 5), (2, 9.0, 9.0, 1)),
+              live(4, (2, 9.0, 9.0, 4))]
+    out = assemble_trajectories(frames, IDENTITY)
+    assert [(t.track_id, t.class_id) for t in out] == [(1, 5), (2, 4)]
+    assert [p[0] for p in out[0].points] == [1, 3]
+    assert assemble_trajectories([], IDENTITY) == []
+    assert assemble_trajectories([live(1), live(2)], IDENTITY) == []
 
 
 # -- segment crossing ------------------------------------------------------------

@@ -1,22 +1,27 @@
-"""Single-sweep interval measurement against the per-interval rescan oracle.
+"""Trajectory assembly and single-sweep interval measurement against their
+row-at-a-time and per-interval rescan oracles.
 
 Needs hypothesis (the `test` extra in pyproject.toml); skipped without it.
 """
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from trafficstate.calib import CalibrationParams  # noqa: E402
+from trafficstate.tracker import LiveTracks  # noqa: E402
 from trafficstate.traffic import (  # noqa: E402
     LineOfInterest,
     Trajectory,
+    assemble_trajectories,
     crossing_sign,
     measure_intervals,
     segment_crosses,
 )
 
-from oracles import measure_by_rescan  # noqa: E402
+from oracles import assemble_by_rows, measure_by_rescan  # noqa: E402
 
 # round values put frame / fps exactly on interval boundaries; the floats
 # cover everything else in range
@@ -68,3 +73,43 @@ def test_sweep_matches_rescan_oracle(case):
     assert [m.counts for m in got] == [w["counts"] for w in want]
     assert [m.flows for m in got] == [w["flows"] for w in want]
     assert [m.speeds for m in got] == [w["speeds"] for w in want]
+
+
+BOX_VALUE = st.floats(-1e5, 1e5, allow_subnormal=False)
+SIZE = st.floats(1e-3, 1e5)
+
+
+@st.composite
+def live_tracks(draw, frame):
+    # any subset of ids 1..6 (so an id may vanish and return), often none;
+    # each row draws its own class, so a track's label changes over time
+    ids = sorted(draw(st.sets(st.integers(1, 6), max_size=6)))
+    n = len(ids)
+    boxes = [(draw(BOX_VALUE), draw(BOX_VALUE), draw(SIZE), draw(SIZE)) for _ in ids]
+    return LiveTracks(frame=frame, ids=np.array(ids, dtype=np.int64),
+                      confirmed=np.array(draw(st.lists(st.booleans(), min_size=n,
+                                                       max_size=n)), dtype=bool),
+                      class_ids=np.array(draw(st.lists(st.integers(0, 3), min_size=n,
+                                                       max_size=n)), dtype=np.int64),
+                      boxes=np.array(boxes, dtype=np.float64).reshape(-1, 4))
+
+
+@st.composite
+def track_stream(draw):
+    frames, frame = [], 0
+    for _ in range(draw(st.integers(0, 12))):
+        frame += draw(st.integers(1, 3))
+        frames.append(draw(live_tracks(frame)))
+    return frames
+
+
+CALIB = st.builds(CalibrationParams, phi=st.floats(0.1, 10.0), omega=st.floats(0.1, 10.0),
+                  delta_deg=st.one_of(st.just(90.0), st.floats(1.0, 179.0)),
+                  x0=st.floats(-1e3, 1e3), y0=st.floats(-1e3, 1e3))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(frames=track_stream(), calib=CALIB)
+def test_assembly_matches_row_oracle(frames, calib):
+    got = assemble_trajectories(frames, calib)
+    assert [(t.track_id, t.class_id, t.points) for t in got] == assemble_by_rows(frames, calib)
