@@ -8,9 +8,10 @@ gallery, a ring buffer in the tracker's shared gallery store. Both are
 thresholded into a joint admissibility gate, motion first: appearance
 distances are computed only for the pairs inside the motion gate, since no
 other pair can be admissible. The gated distances are combined into one
-cost matrix and solved as a linear assignment problem. The second matching
-stage uses IoU distance instead; `iou_matrix` also serves detection
-evaluation in `metrics`.
+cost matrix and solved as a linear assignment problem, whose matches and
+leftovers come back as index arrays. The second matching stage uses IoU
+distance instead; `iou_matrix` also serves detection evaluation in
+`metrics`.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ from .errors import NumericalError, ValidationError
 # 0.95 quantile of chi-square with 4 dof: the motion gate for a 4-dim measurement.
 CHI2_95_4DOF = 9.4877
 DEFAULT_APPEARANCE_GATE = 0.2
-# What inadmissible pairs carry in a cost matrix; the solver ignores it.
-SENTINEL_COST = 1e5
 # Second-stage gate on IoU distance (1 - IoU).
 DEFAULT_IOU_GATE = 0.7
 
@@ -34,7 +33,11 @@ GALLERY_CAPACITY = 100
 
 @dataclass
 class CostMatrix:
-    """Combined association costs plus the admissibility gate."""
+    """Combined association costs plus the admissibility gate.
+
+    The solver reads values only where admissible is True; what the other
+    cells hold is up to the builder.
+    """
 
     values: np.ndarray     # (n_tracks, n_detections)
     admissible: np.ndarray  # same shape, bool
@@ -46,9 +49,11 @@ class CostMatrix:
 
 @dataclass
 class AssignmentResult:
-    matches: list[tuple[int, int]]
-    unmatched_tracks: list[int]
-    unmatched_detections: list[int]
+    """Index arrays into the cost matrix's rows and columns, all ascending."""
+
+    matches: np.ndarray               # (k, 2) int64 (row, column) pairs, by row
+    unmatched_tracks: np.ndarray      # (n - k,) int64 rows
+    unmatched_detections: np.ndarray  # (m - k,) int64 columns
 
 
 def iou_matrix(a, b) -> np.ndarray:
@@ -149,10 +154,9 @@ def build_cost_matrix(
     and the mask has_desc (m,) of those present. The motion gate goes
     first: only a pair inside it can be admissible, so only such a pair
     gets an appearance distance. cost = lam * d_motion + (1 - lam) *
-    d_appearance on admissible pairs; everything else carries the
-    sentinel. Pairs for which no appearance distance exists (no gallery
-    member or no descriptor) fall back to motion-only cost and a
-    motion-only gate.
+    d_appearance on admissible pairs; everything else holds +inf. Pairs
+    for which no appearance distance exists (no gallery member or no
+    descriptor) fall back to motion-only cost and a motion-only gate.
     """
     if not 0.0 <= lam <= 1.0:
         raise ValidationError(f"lambda must be in [0,1], got {lam}")
@@ -160,7 +164,7 @@ def build_cost_matrix(
         raise ValidationError("gate thresholds must be positive")
     n, m = len(y), len(measurements)
     if n == 0 or m == 0:
-        return CostMatrix(values=np.full((n, m), SENTINEL_COST),
+        return CostMatrix(values=np.full((n, m), np.inf),
                           admissible=np.zeros((n, m), dtype=bool))
 
     d1 = motion_distances(y, s, ok, measurements)
@@ -172,7 +176,7 @@ def build_cost_matrix(
     # d2 is NaN on admissible pairs without an appearance distance; where()
     # drops those combinations, and NaN arithmetic raises no warning
     d1, d2 = d1[admissible], d2[admissible]
-    values = np.full((n, m), SENTINEL_COST)
+    values = np.full((n, m), np.inf)
     values[admissible] = np.where(defined[admissible], lam * d1 + (1.0 - lam) * d2, d1)
     return CostMatrix(values=values, admissible=admissible)
 
@@ -192,11 +196,9 @@ def build_iou_cost_matrix(
     det_boxes: np.ndarray,
     max_distance: float = DEFAULT_IOU_GATE,
 ) -> CostMatrix:
-    """Second-stage cost matrix: IoU distance (1 - IoU), gated at max_distance."""
+    """Second-stage cost matrix: IoU distance (1 - IoU) in every cell, gated at max_distance."""
     dist = 1.0 - iou_matrix(track_boxes, det_boxes)
-    admissible = dist <= max_distance
-    return CostMatrix(values=np.where(admissible, dist, SENTINEL_COST),
-                      admissible=admissible)
+    return CostMatrix(values=dist, admissible=dist <= max_distance)
 
 
 def solve_assignment(cost: CostMatrix) -> AssignmentResult:
@@ -207,30 +209,28 @@ def solve_assignment(cost: CostMatrix) -> AssignmentResult:
     the solver fills them with one cost larger than the admissible maximum
     plus (min(n, m) - 1) times the admissible spread: then dropping an
     admissible match always costs more than any cheaper arrangement gains.
-    The solver is scipy's `linear_sum_assignment`, imported here rather
-    than at module level: loading `scipy.optimize` takes longer than
-    importing the rest of the package, and only `track` ever solves an
-    assignment, so `eval` and the config path, which import this module,
-    never load it.
+    Among tied optima the pick is scipy's on the whole matrix. The solver
+    is scipy's `linear_sum_assignment`, imported here rather than at module
+    level: loading `scipy.optimize` takes longer than importing the rest of
+    the package, and only `track` ever solves an assignment, so `eval` and
+    the config path, which import this module, never load it.
     """
     n, m = cost.shape
     if n == 0 or m == 0:
-        return AssignmentResult([], list(range(n)), list(range(m)))
+        return AssignmentResult(np.empty((0, 2), dtype=np.int64),
+                                np.arange(n), np.arange(m))
     from scipy.optimize import linear_sum_assignment
 
     allowed = cost.values[cost.admissible]
     lo, hi = (allowed.min(), allowed.max()) if allowed.size else (0.0, 0.0)
     # abs(hi) + 1 keeps fill above the bound once rounded, whatever hi's size
     fill = hi + min(n, m) * (hi - lo) + abs(hi) + 1.0
+    # rows come back ascending; the pairs that fill paid for are dropped
     rows, cols = linear_sum_assignment(np.where(cost.admissible, cost.values, fill))
-    matches = []
-    matched_rows, matched_cols = set(), set()
-    for i, j in zip(rows, cols):
-        if cost.admissible[i, j]:
-            matches.append((int(i), int(j)))
-            matched_rows.add(int(i))
-            matched_cols.add(int(j))
-    matches.sort()
-    unmatched_tracks = [i for i in range(n) if i not in matched_rows]
-    unmatched_detections = [j for j in range(m) if j not in matched_cols]
-    return AssignmentResult(matches, unmatched_tracks, unmatched_detections)
+    keep = cost.admissible[rows, cols]
+    rows, cols = rows[keep], cols[keep]
+    free_rows, free_cols = np.ones(n, dtype=bool), np.ones(m, dtype=bool)
+    free_rows[rows] = False
+    free_cols[cols] = False
+    return AssignmentResult(np.array([rows, cols]).T,
+                            free_rows.nonzero()[0], free_cols.nonzero()[0])

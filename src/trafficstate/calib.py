@@ -66,9 +66,6 @@ class ReferenceObject:
                 raise ValidationError(f"{name} must be > 0, got {getattr(self, name)}")
 
 
-IDENTITY = CalibrationParams(phi=1.0, omega=1.0, delta_deg=90.0, x0=0.0, y0=0.0)
-
-
 def derive_magnification(ref: ReferenceObject) -> tuple[float, float]:
     """Magnification factors (phi, omega): apparent length over true length.
 

@@ -7,7 +7,6 @@ Every subcommand is deterministic given its inputs (and seed).
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -32,6 +31,7 @@ def _open_detections(path: str):
 
 def cmd_track(detections_path: str, config_path: str | None, out_dir: str) -> int:
     cfg = parse_config(_read_text(config_path)) if config_path else RunConfig()
+    loi = cfg.loi_world()   # a bad line of interest fails before any output exists
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -62,7 +62,7 @@ def cmd_track(detections_path: str, config_path: str | None, out_dir: str) -> in
     duration = cfg.duration_s if cfg.duration_s is not None else last_frame / cfg.fps
     trajectories = traffic.assemble_trajectories(frames, cfg.calibration)
     measurements = traffic.measure_intervals(
-        trajectories, cfg.loi_world(), cfg.interval_s, cfg.fps, duration
+        trajectories, loi, cfg.interval_s, cfg.fps, duration
     )
     with open(out / cfg.intervals_name, "w", encoding="utf-8") as f:
         traffic.write_intervals(f, measurements)
@@ -111,7 +111,7 @@ def _interval_series(rows: list[traffic.IntervalRow]):
             raise ValidationError(f"inconsistent boundaries for interval {r.interval}")
         grid[r.interval] = (r.start, r.end)
         flows.setdefault(r.class_id, {})[r.interval] = r.flow_vph
-        if r.n_speed_tracks > 0 and not math.isnan(r.mean_speed_kmh):
+        if r.n_speed_tracks > 0:
             speeds.setdefault(r.class_id, {})[r.interval] = r.mean_speed_kmh
     return flows, speeds, grid
 

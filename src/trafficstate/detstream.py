@@ -197,14 +197,13 @@ def parse_detections(
 
 def iter_frames(
     batches: Iterable[tuple[int, list[Detection]]],
-    first_frame: int = 1,
 ) -> Iterator[tuple[int, list[Detection]]]:
-    """Fill frame gaps with empty batches so every frame index gets stepped.
+    """Fill frame gaps with empty batches so every frame index from 1 gets stepped.
 
     Track lifecycles count frames, not batches, so frames with no
     detections still matter downstream.
     """
-    next_frame = first_frame
+    next_frame = 1
     for frame, batch in batches:
         while next_frame < frame:
             yield next_frame, []

@@ -1,10 +1,13 @@
 """Detection evaluation metrics and measurement-validation statistics.
 
-Evaluation side: greedy confidence-ordered IoU matching, precision,
-recall, F1, average precision as the area under the interpolated
-precision-recall step curve, mAP, and a true-by-predicted confusion
-matrix. Validation side: RMSE, Pearson correlation, and a paired
-two-tailed t-test with exact t-distribution p-values.
+Evaluation side: greedy confidence-ordered IoU matching, which labels
+each detection with the index of the ground truth it claimed (or -1),
+precision, recall, F1, average precision as the area under the
+interpolated precision-recall step curve, mAP, and a true-by-predicted
+confusion matrix. Each class keeps only its ground-truth count and its
+detections' (confidence, is_true_positive) labels; the TP, FP and FN
+counts derive from them. Validation side: RMSE, Pearson correlation,
+and a paired two-tailed t-test with exact t-distribution p-values.
 """
 
 from __future__ import annotations
@@ -26,43 +29,22 @@ DEFAULT_IOU_THRESHOLD = 0.5
 # matching detections to ground truth
 
 
-@dataclass
-class MatchLabeling:
-    """TP/FP flags per detection and matched/missed flags per ground truth."""
-
-    det_is_tp: list[bool]
-    det_matched_gt: list[Optional[int]]
-    gt_matched: list[bool]
-
-    @property
-    def tp(self) -> int:
-        return sum(self.det_is_tp)
-
-    @property
-    def fp(self) -> int:
-        return len(self.det_is_tp) - self.tp
-
-    @property
-    def fn(self) -> int:
-        return len(self.gt_matched) - sum(self.gt_matched)
-
-
 def match_to_ground_truth(
     detections: Sequence[Detection],
     ground_truths: Sequence[Detection],
     iou_threshold: float = DEFAULT_IOU_THRESHOLD,
     same_class: bool = True,
-) -> MatchLabeling:
+) -> np.ndarray:
     """Greedy one-to-one matching, highest confidence first.
 
     Each detection claims the unmatched ground truth with the highest IoU
     at or above the threshold (same class unless same_class=False).
+    Returns an int64 array with, for each detection, the index of the
+    ground truth it claimed, or -1.
     """
     order = sorted(range(len(detections)),
                    key=lambda i: (-detections[i].confidence, i))
-    det_is_tp = [False] * len(detections)
-    det_matched_gt: list[Optional[int]] = [None] * len(detections)
-    gt_matched = [False] * len(ground_truths)
+    claimed = np.full(len(detections), -1, dtype=np.int64)
     overlaps = iou_matrix([d.bbox for d in detections], [g.bbox for g in ground_truths])
     # a pair is a candidate while its IoU is positive and clears the threshold
     candidate = (overlaps >= iou_threshold) & (overlaps > 0.0)
@@ -74,11 +56,9 @@ def match_to_ground_truth(
             continue
         # the first maximum wins, as a strict > scan would pick
         j = int(np.argmax(np.where(candidate[i], overlaps[i], -1.0)))
-        det_is_tp[i] = True
-        det_matched_gt[i] = j
-        gt_matched[j] = True
+        claimed[i] = j
         candidate[:, j] = False
-    return MatchLabeling(det_is_tp, det_matched_gt, gt_matched)
+    return claimed
 
 
 # ---------------------------------------------------------------------------
@@ -138,13 +118,27 @@ def mean_ap(per_class_ap: Sequence[float]) -> float:
 
 @dataclass
 class ClassEval:
+    """One class's ground-truth count and (confidence, is_true_positive) per detection."""
+
     n_gt: int = 0
-    n_det: int = 0
-    tp: int = 0
-    fp: int = 0
-    fn: int = 0
     labeled: list[tuple[float, bool]] = field(default_factory=list)
     ap: Optional[float] = None
+
+    @property
+    def n_det(self) -> int:
+        return len(self.labeled)
+
+    @property
+    def tp(self) -> int:
+        return sum(hit for _, hit in self.labeled)
+
+    @property
+    def fp(self) -> int:
+        return self.n_det - self.tp
+
+    @property
+    def fn(self) -> int:
+        return self.n_gt - self.tp
 
     @property
     def precision(self) -> float:
@@ -182,10 +176,10 @@ def confusion_matrix(
     """Class-agnostic IoU matches bucketed by (true class, predicted class)."""
     mat = np.zeros((n_classes, n_classes), dtype=np.int64)
     for dets, gts in frames:
-        labeling = match_to_ground_truth(dets, gts, iou_threshold, same_class=False)
-        for i, j in enumerate(labeling.det_matched_gt):
-            if j is not None:
-                mat[gts[j].class_id, dets[i].class_id] += 1
+        claimed = match_to_ground_truth(dets, gts, iou_threshold, same_class=False)
+        for det, j in zip(dets, claimed.tolist()):
+            if j >= 0:
+                mat[gts[j].class_id, det.class_id] += 1
     return mat
 
 
@@ -206,19 +200,12 @@ def evaluate_detections(
                 raise ValidationError(
                     f"class id {box.class_id} outside the {n_classes}-class catalog"
                 )
-        labeling = match_to_ground_truth(dets, gts, iou_threshold)
+        hits = match_to_ground_truth(dets, gts, iou_threshold) >= 0
         for gt in gts:
             per_class[gt.class_id].n_gt += 1
-        for i, det in enumerate(dets):
-            ce = per_class[det.class_id]
-            ce.n_det += 1
-            ce.labeled.append((det.confidence, labeling.det_is_tp[i]))
-            if labeling.det_is_tp[i]:
-                ce.tp += 1
-            else:
-                ce.fp += 1
+        for det, hit in zip(dets, hits.tolist()):
+            per_class[det.class_id].labeled.append((det.confidence, hit))
     for ce in per_class.values():
-        ce.fn = ce.n_gt - ce.tp
         if ce.n_gt > 0:
             ce.ap = average_precision(ce.labeled, ce.n_gt)
     evaluated = [ce.ap for ce in per_class.values() if ce.ap is not None]

@@ -16,6 +16,8 @@ builds one gated motion/appearance cost matrix per frame, over all
 confirmed tracks and detections, and solves it in a cascade that prefers
 recently updated tracks: each miss age takes the slice of its own rows and
 the detections still unmatched. Stage 2 mops up with plain IoU matching.
+Each solve returns index arrays into its slice, which map back to track
+rows and detection indices by indexing, so no match becomes a Python pair.
 New tracks start tentative and must associate in each of their first
 n_init frames; confirmed tracks survive up to max_age missed frames.
 """
@@ -234,8 +236,8 @@ class Tracker:
         """
         cfg = self.config
         remaining = np.arange(len(boxes))
-        rows: list[int] = []
-        cols: list[int] = []
+        rows = [np.empty(0, dtype=np.int64)]
+        cols = [np.empty(0, dtype=np.int64)]
 
         # stage 1: gated cost matrix over confirmed tracks, freshest first
         confirmed = np.flatnonzero(self._confirmed)
@@ -253,8 +255,8 @@ class Tracker:
                 cells = np.ix_(group, remaining)
                 result = assoc.solve_assignment(assoc.CostMatrix(
                     values=cost.values[cells], admissible=cost.admissible[cells]))
-                rows += [confirmed[group[gi]] for gi, _ in result.matches]
-                cols += [remaining[rj] for _, rj in result.matches]
+                rows.append(confirmed[group[result.matches[:, 0]]])
+                cols.append(remaining[result.matches[:, 1]])
                 leftover.append(confirmed[group[result.unmatched_tracks]])
                 remaining = remaining[result.unmatched_detections]
 
@@ -270,14 +272,13 @@ class Tracker:
                 max_distance=cfg.iou_gate,
             )
             result = assoc.solve_assignment(cost)
-            matched = usable[np.array([ti for ti, _ in result.matches], dtype=np.int64)]
-            rows += matched.tolist()
-            cols += [remaining[rj] for _, rj in result.matches]
-            unmatched = np.setdiff1d(stage2, matched)
+            rows.append(usable[result.matches[:, 0]])
+            cols.append(remaining[result.matches[:, 1]])
+            unmatched = np.concatenate([stage2[~ok[stage2]],
+                                        usable[result.unmatched_tracks]])
             remaining = remaining[result.unmatched_detections]
 
-        return (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64),
-                unmatched, remaining)
+        return np.concatenate(rows), np.concatenate(cols), unmatched, remaining
 
     def _push(self, rows: np.ndarray, descriptors: np.ndarray) -> None:
         """Write one descriptor into each given track's ring buffer, evicting the oldest."""

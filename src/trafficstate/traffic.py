@@ -271,7 +271,7 @@ class IntervalRow:
 
 
 def parse_intervals(source: IO[str] | Iterable[str], path=None) -> list[IntervalRow]:
-    """Rows of an intervals file; a nan mean_speed_kmh means no speed."""
+    """Rows of an intervals file; mean_speed_kmh is nan exactly when n_speed_tracks is 0."""
     rows = []
     for line_no, line in enumerate(source, start=1):
         line = line.rstrip("\n")
@@ -293,7 +293,11 @@ def parse_intervals(source: IO[str] | Iterable[str], path=None) -> list[Interval
             raise ParseError("t_start_s, t_end_s and flow_vph must be finite", line_no, path)
         if math.isinf(row.mean_speed_kmh):
             raise ParseError("mean_speed_kmh must be finite or nan", line_no, path)
-        if row.count < 0 or row.n_speed_tracks < 0:
-            raise ParseError("count and n_speed_tracks must be >= 0", line_no, path)
+        if min(row.interval, row.class_id, row.count, row.n_speed_tracks) < 0:
+            raise ParseError("interval, class, count and n_speed_tracks must be >= 0",
+                             line_no, path)
+        if math.isnan(row.mean_speed_kmh) != (row.n_speed_tracks == 0):
+            raise ParseError("mean_speed_kmh must be nan exactly when n_speed_tracks is 0",
+                             line_no, path)
         rows.append(row)
     return rows

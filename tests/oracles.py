@@ -17,27 +17,6 @@ import scipy.linalg
 import scipy.special
 
 
-def brute_force_assignment(values: np.ndarray) -> float:
-    """Minimum total cost over all maximum-cardinality partial permutations.
-
-    Enumerates every way to pair each row (or column, whichever side is
-    smaller) with a distinct column (row); cost includes sentinel entries.
-    """
-    n, m = values.shape
-    if n == 0 or m == 0:
-        return 0.0
-    best = math.inf
-    if n <= m:
-        for cols in itertools.permutations(range(m), n):
-            total = sum(values[i, j] for i, j in enumerate(cols))
-            best = min(best, total)
-    else:
-        for rows in itertools.permutations(range(n), m):
-            total = sum(values[i, j] for j, i in enumerate(rows))
-            best = min(best, total)
-    return best
-
-
 def brute_force_gated_assignment(values: np.ndarray, admissible: np.ndarray):
     """(most admissible matches, least total cost among those) of a gated matrix.
 
@@ -193,11 +172,11 @@ def calib_to_pixel(wx, wy, phi, omega, delta_deg, x0, y0):
 def greedy_match(detections, ground_truths, iou_threshold, same_class=True):
     """Confidence-ordered greedy matching by a double loop over scalar IoU.
 
-    Returns the matched ground-truth index (or None) per detection.
+    Returns the matched ground-truth index (or -1) per detection.
     """
     order = sorted(range(len(detections)),
                    key=lambda i: (-detections[i].confidence, i))
-    matched_gt = [None] * len(detections)
+    matched_gt = [-1] * len(detections)
     taken = set()
     for i in order:
         best_j, best_iou = None, 0.0

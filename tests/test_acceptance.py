@@ -13,7 +13,6 @@ import pytest
 import scipy.stats
 
 from trafficstate.assoc import (
-    SENTINEL_COST,
     CostMatrix,
     appearance_distances,
     motion_distances,
@@ -46,7 +45,7 @@ from trafficstate.traffic import (
 )
 
 from oracles import (
-    brute_force_assignment,
+    brute_force_gated_assignment,
     simulate_constant_velocity,
     threshold_enumeration_ap,
 )
@@ -69,7 +68,7 @@ def criterion(number, description):
 
 # -- 1: assignment oracle ------------------------------------------------------
 
-@criterion(1, "assignment equals brute-force permutation minimum (200 matrices)")
+@criterion(1, "assignment equals gated brute-force optimum (200 matrices)")
 def test_assignment_oracle():
     rng = np.random.default_rng(101)
     start = time.perf_counter()
@@ -78,12 +77,11 @@ def test_assignment_oracle():
         m = int(rng.integers(1, 8))
         values = rng.uniform(0.0, 10.0, size=(n, m))
         admissible = rng.random(size=(n, m)) < 0.7
-        values[~admissible] = SENTINEL_COST
-        cm = CostMatrix(values=values, admissible=admissible)
-        result = solve_assignment(cm)
-        total = sum(values[i, j] for i, j in result.matches)
-        total += SENTINEL_COST * (min(n, m) - len(result.matches))
-        assert total == pytest.approx(brute_force_assignment(values), abs=1e-9)
+        values[~admissible] = np.inf
+        rows, cols = solve_assignment(CostMatrix(values=values, admissible=admissible)).matches.T
+        count, cost = brute_force_gated_assignment(values, admissible)
+        assert len(rows) == count
+        assert values[rows, cols].sum() == pytest.approx(cost, abs=1e-9)
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"assignment oracle took {elapsed:.2f}s"
 

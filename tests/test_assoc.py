@@ -6,7 +6,6 @@ import pytest
 from trafficstate import assoc
 from trafficstate.assoc import (
     CHI2_95_4DOF,
-    SENTINEL_COST,
     CostMatrix,
     appearance_distances,
     build_cost_matrix,
@@ -20,7 +19,13 @@ from trafficstate.detstream import Detection
 from trafficstate.errors import NumericalError, ValidationError
 from trafficstate.tracker import Tracker, TrackerConfig
 
-from oracles import brute_force_assignment, cosine_gallery_distance, gate, iou, mahalanobis_sq
+from oracles import (
+    brute_force_gated_assignment,
+    cosine_gallery_distance,
+    gate,
+    iou,
+    mahalanobis_sq,
+)
 
 
 def det(bbox, appearance=None, frame=1, class_id=0, conf=1.0):
@@ -354,7 +359,7 @@ def test_cost_matrix_gating_sets_sentinel():
     far = det((995, -5, 10, 10))
     cm = cost_matrix(projections, [[]], [far], lam=1.0)
     assert not cm.admissible[0, 0]
-    assert cm.values[0, 0] == SENTINEL_COST
+    assert cm.values[0, 0] == np.inf
 
 
 def test_cost_matrix_unusable_projection_row():
@@ -390,7 +395,7 @@ def stacked_stage1(y, s, ok, z, gallery, rows, fill, descriptors, t1, t2):
     outgrow: the cost matrix allocated up front, the motion distances of
     every pair, then every track's members stacked, times every
     descriptor, reduced per track."""
-    values = np.full((len(y), len(z)), SENTINEL_COST)
+    values = np.full((len(y), len(z)), np.inf)
     d1 = motion_distances(y, s, ok, z)
     track, slot = np.nonzero(np.arange(gallery.shape[1]) < fill[:, None])
     stacked = gallery[rows[track], slot]                                  # (sum fill, D)
@@ -441,49 +446,51 @@ def test_all_pairs_in_gate_stays_within_the_stacked_footprint(fills):
 def matrix(vals, admissible=None):
     vals = np.asarray(vals, float)
     if admissible is None:
-        admissible = vals < SENTINEL_COST
+        admissible = np.isfinite(vals)
     return CostMatrix(values=vals, admissible=np.asarray(admissible, bool))
 
 
 def test_assignment_prefers_global_minimum():
     # row minima would pick (0,0)+(1,0) conflict; optimum is (0,1)+(1,0)
     result = solve_assignment(matrix([[1.0, 2.0], [2.0, 4.0]]))
-    assert result.matches == [(0, 1), (1, 0)]
-    assert result.unmatched_tracks == [] and result.unmatched_detections == []
+    assert result.matches.tolist() == [[0, 1], [1, 0]]
+    assert result.unmatched_tracks.size == 0 and result.unmatched_detections.size == 0
 
 
 def test_assignment_single_cell():
     result = solve_assignment(matrix([[0.3]]))
-    assert result.matches == [(0, 0)]
+    assert result.matches.tolist() == [[0, 0]]
 
 
 def test_assignment_empty():
     result = solve_assignment(matrix(np.empty((0, 3))))
-    assert result.matches == []
-    assert result.unmatched_detections == [0, 1, 2]
+    assert result.matches.shape == (0, 2) and result.matches.dtype == np.int64
+    assert result.unmatched_tracks.tolist() == []
+    assert result.unmatched_detections.tolist() == [0, 1, 2]
 
 
 def test_assignment_never_matches_sentinel():
-    vals = np.full((2, 2), SENTINEL_COST)
+    vals = np.full((2, 2), np.inf)
     vals[0, 0] = 1.0
     result = solve_assignment(matrix(vals))
-    assert result.matches == [(0, 0)]
-    assert result.unmatched_tracks == [1]
-    assert result.unmatched_detections == [1]
+    assert result.matches.tolist() == [[0, 0]]
+    assert result.unmatched_tracks.tolist() == [1]
+    assert result.unmatched_detections.tolist() == [1]
 
 
 def test_assignment_keeps_every_admissible_match_near_the_sentinel():
-    # admissible costs near and at SENTINEL_COST: a solver that relied on the
-    # sentinel would trade both admissible matches for the one at 0
+    # admissible costs near and at 1e5: a solver that filled inadmissible
+    # cells with a fixed 1e5 sentinel would trade both admissible matches
+    # for the one at 0
     result = solve_assignment(matrix([[0.0, 6e4], [6e4, 1e5]],
                                      admissible=[[True, True], [True, False]]))
-    assert result.matches == [(0, 1), (1, 0)]
+    assert result.matches.tolist() == [[0, 1], [1, 0]]
 
 
 def random_gated_matrix(rng, n, m):
     vals = rng.uniform(0.0, 10.0, size=(n, m))
     admissible = rng.random(size=(n, m)) < 0.75
-    vals[~admissible] = SENTINEL_COST
+    vals[~admissible] = np.inf
     return CostMatrix(values=vals, admissible=admissible)
 
 
@@ -493,10 +500,10 @@ def test_assignment_matches_brute_force_200_random():
         n = int(rng.integers(1, 7))
         m = int(rng.integers(1, 7))
         cm = random_gated_matrix(rng, n, m)
-        result = solve_assignment(cm)
-        total = sum(cm.values[i, j] for i, j in result.matches)
-        total += SENTINEL_COST * (min(n, m) - len(result.matches))
-        assert total == pytest.approx(brute_force_assignment(cm.values), abs=1e-9)
+        rows, cols = solve_assignment(cm).matches.T
+        count, cost = brute_force_gated_assignment(cm.values, cm.admissible)
+        assert len(rows) == count
+        assert cm.values[rows, cols].sum() == pytest.approx(cost, abs=1e-9)
 
 
 def test_assignment_invariant_to_constant_shift():
@@ -507,7 +514,7 @@ def test_assignment_invariant_to_constant_shift():
         shifted_vals = cm.values.copy()
         shifted_vals[cm.admissible] += shift
         shifted = CostMatrix(values=shifted_vals, admissible=cm.admissible)
-        assert solve_assignment(cm).matches == solve_assignment(shifted).matches
+        assert np.array_equal(solve_assignment(cm).matches, solve_assignment(shifted).matches)
 
 
 def test_iou_cost_matrix_gate():
@@ -518,4 +525,4 @@ def test_iou_cost_matrix_gate():
     assert cm.admissible[0, 0]
     assert not cm.admissible[0, 1]
     assert cm.values[0, 0] == pytest.approx(1 - iou(tracks[0], near))
-    assert cm.values[0, 1] == SENTINEL_COST
+    assert cm.values[0, 1] == pytest.approx(1 - iou(tracks[0], far))

@@ -10,7 +10,6 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from trafficstate.assoc import (  # noqa: E402
-    SENTINEL_COST,
     CostMatrix,
     build_cost_matrix,
     motion_distances,
@@ -59,7 +58,7 @@ def test_cost_matrix_matches_pairwise_oracle(n, m, dim, cap, lam, coincident, da
                            lam=lam, t1=t1, t2=t2)
 
     want = np.zeros((n, m), bool)
-    value = np.full((n, m), SENTINEL_COST)
+    value = np.full((n, m), np.inf)
     near = np.zeros((n, m), bool)   # within rounding of a threshold: either side is right
     for i in range(n):
         for j in range(m):
@@ -77,11 +76,12 @@ def test_cost_matrix_matches_pairwise_oracle(n, m, dim, cap, lam, coincident, da
     assert np.array_equal(cm.admissible[~near], want[~near])
     both = cm.admissible & want
     np.testing.assert_allclose(cm.values[both], value[both], rtol=1e-9, atol=1e-12)
-    assert (cm.values[~cm.admissible] == SENTINEL_COST).all()
+    assert (cm.values[~cm.admissible] == np.inf).all()
 
 
-# exact ties, values on both sides of SENTINEL_COST, and everything between
-COST = st.one_of(st.sampled_from([0.0, 1.0, 2.0, 6e4, SENTINEL_COST, 1e6]),
+# exact ties, values on both sides of 1e5 (a fixed sentinel's size), and
+# everything between
+COST = st.one_of(st.sampled_from([0.0, 1.0, 2.0, 6e4, 1e5, 1e6]),
                  st.floats(0.0, 2e5))
 
 
@@ -93,10 +93,13 @@ def test_assignment_matches_gated_brute_force(n, m, data):
                                              max_size=n * m))).reshape(n, m)
     result = solve_assignment(CostMatrix(values=values, admissible=admissible))
     count, cost = brute_force_gated_assignment(values, admissible)
-    assert all(admissible[i, j] for i, j in result.matches)
-    rows = [i for i, _ in result.matches]
-    cols = [j for _, j in result.matches]
-    assert sorted(rows + result.unmatched_tracks) == list(range(n))
-    assert sorted(cols + result.unmatched_detections) == list(range(m))
-    assert len(result.matches) == count
-    assert sum(values[i, j] for i, j in result.matches) == pytest.approx(cost, rel=1e-12)
+    assert result.matches.dtype == np.int64 and result.matches.shape == (count, 2)
+    rows, cols = result.matches.T
+    assert admissible[rows, cols].all()
+    # every index arrives exactly once, each array ascending
+    for matched, unmatched, size in ((rows, result.unmatched_tracks, n),
+                                     (cols, result.unmatched_detections, m)):
+        assert (np.diff(unmatched) > 0).all()
+        assert np.array_equal(np.sort(np.concatenate([matched, unmatched])), np.arange(size))
+    assert (np.diff(rows) > 0).all()
+    assert values[rows, cols].sum() == pytest.approx(cost, rel=1e-12)

@@ -94,18 +94,27 @@ def test_config_defaults_have_one_source():
 TWO_ROWS = "1,10,10,20,40,0.9,3\n2,12,10,20,40,0.9,3\n"
 
 
-@pytest.mark.parametrize("setting", [
+# a [tracking] case's id is its setting, and its key must appear in the error
+BAD_SETTINGS = [pytest.param("tracking", setting, setting.split()[0], id=setting) for setting in [
     "cost_lambda = 2", "cost_lambda = -0.1", "cost_lambda = nan",
     "motion_gate = -5", "motion_gate = 0", "motion_gate = nan",
     "appearance_gate = 0", "appearance_gate = nan",
     "iou_gate = -1", "iou_gate = 1.5", "iou_gate = nan",
-])
-def test_bad_tracking_setting_exits_before_the_first_frame(tmp_path, capsys, setting):
-    cfg = write(tmp_path / "run.ini", f"[tracking]\n{setting}\n")
+]] + [
+    pytest.param("loi", "direction = 2", "direction", id="loi direction = 2"),
+    pytest.param("loi", "ax_px = 80\nay_px = 100\nbx_px = 80\nby_px = 100", "endpoints",
+                 id="loi endpoints equal"),
+]
+
+
+@pytest.mark.parametrize("section,setting,named", BAD_SETTINGS)
+def test_bad_tracking_setting_exits_before_the_first_frame(tmp_path, capsys, section,
+                                                           setting, named):
+    cfg = write(tmp_path / "run.ini", f"[{section}]\n{setting}\n")
     dets = write(tmp_path / "dets.txt", TWO_ROWS)
     assert main(["track", "--detections", dets, "--config", cfg,
                  "--out-dir", str(tmp_path / "out")]) == 1
-    assert setting.split()[0] in capsys.readouterr().err
+    assert named in capsys.readouterr().err
     assert not (tmp_path / "out" / "tracks.txt").exists()
 
 
@@ -391,10 +400,13 @@ assert cli.main(["eval", "--pred", str(pred), "--gt", str(gt),
                  "--out-dir", str(tmp / "eval")]) == 0
 print(scipy_loaded())
 dets = tmp / "dets.txt"
-dets.write_text("".join(f"{f},{10 + 3 * f},10,5,10,0.9,0\\n{f},{10 + 3 * f},60,5,10,0.9,1\\n"
+# 1 px a frame keeps consecutive boxes at IoU 2/3, so both tracks confirm
+dets.write_text("".join(f"{f},{10 + f},10,5,10,0.9,0\\n{f},{10 + f},60,5,10,0.9,1\\n"
                         for f in range(1, 6)))
 assert cli.main(["track", "--detections", str(dets), "--out-dir", str(tmp / "track")]) == 0
 print(scipy_loaded())
+rows = (tmp / "track" / "tracks.txt").read_text().splitlines()[1:]
+print(sorted((r.split("\\t")[0], r.split("\\t")[1]) for r in rows))
 """
 
 
@@ -405,6 +417,8 @@ def test_print_config_and_eval_leave_scipy_unloaded_until_track(tmp_path):
     out = subprocess.run([sys.executable, "-c", IMPORT_GUARD, str(tmp_path)],
                          capture_output=True, text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=src))
-    after_eval, after_track = out.stdout.splitlines()[-2:]
+    after_eval, after_track, confirmed = out.stdout.splitlines()[-3:]
     assert after_eval == "[]"
     assert "'scipy.optimize'" in after_track
+    # tracks 1 and 2 confirm on frame 3 and write a row on every frame after it
+    assert confirmed == str([(str(f), str(i)) for f in (3, 4, 5) for i in (1, 2)])

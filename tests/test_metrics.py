@@ -35,40 +35,38 @@ def box(bbox, class_id=0, conf=1.0, frame=1):
 # -- matching -----------------------------------------------------------------
 
 def test_match_perfect():
-    lab = match_to_ground_truth([box((0, 0, 10, 10))], [box((0, 0, 10, 10))], 0.5)
-    assert lab.tp == 1 and lab.fp == 0 and lab.fn == 0
+    claimed = match_to_ground_truth([box((0, 0, 10, 10))], [box((0, 0, 10, 10))], 0.5)
+    assert claimed.dtype == np.int64 and claimed.tolist() == [0]
 
 
 def test_match_no_ground_truth():
-    lab = match_to_ground_truth([box((0, 0, 10, 10))], [], 0.5)
-    assert lab.tp == 0 and lab.fp == 1 and lab.fn == 0
+    assert match_to_ground_truth([box((0, 0, 10, 10))], [], 0.5).tolist() == [-1]
+    assert match_to_ground_truth([], [box((0, 0, 10, 10))], 0.5).tolist() == []
 
 
 def test_match_one_to_one_rule():
     gt = [box((0, 0, 10, 10))]
     dets = [box((0, 0, 10, 10), conf=0.9), box((1, 0, 10, 10), conf=0.8)]
-    lab = match_to_ground_truth(dets, gt, 0.5)
-    assert lab.det_is_tp == [True, False]
-    assert lab.fp == 1 and lab.fn == 0
+    assert match_to_ground_truth(dets, gt, 0.5).tolist() == [0, -1]
 
 
 def test_match_requires_same_class():
-    lab = match_to_ground_truth([box((0, 0, 10, 10), class_id=1)],
-                                [box((0, 0, 10, 10), class_id=2)], 0.5)
-    assert lab.tp == 0 and lab.fp == 1 and lab.fn == 1
+    dets = [box((0, 0, 10, 10), class_id=1)]
+    gt = [box((0, 0, 10, 10), class_id=2)]
+    assert match_to_ground_truth(dets, gt, 0.5).tolist() == [-1]
+    assert match_to_ground_truth(dets, gt, 0.5, same_class=False).tolist() == [0]
 
 
 def test_match_prefers_highest_iou():
     gt = [box((0, 0, 10, 10)), box((3, 0, 10, 10))]
     det = box((2, 0, 10, 10))
-    lab = match_to_ground_truth([det], gt, 0.3)
-    assert lab.det_matched_gt[0] == 1
+    assert match_to_ground_truth([det], gt, 0.3).tolist() == [1]
 
 
 def test_match_equals_scalar_greedy_oracle():
     # equal IoUs: the first ground truth wins
     twins = [box((0, 0, 10, 10)), box((0, 0, 10, 10))]
-    assert match_to_ground_truth([box((1, 0, 10, 10))], twins, 0.5).det_matched_gt == [0]
+    assert match_to_ground_truth([box((1, 0, 10, 10))], twins, 0.5).tolist() == [0]
     rng = np.random.default_rng(12)
     for _ in range(300):
         preds, gts = random_instance(rng)
@@ -76,8 +74,8 @@ def test_match_equals_scalar_greedy_oracle():
             dets, gt = preds.get(frame, []), gts.get(frame, [])
             for same_class in (True, False):
                 for threshold in (0.3, 0.5):
-                    lab = match_to_ground_truth(dets, gt, threshold, same_class)
-                    assert lab.det_matched_gt == greedy_match(dets, gt, threshold, same_class)
+                    claimed = match_to_ground_truth(dets, gt, threshold, same_class)
+                    assert claimed.tolist() == greedy_match(dets, gt, threshold, same_class)
 
 
 # -- scalar metrics ---------------------------------------------------------------
@@ -328,6 +326,20 @@ def test_evaluate_and_write_reports():
     write_confusion(buf, report, ["a", "b"])
     rows = [line.split("\t") for line in buf.getvalue().splitlines()[1:]]
     assert rows[0][1] == "1" and rows[1][2] == "1"
+
+
+def test_class_counts_derive_from_labels():
+    # class 0: one hit, one duplicate (FP), one missed ground truth (FN);
+    # class 1: a detection with no ground truth at all
+    gts = {1: [box((0, 0, 10, 10)), box((50, 0, 10, 10))]}
+    preds = {1: [box((0, 0, 10, 10), conf=0.9), box((1, 0, 10, 10), conf=0.8),
+                 box((200, 0, 10, 10), class_id=1, conf=0.7)]}
+    report = evaluate_detections(preds, gts, n_classes=2)
+    zero, one = report.per_class[0], report.per_class[1]
+    assert zero.labeled == [(0.9, True), (0.8, False)]
+    assert (zero.n_gt, zero.n_det, zero.tp, zero.fp, zero.fn) == (2, 2, 1, 1, 1)
+    assert (one.n_gt, one.n_det, one.tp, one.fp, one.fn, one.ap) == (0, 1, 0, 1, 0, None)
+    assert type(zero.tp) is int
 
 
 def test_evaluate_rejects_unknown_class():

@@ -310,6 +310,11 @@ def test_write_and_parse_intervals():
     "0\t0\t60\t1\t1\t60\t-inf\t1",     # mean_speed_kmh may be nan, not inf
     "0\t0\t60\t1\t-1\t-60\t30\t1",     # count
     "0\t0\t60\t1\t1\t60\t30\t-1",      # n_speed_tracks
+    "-1\t0\t60\t1\t1\t60\t30\t1",      # interval
+    "0\t0\t60\t-4\t1\t60\t30\t1",      # class
+    "0\t0\t60\t1\t1\t60\tnan\t3",      # a speed must exist with speed tracks
+    "0\t0\t60\t1\t1\t60\t30\t0",       # and must not exist without them
+    "-1\t60\t0\t-4\t1\t60\tnan\t3",
 ])
 def test_parse_intervals_rejects_non_finite_and_negative_values(row):
     with pytest.raises(ParseError) as exc:
