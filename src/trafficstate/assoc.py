@@ -205,32 +205,49 @@ def solve_assignment(cost: CostMatrix) -> AssignmentResult:
     """Matching with the most admissible pairs, and among those the least cost.
 
     Inadmissible pairs never end up matched; tracks and detections left
-    over come back as unmatched. Whatever values inadmissible cells carry,
-    the solver fills them with one cost larger than the admissible maximum
-    plus (min(n, m) - 1) times the admissible spread: then dropping an
-    admissible match always costs more than any cheaper arrangement gains.
-    Among tied optima the pick is scipy's on the whole matrix. The solver
-    is scipy's `linear_sum_assignment`, imported here rather than at module
-    level: loading `scipy.optimize` takes longer than importing the rest of
-    the package, and only `track` ever solves an assignment, so `eval` and
-    the config path, which import this module, never load it.
+    over come back as unmatched. The admissible pairs form a bipartite
+    graph, and the objective separates over its connected components. A
+    pair alone in its row and its column is a component of its own and is
+    in every optimum, so it is matched directly; a row or column with no
+    admissible pair stays unmatched. Only the rows and columns left after
+    that, the contested ones, go to scipy's `linear_sum_assignment`, as
+    one sub-block. Whatever values its inadmissible cells carry, they are
+    filled with one cost larger than the sub-block's admissible maximum
+    plus (min(rows, columns) - 1) times its admissible spread: then
+    dropping an admissible match always costs more than any cheaper
+    arrangement gains. Among tied optima the pick is scipy's on that
+    sub-block, not on the whole matrix. `scipy.optimize` is imported only
+    when a sub-block is left: loading it takes longer than importing the
+    rest of the package, and a scene where no two pairs compete never
+    needs it.
     """
     n, m = cost.shape
-    if n == 0 or m == 0:
-        return AssignmentResult(np.empty((0, 2), dtype=np.int64),
-                                np.arange(n), np.arange(m))
-    from scipy.optimize import linear_sum_assignment
+    admissible = cost.admissible
+    forced = (admissible & (admissible.sum(axis=1) == 1)[:, None]
+              & (admissible.sum(axis=0) == 1))
+    rows, cols = forced.nonzero()   # row-major, so rows ascend
+    contested = admissible & ~forced
+    if contested.any():
+        from scipy.optimize import linear_sum_assignment
 
-    allowed = cost.values[cost.admissible]
-    lo, hi = (allowed.min(), allowed.max()) if allowed.size else (0.0, 0.0)
-    # abs(hi) + 1 keeps fill above the bound once rounded, whatever hi's size
-    fill = hi + min(n, m) * (hi - lo) + abs(hi) + 1.0
-    # rows come back ascending; the pairs that fill paid for are dropped
-    rows, cols = linear_sum_assignment(np.where(cost.admissible, cost.values, fill))
-    keep = cost.admissible[rows, cols]
-    rows, cols = rows[keep], cols[keep]
+        open_rows = contested.any(axis=1).nonzero()[0]
+        open_cols = contested.any(axis=0).nonzero()[0]
+        block = np.ix_(open_rows, open_cols)
+        sub_admissible, sub_values = admissible[block], cost.values[block]
+        allowed = sub_values[sub_admissible]
+        lo, hi = allowed.min(), allowed.max()
+        # abs(hi) + 1 keeps fill above the bound once rounded, whatever hi's size
+        fill = hi + min(sub_values.shape) * (hi - lo) + abs(hi) + 1.0
+        # the pairs that fill paid for are dropped
+        sub_rows, sub_cols = linear_sum_assignment(
+            np.where(sub_admissible, sub_values, fill))
+        keep = sub_admissible[sub_rows, sub_cols]
+        rows = np.concatenate([rows, open_rows[sub_rows[keep]]])
+        cols = np.concatenate([cols, open_cols[sub_cols[keep]]])
+        order = np.argsort(rows)
+        rows, cols = rows[order], cols[order]
     free_rows, free_cols = np.ones(n, dtype=bool), np.ones(m, dtype=bool)
     free_rows[rows] = False
     free_cols[cols] = False
-    return AssignmentResult(np.array([rows, cols]).T,
+    return AssignmentResult(np.stack([rows, cols], axis=1),
                             free_rows.nonzero()[0], free_cols.nonzero()[0])

@@ -6,15 +6,18 @@ magnification (phi along X, omega along Y), a skew angle delta between
 the skewed axis and the geodetic X axis, and a reference-point offset
 (x0, y0) in a projected coordinate system (meters).
 
-The sine and cotangent of delta come from scipy's degree-native
-`sindg`/`cosdg`, which keep the 90-degree (no-skew) case exact. They are
-computed once per angle in `_sin_cot`, which also imports `scipy.special`
-on first use, so importing this module (as `eval` and the config path
-do) does not load it.
+The sine and cotangent of delta come from `_sincosdg`, a port of cephes'
+degree-native `sindg`/`cosdg` (the code behind `scipy.special.sindg` and
+`cosdg`, whose values it reproduces bit for bit). Degree-native trig
+reduces the angle in exact degrees, in octants of 45, before converting
+to radians, so 90 degrees (no skew) gives a cotangent of exactly zero,
+where `math.cos(math.radians(90))` is 6.1e-17, the rounding of pi/2. The
+pair is computed once per angle in `_sin_cot`, and no scipy is loaded.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -75,13 +78,61 @@ def derive_magnification(ref: ReferenceObject) -> tuple[float, float]:
     return ref.apparent_x_px / ref.true_x_m, ref.apparent_y_px / ref.true_y_m
 
 
+# cephes sindg.c: polynomial coefficients of sin(z) and cos(z) for |z| <= pi/4
+_SIN_COEF = (1.58962301572218447952E-10, -2.50507477628503540135E-8,
+             2.75573136213856773549E-6, -1.98412698295895384658E-4,
+             8.33333333332211858862E-3, -1.66666666666666307295E-1)
+_COS_COEF = (1.13678171382044553091E-11, -2.08758833757683644217E-9,
+             2.75573155429816611547E-7, -2.48015872936186303776E-5,
+             1.38888888888806666760E-3, -4.16666666666666348141E-2,
+             4.99999999999999999798E-1)
+_PI180 = 1.74532925199432957692E-2   # pi / 180
+
+
+def _polevl(x: float, coef) -> float:
+    """Horner's rule from the highest coefficient down, as cephes `polevl`."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _sincosdg(x: float) -> tuple[float, float]:
+    """(sindg(x), cosdg(x)) of a finite angle in degrees, as cephes computes them.
+
+    The angle is reduced to octants of 45 degrees: odd octants round up to
+    the next multiple of 90, so z = x - 45 y lies in [-45, 45] degrees, and
+    the octant picks polynomial and sign.
+    """
+    negative = x < 0
+    if negative:
+        x = -x
+    y = float(math.floor(x / 45.0))
+    # y mod 16, computed on the float as cephes does
+    j = int(y - math.ldexp(math.floor(math.ldexp(y, -4)), 4))
+    if j & 1:
+        j += 1
+        y += 1.0
+    j &= 7
+    flip = j > 3
+    if flip:
+        j -= 4
+    z = (x - y * 45.0) * _PI180
+    zz = z * z
+    sin_z = z + z * (zz * _polevl(zz, _SIN_COEF))
+    cos_z = 1.0 - zz * _polevl(zz, _COS_COEF)
+    if j in (1, 2):
+        sin_z, cos_z = cos_z, sin_z
+    sin_x = -sin_z if negative != flip else sin_z
+    cos_x = -cos_z if flip != (j > 1) else cos_z
+    return sin_x, cos_x
+
+
 @lru_cache
 def _sin_cot(delta_deg: float) -> tuple[float, float]:
     """(sin(delta), cot(delta)) of an angle in degrees."""
-    from scipy.special import cosdg, sindg
-
-    sin_d = float(sindg(delta_deg))
-    return sin_d, float(cosdg(delta_deg)) / sin_d
+    sin_d, cos_d = _sincosdg(delta_deg)
+    return sin_d, cos_d / sin_d
 
 
 def to_world(x, y, p: CalibrationParams):

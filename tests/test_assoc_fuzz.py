@@ -103,3 +103,82 @@ def test_assignment_matches_gated_brute_force(n, m, data):
         assert np.array_equal(np.sort(np.concatenate([matched, unmatched])), np.arange(size))
     assert (np.diff(rows) > 0).all()
     assert values[rows, cols].sum() == pytest.approx(cost, rel=1e-12)
+
+
+@st.composite
+def structured_admissibility(draw):
+    """(admissible, forced pairs) from blocks on a diagonal, rows and columns permuted.
+
+    The blocks are forced singletons, empty rows, empty columns and one or
+    two contested components: r x c blocks with r + c >= 3, connected by a
+    star through their first cell plus random extra cells.
+    """
+    contested = draw(st.lists(st.tuples(st.integers(1, 2), st.integers(1, 2))
+                              .filter(lambda rc: sum(rc) >= 3), min_size=1, max_size=2))
+    singletons = draw(st.integers(0, 2))
+    n = singletons + draw(st.integers(0, 1)) + sum(r for r, _ in contested)
+    m = singletons + draw(st.integers(0, 1)) + sum(c for _, c in contested)
+    admissible = np.zeros((n, m), dtype=bool)
+    admissible[range(singletons), range(singletons)] = True
+    i = j = singletons
+    for r, c in contested:
+        block = admissible[i:i + r, j:j + c]
+        block[:] = np.array(draw(st.lists(st.booleans(), min_size=r * c,
+                                          max_size=r * c))).reshape(r, c)
+        block[:, 0] = block[0, :] = True
+        i, j = i + r, j + c
+    row_order = np.array(draw(st.permutations(range(n))))
+    col_order = np.array(draw(st.permutations(range(m))))
+    # admissible[row_order[a], col_order[b]] becomes the new cell (a, b)
+    new_row, new_col = np.argsort(row_order), np.argsort(col_order)
+    forced = [(new_row[k], new_col[k]) for k in range(singletons)]
+    return admissible[np.ix_(row_order, col_order)], forced
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(structure=structured_admissibility(), data=st.data())
+def test_assignment_with_forced_and_contested_blocks_matches_brute_force(structure, data):
+    admissible, forced = structure
+    n, m = admissible.shape
+    # inadmissible cells hold NaN: the solver must never read them
+    drawn = np.array(data.draw(st.lists(COST, min_size=n * m, max_size=n * m)))
+    values = np.where(admissible, drawn.reshape(n, m), np.nan)
+    result = solve_assignment(CostMatrix(values=values, admissible=admissible))
+    count, cost = brute_force_gated_assignment(values, admissible)
+    assert result.matches.dtype == np.int64 and result.matches.shape == (count, 2)
+    rows, cols = result.matches.T
+    assert admissible[rows, cols].all()
+    assert (np.diff(rows) > 0).all()
+    for matched, unmatched, size in ((rows, result.unmatched_tracks, n),
+                                     (cols, result.unmatched_detections, m)):
+        assert (np.diff(unmatched) > 0).all()
+        assert np.array_equal(np.sort(np.concatenate([matched, unmatched])), np.arange(size))
+    assert values[rows, cols].sum() == pytest.approx(cost, rel=1e-12)
+    # a pair alone in its row and column is in every optimum
+    assert set(forced) <= set(zip(rows.tolist(), cols.tolist()))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(n=st.integers(0, 8), m=st.integers(0, 8), data=st.data())
+def test_all_singleton_assignment_equals_scipy_on_the_filled_matrix(n, m, data):
+    from scipy.optimize import linear_sum_assignment
+
+    k = data.draw(st.integers(0, min(n, m)))
+    rows = np.array(data.draw(st.permutations(range(n))), dtype=np.int64)[:k]
+    cols = np.array(data.draw(st.permutations(range(m))), dtype=np.int64)[:k]
+    admissible = np.zeros((n, m), dtype=bool)
+    admissible[rows, cols] = True
+    values = np.array(data.draw(st.lists(COST, min_size=n * m,
+                                         max_size=n * m))).reshape(n, m)
+    result = solve_assignment(CostMatrix(values=values, admissible=admissible))
+
+    # the whole-matrix solve, with the solver's fill rule
+    allowed = values[admissible]
+    lo, hi = (allowed.min(), allowed.max()) if k else (0.0, 0.0)
+    fill = hi + min(n, m) * (hi - lo) + abs(hi) + 1.0
+    want_rows, want_cols = linear_sum_assignment(np.where(admissible, values, fill))
+    keep = admissible[want_rows, want_cols]
+    assert np.array_equal(result.matches, np.stack([want_rows[keep], want_cols[keep]], axis=1))
+    assert np.array_equal(result.unmatched_tracks, np.setdiff1d(np.arange(n), want_rows[keep]))
+    assert np.array_equal(result.unmatched_detections,
+                          np.setdiff1d(np.arange(m), want_cols[keep]))

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import cosdg, sindg
 
 from trafficstate.calib import (
     CalibrationParams,
     ReferenceObject,
+    _sincosdg,
     derive_magnification,
     to_pixel,
     to_world,
@@ -147,3 +149,26 @@ def test_transform_matches_per_call_trig_oracle(delta_deg, phi, omega, x0, y0):
             x, y = float(x), float(y)
             assert bits(to_world(x, y, p)) == bits(calib_to_world(x, y, *args))
             assert bits(to_pixel(x, y, p)) == bits(calib_to_pixel(x, y, *args))
+
+
+def test_degree_trig_port_equals_cephes_bit_for_bit():
+    # scipy.special is the oracle only: the engine's port must reproduce
+    # sindg/cosdg exactly, sign of zero included
+    angles = np.concatenate([
+        np.arange(-720.0, 720.25, 0.25),      # every integer and quarter degree
+        np.random.default_rng(7).uniform(0.0, 180.0, 10_000),
+    ])
+    port = np.array([_sincosdg(float(x)) for x in angles])
+    assert port[:, 0].tobytes() == sindg(angles).tobytes()
+    assert port[:, 1].tobytes() == cosdg(angles).tobytes()
+
+
+@pytest.mark.parametrize("x, sin_x, cos_x", [
+    (0.0, 0.0, 1.0), (-0.0, 0.0, 1.0), (90.0, 1.0, -0.0), (-90.0, -1.0, -0.0),
+    (180.0, -0.0, -1.0), (-180.0, 0.0, -1.0), (270.0, -1.0, 0.0), (-360.0, -0.0, 1.0),
+])
+def test_degree_trig_port_keeps_the_sign_of_zero(x, sin_x, cos_x):
+    def signed(values):
+        return [(float(v), math.copysign(1.0, v)) for v in values]
+
+    assert signed(_sincosdg(x)) == signed((sin_x, cos_x)) == signed((sindg(x), cosdg(x)))

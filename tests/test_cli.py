@@ -389,7 +389,7 @@ from pathlib import Path
 import trafficstate, trafficstate.cli as cli
 
 def scipy_loaded():
-    return [m for m in ("scipy.optimize", "scipy.special") if m in sys.modules]
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
 tmp = Path(sys.argv[1])
 pred, gt = tmp / "pred.txt", tmp / "gt.txt"
@@ -410,15 +410,50 @@ print(sorted((r.split("\\t")[0], r.split("\\t")[1]) for r in rows))
 """
 
 
-def test_print_config_and_eval_leave_scipy_unloaded_until_track(tmp_path):
-    # the assignment solver and scipy.special load on first use only; a track
-    # run must still load the solver, or it was lost rather than deferred
+def run_guard(script, tmp_path):
     src = str(Path(trafficstate.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", IMPORT_GUARD, str(tmp_path)],
+    out = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
                          capture_output=True, text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=src))
-    after_eval, after_track, confirmed = out.stdout.splitlines()[-3:]
+    return out.stdout.splitlines()
+
+
+def test_print_config_and_eval_leave_scipy_unloaded_until_track(tmp_path):
+    # scipy loads on first use only: print-config and eval load none of it,
+    # and neither does a track run in which no two pairs compete for a detection
+    after_eval, after_track, confirmed = run_guard(IMPORT_GUARD, tmp_path)[-3:]
     assert after_eval == "[]"
-    assert "'scipy.optimize'" in after_track
+    assert after_track == "[]"
     # tracks 1 and 2 confirm on frame 3 and write a row on every frame after it
     assert confirmed == str([(str(f), str(i)) for f in (3, 4, 5) for i in (1, 2)])
+
+
+CONTESTED_GUARD = """
+import sys
+from pathlib import Path
+import trafficstate.cli as cli
+
+tmp = Path(sys.argv[1])
+dets = tmp / "dets.txt"
+# two still lanes 200 px apart, each outside the other's motion gate; on
+# frame 6 one detection lands between them, 98 px from lane 1's centre and
+# 102 px from lane 2's, inside both gates
+lanes = "".join(f"{f},10,10,20,400,0.9,0\\n{f},210,10,20,400,0.9,0\\n" for f in range(1, 6))
+dets.write_text(lanes)
+assert cli.main(["track", "--detections", str(dets), "--out-dir", str(tmp / "lanes")]) == 0
+print("scipy.optimize" in sys.modules)
+dets.write_text(lanes + "6,108,10,20,400,0.9,0\\n")
+assert cli.main(["track", "--detections", str(dets), "--out-dir", str(tmp / "contested")]) == 0
+print("scipy.optimize" in sys.modules)
+print((tmp / "contested" / "tracks.txt").read_text().splitlines()[-2:])
+"""
+
+
+def test_track_loads_the_solver_for_a_contested_detection(tmp_path):
+    # the solver is deferred, not lost: two confirmed tracks gating one
+    # detection send it to linear_sum_assignment, which gives it to the
+    # nearer track while the other coasts
+    lanes, contested, last_rows = run_guard(CONTESTED_GUARD, tmp_path)[-3:]
+    assert lanes == "False"
+    assert contested == "True"
+    assert last_rows == str(["6\t1\t0\t118\t210\t20\t400", "6\t2\t0\t220\t210\t20\t400"])
