@@ -8,6 +8,7 @@ the tracker, and prints how many identities each agent consumed.
 from trafficstate import (
     AgentSpec,
     CalibrationParams,
+    DetectionBatch,
     LineOfInterest,
     ScenarioSpec,
     Tracker,
@@ -39,8 +40,10 @@ batches, truth = generate(spec, loi, interval_s=4.0)
 
 tracker = Tracker(TrackerConfig())
 # one LiveTracks record per frame: the live tracks' ids, confirmed flags,
-# classes and boxes as arrays, in id order
-frames = [tracker.step(frame, detections) for frame, detections in batches]
+# classes and boxes as arrays, in id order; synth gives each frame's
+# detections as a list, which the tracker takes stacked into arrays
+frames = [tracker.step(frame, DetectionBatch.stack(frame, detections))
+          for frame, detections in batches]
 
 print(f"frames processed : {len(frames)}")
 print(f"track rows       : {sum(len(live.ids) for live in frames)}")

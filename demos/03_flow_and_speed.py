@@ -11,6 +11,7 @@ import io
 from trafficstate import (
     AgentSpec,
     CalibrationParams,
+    DetectionBatch,
     LineOfInterest,
     ScenarioSpec,
     Tracker,
@@ -41,7 +42,7 @@ interval_s = 5.0
 batches, truth = generate(spec, loi, interval_s)
 
 tracker = Tracker()
-frames = [tracker.step(frame, dets) for frame, dets in batches]
+frames = [tracker.step(frame, DetectionBatch.stack(frame, dets)) for frame, dets in batches]
 
 trajectories = assemble_trajectories(frames, calib)
 measurements = measure_intervals(trajectories, loi, interval_s, spec.fps,

@@ -18,7 +18,13 @@ from .assoc import (
 )
 from .calib import CalibrationParams, ReferenceObject, derive_magnification, to_pixel, to_world
 from .config import RunConfig, parse_config
-from .detstream import ClassCatalog, Detection, normalize_appearance, parse_detections
+from .detstream import (
+    ClassCatalog,
+    Detection,
+    DetectionBatch,
+    normalize_appearance,
+    parse_detections,
+)
 from .errors import ContractError, NumericalError, ParseError, ValidationError
 from .metrics import (
     EvalReport,

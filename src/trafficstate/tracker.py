@@ -7,8 +7,10 @@ the fill count and next slot of a ring-buffer gallery (capacity, D) of
 appearance descriptors. The batched kernels of `motion` and `assoc` read
 these arrays directly; each frame appends its births once and drops its
 deleted tracks with one mask. The galleries themselves sit in one shared
-store whose rows are reused after their tracks end. The live tracks leave
-`step` the same way, as one `LiveTracks` record of arrays per frame.
+store whose rows are reused after their tracks end. A frame's detections
+enter `step` as arrays too, one `detstream.DetectionBatch` whose boxes,
+class ids and descriptors are read as they are, and the live tracks leave
+it the same way, as one `LiveTracks` record of arrays per frame.
 
 Every live track is projected into measurement space once per frame; the
 projection serves both matching stages and the Kalman update. Stage 1
@@ -25,12 +27,12 @@ n_init frames; confirmed tracks survive up to max_age missed frames.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from . import assoc, motion
-from .detstream import MAX_BOX_PX, UNIT_NORM_TOL, Detection
+from .detstream import MAX_BOX_PX, UNIT_NORM_TOL, DetectionBatch
 from .errors import ContractError, ValidationError
 
 DEFAULT_MAX_AGE = 3
@@ -95,7 +97,7 @@ class Tracker:
         self._misses = np.empty(0, dtype=np.int64)  # frames since the last update
         # votes[:, k] counts detections of class classes[k]; classes stays sorted,
         # so argmax breaks ties toward the lower class id
-        self._classes: list[int] = []
+        self._classes = np.empty(0, dtype=np.int64)
         self._votes = np.empty((0, 0), dtype=np.int64)
         # ring buffer per track in gallery[store]: fill members live in slots
         # [0, fill), slot is the next write; D stays 0 until the first
@@ -117,26 +119,23 @@ class Tracker:
 
     # -- public API ----------------------------------------------------------
 
-    def step(self, frame: int, detections: Sequence[Detection]) -> LiveTracks:
-        """Advance one frame and return the tracks alive after it."""
+    def step(self, frame: int, batch: DetectionBatch) -> LiveTracks:
+        """Advance one frame with its detections and return the tracks alive after it."""
         if frame <= self._last_frame:
             raise ContractError(
                 f"frame {frame} not after previous frame {self._last_frame}"
             )
-        for det in detections:
-            if det.frame != frame:
-                raise ContractError(
-                    f"detection for frame {det.frame} in batch for frame {frame}"
-                )
-        boxes = np.array([d.bbox for d in detections], dtype=np.float64).reshape(-1, 4)
+        if batch.frame != frame:
+            raise ContractError(f"batch for frame {batch.frame} stepped as frame {frame}")
+        boxes = batch.boxes
         # the parser's bound: NaN fails it, and no square of a value overflows
         if not ((np.abs(boxes) <= MAX_BOX_PX).all() and (boxes[:, 2:] > 0).all()):
             raise ValidationError(f"detection boxes must lie within ±{MAX_BOX_PX:g} px, "
                                   "with positive width and height")
-        descriptors, has_desc = self._descriptors(detections)
+        descriptors, has_desc = self._descriptors(batch.appearance)
         self._last_frame = frame
 
-        class_cols = self._class_columns([d.class_id for d in detections])
+        class_cols = self._class_columns(batch.class_ids)
         self._mean, self._cov = self.kf.predict_many(self._mean, self._cov)
         # one projection of every live track serves both stages and the update
         y, s, ok = self.kf.project_many(self._mean, self._cov)
@@ -178,49 +177,41 @@ class Tracker:
         # with no live track there may be no class column to take an argmax over
         top = self._votes.argmax(axis=1) if len(self._ids) else np.empty(0, np.int64)
         return LiveTracks(frame=frame, ids=self._ids.copy(), confirmed=self._confirmed.copy(),
-                          class_ids=np.array(self._classes, dtype=np.int64)[top],
+                          class_ids=self._classes[top],
                           boxes=out_boxes)
 
     # -- internals -------------------------------------------------------------
 
-    def _descriptors(self, detections: Sequence[Detection]):
-        """(m, D) descriptors, zero where absent, and the (m,) presence mask.
+    def _descriptors(self, appearance: np.ndarray):
+        """(m, D) descriptors and the (m,) mask of those present, which is
+        all of them, or none when the batch carries no descriptors.
 
-        Every descriptor ends up in a gallery, so each must be unit-norm and
-        share one dimension, fixed by the first descriptor the tracker sees.
+        Every descriptor ends up in a gallery, so each must be unit-norm, of
+        the dimension fixed by the first descriptors the tracker sees.
         """
-        present = [np.asarray(d.appearance, dtype=np.float64)
-                   for d in detections if d.appearance is not None]
-        dim = self._gallery.shape[2]
-        for desc in present:
-            if dim == 0:
-                dim = desc.shape[0]
-            elif desc.shape[0] != dim:
-                raise ValidationError(
-                    f"descriptor dimension {desc.shape[0]} does not match "
-                    f"gallery dimension {dim}"
-                )
-        has_desc = np.array([d.appearance is not None for d in detections], dtype=bool)
-        descriptors = np.zeros((len(detections), dim))
-        if present:
-            descriptors[has_desc] = present
-            if (np.abs(np.linalg.norm(descriptors[has_desc], axis=1) - 1.0)
-                    > UNIT_NORM_TOL).any():
-                raise ValidationError("gallery descriptors must be unit-norm")
-        if dim != self._gallery.shape[2]:
+        m, dim = appearance.shape
+        known = self._gallery.shape[2]
+        if m == 0 or dim == 0:
+            return np.zeros((m, known)), np.zeros(m, dtype=bool)
+        if known and dim != known:
+            raise ValidationError(
+                f"descriptor dimension {dim} does not match gallery dimension {known}")
+        # written as not (within tolerance) so that NaN is rejected too
+        if not (np.abs(np.linalg.norm(appearance, axis=1) - 1.0) <= UNIT_NORM_TOL).all():
+            raise ValidationError("gallery descriptors must be unit-norm")
+        if not known:
             self._gallery = np.zeros((len(self._gallery), self.config.gallery_capacity, dim))
-        return descriptors, has_desc
+        return appearance, np.ones(m, dtype=bool)
 
-    def _class_columns(self, class_ids: list[int]) -> np.ndarray:
+    def _class_columns(self, class_ids: np.ndarray) -> np.ndarray:
         """Vote columns of the given class ids, adding columns for new classes."""
-        new = set(class_ids).difference(self._classes)
+        new = set(class_ids.tolist()).difference(self._classes.tolist())
         if new:
-            classes = sorted(new.union(self._classes))
+            classes = np.union1d(self._classes, list(new))
             votes = np.zeros((len(self._ids), len(classes)), dtype=np.int64)
-            votes[:, [classes.index(c) for c in self._classes]] = self._votes
+            votes[:, np.searchsorted(classes, self._classes)] = self._votes
             self._classes, self._votes = classes, votes
-        column = {c: k for k, c in enumerate(self._classes)}
-        return np.array([column[c] for c in class_ids], dtype=np.int64)
+        return np.searchsorted(self._classes, class_ids)
 
     def _match(self, boxes: np.ndarray, measurements: np.ndarray,
                descriptors: np.ndarray, has_desc: np.ndarray,

@@ -5,8 +5,12 @@ assignment, threshold enumeration for average precision, direct
 definition-scanning for the interpolated precision, and one-track,
 one-pair scalar forms of the engine's batched Kalman, distance and IoU
 kernels, the calibration transform with its trigonometry evaluated
-afresh on every call, and trajectory assembly one track row at a time.
-None of it shares code with the package under test.
+afresh on every call, trajectory assembly one track row at a time, and
+detection parsing one row at a time. None of it shares code with the
+package under test, except that parse_by_rows reads each row with
+`detstream.parse_row`: what it checks the batched parser against is the
+grouping into frames, the order in which a row's errors are raised, and
+each descriptor's values and normalization computed alone.
 """
 
 import itertools
@@ -15,6 +19,9 @@ import math
 import numpy as np
 import scipy.linalg
 import scipy.special
+
+from trafficstate.detstream import parse_row
+from trafficstate.errors import ParseError
 
 
 def brute_force_gated_assignment(values: np.ndarray, admissible: np.ndarray):
@@ -255,3 +262,55 @@ def measure_by_rescan(trajectories, crosses, interval_s, fps, total_duration):
             elapsed = (inside[-1][0] - inside[0][0]) / fps
             m["speeds"].setdefault(traj.class_id, []).append(path / elapsed)
     return out
+
+
+# -- detection parsing, one row at a time ---------------------------------------
+
+def parse_by_rows(source, min_confidence=0.0, path=None):
+    """Yield (frame, [Detection, ...]) per frame of a detection stream.
+
+    Each row is split in full and parsed alone by parse_row, its
+    descriptor read with float() and normalized by itself; its dimension
+    and frame order are checked after that, and rows below min_confidence
+    are dropped only then.
+    """
+    embed_dim = None
+    current_frame = None
+    batch = []
+
+    for line_no, line in enumerate(source, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split(",")
+        if len(parts) < 7:
+            raise ParseError(
+                f"expected at least 7 comma-separated columns, got {len(parts)}",
+                line_no, path,
+            )
+        frame, det, dim = parse_row(parts, line_no, path)
+
+        if embed_dim is None:
+            embed_dim = dim
+        elif dim != embed_dim:
+            raise ParseError(
+                f"embedding dimension {dim} does not match expected {embed_dim}",
+                line_no, path,
+            )
+
+        if current_frame is None:
+            current_frame = frame
+        elif frame < current_frame:
+            raise ParseError(
+                f"frame {frame} after frame {current_frame}; stream must be "
+                "ordered by frame", line_no, path,
+            )
+        elif frame > current_frame:
+            yield current_frame, batch
+            current_frame, batch = frame, []
+
+        if det.confidence >= min_confidence:
+            batch.append(det)
+
+    if current_frame is not None:
+        yield current_frame, batch

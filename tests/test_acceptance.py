@@ -26,7 +26,7 @@ from trafficstate.calib import (
     to_world,
 )
 from trafficstate.cli import main
-from trafficstate.detstream import write_detections
+from trafficstate.detstream import DetectionBatch, write_detections
 from trafficstate.metrics import (
     average_precision,
     evaluate_detections,
@@ -165,7 +165,7 @@ def test_end_to_end_fidelity():
 
     start = time.perf_counter()
     tracker = Tracker(TrackerConfig())
-    frames = [tracker.step(frame, dets) for frame, dets in batches]
+    frames = [tracker.step(frame, DetectionBatch.stack(frame, dets)) for frame, dets in batches]
     trajectories = assemble_trajectories(frames, calib)
     measurements = measure_intervals(trajectories, loi, 60.0, spec.fps, spec.duration_s)
     elapsed = time.perf_counter() - start
@@ -229,7 +229,7 @@ def ids_per_agent(spec, calib):
     tracker = Tracker(TrackerConfig())
     per_frame = {}
     for frame, dets in batches:
-        live = tracker.step(frame, dets)
+        live = tracker.step(frame, DetectionBatch.stack(frame, dets))
         per_frame[frame] = [(tid, x + w / 2.0, y + h / 2.0)
                             for tid, (x, y, w, h) in zip(live.ids.tolist(), live.boxes.tolist())]
     out = [set() for _ in spec.agents]

@@ -15,7 +15,7 @@ from trafficstate.assoc import (
     motion_distances,
     solve_assignment,
 )
-from trafficstate.detstream import Detection
+from trafficstate.detstream import Detection, DetectionBatch
 from trafficstate.errors import NumericalError, ValidationError
 from trafficstate.tracker import Tracker, TrackerConfig
 
@@ -26,6 +26,8 @@ from oracles import (
     iou,
     mahalanobis_sq,
 )
+
+stack = DetectionBatch.stack
 
 
 def det(bbox, appearance=None, frame=1, class_id=0, conf=1.0):
@@ -86,7 +88,7 @@ def galleries(descriptors, capacity=100):
     stationary object that carries the given descriptors in turn."""
     tr = Tracker(TrackerConfig(gallery_capacity=capacity))
     for frame, d in enumerate(descriptors, start=1):
-        tr.step(frame, [det((0, 0, 10, 20), appearance=d, frame=frame)])
+        tr.step(frame, stack(frame, [det((0, 0, 10, 20), appearance=d, frame=frame)]))
         assert tr.tracks == [1]
         yield members_of(tr, 0)
 
@@ -190,21 +192,22 @@ def test_gallery_min_distance_monotone_under_insertion():
 
 def test_gallery_rejects_non_unit():
     with pytest.raises(ValidationError):
-        Tracker().step(1, [det((0, 0, 10, 20), appearance=[1.0, 1.0])])
+        Tracker().step(1, stack(1, [det((0, 0, 10, 20), appearance=[1.0, 1.0])]))
 
 
 def test_gallery_rejects_dimension_change():
     tr = Tracker()
-    tr.step(1, [det((0, 0, 10, 20), appearance=[1.0, 0.0])])
+    tr.step(1, stack(1, [det((0, 0, 10, 20), appearance=[1.0, 0.0])]))
     with pytest.raises(ValidationError):
-        tr.step(2, [det((0, 0, 10, 20), appearance=[1.0, 0.0, 0.0], frame=2)])
+        tr.step(2, stack(2, [det((0, 0, 10, 20), appearance=[1.0, 0.0, 0.0], frame=2)]))
 
 
 def test_gallery_starts_with_first_descriptor_mid_stream():
     tr = Tracker()
     for frame in range(1, 7):
         app = None if frame <= 3 else [1.0, 0.0]
-        assert tr.step(frame, [det((0, 0, 10, 20), appearance=app, frame=frame)]).ids.tolist() == [1]
+        dets = [det((0, 0, 10, 20), appearance=app, frame=frame)]
+        assert tr.step(frame, stack(frame, dets)).ids.tolist() == [1]
     assert members_of(tr, 0).shape == (3, 2)
 
 
@@ -219,7 +222,7 @@ def test_gallery_of_a_new_track_holds_only_its_own_descriptors():
             dets.append(det((0, 0, 10, 20), appearance=e[0], frame=frame))
         if frame == 9:
             dets.append(det((300, 0, 10, 20), appearance=e[2], frame=frame))
-        tr.step(frame, dets)
+        tr.step(frame, stack(frame, dets))
     assert tr.tracks == [1, 3]
     assert np.array_equal(members_of(tr, 0), np.array([e[1]] * 9))
     assert np.array_equal(members_of(tr, 1), np.array([e[2]]))

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import os
 import subprocess
@@ -7,9 +8,12 @@ from pathlib import Path
 import pytest
 
 import trafficstate
+from trafficstate import synth
+from trafficstate.calib import CalibrationParams
 from trafficstate.cli import main
 from trafficstate.config import RunConfig, default_config_text, parse_config
-from trafficstate.traffic import parse_intervals
+from trafficstate.detstream import write_detections
+from trafficstate.traffic import LineOfInterest, parse_intervals
 
 SCENARIO = """\
 [scenario]
@@ -344,6 +348,7 @@ def test_track_rejects_non_finite_box_position(tmp_path, capsys, field, value):
 BAD_ROWS = [
     "0,10,10,5,5,0.9,0,1,0",      # frame below 1
     "1,10,10,5,5,0.9,-1,1,0",     # negative class
+    "1,10,10,5,5,0.9,9223372036854775808,1,0",  # class beyond int64
     "1,10,10,0,5,0.9,0,1,0",      # zero width
     "1,10,10,5,-5,0.9,0,1,0",     # negative height
     "1,10,10,5,5,1.5,0,1,0",      # confidence above 1
@@ -457,3 +462,71 @@ def test_track_loads_the_solver_for_a_contested_detection(tmp_path):
     assert lanes == "False"
     assert contested == "True"
     assert last_rows == str(["6\t1\t0\t118\t210\t20\t400", "6\t2\t0\t220\t210\t20\t400"])
+
+
+PINNED_RUN_CONFIG = """\
+[calibration]
+phi = 10
+omega = 10
+delta_deg = 90
+
+[loi]
+ax_px = 300
+ay_px = -1000
+bx_px = 300
+by_px = 1000
+
+[tracking]
+cost_lambda = 0.3
+confidence_floor = 0.5
+
+[measure]
+interval_s = 1
+fps = 25
+"""
+
+# sha256 of tracks.txt and intervals.txt for the scene below; a change to
+# any layer that moves one byte of `track` output must update these on purpose
+PINNED_TRACKS_SHA256 = "eed406afa76fc8cb5ce1fcbba551f97fa1a7e2235fa72d8ec2714e63367cb740"
+PINNED_INTERVALS_SHA256 = "45d27c7a6f1158def53361541177c8dc8cf557b4172fa1bbc4009b336cb33d6d"
+
+
+def pinned_scene_text() -> str:
+    """Two opposing lanes of agents with 16-d noisy embeddings, pixel noise,
+    misses, an occlusion, and every seventh row below the confidence floor."""
+    agents = [synth.AgentSpec(class_id=k % 4, x0_m=-2.0 - 3.0 * k, y0_m=10.0,
+                              vx_mps=12.0, vy_mps=0.0, spawn_frame=1 + 4 * k)
+              for k in range(6)]
+    agents += [synth.AgentSpec(class_id=2, x0_m=70.0 + 5.0 * k, y0_m=16.0,
+                               vx_mps=-10.0, vy_mps=0.0, spawn_frame=1 + 6 * k)
+               for k in range(4)]
+    spec = synth.ScenarioSpec(
+        agents=agents, duration_s=4.0, fps=25.0,
+        calibration=CalibrationParams(10.0, 10.0, 90.0),
+        noise_std_px=1.0, miss_prob=0.05, occlusions=[(1, 30, 36)],
+        embedding_dim=16, embedding_noise_std=0.2, seed=9,
+    )
+    loi = LineOfInterest(a=(30.0, -100.0), b=(30.0, 100.0))
+    batches, _ = synth.generate(spec, loi, 1.0)
+    rows = [d for _, dets in batches for d in dets]
+    for det in rows[::7]:
+        det.confidence = 0.25
+    out = io.StringIO()
+    write_detections(out, batches)
+    return out.getvalue()
+
+
+def test_track_output_bytes_are_pinned_from_file_and_stdin(tmp_path, monkeypatch):
+    text = pinned_scene_text()
+    cfg = write(tmp_path / "run.ini", PINNED_RUN_CONFIG)
+    dets = write(tmp_path / "dets.txt", text)
+    assert main(["track", "--detections", dets, "--config", cfg,
+                 "--out-dir", str(tmp_path / "file")]) == 0
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main(["track", "--detections", "-", "--config", cfg,
+                 "--out-dir", str(tmp_path / "stdin")]) == 0
+    for run in ("file", "stdin"):
+        tracks = (tmp_path / run / "tracks.txt").read_bytes()
+        intervals = (tmp_path / run / "intervals.txt").read_bytes()
+        assert hashlib.sha256(tracks).hexdigest() == PINNED_TRACKS_SHA256
+        assert hashlib.sha256(intervals).hexdigest() == PINNED_INTERVALS_SHA256

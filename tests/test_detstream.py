@@ -6,6 +6,7 @@ import pytest
 from trafficstate.detstream import (
     ClassCatalog,
     Detection,
+    DetectionBatch,
     format_detection,
     iter_frames,
     normalize_appearance,
@@ -22,24 +23,22 @@ def parse_all(text, **kwargs):
 def test_parse_plain_row():
     batches = parse_all("1,100,200,50,80,0.9,3\n")
     assert len(batches) == 1
-    frame, dets = batches[0]
-    assert frame == 1
-    det = dets[0]
-    assert det.frame == 1
-    assert det.bbox == (100.0, 200.0, 50.0, 80.0)
-    assert det.confidence == 0.9
-    assert det.class_id == 3
-    assert det.appearance is None
+    frame, batch = batches[0]
+    assert frame == batch.frame == 1 and len(batch) == 1
+    assert batch.boxes.tolist() == [[100.0, 200.0, 50.0, 80.0]]
+    assert batch.confidence.tolist() == [0.9]
+    assert batch.class_ids.tolist() == [3] and batch.class_ids.dtype == np.int64
+    assert batch.appearance.shape == (1, 0)
 
 
 def test_parse_unit_embedding_preserved():
-    (_, dets), = parse_all("1,0,0,10,10,1.0,0,0.6,0.8\n")
-    assert np.array_equal(dets[0].appearance, np.array([0.6, 0.8]))
+    (_, batch), = parse_all("1,0,0,10,10,1.0,0,0.6,0.8\n")
+    assert np.array_equal(batch.appearance, np.array([[0.6, 0.8]]))
 
 
 def test_parse_embedding_normalized():
-    (_, dets), = parse_all("1,0,0,10,10,1.0,0,3,4\n")
-    assert np.allclose(dets[0].appearance, [0.6, 0.8])
+    (_, batch), = parse_all("1,0,0,10,10,1.0,0,3,4\n")
+    assert np.allclose(batch.appearance, [[0.6, 0.8]])
 
 
 def test_normalize_appearance_examples():
@@ -78,8 +77,8 @@ def test_normalize_appearance_rejects_non_finite_and_zero(v, message):
 @pytest.mark.parametrize("row", ["1,0,0,10,10,1.0,0,1e308,1e308",
                                  "1,0,0,10,10,1.0,0,1e-200,1e-200"])
 def test_parse_extreme_finite_embedding_is_unit(row):
-    (_, dets), = parse_all(row + "\n")
-    assert np.array_equal(dets[0].appearance, normalize_appearance(np.ones(2)))
+    (_, batch), = parse_all(row + "\n")
+    assert np.array_equal(batch.appearance[0], normalize_appearance(np.ones(2)))
 
 
 @pytest.mark.parametrize("path,line_no,rendered", [
@@ -115,6 +114,7 @@ def test_bad_field_types_name_line():
     "1,0,0,10,10,1.5,0",     # confidence out of range
     "0,0,0,10,10,0.5,0",     # frame below 1
     "1,0,0,10,10,0.5,-2",    # negative class
+    "1,0,0,10,10,0.5,9223372036854775808",  # class beyond int64
     "1,-2e5,0,10,10,0.5,0",  # x beyond the pixel bound
     "1,0,0,10,1e155,0.5,0",  # height beyond the pixel bound
 ])
@@ -153,10 +153,12 @@ def test_confidence_floor_drops_rows_but_keeps_frames():
 
 
 def test_iter_frames_fills_gaps():
-    batches = [(2, ["a"]), (5, ["b"])]
+    batches = parse_all("2,0,0,10,10,1,0\n5,0,0,10,10,1,0\n")
     filled = list(iter_frames(batches))
     assert [f for f, _ in filled] == [1, 2, 3, 4, 5]
-    assert [b for _, b in filled] == [[], ["a"], [], [], ["b"]]
+    assert [b.frame for _, b in filled] == [1, 2, 3, 4, 5]
+    assert [len(b) for _, b in filled] == [0, 1, 0, 0, 1]
+    assert filled[1][1] is batches[0][1] and filled[4][1] is batches[1][1]
 
 
 def test_class_catalog_defaults_and_validation():
@@ -207,14 +209,11 @@ def test_round_trip_1000_random_rows():
         out = io.StringIO()
         write_detections(out, with_app)
         reparsed = parse_all(out.getvalue())
-        flat = [d for _, b in with_app for d in b]
-        flat2 = [d for _, b in reparsed for d in b]
-        assert len(flat) == len(flat2)
-        for a, b in zip(flat, flat2):
-            assert a.frame == b.frame and a.class_id == b.class_id
-            assert a.bbox == b.bbox
-            assert a.confidence == b.confidence
-            assert np.array_equal(a.appearance, b.appearance)
+        assert [f for f, _ in reparsed] == [f for f, _ in with_app]
+        for (frame, dets), (_, batch) in zip(with_app, reparsed):
+            expected = DetectionBatch.stack(frame, dets)
+            for name in DetectionBatch.__slots__:
+                assert np.array_equal(getattr(batch, name), getattr(expected, name))
 
 
 def test_fuzz_mutations_never_break_invariants():
@@ -232,15 +231,13 @@ def test_fuzz_mutations_never_break_invariants():
         except (ParseError, ValidationError):
             continue
         last_frame = 0
-        for frame, dets in batches:
-            assert frame > last_frame
+        for frame, batch in batches:
+            assert frame == batch.frame > last_frame
             last_frame = frame
-            for d in dets:
-                assert d.frame == frame
-                assert d.bbox[2] > 0 and d.bbox[3] > 0
-                assert 0.0 <= d.confidence <= 1.0
-                if d.appearance is not None:
-                    assert abs(np.linalg.norm(d.appearance) - 1.0) <= 1e-9
+            assert (batch.boxes[:, 2:] > 0).all()
+            assert ((0.0 <= batch.confidence) & (batch.confidence <= 1.0)).all()
+            if batch.appearance.shape[1]:
+                assert (abs(np.linalg.norm(batch.appearance, axis=1) - 1.0) <= 1e-9).all()
 
 
 def test_format_detection_round_trips_exactly():
@@ -248,7 +245,7 @@ def test_format_detection_round_trips_exactly():
                     confidence=0.123456789012345,
                     appearance=np.array([0.6, 0.8]))
     line = format_detection(det)
-    (_, dets), = parse_all(line + "\n")
-    assert dets[0].bbox == det.bbox
-    assert dets[0].confidence == det.confidence
-    assert np.array_equal(dets[0].appearance, det.appearance)
+    (_, batch), = parse_all(line + "\n")
+    assert tuple(batch.boxes[0]) == det.bbox
+    assert batch.confidence[0] == det.confidence
+    assert np.array_equal(batch.appearance[0], det.appearance)

@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 
 from trafficstate import assoc
-from trafficstate.detstream import Detection
+from trafficstate.detstream import Detection, DetectionBatch
 from trafficstate.errors import ContractError, ValidationError
 from trafficstate.motion import KalmanFilter
 from trafficstate.tracker import LiveTracks, Tracker, TrackerConfig
 from trafficstate.synth import AgentSpec, ScenarioSpec, generate
 from trafficstate.calib import CalibrationParams
 from trafficstate.traffic import LineOfInterest
+
+stack = DetectionBatch.stack
 
 
 def det(frame, cx, cy, w=20.0, h=40.0, class_id=0, appearance=None):
@@ -20,7 +22,7 @@ def det(frame, cx, cy, w=20.0, h=40.0, class_id=0, appearance=None):
 
 def test_cold_start_creates_tentative_tracks():
     tr = Tracker()
-    live = tr.step(1, [det(1, 10, 10), det(1, 100, 10), det(1, 200, 10)])
+    live = tr.step(1, stack(1, [det(1, 10, 10), det(1, 100, 10), det(1, 200, 10)]))
     assert live.ids.tolist() == [1, 2, 3]
     assert not live.confirmed.any()
 
@@ -29,10 +31,10 @@ def test_empty_batches_delete_confirmed_tracks():
     tr = Tracker()
     frame = 0
     for frame in range(1, 4):
-        live = tr.step(frame, [det(frame, 50, 50)])
+        live = tr.step(frame, stack(frame, [det(frame, 50, 50)]))
     assert live.confirmed.tolist() == [True]
     for frame in range(4, 8):
-        live = tr.step(frame, [])
+        live = tr.step(frame, stack(frame, []))
     assert len(live.ids) == 0 and live.boxes.shape == (0, 4)
     assert tr.tracks == []
 
@@ -40,28 +42,28 @@ def test_empty_batches_delete_confirmed_tracks():
 def test_confirmed_survives_up_to_max_age_misses():
     tr = Tracker()
     for frame in range(1, 4):
-        tr.step(frame, [det(frame, 50, 50)])
+        tr.step(frame, stack(frame, [det(frame, 50, 50)]))
     for frame in range(4, 7):  # 3 misses: still alive
-        live = tr.step(frame, [])
+        live = tr.step(frame, stack(frame, []))
     assert live.confirmed.tolist() == [True]
-    live = tr.step(7, [det(7, 50, 50)])
+    live = tr.step(7, stack(7, [det(7, 50, 50)]))
     assert live.ids.tolist() == [1]
 
 
 def test_tentative_deleted_on_single_miss():
     tr = Tracker()
-    tr.step(1, [det(1, 50, 50)])
-    live = tr.step(2, [])
+    tr.step(1, stack(1, [det(1, 50, 50)]))
+    live = tr.step(2, stack(2, []))
     assert len(live.ids) == 0
-    live = tr.step(3, [det(3, 50, 50)])
+    live = tr.step(3, stack(3, [det(3, 50, 50)]))
     assert live.ids.tolist() == [2]
 
 
 def test_promotion_at_n_init_hits():
     tr = Tracker()
-    s1 = tr.step(1, [det(1, 50, 50)])
-    s2 = tr.step(2, [det(2, 52, 50)])
-    s3 = tr.step(3, [det(3, 54, 50)])
+    s1 = tr.step(1, stack(1, [det(1, 50, 50)]))
+    s2 = tr.step(2, stack(2, [det(2, 52, 50)]))
+    s3 = tr.step(3, stack(3, [det(3, 54, 50)]))
     assert [s.confirmed.tolist() for s in (s1, s2, s3)] == [[False], [False], [True]]
 
 
@@ -76,23 +78,50 @@ def test_single_stream_keeps_one_id_100_frames():
     tr = Tracker()
     ids = set()
     for frame, dets in batches:
-        ids.update(tr.step(frame, dets).ids.tolist())
+        ids.update(tr.step(frame, stack(frame, dets)).ids.tolist())
     assert ids == {1}
 
 
 def test_non_monotonic_frame_rejected():
     tr = Tracker()
-    tr.step(5, [])
+    tr.step(5, stack(5, []))
     with pytest.raises(ContractError):
-        tr.step(5, [])
+        tr.step(5, stack(5, []))
     with pytest.raises(ContractError):
-        tr.step(4, [])
+        tr.step(4, stack(4, []))
 
 
 def test_wrong_frame_in_batch_rejected():
     tr = Tracker()
     with pytest.raises(ContractError):
-        tr.step(2, [det(1, 0, 0)])
+        tr.step(2, stack(1, [det(1, 0, 0)]))
+    with pytest.raises(ContractError):
+        stack(2, [det(2, 0, 0), det(1, 0, 0)])
+    assert tr.step(2, stack(2, [det(2, 0, 0)])).ids.tolist() == [1]
+
+
+def test_stack_rejects_mixed_descriptors_within_a_frame():
+    with pytest.raises(ValidationError, match="one dimension, or none"):
+        stack(1, [det(1, 0, 0, appearance=[1.0, 0.0]), det(1, 90, 0)])
+    with pytest.raises(ValidationError, match="one dimension, or none"):
+        stack(1, [det(1, 0, 0, appearance=[1.0, 0.0]), det(1, 90, 0, appearance=[0.0, 0.0, 1.0])])
+    empty = stack(3, [])
+    assert (empty.frame, len(empty), empty.appearance.shape) == (3, 0, (0, 0))
+
+
+@pytest.mark.parametrize("appearance", [[[1.0, 1.0]], [[np.nan, 0.0]], [[0.6, 0.8], [0.0, 2.0]]])
+def test_step_rejects_descriptors_that_are_not_unit(appearance):
+    # a batch built by hand reaches step without the parser's normalization
+    appearance = np.array(appearance)
+    m = len(appearance)
+    batch = DetectionBatch(frame=1, boxes=np.array([[0.0, 0.0, 10.0, 20.0], [50, 0, 10, 20]])[:m],
+                           confidence=np.ones(m), class_ids=np.zeros(m, dtype=np.int64),
+                           appearance=appearance)
+    tr = Tracker()
+    with pytest.raises(ValidationError, match="unit-norm"):
+        tr.step(1, batch)
+    # the rejected frame left no trace: it can be stepped again
+    assert tr.step(1, stack(1, [det(1, 5, 10, appearance=[0.0, 1.0])])).ids.tolist() == [1]
 
 
 def test_class_votes_majority_and_ties():
@@ -100,7 +129,7 @@ def test_class_votes_majority_and_ties():
     votes = [3, 1, 3, 3, 1, 1]
     shown = []
     for frame, c in enumerate(votes, start=1):
-        live = tr.step(frame, [det(frame, 50, 50, class_id=c)])
+        live = tr.step(frame, stack(frame, [det(frame, 50, 50, class_id=c)]))
         assert live.ids.tolist() == [1]
         shown.append(int(live.class_ids[0]))
     # {3:1} {3:1,1:1} tie breaks low, {3:2,1:1} {3:3,1:1} {3:3,1:2}, {3:3,1:3} tie
@@ -110,11 +139,11 @@ def test_class_votes_majority_and_ties():
 def test_no_detection_shared_between_tracks():
     tr = Tracker()
     dets1 = [det(1, 0, 0), det(1, 300, 0), det(1, 600, 0)]
-    tr.step(1, dets1)
+    tr.step(1, stack(1, dets1))
     for frame in range(2, 6):
         dets = [det(frame, 0 + 2 * frame, 0), det(frame, 300 + 2 * frame, 0),
                 det(frame, 600 + 2 * frame, 0)]
-        live = tr.step(frame, dets)
+        live = tr.step(frame, stack(frame, dets))
         boxes = [tuple(b) for b in live.boxes.tolist()]
         assert len(set(boxes)) == len(boxes) == 3
         assert len(set(live.ids.tolist())) == len(live.ids)
@@ -125,7 +154,7 @@ def test_ids_strictly_grow_and_never_reused():
     seen = []
     for frame in range(1, 30):
         dets = [det(frame, 50, 50)] if frame % 3 == 1 else []
-        seen += tr.step(frame, dets).ids.tolist()
+        seen += tr.step(frame, stack(frame, dets)).ids.tolist()
     assert seen == sorted(seen)
     # every tentative blip dies and the next id is fresh
     assert len(set(seen)) == len({s for s in seen})
@@ -139,7 +168,7 @@ def test_occlusion_gap_within_max_age_keeps_id():
             dets = []
         else:
             dets = [det(frame, 10.0 + 3 * frame, 50)]
-        ids.update(tr.step(frame, dets).ids.tolist())
+        ids.update(tr.step(frame, stack(frame, dets)).ids.tolist())
     assert ids == {1}
 
 
@@ -151,7 +180,7 @@ def test_occlusion_gap_beyond_max_age_changes_id():
             dets = []
         else:
             dets = [det(frame, 10.0 + 3 * frame, 50)]
-        ids.update(tr.step(frame, dets).ids.tolist())
+        ids.update(tr.step(frame, stack(frame, dets)).ids.tolist())
     assert len(ids) == 2
 
 
@@ -166,7 +195,7 @@ def test_deterministic_replay_bitwise():
 
     def run():
         tr = Tracker()
-        return [tr.step(frame, dets) for frame, dets in batches]
+        return [tr.step(frame, stack(frame, dets)) for frame, dets in batches]
 
     for a, b in zip(run(), run(), strict=True):
         for name in LiveTracks.__slots__:
@@ -184,16 +213,16 @@ def test_appearance_gating_separates_crossing_objects():
         x = 10.0 * frame
         dets = [det(frame, x, 50, appearance=e1, class_id=0),
                 det(frame, 220 - x, 50, appearance=e2, class_id=1)]
-        live = tr.step(frame, dets)
+        live = tr.step(frame, stack(frame, dets))
     by_class = dict(zip(live.class_ids.tolist(), live.ids.tolist()))
     assert by_class[0] == 1 and by_class[1] == 2
 
 
 def test_snapshot_bbox_is_measured_box_when_matched():
     tr = Tracker()
-    live = tr.step(1, [det(1, 50, 50, w=20, h=40)])
+    live = tr.step(1, stack(1, [det(1, 50, 50, w=20, h=40)]))
     assert live.boxes.tolist() == [[40.0, 30.0, 20.0, 40.0]]
-    live = tr.step(2, [det(2, 53, 50, w=20, h=40)])
+    live = tr.step(2, stack(2, [det(2, 53, 50, w=20, h=40)]))
     assert live.boxes.tolist() == [[43.0, 30.0, 20.0, 40.0]]
 
 
@@ -201,8 +230,8 @@ def test_coasting_snapshot_uses_prediction():
     kf = KalmanFilter(pos_weight=1e-9)
     tr = Tracker(kf=kf)
     for frame in range(1, 11):
-        tr.step(frame, [det(frame, 10.0 * frame, 50)])
-    live = tr.step(11, [])
+        tr.step(frame, stack(frame, [det(frame, 10.0 * frame, 50)]))
+    live = tr.step(11, stack(11, []))
     assert len(live.ids) == 1
     # predicted center continues the 10 px/frame motion
     x, _, w, _ = live.boxes[0]
@@ -213,7 +242,7 @@ def test_history_frames_strictly_increasing():
     tr = Tracker()
     frames = []
     for frame in range(1, 15):
-        live = tr.step(frame, [det(frame, 5.0 * frame, 50)])
+        live = tr.step(frame, stack(frame, [det(frame, 5.0 * frame, 50)]))
         frames += [live.frame] * live.ids.tolist().count(1)
     assert frames == sorted(frames) and len(set(frames)) == len(frames)
     assert frames == list(range(1, 15))
@@ -224,9 +253,9 @@ def test_cascade_gives_the_freshest_track_priority(monkeypatch):
     # frames. One detection lands next to track 1, inside all three motion
     # gates: the cheapest pair is track 1's, but track 3, the freshest, wins
     tr = Tracker(TrackerConfig(n_init=1))
-    tr.step(1, [det(1, 100, 50), det(1, 102, 50), det(1, 104, 50)])
-    tr.step(2, [det(2, 102, 50), det(2, 104, 50)])
-    tr.step(3, [det(3, 104, 50)])
+    tr.step(1, stack(1, [det(1, 100, 50), det(1, 102, 50), det(1, 104, 50)]))
+    tr.step(2, stack(2, [det(2, 102, 50), det(2, 104, 50)]))
+    tr.step(3, stack(3, [det(3, 104, 50)]))
     stage2 = []
     build_iou = assoc.build_iou_cost_matrix
 
@@ -236,7 +265,7 @@ def test_cascade_gives_the_freshest_track_priority(monkeypatch):
 
     monkeypatch.setattr(assoc, "build_iou_cost_matrix", spy)
     contested, far = det(4, 100.5, 50), det(4, 500, 50)
-    live = tr.step(4, [contested, far])
+    live = tr.step(4, stack(4, [contested, far]))
     box = dict(zip(live.ids.tolist(), map(tuple, live.boxes.tolist())))
     assert box[3] == contested.bbox
     assert box[1] != contested.bbox and box[2] != contested.bbox
@@ -253,8 +282,8 @@ def test_ill_conditioned_track_is_left_unmatched(h):
     # track is born instead of update_many raising
     tr = Tracker()
     for frame in range(1, 6):
-        live = tr.step(frame, [Detection(frame=frame, class_id=0, bbox=(0.0, 0.0, 1.0, h),
-                                         confidence=0.9)])
+        dets = [Detection(frame=frame, class_id=0, bbox=(0.0, 0.0, 1.0, h), confidence=0.9)]
+        live = tr.step(frame, stack(frame, dets))
         assert live.ids.tolist() == [frame]
         assert live.confirmed.tolist() == [False]
 
@@ -267,18 +296,19 @@ def test_step_rejects_degenerate_box(bbox):
     # ValidationError, not a divide-by-zero warning, a huge box no overflow
     # warning, and no state changes
     tr = Tracker()
-    tr.step(1, [det(1, 50, 50)])
+    tr.step(1, stack(1, [det(1, 50, 50)]))
     with pytest.raises(ValidationError):
-        tr.step(2, [det(2, 50, 50), Detection(frame=2, class_id=0, bbox=bbox, confidence=0.9)])
-    assert tr.step(2, [det(2, 50, 50)]).ids.tolist() == [1]
+        tr.step(2, stack(2, [det(2, 50, 50),
+                             Detection(frame=2, class_id=0, bbox=bbox, confidence=0.9)]))
+    assert tr.step(2, stack(2, [det(2, 50, 50)])).ids.tolist() == [1]
 
 
 def test_live_tracks_are_in_id_order_and_own_their_arrays():
     tr = Tracker(TrackerConfig(n_init=2))
-    first = tr.step(1, [det(1, 300, 50, class_id=2), det(1, 50, 50, class_id=1)])
+    first = tr.step(1, stack(1, [det(1, 300, 50, class_id=2), det(1, 50, 50, class_id=1)]))
     assert first.ids.tolist() == [1, 2] and first.class_ids.tolist() == [2, 1]
     assert first.ids.dtype == np.int64 and first.class_ids.dtype == np.int64
-    second = tr.step(2, [det(2, 52, 50, class_id=1), det(2, 302, 50, class_id=2)])
+    second = tr.step(2, stack(2, [det(2, 52, 50, class_id=1), det(2, 302, 50, class_id=2)]))
     assert second.confirmed.tolist() == [True, True]
     # a later step leaves an earlier record as it was
     assert first.confirmed.tolist() == [False, False]
