@@ -7,7 +7,7 @@ report the same way a model-validation run would.
 
 import numpy as np
 
-from trafficstate import Detection, evaluate_detections
+from trafficstate import Detection, DetectionBatch, evaluate_detections
 
 rng = np.random.default_rng(0)
 N_CLASSES = 4
@@ -33,8 +33,8 @@ for frame in range(1, 21):
         x, y = rng.uniform(0, 900, size=2)
         preds.append(Detection(frame=frame, class_id=int(rng.integers(0, N_CLASSES)),
                                bbox=(x, y, 60, 40), confidence=float(rng.uniform(0.3, 0.9))))
-    ground_truths[frame] = gts
-    predictions[frame] = preds
+    ground_truths[frame] = DetectionBatch.stack(frame, gts)
+    predictions[frame] = DetectionBatch.stack(frame, preds)
 
 report = evaluate_detections(predictions, ground_truths, N_CLASSES, iou_threshold=0.5)
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 from . import detstream, metrics, synth, traffic
 from .config import RunConfig, default_config_text, parse_config
-from .detstream import ClassCatalog
+from .detstream import ClassCatalog, DetectionBatch
 from .errors import NumericalError, ValidationError
 from .tracker import Tracker
 
@@ -27,6 +27,21 @@ def _open_detections(path: str):
     if path == "-":
         return sys.stdin
     return open(path, "r", encoding="utf-8")
+
+
+def _frames_to_step(batches, tracker: Tracker):
+    """Every parsed batch, after the empty frames of its gap while a track is alive.
+
+    Each empty frame ages the live tracks, so none is left after max_age + 1
+    of them, and an empty step with no live track writes no row and adds no point.
+    """
+    last = 0
+    for frame, batch in batches:
+        while last + 1 < frame and tracker.tracks:
+            last += 1
+            yield last, DetectionBatch.stack(last, [])
+        yield frame, batch
+        last = frame
 
 
 def cmd_track(detections_path: str, config_path: str | None, out_dir: str) -> int:
@@ -44,7 +59,7 @@ def cmd_track(detections_path: str, config_path: str | None, out_dir: str) -> in
         )
         with open(out / cfg.tracks_name, "w", encoding="utf-8") as tf:
             tf.write(TRACKS_HEADER + "\n")
-            for frame, batch in detstream.iter_frames(batches):
+            for frame, batch in _frames_to_step(batches, tracker):
                 live = tracker.step(frame, batch)
                 frames.append(live)
                 c = live.confirmed

@@ -14,10 +14,10 @@ row's seven head fields are converted and checked as the row is read; the
 embedding columns of a frame's rows are read together by one `np.loadtxt`
 call when the frame ends, and their norms checked in one pass. Whenever
 that pass cannot vouch for a row, the frame's embeddings are parsed again
-row by row, so values and error messages are exactly those of `parse_row`,
-which `metrics.load_boxes` uses. `Detection` is the one-row form that
-`synth` writes and evaluation reads; `DetectionBatch.stack` turns a
-frame's list of them into a batch.
+row by row, so values and error messages are exactly those of a
+row-at-a-time parse. `metrics.load_boxes` reads evaluation files with the
+same row checks. `Detection` is the one-row form that `synth` writes;
+`DetectionBatch.stack` turns a frame's list of them into a batch.
 """
 
 from __future__ import annotations
@@ -186,16 +186,6 @@ def _parse_head(parts: Sequence[str], line_no: int, path):
     return frame, x, y, w, h, conf, class_id
 
 
-def parse_row(parts: Sequence[str], line_no: int, path) -> tuple[int, Detection, int]:
-    """Returns (frame, detection, embedding_dim); dim 0 means no descriptor."""
-    frame, x, y, w, h, conf, class_id = _parse_head(parts, line_no, path)
-    dim = len(parts) - 7
-    appearance = _parse_embedding(parts[7:], line_no, path) if dim > 0 else None
-    det = Detection(frame=frame, class_id=class_id, bbox=(x, y, w, h),
-                    confidence=conf, appearance=appearance)
-    return frame, det, dim
-
-
 def _parse_embedding(fields: Sequence[str], line_no: int, path) -> np.ndarray:
     """One row's descriptor, checked and scaled to unit norm."""
     try:
@@ -214,7 +204,7 @@ def _check_row(parts: Sequence[str], line_no: int, embed_dim: Optional[int],
 
     Checks everything but the embedding values, which are read with the
     rest of the frame; a row that breaks the dimension or frame order has
-    its own embedding checked first, as parse_row would.
+    its own embedding checked first, as a row-at-a-time parse would.
     """
     if len(parts) < 7:
         raise ParseError(f"expected at least 7 comma-separated columns, got {len(parts)}",
@@ -288,12 +278,12 @@ def parse_detections(
     """Stream (frame, batch) pairs from delimited text.
 
     Batches come out in strictly increasing frame order; frames absent from
-    the input yield no batch (see iter_frames for gap filling). Detections
-    below min_confidence are dropped at ingest, after they are checked.
-    Every row must carry as many embedding columns as the first. A bad
-    stream raises the ParseError a row-at-a-time parse would raise first:
-    the same message, at the same line. A bad embedding is found when its
-    frame ends, so the frame's rows are read before it is raised.
+    the input yield no batch. Detections below min_confidence are dropped
+    at ingest, after they are checked. Every row must carry as many
+    embedding columns as the first. A bad stream raises the ParseError a
+    row-at-a-time parse would raise first: the same message, at the same
+    line. A bad embedding is found when its frame ends, so the frame's rows
+    are read before it is raised.
     """
     embed_dim: Optional[int] = None
     current: Optional[int] = None
@@ -327,23 +317,6 @@ def parse_detections(
     if current is not None:
         yield current, _frame_batch(current, line_nos, heads, tails, embed_dim,
                                     min_confidence, path)
-
-
-def iter_frames(
-    batches: Iterable[tuple[int, DetectionBatch]],
-) -> Iterator[tuple[int, DetectionBatch]]:
-    """Fill frame gaps with empty batches so every frame index from 1 gets stepped.
-
-    Track lifecycles count frames, not batches, so frames with no
-    detections still matter downstream.
-    """
-    next_frame = 1
-    for frame, batch in batches:
-        while next_frame < frame:
-            yield next_frame, DetectionBatch.stack(next_frame, [])
-            next_frame += 1
-        yield frame, batch
-        next_frame = frame + 1
 
 
 def format_detection(det: Detection) -> str:

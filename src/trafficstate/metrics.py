@@ -1,25 +1,28 @@
 """Detection evaluation metrics and measurement-validation statistics.
 
-Evaluation side: greedy confidence-ordered IoU matching, which labels
-each detection with the index of the ground truth it claimed (or -1),
-precision, recall, F1, average precision as the area under the
-interpolated precision-recall step curve, mAP, and a true-by-predicted
-confusion matrix. Each class keeps only its ground-truth count and its
+Evaluation side: `load_boxes` reads evaluation files into one
+`DetectionBatch` per frame. Greedy confidence-ordered IoU matching gives
+each detection the ground truth it claimed (or -1), from one IoU matrix
+both among its own class, which decides its hit, and among all classes,
+which fills a true-by-predicted confusion matrix. Then precision, recall,
+F1, average precision as the area under the interpolated precision-recall
+step curve, and mAP. Each class keeps only its ground-truth count and its
 detections' (confidence, is_true_positive) labels; the TP, FP and FN
-counts derive from them. Validation side: RMSE, Pearson correlation,
-and a paired two-tailed t-test with exact t-distribution p-values.
+counts derive from them. Validation side: RMSE, Pearson correlation, and
+a paired two-tailed t-test with exact t-distribution p-values.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import IO, Iterable, Optional, Sequence
 
 import numpy as np
 
 from .assoc import iou_matrix
-from .detstream import Detection, parse_row
+from .detstream import DetectionBatch, _frame_batch, _parse_embedding, _parse_head
 from .errors import NumericalError, ParseError, ValidationError
 
 DEFAULT_IOU_THRESHOLD = 0.5
@@ -30,34 +33,35 @@ DEFAULT_IOU_THRESHOLD = 0.5
 
 
 def match_to_ground_truth(
-    detections: Sequence[Detection],
-    ground_truths: Sequence[Detection],
+    detections: DetectionBatch,
+    ground_truths: DetectionBatch,
     iou_threshold: float = DEFAULT_IOU_THRESHOLD,
-    same_class: bool = True,
 ) -> np.ndarray:
     """Greedy one-to-one matching, highest confidence first.
 
-    Each detection claims the unmatched ground truth with the highest IoU
-    at or above the threshold (same class unless same_class=False).
-    Returns an int64 array with, for each detection, the index of the
-    ground truth it claimed, or -1.
+    Each detection claims the unclaimed ground truth with the highest IoU at
+    or above the threshold, the first one on ties. Returns an (m, 2) int64
+    array of the claimed ground truth per detection, or -1: column 0 among
+    those of its own class, column 1 among all of them.
     """
-    order = sorted(range(len(detections)),
-                   key=lambda i: (-detections[i].confidence, i))
-    claimed = np.full(len(detections), -1, dtype=np.int64)
-    overlaps = iou_matrix([d.bbox for d in detections], [g.bbox for g in ground_truths])
+    claimed = np.full((len(detections), 2), -1, dtype=np.int64)
+    overlaps = iou_matrix(detections.boxes, ground_truths.boxes)
     # a pair is a candidate while its IoU is positive and clears the threshold
-    candidate = (overlaps >= iou_threshold) & (overlaps > 0.0)
-    if same_class:
-        candidate &= (np.array([d.class_id for d in detections])[:, None]
-                      == np.array([g.class_id for g in ground_truths])[None, :])
-    for i in order:
-        if not candidate[i].any():
-            continue
-        # the first maximum wins, as a strict > scan would pick
-        j = int(np.argmax(np.where(candidate[i], overlaps[i], -1.0)))
-        claimed[i] = j
-        candidate[:, j] = False
+    rows, cols = np.nonzero((overlaps >= iou_threshold) & (overlaps > 0.0))
+    # with no NaN confidence, this ranks as sorted(key=(-confidence, index))
+    rank = np.argsort(np.argsort(-detections.confidence, kind="stable"))
+    # the candidate pairs, each detection's in the order it prefers them
+    order = np.lexsort((cols, -overlaps[rows, cols], rank[rows]))
+    rows, cols = rows[order], cols[order]
+    same = detections.class_ids[rows] == ground_truths.class_ids[cols]
+    for column, pairs in enumerate((same, slice(None))):
+        claims: dict[int, int] = {}
+        taken: set[int] = set()
+        for i, j in zip(rows[pairs].tolist(), cols[pairs].tolist()):
+            if i not in claims and j not in taken:
+                claims[i] = j
+                taken.add(j)
+        claimed[list(claims), column] = list(claims.values())
     return claimed
 
 
@@ -128,7 +132,7 @@ class ClassEval:
     def n_det(self) -> int:
         return len(self.labeled)
 
-    @property
+    @cached_property
     def tp(self) -> int:
         return sum(hit for _, hit in self.labeled)
 
@@ -168,53 +172,53 @@ class EvalReport:
         return out
 
 
-def confusion_matrix(
-    frames: Iterable[tuple[Sequence[Detection], Sequence[Detection]]],
-    n_classes: int,
-    iou_threshold: float = DEFAULT_IOU_THRESHOLD,
-) -> np.ndarray:
-    """Class-agnostic IoU matches bucketed by (true class, predicted class)."""
-    mat = np.zeros((n_classes, n_classes), dtype=np.int64)
-    for dets, gts in frames:
-        claimed = match_to_ground_truth(dets, gts, iou_threshold, same_class=False)
-        for det, j in zip(dets, claimed.tolist()):
-            if j >= 0:
-                mat[gts[j].class_id, det.class_id] += 1
-    return mat
+def confusion_matrix(true_classes, pred_classes, n_classes: int) -> np.ndarray:
+    """Counts of (true class, predicted class) pairs, true rows x predicted cols."""
+    cells = n_classes * np.asarray(true_classes, np.int64) + np.asarray(pred_classes, np.int64)
+    return np.bincount(cells, minlength=n_classes * n_classes).reshape(n_classes, n_classes)
 
 
 def evaluate_detections(
-    predictions: dict[int, list[Detection]],
-    ground_truths: dict[int, list[Detection]],
+    predictions: dict[int, DetectionBatch],
+    ground_truths: dict[int, DetectionBatch],
     n_classes: int,
     iou_threshold: float = DEFAULT_IOU_THRESHOLD,
 ) -> EvalReport:
-    """Full evaluation over frame-indexed predictions and ground truths."""
-    per_class = {k: ClassEval() for k in range(n_classes)}
-    all_frames = sorted(set(predictions) | set(ground_truths))
-    for frame in all_frames:
-        dets = predictions.get(frame, [])
-        gts = ground_truths.get(frame, [])
-        for box in list(dets) + list(gts):
-            if box.class_id >= n_classes:
-                raise ValidationError(
-                    f"class id {box.class_id} outside the {n_classes}-class catalog"
-                )
-        hits = match_to_ground_truth(dets, gts, iou_threshold) >= 0
-        for gt in gts:
-            per_class[gt.class_id].n_gt += 1
-        for det, hit in zip(dets, hits.tolist()):
-            per_class[det.class_id].labeled.append((det.confidence, hit))
+    """Full evaluation over frame-indexed predictions and ground truths.
+
+    Each frame is matched once: its class-aware claims label the detections,
+    and its class-agnostic claims fill the confusion matrix.
+    """
+    frames = sorted(set(predictions) | set(ground_truths))
+    none = DetectionBatch.stack(0, [])
+    dets = [predictions.get(f, none) for f in frames]
+    gts = [ground_truths.get(f, none) for f in frames]
+    # frame by frame, the detections' class ids and then the ground truths'
+    ids = np.concatenate([none.class_ids] + [b.class_ids for pair in zip(dets, gts) for b in pair])
+    bad = ids[(ids < 0) | (ids >= n_classes)]
+    if len(bad):
+        raise ValidationError(f"class id {bad[0]} outside the {n_classes}-class catalog")
+    claims = [match_to_ground_truth(d, g, iou_threshold) for d, g in zip(dets, gts)]
+    if not any(len(g) for g in gts):
+        raise ValidationError("no ground-truth instances to evaluate against")
+    claims = np.concatenate(claims)
+    det_classes = np.concatenate([d.class_ids for d in dets])
+    gt_classes = np.concatenate([g.class_ids for g in gts])
+    confidence = np.concatenate([d.confidence for d in dets])
+    n_gt = np.bincount(gt_classes, minlength=n_classes).tolist()
+    per_class = {k: ClassEval(n_gt=n_gt[k]) for k in range(n_classes)}
+    for k, conf, hit in zip(det_classes.tolist(), confidence.tolist(),
+                            (claims[:, 0] >= 0).tolist()):
+        per_class[k].labeled.append((conf, hit))
     for ce in per_class.values():
         if ce.n_gt > 0:
             ce.ap = average_precision(ce.labeled, ce.n_gt)
+    # the class-agnostic claims, as indices into the ground truths of all frames
+    first_gt = np.repeat(np.cumsum([0] + [len(g) for g in gts[:-1]]), [len(d) for d in dets])
+    agnostic = claims[:, 1] >= 0
+    confusion = confusion_matrix(gt_classes[claims[agnostic, 1] + first_gt[agnostic]],
+                                 det_classes[agnostic], n_classes)
     evaluated = [ce.ap for ce in per_class.values() if ce.ap is not None]
-    if not evaluated:
-        raise ValidationError("no ground-truth instances to evaluate against")
-    confusion = confusion_matrix(
-        ((predictions.get(f, []), ground_truths.get(f, [])) for f in all_frames),
-        n_classes, iou_threshold,
-    )
     return EvalReport(per_class=per_class, map_50=mean_ap(evaluated),
                       confusion=confusion, iou_threshold=iou_threshold)
 
@@ -282,15 +286,19 @@ def paired_t_test(a, b) -> tuple[float, float]:
 # Ground-truth rows reuse the detection format minus confidence:
 #   frame,x,y,w,h,class            (6 columns)
 #   frame,x,y,w,h,conf,class[,..]  (7+ columns, conf ignored)
+# Descriptor columns are checked as detection rows' are, then dropped.
 
 
 def load_boxes(
     source: IO[str] | Iterable[str],
     require_confidence: bool = False,
     path=None,
-) -> dict[int, list[Detection]]:
-    """Frame-indexed boxes from an evaluation file, order-insensitive."""
-    frames: dict[int, list[Detection]] = {}
+) -> dict[int, DetectionBatch]:
+    """Frame-indexed boxes from an evaluation file, order-insensitive.
+
+    Ground truths (require_confidence False) all get confidence 1.0.
+    """
+    frames: dict[int, list[tuple]] = {}
     for line_no, line in enumerate(source, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -306,11 +314,14 @@ def load_boxes(
                 f"expected at least 6 comma-separated columns, got {len(parts)}",
                 line_no, path,
             )
-        frame, det, _ = parse_row(parts, line_no, path)
-        if not require_confidence and len(parts) >= 7:
-            det.confidence = 1.0
-        frames.setdefault(frame, []).append(det)
-    return frames
+        head = _parse_head(parts, line_no, path)
+        if len(parts) > 7:
+            _parse_embedding(parts[7:], line_no, path)
+        if not require_confidence:
+            head = head[:5] + (1.0, head[6])
+        frames.setdefault(head[0], []).append(head)
+    return {frame: _frame_batch(frame, [], heads, [], dim=0, min_confidence=0.0, path=path)
+            for frame, heads in frames.items()}
 
 
 EVAL_HEADER = "class\tname\tn_gt\tn_det\ttp\tfp\tfn\tprecision\trecall\tf1\tap"

@@ -5,12 +5,14 @@ assignment, threshold enumeration for average precision, direct
 definition-scanning for the interpolated precision, and one-track,
 one-pair scalar forms of the engine's batched Kalman, distance and IoU
 kernels, the calibration transform with its trigonometry evaluated
-afresh on every call, trajectory assembly one track row at a time, and
-detection parsing one row at a time. None of it shares code with the
-package under test, except that parse_by_rows reads each row with
-`detstream.parse_row`: what it checks the batched parser against is the
-grouping into frames, the order in which a row's errors are raised, and
-each descriptor's values and normalization computed alone.
+afresh on every call, trajectory assembly one track row at a time,
+detection parsing one row at a time, and detection evaluation one
+`Detection` row at a time. None of it shares code with the package under
+test, except that parse_row reads a row's fields with the parser's own
+field checks (`detstream._parse_head`, `_parse_embedding`): what
+parse_by_rows checks the batched parser against is the grouping into
+frames, the order in which a row's errors are raised, and each
+descriptor's values and normalization computed alone.
 """
 
 import itertools
@@ -20,8 +22,8 @@ import numpy as np
 import scipy.linalg
 import scipy.special
 
-from trafficstate.detstream import parse_row
-from trafficstate.errors import ParseError
+from trafficstate.detstream import Detection, _parse_embedding, _parse_head
+from trafficstate.errors import ParseError, ValidationError
 
 
 def brute_force_gated_assignment(values: np.ndarray, admissible: np.ndarray):
@@ -199,6 +201,41 @@ def greedy_match(detections, ground_truths, iou_threshold, same_class=True):
     return matched_gt
 
 
+def evaluate_by_rows(predictions, ground_truths, n_classes, iou_threshold):
+    """Detection evaluation over frame-indexed lists of Detection rows.
+
+    Each frame is matched twice by greedy_match, class-aware for the hit
+    labels and class-agnostic for the confusion counts; average precision
+    comes from threshold enumeration. Returns a dict with per-class n_gt,
+    labeled (confidence, hit) lists and ap (None without ground truth),
+    and map_50 and confusion.
+    """
+    n_gt = [0] * n_classes
+    labeled = [[] for _ in range(n_classes)]
+    confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
+    for frame in sorted(set(predictions) | set(ground_truths)):
+        dets, gts = predictions.get(frame, []), ground_truths.get(frame, [])
+        for box in list(dets) + list(gts):
+            if not 0 <= box.class_id < n_classes:
+                raise ValidationError(
+                    f"class id {box.class_id} outside the {n_classes}-class catalog")
+        for gt in gts:
+            n_gt[gt.class_id] += 1
+        hits = greedy_match(dets, gts, iou_threshold, same_class=True)
+        for det, j in zip(dets, hits):
+            labeled[det.class_id].append((det.confidence, j >= 0))
+        for det, j in zip(dets, greedy_match(dets, gts, iou_threshold, same_class=False)):
+            if j >= 0:
+                confusion[gts[j].class_id, det.class_id] += 1
+    ap = [threshold_enumeration_ap(labeled[k], n_gt[k]) if n_gt[k] else None
+          for k in range(n_classes)]
+    evaluated = [a for a in ap if a is not None]
+    if not evaluated:
+        raise ValidationError("no ground-truth instances to evaluate against")
+    return dict(n_gt=n_gt, labeled=labeled, ap=ap,
+                map_50=sum(evaluated) / len(evaluated), confusion=confusion)
+
+
 # -- trajectory assembly, one track row at a time -----------------------------------
 
 def assemble_by_rows(frames, calib):
@@ -265,6 +302,17 @@ def measure_by_rescan(trajectories, crosses, interval_s, fps, total_duration):
 
 
 # -- detection parsing, one row at a time ---------------------------------------
+
+def parse_row(parts, line_no, path):
+    """(frame, Detection, embedding dim) of one fully split row; dim 0 means
+    no descriptor."""
+    frame, x, y, w, h, conf, class_id = _parse_head(parts, line_no, path)
+    dim = len(parts) - 7
+    appearance = _parse_embedding(parts[7:], line_no, path) if dim > 0 else None
+    det = Detection(frame=frame, class_id=class_id, bbox=(x, y, w, h),
+                    confidence=conf, appearance=appearance)
+    return frame, det, dim
+
 
 def parse_by_rows(source, min_confidence=0.0, path=None):
     """Yield (frame, [Detection, ...]) per frame of a detection stream.

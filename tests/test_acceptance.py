@@ -49,7 +49,7 @@ from oracles import (
     simulate_constant_velocity,
     threshold_enumeration_ap,
 )
-from test_metrics import random_instance
+from test_metrics import random_instance, stack_frames
 
 
 def criterion(number, description):
@@ -306,7 +306,8 @@ def test_metrics_oracle():
         preds, gts = random_instance(rng)
         if not gts:
             continue
-        report = evaluate_detections(preds, gts, n_classes=3, iou_threshold=0.5)
+        report = evaluate_detections(stack_frames(preds), stack_frames(gts), n_classes=3,
+                                     iou_threshold=0.5)
         oracle_aps = [
             threshold_enumeration_ap(ce.labeled, ce.n_gt)
             for ce in report.per_class.values() if ce.n_gt > 0

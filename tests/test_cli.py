@@ -5,14 +5,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import trafficstate
-from trafficstate import synth
+from trafficstate import cli, synth
 from trafficstate.calib import CalibrationParams
 from trafficstate.cli import main
 from trafficstate.config import RunConfig, default_config_text, parse_config
-from trafficstate.detstream import write_detections
+from trafficstate.detstream import Detection, DetectionBatch, write_detections
+from trafficstate.tracker import Tracker
 from trafficstate.traffic import LineOfInterest, parse_intervals
 
 SCENARIO = """\
@@ -530,3 +532,100 @@ def test_track_output_bytes_are_pinned_from_file_and_stdin(tmp_path, monkeypatch
         intervals = (tmp_path / run / "intervals.txt").read_bytes()
         assert hashlib.sha256(tracks).hexdigest() == PINNED_TRACKS_SHA256
         assert hashlib.sha256(intervals).hexdigest() == PINNED_INTERVALS_SHA256
+
+
+def every_frame(batches, tracker):
+    """Every frame index from 1 to the last batch's, gaps filled with empty batches."""
+    next_frame = 1
+    for frame, batch in batches:
+        for empty in range(next_frame, frame):
+            yield empty, DetectionBatch.stack(empty, [])
+        yield frame, batch
+        next_frame = frame + 1
+
+
+def test_frame_gaps_give_the_bytes_of_stepping_every_frame(tmp_path, monkeypatch):
+    # the pinned scene minus frames 40-41 (confirmed tracks coast through) and
+    # 60-66 (they outlive max_age and end), plus its last row again at frame 400
+    rows = [line for line in pinned_scene_text().splitlines()
+            if not 40 <= int(line.split(",")[0]) <= 41
+            and not 60 <= int(line.split(",")[0]) <= 66]
+    rows.append("400," + rows[-1].split(",", 1)[1])
+    dets = write(tmp_path / "dets.txt", "\n".join(rows) + "\n")
+    cfg = write(tmp_path / "run.ini", PINNED_RUN_CONFIG)
+    assert main(["track", "--detections", dets, "--config", cfg,
+                 "--out-dir", str(tmp_path / "gaps")]) == 0
+    monkeypatch.setattr(cli, "_frames_to_step", every_frame)
+    assert main(["track", "--detections", dets, "--config", cfg,
+                 "--out-dir", str(tmp_path / "every")]) == 0
+    tracks = (tmp_path / "gaps" / "tracks.txt").read_text()
+    assert {"40", "41", "60"} <= {line.split("\t")[0] for line in tracks.splitlines()}
+    for name in ("tracks.txt", "intervals.txt"):
+        assert (tmp_path / "gaps" / name).read_bytes() == (tmp_path / "every" / name).read_bytes()
+
+
+def test_a_long_frame_gap_is_crossed_in_a_few_steps(tmp_path, monkeypatch):
+    stepped = []
+    step = Tracker.step
+
+    def counted(self, frame, batch):
+        stepped.append(frame)
+        return step(self, frame, batch)
+
+    monkeypatch.setattr(Tracker, "step", counted)
+    dets = write(tmp_path / "dets.txt", "1,10,10,5,5,0.9,0\n200000,10,10,5,5,0.9,0\n")
+    assert main(["track", "--detections", dets, "--out-dir", str(tmp_path)]) == 0
+    assert len(stepped) <= RunConfig().tracker.max_age + 3
+    assert stepped[0] == 1 and stepped[-1] == 200000
+
+
+# sha256 of eval_report.txt and confusion_matrix.txt for the scene below; a
+# change to the metrics layer that moves one byte of `eval` output must
+# update these on purpose
+PINNED_EVAL_REPORT_SHA256 = "7aebf7e66097f3b07c5a5a6323a7466dacb3f286ce213261b839778b68a9a53f"
+PINNED_CONFUSION_SHA256 = "988320c76b03eae2675f49574cabfa36e3395f2d4496441d474bc259f791fe36"
+
+
+def pinned_eval_texts() -> tuple[str, str]:
+    """(predictions, ground truth) of three overlapping lanes in four classes.
+
+    The ground truth is exact; half its rows drop the confidence column. The
+    predictions see the scene with 2 px noise and 10% misses, seeded
+    confidences, every ninth class label shifted and a false positive every
+    fifth frame.
+    """
+    agents = [synth.AgentSpec(class_id=k % 4, x0_m=-2.0 - 4.0 * k, y0_m=8.0 + 3.0 * (k % 3),
+                              vx_mps=10.0, vy_mps=0.0, spawn_frame=1 + 3 * k)
+              for k in range(9)]
+    spec = synth.ScenarioSpec(agents=agents, duration_s=2.0, fps=25.0,
+                              calibration=CalibrationParams(10.0, 10.0, 90.0), seed=4)
+    loi = LineOfInterest(a=(30.0, -100.0), b=(30.0, 100.0))
+    truth, _ = synth.generate(spec, loi, 1.0)
+    spec.noise_std_px, spec.miss_prob, spec.seed = 2.0, 0.1, 5
+    seen, _ = synth.generate(spec, loi, 1.0)
+    rng = np.random.default_rng(6)
+    for i, det in enumerate(d for _, dets in seen for d in dets):
+        det.confidence = float(rng.uniform(0.05, 1.0))
+        if i % 9 == 0:
+            det.class_id = (det.class_id + 1) % 4
+    for frame, dets in seen[::5]:
+        dets.append(Detection(frame=frame, class_id=frame % 4, bbox=(300.0, 60.0, 24.0, 48.0),
+                              confidence=float(rng.uniform(0.05, 1.0))))
+    pred, gt = io.StringIO(), io.StringIO()
+    write_detections(pred, seen)
+    write_detections(gt, truth)
+    gt_rows = [line.split(",") for line in gt.getvalue().splitlines()]
+    gt_text = "".join(",".join(parts[:5] + parts[6:] if i % 2 else parts) + "\n"
+                      for i, parts in enumerate(gt_rows))
+    return pred.getvalue(), gt_text
+
+
+def test_eval_output_bytes_are_pinned(tmp_path):
+    pred_text, gt_text = pinned_eval_texts()
+    pred = write(tmp_path / "pred.txt", pred_text)
+    gt = write(tmp_path / "gt.txt", gt_text)
+    assert main(["eval", "--pred", pred, "--gt", gt, "--out-dir", str(tmp_path / "out")]) == 0
+    report = (tmp_path / "out" / "eval_report.txt").read_bytes()
+    confusion = (tmp_path / "out" / "confusion_matrix.txt").read_bytes()
+    assert hashlib.sha256(report).hexdigest() == PINNED_EVAL_REPORT_SHA256
+    assert hashlib.sha256(confusion).hexdigest() == PINNED_CONFUSION_SHA256

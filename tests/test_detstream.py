@@ -8,7 +8,6 @@ from trafficstate.detstream import (
     Detection,
     DetectionBatch,
     format_detection,
-    iter_frames,
     normalize_appearance,
     parse_detections,
     write_detections,
@@ -150,15 +149,6 @@ def test_confidence_floor_drops_rows_but_keeps_frames():
     text = "1,0,0,10,10,0.2,0\n2,0,0,10,10,0.9,0\n"
     batches = parse_all(text, min_confidence=0.5)
     assert [(f, len(b)) for f, b in batches] == [(1, 0), (2, 1)]
-
-
-def test_iter_frames_fills_gaps():
-    batches = parse_all("2,0,0,10,10,1,0\n5,0,0,10,10,1,0\n")
-    filled = list(iter_frames(batches))
-    assert [f for f, _ in filled] == [1, 2, 3, 4, 5]
-    assert [b.frame for _, b in filled] == [1, 2, 3, 4, 5]
-    assert [len(b) for _, b in filled] == [0, 1, 0, 0, 1]
-    assert filled[1][1] is batches[0][1] and filled[4][1] is batches[1][1]
 
 
 def test_class_catalog_defaults_and_validation():

@@ -1,13 +1,17 @@
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.stats
 
-from trafficstate.detstream import Detection
-from trafficstate.errors import NumericalError, ValidationError
+from trafficstate import metrics
+from trafficstate.cli import main
+from trafficstate.detstream import Detection, DetectionBatch
+from trafficstate.errors import NumericalError, ParseError, ValidationError
 from trafficstate.metrics import (
+    ClassEval,
     EvalReport,
     average_precision,
     confusion_matrix,
@@ -32,50 +36,95 @@ def box(bbox, class_id=0, conf=1.0, frame=1):
     return Detection(frame=frame, class_id=class_id, bbox=bbox, confidence=conf)
 
 
+def batch(*boxes, frame=1):
+    """The DetectionBatch of Detection rows, moved to one frame."""
+    return DetectionBatch.stack(frame, [replace(b, frame=frame) for b in boxes])
+
+
+def stack_frames(frames):
+    """{frame: DetectionBatch} of frame-indexed lists of Detection rows."""
+    return {frame: DetectionBatch.stack(frame, dets) for frame, dets in frames.items()}
+
+
 # -- matching -----------------------------------------------------------------
 
 def test_match_perfect():
-    claimed = match_to_ground_truth([box((0, 0, 10, 10))], [box((0, 0, 10, 10))], 0.5)
-    assert claimed.dtype == np.int64 and claimed.tolist() == [0]
+    claimed = match_to_ground_truth(batch(box((0, 0, 10, 10))), batch(box((0, 0, 10, 10))), 0.5)
+    assert claimed.dtype == np.int64 and claimed.tolist() == [[0, 0]]
 
 
 def test_match_no_ground_truth():
-    assert match_to_ground_truth([box((0, 0, 10, 10))], [], 0.5).tolist() == [-1]
-    assert match_to_ground_truth([], [box((0, 0, 10, 10))], 0.5).tolist() == []
+    assert match_to_ground_truth(batch(box((0, 0, 10, 10))), batch(), 0.5).tolist() \
+        == [[-1, -1]]
+    claimed = match_to_ground_truth(batch(), batch(box((0, 0, 10, 10))), 0.5)
+    assert claimed.shape == (0, 2)
 
 
 def test_match_one_to_one_rule():
-    gt = [box((0, 0, 10, 10))]
-    dets = [box((0, 0, 10, 10), conf=0.9), box((1, 0, 10, 10), conf=0.8)]
-    assert match_to_ground_truth(dets, gt, 0.5).tolist() == [0, -1]
+    gt = batch(box((0, 0, 10, 10)))
+    dets = batch(box((0, 0, 10, 10), conf=0.9), box((1, 0, 10, 10), conf=0.8))
+    assert match_to_ground_truth(dets, gt, 0.5).tolist() == [[0, 0], [-1, -1]]
 
 
 def test_match_requires_same_class():
-    dets = [box((0, 0, 10, 10), class_id=1)]
-    gt = [box((0, 0, 10, 10), class_id=2)]
-    assert match_to_ground_truth(dets, gt, 0.5).tolist() == [-1]
-    assert match_to_ground_truth(dets, gt, 0.5, same_class=False).tolist() == [0]
+    # column 0 claims among the detection's own class, column 1 among all
+    dets = batch(box((0, 0, 10, 10), class_id=1))
+    gt = batch(box((0, 0, 10, 10), class_id=2))
+    assert match_to_ground_truth(dets, gt, 0.5).tolist() == [[-1, 0]]
+
+
+def test_match_columns_claim_independently():
+    # the confident class-1 detection takes the only ground truth class-blind,
+    # which leaves it to the class-0 detection among its own class
+    gt = batch(box((0, 0, 10, 10), class_id=0))
+    dets = batch(box((0, 0, 10, 10), class_id=1, conf=0.9),
+                 box((1, 0, 10, 10), class_id=0, conf=0.5))
+    assert match_to_ground_truth(dets, gt, 0.5).tolist() == [[-1, 0], [0, -1]]
 
 
 def test_match_prefers_highest_iou():
-    gt = [box((0, 0, 10, 10)), box((3, 0, 10, 10))]
-    det = box((2, 0, 10, 10))
-    assert match_to_ground_truth([det], gt, 0.3).tolist() == [1]
+    gt = batch(box((0, 0, 10, 10)), box((3, 0, 10, 10)))
+    det = batch(box((2, 0, 10, 10)))
+    assert match_to_ground_truth(det, gt, 0.3).tolist() == [[1, 1]]
 
 
 def test_match_equals_scalar_greedy_oracle():
     # equal IoUs: the first ground truth wins
-    twins = [box((0, 0, 10, 10)), box((0, 0, 10, 10))]
-    assert match_to_ground_truth([box((1, 0, 10, 10))], twins, 0.5).tolist() == [0]
+    twins = batch(box((0, 0, 10, 10)), box((0, 0, 10, 10)))
+    assert match_to_ground_truth(batch(box((1, 0, 10, 10))), twins, 0.5).tolist() == [[0, 0]]
     rng = np.random.default_rng(12)
     for _ in range(300):
         preds, gts = random_instance(rng)
         for frame in set(preds) | set(gts):
             dets, gt = preds.get(frame, []), gts.get(frame, [])
-            for same_class in (True, False):
-                for threshold in (0.3, 0.5):
-                    claimed = match_to_ground_truth(dets, gt, threshold, same_class)
-                    assert claimed.tolist() == greedy_match(dets, gt, threshold, same_class)
+            for threshold in (0.3, 0.5):
+                claimed = match_to_ground_truth(batch(*dets, frame=frame),
+                                                batch(*gt, frame=frame), threshold)
+                assert claimed.shape == (len(dets), 2)
+                assert claimed[:, 0].tolist() == greedy_match(dets, gt, threshold, True)
+                assert claimed[:, 1].tolist() == greedy_match(dets, gt, threshold, False)
+
+
+def test_match_ties_in_confidence_keep_input_order():
+    # equal confidences rank in input order, so the first detection claims
+    gt = batch(box((0, 0, 10, 10)))
+    dets = batch(box((1, 0, 10, 10), conf=0.5), box((0, 0, 10, 10), conf=0.5))
+    assert match_to_ground_truth(dets, gt, 0.5).tolist() == [[0, 0], [-1, -1]]
+
+
+def test_match_crowded_frame_with_tied_confidences_equals_oracle():
+    # far more detections than a sort's small-array path handles, each tied
+    # in confidence with about a third of the others and contending for the
+    # same few ground truths
+    rng = np.random.default_rng(31)
+    gt = [box((float(x), 0.0, 10, 10), class_id=int(k)) for x, k in
+          zip(rng.choice(np.arange(0, 200, 4), size=10, replace=False), rng.integers(0, 3, 10))]
+    dets = [box((g.bbox[0] + float(rng.integers(-2, 3)), 0.0, 10, 10),
+                class_id=int(rng.integers(0, 3)), conf=float(rng.choice([0.25, 0.5, 0.75])))
+            for g in (gt[i] for i in rng.integers(0, 10, size=80))]
+    claimed = match_to_ground_truth(batch(*dets), batch(*gt), 0.5)
+    assert claimed[:, 0].tolist() == greedy_match(dets, gt, 0.5, True)
+    assert claimed[:, 1].tolist() == greedy_match(dets, gt, 0.5, False)
 
 
 # -- scalar metrics ---------------------------------------------------------------
@@ -140,7 +189,8 @@ def test_ap_in_unit_interval_and_rank_invariance():
 
 
 def random_instance(rng):
-    """Small synthetic eval problem; returns (preds, gts) dicts by frame."""
+    """Small synthetic eval problem; returns (preds, gts) dicts of Detection
+    lists by frame."""
     preds, gts = {}, {}
     for frame in (1, 2):
         n_gt = int(rng.integers(0, 4))
@@ -178,7 +228,8 @@ def test_map_matches_threshold_enumeration_oracle_500_random():
         if not gts:
             continue
         try:
-            report = evaluate_detections(preds, gts, n_classes=3, iou_threshold=0.5)
+            report = evaluate_detections(stack_frames(preds), stack_frames(gts),
+                                         n_classes=3, iou_threshold=0.5)
         except ValidationError:
             continue
         oracle_aps = []
@@ -196,31 +247,46 @@ def test_map_matches_threshold_enumeration_oracle_500_random():
 
 # -- confusion matrix ----------------------------------------------------------------
 
+def test_confusion_matrix_counts_pairs():
+    mat = confusion_matrix(np.array([0, 0, 1, 2, 2]), np.array([0, 1, 1, 2, 2]), 3)
+    assert mat.dtype == np.int64
+    assert mat.tolist() == [[1, 1, 0], [0, 1, 0], [0, 0, 2]]
+    assert not confusion_matrix(np.empty(0, np.int64), np.empty(0, np.int64), 2).any()
+
+
 def test_confusion_identity_when_all_matches_same_class():
-    frames = [([box((0, 0, 10, 10), class_id=1), box((50, 50, 10, 10), class_id=2)],
-               [box((0, 0, 10, 10), class_id=1), box((50, 50, 10, 10), class_id=2)])]
-    mat = confusion_matrix(frames, n_classes=3)
-    assert np.array_equal(mat, np.array([[0, 0, 0], [0, 1, 0], [0, 0, 1]]))
+    boxes = [box((0, 0, 10, 10), class_id=1), box((50, 50, 10, 10), class_id=2)]
+    report = evaluate_detections({1: batch(*boxes)}, {1: batch(*boxes)}, n_classes=3)
+    assert np.array_equal(report.confusion, np.array([[0, 0, 0], [0, 1, 0], [0, 0, 1]]))
 
 
 def test_confusion_no_matches_zero_matrix():
-    frames = [([box((0, 0, 10, 10))], [box((500, 500, 10, 10))])]
-    mat = confusion_matrix(frames, n_classes=2)
-    assert not mat.any()
+    report = evaluate_detections({1: batch(box((0, 0, 10, 10)))},
+                                 {1: batch(box((500, 500, 10, 10)))}, n_classes=2)
+    assert not report.confusion.any()
 
 
 def test_confusion_row_counting_and_normalization():
-    gts = [box((0, 0, 10, 10), class_id=0), box((50, 0, 10, 10), class_id=0),
-           box((100, 0, 10, 10), class_id=0)]
-    dets = [box((0, 0, 10, 10), class_id=0), box((50, 0, 10, 10), class_id=0),
-            box((100, 0, 10, 10), class_id=1)]
-    report = EvalReport(per_class={}, map_50=0.0,
-                        confusion=confusion_matrix([(dets, gts)], 3),
-                        iou_threshold=0.5)
+    gts = batch(box((0, 0, 10, 10), class_id=0), box((50, 0, 10, 10), class_id=0),
+                box((100, 0, 10, 10), class_id=0))
+    dets = batch(box((0, 0, 10, 10), class_id=0), box((50, 0, 10, 10), class_id=0),
+                 box((100, 0, 10, 10), class_id=1))
+    report = evaluate_detections({1: dets}, {1: gts}, n_classes=3)
     normalized = report.confusion_normalized()
     assert normalized[0, 0] == pytest.approx(2 / 3)
     assert normalized[0, 1] == pytest.approx(1 / 3)
     assert normalized[1].sum() == 0.0
+
+
+def test_confusion_indexes_the_ground_truths_of_each_frame():
+    # frame 2's claims index frame 2's ground truths, not frame 1's
+    gts = {1: batch(box((0, 0, 10, 10), class_id=0)),
+           2: batch(box((0, 0, 10, 10), class_id=1), box((50, 0, 10, 10), class_id=2),
+                    frame=2)}
+    preds = {2: batch(box((50, 0, 10, 10), class_id=0), frame=2),
+             3: batch(box((0, 0, 10, 10), class_id=1), frame=3)}
+    report = evaluate_detections(preds, gts, n_classes=3)
+    assert report.confusion.tolist() == [[0, 0, 0], [0, 0, 0], [1, 0, 0]]
 
 
 # -- statistics -----------------------------------------------------------------------
@@ -301,19 +367,42 @@ def test_load_boxes_six_and_seven_column_forms():
     text = "1,0,0,10,10,3\n1,5,5,10,10,0.7,2\n"
     frames = load_boxes(io.StringIO(text), require_confidence=False)
     dets = frames[1]
-    assert dets[0].class_id == 3 and dets[0].confidence == 1.0
-    assert dets[1].class_id == 2 and dets[1].confidence == 1.0  # conf ignored
+    assert isinstance(dets, DetectionBatch) and dets.frame == 1
+    assert dets.class_ids.tolist() == [3, 2]
+    assert dets.confidence.tolist() == [1.0, 1.0]  # conf ignored
+    assert dets.boxes.tolist() == [[0, 0, 10, 10], [5, 5, 10, 10]]
+    assert dets.appearance.shape == (2, 0)
+
+
+def test_load_boxes_predictions_keep_confidence_in_any_frame_order():
+    text = "3,0,0,10,10,0.25,1\n1,5,5,10,10,0.5,2\n3,1,1,10,10,0.75,0\n"
+    frames = load_boxes(io.StringIO(text), require_confidence=True)
+    assert sorted(frames) == [1, 3]
+    assert frames[3].confidence.tolist() == [0.25, 0.75]
+    assert frames[3].class_ids.dtype == np.int64 and frames[3].class_ids.tolist() == [1, 0]
+
+
+def test_load_boxes_checks_descriptors_then_drops_them():
+    # rows may carry descriptors of any width, or none
+    text = "1,0,0,10,10,0.5,2,3,4\n1,5,5,10,10,0.5,2\n2,5,5,10,10,0.5,2,1,0,0\n"
+    frames = load_boxes(io.StringIO(text), require_confidence=True)
+    assert frames[1].appearance.shape == (2, 0) and frames[2].appearance.shape == (1, 0)
+    with pytest.raises(ParseError, match="p.txt:2: appearance descriptor has zero norm"):
+        load_boxes(io.StringIO("1,0,0,10,10,0.5,2,1\n1,0,0,10,10,0.5,2,0,0\n"),
+                   require_confidence=True, path="p.txt")
+    with pytest.raises(ParseError, match="g.txt:1: unparseable embedding"):
+        load_boxes(io.StringIO("1,0,0,10,10,0.5,2,x\n"), path="g.txt")
 
 
 def test_load_boxes_predictions_require_confidence():
-    with pytest.raises(Exception):
+    with pytest.raises(ParseError):
         load_boxes(io.StringIO("1,0,0,10,10,3\n"), require_confidence=True)
 
 
 def test_evaluate_and_write_reports():
-    gts = {1: [box((0, 0, 10, 10), class_id=0), box((50, 0, 10, 10), class_id=1)]}
-    preds = {1: [box((0, 0, 10, 10), class_id=0, conf=0.9),
-                 box((50, 0, 10, 10), class_id=1, conf=0.8)]}
+    gts = {1: batch(box((0, 0, 10, 10), class_id=0), box((50, 0, 10, 10), class_id=1))}
+    preds = {1: batch(box((0, 0, 10, 10), class_id=0, conf=0.9),
+                      box((50, 0, 10, 10), class_id=1, conf=0.8))}
     report = evaluate_detections(preds, gts, n_classes=2)
     assert report.map_50 == pytest.approx(1.0)
     buf = io.StringIO()
@@ -331,9 +420,9 @@ def test_evaluate_and_write_reports():
 def test_class_counts_derive_from_labels():
     # class 0: one hit, one duplicate (FP), one missed ground truth (FN);
     # class 1: a detection with no ground truth at all
-    gts = {1: [box((0, 0, 10, 10)), box((50, 0, 10, 10))]}
-    preds = {1: [box((0, 0, 10, 10), conf=0.9), box((1, 0, 10, 10), conf=0.8),
-                 box((200, 0, 10, 10), class_id=1, conf=0.7)]}
+    gts = {1: batch(box((0, 0, 10, 10)), box((50, 0, 10, 10)))}
+    preds = {1: batch(box((0, 0, 10, 10), conf=0.9), box((1, 0, 10, 10), conf=0.8),
+                      box((200, 0, 10, 10), class_id=1, conf=0.7))}
     report = evaluate_detections(preds, gts, n_classes=2)
     zero, one = report.per_class[0], report.per_class[1]
     assert zero.labeled == [(0.9, True), (0.8, False)]
@@ -342,12 +431,66 @@ def test_class_counts_derive_from_labels():
     assert type(zero.tp) is int
 
 
+def test_class_eval_counts_its_hits_once():
+    class CountingList(list):
+        iterations = 0
+
+        def __iter__(self):
+            CountingList.iterations += 1
+            return super().__iter__()
+
+    ce = ClassEval(n_gt=3, labeled=CountingList([(0.9, True), (0.8, False), (0.7, True)]))
+    assert (ce.tp, ce.fp, ce.fn) == (2, 1, 1)
+    assert (ce.precision, ce.recall) == (pytest.approx(2 / 3), pytest.approx(2 / 3))
+    assert ce.f1 == pytest.approx(2 / 3)
+    assert type(ce.tp) is int and CountingList.iterations == 1
+
+
 def test_evaluate_rejects_unknown_class():
-    gts = {1: [box((0, 0, 10, 10), class_id=5)]}
-    with pytest.raises(ValidationError):
+    gts = {1: batch(box((0, 0, 10, 10), class_id=5))}
+    with pytest.raises(ValidationError, match="class id 5 outside the 2-class catalog"):
         evaluate_detections({}, gts, n_classes=2)
+
+
+def test_evaluate_names_the_first_unknown_class():
+    # frames in order; within a frame, the detections before the ground truths
+    preds = {1: batch(box((0, 0, 10, 10), class_id=9)),
+             2: batch(box((0, 0, 10, 10), class_id=7), frame=2)}
+    gts = {1: batch(box((0, 0, 10, 10), class_id=5)),
+           0: batch(box((0, 0, 10, 10), class_id=1), box((0, 0, 10, 10), class_id=3),
+                    frame=0)}
+    with pytest.raises(ValidationError, match="^class id 3 outside"):
+        evaluate_detections(preds, gts, n_classes=2)
+    del gts[0]
+    with pytest.raises(ValidationError, match="^class id 9 outside"):
+        evaluate_detections(preds, gts, n_classes=2)
 
 
 def test_evaluate_requires_some_ground_truth():
     with pytest.raises(ValidationError):
-        evaluate_detections({1: [box((0, 0, 10, 10))]}, {}, n_classes=2)
+        evaluate_detections({1: batch(box((0, 0, 10, 10)))}, {}, n_classes=2)
+
+
+def test_eval_matches_each_frame_once(tmp_path, monkeypatch):
+    # frames 1 and 2 hold both files' rows, frame 3 predictions alone and
+    # frame 4 ground truth alone
+    calls = {"iou_matrix": 0, "match_to_ground_truth": 0, "confusion_matrix": 0}
+
+    def counted(name):
+        fn = getattr(metrics, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, name, wrapper)
+
+    for name in calls:
+        counted(name)
+    (tmp_path / "pred.txt").write_text("1,0,0,10,10,0.9,0\n2,50,0,10,10,0.8,1\n"
+                                       "3,300,0,10,10,0.7,0\n", encoding="utf-8")
+    (tmp_path / "gt.txt").write_text("1,1,0,10,10,0\n2,50,0,10,10,1\n4,0,0,10,10,0\n",
+                                     encoding="utf-8")
+    assert main(["eval", "--pred", str(tmp_path / "pred.txt"), "--gt", str(tmp_path / "gt.txt"),
+                 "--out-dir", str(tmp_path / "out")]) == 0
+    assert calls == {"iou_matrix": 4, "match_to_ground_truth": 4, "confusion_matrix": 1}
