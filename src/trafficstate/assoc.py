@@ -80,22 +80,23 @@ def motion_distances(y: np.ndarray, s: np.ndarray, ok: np.ndarray,
                      measurements: np.ndarray) -> np.ndarray:
     """All-pairs squared Mahalanobis distances (n, m).
 
-    y (n, 4) and s (n, 4, 4) are the tracks' projected measurement means
-    and covariances; rows with ok False get +inf. Each residual is whitened
-    by the explicit inverse of a Cholesky factor of s, L^-1 (z - y), and
-    its squares are summed: one 4 x 4 inverse per track and one batched
-    matmul cost less than a triangular solve against every residual.
+    y (n, 4) and s (n, 4) are the tracks' projected measurement means and
+    the diagonals of their covariances; rows with ok False get +inf. Each
+    residual is whitened componentwise by 1 / sqrt(s), with no matrix
+    factorization, and its squares are summed. A row marked ok whose
+    variances are not all positive raises NumericalError.
     """
     n, m = len(y), len(measurements)
     d1 = np.full((n, m), np.inf)
     if not ok.any() or m == 0:
         return d1
+    s = s[ok]
+    # written as not (all positive) so that NaN is rejected too
+    if not (s > 0).all():
+        raise NumericalError("projection covariance not positive-definite")
     resid = measurements.T[None, :, :] - y[ok][:, :, None]   # (k, 4, m)
-    try:
-        chol = np.linalg.cholesky(s[ok])
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"projection covariance not positive-definite: {exc}") from None
-    white = np.linalg.inv(chol) @ resid                       # (k, 4, m)
+    # einsum sums in the order of the memory layout, and resid is not C-ordered
+    white = np.ascontiguousarray((1.0 / np.sqrt(s))[:, :, None] * resid)
     d1[ok] = np.einsum("kim,kim->km", white, white)
     return d1
 

@@ -4,8 +4,16 @@ The 8-dimensional state is (u, v, g, h, du, dv, dg, dh): box center in
 pixels, aspect ratio, box height, and their per-frame velocities. Noise
 scales with box height, so near and far objects get comparable relative
 uncertainty. Every operation but `initiate` is batched over stacked
-states, mean (n, 8) and covariance (n, 8, 8), because the tracker keeps
-its live tracks in those arrays and touches all of them every frame.
+states, because the tracker keeps its live tracks in arrays.
+
+Three properties of the model keep the 8 x 8 covariance P sparse: the
+transition adds to each position its own velocity only, all three noises
+are diagonal, and the measurement picks the four positions. So P is four
+2 x 2 blocks, one per position and its velocity, and the innovation
+covariance S is diagonal. A covariance is held as (3, 4): rows a = P[i, i],
+b = P[i, i + 4] and c = P[i + 4, i + 4] for i over (u, v, g, h), and S as
+its (4,) diagonal. Every step is elementwise, in the rounding order of the
+dense matrix algebra, so both forms give the same bits.
 """
 
 from __future__ import annotations
@@ -13,9 +21,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NumericalError
-
-# Per-frame time step; real time enters only at the measurement stage.
-_DIM = 8
 
 # Floors applied after a correction step so downstream geometry stays defined.
 ASPECT_FLOOR = 1e-6
@@ -53,66 +58,47 @@ class KalmanFilter:
         self.aspect_meas_std = aspect_meas_std
         self.aspect_proc_std = aspect_proc_std
         self.aspect_vel_std = aspect_vel_std
-        self._F = np.eye(_DIM)
-        self._F[:4, 4:] = np.eye(4)  # position += velocity each frame
-        self._H = np.eye(4, _DIM)
 
-    # -- noise schedules ----------------------------------------------------
-
-    def _initiate_std(self, h):
-        wp, wv = self.pos_weight, self.vel_weight
-        one = np.ones_like(h)
-        return np.stack([
-            2 * wp * h, 2 * wp * h, self.aspect_proc_std * one, 2 * wp * h,
-            10 * wv * h, 10 * wv * h, self.aspect_vel_std * one, 10 * wv * h,
-        ], axis=-1)
-
-    def _process_std(self, h):
-        wp, wv = self.pos_weight, self.vel_weight
-        one = np.ones_like(h)
-        return np.stack([
-            wp * h, wp * h, self.aspect_proc_std * one, wp * h,
-            wv * h, wv * h, self.aspect_vel_std * one, wv * h,
-        ], axis=-1)
-
-    def _measurement_std(self, h):
-        wp = self.pos_weight
-        one = np.ones_like(h)
-        return np.stack([wp * h, wp * h, self.aspect_meas_std * one, wp * h], axis=-1)
+    def _variances(self, h, weight, aspect_std):
+        """Noise variances (..., 4) at box heights h (...): std weight * h on
+        u, v and h, and aspect_std on the aspect ratio g."""
+        std = np.stack([weight * h, weight * h, aspect_std * np.ones_like(h), weight * h],
+                       axis=-1)
+        return std * std
 
     def initiate(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(mean (8,), covariance (8, 8)) of a track started from a measurement
-        z (4,): center x, center y, aspect, height, with height > 0."""
-        mean = np.zeros(_DIM)
+        """(mean (8,), covariance blocks (3, 4)) of a track started from a
+        measurement z (4,): center x, center y, aspect, height, with height > 0.
+        The covariance is diagonal: its cross terms are 0."""
+        mean = np.zeros(8)
         mean[:4] = z
-        std = self._initiate_std(z[3])
-        return mean, np.diag(std * std)
+        cov = np.zeros((3, 4))
+        cov[0] = self._variances(z[3], 2 * self.pos_weight, self.aspect_proc_std)
+        cov[2] = self._variances(z[3], 10 * self.vel_weight, self.aspect_vel_std)
+        return mean, cov
 
     def predict_many(self, means: np.ndarray, covs: np.ndarray):
-        """Vectorized predict over stacked states (n, 8) and (n, 8, 8)."""
-        std = self._process_std(means[:, 3])
-        means = means @ self._F.T
-        covs = self._F @ covs @ self._F.T
-        idx = np.arange(_DIM)
-        covs[:, idx, idx] += std * std
-        covs = 0.5 * (covs + np.transpose(covs, (0, 2, 1)))
+        """Vectorized predict over stacked states (n, 8) and (n, 3, 4)."""
+        h = means[:, 3]
+        a, b, c = covs[:, 0], covs[:, 1], covs[:, 2]
+        means = np.hstack([means[:, :4] + means[:, 4:], means[:, 4:]])
+        q_pos = self._variances(h, self.pos_weight, self.aspect_proc_std)
+        q_vel = self._variances(h, self.vel_weight, self.aspect_vel_std)
+        # F P F^T + Q of each block [[a, b], [b, c]], with F = [[1, 1], [0, 1]]
+        covs = np.stack([((a + b) + (b + c)) + q_pos, b + c, c + q_vel], axis=1)
         return means, covs
 
     def project_many(self, means: np.ndarray, covs: np.ndarray):
-        """Vectorized project; returns (y (n,4), s (n,4,4), ok (n,) bool).
+        """Vectorized project; returns (y (n, 4), s (n, 4), ok (n,) bool),
+        where s is the diagonal of each innovation covariance.
 
         Rows whose innovation covariance is ill-conditioned come back with
         ok=False instead of raising, so the caller can gate them out.
         """
-        std = self._measurement_std(means[:, 3])
-        y = means[:, :4].copy()
-        s = covs[:, :4, :4].copy()
-        idx = np.arange(4)
-        s[:, idx, idx] += std * std
-        s = 0.5 * (s + np.transpose(s, (0, 2, 1)))
-        eig = np.linalg.eigvalsh(s)
-        ok = (eig[:, 0] > 0) & (eig[:, -1] <= MAX_CONDITION * eig[:, 0])
-        return y, s, ok
+        s = covs[:, 0] + self._variances(means[:, 3], self.pos_weight, self.aspect_meas_std)
+        lo = s.min(axis=1)
+        ok = (lo > 0) & (s.max(axis=1) <= MAX_CONDITION * lo)
+        return means[:, :4].copy(), s, ok
 
     def update_many(self, means: np.ndarray, covs: np.ndarray, measurements: np.ndarray,
                     y: np.ndarray, s: np.ndarray, ok: np.ndarray):
@@ -124,15 +110,18 @@ class KalmanFilter:
         """
         if not np.all(ok):
             raise NumericalError("ill-conditioned innovation covariance in batch")
-        # gain K = P H^T S^-1, via solve(S, H P) transposed per batch element
-        ph_t = covs[:, :, :4]
-        gain = np.transpose(
-            np.linalg.solve(s, np.transpose(ph_t, (0, 2, 1))), (0, 2, 1)
-        )
+        a, b, c = covs[:, 0], covs[:, 1], covs[:, 2]
+        # the gain P H^T S^-1 has one position and one velocity entry per
+        # measured component; OpenBLAS's solve of the dense form multiplies
+        # by 1 / S[i, i] instead of dividing by it, and so does this
+        inv = 1.0 / s
+        kp, kv = a * inv, b * inv
         innov = measurements - y
-        means = means + (gain @ innov[:, :, None])[:, :, 0]
-        covs = covs - gain @ s @ np.transpose(gain, (0, 2, 1))
+        means = np.hstack([means[:, :4] + kp * innov, means[:, 4:] + kv * innov])
         means[:, 2] = np.maximum(means[:, 2], ASPECT_FLOOR)
         means[:, 3] = np.maximum(means[:, 3], HEIGHT_FLOOR)
-        covs = 0.5 * (covs + np.transpose(covs, (0, 2, 1)))
+        # P - K S K^T; its two cross terms round differently and are averaged
+        kps, kvs = kp * s, kv * s
+        covs = np.stack([a - kps * kp, 0.5 * ((b - kps * kv) + (b - kvs * kp)),
+                         c - kvs * kv], axis=1)
         return means, covs

@@ -2,15 +2,16 @@
 
 The tracker keeps every live track in arrays with one row per track, in
 birth order, which is also id order: Kalman mean (n, 8) and covariance
-(n, 8, 8), confirmed flags, hit and miss counters, class-vote counts, and
-the fill count and next slot of a ring-buffer gallery (capacity, D) of
-appearance descriptors. The batched kernels of `motion` and `assoc` read
-these arrays directly; each frame appends its births once and drops its
-deleted tracks with one mask. The galleries themselves sit in one shared
-store whose rows are reused after their tracks end. A frame's detections
-enter `step` as arrays too, one `detstream.DetectionBatch` whose boxes,
-class ids and descriptors are read as they are, and the live tracks leave
-it the same way, as one `LiveTracks` record of arrays per frame.
+blocks (n, 3, 4) (see `motion`), confirmed flags, hit and miss counters,
+class-vote counts, and the fill count and next slot of a ring-buffer
+gallery (capacity, D) of appearance descriptors. The batched kernels of
+`motion` and `assoc` read these arrays directly; each frame appends its
+births once and drops its deleted tracks with one mask. The galleries
+themselves sit in one shared store whose rows are reused after their
+tracks end. A frame's detections enter `step` as arrays too, one
+`detstream.DetectionBatch` whose boxes, class ids and descriptors are
+read as they are, and the live tracks leave it the same way, as one
+`LiveTracks` record of arrays per frame.
 
 Every live track is projected into measurement space once per frame; the
 projection serves both matching stages and the Kalman update. Stage 1
@@ -91,7 +92,7 @@ class Tracker:
         self.kf = kf or motion.KalmanFilter()
         self._ids = np.empty(0, dtype=np.int64)
         self._mean = np.empty((0, 8))
-        self._cov = np.empty((0, 8, 8))
+        self._cov = np.empty((0, 3, 4))
         self._confirmed = np.empty(0, dtype=bool)
         self._hits = np.empty(0, dtype=np.int64)
         self._misses = np.empty(0, dtype=np.int64)  # frames since the last update
@@ -285,7 +286,7 @@ class Tracker:
         if k == 0:
             return
         mean = np.empty((k, 8))
-        cov = np.empty((k, 8, 8))
+        cov = np.empty((k, 3, 4))
         for i, z in enumerate(measurements):
             mean[i], cov[i] = self.kf.initiate(z)
         grow = k - len(self._free)

@@ -2,11 +2,13 @@
 
 Everything here is deliberately brute force: permutation enumeration for
 assignment, threshold enumeration for average precision, direct
-definition-scanning for the interpolated precision, and one-track,
-one-pair scalar forms of the engine's batched Kalman, distance and IoU
-kernels, the calibration transform with its trigonometry evaluated
-afresh on every call, trajectory assembly one track row at a time,
-detection parsing one row at a time, and detection evaluation one
+definition-scanning for the interpolated precision, one-track, one-pair
+scalar forms of the engine's batched Kalman, distance and IoU kernels,
+the Kalman steps and the Mahalanobis distance batched in their dense
+8-by-8 form with LAPACK calls, which the engine's elementwise block form
+must match bit for bit, the calibration transform with its trigonometry
+evaluated afresh on every call, trajectory assembly one track row at a
+time, detection parsing one row at a time, and detection evaluation one
 `Detection` row at a time. None of it shares code with the package under
 test, except that parse_row reads a row's fields with the parser's own
 field checks (`detstream._parse_head`, `_parse_embedding`): what
@@ -23,7 +25,7 @@ import scipy.linalg
 import scipy.special
 
 from trafficstate.detstream import Detection, _parse_embedding, _parse_head
-from trafficstate.errors import ParseError, ValidationError
+from trafficstate.errors import NumericalError, ParseError, ValidationError
 
 
 def brute_force_gated_assignment(values: np.ndarray, admissible: np.ndarray):
@@ -130,6 +132,90 @@ def kalman_update(kf, mean, cov, z):
     mean[2] = max(mean[2], 1e-6)  # aspect and height floors
     mean[3] = max(mean[3], 1e-6)
     return mean, 0.5 * (cov + cov.T)
+
+
+# -- the filter's batched steps in dense 8 x 8 form ------------------------------
+# The engine holds each covariance as (3, 4) blocks and works elementwise;
+# these are the same steps written with full matrices and LAPACK calls.
+
+def dense_covariance(blocks):
+    """(n, 8, 8) covariances from (n, 3, 4) blocks: rows a = P[i, i],
+    b = P[i, i + 4] = P[i + 4, i] and c = P[i + 4, i + 4]."""
+    blocks = np.asarray(blocks, dtype=np.float64)
+    i = np.arange(4)
+    dense = np.zeros((len(blocks), 8, 8))
+    dense[:, i, i] = blocks[:, 0]
+    dense[:, i, i + 4] = blocks[:, 1]
+    dense[:, i + 4, i] = blocks[:, 1]
+    dense[:, i + 4, i + 4] = blocks[:, 2]
+    return dense
+
+
+def _stds(kf, h):
+    """(process (n, 8), measurement (n, 4)) noise stds at box heights h (n,)."""
+    wp, wv = kf.pos_weight, kf.vel_weight
+    one = np.ones_like(h)
+    process = np.stack([wp * h, wp * h, kf.aspect_proc_std * one, wp * h,
+                        wv * h, wv * h, kf.aspect_vel_std * one, wv * h], axis=-1)
+    measurement = np.stack([wp * h, wp * h, kf.aspect_meas_std * one, wp * h], axis=-1)
+    return process, measurement
+
+
+def dense_predict_many(kf, means, covs):
+    """Predict of stacked states (n, 8) and dense covariances (n, 8, 8)."""
+    std = _stds(kf, means[:, 3])[0]
+    f = _transition()
+    means = means @ f.T
+    covs = f @ covs @ f.T
+    idx = np.arange(8)
+    covs[:, idx, idx] += std * std
+    covs = 0.5 * (covs + np.transpose(covs, (0, 2, 1)))
+    return means, covs
+
+
+def dense_project_many(kf, means, covs):
+    """(y (n, 4), S (n, 4, 4), ok (n,)): ok is the eigenvalue condition test."""
+    std = _stds(kf, means[:, 3])[1]
+    y = means[:, :4].copy()
+    s = covs[:, :4, :4].copy()
+    idx = np.arange(4)
+    s[:, idx, idx] += std * std
+    s = 0.5 * (s + np.transpose(s, (0, 2, 1)))
+    eig = np.linalg.eigvalsh(s)
+    ok = (eig[:, 0] > 0) & (eig[:, -1] <= 1e12 * eig[:, 0])
+    return y, s, ok
+
+
+def dense_update_many(means, covs, measurements, y, s, ok):
+    """Update of dense states by a gain from a LAPACK solve against S (n, 4, 4)."""
+    if not np.all(ok):
+        raise NumericalError("ill-conditioned innovation covariance in batch")
+    ph_t = covs[:, :, :4]
+    gain = np.transpose(np.linalg.solve(s, np.transpose(ph_t, (0, 2, 1))), (0, 2, 1))
+    innov = measurements - y
+    means = means + (gain @ innov[:, :, None])[:, :, 0]
+    covs = covs - gain @ s @ np.transpose(gain, (0, 2, 1))
+    means[:, 2] = np.maximum(means[:, 2], 1e-6)  # aspect and height floors
+    means[:, 3] = np.maximum(means[:, 3], 1e-6)
+    covs = 0.5 * (covs + np.transpose(covs, (0, 2, 1)))
+    return means, covs
+
+
+def cholesky_motion_distances(y, s, ok, measurements):
+    """All-pairs squared Mahalanobis distances (n, m) against dense S (n, 4, 4),
+    each residual whitened by the inverse of a Cholesky factor; +inf where
+    ok is False."""
+    d1 = np.full((len(y), len(measurements)), np.inf)
+    if not ok.any() or len(measurements) == 0:
+        return d1
+    resid = measurements.T[None, :, :] - y[ok][:, :, None]
+    try:
+        chol = np.linalg.cholesky(s[ok])
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"projection covariance not positive-definite: {exc}") from None
+    white = np.linalg.inv(chol) @ resid
+    d1[ok] = np.einsum("kim,kim->km", white, white)
+    return d1
 
 
 # -- association distances, one pair at a time ----------------------------------

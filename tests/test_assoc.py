@@ -37,7 +37,8 @@ def det(bbox, appearance=None, frame=1, class_id=0, conf=1.0):
 
 
 def mahalanobis(y, s, d):
-    """Engine distance of one measurement from one projection."""
+    """Engine distance of one measurement from one projection, whose
+    covariance is given by its diagonal s (4,)."""
     return motion_distances(np.asarray(y, float)[None], np.asarray(s, float)[None],
                             np.array([True]), np.asarray(d, float)[None])[0, 0]
 
@@ -69,11 +70,11 @@ def cosine(members, r):
 
 
 def cost_matrix(projections, galleries, dets, lam, **gates):
-    """build_cost_matrix over (y, s) projections (None: unusable), gallery
-    member lists and Detection objects."""
+    """build_cost_matrix over (y, s) projections (None: unusable), s the
+    (4,) covariance diagonal, gallery member lists and Detection objects."""
     ok = np.array([p is not None for p in projections])
     y = np.array([p[0] if p is not None else np.zeros(4) for p in projections], float)
-    s = np.array([p[1] if p is not None else np.eye(4) for p in projections], float)
+    s = np.array([p[1] if p is not None else np.ones(4) for p in projections], float)
     dim = max([len(d.appearance) for d in dets if d.appearance is not None], default=0)
     has_desc = np.array([d.appearance is not None for d in dets])
     descs = np.array([d.appearance if d.appearance is not None else np.zeros(dim)
@@ -96,15 +97,15 @@ def galleries(descriptors, capacity=100):
 # -- mahalanobis ------------------------------------------------------------
 
 def test_mahalanobis_zero_residual():
-    assert mahalanobis([1, 2, 3, 4], np.diag([2.0, 3, 4, 5]), [1.0, 2, 3, 4]) == 0.0
+    assert mahalanobis([1, 2, 3, 4], [2.0, 3, 4, 5], [1.0, 2, 3, 4]) == 0.0
 
 
 def test_mahalanobis_identity_is_squared_euclidean():
-    assert mahalanobis([0, 0, 0, 0], np.eye(4), [3.0, 4, 0, 0]) == pytest.approx(25.0)
+    assert mahalanobis([0, 0, 0, 0], np.ones(4), [3.0, 4, 0, 0]) == pytest.approx(25.0)
 
 
 def test_mahalanobis_diagonal():
-    assert mahalanobis([0, 0, 0, 0], np.diag([4.0, 1, 1, 1]), [2.0, 0, 0, 0]) \
+    assert mahalanobis([0, 0, 0, 0], [4.0, 1, 1, 1], [2.0, 0, 0, 0]) \
         == pytest.approx(1.0)
 
 
@@ -114,7 +115,7 @@ def test_mahalanobis_scaled_identity_property():
         sigma2 = rng.uniform(0.1, 50.0)
         y = rng.normal(size=4)
         d = rng.normal(size=4)
-        got = mahalanobis(y, sigma2 * np.eye(4), d)
+        got = mahalanobis(y, sigma2 * np.ones(4), d)
         want = float((d - y) @ (d - y)) / sigma2
         assert got == pytest.approx(want, abs=1e-9, rel=1e-9)
         assert got == pytest.approx(mahalanobis_sq(y, sigma2 * np.eye(4), d),
@@ -123,7 +124,7 @@ def test_mahalanobis_scaled_identity_property():
 
 def test_mahalanobis_rejects_non_pd():
     with pytest.raises(NumericalError):
-        mahalanobis([0, 0, 0, 0], -np.eye(4), np.zeros(4))
+        mahalanobis([0, 0, 0, 0], -np.ones(4), np.zeros(4))
 
 
 # -- gallery + cosine distance ------------------------------------------------
@@ -237,7 +238,7 @@ def gate_inputs(d1, d2):
     side = np.array([query[1], -query[0]])
     member = (1.0 - d2) * query + np.sqrt(1.0 - (1.0 - d2) ** 2) * side
     z = np.array([np.sqrt(d1), 0.0, 1.0, 10.0])     # unit covariance: d1 = z0^2
-    return ([0, 0, 1, 10], np.eye(4)), member, det((z[0] - 5, -5, 10, 10), appearance=query)
+    return ([0, 0, 1, 10], np.ones(4)), member, det((z[0] - 5, -5, 10, 10), appearance=query)
 
 
 def gate_pair(d1, d2, t1, t2):
@@ -303,7 +304,7 @@ def test_iou_rejects_degenerate_boxes():
 # -- cost matrix -----------------------------------------------------------------
 
 def two_track_setup():
-    projections = [([0, 0, 1, 10], np.eye(4)), ([50, 0, 1, 10], np.eye(4))]
+    projections = [([0, 0, 1, 10], np.ones(4)), ([50, 0, 1, 10], np.ones(4))]
     galleries = [[[1.0, 0.0]], [[0.0, 1.0]]]
     d1 = det((-5, -5, 10, 10), appearance=[1.0, 0.0])    # center (0,0) near track 1
     d2 = det((45, -5, 10, 10), appearance=[0.0, 1.0])    # center (50,0) near track 2
@@ -318,7 +319,7 @@ def test_cost_matrix_lambda_one_is_motion_only():
             if cm.admissible[i, j]:
                 x, yy, w, h = d.bbox
                 z = np.array([x + w / 2, yy + h / 2, w / h, h])
-                assert cm.values[i, j] == pytest.approx(mahalanobis_sq(np.array(y, float), s, z))
+                assert cm.values[i, j] == pytest.approx(mahalanobis_sq(np.array(y, float), np.diag(s), z))
 
 
 def test_cost_matrix_lambda_zero_is_appearance_only():
@@ -334,7 +335,7 @@ def test_cost_matrix_lambda_zero_is_appearance_only():
 
 def test_cost_matrix_convex_combination():
     # d_motion = 4, d_appearance = 0.2 at lambda 0.5 -> 2.1
-    projections = [([0, 0, 1, 10], np.eye(4))]
+    projections = [([0, 0, 1, 10], np.ones(4))]
     z = np.array([2.0, 0.0, 1.0, 10.0])
     bbox = (z[0] - 5, z[1] - 5, 10, 10)
     query = unit([1.0, 3.0])
@@ -348,7 +349,7 @@ def test_cost_matrix_convex_combination():
 
 
 def test_cost_matrix_missing_appearance_falls_back_to_motion():
-    projections = [([0, 0, 1, 10], np.eye(4))]
+    projections = [([0, 0, 1, 10], np.ones(4))]
     d = det((-5, -5, 10, 10))  # no descriptor
     cm = cost_matrix(projections, [[]], [d], lam=0.0)
     assert cm.admissible[0, 0]
@@ -358,7 +359,7 @@ def test_cost_matrix_missing_appearance_falls_back_to_motion():
 
 
 def test_cost_matrix_gating_sets_sentinel():
-    projections = [([0, 0, 1, 10], np.eye(4))]
+    projections = [([0, 0, 1, 10], np.ones(4))]
     far = det((995, -5, 10, 10))
     cm = cost_matrix(projections, [[]], [far], lam=1.0)
     assert not cm.admissible[0, 0]
@@ -433,7 +434,7 @@ def test_all_pairs_in_gate_stays_within_the_stacked_footprint(fills):
     rows = rng.permutation(2 * n)[:n]
     gallery = unit_rows(rng, (2 * n, cap, dim))
     y = np.tile([5.0, 5.0, 1.0, 10.0], (n, 1))
-    s = np.tile(np.eye(4), (n, 1, 1))
+    s = np.ones((n, 4))
     ok = np.ones(n, bool)
     has_desc = np.ones(m, bool)
     args = (y, s, ok, np.tile(y[0], (m, 1)), gallery, rows, fill, unit_rows(rng, (m, dim)))

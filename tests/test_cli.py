@@ -534,6 +534,23 @@ def test_track_output_bytes_are_pinned_from_file_and_stdin(tmp_path, monkeypatch
         assert hashlib.sha256(intervals).hexdigest() == PINNED_INTERVALS_SHA256
 
 
+def test_track_does_no_matrix_algebra(tmp_path, monkeypatch):
+    # the filter and the motion distance are elementwise on covariance
+    # blocks: no eigensolver, solve, factorization or inverse runs
+    def forbidden(*args, **kwargs):
+        raise AssertionError("matrix algebra in track")
+
+    for name in ("eigvalsh", "solve", "cholesky", "inv"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    cfg = write(tmp_path / "run.ini", PINNED_RUN_CONFIG)
+    dets = write(tmp_path / "dets.txt", pinned_scene_text())
+    assert main(["track", "--detections", dets, "--config", cfg,
+                 "--out-dir", str(tmp_path)]) == 0
+    for name, pinned in (("tracks.txt", PINNED_TRACKS_SHA256),
+                         ("intervals.txt", PINNED_INTERVALS_SHA256)):
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == pinned
+
+
 def every_frame(batches, tracker):
     """Every frame index from 1 to the last batch's, gaps filled with empty batches."""
     next_frame = 1

@@ -5,10 +5,19 @@ from trafficstate.assoc import measurements_of
 from trafficstate.errors import NumericalError
 from trafficstate.motion import KalmanFilter, bbox_from_state
 
-from oracles import kalman_predict, kalman_project, kalman_update, simulate_constant_velocity
+from oracles import (
+    dense_covariance,
+    kalman_predict,
+    kalman_project,
+    kalman_update,
+    simulate_constant_velocity,
+)
 
 # near-zero measurement noise: the right setting for noiseless streams
 EXACT_KF = dict(pos_weight=1e-6)
+
+# the identity covariance as (3, 4) blocks: unit variances, no cross terms
+EYE = np.array([[1.0] * 4, [0.0] * 4, [1.0] * 4])
 
 
 def random_state(rng):
@@ -19,13 +28,13 @@ def random_state(rng):
     mean[4:6] = rng.normal(scale=4.0, size=2)       # px/frame
     mean[6] = rng.normal(scale=0.01)
     mean[7] = rng.normal(scale=2.0)
-    a = rng.normal(size=(8, 8))
-    cov = a @ a.T + 1e-3 * np.eye(8)
-    return mean, cov
+    a, c = rng.uniform(1e-3, 10.0, size=(2, 4))
+    b = rng.uniform(-0.99, 0.99, size=4) * np.sqrt(a * c)   # |b| < sqrt(ac): PD blocks
+    return mean, np.stack([a, b, c])
 
 
 def random_states(rng, n):
-    """n random states stacked as (n, 8) means and (n, 8, 8) covariances."""
+    """n random states stacked as (n, 8) means and (n, 3, 4) covariance blocks."""
     states = [random_state(rng) for _ in range(n)]
     return np.stack([m for m, _ in states]), np.stack([c for _, c in states])
 
@@ -58,13 +67,14 @@ def test_initiate_square_box():
 
 def test_initiate_covariance_psd_diagonal():
     _, cov = KalmanFilter().initiate(measurement((5, -3, 17, 23)))
-    assert np.array_equal(cov, np.diag(np.diag(cov)))
-    assert np.all(np.linalg.eigvalsh(cov) > 0)
+    assert cov.shape == (3, 4)
+    assert np.all(cov[1] == 0)
+    assert np.all(cov[0] > 0) and np.all(cov[2] > 0)
 
 
 def test_predict_moves_position_by_velocity():
     kf = KalmanFilter()
-    means, _ = kf.predict_many(*one([10.0, 10, 1, 100, 2, 3, 0, 0], np.eye(8)))
+    means, _ = kf.predict_many(*one([10.0, 10, 1, 100, 2, 3, 0, 0], EYE))
     assert np.allclose(means[0, :4], [12, 13, 1, 100])
     assert np.allclose(means[0, 4:], [2, 3, 0, 0])
 
@@ -72,7 +82,7 @@ def test_predict_moves_position_by_velocity():
 def test_predict_zero_velocity_fixed_point():
     kf = KalmanFilter()
     mean = np.array([10.0, 20, 0.5, 40, 0, 0, 0, 0])
-    means, _ = kf.predict_many(*one(mean, np.eye(8)))
+    means, _ = kf.predict_many(*one(mean, EYE))
     assert np.allclose(means[0, :4], mean[:4])
 
 
@@ -82,22 +92,23 @@ def test_predict_increases_covariance_trace():
     means, covs = random_states(rng, 20)
     means[:, 4:] = 0  # keep F neutral on positions, isolate additive Q
     _, out = kf.predict_many(means, covs)
-    assert np.all(np.trace(out, axis1=1, axis2=2) > np.trace(covs, axis1=1, axis2=2))
+    assert np.all(np.trace(dense_covariance(out), axis1=1, axis2=2)
+                  > np.trace(dense_covariance(covs), axis1=1, axis2=2))
 
 
 def test_project_selects_position_block():
     kf = KalmanFilter()
     mean = np.array([1.0, 2, 0.5, 50, 9, 9, 9, 9])
-    y, _, _ = kf.project_many(*one(mean, np.eye(8)))
+    y, _, _ = kf.project_many(*one(mean, EYE))
     assert np.array_equal(y[0], mean[:4])
 
 
 def test_project_adds_measurement_noise_to_identity_cov():
     kf = KalmanFilter()
-    _, s, ok = kf.project_many(*one([0.0, 0, 1, 40, 0, 0, 0, 0], np.eye(8)))
+    _, s, ok = kf.project_many(*one([0.0, 0, 1, 40, 0, 0, 0, 0], EYE))
     std = np.array([40 / 20, 40 / 20, 1e-1, 40 / 20])
     assert ok[0]
-    assert np.allclose(s[0], np.eye(4) + np.diag(std * std))
+    assert np.allclose(s[0], 1.0 + std * std)
 
 
 def test_project_s_minus_r_psd():
@@ -107,13 +118,13 @@ def test_project_s_minus_r_psd():
     _, s, _ = kf.project_many(means, covs)
     for h, s_i in zip(means[:, 3], s):
         std = np.array([h / 20, h / 20, 1e-1, h / 20])
-        diff = s_i - np.diag(std * std)
-        assert np.min(np.linalg.eigvalsh(diff)) >= -1e-9
+        diff = s_i - std * std
+        assert np.min(diff) >= -1e-9
 
 
 def test_project_rejects_ill_conditioned():
     kf = KalmanFilter(pos_weight=1e-12)
-    cov = np.zeros((8, 8))
+    cov = np.zeros((3, 4))
     cov[0, 0] = 1e14  # condition vastly above the guard with tiny R elsewhere
     means, covs = one([0.0, 0, 1, 1e-3, 0, 0, 0, 0], cov)
     y, s, ok = kf.project_many(means, covs)
@@ -161,7 +172,7 @@ def test_predict_update_preserve_symmetry_and_psd():
     means, covs = kf.predict_many(means, covs)
     zs = means[:, :4] + rng.normal(scale=5.0, size=(200, 4))
     _, upd = update(kf, means, covs, zs)
-    for cov in (covs, upd):
+    for cov in map(dense_covariance, (covs, upd)):
         assert np.allclose(cov, np.transpose(cov, (0, 2, 1)), atol=1e-9)
         assert np.min(np.linalg.eigvalsh(cov)) >= -1e-9
 
@@ -182,7 +193,7 @@ def test_posterior_mean_between_prior_and_measurement():
     kf = KalmanFilter()
     mean = np.array([0.0, 0, 1, 40, 0, 0, 0, 0])
     z = np.array([10.0, -10.0, 1.0, 40.0])
-    out, _ = update(kf, *one(mean, np.diag([4.0] * 4 + [1.0] * 4)), z[None])
+    out, _ = update(kf, *one(mean, [[4.0] * 4, [0.0] * 4, [1.0] * 4]), z[None])
     for i in (0, 1):
         lo, hi = sorted((mean[i], z[i]))
         assert lo <= out[0, i] <= hi
@@ -194,21 +205,21 @@ def test_batched_ops_match_single():
     means, covs = random_states(rng, 7)
     pm, pc = kf.predict_many(means.copy(), covs.copy())
     for i in range(7):
-        mean, cov = kalman_predict(kf, means[i], covs[i])
+        mean, cov = kalman_predict(kf, means[i], dense_covariance(covs)[i])
         assert np.allclose(mean, pm[i], atol=1e-12)
-        assert np.allclose(cov, pc[i], atol=1e-12)
+        assert np.allclose(cov, dense_covariance(pc)[i], atol=1e-12)
     ys, ss, ok = kf.project_many(pm, pc)
     assert ok.all()
     for i in range(7):
-        y, s = kalman_project(kf, pm[i], pc[i])
+        y, s = kalman_project(kf, pm[i], dense_covariance(pc)[i])
         assert np.array_equal(y, ys[i])
-        assert np.allclose(s, ss[i], atol=1e-12)
+        assert np.allclose(s, np.diag(ss[i]), atol=1e-12)
     zs = ys + rng.normal(scale=2.0, size=ys.shape)
     um, uc = kf.update_many(pm.copy(), pc.copy(), zs, ys, ss, ok)
     for i in range(7):
-        mean, cov = kalman_update(kf, pm[i], pc[i], zs[i])
+        mean, cov = kalman_update(kf, pm[i], dense_covariance(pc)[i], zs[i])
         assert np.allclose(mean, um[i], atol=1e-9)
-        assert np.allclose(cov, uc[i], atol=1e-9)
+        assert np.allclose(cov, dense_covariance(uc)[i], atol=1e-9)
     # rows project and update independently: a subset with its rows of the
     # whole batch's projection gives the same bits
     rows = np.array([5, 0, 3])
