@@ -21,16 +21,16 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import ValidationError
+from .errors import positive, require
 
 
 @dataclass(frozen=True)
 class CalibrationParams:
     """Five-parameter image-to-world calibration.
 
-    phi, omega : magnification factors along X and Y (> 0)
+    phi, omega : magnification factors along X and Y (finite, > 0)
     delta_deg  : angle of the skewed axis with the X axis, degrees, in (0, 180)
-    x0, y0     : geodetic coordinates of the reference point, meters
+    x0, y0     : geodetic coordinates of the reference point, meters (finite)
     """
 
     phi: float
@@ -40,14 +40,9 @@ class CalibrationParams:
     y0: float = 0.0
 
     def __post_init__(self):
-        if not self.phi > 0:
-            raise ValidationError(f"phi must be > 0, got {self.phi}")
-        if not self.omega > 0:
-            raise ValidationError(f"omega must be > 0, got {self.omega}")
-        if not 0.0 < self.delta_deg < 180.0:
-            raise ValidationError(
-                f"delta_deg must lie strictly between 0 and 180, got {self.delta_deg}"
-            )
+        require(self, "phi omega", positive, "finite and > 0")
+        require(self, "x0 y0", math.isfinite, "finite")
+        require(self, "delta_deg", lambda v: 0.0 < v < 180.0, "strictly between 0 and 180")
 
 
 @dataclass(frozen=True)
@@ -64,9 +59,7 @@ class ReferenceObject:
     apparent_y_px: float
 
     def __post_init__(self):
-        for name in ("true_x_m", "true_y_m", "apparent_x_px", "apparent_y_px"):
-            if not getattr(self, name) > 0:
-                raise ValidationError(f"{name} must be > 0, got {getattr(self, name)}")
+        require(self, "true_x_m true_y_m apparent_x_px apparent_y_px", lambda v: v > 0, "> 0")
 
 
 def derive_magnification(ref: ReferenceObject) -> tuple[float, float]:

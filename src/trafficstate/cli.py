@@ -7,11 +7,12 @@ Every subcommand is deterministic given its inputs (and seed).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
 from . import detstream, metrics, synth, traffic
-from .config import RunConfig, default_config_text, parse_config
+from .config import default_config_text, parse_config
 from .detstream import ClassCatalog, DetectionBatch
 from .errors import NumericalError, ValidationError
 from .tracker import Tracker
@@ -45,8 +46,7 @@ def _frames_to_step(batches, tracker: Tracker):
 
 
 def cmd_track(detections_path: str, config_path: str | None, out_dir: str) -> int:
-    cfg = parse_config(_read_text(config_path)) if config_path else RunConfig()
-    loi = cfg.loi_world()   # a bad line of interest fails before any output exists
+    cfg = parse_config(_read_text(config_path), config_path) if config_path else parse_config("")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -77,7 +77,7 @@ def cmd_track(detections_path: str, config_path: str | None, out_dir: str) -> in
     duration = cfg.duration_s if cfg.duration_s is not None else last_frame / cfg.fps
     trajectories = traffic.assemble_trajectories(frames, cfg.calibration)
     measurements = traffic.measure_intervals(
-        trajectories, loi, cfg.interval_s, cfg.fps, duration
+        trajectories, cfg.loi, cfg.interval_s, cfg.fps, duration
     )
     with open(out / cfg.intervals_name, "w", encoding="utf-8") as f:
         traffic.write_intervals(f, measurements)
@@ -198,10 +198,9 @@ def cmd_stats(measured_path: str, truth_path: str, out_dir: str) -> int:
 
 
 def cmd_synth(spec_path: str, seed: int | None, out_dir: str) -> int:
-    spec, loi_px, direction, interval_s = synth.parse_scenario(_read_text(spec_path))
+    spec, loi, interval_s = synth.parse_scenario(_read_text(spec_path), spec_path)
     if seed is not None:
-        spec.seed = seed
-    loi = traffic.loi_to_world(loi_px, direction, spec.calibration)
+        spec = dataclasses.replace(spec, seed=seed)
     batches, truth = synth.generate(spec, loi, interval_s)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

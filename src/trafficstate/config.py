@@ -1,21 +1,27 @@
-"""Run configuration: one sectioned key-value file drives the pipeline.
+"""Run configuration, and the one INI reader behind run configs and scenario files.
 
-Sections: [calibration] (five parameters, or a reference object to derive
-the magnifications), [loi] (pixel endpoints plus optional direction),
-[tracking], [measure], [io]. Every default is explicit in
-`default_config_text`, which `print-config` emits verbatim.
+A run config has the sections [calibration] (five parameters, or a
+reference object to derive the magnifications), [loi] (pixel endpoints
+plus optional direction), [tracking], [measure] and [io]. `parse_config`
+reads the file over `DEFAULT_CONFIG`, which `print-config` emits verbatim
+and whose [tracking] values are formatted from `TrackerConfig()`, so each
+default is written once. `read_ini`, the getter `ini_value` and the section
+readers also read `synth` scenario files. The reader only converts text;
+the types that own the values check their ranges. Every error names the
+file, the section and the key.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
-from typing import Optional
+from contextlib import contextmanager
+from dataclasses import MISSING, asdict, dataclass, fields
+from typing import Mapping, Optional
 
 from .calib import CalibrationParams, ReferenceObject, derive_magnification
-from .errors import ValidationError
+from .errors import ValidationError, positive, require
 from .tracker import TrackerConfig
-from .traffic import LineOfInterest, loi_to_world
+from .traffic import LineOfInterest, interval_count, loi_to_world
 
 DEFAULT_CONFIG = """\
 [calibration]
@@ -41,13 +47,7 @@ by_px = 500.0
 direction =
 
 [tracking]
-cost_lambda = 0.0
-motion_gate = 9.4877
-appearance_gate = 0.2
-iou_gate = 0.7
-max_age = 3
-n_init = 3
-gallery_capacity = 100
+""" + "".join(f"{k} = {v}\n" for k, v in asdict(TrackerConfig()).items()) + """\
 confidence_floor = 0.0
 
 [measure]
@@ -61,105 +61,124 @@ tracks_name = tracks.txt
 intervals_name = intervals.txt
 """
 
+REQUIRED = object()
+
+
+@contextmanager
+def prefixed(prefix: str):
+    """Put prefix before the message of a ValidationError raised inside."""
+    try:
+        yield
+    except ValidationError as exc:
+        raise ValidationError(f"{prefix} {exc}") from None
+
+
+def read_ini(text: str, path: str, defaults: Optional[Mapping] = None):
+    """A ConfigParser of text read over defaults (section -> key -> value text).
+
+    configparser's own errors, such as a duplicate key, say `'<path>' [line N]`.
+    """
+    ini = configparser.ConfigParser(interpolation=None)
+    try:
+        ini.read_dict(defaults or {})
+        ini.read_string(text, source=path)
+    except configparser.Error as exc:
+        raise ValidationError(" ".join(str(exc).split())) from None
+    return ini
+
+
+def ini_value(ini, section: str, key: str, conv=float, default=REQUIRED):
+    """conv of the key's text; a blank or absent key gives default, if it has one."""
+    raw = ini.get(section, key, fallback="")
+    if not raw:
+        if default is REQUIRED:
+            raise ValidationError(f"[{section}] {key}: required")
+        return default
+    try:
+        return conv(raw)
+    except ValueError:
+        raise ValidationError(f"[{section}] {key}: bad value {raw!r}") from None
+
+
+def read_section(ini, section: str, cls, **values):
+    """cls from values and one key for each other field, named after it.
+
+    An int field reads as int, any other as float. A blank or absent key
+    keeps its field's default, and is required when the field has none.
+    """
+    for f in fields(cls):
+        if f.name not in values:
+            has_default = f.default is not MISSING or f.default_factory is not MISSING
+            value = ini_value(ini, section, f.name, int if "int" in str(f.type) else float,
+                              None if has_default else REQUIRED)
+            if value is not None:
+                values[f.name] = value
+    with prefixed(f"[{section}]"):
+        return cls(**values)
+
+
+def read_calibration(ini) -> CalibrationParams:
+    """[calibration]; a reference object, when given, sets phi and omega."""
+    ref = {f.name: ini_value(ini, "calibration", "ref_" + f.name, default=None)
+           for f in fields(ReferenceObject)}
+    derived = {}
+    if any(v is not None for v in ref.values()):
+        with prefixed("[calibration]"):
+            if None in ref.values():
+                raise ValidationError("reference-object calibration needs all four ref_* keys")
+            derived = dict(zip(("phi", "omega"), derive_magnification(ReferenceObject(**ref))))
+    return read_section(ini, "calibration", CalibrationParams, **derived)
+
+
+def read_loi(ini, calibration: CalibrationParams) -> LineOfInterest:
+    """[loi]: pixel endpoints mapped to world coordinates, and the direction."""
+    a, b = [(ini_value(ini, "loi", x), ini_value(ini, "loi", y))
+            for x, y in (("ax_px", "ay_px"), ("bx_px", "by_px"))]
+    direction = ini_value(ini, "loi", "direction", int, default=None)
+    with prefixed("[loi]"):
+        return loi_to_world((a, b), direction, calibration)
+
 
 @dataclass
 class RunConfig:
-    calibration: CalibrationParams = CalibrationParams(1.0, 1.0, 90.0)
-    loi_px: tuple[tuple[float, float], tuple[float, float]] = ((0.0, 500.0), (1920.0, 500.0))
-    loi_direction: Optional[int] = None
-    tracker: TrackerConfig = field(default_factory=TrackerConfig)
-    confidence_floor: float = 0.0
-    interval_s: float = 60.0
-    fps: float = 25.0
-    duration_s: Optional[float] = None
-    tracks_name: str = "tracks.txt"
-    intervals_name: str = "intervals.txt"
+    """One `track` run. `parse_config` fills every field, from DEFAULT_CONFIG
+    where the file leaves a key out; errors name the file's sections."""
+
+    calibration: CalibrationParams
+    loi: LineOfInterest
+    tracker: TrackerConfig
+    confidence_floor: float
+    interval_s: float
+    fps: float
+    duration_s: Optional[float]   # None: derived from the last detection frame
+    tracks_name: str
+    intervals_name: str
 
     def __post_init__(self):
-        if self.interval_s <= 0 or self.fps <= 0:
-            raise ValidationError("interval_s and fps must be positive")
-        if self.duration_s is not None and self.duration_s <= 0:
-            raise ValidationError("duration_s must be positive when set")
-        if not 0.0 <= self.confidence_floor <= 1.0:
-            raise ValidationError("confidence_floor must be in [0, 1]")
-
-    def loi_world(self) -> LineOfInterest:
-        return loi_to_world(self.loi_px, self.loi_direction, self.calibration)
+        with prefixed("[tracking]"):
+            require(self, "confidence_floor", lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+        with prefixed("[measure]"):
+            require(self, "interval_s fps", positive, "finite and > 0")
+            if self.duration_s is not None:
+                require(self, "duration_s", positive, "finite and > 0 when set")
+                interval_count(self.interval_s, self.duration_s)
 
 
-def _calibration_from(section, default: CalibrationParams) -> CalibrationParams:
-    ref_keys = ("ref_true_x_m", "ref_true_y_m",
-                "ref_apparent_x_px", "ref_apparent_y_px")
-    has_ref = [k for k in ref_keys if section.get(k, "").strip()]
-    if has_ref:
-        if len(has_ref) != 4:
-            raise ValidationError(
-                "reference-object calibration needs all four ref_* keys"
-            )
-        ref = ReferenceObject(
-            true_x_m=section.getfloat("ref_true_x_m"),
-            true_y_m=section.getfloat("ref_true_y_m"),
-            apparent_x_px=section.getfloat("ref_apparent_x_px"),
-            apparent_y_px=section.getfloat("ref_apparent_y_px"),
+def parse_config(text: str, path: str = "<config>") -> RunConfig:
+    """Run configuration from config text read over DEFAULT_CONFIG."""
+    ini = read_ini(text, path, read_ini(DEFAULT_CONFIG, "DEFAULT_CONFIG"))
+    with prefixed(f"{path}:"):
+        calibration = read_calibration(ini)
+        return RunConfig(
+            calibration=calibration, loi=read_loi(ini, calibration),
+            tracker=read_section(ini, "tracking", TrackerConfig),
+            confidence_floor=ini_value(ini, "tracking", "confidence_floor"),
+            interval_s=ini_value(ini, "measure", "interval_s"),
+            fps=ini_value(ini, "measure", "fps"),
+            duration_s=ini_value(ini, "measure", "duration_s", default=None),
+            tracks_name=ini_value(ini, "io", "tracks_name", str),
+            intervals_name=ini_value(ini, "io", "intervals_name", str),
         )
-        phi, omega = derive_magnification(ref)
-    else:
-        phi = section.getfloat("phi", default.phi)
-        omega = section.getfloat("omega", default.omega)
-    return CalibrationParams(
-        phi=phi, omega=omega,
-        delta_deg=section.getfloat("delta_deg", default.delta_deg),
-        x0=section.getfloat("x0", default.x0), y0=section.getfloat("y0", default.y0),
-    )
-
-
-def parse_config(text: str) -> RunConfig:
-    """Run configuration from config text; absent keys keep RunConfig's defaults."""
-    cp = configparser.ConfigParser()
-    try:
-        cp.read_string(text)
-    except configparser.Error as exc:
-        raise ValidationError(f"bad config file: {exc}") from None
-
-    try:
-        cfg = RunConfig()
-        if "calibration" in cp:
-            cfg.calibration = _calibration_from(cp["calibration"], cfg.calibration)
-        if "loi" in cp:
-            lo, ((ax, ay), (bx, by)) = cp["loi"], cfg.loi_px
-            cfg.loi_px = ((lo.getfloat("ax_px", ax), lo.getfloat("ay_px", ay)),
-                          (lo.getfloat("bx_px", bx), lo.getfloat("by_px", by)))
-            raw = lo.get("direction", "").strip()
-            cfg.loi_direction = int(raw) if raw else None
-        if "tracking" in cp:
-            tr, d = cp["tracking"], cfg.tracker
-            cfg.tracker = TrackerConfig(
-                cost_lambda=tr.getfloat("cost_lambda", d.cost_lambda),
-                motion_gate=tr.getfloat("motion_gate", d.motion_gate),
-                appearance_gate=tr.getfloat("appearance_gate", d.appearance_gate),
-                iou_gate=tr.getfloat("iou_gate", d.iou_gate),
-                max_age=tr.getint("max_age", d.max_age),
-                n_init=tr.getint("n_init", d.n_init),
-                gallery_capacity=tr.getint("gallery_capacity", d.gallery_capacity),
-            )
-            cfg.confidence_floor = tr.getfloat("confidence_floor", cfg.confidence_floor)
-        if "measure" in cp:
-            me = cp["measure"]
-            cfg.interval_s = me.getfloat("interval_s", cfg.interval_s)
-            cfg.fps = me.getfloat("fps", cfg.fps)
-            raw = me.get("duration_s", "").strip()
-            cfg.duration_s = float(raw) if raw else None
-        if "io" in cp:
-            io_sec = cp["io"]
-            cfg.tracks_name = io_sec.get("tracks_name", cfg.tracks_name)
-            cfg.intervals_name = io_sec.get("intervals_name", cfg.intervals_name)
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ValidationError):
-            raise
-        raise ValidationError(f"bad config value: {exc}") from None
-    # re-run invariant checks after field assignment
-    cfg.__post_init__()
-    return cfg
 
 
 def default_config_text() -> str:

@@ -4,6 +4,8 @@ The CLI maps these onto exit codes: ValidationError (and subclasses) -> 1,
 OSError -> 2, NumericalError -> 3.
 """
 
+import math
+
 
 class ValidationError(ValueError):
     """Input violates a documented precondition or invariant."""
@@ -28,3 +30,16 @@ class ContractError(ValidationError):
 
 class NumericalError(ArithmeticError):
     """Numerically degenerate computation (singular matrix, zero variance)."""
+
+
+def require(obj, names: str, ok, what: str) -> None:
+    """Raise "<name> must be <what>, got <value>" for the first of obj's fields
+    (names, space-separated) failing ok, an in-range test that NaN fails."""
+    for name in names.split():
+        value = getattr(obj, name)
+        if not ok(value):
+            raise ValidationError(f"{name} must be {what}, got {value}")
+
+
+def positive(v) -> bool:
+    return 0 < v < math.inf

@@ -10,11 +10,14 @@ tracking engine, so it can serve as an independent oracle.
 For exact engine-vs-truth comparisons keep agents alive through the whole
 run: a track whose agent disappears coasts for up to max_age frames on
 predicted positions, which the model truth knows nothing about.
+
+`parse_scenario` reads a scenario file ([scenario], [agent.*], [occlusion.*],
+and [calibration], [loi] and [measure] read as in a run config) with the INI
+reader of `config`; an absent key keeps its field's default, if it has one.
 """
 
 from __future__ import annotations
 
-import configparser
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -22,10 +25,20 @@ from typing import Optional
 import numpy as np
 
 from .calib import CalibrationParams, to_pixel
+from .config import (DEFAULT_CONFIG, ini_value, prefixed, read_calibration, read_ini, read_loi,
+                     read_section)
 from .detstream import Detection
-from .errors import ValidationError
-from .traffic import SECONDS_PER_HOUR, IntervalMeasurement, LineOfInterest, interval_grid
+from .errors import ValidationError, positive, require
+from .traffic import (SECONDS_PER_HOUR, IntervalMeasurement, LineOfInterest, interval_count,
+                      interval_grid)
 from .traffic import loi_to_world  # noqa: F401  (kept importable as synth.loi_to_world)
+
+# a scene is generated in memory, frame by frame: bound its frames (11 hours
+# at 25 fps) and its descriptor width (the widest common re-id embedding);
+# noise beyond MAX_NOISE_STD swamps any scene, and squaring it leaves float range
+MAX_FRAMES = 10**6
+MAX_EMBEDDING_DIM = 2048
+MAX_NOISE_STD = 1e100
 
 
 @dataclass(frozen=True)
@@ -43,14 +56,12 @@ class AgentSpec:
     box_h_px: float = 48.0
 
     def __post_init__(self):
-        if self.class_id < 0:
-            raise ValidationError("agent class must be >= 0")
-        if self.spawn_frame < 1:
-            raise ValidationError("agent spawn frame must be >= 1")
-        if self.end_frame is not None and self.end_frame < self.spawn_frame:
-            raise ValidationError("agent end frame before spawn frame")
-        if self.box_w_px <= 0 or self.box_h_px <= 0:
-            raise ValidationError("agent box size must be positive")
+        require(self, "class_id", lambda v: v >= 0, ">= 0")
+        require(self, "spawn_frame", lambda v: v >= 1, ">= 1")
+        require(self, "end_frame", lambda v: v is None or v >= self.spawn_frame,
+                "unset or >= spawn_frame")
+        require(self, "x0_m y0_m vx_mps vy_mps", math.isfinite, "finite")
+        require(self, "box_w_px box_h_px", positive, "finite and > 0")
 
     @property
     def speed_mps(self) -> float:
@@ -75,14 +86,15 @@ class ScenarioSpec:
     def __post_init__(self):
         if not self.agents:
             raise ValidationError("scenario needs at least one agent")
-        if self.duration_s <= 0 or self.fps <= 0:
-            raise ValidationError("duration and fps must be positive")
-        if not 0.0 <= self.miss_prob < 1.0:
-            raise ValidationError("miss probability must be in [0, 1)")
-        if self.noise_std_px < 0 or self.embedding_noise_std < 0:
-            raise ValidationError("noise standard deviations must be >= 0")
-        if self.embedding_dim < 0:
-            raise ValidationError("embedding dimension must be >= 0")
+        require(self, "duration_s fps", positive, "finite and > 0")
+        if not self.duration_s * self.fps <= MAX_FRAMES:
+            raise ValidationError(f"duration_s * fps must be at most {MAX_FRAMES} frames")
+        require(self, "miss_prob", lambda v: 0.0 <= v < 1.0, "in [0, 1)")
+        require(self, "noise_std_px embedding_noise_std", lambda v: 0 <= v <= MAX_NOISE_STD,
+                f"in [0, {MAX_NOISE_STD:g}]")
+        require(self, "embedding_dim", lambda v: 0 <= v <= MAX_EMBEDDING_DIM,
+                f"in [0, {MAX_EMBEDDING_DIM}]")
+        require(self, "seed", lambda v: v >= 0, ">= 0")
         n_frames = self.n_frames
         for agent_idx, first, last in self.occlusions:
             if not 0 <= agent_idx < len(self.agents):
@@ -271,76 +283,24 @@ def _ground_truth(spec: ScenarioSpec, loi: LineOfInterest,
 # scenario files
 
 
-def parse_scenario(text: str):
-    """Read a scenario description (INI sections) into its parts.
+def parse_scenario(text: str, path: str = "<scenario>"):
+    """Read a scenario file into (ScenarioSpec, LineOfInterest, interval_s).
 
-    Returns (ScenarioSpec, loi_pixel_endpoints, direction, interval_s).
-    The line of interest is specified in pixel coordinates, like the run
-    config, and mapped to world coordinates by the caller.
+    [calibration] and [measure] interval_s default as in DEFAULT_CONFIG; the
+    [loi] endpoints, in pixels as in a run config, are required.
     """
-    cp = configparser.ConfigParser()
-    try:
-        cp.read_string(text)
-    except configparser.Error as exc:
-        raise ValidationError(f"bad scenario file: {exc}") from None
-    if "scenario" not in cp:
-        raise ValidationError("scenario file needs a [scenario] section")
-    sc = cp["scenario"]
-
-    calib = CalibrationParams(1.0, 1.0, 90.0)
-    if "calibration" in cp:
-        cb = cp["calibration"]
-        calib = CalibrationParams(
-            phi=cb.getfloat("phi", 1.0), omega=cb.getfloat("omega", 1.0),
-            delta_deg=cb.getfloat("delta_deg", 90.0),
-            x0=cb.getfloat("x0", 0.0), y0=cb.getfloat("y0", 0.0),
-        )
-
-    agents = []
-    occlusions = []
-    for section in cp.sections():
-        if section.startswith("agent."):
-            ag = cp[section]
-            end = ag.get("end_frame", "").strip()
-            agents.append(AgentSpec(
-                class_id=ag.getint("class"),
-                x0_m=ag.getfloat("x0_m"), y0_m=ag.getfloat("y0_m"),
-                vx_mps=ag.getfloat("vx_mps"), vy_mps=ag.getfloat("vy_mps"),
-                spawn_frame=ag.getint("spawn_frame", 1),
-                end_frame=int(end) if end else None,
-                box_w_px=ag.getfloat("box_w_px", 24.0),
-                box_h_px=ag.getfloat("box_h_px", 48.0),
-            ))
-        elif section.startswith("occlusion."):
-            oc = cp[section]
-            occlusions.append((oc.getint("agent"), oc.getint("first_frame"),
-                               oc.getint("last_frame")))
-
-    try:
-        spec = ScenarioSpec(
-            agents=agents,
-            duration_s=sc.getfloat("duration_s"),
-            fps=sc.getfloat("fps", 25.0),
-            calibration=calib,
-            noise_std_px=sc.getfloat("noise_std_px", 0.0),
-            miss_prob=sc.getfloat("miss_prob", 0.0),
-            occlusions=occlusions,
-            embedding_dim=sc.getint("embedding_dim", 0),
-            embedding_noise_std=sc.getfloat("embedding_noise_std", 0.0),
-            seed=sc.getint("seed", 0),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"bad scenario file: {exc}") from None
-
-    if "loi" not in cp:
-        raise ValidationError("scenario file needs a [loi] section")
-    lo = cp["loi"]
-    loi_px = ((lo.getfloat("ax_px"), lo.getfloat("ay_px")),
-              (lo.getfloat("bx_px"), lo.getfloat("by_px")))
-    raw_dir = lo.get("direction", "").strip()
-    direction = int(raw_dir) if raw_dir else None
-
-    interval_s = 60.0
-    if "measure" in cp:
-        interval_s = cp["measure"].getfloat("interval_s", 60.0)
-    return spec, loi_px, direction, interval_s
+    defaults = read_ini(DEFAULT_CONFIG, "DEFAULT_CONFIG")
+    ini = read_ini(text, path, {s: defaults[s] for s in ("calibration", "measure")})
+    with prefixed(f"{path}:"):
+        calibration = read_calibration(ini)
+        agents = [read_section(ini, s, AgentSpec, class_id=ini_value(ini, s, "class", int))
+                  for s in ini.sections() if s.startswith("agent.")]
+        occlusions = [tuple(ini_value(ini, s, k, int)
+                            for k in ("agent", "first_frame", "last_frame"))
+                      for s in ini.sections() if s.startswith("occlusion.")]
+        spec = read_section(ini, "scenario", ScenarioSpec, agents=agents,
+                            calibration=calibration, occlusions=occlusions)
+        interval_s = ini_value(ini, "measure", "interval_s")
+        with prefixed("[measure]"):
+            interval_count(interval_s, spec.duration_s)
+        return spec, read_loi(ini, calibration), interval_s

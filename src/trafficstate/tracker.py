@@ -34,11 +34,14 @@ import numpy as np
 
 from . import assoc, motion
 from .detstream import MAX_BOX_PX, UNIT_NORM_TOL, DetectionBatch
-from .errors import ContractError, ValidationError
+from .errors import ContractError, ValidationError, require
 
 DEFAULT_MAX_AGE = 3
 DEFAULT_N_INIT = 3
 DEFAULT_LAMBDA = 0.0
+# each birth allocates a (gallery_capacity, D) float64 gallery, so the
+# capacity is bounded: 100 times assoc.GALLERY_CAPACITY
+MAX_GALLERY_CAPACITY = 10**4
 
 # Per-track arrays, all indexed by row; births append and deletions mask them together.
 _TRACK_ARRAYS = ("_ids", "_mean", "_cov", "_confirmed", "_hits", "_misses",
@@ -72,15 +75,11 @@ class TrackerConfig:
     gallery_capacity: int = assoc.GALLERY_CAPACITY
 
     def __post_init__(self):
-        # written as not (in range) so that NaN is rejected too
-        if not (0.0 <= self.cost_lambda <= 1.0):
-            raise ValidationError(f"cost_lambda must be in [0, 1], got {self.cost_lambda}")
-        if not (self.motion_gate > 0 and self.appearance_gate > 0):
-            raise ValidationError("motion_gate and appearance_gate must be > 0")
-        if not (0.0 <= self.iou_gate <= 1.0):
-            raise ValidationError(f"iou_gate must be in [0, 1], got {self.iou_gate}")
-        if self.max_age < 1 or self.n_init < 1 or self.gallery_capacity < 1:
-            raise ValidationError("max_age, n_init and gallery_capacity must be >= 1")
+        require(self, "cost_lambda iou_gate", lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+        require(self, "motion_gate appearance_gate", lambda v: v > 0, "> 0")
+        require(self, "max_age n_init", lambda v: v >= 1, ">= 1")
+        require(self, "gallery_capacity", lambda v: 1 <= v <= MAX_GALLERY_CAPACITY,
+                f"in [1, {MAX_GALLERY_CAPACITY}]")
 
 
 class Tracker:

@@ -27,11 +27,14 @@ from typing import IO, Iterable, Optional, Sequence
 import numpy as np
 
 from .calib import CalibrationParams, to_world
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, positive
 from .tracker import LiveTracks
 
 MPS_TO_KMH = 3.6
 SECONDS_PER_HOUR = 3600.0
+# intervals on one grid: each gets a measurement before any is known to hold
+# data, so a long duration over short intervals is refused, not allocated
+MAX_INTERVALS = 10**6
 
 
 @dataclass
@@ -56,6 +59,8 @@ class LineOfInterest:
     direction: Optional[int] = None
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (*self.a, *self.b))):
+            raise ValidationError(f"line of interest endpoints {self.a}, {self.b} must be finite")
         if self.a == self.b:
             raise ValidationError("line of interest endpoints must differ")
         if self.direction not in (None, 1, -1):
@@ -146,14 +151,23 @@ def crossing_sign(p1, p2, loi: LineOfInterest) -> int:
     return (cross > 0) - (cross < 0)
 
 
+def interval_count(interval_s: float, total_duration: float) -> int:
+    """Number of intervals on the grid of total_duration, at most MAX_INTERVALS."""
+    if not (positive(interval_s) and 0 <= total_duration < math.inf):
+        raise ValidationError(f"interval_s must be finite and > 0 and total duration finite "
+                              f"and >= 0, got {interval_s} and {total_duration}")
+    n = total_duration / interval_s - 1e-12
+    if n > MAX_INTERVALS:
+        raise ValidationError(
+            f"interval_s = {interval_s} over a total duration of {total_duration} s "
+            f"gives more than {MAX_INTERVALS} intervals")
+    return max(0, math.ceil(n))
+
+
 def interval_grid(interval_s: float, total_duration: float) -> list[tuple[float, float]]:
     """[start, end) boundaries; the last interval may be partial and is
     closed at total_duration."""
-    if interval_s <= 0:
-        raise ValidationError(f"interval length must be positive, got {interval_s}")
-    if total_duration < 0:
-        raise ValidationError("total duration must be non-negative")
-    n = max(0, math.ceil(total_duration / interval_s - 1e-12))
+    n = interval_count(interval_s, total_duration)
     return [
         (i * interval_s, min((i + 1) * interval_s, total_duration)) for i in range(n)
     ]
@@ -182,8 +196,8 @@ def measure_intervals(
     two or more of a track's points gets one speed: the path length through
     those points over the seconds between the first and the last.
     """
-    if fps <= 0:
-        raise ValidationError(f"fps must be positive, got {fps}")
+    if not positive(fps):
+        raise ValidationError(f"fps must be finite and > 0, got {fps}")
     grid = interval_grid(interval_s, total_duration)
     measurements = [
         IntervalMeasurement(index=i, start=s, end=e) for i, (s, e) in enumerate(grid)

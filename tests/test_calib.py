@@ -68,6 +68,9 @@ def test_params_validation():
         CalibrationParams(phi=1, omega=1, delta_deg=0)
     with pytest.raises(ValidationError):
         CalibrationParams(phi=1, omega=1, delta_deg=180)
+    for bad in (dict(phi=math.inf), dict(omega=math.nan), dict(x0=math.nan), dict(y0=-math.inf)):
+        with pytest.raises(ValidationError):
+            CalibrationParams(**{"phi": 1, "omega": 1, "delta_deg": 90, **bad})
 
 
 def random_params(rng):

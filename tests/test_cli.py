@@ -1,6 +1,7 @@
 import hashlib
 import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,9 +13,9 @@ import trafficstate
 from trafficstate import cli, synth
 from trafficstate.calib import CalibrationParams
 from trafficstate.cli import main
-from trafficstate.config import RunConfig, default_config_text, parse_config
+from trafficstate.config import default_config_text, parse_config
 from trafficstate.detstream import Detection, DetectionBatch, write_detections
-from trafficstate.tracker import Tracker
+from trafficstate.tracker import Tracker, TrackerConfig
 from trafficstate.traffic import LineOfInterest, parse_intervals
 
 SCENARIO = """\
@@ -89,12 +90,20 @@ def test_print_config_parses_back(capsys):
     assert text == default_config_text()
 
 
-def test_config_defaults_have_one_source():
-    assert parse_config("") == RunConfig()
-    assert parse_config(default_config_text()) == RunConfig()
-    # sections present with every key absent fall back to RunConfig's defaults
-    assert parse_config("[calibration]\n[loi]\n[tracking]\n[measure]\n[io]\n") == RunConfig()
-    assert parse_config("[loi]\nax_px = 1\n").loi_px == ((1.0, 500.0), (1920.0, 500.0))
+# print-config's bytes; the defaults it prints are the only ones parse_config reads
+PRINT_CONFIG_SHA256 = "d825f1d4e4f2889230cc8ba80b5c4fa63f51f8bd5b91b7c6f1fb29c5b287d6ea"
+
+
+def test_config_defaults_have_one_source(capsys):
+    assert parse_config("") == parse_config(default_config_text())
+    assert parse_config("").tracker == TrackerConfig()
+    # sections present with every key absent, or one key given, keep the other defaults
+    assert parse_config("[calibration]\n[loi]\n[tracking]\n[measure]\n[io]\n") == parse_config("")
+    loi = parse_config("[loi]\nax_px = 1\n").loi
+    assert loi == LineOfInterest(a=(1.0, 500.0), b=(1920.0, 500.0))
+    assert main(["print-config"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert len(out) == 850 and hashlib.sha256(out).hexdigest() == PRINT_CONFIG_SHA256
 
 
 TWO_ROWS = "1,10,10,20,40,0.9,3\n2,12,10,20,40,0.9,3\n"
@@ -105,7 +114,7 @@ BAD_SETTINGS = [pytest.param("tracking", setting, setting.split()[0], id=setting
     "cost_lambda = 2", "cost_lambda = -0.1", "cost_lambda = nan",
     "motion_gate = -5", "motion_gate = 0", "motion_gate = nan",
     "appearance_gate = 0", "appearance_gate = nan",
-    "iou_gate = -1", "iou_gate = 1.5", "iou_gate = nan",
+    "iou_gate = -1", "iou_gate = 1.5", "iou_gate = nan", "gallery_capacity = 10001",
 ]] + [
     pytest.param("loi", "direction = 2", "direction", id="loi direction = 2"),
     pytest.param("loi", "ax_px = 80\nay_px = 100\nbx_px = 80\nby_px = 100", "endpoints",
@@ -122,6 +131,77 @@ def test_bad_tracking_setting_exits_before_the_first_frame(tmp_path, capsys, sec
                  "--out-dir", str(tmp_path / "out")]) == 1
     assert named in capsys.readouterr().err
     assert not (tmp_path / "out" / "tracks.txt").exists()
+
+
+# the run config of the sparse_long bench scene at seed 7
+SPARSE_LONG_RUN_CONFIG = """\
+[calibration]
+phi = 10.0
+omega = 10.0
+delta_deg = 90.0
+
+[loi]
+ax_px = 960.0
+ay_px = 0.0
+bx_px = 960.0
+by_px = 1440.0
+direction =
+
+[measure]
+interval_s = 5.0
+fps = 25.0
+duration_s = 80.0
+"""
+
+
+def edited(text, key, value):
+    """text with key's line set to value, or dropped when value is None."""
+    out, n = re.subn(rf"^{key} =.*\n", "" if value is None else f"{key} = {value}\n",
+                     text, flags=re.M)
+    assert n == 1
+    return out
+
+
+# (command, file text, what the one-line error must say after the file's name)
+BAD_FILES = [pytest.param("track", edited(SPARSE_LONG_RUN_CONFIG, key, value), named,
+                          id=f"track {key} = {value}") for key, value, named in [
+    ("phi", "inf", "[calibration] phi"),
+    ("ax_px", "nan", "[loi] line of interest endpoints"),
+    ("interval_s", "inf", "[measure] interval_s"),
+    ("interval_s", "nan", "[measure] interval_s"),
+    ("fps", "inf", "[measure] fps"),
+    ("duration_s", "inf", "[measure] duration_s"),
+    ("duration_s", "1e9", "[measure] interval_s = 5.0 over"),
+]] + [
+    pytest.param("track", SPARSE_LONG_RUN_CONFIG + "\n[tracking]\ngallery_capacity = 1"
+                 + "0" * 40 + "\n", "[tracking] gallery_capacity", id="track gallery 1e40"),
+    pytest.param("track", SPARSE_LONG_RUN_CONFIG.replace("phi = 10.0\n", "phi = 10.0\nphi = 9\n"),
+                 "[line 3]: option 'phi'", id="track duplicate key"),
+] + [pytest.param("synth", text, named, id=f"synth {name}") for name, text, named in [
+    ("direction = up", edited(SCENARIO, "by_px", "400\ndirection = up"), "[loi] direction"),
+    ("no ax_px", edited(SCENARIO, "ax_px", None), "[loi] ax_px"),
+    ("interval_s = abc", edited(SCENARIO, "interval_s", "abc"), "[measure] interval_s"),
+    ("phi = x", edited(SCENARIO, "phi", "x"), "[calibration] phi"),
+    ("agent without vy_mps", SCENARIO.replace("vy_mps = 0\n\n[agent.2]", "\n[agent.2]"),
+     "[agent.1] vy_mps"),
+    ("occlusion without last_frame", SCENARIO + "\n[occlusion.1]\nagent = 0\nfirst_frame = 3\n",
+     "[occlusion.1] last_frame"),
+    ("no [loi]", re.sub(r"\[loi\][^[]*", "", SCENARIO), "[loi] ax_px"),
+]]
+
+
+@pytest.mark.parametrize("command,text,named", BAD_FILES)
+def test_bad_value_exits_1_naming_file_section_and_key(tmp_path, capsys, command, text, named):
+    path = write(tmp_path / "input.ini", text)
+    if command == "track":
+        argv = ["track", "--detections", write(tmp_path / "dets.txt", TWO_ROWS), "--config", path]
+    else:
+        argv = ["synth", "--spec", path]
+    assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and "Traceback" not in err
+    assert f"{path}: {named}" in err or f"'{path}' {named}" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_tracks_rows_hold_box_centre_and_size(tmp_path):
@@ -328,6 +408,8 @@ def test_exit_codes(tmp_path):
     assert main(["track", "--detections", bad, "--out-dir", str(tmp_path)]) == 1
     spec = write(tmp_path / "bad_spec.ini", "[scenario]\nduration_s = -1\n")
     assert main(["synth", "--spec", spec, "--out-dir", str(tmp_path)]) == 1
+    spec = write(tmp_path / "spec.ini", SCENARIO)
+    assert main(["synth", "--spec", spec, "--seed", "-1", "--out-dir", str(tmp_path)]) == 1
 
 
 def test_track_reads_stdin(tmp_path, monkeypatch):
@@ -592,7 +674,7 @@ def test_a_long_frame_gap_is_crossed_in_a_few_steps(tmp_path, monkeypatch):
     monkeypatch.setattr(Tracker, "step", counted)
     dets = write(tmp_path / "dets.txt", "1,10,10,5,5,0.9,0\n200000,10,10,5,5,0.9,0\n")
     assert main(["track", "--detections", dets, "--out-dir", str(tmp_path)]) == 0
-    assert len(stepped) <= RunConfig().tracker.max_age + 3
+    assert len(stepped) <= TrackerConfig().max_age + 3
     assert stepped[0] == 1 and stepped[-1] == 200000
 
 

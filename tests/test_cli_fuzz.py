@@ -1,4 +1,5 @@
-"""Fuzzed detection input through the `track` command.
+"""Fuzzed detection input, run config values and scenario values through
+the `track` and `synth` commands.
 
 Needs hypothesis (the `test` extra in pyproject.toml); skipped without it.
 """
@@ -12,6 +13,7 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from trafficstate.cli import main  # noqa: E402
+from trafficstate.config import default_config_text  # noqa: E402
 
 # fields that parse, fields that parse to out-of-range or non-finite values,
 # and fields that do not parse
@@ -46,4 +48,90 @@ def test_fuzzed_detection_lines_exit_cleanly(lines):
         dets = Path(tmp) / "dets.txt"
         dets.write_text("\n".join(lines) + "\n", encoding="utf-8")
         code = main(["track", "--detections", str(dets), "--out-dir", str(Path(tmp) / "out")])
+    assert code in (0, 1)
+
+
+# a value of every kind: non-finite, blank, unparsable, fractional, negative,
+# zero, small, huge, and an integer far beyond int64
+FUZZ_VALUES = ["nan", "inf", "-inf", "", "x", "1.5", "-1", "0", "2", "1e308", "9" * 40]
+
+SMALL_SCENARIO = """\
+[scenario]
+fps = 25
+duration_s = 2
+seed = 3
+noise_std_px = 0.5
+miss_prob = 0.1
+embedding_dim = 2
+embedding_noise_std = 0.1
+
+[calibration]
+phi = 2.0
+omega = 2.0
+delta_deg = 80
+x0 = 1
+y0 = -1
+
+[loi]
+ax_px = 40
+ay_px = -100
+bx_px = 40
+by_px = 100
+direction = 1
+
+[measure]
+interval_s = 1
+
+[agent.1]
+class = 1
+x0_m = 0
+y0_m = 0
+vx_mps = 10
+vy_mps = 1
+spawn_frame = 2
+end_frame = 40
+box_w_px = 20
+box_h_px = 30
+
+[occlusion.1]
+agent = 0
+first_frame = 5
+last_frame = 9
+"""
+
+
+def with_value(text: str, line_no: int, value: str) -> str:
+    lines = text.splitlines()
+    lines[line_no] = lines[line_no].split("=")[0] + "= " + value
+    return "\n".join(lines) + "\n"
+
+
+def key_lines(text: str) -> list[int]:
+    return [i for i, line in enumerate(text.splitlines())
+            if "=" in line and not line.startswith("#")]
+
+
+PRINT_CONFIG = default_config_text()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(line_no=st.sampled_from(key_lines(PRINT_CONFIG)), value=st.sampled_from(FUZZ_VALUES))
+def test_one_fuzzed_run_config_value_exits_cleanly(line_no, value):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "run.ini"
+        cfg.write_text(with_value(PRINT_CONFIG, line_no, value), encoding="utf-8")
+        dets = Path(tmp) / "dets.txt"
+        dets.write_text("1,10,10,20,40,0.9,3\n2,12,10,20,40,0.9,3\n", encoding="utf-8")
+        code = main(["track", "--detections", str(dets), "--config", str(cfg),
+                     "--out-dir", str(Path(tmp) / "out")])
+    assert code in (0, 1)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(line_no=st.sampled_from(key_lines(SMALL_SCENARIO)), value=st.sampled_from(FUZZ_VALUES))
+def test_one_fuzzed_scenario_value_exits_cleanly(line_no, value):
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = Path(tmp) / "scene.ini"
+        spec.write_text(with_value(SMALL_SCENARIO, line_no, value), encoding="utf-8")
+        code = main(["synth", "--spec", str(spec), "--out-dir", str(Path(tmp) / "out")])
     assert code in (0, 1)

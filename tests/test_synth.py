@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from trafficstate.calib import CalibrationParams, to_pixel
 from trafficstate.detstream import write_detections
 from trafficstate.errors import ValidationError
 from trafficstate.synth import (
+    MAX_EMBEDDING_DIM,
     AgentSpec,
     ScenarioSpec,
     generate,
@@ -145,6 +147,14 @@ def test_spec_validation():
         one_agent_spec(occlusions=[(0, 0, 5)])
     with pytest.raises(ValidationError):
         AgentSpec(class_id=0, x0_m=0, y0_m=0, vx_mps=1, vy_mps=0, box_w_px=0)
+    for bad in (dict(x0_m=math.nan), dict(vy_mps=math.inf), dict(box_h_px=math.inf)):
+        with pytest.raises(ValidationError):
+            AgentSpec(**{**dict(class_id=0, x0_m=0, y0_m=0, vx_mps=1, vy_mps=0), **bad})
+    for bad in (dict(duration_s=math.inf), dict(fps=math.nan), dict(duration_s=1e308),
+                dict(noise_std_px=math.nan), dict(embedding_noise_std=1e308),
+                dict(embedding_dim=MAX_EMBEDDING_DIM + 1), dict(seed=-1)):
+        with pytest.raises(ValidationError):
+            one_agent_spec(**bad)
 
 
 SCENARIO_TEXT = """\
@@ -197,13 +207,13 @@ last_frame = 52
 
 
 def test_parse_scenario_round_trips_fields():
-    spec, loi_px, direction, interval_s = parse_scenario(SCENARIO_TEXT)
+    spec, loi, interval_s = parse_scenario(SCENARIO_TEXT)
     assert spec.fps == 25 and spec.duration_s == 8
     assert len(spec.agents) == 2
     assert spec.agents[1].spawn_frame == 20
     assert spec.occlusions == [(0, 50, 52)]
-    assert direction is None and interval_s == 4
-    loi = loi_to_world(loi_px, direction, spec.calibration)
+    assert loi.direction is None and interval_s == 4
+    assert loi == loi_to_world(((60, -210), (60, 190)), None, spec.calibration)
     assert loi.a == (-10 + 60 / 2.0, 5 + -210 / 2.0)
     batches, truth = generate(spec, loi, interval_s)
     assert len(batches) == 200

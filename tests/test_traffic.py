@@ -8,10 +8,12 @@ from trafficstate.calib import CalibrationParams
 from trafficstate.errors import ParseError, ValidationError
 from trafficstate.tracker import LiveTracks
 from trafficstate.traffic import (
+    MAX_INTERVALS,
     IntervalMeasurement,
     LineOfInterest,
     Trajectory,
     assemble_trajectories,
+    interval_count,
     interval_grid,
     measure_intervals,
     parse_intervals,
@@ -268,8 +270,14 @@ def test_interval_grid_partial_final():
 
 
 def test_interval_grid_validation():
-    with pytest.raises(ValidationError):
-        interval_grid(0.0, 10.0)
+    for interval_s, total in [(0.0, 10.0), (math.nan, 10.0), (math.inf, 10.0), (1.0, math.inf),
+                              (1.0, math.nan), (1.0, -1.0)]:
+        with pytest.raises(ValidationError):
+            interval_grid(interval_s, total)
+    # the cap is checked before any interval is built, and the error names both values
+    assert interval_count(1.0, float(MAX_INTERVALS)) == MAX_INTERVALS
+    with pytest.raises(ValidationError, match=r"interval_s = 5.0 .* 1000000000.0 s"):
+        interval_grid(5.0, 1e9)
 
 
 def test_speed_measured_in_final_closed_interval():
