@@ -157,7 +157,8 @@ def build_cost_matrix(
     gets an appearance distance. cost = lam * d_motion + (1 - lam) *
     d_appearance on admissible pairs; everything else holds +inf. Pairs
     for which no appearance distance exists (no gallery member or no
-    descriptor) fall back to motion-only cost and a motion-only gate.
+    descriptor) fall back to motion-only cost and a motion-only gate; when
+    no pair has both, `appearance_distances` is not called at all.
     """
     if not 0.0 <= lam <= 1.0:
         raise ValidationError(f"lambda must be in [0,1], got {lam}")
@@ -169,16 +170,17 @@ def build_cost_matrix(
                           admissible=np.zeros((n, m), dtype=bool))
 
     d1 = motion_distances(y, s, ok, measurements)
-    motion_ok = ok[:, None] & (d1 <= t1)
-    defined = (fill > 0)[:, None] & has_desc[None, :]
-    d2 = appearance_distances(gallery, rows, fill, descriptors, motion_ok & defined)
-    admissible = motion_ok & np.where(defined, d2 <= t2, True)
-
-    # d2 is NaN on admissible pairs without an appearance distance; where()
-    # drops those combinations, and NaN arithmetic raises no warning
-    d1, d2 = d1[admissible], d2[admissible]
-    values = np.full((n, m), np.inf)
-    values[admissible] = np.where(defined[admissible], lam * d1 + (1.0 - lam) * d2, d1)
+    admissible = ok[:, None] & (d1 <= t1)
+    values = np.where(admissible, d1, np.inf)
+    if not (fill.any() and has_desc.any()):
+        return CostMatrix(values=values, admissible=admissible)
+    # the pairs inside the motion gate that have an appearance distance
+    defined = admissible & (fill > 0)[:, None] & has_desc
+    d2 = appearance_distances(gallery, rows, fill, descriptors, defined)
+    admissible &= ~defined | (d2 <= t2)
+    values[~admissible] = np.inf
+    both = defined & admissible
+    values[both] = lam * d1[both] + (1.0 - lam) * d2[both]
     return CostMatrix(values=values, admissible=admissible)
 
 
@@ -202,7 +204,7 @@ def build_iou_cost_matrix(
     return CostMatrix(values=dist, admissible=dist <= max_distance)
 
 
-def solve_assignment(cost: CostMatrix) -> AssignmentResult:
+def solve_assignment(cost: CostMatrix, levels: np.ndarray | None = None) -> AssignmentResult:
     """Matching with the most admissible pairs, and among those the least cost.
 
     Inadmissible pairs never end up matched; tracks and detections left
@@ -221,20 +223,39 @@ def solve_assignment(cost: CostMatrix) -> AssignmentResult:
     when a sub-block is left: loading it takes longer than importing the
     rest of the package, and a scene where no two pairs compete never
     needs it.
+
+    levels (n,), when given, turns the solve into a matching cascade: the
+    rows of each level, lowest first, are solved alone against the columns
+    the lower levels left, as above. A forced pair of the whole matrix is
+    forced in its level's slice too, since no other row admits its column,
+    so the forced pairs are still taken in one pass, and only the contested
+    rows go through the levels, over the contested columns.
     """
     n, m = cost.shape
-    admissible = cost.admissible
-    forced = (admissible & (admissible.sum(axis=1) == 1)[:, None]
-              & (admissible.sum(axis=0) == 1))
+    rows, cols = _assign(cost.values, cost.admissible, levels)
+    taken_rows, taken_cols = np.zeros(n, dtype=bool), np.zeros(m, dtype=bool)
+    taken_rows[rows] = True
+    taken_cols[cols] = True
+    matches = np.empty((len(rows), 2), dtype=np.int64)
+    matches[:, 0], matches[:, 1] = rows, cols
+    return AssignmentResult(matches, (~taken_rows).nonzero()[0], (~taken_cols).nonzero()[0])
+
+
+def _assign(values: np.ndarray, admissible: np.ndarray, levels: np.ndarray | None):
+    """(rows, cols) of `solve_assignment`'s matched pairs, rows ascending."""
+    per_row = admissible.sum(axis=1)
+    forced = admissible & (per_row == 1)[:, None] & (admissible.sum(axis=0) == 1)
     rows, cols = forced.nonzero()   # row-major, so rows ascend
+    if len(rows) == per_row.sum():   # every admissible pair is forced
+        return rows, cols
     contested = admissible & ~forced
-    if contested.any():
+    open_rows = contested.any(axis=1).nonzero()[0]
+    open_cols = contested.any(axis=0).nonzero()[0]
+    if levels is None:
         from scipy.optimize import linear_sum_assignment
 
-        open_rows = contested.any(axis=1).nonzero()[0]
-        open_cols = contested.any(axis=0).nonzero()[0]
         block = np.ix_(open_rows, open_cols)
-        sub_admissible, sub_values = admissible[block], cost.values[block]
+        sub_admissible, sub_values = admissible[block], values[block]
         allowed = sub_values[sub_admissible]
         lo, hi = allowed.min(), allowed.max()
         # abs(hi) + 1 keeps fill above the bound once rounded, whatever hi's size
@@ -245,10 +266,14 @@ def solve_assignment(cost: CostMatrix) -> AssignmentResult:
         keep = sub_admissible[sub_rows, sub_cols]
         rows = np.concatenate([rows, open_rows[sub_rows[keep]]])
         cols = np.concatenate([cols, open_cols[sub_cols[keep]]])
-        order = np.argsort(rows)
-        rows, cols = rows[order], cols[order]
-    free_rows, free_cols = np.ones(n, dtype=bool), np.ones(m, dtype=bool)
-    free_rows[rows] = False
-    free_cols[cols] = False
-    return AssignmentResult(np.stack([rows, cols], axis=1),
-                            free_rows.nonzero()[0], free_cols.nonzero()[0])
+    else:
+        open_levels = levels[open_rows]
+        for level in np.unique(open_levels):
+            group = open_rows[open_levels == level]
+            block = np.ix_(group, open_cols)
+            sub_rows, sub_cols = _assign(values[block], admissible[block], None)
+            rows = np.concatenate([rows, group[sub_rows]])
+            cols = np.concatenate([cols, open_cols[sub_cols]])
+            open_cols = np.delete(open_cols, sub_cols)
+    order = np.argsort(rows)
+    return rows[order], cols[order]

@@ -52,33 +52,39 @@ def cmd_track(detections_path: str, config_path: str | None, out_dir: str) -> in
 
     tracker = Tracker(cfg.tracker)
     frames = []
+    tracks_path = out / cfg.tracks_name
     src = _open_detections(detections_path)
     try:
         batches = detstream.parse_detections(
             src, min_confidence=cfg.confidence_floor, path=detections_path
         )
-        with open(out / cfg.tracks_name, "w", encoding="utf-8") as tf:
-            tf.write(TRACKS_HEADER + "\n")
-            for frame, batch in _frames_to_step(batches, tracker):
-                live = tracker.step(frame, batch)
-                frames.append(live)
-                c = live.confirmed
-                for track_id, class_id, (x, y, w, h) in zip(
-                        live.ids[c].tolist(), live.class_ids[c].tolist(),
-                        live.boxes[c].tolist()):
-                    u, v = x + w / 2.0, y + h / 2.0
-                    tf.write(f"{frame}\t{track_id}\t{class_id}\t"
-                             f"{u:.6g}\t{v:.6g}\t{w:.6g}\t{h:.6g}\n")
+        tf = open(tracks_path, "w", encoding="utf-8")
+        try:
+            with tf:
+                tf.write(TRACKS_HEADER + "\n")
+                for frame, batch in _frames_to_step(batches, tracker):
+                    live = tracker.step(frame, batch)
+                    frames.append(live)
+                    c = live.confirmed
+                    for track_id, class_id, (x, y, w, h) in zip(
+                            live.ids[c].tolist(), live.class_ids[c].tolist(),
+                            live.boxes[c].tolist()):
+                        u, v = x + w / 2.0, y + h / 2.0
+                        tf.write(f"{frame}\t{track_id}\t{class_id}\t"
+                                 f"{u:.6g}\t{v:.6g}\t{w:.6g}\t{h:.6g}\n")
+            last_frame = frames[-1].frame if frames else 0
+            duration = cfg.duration_s if cfg.duration_s is not None else last_frame / cfg.fps
+            trajectories = traffic.assemble_trajectories(frames, cfg.calibration)
+            measurements = traffic.measure_intervals(
+                trajectories, cfg.loi, cfg.interval_s, cfg.fps, duration
+            )
+        except BaseException:
+            # a failed run leaves no partial tracks file behind
+            tracks_path.unlink()
+            raise
     finally:
         if src is not sys.stdin:
             src.close()
-
-    last_frame = frames[-1].frame if frames else 0
-    duration = cfg.duration_s if cfg.duration_s is not None else last_frame / cfg.fps
-    trajectories = traffic.assemble_trajectories(frames, cfg.calibration)
-    measurements = traffic.measure_intervals(
-        trajectories, cfg.loi, cfg.interval_s, cfg.fps, duration
-    )
     with open(out / cfg.intervals_name, "w", encoding="utf-8") as f:
         traffic.write_intervals(f, measurements)
     return 0

@@ -73,17 +73,38 @@ def prefixed(prefix: str):
         raise ValidationError(f"{prefix} {exc}") from None
 
 
-def read_ini(text: str, path: str, defaults: Optional[Mapping] = None):
+def read_ini(text: str, path: str, known: Optional[Mapping] = None,
+             defaults: Optional[Mapping] = None):
     """A ConfigParser of text read over defaults (section -> key -> value text).
 
-    configparser's own errors, such as a duplicate key, say `'<path>' [line N]`.
+    known maps each section text may hold to the keys it may hold; a name
+    ending in "." stands for every section named with that prefix, such as
+    a scenario's [agent.1]. Any other section or key of text is rejected,
+    so that a misspelt one cannot leave its setting at the default
+    unnoticed. configparser's own errors, such as a duplicate key, say
+    `'<path>' [line N]`.
     """
     ini = configparser.ConfigParser(interpolation=None)
     try:
-        ini.read_dict(defaults or {})
         ini.read_string(text, source=path)
     except configparser.Error as exc:
         raise ValidationError(" ".join(str(exc).split())) from None
+    if known is not None:
+        # keys of [DEFAULT] show up in every section: check them first
+        for section in [ini.default_section] + ini.sections():
+            head, dot, _ = section.partition(".")
+            allowed = known.get(section, known.get(head + dot) if dot else None)
+            own = ini.defaults() if section == ini.default_section else ini[section]
+            for key in own:
+                if allowed is None or key not in allowed:
+                    raise ValidationError(f"{path}: [{section}] {key}: unknown key")
+            if allowed is None and section != ini.default_section:
+                raise ValidationError(f"{path}: [{section}]: unknown section")
+    for section, keys in (defaults or {}).items():
+        if not ini.has_section(section):
+            ini.add_section(section)
+        for key, value in keys.items():
+            ini[section].setdefault(key, value)
     return ini
 
 
@@ -139,6 +160,15 @@ def read_loi(ini, calibration: CalibrationParams) -> LineOfInterest:
         return loi_to_world((a, b), direction, calibration)
 
 
+# section -> key -> default value text, as DEFAULT_CONFIG writes them
+DEFAULTS = {s: dict(v) for s, v in read_ini(DEFAULT_CONFIG, "DEFAULT_CONFIG").items()
+            if s != configparser.DEFAULTSECT}
+# the sections and keys of a run config: DEFAULT_CONFIG's, and the
+# reference-object keys it shows commented out
+RUN_CONFIG_KEYS = {s: set(keys) for s, keys in DEFAULTS.items()}
+RUN_CONFIG_KEYS["calibration"] |= {"ref_" + f.name for f in fields(ReferenceObject)}
+
+
 @dataclass
 class RunConfig:
     """One `track` run. `parse_config` fills every field, from DEFAULT_CONFIG
@@ -166,7 +196,7 @@ class RunConfig:
 
 def parse_config(text: str, path: str = "<config>") -> RunConfig:
     """Run configuration from config text read over DEFAULT_CONFIG."""
-    ini = read_ini(text, path, read_ini(DEFAULT_CONFIG, "DEFAULT_CONFIG"))
+    ini = read_ini(text, path, RUN_CONFIG_KEYS, DEFAULTS)
     with prefixed(f"{path}:"):
         calibration = read_calibration(ini)
         return RunConfig(

@@ -13,7 +13,10 @@ are diagonal, and the measurement picks the four positions. So P is four
 covariance S is diagonal. A covariance is held as (3, 4): rows a = P[i, i],
 b = P[i, i + 4] and c = P[i + 4, i + 4] for i over (u, v, g, h), and S as
 its (4,) diagonal. Every step is elementwise, in the rounding order of the
-dense matrix algebra, so both forms give the same bits.
+dense matrix algebra, so both forms give the same bits. The batched steps
+write their results into arrays allocated once per call, a handful of
+NumPy calls each whatever the number of tracks: no stacking of per-row or
+per-component pieces.
 """
 
 from __future__ import annotations
@@ -26,15 +29,19 @@ from .errors import NumericalError
 ASPECT_FLOOR = 1e-6
 HEIGHT_FLOOR = 1e-6
 
+_FLOORS = np.array([ASPECT_FLOOR, HEIGHT_FLOOR])
+
 # Condition number above which an innovation covariance is unusable.
 MAX_CONDITION = 1e12
 
 
 def bbox_from_state(means: np.ndarray) -> np.ndarray:
     """(x, y, w, h) pixel boxes (..., 4) from state means (..., 8)."""
-    u, v, g, h = (means[..., i] for i in range(4))
-    w = g * h
-    return np.stack([u - w / 2.0, v - h / 2.0, w, h], axis=-1)
+    boxes = np.empty(means.shape[:-1] + (4,))
+    np.multiply(means[..., 2], means[..., 3], out=boxes[..., 2])
+    boxes[..., 3] = means[..., 3]
+    boxes[..., :2] = means[..., :2] - boxes[..., 2:] / 2.0
+    return boxes
 
 
 class KalmanFilter:
@@ -59,12 +66,15 @@ class KalmanFilter:
         self.aspect_proc_std = aspect_proc_std
         self.aspect_vel_std = aspect_vel_std
 
-    def _variances(self, h, weight, aspect_std):
-        """Noise variances (..., 4) at box heights h (...): std weight * h on
-        u, v and h, and aspect_std on the aspect ratio g."""
-        std = np.stack([weight * h, weight * h, aspect_std * np.ones_like(h), weight * h],
-                       axis=-1)
-        return std * std
+    def _variances(self, h, weights, aspect_stds):
+        """Noise variances (..., k, 4) at box heights h (...), one row per
+        pair of weights (k,) and aspect_stds (k,), or (..., 4) for scalars:
+        std weight * h on u, v and h, and aspect_std on the aspect ratio g."""
+        std = np.multiply.outer(h, weights)
+        var = np.empty(std.shape + (4,))
+        var[...] = np.square(std)[..., None]
+        var[..., 2] = np.square(aspect_stds)
+        return var
 
     def initiate(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(mean (8,), covariance blocks (3, 4)) of a track started from a
@@ -73,20 +83,27 @@ class KalmanFilter:
         mean = np.zeros(8)
         mean[:4] = z
         cov = np.zeros((3, 4))
-        cov[0] = self._variances(z[3], 2 * self.pos_weight, self.aspect_proc_std)
-        cov[2] = self._variances(z[3], 10 * self.vel_weight, self.aspect_vel_std)
+        cov[::2] = self._variances(z[3], (2 * self.pos_weight, 10 * self.vel_weight),
+                                   (self.aspect_proc_std, self.aspect_vel_std))
         return mean, cov
 
     def predict_many(self, means: np.ndarray, covs: np.ndarray):
         """Vectorized predict over stacked states (n, 8) and (n, 3, 4)."""
         h = means[:, 3]
         a, b, c = covs[:, 0], covs[:, 1], covs[:, 2]
-        means = np.hstack([means[:, :4] + means[:, 4:], means[:, 4:]])
-        q_pos = self._variances(h, self.pos_weight, self.aspect_proc_std)
-        q_vel = self._variances(h, self.vel_weight, self.aspect_vel_std)
-        # F P F^T + Q of each block [[a, b], [b, c]], with F = [[1, 1], [0, 1]]
-        covs = np.stack([((a + b) + (b + c)) + q_pos, b + c, c + q_vel], axis=1)
-        return means, covs
+        out_means = means.copy()
+        out_means[:, :4] += means[:, 4:]
+        q = self._variances(h, (self.pos_weight, self.vel_weight),
+                            (self.aspect_proc_std, self.aspect_vel_std))
+        # F P F^T + Q of each block [[a, b], [b, c]], with F = [[1, 1], [0, 1]]:
+        # a' = ((a + b) + (b + c)) + q_pos, b' = b + c, c' = c + q_vel
+        out = np.empty_like(covs)
+        bc = np.add(b, c, out=out[:, 1])
+        np.add(a, b, out=out[:, 0])
+        out[:, 0] += bc
+        out[:, 0] += q[:, 0]
+        np.add(c, q[:, 1], out=out[:, 2])
+        return out_means, out
 
     def project_many(self, means: np.ndarray, covs: np.ndarray):
         """Vectorized project; returns (y (n, 4), s (n, 4), ok (n,) bool),
@@ -108,20 +125,24 @@ class KalmanFilter:
         which the caller already holds. A row with ok False raises
         NumericalError.
         """
-        if not np.all(ok):
+        if not ok.all():
             raise NumericalError("ill-conditioned innovation covariance in batch")
-        a, b, c = covs[:, 0], covs[:, 1], covs[:, 2]
+        n = len(means)
         # the gain P H^T S^-1 has one position and one velocity entry per
-        # measured component; OpenBLAS's solve of the dense form multiplies
-        # by 1 / S[i, i] instead of dividing by it, and so does this
-        inv = 1.0 / s
-        kp, kv = a * inv, b * inv
-        innov = measurements - y
-        means = np.hstack([means[:, :4] + kp * innov, means[:, 4:] + kv * innov])
-        means[:, 2] = np.maximum(means[:, 2], ASPECT_FLOOR)
-        means[:, 3] = np.maximum(means[:, 3], HEIGHT_FLOOR)
-        # P - K S K^T; its two cross terms round differently and are averaged
-        kps, kvs = kp * s, kv * s
-        covs = np.stack([a - kps * kp, 0.5 * ((b - kps * kv) + (b - kvs * kp)),
-                         c - kvs * kv], axis=1)
-        return means, covs
+        # measured component, k = (kp, kv) = (a, b) / S: (n, 2, 4) in the
+        # layout of the state's (position, velocity) halves. OpenBLAS's solve
+        # of the dense form multiplies by 1 / S[i, i] instead of dividing by
+        # it, and so does this
+        s = s[:, None]
+        k = covs[:, :2] * (1.0 / s)
+        out_means = means + (k * (measurements - y)[:, None]).reshape(n, 8)
+        np.maximum(out_means[:, 2:4], _FLOORS, out=out_means[:, 2:4])
+        # P - K S K^T: a - kp S kp and c - kv S kv, then the two cross terms
+        # b - kp S kv and b - kv S kp, which round differently and are averaged
+        ks = k * s
+        out = np.empty_like(covs)
+        np.subtract(covs[:, ::2], ks * k, out=out[:, ::2])
+        cross = covs[:, 1, None] - ks * k[:, ::-1]
+        np.add(cross[:, 0], cross[:, 1], out=out[:, 1])
+        out[:, 1] *= 0.5
+        return out_means, out

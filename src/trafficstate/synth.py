@@ -19,14 +19,14 @@ reader of `config`; an absent key keeps its field's default, if it has one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
 
 from .calib import CalibrationParams, to_pixel
-from .config import (DEFAULT_CONFIG, ini_value, prefixed, read_calibration, read_ini, read_loi,
-                     read_section)
+from .config import (DEFAULTS, RUN_CONFIG_KEYS, ini_value, prefixed, read_calibration, read_ini,
+                     read_loi, read_section)
 from .detstream import Detection
 from .errors import ValidationError, positive, require
 from .traffic import (SECONDS_PER_HOUR, IntervalMeasurement, LineOfInterest, interval_count,
@@ -283,20 +283,31 @@ def _ground_truth(spec: ScenarioSpec, loi: LineOfInterest,
 # scenario files
 
 
+OCCLUSION_KEYS = ("agent", "first_frame", "last_frame")
+# the sections and keys a scenario file may hold; "agent." and "occlusion."
+# stand for every section named with that prefix
+SCENARIO_KEYS = {
+    "scenario": {f.name for f in fields(ScenarioSpec)} - {"agents", "calibration", "occlusions"},
+    "agent.": {f.name for f in fields(AgentSpec)} - {"class_id"} | {"class"},
+    "occlusion.": set(OCCLUSION_KEYS),
+    "calibration": RUN_CONFIG_KEYS["calibration"],
+    "loi": RUN_CONFIG_KEYS["loi"],
+    "measure": {"interval_s"},
+}
+
+
 def parse_scenario(text: str, path: str = "<scenario>"):
     """Read a scenario file into (ScenarioSpec, LineOfInterest, interval_s).
 
     [calibration] and [measure] interval_s default as in DEFAULT_CONFIG; the
     [loi] endpoints, in pixels as in a run config, are required.
     """
-    defaults = read_ini(DEFAULT_CONFIG, "DEFAULT_CONFIG")
-    ini = read_ini(text, path, {s: defaults[s] for s in ("calibration", "measure")})
+    ini = read_ini(text, path, SCENARIO_KEYS, {s: DEFAULTS[s] for s in ("calibration", "measure")})
     with prefixed(f"{path}:"):
         calibration = read_calibration(ini)
         agents = [read_section(ini, s, AgentSpec, class_id=ini_value(ini, s, "class", int))
                   for s in ini.sections() if s.startswith("agent.")]
-        occlusions = [tuple(ini_value(ini, s, k, int)
-                            for k in ("agent", "first_frame", "last_frame"))
+        occlusions = [tuple(ini_value(ini, s, k, int) for k in OCCLUSION_KEYS)
                       for s in ini.sections() if s.startswith("occlusion.")]
         spec = read_section(ini, "scenario", ScenarioSpec, agents=agents,
                             calibration=calibration, occlusions=occlusions)

@@ -16,13 +16,18 @@ read as they are, and the live tracks leave it the same way, as one
 Every live track is projected into measurement space once per frame; the
 projection serves both matching stages and the Kalman update. Stage 1
 builds one gated motion/appearance cost matrix per frame, over all
-confirmed tracks and detections, and solves it in a cascade that prefers
-recently updated tracks: each miss age takes the slice of its own rows and
-the detections still unmatched. Stage 2 mops up with plain IoU matching.
-Each solve returns index arrays into its slice, which map back to track
-rows and detection indices by indexing, so no match becomes a Python pair.
-New tracks start tentative and must associate in each of their first
-n_init frames; confirmed tracks survive up to max_age missed frames.
+confirmed tracks and detections, and solves it once, as a cascade that
+prefers recently updated tracks. A pair alone in its row and its column
+of the whole matrix would win its miss age's slice too, so all such
+forced pairs are taken in one pass; rows with no admissible cell go
+straight to stage 2; only rows with contested cells are solved age by
+age, freshest first, each age over the columns the younger ages left.
+On a frame where nothing is contested, stage 1 is one pass with no loop.
+Stage 2 mops up with plain IoU matching. Each solve returns index arrays
+into its matrix, which map back to track rows and detection indices by
+indexing, so no match becomes a Python pair. New tracks start tentative
+and must associate in each of their first n_init frames; confirmed
+tracks survive up to max_age missed frames.
 """
 
 from __future__ import annotations
@@ -140,40 +145,40 @@ class Tracker:
         # one projection of every live track serves both stages and the update
         y, s, ok = self.kf.project_many(self._mean, self._cov)
         measurements = assoc.measurements_of(boxes)
-        rows, cols, unmatched, births = self._match(boxes, measurements,
-                                                    descriptors, has_desc, y, s, ok)
+        rows, cols, births = self._match(boxes, measurements, descriptors, has_desc, y, s, ok)
 
         if len(rows):
             self._mean[rows], self._cov[rows] = self.kf.update_many(
                 self._mean[rows], self._cov[rows], measurements[cols],
                 y[rows], s[rows], ok[rows])
-        self._misses[unmatched] += 1
-        n = len(self._ids)
-        dead = np.zeros(n + len(births), dtype=bool)
-        dead[unmatched] = ~self._confirmed[unmatched] \
-            | (self._misses[unmatched] > self.config.max_age)
-
-        # births join the matched rows as tracks associated with a detection this frame
-        self._start_tracks(measurements[births])
-        rows = np.concatenate([rows, np.arange(n, n + len(births))])
-        cols = np.concatenate([cols, births])
-        pushed = has_desc[cols]
-        self._push(rows[pushed], descriptors[cols[pushed]])
+        # every live track misses this frame unless it is matched; births join
+        # the matched rows as tracks associated with a detection this frame
+        self._misses += 1
+        if len(births):
+            n = len(self._ids)
+            self._start_tracks(measurements[births])
+            rows = np.concatenate([rows, np.arange(n, n + len(births))])
+            cols = np.concatenate([cols, births])
+        if has_desc.any():   # all of the frame's detections have descriptors, or none
+            self._push(rows, descriptors[cols])
         self._votes[rows, class_cols[cols]] += 1
         self._hits[rows] += 1
         self._misses[rows] = 0
         self._confirmed |= self._hits >= self.config.n_init
-        det_of = np.full(len(dead), -1)
-        det_of[rows] = cols
+        out_boxes = motion.bbox_from_state(self._mean)
+        out_boxes[rows] = boxes[cols]
 
+        # an unmatched track dies if it is tentative or past max_age; a track
+        # gets confirmed only on a frame it is matched, so the flags above are
+        # the ones it missed this frame with
+        misses = self._misses
+        dead = (misses > 0) & ~self._confirmed | (misses > self.config.max_age)
         if dead.any():
             self._free += self._store[dead].tolist()
+            alive = ~dead
             for name in _TRACK_ARRAYS:
-                setattr(self, name, getattr(self, name)[~dead])
-            det_of = det_of[~dead]
-        out_boxes = motion.bbox_from_state(self._mean)
-        matched = det_of >= 0
-        out_boxes[matched] = boxes[det_of[matched]]
+                setattr(self, name, getattr(self, name)[alive])
+            out_boxes = out_boxes[alive]
         # with no live track there may be no class column to take an argmax over
         top = self._votes.argmax(axis=1) if len(self._ids) else np.empty(0, np.int64)
         return LiveTracks(frame=frame, ids=self._ids.copy(), confirmed=self._confirmed.copy(),
@@ -209,9 +214,9 @@ class Tracker:
         if new:
             classes = np.union1d(self._classes, list(new))
             votes = np.zeros((len(self._ids), len(classes)), dtype=np.int64)
-            votes[:, np.searchsorted(classes, self._classes)] = self._votes
+            votes[:, classes.searchsorted(self._classes)] = self._votes
             self._classes, self._votes = classes, votes
-        return np.searchsorted(self._classes, class_ids)
+        return self._classes.searchsorted(class_ids)
 
     def _match(self, boxes: np.ndarray, measurements: np.ndarray,
                descriptors: np.ndarray, has_desc: np.ndarray,
@@ -219,57 +224,44 @@ class Tracker:
         """Two-stage matching of the live tracks, projected as (y, s, ok).
 
         Stage 1 builds one gated cost matrix per frame, over all confirmed
-        tracks and all detections; each cascade age, freshest first, solves
-        the slice of its own rows and the detections still unmatched.
+        tracks and all detections, and solves it once, as a cascade over
+        the tracks' miss ages: the forced pairs of the whole matrix are
+        taken in one pass, rows with no admissible cell go on to stage 2,
+        and only rows with contested cells are solved age by age, freshest
+        first (see `assoc.solve_assignment`).
 
-        Returns (matched rows, their detection indices, unmatched rows,
-        unmatched detection indices), all as index arrays.
+        Returns (matched rows, their detection indices, unmatched detection
+        indices), all as index arrays.
         """
         cfg = self.config
-        remaining = np.arange(len(boxes))
-        rows = [np.empty(0, dtype=np.int64)]
-        cols = [np.empty(0, dtype=np.int64)]
-
-        # stage 1: gated cost matrix over confirmed tracks, freshest first
-        confirmed = np.flatnonzero(self._confirmed)
-        leftover = [np.flatnonzero(~self._confirmed)]
-        if len(confirmed):
-            cost = assoc.build_cost_matrix(
-                y[confirmed], s[confirmed], ok[confirmed], measurements,
-                self._gallery, self._store[confirmed], self._fill[confirmed],
-                descriptors, has_desc,
-                lam=cfg.cost_lambda, t1=cfg.motion_gate, t2=cfg.appearance_gate,
-            )
-            misses = self._misses[confirmed]
-            for age in sorted(set(misses.tolist())):
-                group = np.flatnonzero(misses == age)
-                cells = np.ix_(group, remaining)
-                result = assoc.solve_assignment(assoc.CostMatrix(
-                    values=cost.values[cells], admissible=cost.admissible[cells]))
-                rows.append(confirmed[group[result.matches[:, 0]]])
-                cols.append(remaining[result.matches[:, 1]])
-                leftover.append(confirmed[group[result.unmatched_tracks]])
-                remaining = remaining[result.unmatched_detections]
+        confirmed = self._confirmed.nonzero()[0]
+        cost = assoc.build_cost_matrix(
+            y[confirmed], s[confirmed], ok[confirmed], measurements,
+            self._gallery, self._store[confirmed], self._fill[confirmed],
+            descriptors, has_desc,
+            lam=cfg.cost_lambda, t1=cfg.motion_gate, t2=cfg.appearance_gate,
+        )
+        result = assoc.solve_assignment(cost, self._misses[confirmed])
+        rows = confirmed[result.matches[:, 0]]
+        cols = result.matches[:, 1]
+        remaining = result.unmatched_detections
 
         # stage 2: IoU matching over everything still unmatched, in id order;
         # tracks whose projection is ill-conditioned stay unmatched, as they
         # do in stage 1, so update_many never sees one
-        stage2 = np.sort(np.concatenate(leftover))
-        unmatched = stage2
-        if len(stage2) and len(remaining):
-            usable = stage2[ok[stage2]]
+        leftover = ~self._confirmed
+        leftover[confirmed[result.unmatched_tracks]] = True
+        usable = (leftover & ok).nonzero()[0]
+        if len(usable) and len(remaining):
             cost = assoc.build_iou_cost_matrix(
                 motion.bbox_from_state(self._mean[usable]), boxes[remaining],
                 max_distance=cfg.iou_gate,
             )
             result = assoc.solve_assignment(cost)
-            rows.append(usable[result.matches[:, 0]])
-            cols.append(remaining[result.matches[:, 1]])
-            unmatched = np.concatenate([stage2[~ok[stage2]],
-                                        usable[result.unmatched_tracks]])
+            rows = np.concatenate([rows, usable[result.matches[:, 0]]])
+            cols = np.concatenate([cols, remaining[result.matches[:, 1]]])
             remaining = remaining[result.unmatched_detections]
-
-        return np.concatenate(rows), np.concatenate(cols), unmatched, remaining
+        return rows, cols, remaining
 
     def _push(self, rows: np.ndarray, descriptors: np.ndarray) -> None:
         """Write one descriptor into each given track's ring buffer, evicting the oldest."""
@@ -282,8 +274,6 @@ class Tracker:
         """Append one tentative track per given measurement row, ids in row
         order, with empty counters and gallery."""
         k = len(measurements)
-        if k == 0:
-            return
         mean = np.empty((k, 8))
         cov = np.empty((k, 3, 4))
         for i, z in enumerate(measurements):

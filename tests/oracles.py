@@ -8,13 +8,17 @@ the Kalman steps and the Mahalanobis distance batched in their dense
 8-by-8 form with LAPACK calls, which the engine's elementwise block form
 must match bit for bit, the calibration transform with its trigonometry
 evaluated afresh on every call, trajectory assembly one track row at a
-time, detection parsing one row at a time, and detection evaluation one
-`Detection` row at a time. None of it shares code with the package under
-test, except that parse_row reads a row's fields with the parser's own
-field checks (`detstream._parse_head`, `_parse_embedding`): what
-parse_by_rows checks the batched parser against is the grouping into
-frames, the order in which a row's errors are raised, and each
-descriptor's values and normalization computed alone.
+time, detection parsing one row at a time, detection evaluation one
+`Detection` row at a time, and the matching cascade one miss age at a
+time. None of it shares code with the package under test, except that
+parse_row reads a row's fields with the parser's own field checks
+(`detstream._parse_head`, `_parse_embedding`): what parse_by_rows checks
+the batched parser against is the grouping into frames, the order in
+which a row's errors are raised, and each descriptor's values and
+normalization computed alone. Likewise cascade_by_age solves each age's
+slice with the engine's `assoc.solve_assignment` (checked against the
+brute-force assignment on its own): what it checks is the split into
+ages, not the solve of a slice.
 """
 
 import itertools
@@ -24,6 +28,7 @@ import numpy as np
 import scipy.linalg
 import scipy.special
 
+from trafficstate.assoc import CostMatrix, solve_assignment
 from trafficstate.detstream import Detection, _parse_embedding, _parse_head
 from trafficstate.errors import NumericalError, ParseError, ValidationError
 
@@ -45,6 +50,28 @@ def brute_force_gated_assignment(values: np.ndarray, admissible: np.ndarray):
         if (len(pairs), -cost) > (best[0], -best[1]):
             best = (len(pairs), cost)
     return best
+
+
+def cascade_by_age(values: np.ndarray, admissible: np.ndarray, misses: np.ndarray):
+    """DeepSORT's matching cascade, one miss age at a time, freshest first.
+
+    Each age solves the slice of all its rows and the columns the younger
+    ages left unmatched. Returns (matches (k, 2) by row, unmatched rows,
+    unmatched columns), each ascending.
+    """
+    remaining = np.arange(values.shape[1])
+    rows, cols, leftover = [], [], []
+    for age in sorted(set(misses.tolist())):
+        group = np.flatnonzero(misses == age)
+        cells = np.ix_(group, remaining)
+        result = solve_assignment(CostMatrix(values=values[cells],
+                                             admissible=admissible[cells]))
+        rows += group[result.matches[:, 0]].tolist()
+        cols += remaining[result.matches[:, 1]].tolist()
+        leftover += group[result.unmatched_tracks].tolist()
+        remaining = remaining[result.unmatched_detections]
+    matches = np.array(sorted(zip(rows, cols)), dtype=np.int64).reshape(-1, 2)
+    return matches, np.array(sorted(leftover), dtype=np.int64), remaining
 
 
 def threshold_enumeration_ap(labeled, n_gt: int) -> float:

@@ -389,6 +389,42 @@ def test_cost_matrix_asks_appearance_only_inside_the_motion_gate(monkeypatch):
     assert np.array_equal(cm.admissible, inside)
 
 
+def cost_by_appearance_path(y, s, ok, z, gallery, rows, fill, descs, has_desc, lam, t1, t2):
+    """build_cost_matrix's result with appearance_distances always asked,
+    even when no pair can have an appearance distance."""
+    d1 = motion_distances(y, s, ok, z)
+    motion_ok = ok[:, None] & (d1 <= t1)
+    defined = (fill > 0)[:, None] & has_desc[None, :]
+    d2 = appearance_distances(gallery, rows, fill, descs, motion_ok & defined)
+    admissible = motion_ok & np.where(defined, d2 <= t2, True)
+    values = np.full(d1.shape, np.inf)
+    values[admissible] = np.where(defined, lam * d1 + (1.0 - lam) * d2, d1)[admissible]
+    return values, admissible
+
+
+@pytest.mark.parametrize("case", ["no descriptors", "empty galleries"])
+def test_cost_matrix_skips_appearance_when_no_pair_has_one(monkeypatch, case):
+    # three tracks, one with an unusable projection, against three detections
+    y = np.array([[0.0, 0, 1, 10], [50, 0, 1, 10], [0, 0, 1, 10]])
+    s, ok = np.ones((3, 4)), np.array([True, True, False])
+    z = np.array([[0.5, 0, 1, 10], [50, 1, 1, 10], [500, 0, 1, 10]])
+    gallery = np.tile(np.array([1.0, 0.0]), (4, 5, 1))
+    rows = np.array([3, 0, 2])
+    fill = np.array([2, 5, 1]) if case == "no descriptors" else np.zeros(3, np.int64)
+    has_desc = np.zeros(3, bool) if case == "no descriptors" else np.ones(3, bool)
+    descs = np.where(has_desc[:, None], [[0.6, 0.8]], 0.0)
+    args = (y, s, ok, z, gallery, rows, fill, descs, has_desc)
+    want_values, want_admissible = cost_by_appearance_path(*args, lam=0.3, t1=9.0, t2=0.2)
+    asked = []
+    monkeypatch.setattr(assoc, "appearance_distances", lambda *a: asked.append(a))
+    cm = build_cost_matrix(*args, lam=0.3, t1=9.0, t2=0.2)
+    assert asked == []
+    assert want_admissible.tolist() == [[True, False, False], [False, True, False],
+                                        [False, False, False]]
+    assert np.array_equal(cm.admissible, want_admissible)
+    assert cm.values.tobytes() == want_values.tobytes()
+
+
 def unit_rows(rng, shape):
     v = rng.normal(size=shape)
     return v / np.linalg.norm(v, axis=-1, keepdims=True)

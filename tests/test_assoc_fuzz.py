@@ -1,4 +1,4 @@
-"""Gated stage-1 costs and the assignment solver against brute-force oracles.
+"""Gated stage-1 costs, the assignment solver and its cascade against oracles.
 
 Needs hypothesis (the `test` extra in pyproject.toml); skipped without it.
 """
@@ -18,6 +18,7 @@ from trafficstate.assoc import (  # noqa: E402
 
 from oracles import (  # noqa: E402
     brute_force_gated_assignment,
+    cascade_by_age,
     cosine_gallery_distance,
     gate,
     mahalanobis_sq,
@@ -181,3 +182,37 @@ def test_all_singleton_assignment_equals_scipy_on_the_filled_matrix(n, m, data):
     assert np.array_equal(result.unmatched_tracks, np.setdiff1d(np.arange(n), want_rows[keep]))
     assert np.array_equal(result.unmatched_detections,
                           np.setdiff1d(np.arange(m), want_cols[keep]))
+
+
+@st.composite
+def random_admissibility(draw):
+    """An admissible mask up to 6 x 6 at a drawn density, with two rows
+    sharing an admissible column whenever there are two rows, so that at
+    least one cell is contested; empty rows and columns come with sparse
+    draws."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    density = draw(st.sampled_from([0.15, 0.35, 0.7]))
+    cells = draw(st.lists(st.floats(0.0, 1.0), min_size=n * m, max_size=n * m))
+    admissible = (np.array(cells) < density).reshape(n, m)
+    if n > 1:
+        a, b = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        j = draw(st.integers(0, m - 1))
+        admissible[[a, b], j] = True
+    return admissible
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(admissible=st.one_of(structured_admissibility().map(lambda s: s[0]),
+                            random_admissibility()),
+       data=st.data())
+def test_cascade_in_one_pass_equals_age_by_age(admissible, data):
+    n, m = admissible.shape
+    drawn = np.array(data.draw(st.lists(COST, min_size=n * m, max_size=n * m)))
+    values = np.where(admissible, drawn.reshape(n, m), np.nan)
+    misses = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    result = solve_assignment(CostMatrix(values=values, admissible=admissible), misses)
+    matches, leftover, remaining = cascade_by_age(values, admissible, misses)
+    assert result.matches.dtype == np.int64
+    assert np.array_equal(result.matches, matches)
+    assert np.array_equal(result.unmatched_tracks, leftover)
+    assert np.array_equal(result.unmatched_detections, remaining)

@@ -187,6 +187,24 @@ BAD_FILES = [pytest.param("track", edited(SPARSE_LONG_RUN_CONFIG, key, value), n
     ("occlusion without last_frame", SCENARIO + "\n[occlusion.1]\nagent = 0\nfirst_frame = 3\n",
      "[occlusion.1] last_frame"),
     ("no [loi]", re.sub(r"\[loi\][^[]*", "", SCENARIO), "[loi] ax_px"),
+]] + [pytest.param("track", text, named, id=f"track {name}") for name, text, named in [
+    # a misspelt key or section would otherwise leave its setting at the default
+    ("interval", "[measure]\ninterval = 5\n", "[measure] interval: unknown key"),
+    ("[tracker]", SPARSE_LONG_RUN_CONFIG + "\n[tracker]\nmax_age = 5\n",
+     "[tracker] max_age: unknown key"),
+    ("empty [traking]", SPARSE_LONG_RUN_CONFIG + "\n[traking]\n", "[traking]: unknown section"),
+    ("[DEFAULT] fps", "[DEFAULT]\nfps = 30\n" + SPARSE_LONG_RUN_CONFIG,
+     "[DEFAULT] fps: unknown key"),
+    ("[scenario]", SPARSE_LONG_RUN_CONFIG + "\n[scenario]\nduration_s = 2\n",
+     "[scenario] duration_s: unknown key"),
+]] + [pytest.param("synth", text, named, id=f"synth {name}") for name, text, named in [
+    ("[measure] fps", edited(SCENARIO, "interval_s", "4\nfps = 30"),
+     "[measure] fps: unknown key"),
+    ("agent speed", SCENARIO + "\n[agent.3]\nclass = 1\nspeed = 3\n",
+     "[agent.3] speed: unknown key"),
+    ("duraton_s", SCENARIO.replace("duration_s", "duraton_s"),
+     "[scenario] duraton_s: unknown key"),
+    ("[tracking]", SCENARIO + "\n[tracking]\nmax_age = 2\n", "[tracking] max_age: unknown key"),
 ]]
 
 
@@ -202,6 +220,31 @@ def test_bad_value_exits_1_naming_file_section_and_key(tmp_path, capsys, command
     assert err.count("\n") == 1 and err.startswith("error: ") and "Traceback" not in err
     assert f"{path}: {named}" in err or f"'{path}' {named}" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_every_documented_key_is_known(tmp_path):
+    # print-config's keys, the reference-object keys it shows commented out,
+    # and the run configs of the benchmark's `track` workloads
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    try:
+        import scenes
+    finally:
+        sys.path.pop(0)
+    uncommented, n = re.subn(r"^# (ref_\w+ =)", r"\1", default_config_text(), flags=re.M)
+    assert n == 4
+    assert parse_config(uncommented).calibration.phi != parse_config("").calibration.phi
+    for sizes in (scenes.SIZES, scenes.SMOKE_SIZES):
+        for workload in ("dense_appearance", "sparse_long"):   # the `track` workloads
+            parse_config(scenes.config_text(sizes[workload], 80.0))
+
+
+def test_interval_cap_leaves_no_tracks_file(tmp_path, capsys):
+    # duration_s comes from the last frame, which sets a grid past the cap
+    # only once every frame has been tracked and written
+    dets = write(tmp_path / "dets.txt", "1,10,10,5,5,0.9,0\n100000000000,11,10,5,5,0.9,0\n")
+    assert main(["track", "--detections", dets, "--out-dir", str(tmp_path / "out")]) == 1
+    assert "intervals" in capsys.readouterr().err
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 def test_tracks_rows_hold_box_centre_and_size(tmp_path):

@@ -275,6 +275,28 @@ def test_cascade_gives_the_freshest_track_priority(monkeypatch):
     assert sorted(box) == [1, 2, 3, 4]
 
 
+def test_stage_one_solves_once_per_frame_across_miss_ages(monkeypatch):
+    # two tracks 300 px apart, confirmed on their first frame; the second
+    # misses frame 3, so on frame 4 stage 1 holds miss ages 0 and 1. Nothing
+    # is contested, so each frame makes one solve and no stage 2
+    solves = []
+    solve = assoc.solve_assignment
+
+    def spy(cost, *args):
+        solves[-1].append(None if not args else args[0].tolist())
+        return solve(cost, *args)
+
+    monkeypatch.setattr(assoc, "solve_assignment", spy)
+    tr = Tracker(TrackerConfig(n_init=1))
+    for frame, xs in enumerate([(100, 400), (101, 401), (102,), (103, 403), (104, 404)],
+                               start=1):
+        solves.append([])
+        live = tr.step(frame, stack(frame, [det(frame, x, 50) for x in xs]))
+        assert live.ids.tolist() == [1, 2]
+    assert [len(calls) for calls in solves] == [1] * 5
+    assert solves[3] == [[0, 1]]
+
+
 @pytest.mark.parametrize("h", [1e-38, 1e-7])
 def test_ill_conditioned_track_is_left_unmatched(h):
     # the same sub-pixel box every frame: each frame's tentative track has an
