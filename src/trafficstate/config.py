@@ -16,6 +16,7 @@ from __future__ import annotations
 import configparser
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, fields
+from pathlib import Path
 from typing import Mapping, Optional
 
 from .calib import CalibrationParams, ReferenceObject, derive_magnification
@@ -192,6 +193,9 @@ class RunConfig:
             if self.duration_s is not None:
                 require(self, "duration_s", positive, "finite and > 0 when set")
                 interval_count(self.interval_s, self.duration_s)
+        if Path(self.tracks_name) == Path(self.intervals_name):
+            raise ValidationError(f"[io] tracks_name and intervals_name must differ, both are "
+                                  f"{self.tracks_name!r}")
 
 
 def parse_config(text: str, path: str = "<config>") -> RunConfig:

@@ -189,6 +189,8 @@ def evaluate_detections(
     Each frame is matched once: its class-aware claims label the detections,
     and its class-agnostic claims fill the confusion matrix.
     """
+    if not 0.0 <= iou_threshold <= 1.0:
+        raise ValidationError(f"iou threshold must be in [0, 1], got {iou_threshold}")
     frames = sorted(set(predictions) | set(ground_truths))
     none = DetectionBatch.stack(0, [])
     dets = [predictions.get(f, none) for f in frames]

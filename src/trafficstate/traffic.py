@@ -287,6 +287,7 @@ class IntervalRow:
 def parse_intervals(source: IO[str] | Iterable[str], path=None) -> list[IntervalRow]:
     """Rows of an intervals file; mean_speed_kmh is nan exactly when n_speed_tracks is 0."""
     rows = []
+    seen = set()
     for line_no, line in enumerate(source, start=1):
         line = line.rstrip("\n")
         if not line or line.startswith("interval\t") or line.startswith("#"):
@@ -313,5 +314,9 @@ def parse_intervals(source: IO[str] | Iterable[str], path=None) -> list[Interval
         if math.isnan(row.mean_speed_kmh) != (row.n_speed_tracks == 0):
             raise ParseError("mean_speed_kmh must be nan exactly when n_speed_tracks is 0",
                              line_no, path)
+        if (row.interval, row.class_id) in seen:
+            raise ParseError(f"duplicate row for interval {row.interval}, class {row.class_id}",
+                             line_no, path)
+        seen.add((row.interval, row.class_id))
         rows.append(row)
     return rows

@@ -18,7 +18,10 @@ which a row's errors are raised, and each descriptor's values and
 normalization computed alone. Likewise cascade_by_age solves each age's
 slice with the engine's `assoc.solve_assignment` (checked against the
 brute-force assignment on its own): what it checks is the split into
-ages, not the solve of a slice.
+ages, not the solve of a slice. And generate_by_scan places and draws each
+detection with `synth`'s own helpers: what it checks is which agents are
+visited on a frame, in which order, which interval holds each frame, and
+the crossing's direction test.
 """
 
 import itertools
@@ -28,9 +31,12 @@ import numpy as np
 import scipy.linalg
 import scipy.special
 
+from trafficstate import synth
 from trafficstate.assoc import CostMatrix, solve_assignment
+from trafficstate.calib import to_pixel
 from trafficstate.detstream import Detection, _parse_embedding, _parse_head
 from trafficstate.errors import NumericalError, ParseError, ValidationError
+from trafficstate.traffic import interval_grid
 
 
 def brute_force_gated_assignment(values: np.ndarray, admissible: np.ndarray):
@@ -475,3 +481,101 @@ def parse_by_rows(source, min_confidence=0.0, path=None):
 
     if current_frame is not None:
         yield current_frame, batch
+
+
+# -- synthetic scenes, every agent checked on every frame ----------------------------
+
+def _alive_frames(agent, n_frames):
+    last = n_frames if agent.end_frame is None else min(agent.end_frame, n_frames)
+    return range(agent.spawn_frame, last + 1)
+
+
+def generate_by_scan(spec, loi, interval_s):
+    """synth.generate, testing every agent for life on every frame, and
+    rescanning each agent's frames once per interval for the ground truth."""
+    rng = np.random.default_rng(spec.seed)
+    n_frames = spec.n_frames
+    occluded = set()
+    for agent_idx, first, last in spec.occlusions:
+        for f in range(first, last + 1):
+            occluded.add((agent_idx, f))
+    means = None
+    if spec.embedding_dim > 0:
+        means = synth._embedding_means(len(spec.agents), spec.embedding_dim, rng)
+    batches = []
+    for frame in range(1, n_frames + 1):
+        dets = []
+        for idx, agent in enumerate(spec.agents):
+            if frame not in _alive_frames(agent, n_frames):
+                continue
+            if (idx, frame) in occluded:
+                continue
+            if spec.miss_prob > 0 and rng.random() < spec.miss_prob:
+                continue
+            wx, wy = synth._world_pos(agent, frame, spec.fps)
+            cx, cy = to_pixel(wx, wy, spec.calibration)
+            if spec.noise_std_px > 0:
+                offset = rng.normal(0.0, spec.noise_std_px, size=2)
+                cx, cy = cx + offset[0], cy + offset[1]
+            bbox = (cx - agent.box_w_px / 2.0, cy - agent.box_h_px / 2.0,
+                    agent.box_w_px, agent.box_h_px)
+            appearance = None
+            if means is not None:
+                vec = means[idx]
+                if spec.embedding_noise_std > 0:
+                    vec = vec + rng.normal(0.0, spec.embedding_noise_std,
+                                           size=spec.embedding_dim)
+                norm = np.linalg.norm(vec)
+                if norm == 0.0:
+                    vec = means[idx]
+                    norm = 1.0
+                appearance = vec / norm
+            dets.append(Detection(frame=frame, class_id=agent.class_id,
+                                  bbox=bbox, confidence=1.0,
+                                  appearance=appearance))
+        batches.append((frame, dets))
+    return batches, _ground_truth_by_scan(spec, loi, interval_s)
+
+
+def _ground_truth_by_scan(spec, loi, interval_s):
+    n_frames = spec.n_frames
+    grid = interval_grid(interval_s, spec.duration_s)
+    n_intervals = len(grid)
+    trajectories, counts, speeds = {}, {}, {}
+    for idx, agent in enumerate(spec.agents):
+        frames = _alive_frames(agent, n_frames)
+        traj = [(f, *synth._world_pos(agent, f, spec.fps)) for f in frames]
+        trajectories[idx] = traj
+
+        crossing_frame = None
+        for (f0, x0, y0), (f1, x1, y1) in zip(traj, traj[1:]):
+            if not synth._segments_intersect((x0, y0), (x1, y1), loi.a, loi.b):
+                continue
+            if loi.direction is not None:
+                cross = (loi.b[0] - loi.a[0]) * (y1 - y0) \
+                    - (loi.b[1] - loi.a[1]) * (x1 - x0)
+                sign = (cross > 0) - (cross < 0)
+                if sign != loi.direction:
+                    continue
+            crossing_frame = f1
+            break
+        if crossing_frame is not None:
+            t = crossing_frame / spec.fps
+            if t <= spec.duration_s and n_intervals > 0:
+                i = min(int(t / interval_s), n_intervals - 1)
+                counts.setdefault(i, {})
+                counts[i][agent.class_id] = counts[i].get(agent.class_id, 0) + 1
+
+        for i, (start, end) in enumerate(grid):
+            closed_end = i == n_intervals - 1
+            inside = [
+                f for f in frames
+                if start <= f / spec.fps < end
+                or (closed_end and f / spec.fps == end)
+            ]
+            if len(inside) >= 2:
+                speeds.setdefault(i, {}).setdefault(agent.class_id, []).append(
+                    agent.speed_mps
+                )
+    return synth.GroundTruth(trajectories=trajectories, counts=counts, speeds=speeds,
+                             interval_s=interval_s, total_duration=spec.duration_s)

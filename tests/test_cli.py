@@ -197,6 +197,9 @@ BAD_FILES = [pytest.param("track", edited(SPARSE_LONG_RUN_CONFIG, key, value), n
      "[DEFAULT] fps: unknown key"),
     ("[scenario]", SPARSE_LONG_RUN_CONFIG + "\n[scenario]\nduration_s = 2\n",
      "[scenario] duration_s: unknown key"),
+    # intervals.txt would be written over the tracks
+    ("one [io] name", SPARSE_LONG_RUN_CONFIG + "\n[io]\ntracks_name = out.txt\n"
+     "intervals_name = ./out.txt\n", "[io] tracks_name and intervals_name must differ"),
 ]] + [pytest.param("synth", text, named, id=f"synth {name}") for name, text, named in [
     ("[measure] fps", edited(SCENARIO, "interval_s", "4\nfps = 30"),
      "[measure] fps: unknown key"),
@@ -314,6 +317,100 @@ def test_synth_deterministic_and_seed_override(tmp_path):
     main(["synth", "--spec", spec, "--seed", "6", "--out-dir", str(tmp_path / "c")])
     assert (tmp_path / "a" / "detections.txt").read_bytes() \
         != (tmp_path / "c" / "detections.txt").read_bytes()
+
+
+# a scene whose agents are listed out of spawn order, with staggered spawn
+# and end frames (one past the scene's end), an occlusion, misses and embeddings
+STAGGERED_SCENARIO = """\
+[scenario]
+fps = 10
+duration_s = 6
+noise_std_px = 0.8
+miss_prob = 0.15
+embedding_dim = 6
+embedding_noise_std = 0.05
+seed = 3
+
+[calibration]
+phi = 2.0
+omega = 2.0
+delta_deg = 90
+
+[loi]
+ax_px = 40
+ay_px = -400
+bx_px = 40
+by_px = 400
+
+[measure]
+interval_s = 1.5
+
+[agent.1]
+class = 1
+x0_m = 10
+y0_m = 4
+vx_mps = 6
+vy_mps = 0
+spawn_frame = 25
+end_frame = 50
+
+[agent.2]
+class = 2
+x0_m = 0
+y0_m = 0
+vx_mps = 10
+vy_mps = 0.5
+spawn_frame = 3
+end_frame = 25
+
+[agent.3]
+class = 0
+x0_m = 5
+y0_m = 12
+vx_mps = 7
+vy_mps = 0
+spawn_frame = 12
+
+[agent.4]
+class = 3
+x0_m = -6
+y0_m = 8
+vx_mps = 11
+vy_mps = -1
+spawn_frame = 1
+end_frame = 70
+
+[agent.5]
+class = 1
+x0_m = 0
+y0_m = -5
+vx_mps = 8
+vy_mps = 0
+spawn_frame = 65
+
+[occlusion.1]
+agent = 2
+first_frame = 20
+last_frame = 24
+"""
+
+# sha256 of synth's detections.txt and ground_truth.txt for (scenario, seed);
+# a change to them is a change to every scene built from a spec
+PINNED_SYNTH_SHA256 = [
+    (SCENARIO.replace("seed = 21", "seed = 21\nnoise_std_px = 1.0"), "5", "72ab3a4f54ba15531b5c95c3fcebfb7cc9fb995704a8ae3adc27ea73ed90d231",
+     "d85771d2ef1bee2495da3c84574c012f8b2c5ce5555fe812dcb684bede4bb879"),
+    (STAGGERED_SCENARIO, None, "6d933622e146634efd4dadfe2fa21dd47c669044e11adc94944a9f081bddc6a0",
+     "8c6409c68b1eb4ed40ae6742e6e3045c47c69637e9224e71d1d00b0d31e53796"),
+]
+
+
+@pytest.mark.parametrize("text,seed,detections,truth", PINNED_SYNTH_SHA256)
+def test_synth_output_bytes_are_pinned(tmp_path, text, seed, detections, truth):
+    spec = write(tmp_path / "scenario.ini", text)
+    argv = ["synth", "--spec", spec, "--out-dir", str(tmp_path / "out")]
+    assert main(argv + (["--seed", seed] if seed else [])) == 0
+    for name, pinned in (("detections.txt", detections), ("ground_truth.txt", truth)):
+        assert hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() == pinned
 
 
 def test_track_empty_detections(tmp_path):
@@ -442,6 +539,36 @@ def test_stats_rejects_non_finite_flow(tmp_path, capsys):
                  "--out-dir", str(tmp_path / "s")]) == 1
     assert f"{a}:3:" in capsys.readouterr().err
     assert not (tmp_path / "s" / "stats.txt").exists()
+
+
+def test_stats_rejects_a_second_row_for_an_interval_and_class(tmp_path, capsys):
+    # a second row would otherwise silently replace the first in the series
+    head = "interval\tt_start_s\tt_end_s\tclass\tcount\tflow_vph\tmean_speed_kmh\tn_speed_tracks\n"
+    good = head + "0\t0\t60\t1\t1\t60\tnan\t0\n1\t60\t120\t1\t1\t60\tnan\t0\n"
+    m = write(tmp_path / "m.txt", good.replace("\n1\t60", "\n0\t0\t60\t1\t2\t120\tnan\t0\n1\t60"))
+    t = write(tmp_path / "t.txt", good)
+    assert main(["stats", "--measured", m, "--truth", t,
+                 "--out-dir", str(tmp_path / "s")]) == 1
+    assert capsys.readouterr().err == f"error: {m}:3: duplicate row for interval 0, class 1\n"
+    assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("iou", ["nan", "inf", "1.5", "-1", "-0.01"])
+def test_eval_rejects_an_iou_threshold_outside_0_1(tmp_path, capsys, iou):
+    gt = write(tmp_path / "gt.txt", "1,0,0,10,10,0\n")
+    pred = write(tmp_path / "pred.txt", "1,0,0,10,10,1.0,0\n")
+    assert main(["eval", "--pred", pred, "--gt", gt, "--iou", iou,
+                 "--out-dir", str(tmp_path / "e")]) == 1
+    assert "iou threshold must be in [0, 1]" in capsys.readouterr().err
+    assert not (tmp_path / "e").exists()
+
+
+def test_eval_accepts_the_iou_thresholds_0_and_1(tmp_path):
+    gt = write(tmp_path / "gt.txt", "1,0,0,10,10,0\n")
+    pred = write(tmp_path / "pred.txt", "1,0,0,10,10,1.0,0\n")
+    for iou in ("0", "1"):
+        assert main(["eval", "--pred", pred, "--gt", gt, "--iou", iou,
+                     "--out-dir", str(tmp_path / iou)]) == 0
 
 
 def test_exit_codes(tmp_path):
