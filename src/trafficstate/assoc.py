@@ -10,8 +10,8 @@ distances are computed only for the pairs inside the motion gate, since no
 other pair can be admissible. The gated distances are combined into one
 cost matrix and solved as a linear assignment problem, whose matches and
 leftovers come back as index arrays. The second matching stage uses IoU
-distance instead; `iou_matrix` also serves detection evaluation in
-`metrics`.
+distance instead; its IoU kernel, in the pair form `iou_pairs`, also
+serves detection evaluation in `metrics`.
 """
 
 from __future__ import annotations
@@ -56,24 +56,38 @@ class AssignmentResult:
     unmatched_detections: np.ndarray  # (m - k,) int64 columns
 
 
-def iou_matrix(a, b) -> np.ndarray:
-    """Intersection over union (n, m) of (x, y, w, h) pixel boxes a (n, 4), b (m, 4).
+def _iou(ax, ay, aw, ah, bx, by, bw, bh) -> np.ndarray:
+    """Elementwise IoU of boxes a and b given as broadcastable coordinate arrays.
 
-    Each entry is computed in the operation order of the two-box formula, so
-    it does not depend on which other boxes share the call.
+    Written in the operation order of the two-box formula, so an entry does
+    not depend on which other boxes share the call.
     """
-    a = np.asarray(a, dtype=np.float64).reshape(-1, 4)
-    b = np.asarray(b, dtype=np.float64).reshape(-1, 4)
-    if (a[:, 2:] <= 0).any() or (b[:, 2:] <= 0).any():
-        raise ValidationError("boxes must have positive width and height")
-    ax, ay, aw, ah = (a[:, i, None] for i in range(4))
-    bx, by, bw, bh = (b[None, :, i] for i in range(4))
     ix = np.maximum(0.0, np.minimum(ax + aw, bx + bw) - np.maximum(ax, bx))
     iy = np.maximum(0.0, np.minimum(ay + ah, by + bh) - np.maximum(ay, by))
     inter = ix * iy
     union = aw * ah + bw * bh - inter
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(union > 0, inter / union, 0.0)
+
+
+def _boxes(a) -> np.ndarray:
+    a = np.asarray(a, dtype=np.float64).reshape(-1, 4)
+    if (a[:, 2:] <= 0).any():
+        raise ValidationError("boxes must have positive width and height")
+    return a
+
+
+def iou_matrix(a, b) -> np.ndarray:
+    """Intersection over union (n, m) of (x, y, w, h) pixel boxes a (n, 4), b (m, 4)."""
+    a, b = _boxes(a), _boxes(b)
+    return _iou(*(a[:, i, None] for i in range(4)), *(b[None, :, i] for i in range(4)))
+
+
+def iou_pairs(a, b, rows, cols) -> np.ndarray:
+    """Intersection over union (k,) of the box pairs a[rows], b[cols], each
+    equal to iou_matrix(a, b)[rows, cols]."""
+    a, b = _boxes(a), _boxes(b)
+    return _iou(*a[rows].T, *b[cols].T)
 
 
 def motion_distances(y: np.ndarray, s: np.ndarray, ok: np.ndarray,

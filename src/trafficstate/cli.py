@@ -8,26 +8,51 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import io
+import re
 import sys
 from pathlib import Path
 
 from . import detstream, metrics, synth, traffic
 from .config import default_config_text, parse_config
 from .detstream import ClassCatalog, DetectionBatch
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ParseError, ValidationError
 from .tracker import Tracker
 
 TRACKS_HEADER = "frame\tid\tclass\tu\tv\tw\th"
 
 
+# a byte that is not UTF-8, as errors="surrogateescape" decodes it
+_NOT_UTF8 = re.compile("[\udc80-\udcff]")
+
+
+def _check_utf8(text: str, line_no: int, path: str) -> str:
+    """text, read with errors="surrogateescape" from line line_no of path on;
+    a byte that is not UTF-8 raises the ParseError naming the first one."""
+    bad = None if text.isascii() else _NOT_UTF8.search(text)
+    if bad is not None:
+        raise ParseError(f"not UTF-8 text (byte 0x{ord(bad.group()) - 0xDC00:02x})",
+                         line_no + text.count("\n", 0, bad.start()), path)
+    return text
+
+
 def _read_text(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    return _check_utf8(Path(path).read_text(encoding="utf-8", errors="surrogateescape"),
+                       1, path)
 
 
 def _open_detections(path: str):
     if path == "-":
+        if hasattr(sys.stdin, "reconfigure"):
+            sys.stdin.reconfigure(errors="surrogateescape")
         return sys.stdin
-    return open(path, "r", encoding="utf-8")
+    return open(path, "r", encoding="utf-8", errors="surrogateescape")
+
+
+def _utf8_lines(lines, path: str):
+    """lines, each checked by _check_utf8 as it is reached."""
+    for line_no, line in enumerate(lines, start=1):
+        yield line if line.isascii() else _check_utf8(line, line_no, path)
 
 
 def _frames_to_step(batches, tracker: Tracker):
@@ -56,7 +81,8 @@ def cmd_track(detections_path: str, config_path: str | None, out_dir: str) -> in
     src = _open_detections(detections_path)
     try:
         batches = detstream.parse_detections(
-            src, min_confidence=cfg.confidence_floor, path=detections_path
+            _utf8_lines(src, detections_path), min_confidence=cfg.confidence_floor,
+            path=detections_path,
         )
         tf = open(tracks_path, "w", encoding="utf-8")
         try:
@@ -103,10 +129,10 @@ def _load_catalog(classes_path: str | None) -> ClassCatalog:
 def cmd_eval(pred_path: str, gt_path: str, iou_threshold: float,
              classes_path: str | None, out_dir: str) -> int:
     catalog = _load_catalog(classes_path)
-    with open(pred_path, "r", encoding="utf-8") as f:
-        preds = metrics.load_boxes(f, require_confidence=True, path=pred_path)
-    with open(gt_path, "r", encoding="utf-8") as f:
-        gts = metrics.load_boxes(f, require_confidence=False, path=gt_path)
+    preds = metrics.load_boxes(io.StringIO(_read_text(pred_path)), require_confidence=True,
+                               path=pred_path)
+    gts = metrics.load_boxes(io.StringIO(_read_text(gt_path)), require_confidence=False,
+                             path=gt_path)
     report = metrics.evaluate_detections(preds, gts, catalog.count, iou_threshold)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -189,10 +215,8 @@ def _stat_line(quantity: str, label: str, a, b) -> str:
 
 
 def cmd_stats(measured_path: str, truth_path: str, out_dir: str) -> int:
-    with open(measured_path, "r", encoding="utf-8") as f:
-        measured = traffic.parse_intervals(f, path=measured_path)
-    with open(truth_path, "r", encoding="utf-8") as f:
-        truth = traffic.parse_intervals(f, path=truth_path)
+    measured = traffic.parse_intervals(io.StringIO(_read_text(measured_path)), path=measured_path)
+    truth = traffic.parse_intervals(io.StringIO(_read_text(truth_path)), path=truth_path)
     lines = _stats_rows(measured, truth)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -16,7 +16,8 @@ call when the frame ends, and their norms checked in one pass. Whenever
 that pass cannot vouch for a row, the frame's embeddings are parsed again
 row by row, so values and error messages are exactly those of a
 row-at-a-time parse. `metrics.load_boxes` reads evaluation files with the
-same row checks. `Detection` is the one-row form that `synth` writes;
+same row checks, or with `_valid_rows`, their form for rows held as
+arrays. `Detection` is the one-row form that `synth` writes;
 `DetectionBatch.stack` turns a frame's list of them into a batch.
 """
 
@@ -184,6 +185,22 @@ def _parse_head(parts: Sequence[str], line_no: int, path):
     if not 0.0 <= conf <= 1.0:
         raise ParseError(f"confidence must be in [0,1], got {conf}", line_no, path)
     return frame, x, y, w, h, conf, class_id
+
+
+def _valid_rows(frames: np.ndarray, boxes: np.ndarray, confidence: np.ndarray,
+                class_ids: np.ndarray, descriptors: np.ndarray) -> np.ndarray:
+    """(n,) bool: which rows pass _parse_head's checks and _parse_embedding's.
+
+    frames and class_ids are (n,) int64, boxes (n, 4), confidence (n,) and
+    descriptors (n, D) float64, D >= 0. The tests are _parse_head's, written
+    so that NaN fails each; normalize_appearance accepts exactly the finite
+    descriptors that are not all zero.
+    """
+    ok = (np.abs(boxes) <= MAX_BOX_PX).all(axis=1) & (boxes[:, 2:] > 0).all(axis=1)
+    ok &= (frames >= 1) & (class_ids >= 0) & (confidence >= 0.0) & (confidence <= 1.0)
+    if descriptors.shape[1]:
+        ok &= np.isfinite(descriptors).all(axis=1) & descriptors.any(axis=1)
+    return ok
 
 
 def _parse_embedding(fields: Sequence[str], line_no: int, path) -> np.ndarray:

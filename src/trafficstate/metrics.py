@@ -2,9 +2,10 @@
 
 Evaluation side: `load_boxes` reads evaluation files into one
 `DetectionBatch` per frame. Greedy confidence-ordered IoU matching gives
-each detection the ground truth it claimed (or -1), from one IoU matrix
-both among its own class, which decides its hit, and among all classes,
-which fills a true-by-predicted confusion matrix. Then precision, recall,
+each detection the ground truth it claimed (or -1), from one IoU pass
+per frame over the pairs whose boxes meet, both among its own class,
+which decides its hit, and among all classes, which fills a
+true-by-predicted confusion matrix. Then precision, recall,
 F1, average precision as the area under the interpolated precision-recall
 step curve, and mAP. Each class keeps only its ground-truth count and its
 detections' (confidence, is_true_positive) labels; the TP, FP and FN
@@ -15,14 +16,15 @@ a paired two-tailed t-test with exact t-distribution p-values.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import IO, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .assoc import iou_matrix
-from .detstream import DetectionBatch, _frame_batch, _parse_embedding, _parse_head
+from .assoc import iou_pairs
+from .detstream import DetectionBatch, _frame_batch, _parse_embedding, _parse_head, _valid_rows
 from .errors import NumericalError, ParseError, ValidationError
 
 DEFAULT_IOU_THRESHOLD = 0.5
@@ -30,6 +32,29 @@ DEFAULT_IOU_THRESHOLD = 0.5
 
 # ---------------------------------------------------------------------------
 # matching detections to ground truth
+
+
+def _meeting_pairs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols) of every pair of boxes a[rows], b[cols] whose x-extents
+    can overlap, a superset of the pairs with positive IoU.
+
+    A positive IoU needs a positive x-overlap, min(ax + aw, bx + bw) -
+    max(ax, bx) > 0, so bx < ax + aw and bx + bw > ax, with the right edges
+    rounded as the IoU kernel rounds them. With b sorted by left edge, the
+    first condition holds on a prefix; and every box before the first whose
+    running maximum of right edges passes ax fails the second. No bound is
+    computed by subtraction, so none can round below an overlap of one ulp.
+    """
+    order = np.argsort(b[:, 0], kind="stable")
+    left = b[order, 0]
+    reach = np.maximum.accumulate(left + b[order, 2])
+    lo = np.searchsorted(reach, a[:, 0], side="right")
+    hi = np.searchsorted(left, a[:, 0] + a[:, 2], side="left")
+    counts = np.maximum(hi - lo, 0)
+    rows = np.repeat(np.arange(len(a)), counts)
+    # position within each row's run, plus the run's first sorted index
+    offsets = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+    return rows, order[np.repeat(lo, counts) + offsets]
 
 
 def match_to_ground_truth(
@@ -42,16 +67,19 @@ def match_to_ground_truth(
     Each detection claims the unclaimed ground truth with the highest IoU at
     or above the threshold, the first one on ties. Returns an (m, 2) int64
     array of the claimed ground truth per detection, or -1: column 0 among
-    those of its own class, column 1 among all of them.
+    those of its own class, column 1 among all of them. IoU is computed only
+    for the pairs whose boxes can meet; every other pair has IoU 0.
     """
     claimed = np.full((len(detections), 2), -1, dtype=np.int64)
-    overlaps = iou_matrix(detections.boxes, ground_truths.boxes)
+    rows, cols = _meeting_pairs(detections.boxes, ground_truths.boxes)
+    overlaps = iou_pairs(detections.boxes, ground_truths.boxes, rows, cols)
     # a pair is a candidate while its IoU is positive and clears the threshold
-    rows, cols = np.nonzero((overlaps >= iou_threshold) & (overlaps > 0.0))
+    keep = (overlaps >= iou_threshold) & (overlaps > 0.0)
+    rows, cols, overlaps = rows[keep], cols[keep], overlaps[keep]
     # with no NaN confidence, this ranks as sorted(key=(-confidence, index))
     rank = np.argsort(np.argsort(-detections.confidence, kind="stable"))
     # the candidate pairs, each detection's in the order it prefers them
-    order = np.lexsort((cols, -overlaps[rows, cols], rank[rows]))
+    order = np.lexsort((cols, -overlaps, rank[rows]))
     rows, cols = rows[order], cols[order]
     same = detections.class_ids[rows] == ground_truths.class_ids[cols]
     for column, pairs in enumerate((same, slice(None))):
@@ -298,10 +326,70 @@ def load_boxes(
 ) -> dict[int, DetectionBatch]:
     """Frame-indexed boxes from an evaluation file, order-insensitive.
 
-    Ground truths (require_confidence False) all get confidence 1.0.
+    Frames come in the order of their first row, each frame's rows in file
+    order. Ground truths (require_confidence False) all get confidence 1.0.
+    The file is read as one array when it can be (see _read_block);
+    otherwise, and for every bad file, row by row, which raises the
+    ParseError of the first bad row.
     """
+    lines = list(source)
+    batches = _read_block(lines, require_confidence)
+    return batches if batches is not None else _load_by_rows(lines, require_confidence, path)
+
+
+def _read_block(lines: list[str], require_confidence: bool) -> Optional[dict[int, DetectionBatch]]:
+    """load_boxes' result from one np.loadtxt read of all rows, or None when
+    that read cannot vouch for every row.
+
+    The columns are those of the first row: frame and class as int64, the
+    box, confidence and descriptor columns as float64. numpy's int and float
+    parsers accept a subset of what int() and float() accept, with the same
+    values, so a read that raises or warns of nothing, and whose rows all
+    pass detstream._valid_rows, is what the row loop would return. Each
+    line must be one row: loadtxt skips empty lines and rejects comment
+    lines, whitespace-only lines and embedded newlines, which all take the
+    row loop.
+    """
+    first = next((s for s in map(str.strip, lines) if s and not s.startswith("#")), "")
+    n_cols = first.count(",") + 1
+    if n_cols < 6 or (n_cols == 6 and require_confidence):
+        return None
+    fields = [("frame", "i8"), ("box", "f8", (4,))]
+    fields += [("conf", "f8")] if n_cols > 6 else []
+    fields += [("class", "i8")]
+    fields += [("descriptor", "f8", (n_cols - 7,))] if n_cols > 7 else []
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(lines, dtype=np.dtype(fields), delimiter=",", comments=None,
+                              ndmin=1)
+    except (ValueError, Warning):
+        return None
+    n = len(rows)
+    conf = rows["conf"] if n_cols > 6 else np.ones(n)
+    descriptors = rows["descriptor"] if n_cols > 7 else np.empty((n, 0))
+    if not _valid_rows(rows["frame"], rows["box"], conf, rows["class"], descriptors).all():
+        return None
+    if not require_confidence:
+        conf = np.ones(n)
+    order = np.argsort(rows["frame"], kind="stable")
+    frames = rows["frame"][order]
+    bounds = np.concatenate(([0], np.flatnonzero(frames[1:] != frames[:-1]) + 1, [n]))
+    boxes, conf, class_ids = rows["box"][order], conf[order], rows["class"][order]
+    batches = {}
+    # a stable sort puts each frame's first row first in its run
+    for g in np.argsort(order[bounds[:-1]]).tolist():
+        s, e = bounds[g], bounds[g + 1]
+        frame = int(frames[s])
+        batches[frame] = DetectionBatch(frame=frame, boxes=boxes[s:e], confidence=conf[s:e],
+                                        class_ids=class_ids[s:e], appearance=np.empty((e - s, 0)))
+    return batches
+
+
+def _load_by_rows(lines: list[str], require_confidence: bool, path) -> dict[int, DetectionBatch]:
+    """load_boxes' result one row at a time, with detstream's row checks."""
     frames: dict[int, list[tuple]] = {}
-    for line_no, line in enumerate(source, start=1):
+    for line_no, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

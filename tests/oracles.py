@@ -9,13 +9,11 @@ the Kalman steps and the Mahalanobis distance batched in their dense
 must match bit for bit, the calibration transform with its trigonometry
 evaluated afresh on every call, trajectory assembly one track row at a
 time, detection parsing one row at a time, detection evaluation one
-`Detection` row at a time, and the matching cascade one miss age at a
-time. None of it shares code with the package under test, except that
-parse_row reads a row's fields with the parser's own field checks
-(`detstream._parse_head`, `_parse_embedding`): what parse_by_rows checks
-the batched parser against is the grouping into frames, the order in
-which a row's errors are raised, and each descriptor's values and
-normalization computed alone. Likewise cascade_by_age solves each age's
+`Detection` row at a time, evaluation files read one row at a time, and
+the matching cascade one miss age at a time. The row parsers check each
+field against the input contract restated here (its bounds and
+messages), not with the parser's own checks. Two oracles share code with
+the package under test: cascade_by_age solves each age's
 slice with the engine's `assoc.solve_assignment` (checked against the
 brute-force assignment on its own): what it checks is the split into
 ages, not the solve of a slice. And generate_by_scan places and draws each
@@ -34,7 +32,7 @@ import scipy.special
 from trafficstate import synth
 from trafficstate.assoc import CostMatrix, solve_assignment
 from trafficstate.calib import to_pixel
-from trafficstate.detstream import Detection, _parse_embedding, _parse_head
+from trafficstate.detstream import Detection
 from trafficstate.errors import NumericalError, ParseError, ValidationError
 from trafficstate.traffic import interval_grid
 
@@ -421,13 +419,70 @@ def measure_by_rescan(trajectories, crosses, interval_s, fps, total_duration):
 
 
 # -- detection parsing, one row at a time ---------------------------------------
+# The input contract's bounds and messages, restated: the engine's field checks
+# are what these oracles check.
+
+MAX_BOX_PX = 1e5
+MAX_CLASS_ID = 2**63 - 1
+UNIT_NORM_TOL = 1e-9
+
+
+def parse_head(parts, line_no, path):
+    """(frame, x, y, w, h, conf, class_id) of a row's first 7 fields, each
+    converted by int() or float(), then checked in the contract's order."""
+    try:
+        frame = int(parts[0])
+        x, y, w, h = (float(p) for p in parts[1:5])
+        conf = float(parts[5])
+        class_id = int(parts[6])
+    except ValueError as exc:
+        raise ParseError(f"unparseable field ({exc})", line_no, path) from None
+    box = (x, y, w, h)
+    if not all(-MAX_BOX_PX <= v <= MAX_BOX_PX for v in box):
+        raise ParseError(f"bounding box values must be finite and within "
+                         f"±{MAX_BOX_PX:g} px, got {box}", line_no, path)
+    if frame < 1:
+        raise ParseError(f"frame index must be >= 1, got {frame}", line_no, path)
+    if class_id < 0 or class_id > MAX_CLASS_ID:
+        raise ParseError(f"class id must be in [0, {MAX_CLASS_ID}], got {class_id}",
+                         line_no, path)
+    if not (w > 0 and h > 0):
+        raise ParseError(f"bounding box width/height must be positive, got ({w}, {h})",
+                         line_no, path)
+    if not (0.0 <= conf <= 1.0):
+        raise ParseError(f"confidence must be in [0,1], got {conf}", line_no, path)
+    return frame, x, y, w, h, conf, class_id
+
+
+def parse_descriptor(fields, line_no, path):
+    """One row's descriptor, each value read by float(), at unit norm.
+
+    A descriptor within 1e-9 of unit norm is kept as written; one whose
+    squares overflow or underflow is first divided by its largest |value|.
+    """
+    try:
+        raw = [float(p) for p in fields]
+    except ValueError as exc:
+        raise ParseError(f"unparseable embedding ({exc})", line_no, path) from None
+    if not all(math.isfinite(v) for v in raw):
+        raise ParseError("non-finite embedding value", line_no, path)
+    if not any(raw):
+        raise ParseError("appearance descriptor has zero norm", line_no, path)
+    v = np.array(raw)
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(v))
+    if norm == 0.0 or math.isinf(norm):
+        v = v / max(abs(x) for x in raw)
+        norm = float(np.linalg.norm(v))
+    return v if abs(norm - 1.0) <= UNIT_NORM_TOL else v / norm
+
 
 def parse_row(parts, line_no, path):
     """(frame, Detection, embedding dim) of one fully split row; dim 0 means
     no descriptor."""
-    frame, x, y, w, h, conf, class_id = _parse_head(parts, line_no, path)
+    frame, x, y, w, h, conf, class_id = parse_head(parts, line_no, path)
     dim = len(parts) - 7
-    appearance = _parse_embedding(parts[7:], line_no, path) if dim > 0 else None
+    appearance = parse_descriptor(parts[7:], line_no, path) if dim > 0 else None
     det = Detection(frame=frame, class_id=class_id, bbox=(x, y, w, h),
                     confidence=conf, appearance=appearance)
     return frame, det, dim
@@ -481,6 +536,35 @@ def parse_by_rows(source, min_confidence=0.0, path=None):
 
     if current_frame is not None:
         yield current_frame, batch
+
+
+def load_boxes_by_rows(source, require_confidence=False, path=None):
+    """{frame: [Detection, ...]} of an evaluation file, frames in the order
+    of their first row and each frame's rows in file order.
+
+    A 6-column row is a ground truth without confidence; every other row is
+    read by parse_row, its descriptor checked and then dropped. Ground
+    truths (require_confidence False) all get confidence 1.0.
+    """
+    frames = {}
+    for line_no, line in enumerate(source, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split(",")
+        if len(parts) == 6:
+            if require_confidence:
+                raise ParseError("prediction rows need a confidence column", line_no, path)
+            parts = parts[:5] + ["1.0", parts[5]]
+        elif len(parts) < 6:
+            raise ParseError(f"expected at least 6 comma-separated columns, got {len(parts)}",
+                             line_no, path)
+        frame, det, _ = parse_row(parts, line_no, path)
+        det.appearance = None
+        if not require_confidence:
+            det.confidence = 1.0
+        frames.setdefault(frame, []).append(det)
+    return frames
 
 
 # -- synthetic scenes, every agent checked on every frame ----------------------------

@@ -225,6 +225,42 @@ def test_bad_value_exits_1_naming_file_section_and_key(tmp_path, capsys, command
     assert not (tmp_path / "out").exists()
 
 
+# (input, the command that reads it)
+NOT_UTF8 = [("detections", "track"), ("stdin", "track"), ("config", "track"),
+            ("pred", "eval"), ("gt", "eval"), ("classes", "eval"), ("spec", "synth"),
+            ("measured", "stats"), ("truth", "stats")]
+
+
+@pytest.mark.parametrize("kind,command", NOT_UTF8, ids=[kind for kind, _ in NOT_UTF8])
+def test_bytes_not_utf8_exit_1_naming_the_line(tmp_path, capsys, monkeypatch, kind, command):
+    # line 3 is a comment holding a Latin-1 byte, after two lines that read well;
+    # the detections' first frame is tracked before it is reached
+    assert main(["synth", "--spec", write(tmp_path / "spec.ini", SCENARIO),
+                 "--out-dir", str(tmp_path / "synth")]) == 0
+    texts = {"detections": TWO_ROWS + "3,14,10,20,40,0.9,3\n", "config": RUN_CONFIG,
+             "pred": "1,10,10,20,40,0.9,0\n1,50,10,20,40,0.8,1\n",
+             "gt": "1,10,10,20,40,0\n1,50,10,20,40,1\n", "classes": "car\nbus\n",
+             "spec": SCENARIO,
+             "measured": (tmp_path / "synth" / "ground_truth.txt").read_text(encoding="utf-8")}
+    texts["stdin"], texts["truth"] = texts["detections"], texts["measured"]
+    lines = texts[kind].encode().splitlines(keepends=True)
+    data = b"".join(lines[:2] + [b"# caf\xe9\n"] + lines[2:])
+    paths = {name: str(tmp_path / f"{name}.txt") for name in texts}
+    for name, text in texts.items():
+        Path(paths[name]).write_bytes(data if name == kind else text.encode())
+    if kind == "stdin":
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        paths["detections"] = paths["stdin"] = "-"
+    argv = {"track": ["track", "--detections", paths["detections"], "--config", paths["config"]],
+            "eval": ["eval", "--pred", paths["pred"], "--gt", paths["gt"],
+                     "--classes", paths["classes"]],
+            "synth": ["synth", "--spec", paths["spec"]],
+            "stats": ["stats", "--measured", paths["measured"], "--truth", paths["truth"]]}
+    assert main(argv[command] + ["--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {paths[kind]}:3: not UTF-8 text (byte 0xe9)\n"
+    assert list((tmp_path / "out").glob("*")) == []
+
+
 def test_every_documented_key_is_known(tmp_path):
     # print-config's keys, the reference-object keys it shows commented out,
     # and the run configs of the benchmark's `track` workloads

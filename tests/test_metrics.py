@@ -474,7 +474,7 @@ def test_evaluate_requires_some_ground_truth():
 def test_eval_matches_each_frame_once(tmp_path, monkeypatch):
     # frames 1 and 2 hold both files' rows, frame 3 predictions alone and
     # frame 4 ground truth alone
-    calls = {"iou_matrix": 0, "match_to_ground_truth": 0, "confusion_matrix": 0}
+    calls = {"iou_pairs": 0, "match_to_ground_truth": 0, "confusion_matrix": 0}
 
     def counted(name):
         fn = getattr(metrics, name)
@@ -493,4 +493,4 @@ def test_eval_matches_each_frame_once(tmp_path, monkeypatch):
                                      encoding="utf-8")
     assert main(["eval", "--pred", str(tmp_path / "pred.txt"), "--gt", str(tmp_path / "gt.txt"),
                  "--out-dir", str(tmp_path / "out")]) == 0
-    assert calls == {"iou_matrix": 4, "match_to_ground_truth": 4, "confusion_matrix": 1}
+    assert calls == {"iou_pairs": 4, "match_to_ground_truth": 4, "confusion_matrix": 1}

@@ -1,7 +1,11 @@
-"""Batched detection evaluation against the row-at-a-time evaluation oracle.
+"""Batched detection evaluation against the row-at-a-time evaluation oracle,
+the array read of evaluation files against the row-at-a-time reader, and
+matching over the boxes that meet against matching over the full IoU matrix.
 
 Needs hypothesis (the `test` extra in pyproject.toml); skipped without it.
 """
+import io
+
 import numpy as np
 import pytest
 
@@ -9,11 +13,17 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from trafficstate.assoc import iou_matrix, iou_pairs  # noqa: E402
 from trafficstate.detstream import Detection, DetectionBatch  # noqa: E402
-from trafficstate.errors import ValidationError  # noqa: E402
-from trafficstate.metrics import evaluate_detections  # noqa: E402
+from trafficstate.errors import ParseError, ValidationError  # noqa: E402
+from trafficstate.metrics import (  # noqa: E402
+    _meeting_pairs,
+    evaluate_detections,
+    load_boxes,
+    match_to_ground_truth,
+)
 
-from oracles import evaluate_by_rows  # noqa: E402
+from oracles import evaluate_by_rows, load_boxes_by_rows  # noqa: E402
 
 N_CLASSES = 3
 # a few round confidences make ties in the greedy order common
@@ -79,3 +89,172 @@ def test_evaluate_equals_row_oracle(instance, iou_threshold):
     assert [report.per_class[k].ap for k in range(N_CLASSES)] == expected["ap"]
     assert report.map_50 == expected["map_50"]
     assert np.array_equal(report.confusion, expected["confusion"])
+
+
+# -- reading evaluation files -------------------------------------------------------
+
+INT_TOKENS = ["1.0", "1e3", "1_0", "+1", "-0", "0", "-1", "nan", "inf", str(2**63), " 2 "]
+FLOAT_TOKENS = ["nan", repr(np.nextafter(1e5, np.inf)), "-0.0", "", "-1e-9", "1.5", "inf",
+                "1_0", "-0.5", "1.0000000000000002"]
+
+
+@st.composite
+def eval_file(draw):
+    """(text, require_confidence): a valid evaluation file with frames out of
+    order, then at most one field or row mutated."""
+    require_confidence = draw(st.booleans())
+    six = not require_confidence and draw(st.booleans())
+    dim = 0 if six else draw(st.sampled_from([0, 0, 2, 3]))
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        row = [str(draw(st.integers(1, 4))), repr(draw(st.floats(-1e3, 1e3))),
+               repr(draw(st.floats(-10.0, 10.0))), repr(draw(st.floats(0.5, 50.0))), "20"]
+        if not six:
+            row.append(draw(st.sampled_from(["0", "0.25", "1", repr(draw(st.floats(0, 1)))])))
+        row.append(str(draw(st.integers(0, 3))))
+        row += [repr(draw(st.floats(0.1, 2.0))) for _ in range(dim)]
+        rows.append(row)
+    kind = draw(st.sampled_from(["none", "int", "float", "float", "form", "extra", "missing",
+                                 "comment", "blank", "zero", "non-finite", "width"]))
+    row = rows[draw(st.integers(0, len(rows) - 1))]
+    class_col = 5 if six else 6
+    if kind == "int":
+        row[draw(st.sampled_from([0, class_col]))] = draw(st.sampled_from(INT_TOKENS))
+    elif kind == "float":
+        row[draw(st.integers(1, class_col - 1))] = draw(st.sampled_from(FLOAT_TOKENS))
+    elif kind == "form":                 # a 7-column row among 6, or the reverse
+        if six:
+            row.insert(5, "0.5")
+        else:
+            del row[5]
+    elif kind == "extra":
+        row.append("0.5")
+    elif kind == "missing":
+        row.pop()
+    elif kind in ("zero", "non-finite") and dim:
+        row[class_col + 1:] = (["0", "-0.0"] * dim)[:dim] if kind == "zero" else \
+            ["1", draw(st.sampled_from(["nan", "inf", "1e400"]))] + row[class_col + 3:]
+    elif kind == "width" and dim:          # every row after the first one column wider
+        for r in rows[1:]:
+            r.append("0.5")
+    lines = [",".join(r) for r in rows]
+    if kind in ("comment", "blank"):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(["# note", "  # 1,2", "#"]) if kind == "comment"
+                          else st.sampled_from(["", "   ", "\t"])))
+    return "".join(line + "\n" for line in lines), require_confidence
+
+
+def loaded(frames):
+    """[(frame, bits of boxes, confidence and class_ids, appearance shape)],
+    in the dict's order."""
+    return [(frame, bits(b.boxes), bits(b.confidence), bits(b.class_ids), b.appearance.shape)
+            for frame, b in frames.items()]
+
+
+def bits(a):
+    return a.dtype.str, a.shape, np.ascontiguousarray(a).tobytes()
+
+
+def assert_same_load(text, require_confidence):
+    """load_boxes gives the row reader's frames, in its order, or its error."""
+    try:
+        want = loaded({frame: DetectionBatch.stack(frame, dets) for frame, dets in
+                       load_boxes_by_rows(io.StringIO(text), require_confidence, "e.txt").items()})
+    except ParseError as exc:
+        with pytest.raises(ParseError) as raised:
+            load_boxes(io.StringIO(text), require_confidence, "e.txt")
+        assert str(raised.value) == str(exc)
+        return
+    got = load_boxes(io.StringIO(text), require_confidence, "e.txt")
+    assert all(b.frame == frame for frame, b in got.items())
+    assert loaded(got) == want
+
+
+GOOD = "2,10,10,5,5,0.5,1,0.6,0.8\n1,30,10,5,5,0.25,0,3,4\n"
+
+
+# one case per check of the array read's validator, each a row the read accepts
+@pytest.mark.parametrize("row", [
+    "1,1e5,10,5,5,0.5,1,1,1", "1,-100000.00000000001,10,5,5,0.5,1,1,1", "1,nan,10,5,5,0.5,1,1,1",
+    "1,10,10,0,5,0.5,1,1,1", "1,10,10,5,-0.0,0.5,1,1,1",
+    "0,10,10,5,5,0.5,1,1,1", "-0,10,10,5,5,0.5,1,1,1", "1,10,10,5,5,0.5,-1,1,1",
+    "1,10,10,5,5,-1e-300,1,1,1", "1,10,10,5,5,1.0000000000000002,1,1,1", "1,10,10,5,5,nan,1,1,1",
+    "1,10,10,5,5,0.5,1,0,-0.0", "1,10,10,5,5,0.5,1,inf,1", "1,10,10,5,5,0.5,1,1,nan",
+    "1,10,10,5,5,0.5,1,1e300,1e-320",
+])
+@pytest.mark.parametrize("require_confidence", [True, False])
+def test_load_boxes_listed_rows_equal_row_oracle(row, require_confidence):
+    assert_same_load(GOOD + row + "\n", require_confidence)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(case=eval_file())
+def test_load_boxes_equals_row_oracle(case):
+    assert_same_load(*case)
+
+
+# -- matching only the boxes that meet ------------------------------------------------
+
+@st.composite
+def meeting_boxes(draw):
+    """(detections, ground truths) whose edges often touch or overlap by one ulp.
+
+    Each box is fresh, a copy of an earlier one, or starts at an earlier one's
+    right edge, one ulp before it or one after; each is then a detection or a
+    ground truth. Some boxes are 1e-12 wide at x = 1e5, too thin to meet anything.
+    """
+    boxes = []
+    for _ in range(draw(st.integers(0, 10))):
+        how = draw(st.sampled_from(["fresh", "thin", "copy", "touch", "before", "after"]))
+        if how == "thin" or (how == "fresh" or not boxes):
+            x = 1e5 if how == "thin" else float(draw(st.integers(0, 6)) * 7)
+            w = 1e-12 if how == "thin" else draw(st.sampled_from([8.0, 10.0, 0.1 + 0.2]))
+            box = (x, float(draw(st.integers(0, 2)) * 5), w, 10.0)
+        else:
+            x, y, w, h = boxes[draw(st.integers(0, len(boxes) - 1))]
+            right = x + w
+            start = {"copy": x, "touch": right, "before": np.nextafter(right, -np.inf),
+                     "after": np.nextafter(right, np.inf)}[how]
+            box = (float(start), y, draw(st.sampled_from([w, 3.0, 12.5])), h)
+        boxes.append(box)
+    dets, gts = [], []
+    for box in boxes:
+        is_det = draw(st.booleans())
+        (dets if is_det else gts).append(Detection(
+            frame=1, class_id=draw(st.integers(0, 1)), bbox=box,
+            confidence=draw(CONFIDENCE) if is_det else 1.0))
+    return DetectionBatch.stack(1, dets), DetectionBatch.stack(1, gts)
+
+
+def dense_claims(dets, gts, iou_threshold):
+    """match_to_ground_truth's claims from the full IoU matrix: in confidence
+    order, each detection takes the untaken ground truth of highest IoU at
+    or above the threshold, the first on ties."""
+    overlaps = iou_matrix(dets.boxes, gts.boxes)
+    claimed = np.full((len(dets), 2), -1, dtype=np.int64)
+    order = sorted(range(len(dets)), key=lambda i: (-dets.confidence[i], i))
+    for column in (0, 1):
+        taken = set()
+        for i in order:
+            for j in np.argsort(-overlaps[i], kind="stable").tolist():
+                o = overlaps[i, j]
+                if o < iou_threshold or o <= 0.0:
+                    break
+                if j not in taken and (column or dets.class_ids[i] == gts.class_ids[j]):
+                    claimed[i, column] = j
+                    taken.add(j)
+                    break
+    return claimed
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(instance=meeting_boxes(), iou_threshold=st.sampled_from([0.0, 0.3, 0.5, 1.0]))
+def test_pruned_matching_equals_dense(instance, iou_threshold):
+    dets, gts = instance
+    overlaps = iou_matrix(dets.boxes, gts.boxes)
+    rows, cols = _meeting_pairs(dets.boxes, gts.boxes)
+    assert set(zip(*np.nonzero(overlaps > 0))) <= set(zip(rows.tolist(), cols.tolist()))
+    assert np.array_equal(iou_pairs(dets.boxes, gts.boxes, rows, cols), overlaps[rows, cols])
+    assert np.array_equal(match_to_ground_truth(dets, gts, iou_threshold),
+                          dense_claims(dets, gts, iou_threshold))
