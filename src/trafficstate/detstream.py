@@ -9,22 +9,23 @@ appearance descriptor; every line that carries one must carry the same
 number of embedding columns. Rows must arrive in non-decreasing frame
 order so the stream can be consumed online.
 
-`parse_detections` yields one `DetectionBatch` of arrays per frame. Each
-row's seven head fields are converted and checked as the row is read; the
-embedding columns of a frame's rows are read together by one `np.loadtxt`
-call when the frame ends, and their norms checked in one pass. Whenever
-that pass cannot vouch for a row, the frame's embeddings are parsed again
-row by row, so values and error messages are exactly those of a
-row-at-a-time parse. `metrics.load_boxes` reads evaluation files with the
-same row checks, or with `_valid_rows`, their form for rows held as
-arrays. `Detection` is the one-row form that `synth` writes;
-`DetectionBatch.stack` turns a frame's list of them into a batch.
+`read_rows` is the one reader of this row format, for detection streams
+and evaluation files alike. It reads a block of lines with one
+`np.loadtxt` call and checks every row at once with `_valid_rows`; a
+block that read cannot vouch for goes through `_parse_rows`, one row at
+a time, so values and error messages are exactly those of a
+row-at-a-time parse. `parse_detections` feeds it CHUNK_ROWS lines at a
+time and yields one `DetectionBatch` of arrays per frame;
+`metrics.load_boxes` feeds it a whole evaluation file. `Detection` is the
+one-row form that `synth` writes; `DetectionBatch.stack` turns a frame's
+list of them into a batch.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import islice
 from typing import IO, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -58,6 +59,10 @@ DEFAULT_CLASS_NAMES = (
 MAX_CLASS_ID = np.iinfo(np.int64).max
 
 UNIT_NORM_TOL = 1e-9
+
+# Lines that parse_detections reads per np.loadtxt call: enough to spread the
+# call's cost, few enough that a chunk of 64-d rows stays under a megabyte.
+CHUNK_ROWS = 1024
 
 
 @dataclass
@@ -215,76 +220,123 @@ def _parse_embedding(fields: Sequence[str], line_no: int, path) -> np.ndarray:
         raise ParseError(str(exc), line_no, path) from None
 
 
-def _check_row(parts: Sequence[str], line_no: int, embed_dim: Optional[int],
-               last_frame: Optional[int], path) -> tuple[tuple, int]:
-    """(head fields, embedding dim) of one row split at its first 7 commas.
+def read_rows(lines: Sequence[str], line_no: int, path, stream: Optional[tuple] = None,
+              require_confidence: bool = True) -> tuple[np.ndarray, ...]:
+    """(frames, boxes, confidence, class_ids, descriptors) of the rows among
+    lines, the first of which is line line_no of path; blank and '#' lines
+    are skipped.
 
-    Checks everything but the embedding values, which are read with the
-    rest of the frame; a row that breaks the dimension or frame order has
-    its own embedding checked first, as a row-at-a-time parse would.
+    stream is None for the rows of an evaluation file: a 6-column row is a
+    ground truth of confidence 1.0 unless require_confidence, widths may
+    mix, and descriptors are checked, then dropped. Otherwise the rows go
+    on from a detection stream's, and stream is (embedding width, last
+    frame) of those rows, each None before the first: every row must carry
+    that many embedding columns and keep frame order, and descriptors come
+    at unit norm. The rows are read as one array when _read_block can vouch
+    for them, else by _parse_rows, which raises the first bad row's error.
     """
-    if len(parts) < 7:
-        raise ParseError(f"expected at least 7 comma-separated columns, got {len(parts)}",
-                         line_no, path)
-    head = _parse_head(parts, line_no, path)
-    dim = parts[7].count(",") + 1 if len(parts) > 7 else 0
-    mismatch = embed_dim is not None and dim != embed_dim
-    disordered = last_frame is not None and head[0] < last_frame
-    if mismatch or disordered:
-        if dim:
-            _parse_embedding(parts[7].split(","), line_no, path)
-        if mismatch:
-            raise ParseError(f"embedding dimension {dim} does not match expected {embed_dim}",
-                             line_no, path)
-        raise ParseError(f"frame {head[0]} after frame {last_frame}; stream must be "
-                         "ordered by frame", line_no, path)
-    return head, dim
+    # loadtxt skips empty lines itself; comment lines are dropped here, only
+    # when there is a '#' at all, since stripping every line adds a tenth
+    rows = lines
+    if "#" in "".join(lines):
+        rows = [s for s in map(str.strip, lines) if s and not s.startswith("#")]
+    columns = _read_block(rows, stream, require_confidence)
+    if columns is None:
+        columns = _parse_rows(lines, line_no, path, stream, require_confidence)
+    return columns
 
 
-def _embedding_block(tails: list[str], dim: int) -> Optional[np.ndarray]:
-    """(m, dim) unit descriptors from the embedding text of m rows, or None
-    when the batched read cannot vouch for every row.
+def _read_block(rows: Sequence[str], stream: Optional[tuple],
+                require_confidence: bool) -> Optional[tuple[np.ndarray, ...]]:
+    """read_rows' columns from one np.loadtxt call, or None when that read
+    cannot vouch for every row.
 
-    One loadtxt call reads the whole block. It is trusted only when it reads
-    m rows of dim finite values and warns of nothing: loadtxt skips blank
-    lines and rejects embedded newlines, so no row can shift into another's
-    place. A row whose batched norm is within half the unit tolerance of 1
-    is kept as it is, which normalize_appearance would do too; every other
-    row goes through normalize_appearance, so every row has its per-row bits.
+    The columns are those of the first row: frame and class as int64, the
+    rest as float64. numpy's int and float parsers accept a subset of what
+    int() and float() accept, with the same values, and loadtxt rejects a
+    row of another width and an embedded newline. So a read that raises or
+    warns of nothing, whose rows all pass _valid_rows and keep the stream's
+    width and order, is what _parse_rows would return. A descriptor whose
+    batched norm is within half the unit tolerance of 1 is kept as it is,
+    as normalize_appearance would keep it; every other one goes through
+    normalize_appearance.
     """
+    width, last = stream or (None, None)
+    n_cols = next((s for s in rows if s.strip()), "").count(",") + 1
+    if n_cols < 6 or (n_cols == 6 and (stream is not None or require_confidence)) \
+            or (width is not None and n_cols != 7 + width):
+        return None
+    fields = [("frame", "i8"), ("box", "f8", (4,))]
+    fields += [("conf", "f8")] if n_cols > 6 else []
+    fields += [("class", "i8")]
+    fields += [("descriptor", "f8", (n_cols - 7,))] if n_cols > 7 else []
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            block = np.loadtxt(tails, delimiter=",", comments=None, ndmin=2)
-    except (ValueError, UserWarning):
+            block = np.loadtxt(rows, dtype=np.dtype(fields), delimiter=",", comments=None,
+                               ndmin=1)
+    except (ValueError, Warning):
         return None
-    if block.shape != (len(tails), dim) or not np.isfinite(block).all():
+    n = len(block)
+    frames = block["frame"]
+    conf = block["conf"] if n_cols > 6 else np.ones(n)
+    descriptors = block["descriptor"] if n_cols > 7 else np.empty((n, 0))
+    if not _valid_rows(frames, block["box"], conf, block["class"], descriptors).all():
         return None
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(block, axis=1)
-    for i in np.flatnonzero(np.abs(norms - 1.0) > UNIT_NORM_TOL / 2):
-        try:
-            block[i] = normalize_appearance(block[i])
-        except ValidationError:
-            return None
-    return block
+    if stream is None:
+        descriptors = np.empty((n, 0))
+    elif (frames[1:] < frames[:-1]).any() or (last is not None and frames[0] < last):
+        return None
+    elif n_cols > 7:
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(descriptors, axis=1)
+        for i in np.flatnonzero(np.abs(norms - 1.0) > UNIT_NORM_TOL / 2):
+            descriptors[i] = normalize_appearance(descriptors[i])
+    return tuple(c.copy() for c in (frames, block["box"], conf, block["class"], descriptors))
 
 
-def _frame_batch(frame: int, line_nos: list[int], heads: list[tuple], tails: list[str],
-                 dim: int, min_confidence: float, path) -> DetectionBatch:
-    """The batch of one frame's rows, given their checked head fields and
-    embedding text; raises the ParseError of the first bad embedding."""
-    appearance = _embedding_block(tails, dim) if dim else np.empty((len(heads), 0))
-    if appearance is None:
-        appearance = np.array([_parse_embedding(tail.split(","), line_no, path)
-                               for line_no, tail in zip(line_nos, tails)])
-    fields = np.array([head[1:6] for head in heads], dtype=np.float64)
+def _parse_rows(lines: Sequence[str], line_no: int, path, stream: Optional[tuple],
+                require_confidence: bool) -> tuple[np.ndarray, ...]:
+    """read_rows' columns one row at a time: a row's columns, head and
+    descriptor, then a stream row's width and frame order, are checked
+    before the next row is read."""
+    width, last = stream or (None, None)
+    heads, descriptors = [], []
+    for line_no, line in enumerate(lines, start=line_no):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split(",")
+        if stream is None and len(parts) == 6:
+            if require_confidence:
+                raise ParseError("prediction rows need a confidence column", line_no, path)
+            parts = parts[:5] + ["1.0", parts[5]]
+        elif len(parts) < (6 if stream is None else 7):
+            raise ParseError(f"expected at least {6 if stream is None else 7} "
+                             f"comma-separated columns, got {len(parts)}", line_no, path)
+        head = _parse_head(parts, line_no, path)
+        heads.append(head)
+        descriptor = _parse_embedding(parts[7:], line_no, path) if len(parts) > 7 else None
+        if stream is None:
+            continue
+        width = len(parts) - 7 if width is None else width
+        if len(parts) - 7 != width:
+            raise ParseError(f"embedding dimension {len(parts) - 7} does not match "
+                             f"expected {width}", line_no, path)
+        if last is not None and head[0] < last:
+            raise ParseError(f"frame {head[0]} after frame {last}; stream must be "
+                             "ordered by frame", line_no, path)
+        last = head[0]
+        if width:
+            descriptors.append(descriptor)
+    n = len(heads)
+    frames = [head[0] for head in heads]
+    # frames have no upper bound: int64 unless one does not fit
+    frames = np.array(frames, dtype=np.int64 if max(frames, default=1) < 2**63 else object)
+    fields = np.array([head[1:6] for head in heads], dtype=np.float64).reshape(n, 5)
     class_ids = np.array([head[6] for head in heads], dtype=np.int64)
-    keep = fields[:, 4] >= min_confidence
-    if not keep.all():
-        fields, class_ids, appearance = fields[keep], class_ids[keep], appearance[keep]
-    return DetectionBatch(frame=frame, boxes=fields[:, :4], confidence=fields[:, 4],
-                          class_ids=class_ids, appearance=appearance)
+    appearance = np.array(descriptors, dtype=np.float64).reshape(n, width or 0)
+    return frames, fields[:, :4], fields[:, 4], class_ids, appearance
 
 
 def parse_detections(
@@ -297,43 +349,47 @@ def parse_detections(
     Batches come out in strictly increasing frame order; frames absent from
     the input yield no batch. Detections below min_confidence are dropped
     at ingest, after they are checked. Every row must carry as many
-    embedding columns as the first. A bad stream raises the ParseError a
-    row-at-a-time parse would raise first: the same message, at the same
-    line. A bad embedding is found when its frame ends, so the frame's rows
-    are read before it is raised.
+    embedding columns as the first. Lines are read CHUNK_ROWS at a time,
+    and a frame is yielded once a later frame starts or the stream ends. A
+    bad stream raises the ParseError a row-at-a-time parse would raise
+    first: the same message, at the same line. An error that source raises
+    comes after the errors of the lines read before it.
     """
-    embed_dim: Optional[int] = None
-    current: Optional[int] = None
-    line_nos: list[int] = []
-    heads: list[tuple] = []
-    tails: list[str] = []
-
-    for line_no, line in enumerate(source, start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split(",", 7)
+    lines = iter(source)
+    line_no, stream, full = 1, (None, None), True
+    held: Optional[DetectionBatch] = None   # the last frame read so far
+    while full:
+        chunk, error = [], None
         try:
-            head, dim = _check_row(parts, line_no, embed_dim, current, path)
-        except ParseError:
-            # an embedding error on an earlier row of the frame comes first
-            if current is not None:
-                _frame_batch(current, line_nos, heads, tails, embed_dim, min_confidence, path)
-            raise
-        if head[0] != current:
-            if current is not None:
-                yield current, _frame_batch(current, line_nos, heads, tails, embed_dim,
-                                            min_confidence, path)
-            # after the first row, dim can only equal embed_dim
-            embed_dim, current, line_nos, heads, tails = dim, head[0], [], [], []
-        line_nos.append(line_no)
-        heads.append(head)
-        if dim:
-            tails.append(parts[7])
-
-    if current is not None:
-        yield current, _frame_batch(current, line_nos, heads, tails, embed_dim,
-                                    min_confidence, path)
+            for line in islice(lines, CHUNK_ROWS):
+                chunk.append(line)
+        except ParseError as exc:
+            error = exc
+        frames, *columns = read_rows(chunk, line_no, path, stream)
+        if error is not None:
+            raise error
+        line_no += len(chunk)
+        full = len(chunk) == CHUNK_ROWS
+        if not len(frames):
+            continue
+        stream = (columns[3].shape[1], int(frames[-1]))
+        keep = columns[1] >= min_confidence
+        if not keep.all():
+            columns = [c[keep] for c in columns]
+        # each frame's run of rows, and the part of the kept rows it spans
+        bounds = np.concatenate(([0], np.flatnonzero(frames[1:] != frames[:-1]) + 1,
+                                 [len(frames)]))
+        cuts = np.concatenate(([0], np.cumsum(keep)))[bounds].tolist()
+        for s, a, b in zip(bounds[:-1].tolist(), cuts[:-1], cuts[1:]):
+            frame, rows = int(frames[s]), [c[a:b] for c in columns]
+            if held is not None and held.frame == frame:   # the frame goes on
+                rows = [np.concatenate(pair) for pair in zip(
+                    (held.boxes, held.confidence, held.class_ids, held.appearance), rows)]
+            elif held is not None:
+                yield held.frame, held
+            held = DetectionBatch(frame, *rows)
+    if held is not None:
+        yield held.frame, held
 
 
 def format_detection(det: Detection) -> str:

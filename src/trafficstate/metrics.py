@@ -1,9 +1,10 @@
 """Detection evaluation metrics and measurement-validation statistics.
 
-Evaluation side: `load_boxes` reads evaluation files into one
-`DetectionBatch` per frame. Greedy confidence-ordered IoU matching gives
-each detection the ground truth it claimed (or -1), from one IoU pass
-per frame over the pairs whose boxes meet, both among its own class,
+Evaluation side: `load_boxes` reads evaluation files with
+`detstream.read_rows` into one `DetectionBatch` per frame. Greedy
+confidence-ordered IoU matching gives each detection the ground truth it
+claimed (or -1), from one IoU pass per frame over the pairs whose boxes
+meet on both axes, both among its own class,
 which decides its hit, and among all classes, which fills a
 true-by-predicted confusion matrix. Then precision, recall,
 F1, average precision as the area under the interpolated precision-recall
@@ -16,7 +17,6 @@ a paired two-tailed t-test with exact t-distribution p-values.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import IO, Iterable, Optional, Sequence
@@ -24,8 +24,8 @@ from typing import IO, Iterable, Optional, Sequence
 import numpy as np
 
 from .assoc import iou_pairs
-from .detstream import DetectionBatch, _frame_batch, _parse_embedding, _parse_head, _valid_rows
-from .errors import NumericalError, ParseError, ValidationError
+from .detstream import DetectionBatch, read_rows
+from .errors import NumericalError, ValidationError
 
 DEFAULT_IOU_THRESHOLD = 0.5
 
@@ -35,15 +35,16 @@ DEFAULT_IOU_THRESHOLD = 0.5
 
 
 def _meeting_pairs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, cols) of every pair of boxes a[rows], b[cols] whose x-extents
-    can overlap, a superset of the pairs with positive IoU.
+    """(rows, cols) of every pair of boxes a[rows], b[cols] whose extents can
+    overlap on both axes, a superset of the pairs with positive IoU.
 
     A positive IoU needs a positive x-overlap, min(ax + aw, bx + bw) -
     max(ax, bx) > 0, so bx < ax + aw and bx + bw > ax, with the right edges
-    rounded as the IoU kernel rounds them. With b sorted by left edge, the
-    first condition holds on a prefix; and every box before the first whose
-    running maximum of right edges passes ax fails the second. No bound is
-    computed by subtraction, so none can round below an overlap of one ulp.
+    rounded as the IoU kernel rounds them; and the same on y. With b sorted
+    by left edge, the first x condition holds on a prefix; and every box
+    before the first whose running maximum of right edges passes ax fails
+    the second. The pairs that sweep leaves are then tested on y. No bound
+    is computed by subtraction, so none can round below an overlap of one ulp.
     """
     order = np.argsort(b[:, 0], kind="stable")
     left = b[order, 0]
@@ -54,7 +55,10 @@ def _meeting_pairs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray
     rows = np.repeat(np.arange(len(a)), counts)
     # position within each row's run, plus the run's first sorted index
     offsets = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
-    return rows, order[np.repeat(lo, counts) + offsets]
+    cols = order[np.repeat(lo, counts) + offsets]
+    ay, ah, by, bh = a[rows, 1], a[rows, 3], b[cols, 1], b[cols, 3]
+    meet = (by < ay + ah) & (by + bh > ay)
+    return rows[meet], cols[meet]
 
 
 def match_to_ground_truth(
@@ -68,7 +72,8 @@ def match_to_ground_truth(
     or above the threshold, the first one on ties. Returns an (m, 2) int64
     array of the claimed ground truth per detection, or -1: column 0 among
     those of its own class, column 1 among all of them. IoU is computed only
-    for the pairs whose boxes can meet; every other pair has IoU 0.
+    for the pairs whose boxes can meet on both axes; every other pair has
+    IoU 0.
     """
     claimed = np.full((len(detections), 2), -1, dtype=np.int64)
     rows, cols = _meeting_pairs(detections.boxes, ground_truths.boxes)
@@ -328,54 +333,20 @@ def load_boxes(
 
     Frames come in the order of their first row, each frame's rows in file
     order. Ground truths (require_confidence False) all get confidence 1.0.
-    The file is read as one array when it can be (see _read_block);
-    otherwise, and for every bad file, row by row, which raises the
-    ParseError of the first bad row.
+    The rows are read by detstream.read_rows, as one array when it can vouch
+    for them; a bad file raises the ParseError of its first bad row.
     """
-    lines = list(source)
-    batches = _read_block(lines, require_confidence)
-    return batches if batches is not None else _load_by_rows(lines, require_confidence, path)
-
-
-def _read_block(lines: list[str], require_confidence: bool) -> Optional[dict[int, DetectionBatch]]:
-    """load_boxes' result from one np.loadtxt read of all rows, or None when
-    that read cannot vouch for every row.
-
-    The columns are those of the first row: frame and class as int64, the
-    box, confidence and descriptor columns as float64. numpy's int and float
-    parsers accept a subset of what int() and float() accept, with the same
-    values, so a read that raises or warns of nothing, and whose rows all
-    pass detstream._valid_rows, is what the row loop would return. Each
-    line must be one row: loadtxt skips empty lines and rejects comment
-    lines, whitespace-only lines and embedded newlines, which all take the
-    row loop.
-    """
-    first = next((s for s in map(str.strip, lines) if s and not s.startswith("#")), "")
-    n_cols = first.count(",") + 1
-    if n_cols < 6 or (n_cols == 6 and require_confidence):
-        return None
-    fields = [("frame", "i8"), ("box", "f8", (4,))]
-    fields += [("conf", "f8")] if n_cols > 6 else []
-    fields += [("class", "i8")]
-    fields += [("descriptor", "f8", (n_cols - 7,))] if n_cols > 7 else []
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rows = np.loadtxt(lines, dtype=np.dtype(fields), delimiter=",", comments=None,
-                              ndmin=1)
-    except (ValueError, Warning):
-        return None
-    n = len(rows)
-    conf = rows["conf"] if n_cols > 6 else np.ones(n)
-    descriptors = rows["descriptor"] if n_cols > 7 else np.empty((n, 0))
-    if not _valid_rows(rows["frame"], rows["box"], conf, rows["class"], descriptors).all():
-        return None
+    frames, boxes, conf, class_ids, _ = read_rows(list(source), 1, path,
+                                                  require_confidence=require_confidence)
+    n = len(frames)
+    if not n:
+        return {}
     if not require_confidence:
         conf = np.ones(n)
-    order = np.argsort(rows["frame"], kind="stable")
-    frames = rows["frame"][order]
+    order = np.argsort(frames, kind="stable")
+    frames = frames[order]
     bounds = np.concatenate(([0], np.flatnonzero(frames[1:] != frames[:-1]) + 1, [n]))
-    boxes, conf, class_ids = rows["box"][order], conf[order], rows["class"][order]
+    boxes, conf, class_ids = boxes[order], conf[order], class_ids[order]
     batches = {}
     # a stable sort puts each frame's first row first in its run
     for g in np.argsort(order[bounds[:-1]]).tolist():
@@ -384,34 +355,6 @@ def _read_block(lines: list[str], require_confidence: bool) -> Optional[dict[int
         batches[frame] = DetectionBatch(frame=frame, boxes=boxes[s:e], confidence=conf[s:e],
                                         class_ids=class_ids[s:e], appearance=np.empty((e - s, 0)))
     return batches
-
-
-def _load_by_rows(lines: list[str], require_confidence: bool, path) -> dict[int, DetectionBatch]:
-    """load_boxes' result one row at a time, with detstream's row checks."""
-    frames: dict[int, list[tuple]] = {}
-    for line_no, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split(",")
-        if len(parts) == 6:
-            if require_confidence:
-                raise ParseError("prediction rows need a confidence column",
-                                 line_no, path)
-            parts = parts[:5] + ["1.0", parts[5]]
-        elif len(parts) < 6:
-            raise ParseError(
-                f"expected at least 6 comma-separated columns, got {len(parts)}",
-                line_no, path,
-            )
-        head = _parse_head(parts, line_no, path)
-        if len(parts) > 7:
-            _parse_embedding(parts[7:], line_no, path)
-        if not require_confidence:
-            head = head[:5] + (1.0, head[6])
-        frames.setdefault(head[0], []).append(head)
-    return {frame: _frame_batch(frame, [], heads, [], dim=0, min_confidence=0.0, path=path)
-            for frame, heads in frames.items()}
 
 
 EVAL_HEADER = "class\tname\tn_gt\tn_det\ttp\tfp\tfn\tprecision\trecall\tf1\tap"

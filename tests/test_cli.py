@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import trafficstate
-from trafficstate import cli, synth
+from trafficstate import cli, detstream, synth
 from trafficstate.calib import CalibrationParams
 from trafficstate.cli import main
 from trafficstate.config import default_config_text, parse_config
@@ -233,8 +233,7 @@ NOT_UTF8 = [("detections", "track"), ("stdin", "track"), ("config", "track"),
 
 @pytest.mark.parametrize("kind,command", NOT_UTF8, ids=[kind for kind, _ in NOT_UTF8])
 def test_bytes_not_utf8_exit_1_naming_the_line(tmp_path, capsys, monkeypatch, kind, command):
-    # line 3 is a comment holding a Latin-1 byte, after two lines that read well;
-    # the detections' first frame is tracked before it is reached
+    # line 3 is a comment holding a Latin-1 byte, after two lines that read well
     assert main(["synth", "--spec", write(tmp_path / "spec.ini", SCENARIO),
                  "--out-dir", str(tmp_path / "synth")]) == 0
     texts = {"detections": TWO_ROWS + "3,14,10,20,40,0.9,3\n", "config": RUN_CONFIG,
@@ -258,6 +257,28 @@ def test_bytes_not_utf8_exit_1_naming_the_line(tmp_path, capsys, monkeypatch, ki
             "stats": ["stats", "--measured", paths["measured"], "--truth", paths["truth"]]}
     assert main(argv[command] + ["--out-dir", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == f"error: {paths[kind]}:3: not UTF-8 text (byte 0xe9)\n"
+    assert list((tmp_path / "out").glob("*")) == []
+
+
+@pytest.mark.parametrize("stdin", [False, True], ids=["file", "stdin"])
+@pytest.mark.parametrize("byte_line,field_line", [(5, 3), (3, 5)])
+def test_first_bad_line_wins_over_a_byte_that_is_not_utf8(tmp_path, capsys, monkeypatch,
+                                                         stdin, byte_line, field_line):
+    # the byte is found while a chunk of lines is read, before the bad field
+    # on line 3 is parsed; the error of the earlier line is the one reported
+    lines = [f"{frame},{10 + frame},10,20,40,0.9,3\n".encode() for frame in range(1, 7)]
+    lines[byte_line - 1] = b"# caf\xe9\n"
+    lines[field_line - 1] = b"3,14,10,twenty,40,0.9,3\n"
+    data = b"".join(lines)
+    path = str(tmp_path / "dets.txt")
+    Path(path).write_bytes(data)
+    if stdin:
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        path = "-"
+    assert main(["track", "--detections", path, "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:3: ")
+    assert ("not UTF-8" in err) == (byte_line == 3)
     assert list((tmp_path / "out").glob("*")) == []
 
 
@@ -820,6 +841,42 @@ def test_track_output_bytes_are_pinned_from_file_and_stdin(tmp_path, monkeypatch
         intervals = (tmp_path / run / "intervals.txt").read_bytes()
         assert hashlib.sha256(tracks).hexdigest() == PINNED_TRACKS_SHA256
         assert hashlib.sha256(intervals).hexdigest() == PINNED_INTERVALS_SHA256
+
+
+def test_track_output_bytes_are_pinned_in_chunks_of_7(tmp_path, monkeypatch):
+    # the scene is smaller than one default chunk; at 7 lines a chunk, frames
+    # span chunks and the confidence floor drops rows on chunk boundaries
+    monkeypatch.setattr(detstream, "CHUNK_ROWS", 7)
+    test_track_output_bytes_are_pinned_from_file_and_stdin(tmp_path, monkeypatch)
+
+
+def test_clean_inputs_never_take_the_row_path(tmp_path, monkeypatch):
+    # a clean file, a comment line included, is read as arrays; the row-at-a-time
+    # parse is for input that the array read cannot vouch for
+    def row_path(*args, **kwargs):
+        raise AssertionError("clean input read row by row")
+
+    monkeypatch.setattr(detstream, "_parse_rows", row_path)
+    cfg = write(tmp_path / "run.ini", PINNED_RUN_CONFIG)
+    dets = write(tmp_path / "dets.txt", "# frame,x,y,w,h,conf,class,e0..e15\n"
+                 + pinned_scene_text())
+    for size in (64, detstream.CHUNK_ROWS):
+        monkeypatch.setattr(detstream, "CHUNK_ROWS", size)
+        assert main(["track", "--detections", dets, "--config", cfg,
+                     "--out-dir", str(tmp_path / str(size))]) == 0
+        tracks = (tmp_path / str(size) / "tracks.txt").read_bytes()
+        assert hashlib.sha256(tracks).hexdigest() == PINNED_TRACKS_SHA256
+    # mixed 6- and 7-column ground truth is valid, but is read row by row
+    pred_text, gt_text = pinned_eval_texts()
+    gt_rows = [line.split(",") for line in gt_text.splitlines()]
+    pred = write(tmp_path / "pred.txt", "# predictions\n" + pred_text)
+    for conf in ([], ["1.0"]):   # every row in the 6-column form, then in the 7-column one
+        gt = write(tmp_path / f"gt{len(conf)}.txt", "# ground truth\n" + "".join(
+            ",".join(parts[:5] + conf + parts[-1:]) + "\n" for parts in gt_rows))
+        out = tmp_path / f"eval{len(conf)}"
+        assert main(["eval", "--pred", pred, "--gt", gt, "--out-dir", str(out)]) == 0
+        report = (out / "eval_report.txt").read_bytes()
+        assert hashlib.sha256(report).hexdigest() == PINNED_EVAL_REPORT_SHA256
 
 
 def test_track_does_no_matrix_algebra(tmp_path, monkeypatch):

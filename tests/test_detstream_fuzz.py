@@ -3,13 +3,17 @@
 On a valid stream both must give the same frames with bitwise-equal
 arrays; on a corrupted one both must raise a ParseError with the same
 text, which names the same line. Frames yielded before an error may
-differ: the batched parser reads a row's embedding only with the rest of
-its frame.
+differ by a chunk: the batched parser reads CHUNK_ROWS lines at a time and
+yields a frame only once a later frame starts, so the frames of the chunk
+that holds a bad row are never yielded. The chunk tests below shrink
+CHUNK_ROWS to a few lines, so that frames, comments and errors fall on
+chunk boundaries.
 
 Needs hypothesis (the `test` extra in pyproject.toml); skipped without it.
 """
 import io
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from trafficstate import detstream  # noqa: E402
 from trafficstate.detstream import UNIT_NORM_TOL, parse_detections  # noqa: E402
 from trafficstate.errors import ParseError  # noqa: E402
 
@@ -227,3 +232,72 @@ def stream(draw):
 def test_batched_parser_matches_the_row_parser(case):
     text, min_confidence = case
     assert_same(text, min_confidence)
+
+
+# -- chunk boundaries -------------------------------------------------------------
+
+CHUNK_SIZES = [1, 2, 7]
+
+
+def chunked(size):
+    """A context in which parse_detections reads size lines per chunk."""
+    return mock.patch.object(detstream, "CHUNK_ROWS", size)
+
+
+@pytest.mark.parametrize("size", CHUNK_SIZES)
+@pytest.mark.parametrize("text", VALID + CORRUPT)
+def test_listed_streams_match_the_row_parser_in_small_chunks(text, size):
+    with chunked(size):
+        assert_same(text)
+        assert_same(text, 0.5)
+
+
+def rows_of(frame, count, conf="0.9"):
+    return [f"{frame},{10 + 20 * k},10,5,5,{conf},{k % 3},0.6,0.8" for k in range(count)]
+
+
+# each stream puts its mark on line 3 or 5, the first line of a chunk of 2
+BOUNDARY = [
+    pytest.param(rows_of(1, 5) + rows_of(2, 1), id="frame spans chunks"),
+    pytest.param(rows_of(1, 2) + ["1,50,10,5,5,0.9,2,0.6"] + rows_of(2, 2),
+                 id="width change"),
+    pytest.param(rows_of(2, 2) + rows_of(1, 1) + rows_of(3, 2), id="frame order break"),
+    pytest.param(rows_of(1, 2) + ["1,50,10,5,5,0.9,2,0,0"] + rows_of(2, 2),
+                 id="zero embedding"),
+    pytest.param(rows_of(1, 2) + ["1,50,10,5,5,0.9,2,0.6,x"] + rows_of(2, 2),
+                 id="bad embedding token"),
+    pytest.param(rows_of(1, 2) + ["# note"] + rows_of(1, 1) + rows_of(2, 1),
+                 id="comment"),
+    pytest.param(rows_of(1, 2) + rows_of(2, 2, "0.2") + rows_of(3, 1),
+                 id="frame below the floor"),
+    pytest.param(rows_of(1, 4, "0.2") + rows_of(2, 2) + rows_of(3, 2, "0.2"),
+                 id="every frame on a boundary"),
+    pytest.param(rows_of(1, 2) + rows_of(2, 2), id="ends on a boundary"),
+    pytest.param(rows_of(1, 2) + rows_of(2, 2) + ["", "# end"], id="ends on blank lines"),
+]
+
+
+@pytest.mark.parametrize("size", CHUNK_SIZES)
+@pytest.mark.parametrize("lines", BOUNDARY)
+@pytest.mark.parametrize("min_confidence", [0.0, 0.5])
+def test_boundary_streams_match_the_row_parser(lines, size, min_confidence):
+    text = "\n".join(lines) + "\n"
+    with chunked(size):
+        assert_same(text, min_confidence)
+
+
+def test_a_comment_changes_no_batch():
+    plain = "".join(row + "\n" for row in BASE)
+    commented = "# frame,x,y,w,h,conf,class,e0,e1\n" + plain.replace("\n3,", "\n# next\n\n3,", 1)
+    for size in CHUNK_SIZES + [detstream.CHUNK_ROWS]:
+        with chunked(size):
+            assert outcome(commented) == outcome(plain)
+            assert outcome(commented)[0]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(stream(), st.sampled_from(CHUNK_SIZES))
+def test_batched_parser_matches_the_row_parser_in_small_chunks(case, size):
+    text, min_confidence = case
+    with chunked(size):
+        assert_same(text, min_confidence)

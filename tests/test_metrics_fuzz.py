@@ -174,6 +174,17 @@ def assert_same_load(text, require_confidence):
 GOOD = "2,10,10,5,5,0.5,1,0.6,0.8\n1,30,10,5,5,0.25,0,3,4\n"
 
 
+@pytest.mark.parametrize("require_confidence", [True, False])
+def test_a_comment_changes_no_loaded_box(require_confidence):
+    plain = GOOD + "1,50,10,5,5,0.75,2,1,0\n3,10,10,5,5,1,1,0,1\n"
+    lines = plain.splitlines(keepends=True)
+    commented = "".join(["# frame,x,y,w,h,conf,class,e0,e1\n"] + lines[:2]
+                        + ["\n", "  # note\n"] + lines[2:])
+    assert loaded(load_boxes(io.StringIO(commented), require_confidence)) == \
+        loaded(load_boxes(io.StringIO(plain), require_confidence))
+    assert_same_load(commented, require_confidence)
+
+
 # one case per check of the array read's validator, each a row the read accepts
 @pytest.mark.parametrize("row", [
     "1,1e5,10,5,5,0.5,1,1,1", "1,-100000.00000000001,10,5,5,0.5,1,1,1", "1,nan,10,5,5,0.5,1,1,1",
@@ -218,6 +229,11 @@ def meeting_boxes(draw):
                      "after": np.nextafter(right, np.inf)}[how]
             box = (float(start), y, draw(st.sampled_from([w, 3.0, 12.5])), h)
         boxes.append(box)
+    return split_boxes(draw, boxes)
+
+
+def split_boxes(draw, boxes):
+    """(detections, ground truths): each box drawn into one or the other."""
     dets, gts = [], []
     for box in boxes:
         is_det = draw(st.booleans())
@@ -225,6 +241,24 @@ def meeting_boxes(draw):
             frame=1, class_id=draw(st.integers(0, 1)), bbox=box,
             confidence=draw(CONFIDENCE) if is_det else 1.0))
     return DetectionBatch.stack(1, dets), DetectionBatch.stack(1, gts)
+
+
+@st.composite
+def lane_boxes(draw):
+    """(detections, ground truths) in lanes stacked on y, whose x-extents
+    mostly meet. Each lane starts at the bottom edge of the one above, one
+    ulp before it or one after, so boxes of adjacent lanes touch, overlap by
+    one ulp or miss by one."""
+    h = draw(st.sampled_from([10.0, 0.1 + 0.2, 48.0]))
+    tops = [float(draw(st.integers(0, 2)) * 5)]
+    for _ in range(draw(st.integers(1, 4))):
+        edge = tops[-1] + h
+        tops.append(float(draw(st.sampled_from([edge, np.nextafter(edge, -np.inf),
+                                                np.nextafter(edge, np.inf)]))))
+    boxes = [(float(draw(st.integers(0, 4)) * 5), draw(st.sampled_from(tops)),
+              draw(st.sampled_from([8.0, 24.0])), h)
+             for _ in range(draw(st.integers(0, 12)))]
+    return split_boxes(draw, boxes)
 
 
 def dense_claims(dets, gts, iou_threshold):
@@ -249,7 +283,8 @@ def dense_claims(dets, gts, iou_threshold):
 
 
 @settings(derandomize=True, max_examples=500, deadline=None)
-@given(instance=meeting_boxes(), iou_threshold=st.sampled_from([0.0, 0.3, 0.5, 1.0]))
+@given(instance=st.one_of(meeting_boxes(), lane_boxes()),
+       iou_threshold=st.sampled_from([0.0, 0.3, 0.5, 1.0]))
 def test_pruned_matching_equals_dense(instance, iou_threshold):
     dets, gts = instance
     overlaps = iou_matrix(dets.boxes, gts.boxes)
