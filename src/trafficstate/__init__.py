@@ -47,7 +47,6 @@ from .traffic import (
     Trajectory,
     assemble_trajectories,
     measure_intervals,
-    segment_crosses,
 )
 
 __version__ = "0.1.0"

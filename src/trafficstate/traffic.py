@@ -2,11 +2,11 @@
 
 `assemble_trajectories` turns the tracker's per-frame `LiveTracks` records
 into world-coordinate trajectories: all box centres go through the
-calibration in one call on arrays, then a stable sort groups them by track.
-A user-defined Line of Interest is intersected with each trajectory to
-produce per-interval, per-class crossing counts and flows, and
-per-interval speeds are path length over elapsed time.
-`measure_intervals` does both in one sweep over each trajectory's points.
+calibration in one call on arrays, then a stable sort groups them by track
+into slices of one structured array. `measure_intervals` tests every
+segment between a track's consecutive points against a user-defined Line
+of Interest in one elementwise pass, for per-interval, per-class crossing
+counts and flows; per-interval speeds are path length over elapsed time.
 
 Time is frame / fps, on the grid of `interval_grid`. The two rules that
 place a time in an interval differ:
@@ -20,14 +20,13 @@ place a time in an interval differ:
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Optional, Sequence
 
 import numpy as np
 
 from .calib import CalibrationParams, to_world
-from .errors import ParseError, ValidationError, positive
+from .errors import ContractError, ParseError, ValidationError, positive
 from .tracker import LiveTracks
 
 MPS_TO_KMH = 3.6
@@ -39,11 +38,12 @@ MAX_INTERVALS = 10**6
 
 @dataclass
 class Trajectory:
-    """World-coordinate path of one track: (frame, x_m, y_m) points."""
+    """World-coordinate path of one track: a structured array of points
+    with fields frame (integer), x and y (metres), one row per point."""
 
     track_id: int
     class_id: int
-    points: list[tuple[int, float, float]]
+    points: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -93,62 +93,55 @@ def assemble_trajectories(
 
     Each track contributes its box centre on each frame, mapped through the
     calibration; a track's class is its label on its last frame.
-    Trajectories come in id order.
+    Trajectories come in id order, each holding a view of one array.
     """
     if not frames:
         return []
     ids = np.concatenate([f.ids for f in frames])
     boxes = np.concatenate([f.boxes for f in frames])
     labels = np.concatenate([f.class_ids for f in frames])
-    frame_of = np.repeat([f.frame for f in frames], [len(f.ids) for f in frames])
+    # frames have no upper bound: int64 unless one does not fit, never a float
+    numbers = [f.frame for f in frames]
+    frame_of = np.repeat(np.array(numbers, dtype=np.int64 if max(numbers) < 2**63 else object),
+                         [len(f.ids) for f in frames])
     wx, wy = to_world(boxes[:, 0] + boxes[:, 2] / 2.0,
                       boxes[:, 1] + boxes[:, 3] / 2.0, calib)
 
     order = np.argsort(ids, kind="stable")   # keeps each track's points in frame order
     ids = ids[order]
-    starts = np.flatnonzero(np.diff(ids, prepend=-1)).tolist()
-    ends = starts[1:] + [len(ids)]
-    points = list(zip(frame_of[order].tolist(), wx[order].tolist(), wy[order].tolist()))
-    labels = labels[order].tolist()
-    return [Trajectory(track_id=int(ids[a]), class_id=labels[b - 1], points=points[a:b])
-            for a, b in zip(starts, ends)]
+    starts = np.flatnonzero(np.diff(ids, prepend=-1))
+    ends = np.append(starts, len(ids))[1:]
+    points = np.empty(len(ids), [("frame", frame_of.dtype), ("x", "f8"), ("y", "f8")])
+    points["frame"], points["x"], points["y"] = frame_of[order], wx[order], wy[order]
+    return [Trajectory(track_id=i, class_id=k, points=points[a:b])
+            for i, k, a, b in zip(ids[starts].tolist(), labels[order[ends - 1]].tolist(),
+                                  starts.tolist(), ends.tolist())]
 
 
-def _orient(p, q, r) -> float:
-    return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+def _between(u, v, r):
+    """min(u, v) <= r <= max(u, v), elementwise."""
+    return (np.minimum(u, v) <= r) & (r <= np.maximum(u, v))
 
 
-def _on_segment(p, q, r) -> bool:
-    return (min(p[0], q[0]) <= r[0] <= max(p[0], q[0])
-            and min(p[1], q[1]) <= r[1] <= max(p[1], q[1]))
-
-
-def segment_crosses(p1, p2, loi: LineOfInterest) -> bool:
-    """Closed-segment intersection test; collinear overlap counts."""
-    a, b = loi.a, loi.b
-    o1 = _orient(p1, p2, a)
-    o2 = _orient(p1, p2, b)
-    o3 = _orient(a, b, p1)
-    o4 = _orient(a, b, p2)
-    if ((o1 > 0 and o2 < 0) or (o1 < 0 and o2 > 0)) \
-            and ((o3 > 0 and o4 < 0) or (o3 < 0 and o4 > 0)):
-        return True
-    if o1 == 0 and _on_segment(p1, p2, a):
-        return True
-    if o2 == 0 and _on_segment(p1, p2, b):
-        return True
-    if o3 == 0 and _on_segment(a, b, p1):
-        return True
-    if o4 == 0 and _on_segment(a, b, p2):
-        return True
-    return False
-
-
-def crossing_sign(p1, p2, loi: LineOfInterest) -> int:
-    """Sign of the motion direction relative to the segment (0 if parallel)."""
-    cross = (loi.b[0] - loi.a[0]) * (p2[1] - p1[1]) \
-        - (loi.b[1] - loi.a[1]) * (p2[0] - p1[0])
-    return (cross > 0) - (cross < 0)
+def _crossings(x: np.ndarray, y: np.ndarray, loi: LineOfInterest) -> np.ndarray:
+    """Whether each segment (x[j], y[j]) -> (x[j + 1], y[j + 1]) meets the
+    closed LoI (collinear overlap counts) and passes its direction filter.
+    Orientations are compared by sign: a product of two tiny ones is 0."""
+    (ax, ay), (bx, by) = loi.a, loi.b
+    px, py, qx, qy = x[:-1], y[:-1], x[1:], y[1:]
+    dx, dy, ex, ey = qx - px, qy - py, bx - ax, by - ay
+    o1 = dx * (ay - py) - dy * (ax - px)     # a against p -> q
+    o2 = dx * (by - py) - dy * (bx - px)     # b against p -> q
+    o3 = ex * (py - ay) - ey * (px - ax)     # p against a -> b
+    o4 = ex * (qy - ay) - ey * (qx - ax)     # q against a -> b
+    hit = (np.sign(o1) * np.sign(o2) < 0) & (np.sign(o3) * np.sign(o4) < 0)
+    hit |= (o1 == 0) & _between(px, qx, ax) & _between(py, qy, ay)
+    hit |= (o2 == 0) & _between(px, qx, bx) & _between(py, qy, by)
+    hit |= (o3 == 0) & _between(ax, bx, px) & _between(ay, by, py)
+    hit |= (o4 == 0) & _between(ax, bx, qx) & _between(ay, by, qy)
+    if loi.direction is not None:
+        hit &= np.sign(ex * dy - ey * dx) == loi.direction
+    return hit
 
 
 def interval_count(interval_s: float, total_duration: float) -> int:
@@ -182,9 +175,9 @@ def measure_intervals(
 ) -> list[IntervalMeasurement]:
     """Per-interval classified counts, flows (vehicles/hour) and speeds (m/s).
 
-    One sweep over each trajectory's points, in the given (track-id) order;
-    points must be in non-decreasing frame order, as assemble_trajectories
-    yields them. A point's time is frame / fps.
+    Frames must strictly increase within each trajectory, as
+    assemble_trajectories yields them; a ContractError names the first
+    track where they do not. A point's time is frame / fps.
 
     Crossings: a track counts once, at the later frame of its first segment
     that crosses the line and passes the direction filter. A crossing at
@@ -195,55 +188,56 @@ def measure_intervals(
     interval also takes a point at exactly its end. Each interval holding
     two or more of a track's points gets one speed: the path length through
     those points over the seconds between the first and the last.
+    Speeds are listed in trajectory order.
     """
     if not positive(fps):
         raise ValidationError(f"fps must be finite and > 0, got {fps}")
     grid = interval_grid(interval_s, total_duration)
-    measurements = [
-        IntervalMeasurement(index=i, start=s, end=e) for i, (s, e) in enumerate(grid)
-    ]
-    starts = [s for s, _ in grid]
-    last = len(grid) - 1
-
-    def interval_of(t: float) -> Optional[int]:
-        i = bisect_right(starts, t) - 1
-        if i < 0:
-            return None
-        end = grid[i][1]
-        return i if t < end or (i == last and t == end) else None
-
-    for traj in trajectories:
-        k = traj.class_id
-        crossed = False
-        prev = None
-        # the open run of consecutive points inside interval `run`
-        run = first = last_frame = None
-        path = 0.0
-        for f, x, y in traj.points:
-            p, t = (x, y), f / fps
-            if prev is not None and not crossed and segment_crosses(prev, p, loi) \
-                    and (loi.direction is None
-                         or crossing_sign(prev, p, loi) == loi.direction):
-                crossed = True
-                if grid and t <= total_duration:
-                    counts = measurements[min(int(t / interval_s), last)].counts
-                    counts[k] = counts.get(k, 0) + 1
-            i = interval_of(t)
-            if i is not None and i == run:
-                path += math.hypot(x - prev[0], y - prev[1])
-                last_frame = f
-            else:
-                if last_frame is not None:
-                    measurements[run].speeds.setdefault(k, []).append(
-                        path / ((last_frame - first) / fps))
-                run, first, last_frame, path = i, f, None, 0.0
-            prev = p
-        if last_frame is not None:
-            measurements[run].speeds.setdefault(k, []).append(
-                path / ((last_frame - first) / fps))
-    for m in measurements:
-        for k, c in m.counts.items():
-            m.flows[k] = c * SECONDS_PER_HOUR / interval_s
+    measurements = [IntervalMeasurement(i, s, e) for i, (s, e) in enumerate(grid)]
+    if not trajectories:
+        return measurements
+    frame, x, y = (np.concatenate([t.points[name] for t in trajectories])
+                   for name in ("frame", "x", "y"))
+    track = np.repeat(np.arange(len(trajectories)), [len(t.points) for t in trajectories])
+    inner = track[1:] == track[:-1]   # segment j joins points j and j + 1 of one track
+    back = np.flatnonzero(inner & (frame[1:] <= frame[:-1]))
+    if len(back):
+        j = back[0]
+        raise ContractError(f"trajectory {trajectories[track[j]].track_id}: frame {frame[j + 1]} "
+                            f"after frame {frame[j]}; frames must strictly increase")
+    if not grid:
+        return measurements
+    last, bounds = len(grid) - 1, np.array(grid)
+    t = (frame / fps).astype(np.float64)
+    # Python floats overflow to inf and nan without a word; so does this pass
+    with np.errstate(over="ignore", invalid="ignore"):
+        hits = np.flatnonzero(inner & _crossings(x, y, loi))
+        # each point's interval, -1 off the grid; a run of segments [a, b)
+        # joins a track's consecutive points a..b in one interval
+        at = np.searchsorted(bounds[:, 0], t, side="right") - 1
+        end = bounds[at, 1]
+        at[(at < 0) | ~((t < end) | ((at == last) & (t == end)))] = -1
+        step = inner & (at[1:] == at[:-1]) & (at[1:] >= 0)
+        seg = np.flatnonzero(step)
+        lengths = np.fromiter(map(math.hypot, (x[seg + 1] - x[seg]).tolist(),
+                                  (y[seg + 1] - y[seg]).tolist()), np.float64, len(seg))
+        a, b = np.flatnonzero(np.diff(step, prepend=False, append=False)).reshape(-1, 2).T
+        # each run's lengths summed in order, as np.add.reduceat would not:
+        # pass k adds the k-th length of every run that has one
+        n, path, live = b - a, np.zeros(len(a)), np.arange(len(a))
+        first = np.cumsum(n) - n
+        for k in range(n.max(initial=0)):
+            live = live[n[live] > k]
+            path[live] += lengths[first[live] + k]
+        speed = path / ((frame[b] - frame[a]) / fps).astype(np.float64)
+    crossed, first_hit = np.unique(track[hits], return_index=True)
+    for i, when in zip(crossed.tolist(), t[hits[first_hit] + 1].tolist()):
+        if when <= total_duration:
+            m, k = measurements[min(int(when / interval_s), last)], trajectories[i].class_id
+            m.counts[k] = m.counts.get(k, 0) + 1
+            m.flows[k] = m.counts[k] * SECONDS_PER_HOUR / interval_s
+    for i, tr, v in zip(at[a].tolist(), track[a].tolist(), speed.tolist()):
+        measurements[i].speeds.setdefault(trajectories[tr].class_id, []).append(v)
     return measurements
 
 

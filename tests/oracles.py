@@ -373,26 +373,69 @@ def assemble_by_rows(frames, calib):
     return [tuple(by_id[tid]) for tid in sorted(by_id)]
 
 
+# -- the line-of-interest test, one segment at a time ------------------------------
+# The closed-segment test and the direction sign, restated: the engine's
+# elementwise pass over every segment is what these check.
+
+def _orientation(p, q, r):
+    return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+
+
+def _in_box(p, q, r):
+    return (min(p[0], q[0]) <= r[0] <= max(p[0], q[0])
+            and min(p[1], q[1]) <= r[1] <= max(p[1], q[1]))
+
+
+def segments_meet(p1, p2, a, b):
+    """Closed-segment intersection of p1 -> p2 with a -> b; collinear overlap counts."""
+    o1, o2 = _orientation(p1, p2, a), _orientation(p1, p2, b)
+    o3, o4 = _orientation(a, b, p1), _orientation(a, b, p2)
+    if ((o1 > 0 and o2 < 0) or (o1 < 0 and o2 > 0)) \
+            and ((o3 > 0 and o4 < 0) or (o3 < 0 and o4 > 0)):
+        return True
+    return ((o1 == 0 and _in_box(p1, p2, a)) or (o2 == 0 and _in_box(p1, p2, b))
+            or (o3 == 0 and _in_box(a, b, p1)) or (o4 == 0 and _in_box(a, b, p2)))
+
+
+def motion_sign(p1, p2, a, b):
+    """Sign of the motion p1 -> p2 relative to a -> b, 0 when parallel."""
+    cross = (b[0] - a[0]) * (p2[1] - p1[1]) - (b[1] - a[1]) * (p2[0] - p1[0])
+    return (cross > 0) - (cross < 0)
+
+
+def loi_crossing(loi):
+    """crosses(p, q) for measure_by_rescan: the segment meets loi and, when
+    loi has a direction, moves with that sign."""
+    return lambda p, q: segments_meet(p, q, loi.a, loi.b) and (
+        loi.direction is None or motion_sign(p, q, loi.a, loi.b) == loi.direction)
+
+
 # -- interval measurement by per-interval rescan ----------------------------------
+
+def point_rows(rows):
+    """[(frame, x, y), ...] as the structured array a Trajectory's points are."""
+    return np.array(rows, dtype=[("frame", np.int64), ("x", np.float64), ("y", np.float64)])
+
 
 def measure_by_rescan(trajectories, crosses, interval_s, fps, total_duration):
     """Per-interval counts, flows and speeds, rescanning every track per interval.
 
-    trajectories carry .class_id and .points [(frame, x, y), ...];
-    crosses(p, q) says whether the segment p -> q counts as a crossing
-    (line test and direction filter). Returns one dict per interval of the
-    grid [i * interval_s, min((i + 1) * interval_s, total_duration)), with
-    keys start, end, counts, flows and speeds. A track counts once, at the
-    later frame of its first counting segment, in interval
-    min(int(t / interval_s), n - 1) when t <= total_duration. Its speed in
-    an interval is the path through the points with start <= t < end (the
-    last interval also takes t == end) over their elapsed time.
+    trajectories carry .class_id and .points, whose .tolist() gives
+    [(frame, x, y), ...]; crosses(p, q) says whether the segment p -> q
+    counts as a crossing (line test and direction filter). Returns one dict
+    per interval of the grid [i * interval_s, min((i + 1) * interval_s,
+    total_duration)), with keys start, end, counts, flows and speeds. A
+    track counts once, at the later frame of its first counting segment, in
+    interval min(int(t / interval_s), n - 1) when t <= total_duration. Its
+    speed in an interval is the path through the points with
+    start <= t < end (the last interval also takes t == end) over their
+    elapsed time.
     """
     n = max(0, math.ceil(total_duration / interval_s - 1e-12))
     out = [dict(start=i * interval_s, end=min((i + 1) * interval_s, total_duration),
                 counts={}, flows={}, speeds={}) for i in range(n)]
     for traj in trajectories:
-        pts = traj.points
+        pts = traj.points.tolist()
         frame = next((f1 for (_, x0, y0), (f1, x1, y1) in zip(pts, pts[1:])
                       if crosses((x0, y0), (x1, y1))), None)
         if frame is None or n == 0 or frame / fps > total_duration:
@@ -405,7 +448,7 @@ def measure_by_rescan(trajectories, crosses, interval_s, fps, total_duration):
     for idx, m in enumerate(out):
         closed = idx == n - 1
         for traj in trajectories:
-            inside = [(f, x, y) for f, x, y in traj.points
+            inside = [(f, x, y) for f, x, y in traj.points.tolist()
                       if m["start"] <= f / fps < m["end"]
                       or (closed and f / fps == m["end"])]
             if len(inside) < 2:

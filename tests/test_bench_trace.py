@@ -44,7 +44,8 @@ def run(argv, cwd):
 
 
 def traced_and_plain(tmp_path, cli_args, outputs):
-    """Run the CLI under bench/traced.py and plainly; return the span names.
+    """Run the CLI under bench/traced.py and plainly; return the traced run's
+    spans file (span names, layer counts and live tracks per step).
 
     cli_args holds an {out} placeholder; each run writes to its own directory,
     and every named output must come out byte-identical.
@@ -59,7 +60,11 @@ def traced_and_plain(tmp_path, cli_args, outputs):
     for name in outputs:
         assert (tmp_path / "traced" / name).read_bytes() \
             == (tmp_path / "plain" / name).read_bytes()
-    return {span[0] for span in json.loads(spans.read_text())["spans"]}
+    return json.loads(spans.read_text())
+
+
+def span_names(trace):
+    return {span[0] for span in trace["spans"]}
 
 
 def test_traced_track_matches_plain_and_has_every_span(tmp_path):
@@ -73,10 +78,13 @@ def test_traced_track_matches_plain_and_has_every_span(tmp_path):
     with open(dets, "w", encoding="utf-8") as f:
         write_detections(f, batches)
     (tmp_path / "run.ini").write_text(RUN_CONFIG, encoding="utf-8")
-    names = traced_and_plain(
+    trace = traced_and_plain(
         tmp_path, ["track", "--detections", str(dets), "--config", "run.ini",
                    "--out-dir", "{out}"], ["tracks.txt", "intervals.txt"])
-    assert {"tracker.step", "traffic.assemble", "traffic.measure", "assoc.solve"} <= names
+    assert {"tracker.step", "traffic.assemble", "traffic.measure",
+            "assoc.solve"} <= span_names(trace)
+    # every live track on every step is one trajectory point
+    assert trace["counts"]["traffic.points"] == sum(trace["live_tracks"]) > 0
 
 
 def test_traced_eval_matches_plain_and_has_every_span(tmp_path):
@@ -84,8 +92,8 @@ def test_traced_eval_matches_plain_and_has_every_span(tmp_path):
                                        "2,300,0,10,10,0.7,0\n", encoding="utf-8")
     (tmp_path / "gt.txt").write_text("1,1,0,10,10,0\n1,50,0,10,10,1\n2,0,0,10,10,0\n",
                                      encoding="utf-8")
-    names = traced_and_plain(
+    trace = traced_and_plain(
         tmp_path, ["eval", "--pred", "pred.txt", "--gt", "gt.txt", "--out-dir", "{out}"],
         ["eval_report.txt", "confusion_matrix.txt"])
     assert {"metrics.load", "metrics.evaluate", "metrics.match", "metrics.confusion",
-            "metrics.write"} <= names
+            "metrics.write"} <= span_names(trace)

@@ -941,6 +941,37 @@ def test_a_long_frame_gap_is_crossed_in_a_few_steps(tmp_path, monkeypatch):
     assert stepped[0] == 1 and stepped[-1] == 200000
 
 
+HUGE_FRAMES_CONFIG = """\
+[loi]
+ax_px = 110
+ay_px = 0
+bx_px = 110
+by_px = 1000
+
+[measure]
+interval_s = 1e17
+fps = 25
+duration_s = 4e17
+"""
+
+
+@pytest.mark.parametrize("first,lead,interval", [
+    (2**53, "", "0\t0\t1e+17"),
+    (2**63, "", "3\t3e+17\t4e+17"),
+    (2**63, "1,500,500,20,40,0.9,2\n", "3\t3e+17\t4e+17"),   # int64 and larger together
+])
+def test_frames_past_float_precision_stay_exact(tmp_path, first, lead, interval):
+    # 8 frames 3 px apart at 25 fps: 75 m/s (270 km/h) across x = 110 px; a
+    # frame column rounded to float64 gives 65.625 m/s and inf, or equal frames
+    rows = "".join(f"{first + k},{100 + 3 * k},100,20,40,0.9,1\n" for k in range(8))
+    dets = write(tmp_path / "dets.txt", lead + rows)
+    cfg = write(tmp_path / "run.ini", HUGE_FRAMES_CONFIG)
+    assert main(["track", "--detections", dets, "--config", cfg,
+                 "--out-dir", str(tmp_path / "out")]) == 0
+    lines = (tmp_path / "out" / "intervals.txt").read_text().splitlines()
+    assert lines[1:] == [f"{interval}\t1\t1\t3.6e-14\t270\t1"]
+
+
 # sha256 of eval_report.txt and confusion_matrix.txt for the scene below; a
 # change to the metrics layer that moves one byte of `eval` output must
 # update these on purpose

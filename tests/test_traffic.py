@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from trafficstate.calib import CalibrationParams
-from trafficstate.errors import ParseError, ValidationError
+from trafficstate.errors import ContractError, ParseError, ValidationError
 from trafficstate.tracker import LiveTracks
 from trafficstate.traffic import (
     MAX_INTERVALS,
@@ -17,9 +17,10 @@ from trafficstate.traffic import (
     interval_grid,
     measure_intervals,
     parse_intervals,
-    segment_crosses,
     write_intervals,
 )
+
+from oracles import point_rows
 
 IDENTITY = CalibrationParams(1.0, 1.0, 90.0)
 LOI_X0 = LineOfInterest(a=(0.0, -100.0), b=(0.0, 100.0))
@@ -36,7 +37,7 @@ def live(frame, *rows):
 
 
 def traj(track_id, points, class_id=0):
-    return Trajectory(track_id=track_id, class_id=class_id, points=points)
+    return Trajectory(track_id=track_id, class_id=class_id, points=point_rows(points))
 
 
 def interval_speed(trajectory, interval_s, fps, index=0, total_duration=None):
@@ -65,7 +66,7 @@ def test_assemble_single_track():
     frames = [live(f, (1, float(f), 0.0)) for f in range(1, 6)]
     out = assemble_trajectories(frames, IDENTITY)
     assert len(out) == 1
-    assert out[0].points == [(f, float(f), 0.0) for f in range(1, 6)]
+    assert out[0].points.tolist() == [(f, float(f), 0.0) for f in range(1, 6)]
 
 
 def test_assemble_interleaved_tracks():
@@ -73,19 +74,19 @@ def test_assemble_interleaved_tracks():
     out = assemble_trajectories(frames, IDENTITY)
     assert [t.track_id for t in out] == [1, 2]
     for t in out:
-        frames = [p[0] for p in t.points]
+        frames = t.points["frame"].tolist()
         assert frames == sorted(frames)
 
 
 def test_assemble_identity_calibration_keeps_centroids():
     out = assemble_trajectories([live(1, (1, 12.5, -3.25))], IDENTITY)
-    assert out[0].points[0] == (1, 12.5, -3.25)
+    assert out[0].points.tolist() == [(1, 12.5, -3.25)]
 
 
 def test_assemble_applies_calibration():
     calib = CalibrationParams(phi=2.0, omega=4.0, delta_deg=90.0, x0=100.0, y0=50.0)
     out = assemble_trajectories([live(1, (1, 10.0, 20.0))], calib)
-    assert out[0].points[0] == (1, 100.0 + 10.0 / 2.0, 50.0 + 20.0 / 4.0)
+    assert out[0].points.tolist() == [(1, 100.0 + 10.0 / 2.0, 50.0 + 20.0 / 4.0)]
 
 
 def test_assemble_labels_a_track_by_its_last_frame_and_skips_empty_frames():
@@ -93,12 +94,18 @@ def test_assemble_labels_a_track_by_its_last_frame_and_skips_empty_frames():
               live(4, (2, 9.0, 9.0, 4))]
     out = assemble_trajectories(frames, IDENTITY)
     assert [(t.track_id, t.class_id) for t in out] == [(1, 5), (2, 4)]
-    assert [p[0] for p in out[0].points] == [1, 3]
+    assert out[0].points["frame"].tolist() == [1, 3]
     assert assemble_trajectories([], IDENTITY) == []
     assert assemble_trajectories([live(1), live(2)], IDENTITY) == []
 
 
 # -- segment crossing ------------------------------------------------------------
+
+def segment_crosses(p, q, loi):
+    """Whether a one-segment trajectory p -> q is counted crossing loi."""
+    ms = measure_intervals([traj(1, [(1, *p), (2, *q)])], loi, 1.0, 1.0, 2.0)
+    return sum(c for m in ms for c in m.counts.values()) == 1
+
 
 def test_segment_crosses_transversal():
     loi = LineOfInterest(a=(-1.0, 0.0), b=(1.0, 0.0))
@@ -119,6 +126,25 @@ def test_segment_crosses_collinear_overlap():
     loi = LineOfInterest(a=(0.0, 0.0), b=(10.0, 0.0))
     assert segment_crosses((5.0, 0.0), (15.0, 0.0), loi)
     assert not segment_crosses((11.0, 0.0), (15.0, 0.0), loi)
+
+
+def test_segment_crosses_at_a_scale_where_orientation_products_underflow():
+    # the orientations are about +-2e-200; a product of two of them is 0
+    loi = LineOfInterest(a=(0.0, -1e-100), b=(0.0, 1e-100))
+    assert segment_crosses((-1e-100, 0.0), (1e-100, 0.0), loi)
+
+
+# -- frame order ------------------------------------------------------------------
+
+@pytest.mark.parametrize("frames", [(1, 1), (5, 3)], ids=["repeated", "backwards"])
+def test_frames_must_strictly_increase_within_a_trajectory(frames):
+    # unchecked, a repeated frame divides by zero elapsed time and a frame
+    # going back gives a negative speed (-6.25 m/s for frames 5 then 3)
+    points = [(frames[0], 0.5, 0.0), (frames[1], 1.0, 0.0)]
+    ok = traj(7, [(1, 0.0, 0.0), (2, 1.0, 0.0)])
+    with pytest.raises(ContractError, match=r"^trajectory 9: frame \d after frame \d; "
+                                            "frames must strictly increase"):
+        measure_intervals([ok, traj(9, points)], LOI_X0, 1.0, 25.0, 1.0)
 
 
 # -- counting and flow -------------------------------------------------------------
