@@ -7,7 +7,7 @@ report the same way a model-validation run would.
 
 import numpy as np
 
-from trafficstate import Detection, DetectionBatch, evaluate_detections
+from trafficstate import Detection, DetectionBatch, evaluate_detections, f1, precision, recall
 
 rng = np.random.default_rng(0)
 N_CLASSES = 4
@@ -40,11 +40,12 @@ report = evaluate_detections(predictions, ground_truths, N_CLASSES, iou_threshol
 
 print(f"{'class':<12}{'n_gt':>6}{'tp':>5}{'fp':>5}{'fn':>5}"
       f"{'prec':>8}{'rec':>8}{'f1':>8}{'ap':>8}")
+n_gt, tp, n_det = report.n_gt.tolist(), report.tp.tolist(), report.n_det.tolist()
 for k in range(N_CLASSES):
-    ce = report.per_class[k]
-    print(f"{NAMES[k]:<12}{ce.n_gt:>6}{ce.tp:>5}{ce.fp:>5}{ce.fn:>5}"
-          f"{ce.precision:>8.3f}{ce.recall:>8.3f}{ce.f1:>8.3f}"
-          f"{ce.ap if ce.ap is not None else float('nan'):>8.3f}")
+    fp, fn = n_det[k] - tp[k], n_gt[k] - tp[k]
+    p, r = precision(tp[k], fp), recall(tp[k], fn)
+    print(f"{NAMES[k]:<12}{n_gt[k]:>6}{tp[k]:>5}{fp:>5}{fn:>5}"
+          f"{p:>8.3f}{r:>8.3f}{f1(p, r):>8.3f}{report.ap[k]:>8.3f}")
 print(f"\nmAP@0.5 = {report.map_50:.3f}")
 
 print("\nrow-normalized confusion (true rows, predicted columns):")

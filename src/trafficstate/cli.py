@@ -117,13 +117,22 @@ def cmd_track(detections_path: str, config_path: str | None, out_dir: str) -> in
 
 
 def _load_catalog(classes_path: str | None) -> ClassCatalog:
+    """One class name per line; blank lines and lines starting with # after
+    leading spaces are skipped."""
     if classes_path is None:
         return ClassCatalog()
-    names = [
-        line.strip() for line in _read_text(classes_path).splitlines()
-        if line.strip() and not line.startswith("#")
-    ]
-    return ClassCatalog(names=tuple(names))
+    first_line: dict[str, int] = {}
+    for line_no, line in enumerate(_read_text(classes_path).splitlines(), start=1):
+        name = line.strip()
+        if not name or name.startswith("#"):
+            continue
+        if name in first_line:
+            raise ParseError(f"duplicate class name {name!r} (first on line {first_line[name]})",
+                             line_no, classes_path)
+        first_line[name] = line_no
+    if not first_line:
+        raise ParseError("class catalog must not be empty", path=classes_path)
+    return ClassCatalog(names=tuple(first_line))
 
 
 def cmd_eval(pred_path: str, gt_path: str, iou_threshold: float,
@@ -152,10 +161,6 @@ def _interval_series(rows: list[traffic.IntervalRow]):
     speeds: dict[int, dict[int, float]] = {}
     grid: dict[int, tuple[float, float]] = {}
     for r in rows:
-        seen = grid.get(r.interval)
-        if seen is not None and (abs(seen[0] - r.start) > 1e-9
-                                 or abs(seen[1] - r.end) > 1e-9):
-            raise ValidationError(f"inconsistent boundaries for interval {r.interval}")
         grid[r.interval] = (r.start, r.end)
         flows.setdefault(r.class_id, {})[r.interval] = r.flow_vph
         if r.n_speed_tracks > 0:
@@ -163,15 +168,16 @@ def _interval_series(rows: list[traffic.IntervalRow]):
     return flows, speeds, grid
 
 
-def _stats_rows(measured: list[traffic.IntervalRow],
-                truth: list[traffic.IntervalRow]) -> list[str]:
+def _stats_rows(measured: list[traffic.IntervalRow], truth: list[traffic.IntervalRow],
+                measured_path: str, truth_path: str) -> list[str]:
     m_flows, m_speeds, m_grid = _interval_series(measured)
     t_flows, t_speeds, t_grid = _interval_series(truth)
-    for i in set(m_grid) & set(t_grid):
+    for i in sorted(set(m_grid) & set(t_grid)):
         if abs(m_grid[i][0] - t_grid[i][0]) > 1e-9 \
                 or abs(m_grid[i][1] - t_grid[i][1]) > 1e-9:
             raise ValidationError(
-                f"interval {i} boundaries differ between measured and truth files"
+                f"interval {i} boundaries differ: {m_grid[i][0]:g} to {m_grid[i][1]:g} s "
+                f"in {measured_path}, {t_grid[i][0]:g} to {t_grid[i][1]:g} s in {truth_path}"
             )
     intervals = sorted(set(m_grid) | set(t_grid))
     if len(intervals) < 2:
@@ -217,7 +223,7 @@ def _stat_line(quantity: str, label: str, a, b) -> str:
 def cmd_stats(measured_path: str, truth_path: str, out_dir: str) -> int:
     measured = traffic.parse_intervals(io.StringIO(_read_text(measured_path)), path=measured_path)
     truth = traffic.parse_intervals(io.StringIO(_read_text(truth_path)), path=truth_path)
-    lines = _stats_rows(measured, truth)
+    lines = _stats_rows(measured, truth, measured_path, truth_path)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "stats.txt", "w", encoding="utf-8") as f:

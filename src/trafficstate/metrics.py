@@ -4,22 +4,22 @@ Evaluation side: `load_boxes` reads evaluation files with
 `detstream.read_rows` into one `DetectionBatch` per frame. Greedy
 confidence-ordered IoU matching gives each detection the ground truth it
 claimed (or -1), from one IoU pass per frame over the pairs whose boxes
-meet on both axes, both among its own class,
-which decides its hit, and among all classes, which fills a
-true-by-predicted confusion matrix. Then precision, recall,
-F1, average precision as the area under the interpolated precision-recall
-step curve, and mAP. Each class keeps only its ground-truth count and its
-detections' (confidence, is_true_positive) labels; the TP, FP and FN
-counts derive from them. Validation side: RMSE, Pearson correlation, and
+meet on both axes, both among its own class, which decides its hit, and
+among all classes, which fills a true-by-predicted confusion matrix. The
+report holds per-class arrays: ground-truth, detection and true-positive
+counts, each one `np.bincount`, and average precision as the area under
+the interpolated precision-recall step curve, from a stable sort of each
+class's detections by confidence; mAP averages the classes with ground
+truth. Precision, recall and F1 derive from the counts as the report is
+written. Validation side: RMSE, Pearson correlation, and
 a paired two-tailed t-test with exact t-distribution p-values.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import IO, Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
@@ -114,33 +114,21 @@ def f1(p: float, r: float) -> float:
     return 2.0 * p * r / (p + r) if p + r > 0 else 0.0
 
 
-def average_precision(labeled: Sequence[tuple[float, bool]], n_gt: int) -> float:
+def average_precision(confidence: np.ndarray, hits: np.ndarray, n_gt: int) -> float:
     """Area under the interpolated precision-recall curve for one class.
 
-    labeled holds (confidence, is_true_positive) for each detection of the
-    class. Precision is made monotone non-increasing over recall before
-    summing the recall-step rectangles.
+    confidence and hits hold one entry per detection of the class. The
+    detections are ranked by descending confidence, ties in input order.
+    Precision is made monotone non-increasing over recall before summing
+    the recall-step rectangles in rank order.
     """
     if n_gt < 1:
         raise ValidationError("average precision needs at least one ground truth")
-    order = sorted(range(len(labeled)), key=lambda i: (-labeled[i][0], i))
-    points = []
-    tp_cum = 0
-    for rank, i in enumerate(order, start=1):
-        tp_cum += 1 if labeled[i][1] else 0
-        points.append((tp_cum / n_gt, tp_cum / rank))
-    envelope = []
-    best = 0.0
-    for r, p in reversed(points):
-        best = max(best, p)
-        envelope.append((r, best))
-    envelope.reverse()
-    ap = 0.0
-    prev_recall = 0.0
-    for r, p in envelope:
-        ap += (r - prev_recall) * p
-        prev_recall = r
-    return ap
+    # stable, so ties keep their input order; -0.0 ties with 0.0
+    tp = np.cumsum(np.asarray(hits, bool)[np.argsort(-np.asarray(confidence), kind="stable")])
+    envelope = np.maximum.accumulate((tp / np.arange(1, len(tp) + 1))[::-1])[::-1]
+    # np.cumsum adds in order; np.sum adds pairwise
+    return float(np.cumsum(np.append(0.0, np.diff(tp / n_gt, prepend=0.0) * envelope))[-1])
 
 
 def mean_ap(per_class_ap: Sequence[float]) -> float:
@@ -154,45 +142,13 @@ def mean_ap(per_class_ap: Sequence[float]) -> float:
 
 
 @dataclass
-class ClassEval:
-    """One class's ground-truth count and (confidence, is_true_positive) per detection."""
-
-    n_gt: int = 0
-    labeled: list[tuple[float, bool]] = field(default_factory=list)
-    ap: Optional[float] = None
-
-    @property
-    def n_det(self) -> int:
-        return len(self.labeled)
-
-    @cached_property
-    def tp(self) -> int:
-        return sum(hit for _, hit in self.labeled)
-
-    @property
-    def fp(self) -> int:
-        return self.n_det - self.tp
-
-    @property
-    def fn(self) -> int:
-        return self.n_gt - self.tp
-
-    @property
-    def precision(self) -> float:
-        return precision(self.tp, self.fp)
-
-    @property
-    def recall(self) -> float:
-        return recall(self.tp, self.fn)
-
-    @property
-    def f1(self) -> float:
-        return f1(self.precision, self.recall)
-
-
-@dataclass
 class EvalReport:
-    per_class: dict[int, ClassEval]
+    """Per-class (K,) counts and AP; ap is NaN where a class has no ground truth."""
+
+    n_gt: np.ndarray                # int64
+    n_det: np.ndarray               # int64
+    tp: np.ndarray                  # int64
+    ap: np.ndarray                  # float64
     map_50: float
     confusion: np.ndarray           # raw match counts, true rows x predicted cols
     iou_threshold: float
@@ -233,28 +189,31 @@ def evaluate_detections(
     bad = ids[(ids < 0) | (ids >= n_classes)]
     if len(bad):
         raise ValidationError(f"class id {bad[0]} outside the {n_classes}-class catalog")
-    claims = [match_to_ground_truth(d, g, iou_threshold) for d, g in zip(dets, gts)]
     if not any(len(g) for g in gts):
         raise ValidationError("no ground-truth instances to evaluate against")
-    claims = np.concatenate(claims)
+    claims = np.concatenate([match_to_ground_truth(d, g, iou_threshold)
+                             for d, g in zip(dets, gts)])
     det_classes = np.concatenate([d.class_ids for d in dets])
     gt_classes = np.concatenate([g.class_ids for g in gts])
     confidence = np.concatenate([d.confidence for d in dets])
-    n_gt = np.bincount(gt_classes, minlength=n_classes).tolist()
-    per_class = {k: ClassEval(n_gt=n_gt[k]) for k in range(n_classes)}
-    for k, conf, hit in zip(det_classes.tolist(), confidence.tolist(),
-                            (claims[:, 0] >= 0).tolist()):
-        per_class[k].labeled.append((conf, hit))
-    for ce in per_class.values():
-        if ce.n_gt > 0:
-            ce.ap = average_precision(ce.labeled, ce.n_gt)
+    hits = claims[:, 0] >= 0
+    n_gt = np.bincount(gt_classes, minlength=n_classes)
+    n_det = np.bincount(det_classes, minlength=n_classes)
+    tp = np.bincount(det_classes[hits], minlength=n_classes)
+    # each class's detections as one run, in frame and then row order
+    by_class = np.argsort(det_classes, kind="stable")
+    ends = np.cumsum(n_det)
+    ap = np.full(n_classes, np.nan)
+    for k in np.flatnonzero(n_gt).tolist():
+        run = by_class[ends[k] - n_det[k]:ends[k]]
+        ap[k] = average_precision(confidence[run], hits[run], int(n_gt[k]))
     # the class-agnostic claims, as indices into the ground truths of all frames
     first_gt = np.repeat(np.cumsum([0] + [len(g) for g in gts[:-1]]), [len(d) for d in dets])
     agnostic = claims[:, 1] >= 0
     confusion = confusion_matrix(gt_classes[claims[agnostic, 1] + first_gt[agnostic]],
                                  det_classes[agnostic], n_classes)
-    evaluated = [ce.ap for ce in per_class.values() if ce.ap is not None]
-    return EvalReport(per_class=per_class, map_50=mean_ap(evaluated),
+    return EvalReport(n_gt=n_gt, n_det=n_det, tp=tp, ap=ap,
+                      map_50=mean_ap(ap[n_gt > 0].tolist()),
                       confusion=confusion, iou_threshold=iou_threshold)
 
 
@@ -360,25 +319,20 @@ def load_boxes(
 EVAL_HEADER = "class\tname\tn_gt\tn_det\ttp\tfp\tfn\tprecision\trecall\tf1\tap"
 
 
+def _report_row(label: str, name: str, n_gt: int, n_det: int, tp: int, ap: float) -> str:
+    fp, fn = n_det - tp, n_gt - tp
+    p, r = precision(tp, fp), recall(tp, fn)
+    return "\t".join([label, name, str(n_gt), str(n_det), str(tp), str(fp), str(fn),
+                      f"{p:.6g}", f"{r:.6g}", f"{f1(p, r):.6g}", f"{ap:.6g}"]) + "\n"
+
+
 def write_eval_report(out: IO[str], report: EvalReport, class_names) -> None:
     """Per-class rows then a summary row; the summary ap column is the mAP."""
     out.write(EVAL_HEADER + "\n")
-    tp = fp = fn = 0
-    for k in sorted(report.per_class):
-        ce = report.per_class[k]
-        tp, fp, fn = tp + ce.tp, fp + ce.fp, fn + ce.fn
-        cols = [str(k), class_names[k], str(ce.n_gt), str(ce.n_det),
-                str(ce.tp), str(ce.fp), str(ce.fn),
-                f"{ce.precision:.6g}", f"{ce.recall:.6g}", f"{ce.f1:.6g}",
-                f"{ce.ap:.6g}" if ce.ap is not None else "nan"]
-        out.write("\t".join(cols) + "\n")
-    p = precision(tp, fp)
-    r = recall(tp, fn)
-    cols = ["all", "-", str(sum(c.n_gt for c in report.per_class.values())),
-            str(sum(c.n_det for c in report.per_class.values())),
-            str(tp), str(fp), str(fn),
-            f"{p:.6g}", f"{r:.6g}", f"{f1(p, r):.6g}", f"{report.map_50:.6g}"]
-    out.write("\t".join(cols) + "\n")
+    n_gt, n_det, tp = report.n_gt.tolist(), report.n_det.tolist(), report.tp.tolist()
+    for k, ap in enumerate(report.ap.tolist()):
+        out.write(_report_row(str(k), class_names[k], n_gt[k], n_det[k], tp[k], ap))
+    out.write(_report_row("all", "-", sum(n_gt), sum(n_det), sum(tp), report.map_50))
 
 
 def write_confusion(out: IO[str], report: EvalReport, class_names) -> None:

@@ -12,7 +12,7 @@ Time is frame / fps, on the grid of `interval_grid`. The two rules that
 place a time in an interval differ:
 
 - a crossing at time t goes to interval min(int(t / interval_s), n - 1),
-  and only when t <= total_duration;
+  and only when 0 <= t <= total_duration;
 - a point at time t belongs to the interval with start <= t < end; the
   last interval also takes a point at exactly its end.
 """
@@ -182,7 +182,7 @@ def measure_intervals(
     Crossings: a track counts once, at the later frame of its first segment
     that crosses the line and passes the direction filter. A crossing at
     time t goes to interval min(int(t / interval_s), n - 1), and only when
-    t <= total_duration.
+    0 <= t <= total_duration.
 
     Speeds: a point belongs to the interval with start <= t < end; the last
     interval also takes a point at exactly its end. Each interval holding
@@ -232,7 +232,7 @@ def measure_intervals(
         speed = path / ((frame[b] - frame[a]) / fps).astype(np.float64)
     crossed, first_hit = np.unique(track[hits], return_index=True)
     for i, when in zip(crossed.tolist(), t[hits[first_hit] + 1].tolist()):
-        if when <= total_duration:
+        if 0 <= when <= total_duration:
             m, k = measurements[min(int(when / interval_s), last)], trajectories[i].class_id
             m.counts[k] = m.counts.get(k, 0) + 1
             m.flows[k] = m.counts[k] * SECONDS_PER_HOUR / interval_s
@@ -279,9 +279,12 @@ class IntervalRow:
 
 
 def parse_intervals(source: IO[str] | Iterable[str], path=None) -> list[IntervalRow]:
-    """Rows of an intervals file; mean_speed_kmh is nan exactly when n_speed_tracks is 0."""
+    """Rows of an intervals file; mean_speed_kmh is nan exactly when n_speed_tracks is 0,
+    and the rows of one interval agree on its boundaries within 1e-9 s."""
     rows = []
     seen = set()
+    # interval -> (start, end, line) of its first row
+    grid: dict[int, tuple[float, float, int]] = {}
     for line_no, line in enumerate(source, start=1):
         line = line.rstrip("\n")
         if not line or line.startswith("interval\t") or line.startswith("#"):
@@ -312,5 +315,9 @@ def parse_intervals(source: IO[str] | Iterable[str], path=None) -> list[Interval
             raise ParseError(f"duplicate row for interval {row.interval}, class {row.class_id}",
                              line_no, path)
         seen.add((row.interval, row.class_id))
+        start, end, first = grid.setdefault(row.interval, (row.start, row.end, line_no))
+        if abs(start - row.start) > 1e-9 or abs(end - row.end) > 1e-9:
+            raise ParseError(f"interval {row.interval} spans {row.start:g} to {row.end:g} s, "
+                             f"but {start:g} to {end:g} s on line {first}", line_no, path)
         rows.append(row)
     return rows

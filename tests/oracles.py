@@ -426,7 +426,7 @@ def measure_by_rescan(trajectories, crosses, interval_s, fps, total_duration):
     per interval of the grid [i * interval_s, min((i + 1) * interval_s,
     total_duration)), with keys start, end, counts, flows and speeds. A
     track counts once, at the later frame of its first counting segment, in
-    interval min(int(t / interval_s), n - 1) when t <= total_duration. Its
+    interval min(int(t / interval_s), n - 1) when 0 <= t <= total_duration. Its
     speed in an interval is the path through the points with
     start <= t < end (the last interval also takes t == end) over their
     elapsed time.
@@ -438,7 +438,7 @@ def measure_by_rescan(trajectories, crosses, interval_s, fps, total_duration):
         pts = traj.points.tolist()
         frame = next((f1 for (_, x0, y0), (f1, x1, y1) in zip(pts, pts[1:])
                       if crosses((x0, y0), (x1, y1))), None)
-        if frame is None or n == 0 or frame / fps > total_duration:
+        if frame is None or n == 0 or not 0 <= frame / fps <= total_duration:
             continue
         counts = out[min(int(frame / fps / interval_s), n - 1)]["counts"]
         counts[traj.class_id] = counts.get(traj.class_id, 0) + 1

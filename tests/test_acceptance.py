@@ -49,7 +49,7 @@ from oracles import (
     simulate_constant_velocity,
     threshold_enumeration_ap,
 )
-from test_metrics import random_instance, stack_frames
+from test_metrics import engine_labels, random_instance, stack_frames
 
 
 def criterion(number, description):
@@ -297,8 +297,8 @@ def test_calibration():
 
 @criterion(7, "mAP matches threshold-enumeration oracle; AP fixture = 5/6")
 def test_metrics_oracle():
-    labeled = [(0.9, True), (0.8, False), (0.7, True)]
-    assert abs(average_precision(labeled, 2) - 5.0 / 6.0) <= 1e-12
+    assert abs(average_precision(np.array([0.9, 0.8, 0.7]), np.array([True, False, True]), 2)
+               - 5.0 / 6.0) <= 1e-12
 
     rng = np.random.default_rng(108)
     done = 0
@@ -308,13 +308,12 @@ def test_metrics_oracle():
             continue
         report = evaluate_detections(stack_frames(preds), stack_frames(gts), n_classes=3,
                                      iou_threshold=0.5)
-        oracle_aps = [
-            threshold_enumeration_ap(ce.labeled, ce.n_gt)
-            for ce in report.per_class.values() if ce.n_gt > 0
-        ]
-        for ce in report.per_class.values():
-            if ce.n_gt > 0:
-                assert abs(ce.ap - threshold_enumeration_ap(ce.labeled, ce.n_gt)) <= 1e-9
+        labeled = engine_labels(stack_frames(preds), stack_frames(gts), 3)
+        oracle_aps = [threshold_enumeration_ap(labeled[k], n_gt)
+                      for k, n_gt in enumerate(report.n_gt.tolist()) if n_gt > 0]
+        for k, n_gt in enumerate(report.n_gt.tolist()):
+            if n_gt > 0:
+                assert abs(report.ap[k] - threshold_enumeration_ap(labeled[k], n_gt)) <= 1e-9
         assert abs(report.map_50 - sum(oracle_aps) / len(oracle_aps)) <= 1e-9
         done += 1
 

@@ -528,6 +528,32 @@ def test_eval_custom_classes_and_vocabulary_mismatch(tmp_path):
     assert rc == 1
 
 
+def test_eval_classes_file_skips_indented_comments(tmp_path):
+    classes = write(tmp_path / "classes.txt", "car\n  # bus\n\ttruck \n")
+    gt = write(tmp_path / "gt.txt", "1,0,0,10,10,1\n")
+    pred = write(tmp_path / "pred.txt", "1,0,0,10,10,1.0,1\n")
+    assert main(["eval", "--pred", pred, "--gt", gt, "--classes", classes,
+                 "--out-dir", str(tmp_path / "e")]) == 0
+    rows = (tmp_path / "e" / "eval_report.txt").read_text().splitlines()
+    assert [row.split("\t")[:3] for row in rows[1:]] == \
+        [["0", "car", "0"], ["1", "truck", "1"], ["all", "-", "1"]]
+
+
+@pytest.mark.parametrize("text,error", [
+    ("car\nbus\n\n car\n", "{}:4: duplicate class name 'car' (first on line 1)"),
+    ("# no names\n\n", "{}: class catalog must not be empty"),
+    ("", "{}: class catalog must not be empty"),
+])
+def test_eval_classes_file_errors_name_the_file(tmp_path, capsys, text, error):
+    classes = write(tmp_path / "classes.txt", text)
+    gt = write(tmp_path / "gt.txt", "1,0,0,10,10,0\n")
+    pred = write(tmp_path / "pred.txt", "1,0,0,10,10,1.0,0\n")
+    assert main(["eval", "--pred", pred, "--gt", gt, "--classes", classes,
+                 "--out-dir", str(tmp_path / "e")]) == 1
+    assert capsys.readouterr().err == f"error: {error.format(classes)}\n"
+    assert not (tmp_path / "e").exists()
+
+
 def test_stats_identical_series(tmp_path):
     rows = ("interval\tt_start_s\tt_end_s\tclass\tcount\tflow_vph\tmean_speed_kmh\tn_speed_tracks\n"
             "0\t0\t60\t1\t3\t180\t30\t3\n"
@@ -579,12 +605,28 @@ def test_stats_hand_fixture(tmp_path):
     assert float(line[5]) == pytest.approx(-1.7320508, abs=1e-4)
 
 
-def test_stats_mismatched_grids_rejected(tmp_path):
+def test_stats_mismatched_grids_rejected(tmp_path, capsys):
     head = "interval\tt_start_s\tt_end_s\tclass\tcount\tflow_vph\tmean_speed_kmh\tn_speed_tracks\n"
     a = write(tmp_path / "a.txt", head + "0\t0\t60\t0\t1\t60\tnan\t0\n1\t60\t120\t0\t1\t60\tnan\t0\n")
     b = write(tmp_path / "b.txt", head + "0\t0\t30\t0\t1\t120\tnan\t0\n1\t30\t60\t0\t1\t120\tnan\t0\n")
     assert main(["stats", "--measured", a, "--truth", b,
                  "--out-dir", str(tmp_path / "s")]) == 1
+    assert capsys.readouterr().err == \
+        f"error: interval 0 boundaries differ: 0 to 60 s in {a}, 0 to 30 s in {b}\n"
+
+
+def test_stats_rejects_two_rows_of_an_interval_with_different_boundaries(tmp_path, capsys):
+    head = "interval\tt_start_s\tt_end_s\tclass\tcount\tflow_vph\tmean_speed_kmh\tn_speed_tracks\n"
+    good = head + "0\t0\t5\t0\t1\t720\tnan\t0\n1\t5\t10\t0\t1\t720\tnan\t0\n"
+    m = write(tmp_path / "m.txt", good + "0\t0\t6\t1\t1\t720\tnan\t0\n")
+    t = write(tmp_path / "t.txt", good)
+    assert main(["stats", "--measured", m, "--truth", t,
+                 "--out-dir", str(tmp_path / "s")]) == 1
+    assert capsys.readouterr().err == \
+        f"error: {m}:4: interval 0 spans 0 to 6 s, but 0 to 5 s on line 2\n"
+    # within the 1e-9 s tolerance the rows agree
+    m = write(tmp_path / "m.txt", good + "0\t0\t5.0000000001\t1\t1\t720\tnan\t0\n")
+    assert main(["stats", "--measured", m, "--truth", t, "--out-dir", str(tmp_path / "s")]) == 0
 
 
 def test_stats_rejects_non_finite_flow(tmp_path, capsys):
@@ -1022,3 +1064,23 @@ def test_eval_output_bytes_are_pinned(tmp_path):
     confusion = (tmp_path / "out" / "confusion_matrix.txt").read_bytes()
     assert hashlib.sha256(report).hexdigest() == PINNED_EVAL_REPORT_SHA256
     assert hashlib.sha256(confusion).hexdigest() == PINNED_CONFUSION_SHA256
+
+
+# the same for the scene above with tied confidences; tied detections rank in
+# input order, and -0.0 ties with 0.0
+PINNED_TIED_EVAL_REPORT_SHA256 = "b46e85b0a537d0cdc8bfd551e45a5e84a6c5f262f55cfeeb4f0156b508043d4f"
+PINNED_TIED_CONFUSION_SHA256 = "988320c76b03eae2675f49574cabfa36e3395f2d4496441d474bc259f791fe36"
+
+
+def test_eval_output_bytes_are_pinned_with_tied_confidences(tmp_path):
+    pred_text, gt_text = pinned_eval_texts()
+    rows = [line.split(",") for line in pred_text.splitlines()]
+    for i, parts in enumerate(rows):
+        parts[5] = {0: "0.0", 3: "-0.0"}.get(i % 7, f"{float(parts[5]):.1f}")
+    pred = write(tmp_path / "pred.txt", "".join(",".join(parts) + "\n" for parts in rows))
+    gt = write(tmp_path / "gt.txt", gt_text)
+    assert main(["eval", "--pred", pred, "--gt", gt, "--out-dir", str(tmp_path / "out")]) == 0
+    report = (tmp_path / "out" / "eval_report.txt").read_bytes()
+    confusion = (tmp_path / "out" / "confusion_matrix.txt").read_bytes()
+    assert hashlib.sha256(report).hexdigest() == PINNED_TIED_EVAL_REPORT_SHA256
+    assert hashlib.sha256(confusion).hexdigest() == PINNED_TIED_CONFUSION_SHA256

@@ -11,7 +11,6 @@ from trafficstate.cli import main
 from trafficstate.detstream import Detection, DetectionBatch
 from trafficstate.errors import NumericalError, ParseError, ValidationError
 from trafficstate.metrics import (
-    ClassEval,
     EvalReport,
     average_precision,
     confusion_matrix,
@@ -44,6 +43,20 @@ def batch(*boxes, frame=1):
 def stack_frames(frames):
     """{frame: DetectionBatch} of frame-indexed lists of Detection rows."""
     return {frame: DetectionBatch.stack(frame, dets) for frame, dets in frames.items()}
+
+
+def engine_labels(predictions, ground_truths, n_classes, iou_threshold=0.5):
+    """Each class's (confidence, hit) per detection, frames in order and each
+    frame's rows in order, the hit read from match_to_ground_truth's column 0."""
+    labeled = [[] for _ in range(n_classes)]
+    none = DetectionBatch.stack(0, [])
+    for frame in sorted(set(predictions) | set(ground_truths)):
+        dets = predictions.get(frame, none)
+        claims = match_to_ground_truth(dets, ground_truths.get(frame, none), iou_threshold)
+        for k, c, hit in zip(dets.class_ids.tolist(), dets.confidence.tolist(),
+                             (claims[:, 0] >= 0).tolist()):
+            labeled[k].append((c, hit))
+    return labeled
 
 
 # -- matching -----------------------------------------------------------------
@@ -142,25 +155,25 @@ def test_zero_denominator_conventions():
 
 
 def test_average_precision_perfect():
-    labeled = [(0.9, True), (0.8, True)]
-    assert average_precision(labeled, 2) == pytest.approx(1.0)
+    assert average_precision(np.array([0.9, 0.8]), np.array([True, True]), 2) == \
+        pytest.approx(1.0)
 
 
 def test_average_precision_total_miss():
-    labeled = [(0.9, False), (0.8, False)]
-    assert average_precision(labeled, 2) == 0.0
+    assert average_precision(np.array([0.9, 0.8]), np.array([False, False]), 2) == 0.0
 
 
 def test_average_precision_hand_fixture():
-    # confidence order [TP, FP, TP] against 2 ground truths
+    # confidence order [TP, FP, TP] against 2 ground truths, given out of order
+    confidence, hits = np.array([0.7, 0.9, 0.8]), np.array([True, True, False])
+    assert average_precision(confidence, hits, 2) == pytest.approx(5.0 / 6.0)
     labeled = [(0.9, True), (0.8, False), (0.7, True)]
-    assert average_precision(labeled, 2) == pytest.approx(5.0 / 6.0)
     assert threshold_enumeration_ap(labeled, 2) == pytest.approx(5.0 / 6.0)
 
 
 def test_average_precision_needs_ground_truth():
     with pytest.raises(ValidationError):
-        average_precision([(0.5, True)], 0)
+        average_precision(np.array([0.5]), np.array([True]), 0)
 
 
 def test_mean_ap_examples():
@@ -180,12 +193,11 @@ def test_ap_in_unit_interval_and_rank_invariance():
         flags = rng.random(size=n) < 0.5
         while flags.sum() > n_gt:  # a matching never yields more TPs than GTs
             flags[int(rng.integers(0, n))] = False
-        labeled = list(zip(confs.tolist(), flags.tolist()))
-        ap = average_precision(labeled, n_gt)
+        ap = average_precision(confs, flags, n_gt)
         assert 0.0 <= ap <= 1.0
         # strictly monotone transform of confidences keeps the ranking
-        transformed = [(math.exp(3 * c) + 1, t) for c, t in labeled]
-        assert average_precision(transformed, n_gt) == pytest.approx(ap, abs=1e-12)
+        transformed = np.array([math.exp(3 * c) + 1 for c in confs.tolist()])
+        assert average_precision(transformed, flags, n_gt) == pytest.approx(ap, abs=1e-12)
 
 
 def random_instance(rng):
@@ -232,12 +244,13 @@ def test_map_matches_threshold_enumeration_oracle_500_random():
                                          n_classes=3, iou_threshold=0.5)
         except ValidationError:
             continue
+        labeled = engine_labels(stack_frames(preds), stack_frames(gts), 3)
         oracle_aps = []
-        for k, ce in report.per_class.items():
-            if ce.n_gt == 0:
+        for k, n_gt in enumerate(report.n_gt.tolist()):
+            if n_gt == 0:
                 continue
-            oracle = threshold_enumeration_ap(ce.labeled, ce.n_gt)
-            assert ce.ap == pytest.approx(oracle, abs=1e-9)
+            oracle = threshold_enumeration_ap(labeled[k], n_gt)
+            assert report.ap[k] == pytest.approx(oracle, abs=1e-9)
             oracle_aps.append(oracle)
         assert report.map_50 == pytest.approx(
             sum(oracle_aps) / len(oracle_aps), abs=1e-9
@@ -424,26 +437,18 @@ def test_class_counts_derive_from_labels():
     preds = {1: batch(box((0, 0, 10, 10), conf=0.9), box((1, 0, 10, 10), conf=0.8),
                       box((200, 0, 10, 10), class_id=1, conf=0.7))}
     report = evaluate_detections(preds, gts, n_classes=2)
-    zero, one = report.per_class[0], report.per_class[1]
-    assert zero.labeled == [(0.9, True), (0.8, False)]
-    assert (zero.n_gt, zero.n_det, zero.tp, zero.fp, zero.fn) == (2, 2, 1, 1, 1)
-    assert (one.n_gt, one.n_det, one.tp, one.fp, one.fn, one.ap) == (0, 1, 0, 1, 0, None)
-    assert type(zero.tp) is int
-
-
-def test_class_eval_counts_its_hits_once():
-    class CountingList(list):
-        iterations = 0
-
-        def __iter__(self):
-            CountingList.iterations += 1
-            return super().__iter__()
-
-    ce = ClassEval(n_gt=3, labeled=CountingList([(0.9, True), (0.8, False), (0.7, True)]))
-    assert (ce.tp, ce.fp, ce.fn) == (2, 1, 1)
-    assert (ce.precision, ce.recall) == (pytest.approx(2 / 3), pytest.approx(2 / 3))
-    assert ce.f1 == pytest.approx(2 / 3)
-    assert type(ce.tp) is int and CountingList.iterations == 1
+    assert engine_labels(preds, gts, 2) == [[(0.9, True), (0.8, False)], [(0.7, False)]]
+    assert [a.tolist() for a in (report.n_gt, report.n_det, report.tp)] == \
+        [[2, 0], [2, 1], [1, 0]]
+    assert all(a.dtype == np.int64 for a in (report.n_gt, report.n_det, report.tp))
+    assert report.ap[0] == 0.5 and math.isnan(report.ap[1]) and report.map_50 == 0.5
+    # fp = n_det - tp and fn = n_gt - tp, then precision, recall and f1, per row
+    buf = io.StringIO()
+    write_eval_report(buf, report, ["a", "b"])
+    assert [line.split("\t") for line in buf.getvalue().splitlines()[1:]] == [
+        ["0", "a", "2", "2", "1", "1", "1", "0.5", "0.5", "0.5", "0.5"],
+        ["1", "b", "0", "1", "0", "1", "0", "0", "0", "0", "nan"],
+        ["all", "-", "2", "3", "1", "2", "1", "0.333333", "0.5", "0.4", "0.5"]]
 
 
 def test_evaluate_rejects_unknown_class():

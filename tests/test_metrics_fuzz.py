@@ -1,10 +1,12 @@
 """Batched detection evaluation against the row-at-a-time evaluation oracle,
-the array read of evaluation files against the row-at-a-time reader, and
-matching over the boxes that meet against matching over the full IoU matrix.
+average precision against threshold enumeration, the array read of
+evaluation files against the row-at-a-time reader, and matching over the
+boxes that meet against matching over the full IoU matrix.
 
 Needs hypothesis (the `test` extra in pyproject.toml); skipped without it.
 """
 import io
+import math
 
 import numpy as np
 import pytest
@@ -18,12 +20,14 @@ from trafficstate.detstream import Detection, DetectionBatch  # noqa: E402
 from trafficstate.errors import ParseError, ValidationError  # noqa: E402
 from trafficstate.metrics import (  # noqa: E402
     _meeting_pairs,
+    average_precision,
     evaluate_detections,
     load_boxes,
     match_to_ground_truth,
 )
 
-from oracles import evaluate_by_rows, load_boxes_by_rows  # noqa: E402
+from oracles import evaluate_by_rows, load_boxes_by_rows, threshold_enumeration_ap  # noqa: E402
+from test_metrics import engine_labels  # noqa: E402
 
 N_CLASSES = 3
 # a few round confidences make ties in the greedy order common
@@ -84,11 +88,30 @@ def test_evaluate_equals_row_oracle(instance, iou_threshold):
             evaluate_detections(stacked(preds), stacked(gts), N_CLASSES, iou_threshold)
         return
     report = evaluate_detections(stacked(preds), stacked(gts), N_CLASSES, iou_threshold)
-    assert [report.per_class[k].n_gt for k in range(N_CLASSES)] == expected["n_gt"]
-    assert [report.per_class[k].labeled for k in range(N_CLASSES)] == expected["labeled"]
-    assert [report.per_class[k].ap for k in range(N_CLASSES)] == expected["ap"]
+    labeled = expected["labeled"]
+    assert engine_labels(stacked(preds), stacked(gts), N_CLASSES, iou_threshold) == labeled
+    assert report.n_gt.tolist() == expected["n_gt"]
+    assert report.n_det.tolist() == [len(lab) for lab in labeled]
+    assert report.tp.tolist() == [sum(hit for _, hit in lab) for lab in labeled]
+    assert [None if math.isnan(ap) else ap for ap in report.ap.tolist()] == expected["ap"]
     assert report.map_50 == expected["map_50"]
     assert np.array_equal(report.confusion, expected["confusion"])
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(labeled=st.lists(st.tuples(st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0]),
+                                            st.floats(0.0, 1.0).map(lambda c: round(c, 1))),
+                                  st.booleans()), max_size=40),
+       all_miss=st.booleans(), extra=st.integers(0, 3))
+def test_average_precision_equals_threshold_enumeration(labeled, all_miss, extra):
+    # confidences tie often, -0.0 among 0.0; lists past 16 entries leave
+    # NumPy's insertion sort, where an unstable argsort would reorder ties
+    if all_miss:
+        labeled = [(c, False) for c, _ in labeled]
+    n_gt = max(1, sum(hit for _, hit in labeled) + extra)
+    confidence = np.array([c for c, _ in labeled], dtype=np.float64)
+    hits = np.array([hit for _, hit in labeled], dtype=bool)
+    assert average_precision(confidence, hits, n_gt) == threshold_enumeration_ap(labeled, n_gt)
 
 
 # -- reading evaluation files -------------------------------------------------------

@@ -174,6 +174,16 @@ def test_crossing_attributed_to_later_frame_interval():
     assert ms[0].counts == {} and ms[1].counts == {0: 1}
 
 
+@pytest.mark.parametrize("frame", [-29, -9])
+def test_a_crossing_before_time_zero_counts_in_no_interval(frame):
+    # at t = -1.16 s the interval index was -1, the last interval; at
+    # t = -0.36 s int() rounded it up to 0, the first
+    loi = LineOfInterest(a=(0.0, -5.0), b=(0.0, 5.0))
+    pts = [(frame - 1, -1.0, 0.0), (frame, 1.0, 0.0)]
+    ms = measure_intervals([traj(1, pts)], loi, 1.0, 25.0, 3.0)
+    assert [m.counts for m in ms] == [{}, {}, {}]
+
+
 def test_direction_filter():
     up = LineOfInterest(a=(0.0, -100.0), b=(0.0, 100.0), direction=1)
     down = LineOfInterest(a=(0.0, -100.0), b=(0.0, 100.0), direction=-1)

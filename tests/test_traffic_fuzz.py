@@ -60,9 +60,9 @@ def point(loi):
 
 @st.composite
 def trajectory(draw, track_id, loi):
-    # frames in increasing order with gaps; points on and near the line so
-    # that tracks cross and touch it, some more than once
-    frame = draw(st.integers(0, 60))
+    # frames in increasing order with gaps, some before time zero; points on
+    # and near the line so that tracks cross and touch it, some more than once
+    frame = draw(st.integers(-40, 60))
     points = []
     for _ in range(draw(st.integers(1, 12))):
         points.append((frame, *draw(point(loi))))
@@ -78,7 +78,8 @@ def scene(draw):
     loi = draw(line_of_interest())
     trajectories = [draw(trajectory(tid, loi))
                     for tid in range(1, draw(st.integers(0, 6)) + 1)]
-    last_t = max((int(t.points["frame"][-1]) / fps for t in trajectories), default=1.0)
+    last_t = max(0.0, max((int(t.points["frame"][-1]) / fps for t in trajectories),
+                          default=1.0))
     duration = draw(st.one_of(
         st.integers(1, 12).map(lambda k: k * interval_s),   # exact multiple
         st.just(last_t),                                     # as `track` derives it
