@@ -6,7 +6,19 @@ occlusion with a Kalman filter plus gated assignment (`motion`, `assoc`,
 measure classified flow and speed over a counting line (`traffic`).
 `metrics` evaluates detection quality and measurement agreement; `synth`
 builds synthetic scenes with exact ground truth.
+
+Past its first chunk of lines, `detstream.parse_detections` parses the
+stream in a forked reader process, one chunk ahead of the tracker.
+Importing the package sets OPENBLAS_NUM_THREADS to 1 unless it is set
+already; this takes effect only when the package is imported before
+numpy. The package's largest BLAS call is a 100 x 64 product, so a BLAS
+worker thread only adds CPU (its spin at numpy's import), and the
+process forks with one thread.
 """
+
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .assoc import (
     CostMatrix,

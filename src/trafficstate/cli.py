@@ -79,11 +79,11 @@ def cmd_track(detections_path: str, config_path: str | None, out_dir: str) -> in
     frames = []
     tracks_path = out / cfg.tracks_name
     src = _open_detections(detections_path)
+    batches = detstream.parse_detections(
+        _utf8_lines(src, detections_path), min_confidence=cfg.confidence_floor,
+        path=detections_path,
+    )
     try:
-        batches = detstream.parse_detections(
-            _utf8_lines(src, detections_path), min_confidence=cfg.confidence_floor,
-            path=detections_path,
-        )
         tf = open(tracks_path, "w", encoding="utf-8")
         try:
             with tf:
@@ -109,6 +109,8 @@ def cmd_track(detections_path: str, config_path: str | None, out_dir: str) -> in
             tracks_path.unlink()
             raise
     finally:
+        # ends the detection reader process, if the stream did not end it
+        batches.close()
         if src is not sys.stdin:
             src.close()
     with open(out / cfg.intervals_name, "w", encoding="utf-8") as f:

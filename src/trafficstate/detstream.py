@@ -11,18 +11,30 @@ order so the stream can be consumed online.
 
 `read_rows` is the one reader of this row format, for detection streams
 and evaluation files alike. It reads a block of lines with one
-`np.loadtxt` call and checks every row at once with `_valid_rows`; a
-block that read cannot vouch for goes through `_parse_rows`, one row at
-a time, so values and error messages are exactly those of a
-row-at-a-time parse. `parse_detections` feeds it CHUNK_ROWS lines at a
-time and yields one `DetectionBatch` of arrays per frame;
-`metrics.load_boxes` feeds it a whole evaluation file. `Detection` is the
-one-row form that `synth` writes; `DetectionBatch.stack` turns a frame's
-list of them into a batch.
+`np.loadtxt` call (an evaluation file whose rows mix widths, one call per
+width) and checks every row at once with `_valid_rows`; a block that read
+cannot vouch for goes through `_parse_rows`, one row at a time, so values
+and error messages are exactly those of a row-at-a-time parse.
+`metrics.load_boxes` feeds it a whole evaluation file.
+
+`parse_detections` runs in two stages. The chunk stage (`_chunks`) feeds
+`read_rows` CHUNK_ROWS lines at a time and carries the stream's width and
+frame order across chunks. When the stream goes on past its first
+chunk, the rest is read in a reader process forked then (`_read_ahead`),
+which sends each chunk's columns back as one pickle over a pipe and
+parses the next chunk while the caller works on this one. The frame
+stage, in the caller's process, applies the confidence floor and yields
+one `DetectionBatch` of arrays per frame.
+`Detection` is the one-row form that `synth` writes;
+`DetectionBatch.stack` turns a frame's list of them into a batch.
 """
 
 from __future__ import annotations
 
+import gc
+import os
+import pickle
+import signal
 import warnings
 from dataclasses import dataclass
 from itertools import islice
@@ -233,7 +245,9 @@ def read_rows(lines: Sequence[str], line_no: int, path, stream: Optional[tuple] 
     frame) of those rows, each None before the first: every row must carry
     that many embedding columns and keep frame order, and descriptors come
     at unit norm. The rows are read as one array when _read_block can vouch
-    for them, else by _parse_rows, which raises the first bad row's error.
+    for them; an evaluation file's rows whose widths mix, as one array per
+    width (_read_widths); else by _parse_rows, which raises the first bad
+    row's error.
     """
     # loadtxt skips empty lines itself; comment lines are dropped here, only
     # when there is a '#' at all, since stripping every line adds a tenth
@@ -241,9 +255,36 @@ def read_rows(lines: Sequence[str], line_no: int, path, stream: Optional[tuple] 
     if "#" in "".join(lines):
         rows = [s for s in map(str.strip, lines) if s and not s.startswith("#")]
     columns = _read_block(rows, stream, require_confidence)
+    if columns is None and stream is None:
+        columns = _read_widths(rows, require_confidence)
     if columns is None:
         columns = _parse_rows(lines, line_no, path, stream, require_confidence)
     return columns
+
+
+def _read_widths(rows: Sequence[str],
+                 require_confidence: bool) -> Optional[tuple[np.ndarray, ...]]:
+    """read_rows' columns of an evaluation file's rows, read by _read_block
+    once per column count and merged back in file order, or None when a
+    read cannot vouch for its rows. Lines without a comma must be blank."""
+    widths = np.array([s.count(",") for s in rows])
+    parts, places = [], []
+    for width in np.unique(widths).tolist():
+        at = np.flatnonzero(widths == width)
+        group = [rows[i] for i in at.tolist()]
+        if width == 0:
+            if any(s.strip() for s in group):
+                return None
+            continue
+        columns = _read_block(group, None, require_confidence)
+        if columns is None:
+            return None
+        parts.append(columns)
+        places.append(at)
+    if not parts:
+        return None
+    order = np.argsort(np.concatenate(places))
+    return tuple(np.concatenate(column)[order] for column in zip(*parts))
 
 
 def _read_block(rows: Sequence[str], stream: Optional[tuple],
@@ -339,6 +380,90 @@ def _parse_rows(lines: Sequence[str], line_no: int, path, stream: Optional[tuple
     return frames, fields[:, :4], fields[:, 4], class_ids, appearance
 
 
+def _chunks(lines: Iterator[str], path) -> Iterator[tuple[tuple[np.ndarray, ...], bool]]:
+    """The chunk stage: for each CHUNK_ROWS lines that hold a row, read_rows'
+    columns and whether the stream may go on (the chunk was full), the
+    stream's width and frame order carried from chunk to chunk.
+
+    A bad chunk raises the error of its first bad row; an error that lines
+    raises comes after the errors of the lines read before it.
+    """
+    line_no, stream, full = 1, (None, None), True
+    while full:
+        chunk, error = [], None
+        try:
+            for line in islice(lines, CHUNK_ROWS):
+                chunk.append(line)
+        except ParseError as exc:
+            error = exc
+        columns = read_rows(chunk, line_no, path, stream)
+        if error is not None:
+            raise error
+        line_no += len(chunk)
+        full = len(chunk) == CHUNK_ROWS
+        if len(columns[0]):
+            stream = (columns[4].shape[1], int(columns[0][-1]))
+            yield columns, full
+
+
+def _read_ahead(chunks: Iterator[tuple]) -> Iterator[tuple[np.ndarray, ...]]:
+    """The columns of chunks. The first chunk is read here; when the stream
+    may go on past it, a reader process forked then reads the rest while
+    the caller works on the chunk before.
+
+    A stream within one chunk leaves nothing to overlap, and a fork costs
+    milliseconds, so it is read here whole, as it is where os.fork does not
+    exist. The reader sends one pickle per chunk over a pipe, (columns,
+    None), then (None, error) with what iterating chunks raised, or None at
+    its end; that error is raised here, after the chunks before it. The
+    pipe holds less than a chunk of 64-d rows, so the reader runs about one
+    chunk ahead. It ends only through os._exit, so it flushes no buffer it
+    inherited (a half-written output file) and runs no exit handler. When
+    this generator ends, fails or is closed, the reader is killed if it
+    still runs, and reaped.
+    """
+    columns, more = next(chunks, (None, False))
+    if not more or not hasattr(os, "fork"):
+        if columns is not None:
+            yield columns
+        yield from (columns for columns, _ in chunks)
+        return
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(read_end)
+            # the inherited objects are never collected here, so none of
+            # their finalizers runs and their pages stay shared
+            gc.freeze()
+            with open(write_end, "wb") as out:
+                error = None
+                try:
+                    for columns, _ in chunks:
+                        out.write(pickle.dumps((columns, None), pickle.HIGHEST_PROTOCOL))
+                        out.flush()
+                except BaseException as exc:
+                    error = exc
+                out.write(pickle.dumps((None, error), pickle.HIGHEST_PROTOCOL))
+        finally:
+            os._exit(0)
+    os.close(write_end)
+    try:
+        with open(read_end, "rb") as messages:
+            while columns is not None:
+                yield columns
+                try:
+                    columns, error = pickle.load(messages)
+                except (EOFError, pickle.UnpicklingError):
+                    raise OSError("the detection reader process ended before "
+                                  "the stream did") from None
+        if error is not None:
+            raise error
+    finally:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+
+
 def parse_detections(
     source: IO[str] | Iterable[str],
     min_confidence: float = 0.0,
@@ -354,40 +479,33 @@ def parse_detections(
     bad stream raises the ParseError a row-at-a-time parse would raise
     first: the same message, at the same line. An error that source raises
     comes after the errors of the lines read before it.
+
+    The chunk stage (_chunks) reads source; after the first chunk, when
+    the stream goes on, it runs in a forked reader process (_read_ahead),
+    one chunk ahead of this frame stage, which applies the confidence
+    floor and splits the rows into frames.
     """
-    lines = iter(source)
-    line_no, stream, full = 1, (None, None), True
+    chunks = _read_ahead(_chunks(iter(source), path))
     held: Optional[DetectionBatch] = None   # the last frame read so far
-    while full:
-        chunk, error = [], None
-        try:
-            for line in islice(lines, CHUNK_ROWS):
-                chunk.append(line)
-        except ParseError as exc:
-            error = exc
-        frames, *columns = read_rows(chunk, line_no, path, stream)
-        if error is not None:
-            raise error
-        line_no += len(chunk)
-        full = len(chunk) == CHUNK_ROWS
-        if not len(frames):
-            continue
-        stream = (columns[3].shape[1], int(frames[-1]))
-        keep = columns[1] >= min_confidence
-        if not keep.all():
-            columns = [c[keep] for c in columns]
-        # each frame's run of rows, and the part of the kept rows it spans
-        bounds = np.concatenate(([0], np.flatnonzero(frames[1:] != frames[:-1]) + 1,
-                                 [len(frames)]))
-        cuts = np.concatenate(([0], np.cumsum(keep)))[bounds].tolist()
-        for s, a, b in zip(bounds[:-1].tolist(), cuts[:-1], cuts[1:]):
-            frame, rows = int(frames[s]), [c[a:b] for c in columns]
-            if held is not None and held.frame == frame:   # the frame goes on
-                rows = [np.concatenate(pair) for pair in zip(
-                    (held.boxes, held.confidence, held.class_ids, held.appearance), rows)]
-            elif held is not None:
-                yield held.frame, held
-            held = DetectionBatch(frame, *rows)
+    try:
+        for frames, *columns in chunks:
+            keep = columns[1] >= min_confidence
+            if not keep.all():
+                columns = [c[keep] for c in columns]
+            # each frame's run of rows, and the part of the kept rows it spans
+            bounds = np.concatenate(([0], np.flatnonzero(frames[1:] != frames[:-1]) + 1,
+                                     [len(frames)]))
+            cuts = np.concatenate(([0], np.cumsum(keep)))[bounds].tolist()
+            for s, a, b in zip(bounds[:-1].tolist(), cuts[:-1], cuts[1:]):
+                frame, rows = int(frames[s]), [c[a:b] for c in columns]
+                if held is not None and held.frame == frame:   # the frame goes on
+                    rows = [np.concatenate(pair) for pair in zip(
+                        (held.boxes, held.confidence, held.class_ids, held.appearance), rows)]
+                elif held is not None:
+                    yield held.frame, held
+                held = DetectionBatch(frame, *rows)
+    finally:
+        chunks.close()
     if held is not None:
         yield held.frame, held
 

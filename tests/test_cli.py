@@ -15,6 +15,7 @@ from trafficstate.calib import CalibrationParams
 from trafficstate.cli import main
 from trafficstate.config import default_config_text, parse_config
 from trafficstate.detstream import Detection, DetectionBatch, write_detections
+from trafficstate.errors import NumericalError
 from trafficstate.tracker import Tracker, TrackerConfig
 from trafficstate.traffic import LineOfInterest, parse_intervals
 
@@ -741,6 +742,27 @@ def test_config_import_leaves_synth_unloaded():
     assert out.stdout.strip() == "False"
 
 
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc")
+@pytest.mark.parametrize("setting", [None, "2"])
+def test_import_makes_blas_single_threaded_unless_set(setting):
+    # the variable is set before numpy loads, so the process keeps one thread;
+    # a value the caller set is left as it is
+    src = str(Path(trafficstate.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if setting is not None:
+        env["OPENBLAS_NUM_THREADS"] = setting
+    probe = ("import os, trafficstate; "
+             "print(os.environ['OPENBLAS_NUM_THREADS']); "
+             "print(*(line.split()[1] for line in open('/proc/self/status') "
+             "if line.startswith('Threads:')))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env=dict(env, PYTHONPATH=src))
+    value, count = out.stdout.split()
+    assert value == (setting or "1")
+    if setting is None:
+        assert count == "1"
+
+
 IMPORT_GUARD = """
 import sys
 from pathlib import Path
@@ -892,6 +914,70 @@ def test_track_output_bytes_are_pinned_in_chunks_of_7(tmp_path, monkeypatch):
     test_track_output_bytes_are_pinned_from_file_and_stdin(tmp_path, monkeypatch)
 
 
+def assert_no_child_left():
+    # a reader neither reaped nor ended shows here as (0, 0) or its (pid, status)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_bad_row_past_the_second_chunk_leaves_no_tracks_file_and_no_reader(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(detstream, "CHUNK_ROWS", 4)
+    lines = pinned_scene_text().splitlines(keepends=True)[:20]
+    lines[13] = lines[13].replace(",", ",nan,", 1)
+    dets = write(tmp_path / "dets.txt", "".join(lines))
+    assert main(["track", "--detections", dets, "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {dets}:14: ")
+    assert list((tmp_path / "out").glob("*")) == []
+    assert_no_child_left()
+
+
+def test_a_failed_step_ends_the_reader(tmp_path, capsys, monkeypatch):
+    # the reader is still running, a chunk ahead and blocked on the pipe,
+    # when the tracker fails on the second frame
+    step = Tracker.step
+
+    def failing_step(self, frame, batch):
+        if frame == 2:
+            raise NumericalError("step failed")
+        return step(self, frame, batch)
+
+    monkeypatch.setattr(Tracker, "step", failing_step)
+    vec = ",".join(["0.25"] * 16)
+    dets = write(tmp_path / "dets.txt", "".join(
+        f"{f},{10 + 30 * k},10,20,40,0.9,0,{vec}\n" for f in range(1, 31) for k in range(100)))
+    assert main(["track", "--detections", dets, "--out-dir", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == "numerical error: step failed\n"
+    assert list((tmp_path / "out").glob("*")) == []
+    assert_no_child_left()
+
+
+# track, with chunks of 7 lines, so that the reader process crosses chunks
+SMALL_CHUNKS_TRACK = """
+import sys
+from trafficstate import cli, detstream
+detstream.CHUNK_ROWS = 7
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_track_on_stdin_writes_the_bytes_of_the_same_file_by_path(tmp_path):
+    # standard input is a file descriptor here, read by the reader process
+    src = str(Path(trafficstate.__file__).resolve().parents[1])
+    cfg = write(tmp_path / "run.ini", PINNED_RUN_CONFIG)
+    dets = write(tmp_path / "dets.txt", pinned_scene_text())
+    for run, detections in (("path", dets), ("stdin", "-")):
+        with open(dets, "rb") as stdin:
+            subprocess.run([sys.executable, "-c", SMALL_CHUNKS_TRACK, "track",
+                            "--detections", detections, "--config", cfg,
+                            "--out-dir", str(tmp_path / run)],
+                           stdin=stdin, check=True, env=dict(os.environ, PYTHONPATH=src))
+    for name in ("tracks.txt", "intervals.txt"):
+        assert (tmp_path / "stdin" / name).read_bytes() == (tmp_path / "path" / name).read_bytes()
+    tracks = (tmp_path / "stdin" / "tracks.txt").read_bytes()
+    assert hashlib.sha256(tracks).hexdigest() == PINNED_TRACKS_SHA256
+
+
 def test_clean_inputs_never_take_the_row_path(tmp_path, monkeypatch):
     # a clean file, a comment line included, is read as arrays; the row-at-a-time
     # parse is for input that the array read cannot vouch for
@@ -908,14 +994,18 @@ def test_clean_inputs_never_take_the_row_path(tmp_path, monkeypatch):
                      "--out-dir", str(tmp_path / str(size))]) == 0
         tracks = (tmp_path / str(size) / "tracks.txt").read_bytes()
         assert hashlib.sha256(tracks).hexdigest() == PINNED_TRACKS_SHA256
-    # mixed 6- and 7-column ground truth is valid, but is read row by row
+    # ground truth with every row in the 6-column form, in the 7-column one,
+    # and as written, in both: a file that mixes them is read as one array
+    # per column count
     pred_text, gt_text = pinned_eval_texts()
     gt_rows = [line.split(",") for line in gt_text.splitlines()]
     pred = write(tmp_path / "pred.txt", "# predictions\n" + pred_text)
-    for conf in ([], ["1.0"]):   # every row in the 6-column form, then in the 7-column one
-        gt = write(tmp_path / f"gt{len(conf)}.txt", "# ground truth\n" + "".join(
-            ",".join(parts[:5] + conf + parts[-1:]) + "\n" for parts in gt_rows))
-        out = tmp_path / f"eval{len(conf)}"
+    texts = {form: "".join(",".join(parts[:5] + conf + parts[-1:]) + "\n" for parts in gt_rows)
+             for form, conf in (("6", []), ("7", ["1.0"]))}
+    texts["mixed"] = gt_text
+    for form, text in texts.items():
+        gt = write(tmp_path / f"gt_{form}.txt", "# ground truth\n" + text)
+        out = tmp_path / f"eval_{form}"
         assert main(["eval", "--pred", pred, "--gt", gt, "--out-dir", str(out)]) == 0
         report = (out / "eval_report.txt").read_bytes()
         assert hashlib.sha256(report).hexdigest() == PINNED_EVAL_REPORT_SHA256

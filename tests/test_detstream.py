@@ -1,8 +1,10 @@
 import io
+import os
 
 import numpy as np
 import pytest
 
+from trafficstate import detstream
 from trafficstate.detstream import (
     ClassCatalog,
     Detection,
@@ -239,3 +241,61 @@ def test_format_detection_round_trips_exactly():
     assert tuple(batch.boxes[0]) == det.bbox
     assert batch.confidence[0] == det.confidence
     assert np.array_equal(batch.appearance[0], det.appearance)
+
+
+# -- the reader process ------------------------------------------------------------
+
+
+def assert_no_child_left():
+    # a reader neither reaped nor ended shows here as (0, 0) or its (pid, status)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def long_stream(frames=30, per_frame=100):
+    """frames × per_frame rows with 16-d descriptors: several chunks, and more
+    than a pipe holds, so a reader one chunk ahead is still running."""
+    vec = ",".join(["0.25"] * 16)
+    return "".join(f"{f},{10 + k},10,5,5,0.9,0,{vec}\n"
+                   for f in range(1, frames + 1) for k in range(per_frame))
+
+
+def test_a_stream_within_one_chunk_is_read_without_a_reader(monkeypatch):
+    def no_fork():
+        raise AssertionError("forked for a stream of one chunk")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert [f for f, _ in parse_all(long_stream(frames=4, per_frame=3))] == [1, 2, 3, 4]
+
+
+def test_closing_the_stream_after_one_batch_leaves_no_reader():
+    batches = parse_detections(io.StringIO(long_stream()))
+    frame, batch = next(batches)
+    assert frame == 1 and len(batch) == 100
+    batches.close()
+    assert_no_child_left()
+
+
+def test_a_bad_row_past_the_first_chunks_is_raised_after_their_frames(monkeypatch):
+    monkeypatch.setattr(detstream, "CHUNK_ROWS", 4)
+    lines = long_stream(frames=5, per_frame=3).splitlines(keepends=True)
+    lines[10] = "4,10,10,5,5,1.5,0\n"
+    frames = []
+    with pytest.raises(ParseError, match="^dets.txt:11: "):
+        for frame, _ in parse_detections(lines, path="dets.txt"):
+            frames.append(frame)
+    # chunk 3 (lines 9-12) holds the bad row: frames 1 and 2 end before it
+    assert frames == [1, 2]
+    assert_no_child_left()
+
+
+def test_without_fork_the_stream_is_read_in_process(monkeypatch):
+    monkeypatch.setattr(detstream, "CHUNK_ROWS", 4)
+    text = long_stream(frames=4, per_frame=3)
+    forked = parse_all(text)
+    monkeypatch.delattr(os, "fork")
+    in_process = parse_all(text)
+    assert [f for f, _ in in_process] == [f for f, _ in forked] == [1, 2, 3, 4]
+    for (_, a), (_, b) in zip(in_process, forked):
+        for name in DetectionBatch.__slots__:
+            assert np.array_equal(getattr(a, name), getattr(b, name))
