@@ -100,19 +100,21 @@ def motion_distances(y: np.ndarray, s: np.ndarray, ok: np.ndarray,
     factorization, and its squares are summed. A row marked ok whose
     variances are not all positive raises NumericalError.
     """
-    n, m = len(y), len(measurements)
-    d1 = np.full((n, m), np.inf)
-    if not ok.any() or m == 0:
+    if not ok.all():
+        rows = ok.nonzero()[0]
+        d1 = np.full((len(y), len(measurements)), np.inf)
+        d1[rows] = motion_distances(y.take(rows, 0), s.take(rows, 0), ok.take(rows),
+                                    measurements)
         return d1
-    s = s[ok]
     # written as not (all positive) so that NaN is rejected too
     if not (s > 0).all():
         raise NumericalError("projection covariance not positive-definite")
-    resid = measurements.T[None, :, :] - y[ok][:, :, None]   # (k, 4, m)
-    # einsum sums in the order of the memory layout, and resid is not C-ordered
-    white = np.ascontiguousarray((1.0 / np.sqrt(s))[:, :, None] * resid)
-    d1[ok] = np.einsum("kim,kim->km", white, white)
-    return d1
+    # einsum sums in the order of the memory layout, so the residuals are
+    # laid out C-ordered, (n, 4, m)
+    white = np.empty((len(y), 4, len(measurements)))
+    np.subtract(measurements.T, y[:, :, None], out=white)
+    white *= (1.0 / np.sqrt(s))[:, :, None]
+    return np.einsum("kim,kim->km", white, white)
 
 
 def appearance_distances(gallery: np.ndarray, rows: np.ndarray, fill: np.ndarray,
@@ -172,19 +174,22 @@ def build_cost_matrix(
     d_appearance on admissible pairs; everything else holds +inf. Pairs
     for which no appearance distance exists (no gallery member or no
     descriptor) fall back to motion-only cost and a motion-only gate; when
-    no pair has both, `appearance_distances` is not called at all.
+    no pair has both, `appearance_distances` is not called at all. Both
+    gates must be positive and the motion gate t1 finite: the rows that
+    are not ok get a motion distance of +inf, which a finite gate keeps out.
     """
     if not 0.0 <= lam <= 1.0:
         raise ValidationError(f"lambda must be in [0,1], got {lam}")
-    if t1 <= 0 or t2 <= 0:
-        raise ValidationError("gate thresholds must be positive")
+    if not (0 < t1 < np.inf and t2 > 0):
+        raise ValidationError("gate thresholds must be positive, the motion gate finite")
     n, m = len(y), len(measurements)
     if n == 0 or m == 0:
         return CostMatrix(values=np.full((n, m), np.inf),
                           admissible=np.zeros((n, m), dtype=bool))
 
     d1 = motion_distances(y, s, ok, measurements)
-    admissible = ok[:, None] & (d1 <= t1)
+    # the rows that are not ok hold +inf, outside the finite gate
+    admissible = d1 <= t1
     values = np.where(admissible, d1, np.inf)
     if not (fill.any() and has_desc.any()):
         return CostMatrix(values=values, admissible=admissible)
@@ -201,9 +206,8 @@ def build_cost_matrix(
 def measurements_of(boxes: np.ndarray) -> np.ndarray:
     """(m, 4) measurement vectors (center x, center y, aspect, height) of (m, 4) boxes."""
     out = np.empty((len(boxes), 4))
-    out[:, 0] = boxes[:, 0] + boxes[:, 2] / 2.0
-    out[:, 1] = boxes[:, 1] + boxes[:, 3] / 2.0
-    out[:, 2] = boxes[:, 2] / boxes[:, 3]
+    out[:, :2] = boxes[:, :2] + boxes[:, 2:] / 2.0
+    np.divide(boxes[:, 2], boxes[:, 3], out=out[:, 2])
     out[:, 3] = boxes[:, 3]
     return out
 
@@ -260,7 +264,7 @@ def _assign(values: np.ndarray, admissible: np.ndarray, levels: np.ndarray | Non
     per_row = admissible.sum(axis=1)
     forced = admissible & (per_row == 1)[:, None] & (admissible.sum(axis=0) == 1)
     rows, cols = forced.nonzero()   # row-major, so rows ascend
-    if len(rows) == per_row.sum():   # every admissible pair is forced
+    if len(rows) == np.count_nonzero(admissible):   # every admissible pair is forced
         return rows, cols
     contested = admissible & ~forced
     open_rows = contested.any(axis=1).nonzero()[0]

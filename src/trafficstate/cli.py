@@ -13,7 +13,7 @@ import re
 import sys
 from pathlib import Path
 
-from . import detstream, metrics, synth, traffic
+from . import detstream, metrics, traffic
 from .config import default_config_text, parse_config
 from .detstream import ClassCatalog, DetectionBatch
 from .errors import NumericalError, ParseError, ValidationError
@@ -236,6 +236,9 @@ def cmd_stats(measured_path: str, truth_path: str, out_dir: str) -> int:
 
 
 def cmd_synth(spec_path: str, seed: int | None, out_dir: str) -> int:
+    # synth builds test scenes; no other command loads it
+    from . import synth
+
     spec, loi, interval_s = synth.parse_scenario(_read_text(spec_path), spec_path)
     if seed is not None:
         spec = dataclasses.replace(spec, seed=seed)

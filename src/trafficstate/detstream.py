@@ -19,12 +19,13 @@ and error messages are exactly those of a row-at-a-time parse.
 
 `parse_detections` runs in two stages. The chunk stage (`_chunks`) feeds
 `read_rows` CHUNK_ROWS lines at a time and carries the stream's width and
-frame order across chunks. When the stream goes on past its first
-chunk, the rest is read in a reader process forked then (`_read_ahead`),
-which sends each chunk's columns back as one pickle over a pipe and
-parses the next chunk while the caller works on this one. The frame
-stage, in the caller's process, applies the confidence floor and yields
-one `DetectionBatch` of arrays per frame.
+frame order across chunks. When the stream goes on past its first chunk
+and its rows carry descriptors, the rest is read in a reader process
+forked then (`_read_ahead`), which sends each chunk's columns back as one
+pickle over a pipe and parses the next chunk while the caller works on
+this one; a stream without descriptors parses cheaply enough to stay in
+the caller's process. The frame stage, in the caller's process, applies
+the confidence floor and yields one `DetectionBatch` of arrays per frame.
 `Detection` is the one-row form that `synth` writes;
 `DetectionBatch.stack` turns a frame's list of them into a batch.
 """
@@ -408,22 +409,26 @@ def _chunks(lines: Iterator[str], path) -> Iterator[tuple[tuple[np.ndarray, ...]
 
 def _read_ahead(chunks: Iterator[tuple]) -> Iterator[tuple[np.ndarray, ...]]:
     """The columns of chunks. The first chunk is read here; when the stream
-    may go on past it, a reader process forked then reads the rest while
-    the caller works on the chunk before.
+    may go on past it and its rows carry descriptors, a reader process
+    forked then reads the rest while the caller works on the chunk before.
 
     A stream within one chunk leaves nothing to overlap, and a fork costs
-    milliseconds, so it is read here whole, as it is where os.fork does not
-    exist. The reader sends one pickle per chunk over a pipe, (columns,
-    None), then (None, error) with what iterating chunks raised, or None at
-    its end; that error is raised here, after the chunks before it. The
-    pipe holds less than a chunk of 64-d rows, so the reader runs about one
-    chunk ahead. It ends only through os._exit, so it flushes no buffer it
-    inherited (a half-written output file) and runs no exit handler. When
-    this generator ends, fails or is closed, the reader is killed if it
-    still runs, and reaped.
+    milliseconds, so it is read here whole. So is a stream without
+    descriptors: its 7-column rows parse in a small share of the caller's
+    time, and the reader would spend more CPU on that parse, its pickles
+    and the copy-on-write faults it causes than the caller saves. It is
+    also read here where os.fork does not exist. The reader sends one
+    pickle per chunk over a pipe, (columns, None), then (None, error)
+    with what iterating chunks raised, or None at its end; that error is
+    raised here, after the chunks before it. The pipe holds less than a
+    chunk of 64-d rows, so the reader runs about one chunk ahead. It ends
+    only through os._exit, so it flushes no buffer it inherited (a
+    half-written output file) and runs no exit handler. When this
+    generator ends, fails or is closed, the reader is killed if it still
+    runs, and reaped.
     """
     columns, more = next(chunks, (None, False))
-    if not more or not hasattr(os, "fork"):
+    if not more or not columns[4].shape[1] or not hasattr(os, "fork"):
         if columns is not None:
             yield columns
         yield from (columns for columns, _ in chunks)
@@ -481,9 +486,9 @@ def parse_detections(
     comes after the errors of the lines read before it.
 
     The chunk stage (_chunks) reads source; after the first chunk, when
-    the stream goes on, it runs in a forked reader process (_read_ahead),
-    one chunk ahead of this frame stage, which applies the confidence
-    floor and splits the rows into frames.
+    the stream goes on and carries descriptors, it runs in a forked reader
+    process (_read_ahead), one chunk ahead of this frame stage, which
+    applies the confidence floor and splits the rows into frames.
     """
     chunks = _read_ahead(_chunks(iter(source), path))
     held: Optional[DetectionBatch] = None   # the last frame read so far

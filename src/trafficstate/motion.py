@@ -21,6 +21,8 @@ per-component pieces.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
 from .errors import NumericalError
@@ -44,6 +46,7 @@ def bbox_from_state(means: np.ndarray) -> np.ndarray:
     return boxes
 
 
+@dataclass(frozen=True)
 class KalmanFilter:
     """Constant-velocity filter with height-proportional noise.
 
@@ -55,26 +58,41 @@ class KalmanFilter:
         Velocity noise std per unit of box height (default 1/160).
     aspect_meas_std, aspect_proc_std, aspect_vel_std : float
         Absolute noise stds for the dimensionless aspect-ratio component.
+
+    A filter is immutable, so its noise std rows are built once, at
+    construction.
     """
 
-    def __init__(self, pos_weight: float = 1.0 / 20, vel_weight: float = 1.0 / 160,
-                 aspect_meas_std: float = 1e-1, aspect_proc_std: float = 1e-2,
-                 aspect_vel_std: float = 1e-5):
-        self.pos_weight = pos_weight
-        self.vel_weight = vel_weight
-        self.aspect_meas_std = aspect_meas_std
-        self.aspect_proc_std = aspect_proc_std
-        self.aspect_vel_std = aspect_vel_std
+    pos_weight: float = 1.0 / 20
+    vel_weight: float = 1.0 / 160
+    aspect_meas_std: float = 1e-1
+    aspect_proc_std: float = 1e-2
+    aspect_vel_std: float = 1e-5
+    _initial_std: np.ndarray = field(init=False, repr=False, compare=False)
+    _process_std: np.ndarray = field(init=False, repr=False, compare=False)
+    _measurement_std: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def _variances(self, h, weights, aspect_stds):
-        """Noise variances (..., k, 4) at box heights h (...), one row per
-        pair of weights (k,) and aspect_stds (k,), or (..., 4) for scalars:
-        std weight * h on u, v and h, and aspect_std on the aspect ratio g."""
-        std = np.multiply.outer(h, weights)
-        var = np.empty(std.shape + (4,))
-        var[...] = np.square(std)[..., None]
-        var[..., 2] = np.square(aspect_stds)
-        return var
+    def __post_init__(self):
+        # noise std rows over (u, v, g, h): a weight per unit of box height,
+        # but the absolute std of the aspect ratio g in column 2
+        def stds(*rows):
+            return np.array([[w, w, aspect, w] for w, aspect in rows])
+
+        frozen = object.__setattr__
+        frozen(self, "_initial_std", stds((2 * self.pos_weight, self.aspect_proc_std),
+                                          (10 * self.vel_weight, self.aspect_vel_std)))
+        frozen(self, "_process_std", stds((self.pos_weight, self.aspect_proc_std),
+                                          (self.vel_weight, self.aspect_vel_std)))
+        frozen(self, "_measurement_std", stds((self.pos_weight, self.aspect_meas_std))[0])
+
+    @staticmethod
+    def _variances(h, std):
+        """Noise variances (..., *std.shape) at box heights h (...) from std
+        rows (see __post_init__): (weight * h) ** 2, and in column 2 the
+        square of the aspect std, whatever h."""
+        var = np.multiply.outer(h, std)
+        var[..., 2] = std[..., 2]
+        return np.square(var, out=var)
 
     def initiate(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(mean (8,), covariance blocks (3, 4)) of a track started from a
@@ -83,26 +101,21 @@ class KalmanFilter:
         mean = np.zeros(8)
         mean[:4] = z
         cov = np.zeros((3, 4))
-        cov[::2] = self._variances(z[3], (2 * self.pos_weight, 10 * self.vel_weight),
-                                   (self.aspect_proc_std, self.aspect_vel_std))
+        cov[::2] = self._variances(mean[3], self._initial_std)
         return mean, cov
 
     def predict_many(self, means: np.ndarray, covs: np.ndarray):
         """Vectorized predict over stacked states (n, 8) and (n, 3, 4)."""
-        h = means[:, 3]
-        a, b, c = covs[:, 0], covs[:, 1], covs[:, 2]
         out_means = means.copy()
         out_means[:, :4] += means[:, 4:]
-        q = self._variances(h, (self.pos_weight, self.vel_weight),
-                            (self.aspect_proc_std, self.aspect_vel_std))
+        q = self._variances(means[:, 3], self._process_std)
         # F P F^T + Q of each block [[a, b], [b, c]], with F = [[1, 1], [0, 1]]:
         # a' = ((a + b) + (b + c)) + q_pos, b' = b + c, c' = c + q_vel
         out = np.empty_like(covs)
-        bc = np.add(b, c, out=out[:, 1])
-        np.add(a, b, out=out[:, 0])
-        out[:, 0] += bc
+        np.add(covs[:, :2], covs[:, 1:], out=out[:, :2])
+        out[:, 0] += out[:, 1]
         out[:, 0] += q[:, 0]
-        np.add(c, q[:, 1], out=out[:, 2])
+        np.add(covs[:, 2], q[:, 1], out=out[:, 2])
         return out_means, out
 
     def project_many(self, means: np.ndarray, covs: np.ndarray):
@@ -112,7 +125,7 @@ class KalmanFilter:
         Rows whose innovation covariance is ill-conditioned come back with
         ok=False instead of raising, so the caller can gate them out.
         """
-        s = covs[:, 0] + self._variances(means[:, 3], self.pos_weight, self.aspect_meas_std)
+        s = covs[:, 0] + self._variances(means[:, 3], self._measurement_std)
         lo = s.min(axis=1)
         ok = (lo > 0) & (s.max(axis=1) <= MAX_CONDITION * lo)
         return means[:, :4].copy(), s, ok

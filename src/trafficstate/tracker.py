@@ -6,18 +6,20 @@ blocks (n, 3, 4) (see `motion`), confirmed flags, hit and miss counters,
 class-vote counts, and the fill count and next slot of a ring-buffer
 gallery (capacity, D) of appearance descriptors. The batched kernels of
 `motion` and `assoc` read these arrays directly; each frame appends its
-births once and drops its deleted tracks with one mask. The galleries
+births once and drops its deleted tracks in one pass. The galleries
 themselves sit in one shared store whose rows are reused after their
 tracks end. A frame's detections enter `step` as arrays too, one
 `detstream.DetectionBatch` whose boxes, class ids and descriptors are
 read as they are, and the live tracks leave it the same way, as one
 `LiveTracks` record of arrays per frame.
 
-Every live track is projected into measurement space once per frame; the
-projection serves both matching stages and the Kalman update. Stage 1
-builds one gated motion/appearance cost matrix per frame, over all
-confirmed tracks and detections, and solves it once, as a cascade that
-prefers recently updated tracks. A pair alone in its row and its column
+Every live track is projected into measurement space, and its predicted
+box computed, once per frame; the projection serves both matching stages
+and the Kalman update, the box stage 2 and the output of a track left
+unmatched. Stage 1 builds one gated motion/appearance cost matrix per
+frame, with a row per live track, in which only the confirmed tracks can
+be admissible, and solves it once, as a cascade that prefers recently
+updated tracks. A pair alone in its row and its column
 of the whole matrix would win its miss age's slice too, so all such
 forced pairs are taken in one pass; rows with no admissible cell go
 straight to stage 2; only rows with contested cells are solved age by
@@ -28,6 +30,12 @@ into its matrix, which map back to track rows and detection indices by
 indexing, so no match becomes a Python pair. New tracks start tentative
 and must associate in each of their first n_init frames; confirmed
 tracks survive up to max_age missed frames.
+
+With tens of live tracks, a step's time goes to the fixed cost of its
+NumPy calls rather than to their arithmetic. So rows are gathered with
+`take`, several times cheaper than fancy indexing on arrays this small,
+and the ids and confirmed flags are replaced rather than written in
+place, so that a `LiveTracks` record can hold them without a copy.
 """
 
 from __future__ import annotations
@@ -39,7 +47,7 @@ import numpy as np
 
 from . import assoc, motion
 from .detstream import MAX_BOX_PX, UNIT_NORM_TOL, DetectionBatch
-from .errors import ContractError, ValidationError, require
+from .errors import ContractError, ValidationError, positive, require
 
 DEFAULT_MAX_AGE = 3
 DEFAULT_N_INIT = 3
@@ -48,7 +56,11 @@ DEFAULT_LAMBDA = 0.0
 # capacity is bounded: 100 times assoc.GALLERY_CAPACITY
 MAX_GALLERY_CAPACITY = 10**4
 
-# Per-track arrays, all indexed by row; births append and deletions mask them together.
+# Lower bounds of a detection box (x, y, w, h): the parser's, with w, h > 0
+# written as at least the smallest positive float.
+_BOX_LOW = np.array([-MAX_BOX_PX, -MAX_BOX_PX] + 2 * [np.nextafter(0.0, 1.0)])
+
+# Per-track arrays, all indexed by row; births append to them and deletions drop rows, together.
 _TRACK_ARRAYS = ("_ids", "_mean", "_cov", "_confirmed", "_hits", "_misses",
                  "_votes", "_store", "_fill", "_slot")
 
@@ -81,7 +93,8 @@ class TrackerConfig:
 
     def __post_init__(self):
         require(self, "cost_lambda iou_gate", lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
-        require(self, "motion_gate appearance_gate", lambda v: v > 0, "> 0")
+        require(self, "motion_gate", positive, "finite and > 0")
+        require(self, "appearance_gate", lambda v: v > 0, "> 0")
         require(self, "max_age n_init", lambda v: v >= 1, ">= 1")
         require(self, "gallery_capacity", lambda v: 1 <= v <= MAX_GALLERY_CAPACITY,
                 f"in [1, {MAX_GALLERY_CAPACITY}]")
@@ -133,8 +146,8 @@ class Tracker:
         if batch.frame != frame:
             raise ContractError(f"batch for frame {batch.frame} stepped as frame {frame}")
         boxes = batch.boxes
-        # the parser's bound: NaN fails it, and no square of a value overflows
-        if not ((np.abs(boxes) <= MAX_BOX_PX).all() and (boxes[:, 2:] > 0).all()):
+        # the parser's bounds: NaN fails them, and no square of a value overflows
+        if not ((boxes >= _BOX_LOW) & (boxes <= MAX_BOX_PX)).all():
             raise ValidationError(f"detection boxes must lie within ±{MAX_BOX_PX:g} px, "
                                   "with positive width and height")
         descriptors, has_desc = self._descriptors(batch.appearance)
@@ -142,31 +155,34 @@ class Tracker:
 
         class_cols = self._class_columns(batch.class_ids)
         self._mean, self._cov = self.kf.predict_many(self._mean, self._cov)
-        # one projection of every live track serves both stages and the update
+        # one projection and one predicted box of every live track serve both
+        # stages, the update and the boxes of the tracks left unmatched
         y, s, ok = self.kf.project_many(self._mean, self._cov)
+        out_boxes = motion.bbox_from_state(self._mean)
         measurements = assoc.measurements_of(boxes)
-        rows, cols, births = self._match(boxes, measurements, descriptors, has_desc, y, s, ok)
+        rows, cols, births = self._match(boxes, measurements, descriptors, has_desc,
+                                         y, s, ok, out_boxes)
 
         if len(rows):
             self._mean[rows], self._cov[rows] = self.kf.update_many(
-                self._mean[rows], self._cov[rows], measurements[cols],
-                y[rows], s[rows], ok[rows])
+                self._mean.take(rows, 0), self._cov.take(rows, 0), measurements.take(cols, 0),
+                y.take(rows, 0), s.take(rows, 0), ok[rows])
         # every live track misses this frame unless it is matched; births join
         # the matched rows as tracks associated with a detection this frame
         self._misses += 1
         if len(births):
             n = len(self._ids)
-            self._start_tracks(measurements[births])
+            self._start_tracks(measurements.take(births, 0))
             rows = np.concatenate([rows, np.arange(n, n + len(births))])
             cols = np.concatenate([cols, births])
+            out_boxes = np.concatenate([out_boxes, boxes.take(births, 0)])
         if has_desc.any():   # all of the frame's detections have descriptors, or none
-            self._push(rows, descriptors[cols])
+            self._push(rows, descriptors.take(cols, 0))
         self._votes[rows, class_cols[cols]] += 1
         self._hits[rows] += 1
         self._misses[rows] = 0
-        self._confirmed |= self._hits >= self.config.n_init
-        out_boxes = motion.bbox_from_state(self._mean)
-        out_boxes[rows] = boxes[cols]
+        self._confirmed = self._confirmed | (self._hits >= self.config.n_init)
+        out_boxes[rows] = boxes.take(cols, 0)
 
         # an unmatched track dies if it is tentative or past max_age; a track
         # gets confirmed only on a frame it is matched, so the flags above are
@@ -175,15 +191,14 @@ class Tracker:
         dead = (misses > 0) & ~self._confirmed | (misses > self.config.max_age)
         if dead.any():
             self._free += self._store[dead].tolist()
-            alive = ~dead
+            alive = (~dead).nonzero()[0]
             for name in _TRACK_ARRAYS:
-                setattr(self, name, getattr(self, name)[alive])
-            out_boxes = out_boxes[alive]
+                setattr(self, name, getattr(self, name).take(alive, 0))
+            out_boxes = out_boxes.take(alive, 0)
         # with no live track there may be no class column to take an argmax over
         top = self._votes.argmax(axis=1) if len(self._ids) else np.empty(0, np.int64)
-        return LiveTracks(frame=frame, ids=self._ids.copy(), confirmed=self._confirmed.copy(),
-                          class_ids=self._classes[top],
-                          boxes=out_boxes)
+        return LiveTracks(frame=frame, ids=self._ids, confirmed=self._confirmed,
+                          class_ids=self._classes[top], boxes=out_boxes)
 
     # -- internals -------------------------------------------------------------
 
@@ -220,11 +235,13 @@ class Tracker:
 
     def _match(self, boxes: np.ndarray, measurements: np.ndarray,
                descriptors: np.ndarray, has_desc: np.ndarray,
-               y: np.ndarray, s: np.ndarray, ok: np.ndarray):
-        """Two-stage matching of the live tracks, projected as (y, s, ok).
+               y: np.ndarray, s: np.ndarray, ok: np.ndarray, predicted: np.ndarray):
+        """Two-stage matching of the live tracks, projected as (y, s, ok),
+        with predicted boxes (n, 4).
 
-        Stage 1 builds one gated cost matrix per frame, over all confirmed
-        tracks and all detections, and solves it once, as a cascade over
+        Stage 1 builds one gated cost matrix per frame, over all live tracks
+        and all detections, where only the confirmed tracks whose projection
+        is usable can be admissible, and solves it once, as a cascade over
         the tracks' miss ages: the forced pairs of the whole matrix are
         taken in one pass, rows with no admissible cell go on to stage 2,
         and only rows with contested cells are solved age by age, freshest
@@ -234,29 +251,27 @@ class Tracker:
         indices), all as index arrays.
         """
         cfg = self.config
-        confirmed = self._confirmed.nonzero()[0]
         cost = assoc.build_cost_matrix(
-            y[confirmed], s[confirmed], ok[confirmed], measurements,
-            self._gallery, self._store[confirmed], self._fill[confirmed],
-            descriptors, has_desc,
+            y, s, ok & self._confirmed, measurements,
+            self._gallery, self._store, self._fill, descriptors, has_desc,
             lam=cfg.cost_lambda, t1=cfg.motion_gate, t2=cfg.appearance_gate,
         )
-        result = assoc.solve_assignment(cost, self._misses[confirmed])
-        rows = confirmed[result.matches[:, 0]]
-        cols = result.matches[:, 1]
+        result = assoc.solve_assignment(cost, self._misses)
+        rows, cols = result.matches[:, 0], result.matches[:, 1]
         remaining = result.unmatched_detections
 
         # stage 2: IoU matching over everything still unmatched, in id order;
         # tracks whose projection is ill-conditioned stay unmatched, as they
         # do in stage 1, so update_many never sees one
-        leftover = ~self._confirmed
-        leftover[confirmed[result.unmatched_tracks]] = True
-        usable = (leftover & ok).nonzero()[0]
-        if len(usable) and len(remaining):
-            cost = assoc.build_iou_cost_matrix(
-                motion.bbox_from_state(self._mean[usable]), boxes[remaining],
-                max_distance=cfg.iou_gate,
-            )
+        if not len(remaining):
+            return rows, cols, remaining
+        usable = ok.copy()
+        usable[rows] = False
+        usable = usable.nonzero()[0]
+        if len(usable):
+            cost = assoc.build_iou_cost_matrix(predicted.take(usable, 0),
+                                               boxes.take(remaining, 0),
+                                               max_distance=cfg.iou_gate)
             result = assoc.solve_assignment(cost)
             rows = np.concatenate([rows, usable[result.matches[:, 0]]])
             cols = np.concatenate([cols, remaining[result.matches[:, 1]]])

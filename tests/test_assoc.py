@@ -272,6 +272,12 @@ def test_gate_rejects_bad_thresholds():
         gate_pair(1.0, 0.1, 0.0, 1.0)
     with pytest.raises(ValidationError):
         gate_pair(1.0, 0.1, 1.0, -1.0)
+    # an infinite motion gate would admit the rows whose projection is
+    # unusable, whose motion distances are +inf
+    with pytest.raises(ValidationError):
+        gate_pair(1.0, 0.1, np.inf, 1.0)
+    with pytest.raises(ValidationError, match="motion_gate"):
+        TrackerConfig(motion_gate=np.inf)
 
 
 # -- iou ------------------------------------------------------------------------

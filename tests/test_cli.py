@@ -735,11 +735,13 @@ def test_track_accepts_finite_embedding_whose_squares_leave_float_range(tmp_path
 
 
 def test_config_import_leaves_synth_unloaded():
+    # and so does the CLI's: only the synth command loads it
     src = str(Path(trafficstate.__file__).resolve().parents[1])
-    probe = "import sys, trafficstate.config; print('trafficstate.synth' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                         check=True, env=dict(os.environ, PYTHONPATH=src))
-    assert out.stdout.strip() == "False"
+    for module in ("trafficstate.config", "trafficstate.cli"):
+        probe = f"import sys, {module}; print('trafficstate.synth' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                             check=True, env=dict(os.environ, PYTHONPATH=src))
+        assert out.stdout.strip() == "False", module
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc")
@@ -866,9 +868,10 @@ PINNED_TRACKS_SHA256 = "eed406afa76fc8cb5ce1fcbba551f97fa1a7e2235fa72d8ec2714e63
 PINNED_INTERVALS_SHA256 = "45d27c7a6f1158def53361541177c8dc8cf557b4172fa1bbc4009b336cb33d6d"
 
 
-def pinned_scene_text() -> str:
-    """Two opposing lanes of agents with 16-d noisy embeddings, pixel noise,
-    misses, an occlusion, and every seventh row below the confidence floor."""
+def pinned_scene_text(embedding_dim: int = 16, occlusions=((1, 30, 36),)) -> str:
+    """Two opposing lanes of agents with noisy embeddings (none, in 7-column
+    rows, at embedding_dim 0), pixel noise, misses, occlusions (agent, first
+    frame, last frame), and every seventh row below the confidence floor."""
     agents = [synth.AgentSpec(class_id=k % 4, x0_m=-2.0 - 3.0 * k, y0_m=10.0,
                               vx_mps=12.0, vy_mps=0.0, spawn_frame=1 + 4 * k)
               for k in range(6)]
@@ -878,8 +881,8 @@ def pinned_scene_text() -> str:
     spec = synth.ScenarioSpec(
         agents=agents, duration_s=4.0, fps=25.0,
         calibration=CalibrationParams(10.0, 10.0, 90.0),
-        noise_std_px=1.0, miss_prob=0.05, occlusions=[(1, 30, 36)],
-        embedding_dim=16, embedding_noise_std=0.2, seed=9,
+        noise_std_px=1.0, miss_prob=0.05, occlusions=list(occlusions),
+        embedding_dim=embedding_dim, embedding_noise_std=0.2, seed=9,
     )
     loi = LineOfInterest(a=(30.0, -100.0), b=(30.0, 100.0))
     batches, _ = synth.generate(spec, loi, 1.0)
@@ -912,6 +915,32 @@ def test_track_output_bytes_are_pinned_in_chunks_of_7(tmp_path, monkeypatch):
     # span chunks and the confidence floor drops rows on chunk boundaries
     monkeypatch.setattr(detstream, "CHUNK_ROWS", 7)
     test_track_output_bytes_are_pinned_from_file_and_stdin(tmp_path, monkeypatch)
+
+
+# sha256 of tracks.txt and intervals.txt for the 7-column form of the pinned
+# scene, with a second occlusion, shorter than max_age
+PINNED_PLAIN_TRACKS_SHA256 = "cdf139886ca59e12ab1e2f956bd738e98edc15a63854d2bcffc0f949321c0daf"
+PINNED_PLAIN_INTERVALS_SHA256 = "1fc6634f1af9133430c091b993c53ee608ff0bd1d433813f48356b498a64a636"
+
+
+def test_track_output_bytes_are_pinned_for_a_stream_without_descriptors(tmp_path, monkeypatch):
+    # many chunks of 16 lines: frames span chunks, and the floor drops rows on
+    # chunk boundaries
+    monkeypatch.setattr(detstream, "CHUNK_ROWS", 16)
+    text = pinned_scene_text(embedding_dim=0, occlusions=((1, 30, 36), (7, 50, 51)))
+    assert {line.count(",") for line in text.splitlines()} == {6}
+    cfg = write(tmp_path / "run.ini", PINNED_RUN_CONFIG)
+    dets = write(tmp_path / "dets.txt", text)
+    assert main(["track", "--detections", dets, "--config", cfg,
+                 "--out-dir", str(tmp_path / "file")]) == 0
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main(["track", "--detections", "-", "--config", cfg,
+                 "--out-dir", str(tmp_path / "stdin")]) == 0
+    for run in ("file", "stdin"):
+        tracks = (tmp_path / run / "tracks.txt").read_bytes()
+        intervals = (tmp_path / run / "intervals.txt").read_bytes()
+        assert hashlib.sha256(tracks).hexdigest() == PINNED_PLAIN_TRACKS_SHA256
+        assert hashlib.sha256(intervals).hexdigest() == PINNED_PLAIN_INTERVALS_SHA256
 
 
 def assert_no_child_left():

@@ -268,6 +268,38 @@ def test_a_stream_within_one_chunk_is_read_without_a_reader(monkeypatch):
     assert [f for f, _ in parse_all(long_stream(frames=4, per_frame=3))] == [1, 2, 3, 4]
 
 
+def test_a_stream_without_descriptors_is_read_in_process(monkeypatch):
+    # several chunks of 7-column rows: their parse is cheap, so no reader is forked
+    def no_fork():
+        raise AssertionError("forked for a stream without descriptors")
+
+    text = "".join(f"{f},{10 + 30 * k},10,5,5,0.9,{k}\n" for f in range(1, 6) for k in range(3))
+    whole = parse_all(text)
+    monkeypatch.setattr(detstream, "CHUNK_ROWS", 4)
+    monkeypatch.setattr(os, "fork", no_fork)
+    chunked = parse_all(text)
+    assert [f for f, _ in chunked] == [f for f, _ in whole] == [1, 2, 3, 4, 5]
+    for (_, a), (_, b) in zip(chunked, whole):
+        for name in DetectionBatch.__slots__:
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
+def test_a_stream_with_descriptors_forks_one_reader(monkeypatch):
+    monkeypatch.setattr(detstream, "CHUNK_ROWS", 4)
+    fork, readers = os.fork, []
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            readers.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    assert [f for f, _ in parse_all(long_stream(frames=5, per_frame=3))] == [1, 2, 3, 4, 5]
+    assert len(readers) == 1
+    assert_no_child_left()
+
+
 def test_closing_the_stream_after_one_batch_leaves_no_reader():
     batches = parse_detections(io.StringIO(long_stream()))
     frame, batch = next(batches)
