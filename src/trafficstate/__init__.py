@@ -19,59 +19,44 @@ process forks with one thread.
 """
 
 import os
+from importlib import import_module
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .assoc import (
-    CostMatrix,
-    appearance_distances,
-    build_cost_matrix,
-    iou_matrix,
-    motion_distances,
-    solve_assignment,
-)
-from .calib import CalibrationParams, ReferenceObject, derive_magnification, to_pixel, to_world
-from .config import RunConfig, parse_config
-from .detstream import (
-    ClassCatalog,
-    Detection,
-    DetectionBatch,
-    normalize_appearance,
-    parse_detections,
-)
-from .errors import ContractError, NumericalError, ParseError, ValidationError
-from .metrics import (
-    EvalReport,
-    average_precision,
-    evaluate_detections,
-    f1,
-    match_to_ground_truth,
-    mean_ap,
-    paired_t_test,
-    pearson,
-    precision,
-    recall,
-    rmse,
-)
-from .motion import KalmanFilter
-from .tracker import LiveTracks, Tracker, TrackerConfig
-from .traffic import (
-    IntervalMeasurement,
-    LineOfInterest,
-    Trajectory,
-    assemble_trajectories,
-    measure_intervals,
-)
-
 __version__ = "0.1.0"
 
-_SYNTH_NAMES = ("AgentSpec", "GroundTruth", "ScenarioSpec", "generate")
+# The public names, by the module that defines them. Each module loads on
+# the first use of one of its names, so a command loads only its own layers:
+# `eval`, for one, loads no tracker, motion or traffic code.
+_EXPORTS = {
+    "assoc": ("CostMatrix", "appearance_distances", "build_cost_matrix", "iou_matrix",
+              "motion_distances", "solve_assignment"),
+    "calib": ("CalibrationParams", "ReferenceObject", "derive_magnification", "to_pixel",
+              "to_world"),
+    "config": ("RunConfig", "parse_config"),
+    "detstream": ("ClassCatalog", "Detection", "DetectionBatch", "normalize_appearance",
+                  "parse_detections"),
+    "errors": ("ContractError", "NumericalError", "ParseError", "ValidationError"),
+    "metrics": ("EvalReport", "average_precision", "evaluate_detections", "f1",
+                "match_to_ground_truth", "mean_ap", "paired_t_test", "pearson", "precision",
+                "recall", "rmse"),
+    "motion": ("KalmanFilter",),
+    "synth": ("AgentSpec", "GroundTruth", "ScenarioSpec", "generate"),
+    "tracker": ("LiveTracks", "Tracker", "TrackerConfig"),
+    "traffic": ("IntervalMeasurement", "LineOfInterest", "Trajectory", "assemble_trajectories",
+                "measure_intervals"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name):
-    # synth builds test scenes; loading it on first use keeps it out of the
-    # import of every pipeline module
-    if name in _SYNTH_NAMES:
-        from . import synth
-        return getattr(synth, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value   # later lookups skip this function
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

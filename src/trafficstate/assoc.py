@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import ContractError, NumericalError, ValidationError
 
 # 0.95 quantile of chi-square with 4 dof: the motion gate for a 4-dim measurement.
 CHI2_95_4DOF = 9.4877
@@ -66,13 +66,12 @@ def _iou(ax, ay, aw, ah, bx, by, bw, bh) -> np.ndarray:
     iy = np.maximum(0.0, np.minimum(ay + ah, by + bh) - np.maximum(ay, by))
     inter = ix * iy
     union = aw * ah + bw * bh - inter
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(union > 0, inter / union, 0.0)
+    return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0)
 
 
 def _boxes(a) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64).reshape(-1, 4)
-    if (a[:, 2:] <= 0).any():
+    if np.count_nonzero(a[:, 2:] <= 0):
         raise ValidationError("boxes must have positive width and height")
     return a
 
@@ -94,26 +93,37 @@ def motion_distances(y: np.ndarray, s: np.ndarray, ok: np.ndarray,
                      measurements: np.ndarray) -> np.ndarray:
     """All-pairs squared Mahalanobis distances (n, m).
 
-    y (n, 4) and s (n, 4) are the tracks' projected measurement means and
-    the diagonals of their covariances; rows with ok False get +inf. Each
-    residual is whitened componentwise by 1 / sqrt(s), with no matrix
-    factorization, and its squares are summed. A row marked ok whose
-    variances are not all positive raises NumericalError.
+    y (4, n) and s (4, n) are the tracks' projected measurement means and
+    the diagonals of their covariances, a column per track, and
+    measurements (4, m) holds a column per detection; tracks with ok
+    False get +inf. Each residual is whitened componentwise by 1 / sqrt(s),
+    with no matrix factorization, and its squares are summed. A track
+    marked ok whose variances are not all positive raises NumericalError.
+    Arrays in other shapes raise ContractError: a (1, 4) row per track
+    would otherwise broadcast into a wrong (4, 4) result.
     """
-    if not ok.all():
-        rows = ok.nonzero()[0]
-        d1 = np.full((len(y), len(measurements)), np.inf)
-        d1[rows] = motion_distances(y.take(rows, 0), s.take(rows, 0), ok.take(rows),
-                                    measurements)
+    if not (y.shape[0] == measurements.shape[0] == 4 and s.shape == y.shape
+            and ok.shape == y.shape[1:]):
+        raise ContractError("motion_distances takes y and s as (4, n), ok as (n,) and "
+                            "measurements as (4, m)")
+    if np.count_nonzero(ok) < len(ok):
+        usable = ok.nonzero()[0]
+        d1 = np.full((y.shape[1], measurements.shape[1]), np.inf)
+        d1[usable] = motion_distances(y.take(usable, 1), s.take(usable, 1), ok.take(usable),
+                                      measurements)
         return d1
-    # written as not (all positive) so that NaN is rejected too
-    if not (s > 0).all():
+    # counts the positive variances, so that NaN is rejected too
+    if np.count_nonzero(s > 0) < s.size:
         raise NumericalError("projection covariance not positive-definite")
-    # einsum sums in the order of the memory layout, so the residuals are
-    # laid out C-ordered, (n, 4, m)
-    white = np.empty((len(y), 4, len(measurements)))
-    np.subtract(measurements.T, y[:, :, None], out=white)
-    white *= (1.0 / np.sqrt(s))[:, :, None]
+    # einsum's summation order follows the memory layout: with one
+    # detection it adds the four squares in SIMD lanes, in an order that
+    # depends on the CPU, and with more one after another. So the residuals
+    # are laid out C-ordered (n, 4, m), as the dense form's are, from the
+    # rows of y and s through their transposed views, and summed by the
+    # same einsum
+    white = np.empty((y.shape[1], 4, measurements.shape[1]))
+    np.subtract(measurements, y.T[:, :, None], out=white)
+    white *= (1.0 / np.sqrt(s)).T[:, :, None]
     return np.einsum("kim,kim->km", white, white)
 
 
@@ -167,7 +177,7 @@ def build_cost_matrix(
     """Weighted sum of motion and appearance distances, gated.
 
     Tracks come as in `motion_distances` and `appearance_distances`, and
-    detections as their (m, 4) measurement vectors plus descriptors (m, D)
+    detections as their (4, m) measurement vectors plus descriptors (m, D)
     and the mask has_desc (m,) of those present. The motion gate goes
     first: only a pair inside it can be admissible, so only such a pair
     gets an appearance distance. cost = lam * d_motion + (1 - lam) *
@@ -175,14 +185,14 @@ def build_cost_matrix(
     for which no appearance distance exists (no gallery member or no
     descriptor) fall back to motion-only cost and a motion-only gate; when
     no pair has both, `appearance_distances` is not called at all. Both
-    gates must be positive and the motion gate t1 finite: the rows that
+    gates must be positive and the motion gate t1 finite: the tracks that
     are not ok get a motion distance of +inf, which a finite gate keeps out.
     """
     if not 0.0 <= lam <= 1.0:
         raise ValidationError(f"lambda must be in [0,1], got {lam}")
     if not (0 < t1 < np.inf and t2 > 0):
         raise ValidationError("gate thresholds must be positive, the motion gate finite")
-    n, m = len(y), len(measurements)
+    n, m = y.shape[1], measurements.shape[1]
     if n == 0 or m == 0:
         return CostMatrix(values=np.full((n, m), np.inf),
                           admissible=np.zeros((n, m), dtype=bool))
@@ -191,7 +201,7 @@ def build_cost_matrix(
     # the rows that are not ok hold +inf, outside the finite gate
     admissible = d1 <= t1
     values = np.where(admissible, d1, np.inf)
-    if not (fill.any() and has_desc.any()):
+    if not (np.count_nonzero(fill) and np.count_nonzero(has_desc)):
         return CostMatrix(values=values, admissible=admissible)
     # the pairs inside the motion gate that have an appearance distance
     defined = admissible & (fill > 0)[:, None] & has_desc
@@ -204,11 +214,11 @@ def build_cost_matrix(
 
 
 def measurements_of(boxes: np.ndarray) -> np.ndarray:
-    """(m, 4) measurement vectors (center x, center y, aspect, height) of (m, 4) boxes."""
-    out = np.empty((len(boxes), 4))
-    out[:, :2] = boxes[:, :2] + boxes[:, 2:] / 2.0
-    np.divide(boxes[:, 2], boxes[:, 3], out=out[:, 2])
-    out[:, 3] = boxes[:, 3]
+    """(4, m) measurement vectors (center x, center y, aspect, height), a
+    column per box, of (m, 4) boxes."""
+    out = boxes.T.copy()   # x, y, w, h, turned into u, v, g, h in place
+    out[:2] += out[2:] / 2.0
+    out[2] /= out[3]
     return out
 
 
@@ -261,14 +271,18 @@ def solve_assignment(cost: CostMatrix, levels: np.ndarray | None = None) -> Assi
 
 def _assign(values: np.ndarray, admissible: np.ndarray, levels: np.ndarray | None):
     """(rows, cols) of `solve_assignment`'s matched pairs, rows ascending."""
-    per_row = admissible.sum(axis=1)
-    forced = admissible & (per_row == 1)[:, None] & (admissible.sum(axis=0) == 1)
-    rows, cols = forced.nonzero()   # row-major, so rows ascend
-    if len(rows) == np.count_nonzero(admissible):   # every admissible pair is forced
+    n, m = admissible.shape
+    rows, cols = admissible.nonzero()   # row-major, so rows ascend
+    # a pair is forced when it is the only admissible one in its row and
+    # in its column; the counts come from the admissible pairs, not from
+    # the whole matrix
+    forced = (np.bincount(rows, minlength=n)[rows] == 1) \
+        & (np.bincount(cols, minlength=m)[cols] == 1)
+    if np.count_nonzero(forced) == len(rows):   # every admissible pair is forced
         return rows, cols
-    contested = admissible & ~forced
-    open_rows = contested.any(axis=1).nonzero()[0]
-    open_cols = contested.any(axis=0).nonzero()[0]
+    open_rows = np.bincount(rows[~forced], minlength=n).nonzero()[0]
+    open_cols = np.bincount(cols[~forced], minlength=m).nonzero()[0]
+    rows, cols = rows[forced], cols[forced]
     if levels is None:
         from scipy.optimize import linear_sum_assignment
 

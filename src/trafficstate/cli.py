@@ -1,7 +1,9 @@
 """Command-line pipeline: track, eval, stats, synth, print-config.
 
 Exit codes: 0 success, 1 validation error, 2 I/O error, 3 numerical error.
-Every subcommand is deterministic given its inputs (and seed).
+Every subcommand is deterministic given its inputs (and seed). Each command
+imports the layers it runs when it runs, so `eval` loads no tracking,
+measurement or configuration code, and only `synth` loads `synth`.
 """
 
 from __future__ import annotations
@@ -12,12 +14,15 @@ import io
 import re
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import detstream, metrics, traffic
-from .config import default_config_text, parse_config
+from . import detstream
 from .detstream import ClassCatalog, DetectionBatch
 from .errors import NumericalError, ParseError, ValidationError
-from .tracker import Tracker
+
+if TYPE_CHECKING:
+    from .tracker import Tracker
+    from .traffic import IntervalRow
 
 TRACKS_HEADER = "frame\tid\tclass\tu\tv\tw\th"
 
@@ -71,6 +76,10 @@ def _frames_to_step(batches, tracker: Tracker):
 
 
 def cmd_track(detections_path: str, config_path: str | None, out_dir: str) -> int:
+    from . import traffic
+    from .config import parse_config
+    from .tracker import Tracker
+
     cfg = parse_config(_read_text(config_path), config_path) if config_path else parse_config("")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -139,6 +148,8 @@ def _load_catalog(classes_path: str | None) -> ClassCatalog:
 
 def cmd_eval(pred_path: str, gt_path: str, iou_threshold: float,
              classes_path: str | None, out_dir: str) -> int:
+    from . import metrics
+
     catalog = _load_catalog(classes_path)
     preds = metrics.load_boxes(io.StringIO(_read_text(pred_path)), require_confidence=True,
                                path=pred_path)
@@ -157,7 +168,7 @@ def cmd_eval(pred_path: str, gt_path: str, iou_threshold: float,
 STATS_HEADER = "quantity\tclass\tn\trmse\tpearson\tt\tp"
 
 
-def _interval_series(rows: list[traffic.IntervalRow]):
+def _interval_series(rows: list[IntervalRow]):
     """(class -> interval -> flow, class -> interval -> mean speed, grid)."""
     flows: dict[int, dict[int, float]] = {}
     speeds: dict[int, dict[int, float]] = {}
@@ -170,7 +181,7 @@ def _interval_series(rows: list[traffic.IntervalRow]):
     return flows, speeds, grid
 
 
-def _stats_rows(measured: list[traffic.IntervalRow], truth: list[traffic.IntervalRow],
+def _stats_rows(measured: list[IntervalRow], truth: list[IntervalRow],
                 measured_path: str, truth_path: str) -> list[str]:
     m_flows, m_speeds, m_grid = _interval_series(measured)
     t_flows, t_speeds, t_grid = _interval_series(truth)
@@ -212,6 +223,8 @@ def _stats_rows(measured: list[traffic.IntervalRow], truth: list[traffic.Interva
 
 
 def _stat_line(quantity: str, label: str, a, b) -> str:
+    from . import metrics
+
     r = metrics.rmse(a, b)
     try:
         corr = f"{metrics.pearson(a, b):.6g}"
@@ -223,6 +236,8 @@ def _stat_line(quantity: str, label: str, a, b) -> str:
 
 
 def cmd_stats(measured_path: str, truth_path: str, out_dir: str) -> int:
+    from . import traffic
+
     measured = traffic.parse_intervals(io.StringIO(_read_text(measured_path)), path=measured_path)
     truth = traffic.parse_intervals(io.StringIO(_read_text(truth_path)), path=truth_path)
     lines = _stats_rows(measured, truth, measured_path, truth_path)
@@ -236,8 +251,7 @@ def cmd_stats(measured_path: str, truth_path: str, out_dir: str) -> int:
 
 
 def cmd_synth(spec_path: str, seed: int | None, out_dir: str) -> int:
-    # synth builds test scenes; no other command loads it
-    from . import synth
+    from . import synth, traffic
 
     spec, loi, interval_s = synth.parse_scenario(_read_text(spec_path), spec_path)
     if seed is not None:
@@ -299,6 +313,8 @@ def main(argv=None) -> int:
         if args.command == "synth":
             return cmd_synth(args.spec, args.seed, args.out_dir)
         if args.command == "print-config":
+            from .config import default_config_text
+
             sys.stdout.write(default_config_text())
             return 0
     except ValidationError as exc:

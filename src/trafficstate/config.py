@@ -190,6 +190,10 @@ class RunConfig:
             require(self, "confidence_floor", lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
         with prefixed("[measure]"):
             require(self, "interval_s fps", positive, "finite and > 0")
+            # a point's time is frame / fps: a frame period that overflows
+            # would put every point at t = inf
+            require(self, "fps", lambda v: positive(1.0 / v),
+                    "large enough that the frame period 1 / fps is finite")
             if self.duration_s is not None:
                 require(self, "duration_s", positive, "finite and > 0 when set")
                 interval_count(self.interval_s, self.duration_s)

@@ -1,17 +1,19 @@
 """Per-frame tracking: predict, two-stage matching, update, lifecycle.
 
-The tracker keeps every live track in arrays with one row per track, in
-birth order, which is also id order: Kalman mean (n, 8) and covariance
-blocks (n, 3, 4) (see `motion`), confirmed flags, hit and miss counters,
-class-vote counts, and the fill count and next slot of a ring-buffer
-gallery (capacity, D) of appearance descriptors. The batched kernels of
-`motion` and `assoc` read these arrays directly; each frame appends its
-births once and drops its deleted tracks in one pass. The galleries
-themselves sit in one shared store whose rows are reused after their
-tracks end. A frame's detections enter `step` as arrays too, one
-`detstream.DetectionBatch` whose boxes, class ids and descriptors are
-read as they are, and the live tracks leave it the same way, as one
-`LiveTracks` record of arrays per frame.
+The tracker keeps every live track in arrays whose last axis runs over
+the tracks, in birth order, which is also id order: Kalman means (8, n)
+and covariance blocks (3, 4, n), held component-major so that each state
+component of all tracks is one contiguous row (see `motion`), confirmed
+flags, hit and miss counters, class-vote counts (classes, n), and the
+fill count and next slot of a ring-buffer gallery (capacity, D) of
+appearance descriptors. The batched kernels of `motion` and `assoc` read
+these arrays directly. Each frame appends its births to every array once,
+by concatenation along the last axis, and drops its deleted tracks with
+one `take` along it. The galleries themselves sit in one shared store
+whose rows are reused after their tracks end. A frame's detections enter
+`step` as arrays too, one `detstream.DetectionBatch` whose boxes, class
+ids and descriptors are read as they are, and the live tracks leave it
+the same way, as one `LiveTracks` record of arrays per frame.
 
 Every live track is projected into measurement space, and its predicted
 box computed, once per frame; the projection serves both matching stages
@@ -32,9 +34,10 @@ and must associate in each of their first n_init frames; confirmed
 tracks survive up to max_age missed frames.
 
 With tens of live tracks, a step's time goes to the fixed cost of its
-NumPy calls rather than to their arithmetic. So rows are gathered with
+NumPy calls rather than to their arithmetic. So tracks are gathered with
 `take`, several times cheaper than fancy indexing on arrays this small,
-and the ids and confirmed flags are replaced rather than written in
+boolean masks are tested with `np.count_nonzero`, cheaper than `any` or
+`all`, and the ids and confirmed flags are replaced rather than written in
 place, so that a `LiveTracks` record can hold them without a copy.
 """
 
@@ -60,7 +63,8 @@ MAX_GALLERY_CAPACITY = 10**4
 # written as at least the smallest positive float.
 _BOX_LOW = np.array([-MAX_BOX_PX, -MAX_BOX_PX] + 2 * [np.nextafter(0.0, 1.0)])
 
-# Per-track arrays, all indexed by row; births append to them and deletions drop rows, together.
+# Per-track arrays, all indexed by their last axis; births append to them
+# and deletions drop their tracks, together.
 _TRACK_ARRAYS = ("_ids", "_mean", "_cov", "_confirmed", "_hits", "_misses",
                  "_votes", "_store", "_fill", "_slot")
 
@@ -108,12 +112,12 @@ class Tracker:
         self.config = config or TrackerConfig()
         self.kf = kf or motion.KalmanFilter()
         self._ids = np.empty(0, dtype=np.int64)
-        self._mean = np.empty((0, 8))
-        self._cov = np.empty((0, 3, 4))
+        self._mean = np.empty((8, 0))
+        self._cov = np.empty((3, 4, 0))
         self._confirmed = np.empty(0, dtype=bool)
         self._hits = np.empty(0, dtype=np.int64)
         self._misses = np.empty(0, dtype=np.int64)  # frames since the last update
-        # votes[:, k] counts detections of class classes[k]; classes stays sorted,
+        # votes[k] counts detections of class classes[k]; classes stays sorted,
         # so argmax breaks ties toward the lower class id
         self._classes = np.empty(0, dtype=np.int64)
         self._votes = np.empty((0, 0), dtype=np.int64)
@@ -147,7 +151,7 @@ class Tracker:
             raise ContractError(f"batch for frame {batch.frame} stepped as frame {frame}")
         boxes = batch.boxes
         # the parser's bounds: NaN fails them, and no square of a value overflows
-        if not ((boxes >= _BOX_LOW) & (boxes <= MAX_BOX_PX)).all():
+        if np.count_nonzero((boxes >= _BOX_LOW) & (boxes <= MAX_BOX_PX)) < boxes.size:
             raise ValidationError(f"detection boxes must lie within ±{MAX_BOX_PX:g} px, "
                                   "with positive width and height")
         descriptors, has_desc = self._descriptors(batch.appearance)
@@ -164,21 +168,21 @@ class Tracker:
                                          y, s, ok, out_boxes)
 
         if len(rows):
-            self._mean[rows], self._cov[rows] = self.kf.update_many(
-                self._mean.take(rows, 0), self._cov.take(rows, 0), measurements.take(cols, 0),
-                y.take(rows, 0), s.take(rows, 0), ok[rows])
+            self._mean[:, rows], self._cov[..., rows] = self.kf.update_many(
+                self._mean.take(rows, 1), self._cov.take(rows, 2), measurements.take(cols, 1),
+                y.take(rows, 1), s.take(rows, 1), ok.take(rows))
         # every live track misses this frame unless it is matched; births join
         # the matched rows as tracks associated with a detection this frame
         self._misses += 1
         if len(births):
             n = len(self._ids)
-            self._start_tracks(measurements.take(births, 0))
+            self._start_tracks(measurements.take(births, 1))
             rows = np.concatenate([rows, np.arange(n, n + len(births))])
             cols = np.concatenate([cols, births])
             out_boxes = np.concatenate([out_boxes, boxes.take(births, 0)])
-        if has_desc.any():   # all of the frame's detections have descriptors, or none
+        if np.count_nonzero(has_desc):   # all of the frame's detections have descriptors, or none
             self._push(rows, descriptors.take(cols, 0))
-        self._votes[rows, class_cols[cols]] += 1
+        self._votes[class_cols[cols], rows] += 1
         self._hits[rows] += 1
         self._misses[rows] = 0
         self._confirmed = self._confirmed | (self._hits >= self.config.n_init)
@@ -189,14 +193,14 @@ class Tracker:
         # the ones it missed this frame with
         misses = self._misses
         dead = (misses > 0) & ~self._confirmed | (misses > self.config.max_age)
-        if dead.any():
+        if np.count_nonzero(dead):
             self._free += self._store[dead].tolist()
             alive = (~dead).nonzero()[0]
             for name in _TRACK_ARRAYS:
-                setattr(self, name, getattr(self, name).take(alive, 0))
+                setattr(self, name, getattr(self, name).take(alive, -1))
             out_boxes = out_boxes.take(alive, 0)
         # with no live track there may be no class column to take an argmax over
-        top = self._votes.argmax(axis=1) if len(self._ids) else np.empty(0, np.int64)
+        top = self._votes.argmax(axis=0) if len(self._ids) else np.empty(0, np.int64)
         return LiveTracks(frame=frame, ids=self._ids, confirmed=self._confirmed,
                           class_ids=self._classes[top], boxes=out_boxes)
 
@@ -228,8 +232,8 @@ class Tracker:
         new = set(class_ids.tolist()).difference(self._classes.tolist())
         if new:
             classes = np.union1d(self._classes, list(new))
-            votes = np.zeros((len(self._ids), len(classes)), dtype=np.int64)
-            votes[:, classes.searchsorted(self._classes)] = self._votes
+            votes = np.zeros((len(classes), len(self._ids)), dtype=np.int64)
+            votes[classes.searchsorted(self._classes)] = self._votes
             self._classes, self._votes = classes, votes
         return self._classes.searchsorted(class_ids)
 
@@ -286,13 +290,13 @@ class Tracker:
         self._fill[rows] = np.minimum(self._fill[rows] + 1, cap)
 
     def _start_tracks(self, measurements: np.ndarray) -> None:
-        """Append one tentative track per given measurement row, ids in row
-        order, with empty counters and gallery."""
-        k = len(measurements)
-        mean = np.empty((k, 8))
-        cov = np.empty((k, 3, 4))
-        for i, z in enumerate(measurements):
-            mean[i], cov[i] = self.kf.initiate(z)
+        """Append one tentative track per given measurement column (4, k), ids
+        in column order, with empty counters and gallery."""
+        k = measurements.shape[1]
+        mean = np.empty((8, k))
+        cov = np.empty((3, 4, k))
+        for i, z in enumerate(measurements.T):
+            mean[:, i], cov[..., i] = self.kf.initiate(z)
         grow = k - len(self._free)
         if grow > 0:
             grow = max(grow, len(self._gallery))  # double, so growth stays rare
@@ -305,10 +309,10 @@ class Tracker:
         new = dict(
             _ids=np.arange(self._next_id, self._next_id + k), _mean=mean, _cov=cov,
             _confirmed=np.zeros(k, dtype=bool), _hits=zeros, _misses=zeros,
-            _votes=np.zeros((k, len(self._classes)), dtype=np.int64),
+            _votes=np.zeros((len(self._classes), k), dtype=np.int64),
             _store=np.array(store, dtype=np.int64), _fill=zeros, _slot=zeros,
         )
         self._next_id += k
         for name in _TRACK_ARRAYS:
-            setattr(self, name, np.concatenate([getattr(self, name), new[name]]))
+            setattr(self, name, np.concatenate([getattr(self, name), new[name]], axis=-1))
 

@@ -112,15 +112,15 @@ def simulate_constant_velocity(kf, h, pos0, vel, steps):
     run through the filter's batched operations with one track.
     """
     mean, cov = kf.initiate(np.array([pos0[0], pos0[1], 0.5, h]))
-    means, covs = mean[None], cov[None]
+    means, covs = mean[:, None], cov[..., None]   # the batched kernels' (8, 1), (3, 4, 1)
     history = []
     for k in range(1, steps + 1):
         true_pos = pos0 + vel * k
-        z = np.array([[true_pos[0], true_pos[1], 0.5, h]])
+        z = np.array([[true_pos[0]], [true_pos[1]], [0.5], [h]])
         means, covs = kf.predict_many(means, covs)
         means, covs = kf.update_many(means, covs, z, *kf.project_many(means, covs))
-        pos_err = float(np.max(np.abs(means[0, :2] - true_pos)))
-        vel_err = float(np.max(np.abs(means[0, 4:6] - vel)))
+        pos_err = float(np.max(np.abs(means[:2, 0] - true_pos)))
+        vel_err = float(np.max(np.abs(means[4:6, 0] - vel)))
         history.append((k, pos_err, vel_err))
     return history
 
@@ -170,9 +170,9 @@ def kalman_update(kf, mean, cov, z):
 # these are the same steps written with full matrices and LAPACK calls.
 
 def dense_covariance(blocks):
-    """(n, 8, 8) covariances from (n, 3, 4) blocks: rows a = P[i, i],
-    b = P[i, i + 4] = P[i + 4, i] and c = P[i + 4, i + 4]."""
-    blocks = np.asarray(blocks, dtype=np.float64)
+    """(n, 8, 8) covariances from the engine's (3, 4, n) blocks: rows
+    a = P[i, i], b = P[i, i + 4] = P[i + 4, i] and c = P[i + 4, i + 4]."""
+    blocks = np.moveaxis(np.asarray(blocks, dtype=np.float64), -1, 0)
     i = np.arange(4)
     dense = np.zeros((len(blocks), 8, 8))
     dense[:, i, i] = blocks[:, 0]

@@ -114,7 +114,7 @@ def test_distance_identities():
         sigma2 = float(rng.uniform(0.05, 100.0))
         y = rng.normal(scale=50.0, size=4)
         d = rng.normal(scale=50.0, size=4)
-        got = motion_distances(y[None], sigma2 * np.ones(4)[None], one, d[None])[0, 0]
+        got = motion_distances(y[:, None], sigma2 * np.ones((4, 1)), one, d[:, None])[0, 0]
         want = float((d - y) @ (d - y)) / sigma2
         assert abs(got - want) <= 1e-9 * max(1.0, want)
     members = []

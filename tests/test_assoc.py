@@ -16,7 +16,7 @@ from trafficstate.assoc import (
     solve_assignment,
 )
 from trafficstate.detstream import Detection, DetectionBatch
-from trafficstate.errors import NumericalError, ValidationError
+from trafficstate.errors import ContractError, NumericalError, ValidationError
 from trafficstate.tracker import Tracker, TrackerConfig
 
 from oracles import (
@@ -38,9 +38,10 @@ def det(bbox, appearance=None, frame=1, class_id=0, conf=1.0):
 
 def mahalanobis(y, s, d):
     """Engine distance of one measurement from one projection, whose
-    covariance is given by its diagonal s (4,)."""
-    return motion_distances(np.asarray(y, float)[None], np.asarray(s, float)[None],
-                            np.array([True]), np.asarray(d, float)[None])[0, 0]
+    covariance is given by its diagonal s (4,); the engine takes each as a
+    column (4, 1)."""
+    return motion_distances(np.asarray(y, float)[:, None], np.asarray(s, float)[:, None],
+                            np.array([True]), np.asarray(d, float)[:, None])[0, 0]
 
 
 def store(galleries, dim):
@@ -71,10 +72,11 @@ def cosine(members, r):
 
 def cost_matrix(projections, galleries, dets, lam, **gates):
     """build_cost_matrix over (y, s) projections (None: unusable), s the
-    (4,) covariance diagonal, gallery member lists and Detection objects."""
+    (4,) covariance diagonal, gallery member lists and Detection objects;
+    the engine takes the projections as columns, y and s (4, n)."""
     ok = np.array([p is not None for p in projections])
-    y = np.array([p[0] if p is not None else np.zeros(4) for p in projections], float)
-    s = np.array([p[1] if p is not None else np.ones(4) for p in projections], float)
+    y = np.array([p[0] if p is not None else np.zeros(4) for p in projections], float).T
+    s = np.array([p[1] if p is not None else np.ones(4) for p in projections], float).T
     dim = max([len(d.appearance) for d in dets if d.appearance is not None], default=0)
     has_desc = np.array([d.appearance is not None for d in dets])
     descs = np.array([d.appearance if d.appearance is not None else np.zeros(dim)
@@ -125,6 +127,16 @@ def test_mahalanobis_scaled_identity_property():
 def test_mahalanobis_rejects_non_pd():
     with pytest.raises(NumericalError):
         mahalanobis([0, 0, 0, 0], -np.ones(4), np.zeros(4))
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (1, 4), (4, 1), (2, 3)])
+def test_motion_distances_rejects_a_row_per_track(n, m):
+    # tracks and detections come as columns; one row each would broadcast
+    # into a wrong answer for n and m of 1 or 4, and fail elsewhere
+    y, s, z = np.zeros((n, 4)), np.ones((n, 4)), np.ones((m, 4))
+    with pytest.raises(ContractError):
+        motion_distances(y, s, np.ones(n, bool), z)
+    assert motion_distances(y.T, s.T, np.ones(n, bool), z.T).shape == (n, m)
 
 
 # -- gallery + cosine distance ------------------------------------------------
@@ -258,7 +270,7 @@ def test_gate_examples():
 
 def test_gate_is_inclusive_at_both_thresholds():
     (y, s), member, d = gate_inputs(4.0, 0.15)
-    d1 = mahalanobis(y, s, measurements_of(np.array([d.bbox], float))[0])
+    d1 = mahalanobis(y, s, measurements_of(np.array([d.bbox], float))[:, 0])
     d2 = cosine([member], d.appearance)
     for t1, t2, want in [(d1, d2, True), (np.nextafter(d1, 0.0), d2, False),
                          (d1, np.nextafter(d2, 0.0), False)]:
@@ -410,10 +422,11 @@ def cost_by_appearance_path(y, s, ok, z, gallery, rows, fill, descs, has_desc, l
 
 @pytest.mark.parametrize("case", ["no descriptors", "empty galleries"])
 def test_cost_matrix_skips_appearance_when_no_pair_has_one(monkeypatch, case):
-    # three tracks, one with an unusable projection, against three detections
-    y = np.array([[0.0, 0, 1, 10], [50, 0, 1, 10], [0, 0, 1, 10]])
-    s, ok = np.ones((3, 4)), np.array([True, True, False])
-    z = np.array([[0.5, 0, 1, 10], [50, 1, 1, 10], [500, 0, 1, 10]])
+    # three tracks, one with an unusable projection, against three
+    # detections; a column per track and per detection
+    y = np.array([[0.0, 0, 1, 10], [50, 0, 1, 10], [0, 0, 1, 10]]).T
+    s, ok = np.ones((4, 3)), np.array([True, True, False])
+    z = np.array([[0.5, 0, 1, 10], [50, 1, 1, 10], [500, 0, 1, 10]]).T
     gallery = np.tile(np.array([1.0, 0.0]), (4, 5, 1))
     rows = np.array([3, 0, 2])
     fill = np.array([2, 5, 1]) if case == "no descriptors" else np.zeros(3, np.int64)
@@ -441,7 +454,7 @@ def stacked_stage1(y, s, ok, z, gallery, rows, fill, descriptors, t1, t2):
     outgrow: the cost matrix allocated up front, the motion distances of
     every pair, then every track's members stacked, times every
     descriptor, reduced per track."""
-    values = np.full((len(y), len(z)), np.inf)
+    values = np.full((y.shape[1], z.shape[1]), np.inf)
     d1 = motion_distances(y, s, ok, z)
     track, slot = np.nonzero(np.arange(gallery.shape[1]) < fill[:, None])
     stacked = gallery[rows[track], slot]                                  # (sum fill, D)
@@ -475,11 +488,11 @@ def test_all_pairs_in_gate_stays_within_the_stacked_footprint(fills):
     n, m, dim, cap = len(fill), 50, 64, 100
     rows = rng.permutation(2 * n)[:n]
     gallery = unit_rows(rng, (2 * n, cap, dim))
-    y = np.tile([5.0, 5.0, 1.0, 10.0], (n, 1))
-    s = np.ones((n, 4))
+    y = np.tile([[5.0], [5.0], [1.0], [10.0]], (1, n))
+    s = np.ones((4, n))
     ok = np.ones(n, bool)
     has_desc = np.ones(m, bool)
-    args = (y, s, ok, np.tile(y[0], (m, 1)), gallery, rows, fill, unit_rows(rng, (m, dim)))
+    args = (y, s, ok, np.tile(y[:, :1], (1, m)), gallery, rows, fill, unit_rows(rng, (m, dim)))
     cm, peak = traced_peak(lambda: build_cost_matrix(*args, has_desc, lam=0.0, t2=2.0))
     want, stacked_peak = traced_peak(lambda: stacked_stage1(*args, CHI2_95_4DOF, 2.0))
     assert cm.admissible.all()

@@ -54,8 +54,9 @@ def test_cost_matrix_matches_pairwise_oracle(n, m, dim, cap, lam, coincident, da
     rows = rng.permutation(n + 2)[:n]
     gallery = np.full((n + 2, cap, dim), np.nan)
     gallery[rows] = np.where(np.arange(cap)[:, None] < fill[:, None, None], members, np.nan)
-    cm = build_cost_matrix(y, s, ok, z, gallery, rows, fill, descs, has_desc,
-                           lam=lam, t1=t1, t2=t2)
+    # the engine takes tracks and detections as columns, (4, n) and (4, m)
+    cm = build_cost_matrix(y.T.copy(), s.T.copy(), ok, z.T.copy(), gallery, rows, fill, descs,
+                           has_desc, lam=lam, t1=t1, t2=t2)
 
     want = np.zeros((n, m), bool)
     value = np.full((n, m), np.inf)
@@ -72,7 +73,7 @@ def test_cost_matrix_matches_pairwise_oracle(n, m, dim, cap, lam, coincident, da
                 want[i, j] = True
                 value[i, j] = lam * d1 + (1.0 - lam) * d2 if defined else d1
     if coincident:
-        assert (motion_distances(y, s, ok, z)[ok] == 0.0).all()
+        assert (motion_distances(y.T.copy(), s.T.copy(), ok, z.T.copy())[ok] == 0.0).all()
     assert np.array_equal(cm.admissible[~near], want[~near])
     both = cm.admissible & want
     np.testing.assert_allclose(cm.values[both], value[both], rtol=1e-9, atol=1e-12)

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import io
 import os
@@ -171,6 +172,8 @@ BAD_FILES = [pytest.param("track", edited(SPARSE_LONG_RUN_CONFIG, key, value), n
     ("interval_s", "inf", "[measure] interval_s"),
     ("interval_s", "nan", "[measure] interval_s"),
     ("fps", "inf", "[measure] fps"),
+    # 1 / fps overflows: every point's time would be inf
+    ("fps", "1e-320", "[measure] fps must be large enough"),
     ("duration_s", "inf", "[measure] duration_s"),
     ("duration_s", "1e9", "[measure] interval_s = 5.0 over"),
 ]] + [
@@ -178,6 +181,10 @@ BAD_FILES = [pytest.param("track", edited(SPARSE_LONG_RUN_CONFIG, key, value), n
                  + "0" * 40 + "\n", "[tracking] gallery_capacity", id="track gallery 1e40"),
     pytest.param("track", SPARSE_LONG_RUN_CONFIG.replace("phi = 10.0\n", "phi = 10.0\nphi = 9\n"),
                  "[line 3]: option 'phi'", id="track duplicate key"),
+    # with duration_s derived from the last frame, too: rejected before any
+    # detection is read, not after the stream is tracked
+    pytest.param("track", edited(edited(SPARSE_LONG_RUN_CONFIG, "fps", "1e-320"), "duration_s", ""),
+                 "[measure] fps must be large enough", id="track fps = 1e-320 no duration"),
 ] + [pytest.param("synth", text, named, id=f"synth {name}") for name, text, named in [
     ("direction = up", edited(SCENARIO, "by_px", "400\ndirection = up"), "[loi] direction"),
     ("no ax_px", edited(SCENARIO, "ax_px", None), "[loi] ax_px"),
@@ -777,9 +784,11 @@ tmp = Path(sys.argv[1])
 pred, gt = tmp / "pred.txt", tmp / "gt.txt"
 pred.write_text("1,2,3,5,10,0.9,0\\n1,40,3,5,10,0.8,1\\n")
 gt.write_text("1,2,3,5,10,0\\n1,41,3,5,10,1\\n")
-assert cli.main(["print-config"]) == 0
 assert cli.main(["eval", "--pred", str(pred), "--gt", str(gt),
                  "--out-dir", str(tmp / "eval")]) == 0
+print(sorted(m for m in sys.modules if m.startswith("trafficstate.")))
+print(scipy_loaded())
+assert cli.main(["print-config"]) == 0
 print(scipy_loaded())
 dets = tmp / "dets.txt"
 # 1 px a frame keeps consecutive boxes at IoU 2/3, so both tracks confirm
@@ -803,8 +812,15 @@ def run_guard(script, tmp_path):
 def test_print_config_and_eval_leave_scipy_unloaded_until_track(tmp_path):
     # scipy loads on first use only: print-config and eval load none of it,
     # and neither does a track run in which no two pairs compete for a detection
-    after_eval, after_track, confirmed = run_guard(IMPORT_GUARD, tmp_path)[-3:]
+    lines = run_guard(IMPORT_GUARD, tmp_path)
+    (eval_modules, after_eval), (after_print_config, after_track, confirmed) = lines[:2], lines[-3:]
+    # eval loads only its own layers, after `import trafficstate` and the CLI
+    eval_modules = set(ast.literal_eval(eval_modules))
+    assert "trafficstate.metrics" in eval_modules
+    assert eval_modules.isdisjoint({f"trafficstate.{m}" for m in
+                                    ("tracker", "motion", "traffic", "calib", "config")})
     assert after_eval == "[]"
+    assert after_print_config == "[]"
     assert after_track == "[]"
     # tracks 1 and 2 confirm on frame 3 and write a row on every frame after it
     assert confirmed == str([(str(f), str(i)) for f in (3, 4, 5) for i in (1, 2)])

@@ -19,6 +19,9 @@ EXACT_KF = dict(pos_weight=1e-6)
 # the identity covariance as (3, 4) blocks: unit variances, no cross terms
 EYE = np.array([[1.0] * 4, [0.0] * 4, [1.0] * 4])
 
+# The kernels hold n tracks component-major, the track index last: means
+# (8, n), covariance blocks (3, 4, n), projections and measurements (4, n).
+
 
 def random_state(rng):
     mean = np.empty(8)
@@ -34,14 +37,14 @@ def random_state(rng):
 
 
 def random_states(rng, n):
-    """n random states stacked as (n, 8) means and (n, 3, 4) covariance blocks."""
+    """n random states stacked as (8, n) means and (3, 4, n) covariance blocks."""
     states = [random_state(rng) for _ in range(n)]
-    return np.stack([m for m, _ in states]), np.stack([c for _, c in states])
+    return np.stack([m for m, _ in states], axis=-1), np.stack([c for _, c in states], axis=-1)
 
 
 def one(mean, cov):
     """One track's state as a batch of one."""
-    return np.asarray(mean, float)[None], np.asarray(cov, float)[None]
+    return np.asarray(mean, float)[:, None], np.asarray(cov, float)[..., None]
 
 
 def update(kf, means, covs, measurements):
@@ -50,8 +53,8 @@ def update(kf, means, covs, measurements):
 
 
 def measurement(bbox):
-    """The (4,) measurement row of one (x, y, w, h) box, as the tracker computes it."""
-    return measurements_of(np.array([bbox], dtype=float))[0]
+    """The (4,) measurement of one (x, y, w, h) box, as the tracker computes it."""
+    return measurements_of(np.array([bbox], dtype=float))[:, 0]
 
 
 def test_initiate_center_aspect():
@@ -75,23 +78,25 @@ def test_initiate_covariance_psd_diagonal():
 def test_predict_moves_position_by_velocity():
     kf = KalmanFilter()
     means, _ = kf.predict_many(*one([10.0, 10, 1, 100, 2, 3, 0, 0], EYE))
-    assert np.allclose(means[0, :4], [12, 13, 1, 100])
-    assert np.allclose(means[0, 4:], [2, 3, 0, 0])
+    assert means.shape == (8, 1)
+    assert np.allclose(means[:4, 0], [12, 13, 1, 100])
+    assert np.allclose(means[4:, 0], [2, 3, 0, 0])
 
 
 def test_predict_zero_velocity_fixed_point():
     kf = KalmanFilter()
     mean = np.array([10.0, 20, 0.5, 40, 0, 0, 0, 0])
     means, _ = kf.predict_many(*one(mean, EYE))
-    assert np.allclose(means[0, :4], mean[:4])
+    assert np.allclose(means[:4, 0], mean[:4])
 
 
 def test_predict_increases_covariance_trace():
     kf = KalmanFilter()
     rng = np.random.default_rng(3)
     means, covs = random_states(rng, 20)
-    means[:, 4:] = 0  # keep F neutral on positions, isolate additive Q
+    means[4:] = 0  # keep F neutral on positions, isolate additive Q
     _, out = kf.predict_many(means, covs)
+    assert out.shape == (3, 4, 20)
     assert np.all(np.trace(dense_covariance(out), axis1=1, axis2=2)
                   > np.trace(dense_covariance(covs), axis1=1, axis2=2))
 
@@ -100,15 +105,17 @@ def test_project_selects_position_block():
     kf = KalmanFilter()
     mean = np.array([1.0, 2, 0.5, 50, 9, 9, 9, 9])
     y, _, _ = kf.project_many(*one(mean, EYE))
-    assert np.array_equal(y[0], mean[:4])
+    assert y.shape == (4, 1)
+    assert np.array_equal(y[:, 0], mean[:4])
 
 
 def test_project_adds_measurement_noise_to_identity_cov():
     kf = KalmanFilter()
     _, s, ok = kf.project_many(*one([0.0, 0, 1, 40, 0, 0, 0, 0], EYE))
     std = np.array([40 / 20, 40 / 20, 1e-1, 40 / 20])
-    assert ok[0]
-    assert np.allclose(s[0], 1.0 + std * std)
+    assert ok.shape == (1,) and ok[0]
+    assert s.shape == (4, 1)
+    assert np.allclose(s[:, 0], 1.0 + std * std)
 
 
 def test_project_s_minus_r_psd():
@@ -116,7 +123,7 @@ def test_project_s_minus_r_psd():
     rng = np.random.default_rng(4)
     means, covs = random_states(rng, 50)
     _, s, _ = kf.project_many(means, covs)
-    for h, s_i in zip(means[:, 3], s):
+    for h, s_i in zip(means[3], s.T):
         std = np.array([h / 20, h / 20, 1e-1, h / 20])
         diff = s_i - std * std
         assert np.min(diff) >= -1e-9
@@ -130,7 +137,7 @@ def test_project_rejects_ill_conditioned():
     y, s, ok = kf.project_many(means, covs)
     assert not ok[0]
     with pytest.raises(NumericalError):
-        kf.update_many(means, covs, np.zeros((1, 4)), y, s, ok)
+        kf.update_many(means, covs, np.zeros((4, 1)), y, s, ok)
 
 
 def test_update_zero_innovation_keeps_positional_mean():
@@ -139,15 +146,15 @@ def test_update_zero_innovation_keeps_positional_mean():
     means, covs = kf.predict_many(*random_states(rng, 1000))
     y, s, ok = kf.project_many(means, covs)
     out, _ = kf.update_many(means, covs, y, y, s, ok)
-    assert np.allclose(out[:, :4], means[:, :4], atol=1e-9)
+    assert np.allclose(out[:4], means[:4], atol=1e-9)
 
 
 def test_update_r_to_zero_limit_matches_measurement():
     kf = KalmanFilter(pos_weight=1e-12, aspect_meas_std=1e-12)
     start = KalmanFilter().initiate((0, 0, 50, 100))
     z = np.array([30.0, 55.0, 0.6, 110.0])
-    out, _ = update(kf, *one(*start), z[None])
-    assert np.allclose(out[0, :4], z, atol=1e-6)
+    out, _ = update(kf, *one(*start), z[:, None])
+    assert np.allclose(out[:4, 0], z, atol=1e-6)
 
 
 def test_update_convergence_noiseless_constant_velocity():
@@ -161,8 +168,8 @@ def test_update_convergence_noiseless_constant_velocity():
 def test_update_clamps_aspect_and_height():
     kf = KalmanFilter(pos_weight=1e-12)
     start = KalmanFilter().initiate((0, 0, 50, 100))
-    out, _ = update(kf, *one(*start), np.array([[0.0, 0.0, -5.0, -5.0]]))
-    assert out[0, 2] >= 1e-6 and out[0, 3] >= 1e-6
+    out, _ = update(kf, *one(*start), np.array([[0.0], [0.0], [-5.0], [-5.0]]))
+    assert out[2, 0] >= 1e-6 and out[3, 0] >= 1e-6
 
 
 def test_predict_update_preserve_symmetry_and_psd():
@@ -170,7 +177,7 @@ def test_predict_update_preserve_symmetry_and_psd():
     rng = np.random.default_rng(6)
     means, covs = random_states(rng, 200)
     means, covs = kf.predict_many(means, covs)
-    zs = means[:, :4] + rng.normal(scale=5.0, size=(200, 4))
+    zs = means[:4] + rng.normal(scale=5.0, size=(200, 4)).T
     _, upd = update(kf, means, covs, zs)
     for cov in map(dense_covariance, (covs, upd)):
         assert np.allclose(cov, np.transpose(cov, (0, 2, 1)), atol=1e-9)
@@ -193,10 +200,10 @@ def test_posterior_mean_between_prior_and_measurement():
     kf = KalmanFilter()
     mean = np.array([0.0, 0, 1, 40, 0, 0, 0, 0])
     z = np.array([10.0, -10.0, 1.0, 40.0])
-    out, _ = update(kf, *one(mean, [[4.0] * 4, [0.0] * 4, [1.0] * 4]), z[None])
+    out, _ = update(kf, *one(mean, [[4.0] * 4, [0.0] * 4, [1.0] * 4]), z[:, None])
     for i in (0, 1):
         lo, hi = sorted((mean[i], z[i]))
-        assert lo <= out[0, i] <= hi
+        assert lo <= out[i, 0] <= hi
 
 
 def test_batched_ops_match_single():
@@ -205,32 +212,35 @@ def test_batched_ops_match_single():
     means, covs = random_states(rng, 7)
     pm, pc = kf.predict_many(means.copy(), covs.copy())
     for i in range(7):
-        mean, cov = kalman_predict(kf, means[i], dense_covariance(covs)[i])
-        assert np.allclose(mean, pm[i], atol=1e-12)
+        mean, cov = kalman_predict(kf, means[:, i], dense_covariance(covs)[i])
+        assert np.allclose(mean, pm[:, i], atol=1e-12)
         assert np.allclose(cov, dense_covariance(pc)[i], atol=1e-12)
     ys, ss, ok = kf.project_many(pm, pc)
     assert ok.all()
     for i in range(7):
-        y, s = kalman_project(kf, pm[i], dense_covariance(pc)[i])
-        assert np.array_equal(y, ys[i])
-        assert np.allclose(s, np.diag(ss[i]), atol=1e-12)
-    zs = ys + rng.normal(scale=2.0, size=ys.shape)
+        y, s = kalman_project(kf, pm[:, i], dense_covariance(pc)[i])
+        assert np.array_equal(y, ys[:, i])
+        assert np.allclose(s, np.diag(ss[:, i]), atol=1e-12)
+    zs = ys + rng.normal(scale=2.0, size=ys.shape[::-1]).T
     um, uc = kf.update_many(pm.copy(), pc.copy(), zs, ys, ss, ok)
     for i in range(7):
-        mean, cov = kalman_update(kf, pm[i], dense_covariance(pc)[i], zs[i])
-        assert np.allclose(mean, um[i], atol=1e-9)
+        mean, cov = kalman_update(kf, pm[:, i], dense_covariance(pc)[i], zs[:, i])
+        assert np.allclose(mean, um[:, i], atol=1e-9)
         assert np.allclose(cov, dense_covariance(uc)[i], atol=1e-9)
-    # rows project and update independently: a subset with its rows of the
-    # whole batch's projection gives the same bits
-    rows = np.array([5, 0, 3])
-    for whole, part in zip((ys, ss, ok), kf.project_many(pm[rows], pc[rows])):
-        assert np.array_equal(whole[rows], part)
-    sub = kf.update_many(pm[rows], pc[rows], zs[rows], ys[rows], ss[rows], ok[rows])
-    assert np.array_equal(sub[0], um[rows]) and np.array_equal(sub[1], uc[rows])
+    # tracks project and update independently: a subset with its columns of
+    # the whole batch's projection gives the same bits
+    cols = np.array([5, 0, 3])
+    for whole, part in zip((ys, ss, ok), kf.project_many(pm[:, cols], pc[..., cols])):
+        assert np.array_equal(whole[..., cols], part)
+    sub = kf.update_many(pm[:, cols], pc[..., cols], zs[:, cols], ys[:, cols], ss[:, cols],
+                         ok[cols])
+    assert np.array_equal(sub[0], um[:, cols]) and np.array_equal(sub[1], uc[..., cols])
 
 
 def test_measurement_bbox_helpers_invert():
     z = measurement((10, 20, 30, 40))
     assert np.allclose(z, [25, 40, 0.75, 40])
     mean = np.array([25.0, 40, 0.75, 40, 0, 0, 0, 0])
-    assert np.allclose(bbox_from_state(mean), [10, 20, 30, 40])
+    boxes = bbox_from_state(mean[:, None])
+    assert boxes.shape == (1, 4)
+    assert np.allclose(boxes, [[10, 20, 30, 40]])

@@ -1,5 +1,8 @@
 """The filter's (3, 4) block kernels against the dense 8 x 8 oracle, bit for bit.
 
+The kernels hold n tracks as (8, n) means and (3, 4, n) blocks; the oracle
+holds them as (n, 8) means and (n, 8, 8) covariances.
+
 Needs hypothesis (the `test` extra in pyproject.toml); skipped without it.
 """
 import numpy as np
@@ -74,41 +77,53 @@ def same_bits(x, y):
 
 
 @settings(derandomize=True, max_examples=400, deadline=None)
-@given(rows=st.lists(st.one_of(state(), threshold_state()), min_size=1, max_size=6),
+@given(rows=st.lists(st.one_of(state(), threshold_state()), min_size=0, max_size=6),
        kf=st.sampled_from([KalmanFilter(), KalmanFilter(pos_weight=1e-12)]),
        m=st.integers(0, 5), data=st.data())
 def test_block_kernels_equal_dense_oracle(rows, kf, m, data):
-    means = np.array([r[0] for r in rows])
-    covs = np.array([r[1] for r in rows])
-    z = np.array([r[2] for r in rows])
+    # the oracle's form: a row per track; the engine's: a column per track,
+    # in C-ordered arrays (8, n), (3, 4, n) and (4, n), as the tracker holds them
+    mean_rows = np.array([r[0] for r in rows]).reshape(-1, 8)
+    z_rows = np.array([r[2] for r in rows]).reshape(-1, 4)
+    means, z = mean_rows.T.copy(), z_rows.T.copy()
+    covs = np.array([r[1] for r in rows]).reshape(-1, 3, 4).transpose(1, 2, 0).copy()
     dense = dense_covariance(covs)
 
     pm, pc = kf.predict_many(means, covs)
-    dm, dc = dense_predict_many(kf, means, dense)
-    same_bits(pm, dm)
+    dm, dc = dense_predict_many(kf, mean_rows, dense)
+    same_bits(pm.T, dm)
     same_bits(dense_covariance(pc), dc)
 
     y, s, ok = kf.project_many(means, covs)
-    dy, ds, dok = dense_project_many(kf, means, dense)
-    same_bits(y, dy)
-    same_bits(s[:, :, None] * np.eye(4), ds)
+    dy, ds, dok = dense_project_many(kf, mean_rows, dense)
+    same_bits(y.T, dy)
+    same_bits(s.T[:, :, None] * np.eye(4), ds)
     same_bits(ok, dok)
     for row, (*_, want) in zip(ok, rows):
         assert want is None or row == want
 
-    um, uc = kf.update_many(means[ok], covs[ok], z[ok], y[ok], s[ok], ok[ok])
-    vm, vc = dense_update_many(means[ok], dense[ok], z[ok], dy[ok], ds[ok], dok[ok])
-    same_bits(um, vm)
+    # the tracker updates the columns it matched, gathered with take in the
+    # order of its matches, which need not ascend
+    cols = np.array(data.draw(st.permutations(np.flatnonzero(ok).tolist())), dtype=np.int64)
+    um, uc = kf.update_many(means.take(cols, 1), covs.take(cols, 2), z.take(cols, 1),
+                            y.take(cols, 1), s.take(cols, 1), ok.take(cols))
+    vm, vc = dense_update_many(mean_rows[cols], dense[cols], z_rows[cols], dy[cols], ds[cols],
+                               dok[cols])
+    same_bits(um.T, vm)
     same_bits(dense_covariance(uc), vc)
     if not ok.all():
         with pytest.raises(NumericalError):
             kf.update_many(means, covs, z, y, s, ok)
 
     # measurements near the tracks, so that some distances are small
-    near = np.array(data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=m, max_size=m)),
-                    dtype=np.int64)
-    measurements = z[near] + np.array(
+    if len(rows):
+        near = np.array(data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=m,
+                                           max_size=m)), dtype=np.int64)
+        base = z_rows[near]
+    else:
+        base = np.zeros((m, 4))
+    measurements = base + np.array(
         data.draw(st.lists(st.floats(-3, 3), min_size=4 * m, max_size=4 * m))).reshape(m, 4)
-    got = motion_distances(y, s, ok, measurements)
+    got = motion_distances(y, s, ok, measurements.T.copy())
     same_bits(got, cholesky_motion_distances(dy, ds, dok, measurements))
     assert (got[~ok] == np.inf).all()

@@ -335,3 +335,39 @@ def test_live_tracks_are_in_id_order_and_own_their_arrays():
     # a later step leaves an earlier record as it was
     assert first.confirmed.tolist() == [False, False]
     assert first.boxes.tolist() == [[290.0, 30.0, 20.0, 40.0], [40.0, 30.0, 20.0, 40.0]]
+
+
+def test_births_and_deaths_leave_a_far_track_bit_for_bit_unchanged():
+    # four tracks far apart, so none can take another's detection. A runs
+    # throughout and coasts through two missed frames late on, and so does D.
+    # B, confirmed, is last seen on frame 6 and dies on frame 10, past
+    # max_age, on the frame C is born with a class no track had. A's columns
+    # of the state go through that frame's compaction and append; its
+    # records must be those of a run with A alone
+    def a_at(frame):
+        return det(frame, 100.0 + 3.0 * frame + 0.7 * np.sin(frame), 80.0 + 0.5 * frame,
+                   class_id=1)
+
+    missed = (12, 13)
+
+    def run(others):
+        tr = Tracker()
+        out = []
+        for frame in range(1, 21):
+            dets = [] if frame in missed else [a_at(frame)]
+            if others and frame <= 6:
+                dets.append(det(frame, 600.0 - 2.0 * frame, 300.0, class_id=2))
+            if others and frame not in missed:
+                dets.append(det(frame, 900.0, 100.0 + 4.0 * frame, w=30.0, class_id=3))
+            if others and frame >= 10:
+                dets.append(det(frame, 1200.0 + 1.5 * frame, 500.0, class_id=4))
+            out.append(tr.step(frame, stack(frame, dets)))
+        return out
+
+    alone, crowded = run(False), run(True)
+    assert [live.ids.tolist() for live in crowded[8:11]] == [[1, 2, 3], [1, 3, 4], [1, 3, 4]]
+    for a, b in zip(alone, crowded, strict=True):
+        assert a.ids.tolist() == [1] and b.ids[0] == 1
+        for name in ("ids", "confirmed", "class_ids", "boxes"):
+            want = getattr(a, name)
+            assert getattr(b, name)[:1].tobytes() == want.tobytes(), (a.frame, name)
