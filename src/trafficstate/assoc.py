@@ -4,8 +4,10 @@ Every kernel takes all tracks and detections at once, as the arrays the
 tracker holds. Motion distance is the squared Mahalanobis distance between
 a detection and a track's projected measurement distribution; appearance
 distance is the smallest cosine distance against the track's descriptor
-gallery, a ring buffer in the tracker's shared gallery store. Both are
-thresholded into a joint admissibility gate, motion first: appearance
+gallery, a ring buffer in the tracker's shared gallery store. A frame's
+detections carry descriptors (m, D) all together or not at all, with
+D = 0, in which case no appearance distance is computed. Both distances
+are thresholded into a joint admissibility gate, motion first: appearance
 distances are computed only for the pairs inside the motion gate, since no
 other pair can be admissible. The gated distances are combined into one
 cost matrix and solved as a linear assignment problem, whose matches and
@@ -169,7 +171,6 @@ def build_cost_matrix(
     rows: np.ndarray,
     fill: np.ndarray,
     descriptors: np.ndarray,
-    has_desc: np.ndarray,
     lam: float,
     t1: float = CHI2_95_4DOF,
     t2: float = DEFAULT_APPEARANCE_GATE,
@@ -177,14 +178,14 @@ def build_cost_matrix(
     """Weighted sum of motion and appearance distances, gated.
 
     Tracks come as in `motion_distances` and `appearance_distances`, and
-    detections as their (4, m) measurement vectors plus descriptors (m, D)
-    and the mask has_desc (m,) of those present. The motion gate goes
-    first: only a pair inside it can be admissible, so only such a pair
-    gets an appearance distance. cost = lam * d_motion + (1 - lam) *
-    d_appearance on admissible pairs; everything else holds +inf. Pairs
-    for which no appearance distance exists (no gallery member or no
-    descriptor) fall back to motion-only cost and a motion-only gate; when
-    no pair has both, `appearance_distances` is not called at all. Both
+    detections as their (4, m) measurement vectors plus descriptors (m, D),
+    with D = 0 when the detections carry none. The motion gate goes first:
+    only a pair inside it can be admissible, so only such a pair gets an
+    appearance distance. cost = lam * d_motion + (1 - lam) * d_appearance
+    on admissible pairs; everything else holds +inf. Pairs for which no
+    appearance distance exists (no gallery member or no descriptor) fall
+    back to motion-only cost and a motion-only gate; when no pair has both,
+    `appearance_distances` is not called at all. Both
     gates must be positive and the motion gate t1 finite: the tracks that
     are not ok get a motion distance of +inf, which a finite gate keeps out.
     """
@@ -201,10 +202,10 @@ def build_cost_matrix(
     # the rows that are not ok hold +inf, outside the finite gate
     admissible = d1 <= t1
     values = np.where(admissible, d1, np.inf)
-    if not (np.count_nonzero(fill) and np.count_nonzero(has_desc)):
+    if not (descriptors.shape[1] and np.count_nonzero(fill)):
         return CostMatrix(values=values, admissible=admissible)
     # the pairs inside the motion gate that have an appearance distance
-    defined = admissible & (fill > 0)[:, None] & has_desc
+    defined = admissible & (fill > 0)[:, None]
     d2 = appearance_distances(gallery, rows, fill, descriptors, defined)
     admissible &= ~defined | (d2 <= t2)
     values[~admissible] = np.inf

@@ -128,8 +128,8 @@ def cmd_track(detections_path: str, config_path: str | None, out_dir: str) -> in
 
 
 def _load_catalog(classes_path: str | None) -> ClassCatalog:
-    """One class name per line; blank lines and lines starting with # after
-    leading spaces are skipped."""
+    """One class name per line, with no tab; blank lines and lines starting
+    with # after leading spaces are skipped."""
     if classes_path is None:
         return ClassCatalog()
     first_line: dict[str, int] = {}
@@ -137,6 +137,8 @@ def _load_catalog(classes_path: str | None) -> ClassCatalog:
         name = line.strip()
         if not name or name.startswith("#"):
             continue
+        if "\t" in name:
+            raise ParseError(f"class name {name!r} contains a tab", line_no, classes_path)
         if name in first_line:
             raise ParseError(f"duplicate class name {name!r} (first on line {first_line[name]})",
                              line_no, classes_path)
@@ -152,9 +154,9 @@ def cmd_eval(pred_path: str, gt_path: str, iou_threshold: float,
 
     catalog = _load_catalog(classes_path)
     preds = metrics.load_boxes(io.StringIO(_read_text(pred_path)), require_confidence=True,
-                               path=pred_path)
+                               path=pred_path, n_classes=catalog.count)
     gts = metrics.load_boxes(io.StringIO(_read_text(gt_path)), require_confidence=False,
-                             path=gt_path)
+                             path=gt_path, n_classes=catalog.count)
     report = metrics.evaluate_detections(preds, gts, catalog.count, iou_threshold)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Optional, Sequence
 
 import numpy as np
 
 from .assoc import iou_pairs
 from .detstream import DetectionBatch, read_rows
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ParseError, ValidationError
 
 DEFAULT_IOU_THRESHOLD = 0.5
 
@@ -287,16 +287,24 @@ def load_boxes(
     source: IO[str] | Iterable[str],
     require_confidence: bool = False,
     path=None,
+    n_classes: Optional[int] = None,
 ) -> dict[int, DetectionBatch]:
     """Frame-indexed boxes from an evaluation file, order-insensitive.
 
     Frames come in the order of their first row, each frame's rows in file
     order. Ground truths (require_confidence False) all get confidence 1.0.
     The rows are read by detstream.read_rows, as one array when it can vouch
-    for them; a bad file raises the ParseError of its first bad row.
+    for them; a bad file raises the ParseError of its first bad row. With
+    n_classes given, so does a file with a class id of n_classes or more.
     """
-    frames, boxes, conf, class_ids, _ = read_rows(list(source), 1, path,
+    lines = list(source)
+    frames, boxes, conf, class_ids, _ = read_rows(lines, 1, path,
                                                   require_confidence=require_confidence)
+    bad = np.flatnonzero(class_ids >= n_classes) if n_classes is not None else []
+    if len(bad):   # the line of the first: read_rows skips blank and comment lines
+        line_no = [i for i, s in enumerate(lines, 1) if s.strip()[:1] not in ("", "#")][bad[0]]
+        raise ParseError(f"class id {class_ids[bad[0]]} outside the {n_classes}-class catalog",
+                         line_no, path)
     n = len(frames)
     if not n:
         return {}

@@ -3,8 +3,8 @@
 The 8-dimensional state is (u, v, g, h, du, dv, dg, dh): box center in
 pixels, aspect ratio, box height, and their per-frame velocities. Noise
 scales with box height, so near and far objects get comparable relative
-uncertainty. Every operation but `initiate` is batched over all live
-tracks, because the tracker keeps its live tracks in arrays.
+uncertainty. Every operation is batched, `initiate` over a frame's
+births and the rest over all live tracks, which the tracker keeps in arrays.
 
 Three properties of the model keep the 8 x 8 covariance P sparse: the
 transition adds to each position its own velocity only, all three noises
@@ -15,8 +15,8 @@ b = P[i, i + 4] and c = P[i + 4, i + 4] for i over (u, v, g, h), and S as
 its (4,) diagonal. Every step is elementwise, in the rounding order of the
 dense matrix algebra, so both forms give the same bits.
 
-The batched steps hold n tracks component-major, with the track index
-last: means (8, n), covariance blocks (3, 4, n), and projections and
+The steps hold n tracks component-major, with the track index last:
+means (8, n), covariance blocks (3, 4, n), and projections and
 measurements (4, n). Each state component of all tracks is then one
 contiguous row, so every NumPy call of a step runs over contiguous
 memory, a handful of calls each whatever the number of tracks.
@@ -97,15 +97,15 @@ class KalmanFilter:
         var[..., 2, :] = std[..., 2, :]
         return np.square(var, out=var)
 
-    def initiate(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(mean (8,), covariance blocks (3, 4)) of one track started from a
-        measurement z (4,): center x, center y, aspect, height, with height > 0.
-        The covariance is diagonal: its cross terms are 0."""
-        mean = np.zeros(8)
-        mean[:4] = z
-        cov = np.zeros((3, 4))
-        cov[::2] = self._variances(mean[3:4], self._initial_std)[..., 0]
-        return mean, cov
+    def initiate(self, measurements: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(means (8, k), covariance blocks (3, 4, k)) of k tracks started
+        from measurements (4, k): center x, center y, aspect, height, with
+        height > 0, a column per track. The covariances are diagonal: their
+        cross terms are 0."""
+        means = np.concatenate([measurements, np.zeros(measurements.shape)])
+        covs = np.zeros((3,) + measurements.shape)
+        covs[::2] = self._variances(means[3], self._initial_std)
+        return means, covs
 
     def predict_many(self, means: np.ndarray, covs: np.ndarray):
         """One constant-velocity step of n tracks, means (8, n) and

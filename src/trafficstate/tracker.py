@@ -3,17 +3,21 @@
 The tracker keeps every live track in arrays whose last axis runs over
 the tracks, in birth order, which is also id order: Kalman means (8, n)
 and covariance blocks (3, 4, n), held component-major so that each state
-component of all tracks is one contiguous row (see `motion`), confirmed
-flags, hit and miss counters, class-vote counts (classes, n), and the
-fill count and next slot of a ring-buffer gallery (capacity, D) of
-appearance descriptors. The batched kernels of `motion` and `assoc` read
-these arrays directly. Each frame appends its births to every array once,
-by concatenation along the last axis, and drops its deleted tracks with
-one `take` along it. The galleries themselves sit in one shared store
-whose rows are reused after their tracks end. A frame's detections enter
-`step` as arrays too, one `detstream.DetectionBatch` whose boxes, class
-ids and descriptors are read as they are, and the live tracks leave it
-the same way, as one `LiveTracks` record of arrays per frame.
+component of all tracks is one contiguous row (see `motion`), hit and
+miss counters, class-vote counts (classes, n), and the number of
+appearance descriptors pushed into each track's ring-buffer gallery
+(capacity, D). Nothing that these imply is stored: hits never decrease,
+so a track is confirmed once its hits reach n_init, and a gallery's fill
+and next slot follow from its push count. The batched kernels of
+`motion` and `assoc` read these arrays directly. Each frame starts its
+births with one `KalmanFilter.initiate` call, appends them to every
+array once, by concatenation along the last axis, and drops its deleted
+tracks with one `take` along it. The galleries themselves sit in one
+shared store whose rows are reused after their tracks end. A frame's
+detections enter `step` as arrays too, one `detstream.DetectionBatch`
+whose boxes, class ids and descriptors are read as they are, and the
+live tracks leave it the same way, as one `LiveTracks` record of arrays
+per frame.
 
 Every live track is projected into measurement space, and its predicted
 box computed, once per frame; the projection serves both matching stages
@@ -37,8 +41,8 @@ With tens of live tracks, a step's time goes to the fixed cost of its
 NumPy calls rather than to their arithmetic. So tracks are gathered with
 `take`, several times cheaper than fancy indexing on arrays this small,
 boolean masks are tested with `np.count_nonzero`, cheaper than `any` or
-`all`, and the ids and confirmed flags are replaced rather than written in
-place, so that a `LiveTracks` record can hold them without a copy.
+`all`, and the ids are replaced rather than written in place, so that a
+`LiveTracks` record can hold them without a copy.
 """
 
 from __future__ import annotations
@@ -65,8 +69,7 @@ _BOX_LOW = np.array([-MAX_BOX_PX, -MAX_BOX_PX] + 2 * [np.nextafter(0.0, 1.0)])
 
 # Per-track arrays, all indexed by their last axis; births append to them
 # and deletions drop their tracks, together.
-_TRACK_ARRAYS = ("_ids", "_mean", "_cov", "_confirmed", "_hits", "_misses",
-                 "_votes", "_store", "_fill", "_slot")
+_TRACK_ARRAYS = ("_ids", "_mean", "_cov", "_hits", "_misses", "_votes", "_store", "_pushed")
 
 
 @dataclass(frozen=True, slots=True)
@@ -114,23 +117,22 @@ class Tracker:
         self._ids = np.empty(0, dtype=np.int64)
         self._mean = np.empty((8, 0))
         self._cov = np.empty((3, 4, 0))
-        self._confirmed = np.empty(0, dtype=bool)
         self._hits = np.empty(0, dtype=np.int64)
         self._misses = np.empty(0, dtype=np.int64)  # frames since the last update
         # votes[k] counts detections of class classes[k]; classes stays sorted,
         # so argmax breaks ties toward the lower class id
         self._classes = np.empty(0, dtype=np.int64)
         self._votes = np.empty((0, 0), dtype=np.int64)
-        # ring buffer per track in gallery[store]: fill members live in slots
-        # [0, fill), slot is the next write; D stays 0 until the first
-        # descriptor arrives. Buffers outlive their tracks and are reused from
-        # the free list: reallocating the large gallery array on every birth or
+        # ring buffer per track in gallery[store]: after `pushed` writes its
+        # members fill slots [0, min(pushed, capacity)), and the next write
+        # goes to slot pushed % capacity; D stays 0 until the first descriptor
+        # arrives. Buffers outlive their tracks and are reused from the free
+        # list: reallocating the large gallery array on every birth or
         # deletion raised peak RSS through memory the allocator kept.
         self._gallery = np.empty((0, self.config.gallery_capacity, 0))
         self._store = np.empty(0, dtype=np.int64)
         self._free: list[int] = []
-        self._fill = np.empty(0, dtype=np.int64)
-        self._slot = np.empty(0, dtype=np.int64)
+        self._pushed = np.empty(0, dtype=np.int64)
         self._next_id = 1
         self._last_frame = 0
 
@@ -144,9 +146,7 @@ class Tracker:
     def step(self, frame: int, batch: DetectionBatch) -> LiveTracks:
         """Advance one frame with its detections and return the tracks alive after it."""
         if frame <= self._last_frame:
-            raise ContractError(
-                f"frame {frame} not after previous frame {self._last_frame}"
-            )
+            raise ContractError(f"frame {frame} not after previous frame {self._last_frame}")
         if batch.frame != frame:
             raise ContractError(f"batch for frame {batch.frame} stepped as frame {frame}")
         boxes = batch.boxes
@@ -154,7 +154,7 @@ class Tracker:
         if np.count_nonzero((boxes >= _BOX_LOW) & (boxes <= MAX_BOX_PX)) < boxes.size:
             raise ValidationError(f"detection boxes must lie within ±{MAX_BOX_PX:g} px, "
                                   "with positive width and height")
-        descriptors, has_desc = self._descriptors(batch.appearance)
+        descriptors = self._descriptors(batch.appearance)
         self._last_frame = frame
 
         class_cols = self._class_columns(batch.class_ids)
@@ -164,8 +164,7 @@ class Tracker:
         y, s, ok = self.kf.project_many(self._mean, self._cov)
         out_boxes = motion.bbox_from_state(self._mean)
         measurements = assoc.measurements_of(boxes)
-        rows, cols, births = self._match(boxes, measurements, descriptors, has_desc,
-                                         y, s, ok, out_boxes)
+        rows, cols, births = self._match(boxes, measurements, descriptors, y, s, ok, out_boxes)
 
         if len(rows):
             self._mean[:, rows], self._cov[..., rows] = self.kf.update_many(
@@ -180,19 +179,22 @@ class Tracker:
             rows = np.concatenate([rows, np.arange(n, n + len(births))])
             cols = np.concatenate([cols, births])
             out_boxes = np.concatenate([out_boxes, boxes.take(births, 0)])
-        if np.count_nonzero(has_desc):   # all of the frame's detections have descriptors, or none
-            self._push(rows, descriptors.take(cols, 0))
+        cfg = self.config
+        if descriptors.shape[1]:   # each matched track's ring buffer takes its descriptor
+            pushed = self._pushed.take(rows)
+            self._gallery[self._store.take(rows), pushed % cfg.gallery_capacity] = \
+                descriptors.take(cols, 0)
+            self._pushed[rows] = pushed + 1
         self._votes[class_cols[cols], rows] += 1
         self._hits[rows] += 1
         self._misses[rows] = 0
-        self._confirmed = self._confirmed | (self._hits >= self.config.n_init)
         out_boxes[rows] = boxes.take(cols, 0)
 
         # an unmatched track dies if it is tentative or past max_age; a track
-        # gets confirmed only on a frame it is matched, so the flags above are
-        # the ones it missed this frame with
+        # gets a hit only on a frame it is matched, so an unmatched one is as
+        # tentative as it was before this frame
         misses = self._misses
-        dead = (misses > 0) & ~self._confirmed | (misses > self.config.max_age)
+        dead = (misses > 0) & (self._hits < cfg.n_init) | (misses > cfg.max_age)
         if np.count_nonzero(dead):
             self._free += self._store[dead].tolist()
             alive = (~dead).nonzero()[0]
@@ -201,14 +203,14 @@ class Tracker:
             out_boxes = out_boxes.take(alive, 0)
         # with no live track there may be no class column to take an argmax over
         top = self._votes.argmax(axis=0) if len(self._ids) else np.empty(0, np.int64)
-        return LiveTracks(frame=frame, ids=self._ids, confirmed=self._confirmed,
+        return LiveTracks(frame=frame, ids=self._ids, confirmed=self._hits >= cfg.n_init,
                           class_ids=self._classes[top], boxes=out_boxes)
 
     # -- internals -------------------------------------------------------------
 
-    def _descriptors(self, appearance: np.ndarray):
-        """(m, D) descriptors and the (m,) mask of those present, which is
-        all of them, or none when the batch carries no descriptors.
+    def _descriptors(self, appearance: np.ndarray) -> np.ndarray:
+        """The batch's (m, D) descriptors, with D = 0 when it carries none: a
+        batch's detections all have descriptors, or none of them has.
 
         Every descriptor ends up in a gallery, so each must be unit-norm, of
         the dimension fixed by the first descriptors the tracker sees.
@@ -216,7 +218,7 @@ class Tracker:
         m, dim = appearance.shape
         known = self._gallery.shape[2]
         if m == 0 or dim == 0:
-            return np.zeros((m, known)), np.zeros(m, dtype=bool)
+            return appearance[:, :0]
         if known and dim != known:
             raise ValidationError(
                 f"descriptor dimension {dim} does not match gallery dimension {known}")
@@ -225,7 +227,7 @@ class Tracker:
             raise ValidationError("gallery descriptors must be unit-norm")
         if not known:
             self._gallery = np.zeros((len(self._gallery), self.config.gallery_capacity, dim))
-        return appearance, np.ones(m, dtype=bool)
+        return appearance
 
     def _class_columns(self, class_ids: np.ndarray) -> np.ndarray:
         """Vote columns of the given class ids, adding columns for new classes."""
@@ -237,8 +239,7 @@ class Tracker:
             self._classes, self._votes = classes, votes
         return self._classes.searchsorted(class_ids)
 
-    def _match(self, boxes: np.ndarray, measurements: np.ndarray,
-               descriptors: np.ndarray, has_desc: np.ndarray,
+    def _match(self, boxes: np.ndarray, measurements: np.ndarray, descriptors: np.ndarray,
                y: np.ndarray, s: np.ndarray, ok: np.ndarray, predicted: np.ndarray):
         """Two-stage matching of the live tracks, projected as (y, s, ok),
         with predicted boxes (n, 4).
@@ -256,9 +257,9 @@ class Tracker:
         """
         cfg = self.config
         cost = assoc.build_cost_matrix(
-            y, s, ok & self._confirmed, measurements,
-            self._gallery, self._store, self._fill, descriptors, has_desc,
-            lam=cfg.cost_lambda, t1=cfg.motion_gate, t2=cfg.appearance_gate,
+            y, s, ok & (self._hits >= cfg.n_init), measurements,
+            self._gallery, self._store, np.minimum(self._pushed, cfg.gallery_capacity),
+            descriptors, lam=cfg.cost_lambda, t1=cfg.motion_gate, t2=cfg.appearance_gate,
         )
         result = assoc.solve_assignment(cost, self._misses)
         rows, cols = result.matches[:, 0], result.matches[:, 1]
@@ -282,21 +283,11 @@ class Tracker:
             remaining = remaining[result.unmatched_detections]
         return rows, cols, remaining
 
-    def _push(self, rows: np.ndarray, descriptors: np.ndarray) -> None:
-        """Write one descriptor into each given track's ring buffer, evicting the oldest."""
-        cap = self.config.gallery_capacity
-        self._gallery[self._store[rows], self._slot[rows]] = descriptors
-        self._slot[rows] = (self._slot[rows] + 1) % cap
-        self._fill[rows] = np.minimum(self._fill[rows] + 1, cap)
-
     def _start_tracks(self, measurements: np.ndarray) -> None:
         """Append one tentative track per given measurement column (4, k), ids
         in column order, with empty counters and gallery."""
         k = measurements.shape[1]
-        mean = np.empty((8, k))
-        cov = np.empty((3, 4, k))
-        for i, z in enumerate(measurements.T):
-            mean[:, i], cov[..., i] = self.kf.initiate(z)
+        mean, cov = self.kf.initiate(measurements)
         grow = k - len(self._free)
         if grow > 0:
             grow = max(grow, len(self._gallery))  # double, so growth stays rare
@@ -306,12 +297,9 @@ class Tracker:
             self._gallery = gallery
         store, self._free = self._free[:k], self._free[k:]
         zeros = np.zeros(k, dtype=np.int64)
-        new = dict(
-            _ids=np.arange(self._next_id, self._next_id + k), _mean=mean, _cov=cov,
-            _confirmed=np.zeros(k, dtype=bool), _hits=zeros, _misses=zeros,
-            _votes=np.zeros((len(self._classes), k), dtype=np.int64),
-            _store=np.array(store, dtype=np.int64), _fill=zeros, _slot=zeros,
-        )
+        new = dict(_ids=np.arange(self._next_id, self._next_id + k), _mean=mean, _cov=cov,
+                   _hits=zeros, _misses=zeros, _votes=np.zeros((len(self._classes), k), np.int64),
+                   _store=np.array(store, dtype=np.int64), _pushed=zeros)
         self._next_id += k
         for name in _TRACK_ARRAYS:
             setattr(self, name, np.concatenate([getattr(self, name), new[name]], axis=-1))

@@ -111,8 +111,8 @@ def simulate_constant_velocity(kf, h, pos0, vel, steps):
     each predict/update cycle of the noiseless constant-velocity sequence,
     run through the filter's batched operations with one track.
     """
-    mean, cov = kf.initiate(np.array([pos0[0], pos0[1], 0.5, h]))
-    means, covs = mean[:, None], cov[..., None]   # the batched kernels' (8, 1), (3, 4, 1)
+    # one track: a measurement column (4, 1), so means (8, 1) and covs (3, 4, 1)
+    means, covs = kf.initiate(np.array([[pos0[0]], [pos0[1]], [0.5], [h]]))
     history = []
     for k in range(1, steps + 1):
         true_pos = pos0 + vel * k
@@ -133,6 +133,17 @@ def _transition():
     f = np.eye(8)
     f[:4, 4:] = np.eye(4)
     return f
+
+
+def kalman_initiate(kf, z):
+    """(mean (8,), cov (8, 8)) of one track started from measurement z (4,):
+    the mean is z with zero velocities, the covariance diagonal."""
+    h, wp, wv = z[3], kf.pos_weight, kf.vel_weight
+    std = np.array([2 * wp * h, 2 * wp * h, kf.aspect_proc_std, 2 * wp * h,
+                    10 * wv * h, 10 * wv * h, kf.aspect_vel_std, 10 * wv * h])
+    mean = np.zeros(8)
+    mean[:4] = z
+    return mean, np.diag(std * std)
 
 
 def kalman_predict(kf, mean, cov):

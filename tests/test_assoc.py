@@ -59,8 +59,10 @@ def store(galleries, dim):
 
 
 def members_of(tracker, row):
-    """The gallery members a tracker holds for the track in the given row."""
-    return tracker._gallery[tracker._store[row], :tracker._fill[row]]
+    """The gallery members a tracker holds for the track in the given row:
+    the first min(pushed, capacity) slots of its buffer."""
+    gallery = tracker._gallery
+    return gallery[tracker._store[row], :min(tracker._pushed[row], gallery.shape[1])]
 
 
 def cosine(members, r):
@@ -77,13 +79,14 @@ def cost_matrix(projections, galleries, dets, lam, **gates):
     ok = np.array([p is not None for p in projections])
     y = np.array([p[0] if p is not None else np.zeros(4) for p in projections], float).T
     s = np.array([p[1] if p is not None else np.ones(4) for p in projections], float).T
-    dim = max([len(d.appearance) for d in dets if d.appearance is not None], default=0)
-    has_desc = np.array([d.appearance is not None for d in dets])
-    descs = np.array([d.appearance if d.appearance is not None else np.zeros(dim)
-                      for d in dets], float).reshape(len(dets), dim)
+    # as in a DetectionBatch, every detection carries a descriptor or none does
+    present = [d.appearance for d in dets if d.appearance is not None]
+    assert len(present) in (0, len(dets))
+    descs = np.array(present, float).reshape(len(dets), -1) if present \
+        else np.empty((len(dets), 0))
     boxes = np.array([d.bbox for d in dets], float).reshape(-1, 4)
-    return build_cost_matrix(y, s, ok, measurements_of(boxes), *store(galleries, dim),
-                             descs, has_desc, lam=lam, **gates)
+    return build_cost_matrix(y, s, ok, measurements_of(boxes),
+                             *store(galleries, descs.shape[1]), descs, lam=lam, **gates)
 
 
 def galleries(descriptors, capacity=100):
@@ -193,6 +196,38 @@ def test_gallery_capacity_and_fifo_eviction():
         assert any(np.allclose(kept, row) for row in members)
     for evicted in vecs[:2]:
         assert not any(np.allclose(evicted, row) for row in members)
+
+
+def test_gallery_ring_buffer_counts_pushes_not_hits(monkeypatch):
+    # one stationary track at capacity 3, matched on every frame, but given
+    # a descriptor only on some: push k must land in slot k % 3, the buffer
+    # must hold exactly the last three pushes, through two wraps, and stage
+    # 1 must read as many members as were pushed, up to 3, not as many hits
+    with_desc = [False, False, True, False, True, True, False, True, True, False, True,
+                 True, True, False]
+    fills = []
+    build = assoc.build_cost_matrix
+
+    def spy(*args, **kwargs):
+        fills.append(args[6].copy())
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(assoc, "build_cost_matrix", spy)
+    tr = Tracker(TrackerConfig(gallery_capacity=3))
+    pushed = []
+    for frame, carries in enumerate(with_desc, start=1):
+        d = unit([np.cos(0.05 * len(pushed)), np.sin(0.05 * len(pushed))]) if carries else None
+        batch = stack(frame, [det((0, 0, 10, 20), appearance=d, frame=frame)])
+        assert batch.appearance.shape == (1, 2 if carries else 0)
+        assert tr.step(frame, batch).ids.tolist() == [1]
+        assert fills[-1].tolist() == ([min(len(pushed), 3)] if frame > 1 else [])
+        if carries:
+            pushed.append(d)
+        assert len(members_of(tr, 0)) == min(len(pushed), 3)
+        buffer = tr._gallery[tr._store[0]]
+        for k in range(max(0, len(pushed) - 3), len(pushed)):
+            assert np.array_equal(buffer[k % 3], pushed[k])
+    assert len(pushed) == 8 and tr._hits[0] == len(with_desc)
 
 
 def test_gallery_min_distance_monotone_under_insertion():
@@ -407,12 +442,12 @@ def test_cost_matrix_asks_appearance_only_inside_the_motion_gate(monkeypatch):
     assert np.array_equal(cm.admissible, inside)
 
 
-def cost_by_appearance_path(y, s, ok, z, gallery, rows, fill, descs, has_desc, lam, t1, t2):
+def cost_by_appearance_path(y, s, ok, z, gallery, rows, fill, descs, lam, t1, t2):
     """build_cost_matrix's result with appearance_distances always asked,
     even when no pair can have an appearance distance."""
     d1 = motion_distances(y, s, ok, z)
     motion_ok = ok[:, None] & (d1 <= t1)
-    defined = (fill > 0)[:, None] & has_desc[None, :]
+    defined = (fill > 0)[:, None] & (descs.shape[1] > 0)
     d2 = appearance_distances(gallery, rows, fill, descs, motion_ok & defined)
     admissible = motion_ok & np.where(defined, d2 <= t2, True)
     values = np.full(d1.shape, np.inf)
@@ -430,9 +465,8 @@ def test_cost_matrix_skips_appearance_when_no_pair_has_one(monkeypatch, case):
     gallery = np.tile(np.array([1.0, 0.0]), (4, 5, 1))
     rows = np.array([3, 0, 2])
     fill = np.array([2, 5, 1]) if case == "no descriptors" else np.zeros(3, np.int64)
-    has_desc = np.zeros(3, bool) if case == "no descriptors" else np.ones(3, bool)
-    descs = np.where(has_desc[:, None], [[0.6, 0.8]], 0.0)
-    args = (y, s, ok, z, gallery, rows, fill, descs, has_desc)
+    descs = np.empty((3, 0)) if case == "no descriptors" else np.tile([0.6, 0.8], (3, 1))
+    args = (y, s, ok, z, gallery, rows, fill, descs)
     want_values, want_admissible = cost_by_appearance_path(*args, lam=0.3, t1=9.0, t2=0.2)
     asked = []
     monkeypatch.setattr(assoc, "appearance_distances", lambda *a: asked.append(a))
@@ -491,9 +525,8 @@ def test_all_pairs_in_gate_stays_within_the_stacked_footprint(fills):
     y = np.tile([[5.0], [5.0], [1.0], [10.0]], (1, n))
     s = np.ones((4, n))
     ok = np.ones(n, bool)
-    has_desc = np.ones(m, bool)
     args = (y, s, ok, np.tile(y[:, :1], (1, m)), gallery, rows, fill, unit_rows(rng, (m, dim)))
-    cm, peak = traced_peak(lambda: build_cost_matrix(*args, has_desc, lam=0.0, t2=2.0))
+    cm, peak = traced_peak(lambda: build_cost_matrix(*args, lam=0.0, t2=2.0))
     want, stacked_peak = traced_peak(lambda: stacked_stage1(*args, CHI2_95_4DOF, 2.0))
     assert cm.admissible.all()
     np.testing.assert_allclose(cm.values, want, rtol=0, atol=1e-12)

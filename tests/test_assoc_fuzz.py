@@ -37,7 +37,8 @@ def unit_rows(rng, shape):
 def test_cost_matrix_matches_pairwise_oracle(n, m, dim, cap, lam, coincident, data):
     fill = np.array(data.draw(st.lists(st.integers(0, cap), min_size=n, max_size=n)))
     ok = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-    has_desc = np.array(data.draw(st.lists(st.booleans(), min_size=m, max_size=m)))
+    # a batch's detections all carry descriptors, or none of them does
+    carries_desc = data.draw(st.booleans())
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     y = np.column_stack([rng.uniform(0, 8, (n, 2)), np.ones(n), np.full(n, 10.0)])
     s = rng.uniform(0.1, 10.0, size=(n, 4))   # covariance diagonals, as projected
@@ -47,7 +48,7 @@ def test_cost_matrix_matches_pairwise_oracle(n, m, dim, cap, lam, coincident, da
         y[:] = y[0]
         z[:] = y[0]
     members = unit_rows(rng, (n, cap, dim))
-    descs = np.where(has_desc[:, None], unit_rows(rng, (m, dim)), 0.0)
+    descs = unit_rows(rng, (m, dim))[:, :dim if carries_desc else 0]   # (m, 0) when none
     t1, t2 = rng.uniform(1.0, 20.0), rng.uniform(0.05, 1.5)
     # the tracker's layout: buffers in a shared store, in no particular row
     # order, NaN past each fill so that any slot read past it would show
@@ -56,7 +57,7 @@ def test_cost_matrix_matches_pairwise_oracle(n, m, dim, cap, lam, coincident, da
     gallery[rows] = np.where(np.arange(cap)[:, None] < fill[:, None, None], members, np.nan)
     # the engine takes tracks and detections as columns, (4, n) and (4, m)
     cm = build_cost_matrix(y.T.copy(), s.T.copy(), ok, z.T.copy(), gallery, rows, fill, descs,
-                           has_desc, lam=lam, t1=t1, t2=t2)
+                           lam=lam, t1=t1, t2=t2)
 
     want = np.zeros((n, m), bool)
     value = np.full((n, m), np.inf)
@@ -66,7 +67,7 @@ def test_cost_matrix_matches_pairwise_oracle(n, m, dim, cap, lam, coincident, da
             if not ok[i]:
                 continue
             d1 = mahalanobis_sq(y[i], np.diag(s[i]), z[j])
-            defined = fill[i] > 0 and has_desc[j]
+            defined = fill[i] > 0 and carries_desc
             d2 = cosine_gallery_distance(members[i, :fill[i]], descs[j]) if defined else 0.0
             near[i, j] = abs(d1 - t1) <= 1e-9 * t1 or (defined and abs(d2 - t2) <= 1e-9)
             if gate(d1, d2, t1, t2):

@@ -549,6 +549,7 @@ def test_eval_classes_file_skips_indented_comments(tmp_path):
 
 @pytest.mark.parametrize("text,error", [
     ("car\nbus\n\n car\n", "{}:4: duplicate class name 'car' (first on line 1)"),
+    ("car\n# red cars\nCar\tRed\n", "{}:3: class name 'Car\\tRed' contains a tab"),
     ("# no names\n\n", "{}: class catalog must not be empty"),
     ("", "{}: class catalog must not be empty"),
 ])
@@ -559,6 +560,23 @@ def test_eval_classes_file_errors_name_the_file(tmp_path, capsys, text, error):
     assert main(["eval", "--pred", pred, "--gt", gt, "--classes", classes,
                  "--out-dir", str(tmp_path / "e")]) == 1
     assert capsys.readouterr().err == f"error: {error.format(classes)}\n"
+    assert not (tmp_path / "e").exists()
+
+
+@pytest.mark.parametrize("pred_rows,gt_rows,bad_file,line", [
+    # both files hold an id outside the catalog: the prediction file is read first
+    (["1,0,0,10,10,1.0,0", "", "# far", "2,0,0,10,10,0.5,1"], ["1,0,0,10,10,1"], "pred", 4),
+    (["1,0,0,10,10,1.0,0"], ["# truth", "1,0,0,10,10,0", "1,50,0,10,10,1"], "gt", 3),
+])
+def test_eval_class_id_outside_the_catalog_names_file_and_line(tmp_path, capsys, pred_rows,
+                                                               gt_rows, bad_file, line):
+    classes = write(tmp_path / "classes.txt", "car\n")
+    paths = {"pred": write(tmp_path / "pred.txt", "\n".join(pred_rows) + "\n"),
+             "gt": write(tmp_path / "gt.txt", "\n".join(gt_rows) + "\n")}
+    assert main(["eval", "--pred", paths["pred"], "--gt", paths["gt"], "--classes", classes,
+                 "--out-dir", str(tmp_path / "e")]) == 1
+    assert capsys.readouterr().err == \
+        f"error: {paths[bad_file]}:{line}: class id 1 outside the 1-class catalog\n"
     assert not (tmp_path / "e").exists()
 
 

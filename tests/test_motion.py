@@ -7,6 +7,7 @@ from trafficstate.motion import KalmanFilter, bbox_from_state
 
 from oracles import (
     dense_covariance,
+    kalman_initiate,
     kalman_predict,
     kalman_project,
     kalman_update,
@@ -57,22 +58,43 @@ def measurement(bbox):
     return measurements_of(np.array([bbox], dtype=float))[:, 0]
 
 
+def started(z):
+    """initiate of one track, from its measurement z (4,) as a column (4, 1)."""
+    return KalmanFilter().initiate(np.asarray(z, float)[:, None])
+
+
 def test_initiate_center_aspect():
-    kf = KalmanFilter()
-    mean, _ = kf.initiate(measurement((0, 0, 50, 100)))
-    assert np.allclose(mean, [25, 50, 0.5, 100, 0, 0, 0, 0])
+    means, _ = started(measurement((0, 0, 50, 100)))
+    assert means.shape == (8, 1)
+    assert np.allclose(means[:, 0], [25, 50, 0.5, 100, 0, 0, 0, 0])
 
 
 def test_initiate_square_box():
-    mean, _ = KalmanFilter().initiate(measurement((10, 10, 100, 100)))
-    assert mean[2] == 1.0
+    means, _ = started(measurement((10, 10, 100, 100)))
+    assert means[2, 0] == 1.0
 
 
 def test_initiate_covariance_psd_diagonal():
-    _, cov = KalmanFilter().initiate(measurement((5, -3, 17, 23)))
-    assert cov.shape == (3, 4)
-    assert np.all(cov[1] == 0)
-    assert np.all(cov[0] > 0) and np.all(cov[2] > 0)
+    _, covs = started(measurement((5, -3, 17, 23)))
+    assert covs.shape == (3, 4, 1)
+    assert np.all(covs[1] == 0)
+    assert np.all(covs[0] > 0) and np.all(covs[2] > 0)
+
+
+@pytest.mark.parametrize("kf", [KalmanFilter(), KalmanFilter(0.3, 0.07, 0.2, 0.03, 1e-3)],
+                         ids=["default", "custom"])
+@pytest.mark.parametrize("k", [0, 1, 9])
+def test_initiate_columns_equal_scalar_oracle_bit_for_bit(kf, k):
+    rng = np.random.default_rng(k)
+    z = np.stack([rng.normal(scale=300.0, size=k), rng.normal(scale=300.0, size=k),
+                  rng.uniform(0.2, 3.0, size=k), 10.0 ** rng.uniform(-3.0, 5.0, size=k)])
+    z[3, :2] = [1e-3, 1e5][:k]                      # the extreme heights
+    means, covs = kf.initiate(z)
+    assert means.shape == (8, k) and covs.shape == (3, 4, k)
+    want = [kalman_initiate(kf, z[:, i]) for i in range(k)]
+    assert means.T.tobytes() == np.array([m for m, _ in want]).reshape(k, 8).tobytes()
+    assert dense_covariance(covs).tobytes() \
+        == np.array([c for _, c in want]).reshape(k, 8, 8).tobytes()
 
 
 def test_predict_moves_position_by_velocity():
@@ -151,9 +173,9 @@ def test_update_zero_innovation_keeps_positional_mean():
 
 def test_update_r_to_zero_limit_matches_measurement():
     kf = KalmanFilter(pos_weight=1e-12, aspect_meas_std=1e-12)
-    start = KalmanFilter().initiate((0, 0, 50, 100))
+    start = started((0, 0, 50, 100))
     z = np.array([30.0, 55.0, 0.6, 110.0])
-    out, _ = update(kf, *one(*start), z[:, None])
+    out, _ = update(kf, *start, z[:, None])
     assert np.allclose(out[:4, 0], z, atol=1e-6)
 
 
@@ -167,8 +189,8 @@ def test_update_convergence_noiseless_constant_velocity():
 
 def test_update_clamps_aspect_and_height():
     kf = KalmanFilter(pos_weight=1e-12)
-    start = KalmanFilter().initiate((0, 0, 50, 100))
-    out, _ = update(kf, *one(*start), np.array([[0.0], [0.0], [-5.0], [-5.0]]))
+    start = started((0, 0, 50, 100))
+    out, _ = update(kf, *start, np.array([[0.0], [0.0], [-5.0], [-5.0]]))
     assert out[2, 0] >= 1e-6 and out[3, 0] >= 1e-6
 
 
