@@ -11,11 +11,11 @@ order so the stream can be consumed online.
 
 `read_rows` is the one reader of this row format, for detection streams
 and evaluation files alike. It reads a block of lines with one
-`np.loadtxt` call (an evaluation file whose rows mix widths, one call per
-width) and checks every row at once with `_valid_rows`; a block that read
-cannot vouch for goes through `_parse_rows`, one row at a time, so values
-and error messages are exactly those of a row-at-a-time parse.
-`metrics.load_boxes` feeds it a whole evaluation file.
+`np.loadtxt` call and checks every row at once with `_valid_rows`; a
+block that read cannot vouch for goes through `_parse_rows`, one row at a
+time, so values and error messages are exactly those of a row-at-a-time
+parse. `metrics.load_boxes` feeds it a whole evaluation file, with each
+6-column ground-truth row already given its confidence column.
 
 `parse_detections` runs in two stages. The chunk stage (`_chunks`) feeds
 `read_rows` CHUNK_ROWS lines at a time and carries the stream's width and
@@ -233,63 +233,33 @@ def _parse_embedding(fields: Sequence[str], line_no: int, path) -> np.ndarray:
         raise ParseError(str(exc), line_no, path) from None
 
 
-def read_rows(lines: Sequence[str], line_no: int, path, stream: Optional[tuple] = None,
-              require_confidence: bool = True) -> tuple[np.ndarray, ...]:
+def read_rows(lines: Sequence[str], line_no: int, path,
+              stream: Optional[tuple] = None) -> tuple[np.ndarray, ...]:
     """(frames, boxes, confidence, class_ids, descriptors) of the rows among
     lines, the first of which is line line_no of path; blank and '#' lines
-    are skipped.
+    are skipped. Every row must carry at least 7 columns.
 
-    stream is None for the rows of an evaluation file: a 6-column row is a
-    ground truth of confidence 1.0 unless require_confidence, widths may
-    mix, and descriptors are checked, then dropped. Otherwise the rows go
-    on from a detection stream's, and stream is (embedding width, last
-    frame) of those rows, each None before the first: every row must carry
-    that many embedding columns and keep frame order, and descriptors come
-    at unit norm. The rows are read as one array when _read_block can vouch
-    for them; an evaluation file's rows whose widths mix, as one array per
-    width (_read_widths); else by _parse_rows, which raises the first bad
-    row's error.
+    stream is None for the rows of an evaluation file: descriptor widths
+    may differ from row to row, and descriptors are checked, then dropped.
+    Otherwise the rows go on from a detection stream's, and stream is
+    (embedding width, last frame) of those rows, each None before the
+    first: every row must carry that many embedding columns and keep frame
+    order, and descriptors come at unit norm. The rows are read as one
+    array when _read_block can vouch for them, else by _parse_rows, which
+    raises the first bad row's error.
     """
     # loadtxt skips empty lines itself; comment lines are dropped here, only
     # when there is a '#' at all, since stripping every line adds a tenth
     rows = lines
     if "#" in "".join(lines):
         rows = [s for s in map(str.strip, lines) if s and not s.startswith("#")]
-    columns = _read_block(rows, stream, require_confidence)
-    if columns is None and stream is None:
-        columns = _read_widths(rows, require_confidence)
+    columns = _read_block(rows, stream)
     if columns is None:
-        columns = _parse_rows(lines, line_no, path, stream, require_confidence)
+        columns = _parse_rows(lines, line_no, path, stream)
     return columns
 
 
-def _read_widths(rows: Sequence[str],
-                 require_confidence: bool) -> Optional[tuple[np.ndarray, ...]]:
-    """read_rows' columns of an evaluation file's rows, read by _read_block
-    once per column count and merged back in file order, or None when a
-    read cannot vouch for its rows. Lines without a comma must be blank."""
-    widths = np.array([s.count(",") for s in rows])
-    parts, places = [], []
-    for width in np.unique(widths).tolist():
-        at = np.flatnonzero(widths == width)
-        group = [rows[i] for i in at.tolist()]
-        if width == 0:
-            if any(s.strip() for s in group):
-                return None
-            continue
-        columns = _read_block(group, None, require_confidence)
-        if columns is None:
-            return None
-        parts.append(columns)
-        places.append(at)
-    if not parts:
-        return None
-    order = np.argsort(np.concatenate(places))
-    return tuple(np.concatenate(column)[order] for column in zip(*parts))
-
-
-def _read_block(rows: Sequence[str], stream: Optional[tuple],
-                require_confidence: bool) -> Optional[tuple[np.ndarray, ...]]:
+def _read_block(rows: Sequence[str], stream: Optional[tuple]) -> Optional[tuple[np.ndarray, ...]]:
     """read_rows' columns from one np.loadtxt call, or None when that read
     cannot vouch for every row.
 
@@ -305,12 +275,9 @@ def _read_block(rows: Sequence[str], stream: Optional[tuple],
     """
     width, last = stream or (None, None)
     n_cols = next((s for s in rows if s.strip()), "").count(",") + 1
-    if n_cols < 6 or (n_cols == 6 and (stream is not None or require_confidence)) \
-            or (width is not None and n_cols != 7 + width):
+    if n_cols < 7 or (width is not None and n_cols != 7 + width):
         return None
-    fields = [("frame", "i8"), ("box", "f8", (4,))]
-    fields += [("conf", "f8")] if n_cols > 6 else []
-    fields += [("class", "i8")]
+    fields = [("frame", "i8"), ("box", "f8", (4,)), ("conf", "f8"), ("class", "i8")]
     fields += [("descriptor", "f8", (n_cols - 7,))] if n_cols > 7 else []
     try:
         with warnings.catch_warnings():
@@ -321,9 +288,8 @@ def _read_block(rows: Sequence[str], stream: Optional[tuple],
         return None
     n = len(block)
     frames = block["frame"]
-    conf = block["conf"] if n_cols > 6 else np.ones(n)
     descriptors = block["descriptor"] if n_cols > 7 else np.empty((n, 0))
-    if not _valid_rows(frames, block["box"], conf, block["class"], descriptors).all():
+    if not _valid_rows(frames, block["box"], block["conf"], block["class"], descriptors).all():
         return None
     if stream is None:
         descriptors = np.empty((n, 0))
@@ -334,11 +300,12 @@ def _read_block(rows: Sequence[str], stream: Optional[tuple],
             norms = np.linalg.norm(descriptors, axis=1)
         for i in np.flatnonzero(np.abs(norms - 1.0) > UNIT_NORM_TOL / 2):
             descriptors[i] = normalize_appearance(descriptors[i])
-    return tuple(c.copy() for c in (frames, block["box"], conf, block["class"], descriptors))
+    return tuple(c.copy() for c in (frames, block["box"], block["conf"], block["class"],
+                                    descriptors))
 
 
-def _parse_rows(lines: Sequence[str], line_no: int, path, stream: Optional[tuple],
-                require_confidence: bool) -> tuple[np.ndarray, ...]:
+def _parse_rows(lines: Sequence[str], line_no: int, path,
+                stream: Optional[tuple]) -> tuple[np.ndarray, ...]:
     """read_rows' columns one row at a time: a row's columns, head and
     descriptor, then a stream row's width and frame order, are checked
     before the next row is read."""
@@ -350,10 +317,8 @@ def _parse_rows(lines: Sequence[str], line_no: int, path, stream: Optional[tuple
             continue
         parts = line.split(",")
         if stream is None and len(parts) == 6:
-            if require_confidence:
-                raise ParseError("prediction rows need a confidence column", line_no, path)
-            parts = parts[:5] + ["1.0", parts[5]]
-        elif len(parts) < (6 if stream is None else 7):
+            raise ParseError("prediction rows need a confidence column", line_no, path)
+        if len(parts) < 7:
             raise ParseError(f"expected at least {6 if stream is None else 7} "
                              f"comma-separated columns, got {len(parts)}", line_no, path)
         head = _parse_head(parts, line_no, path)

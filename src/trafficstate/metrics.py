@@ -228,16 +228,31 @@ def _as_series(a, b):
         raise ValidationError(f"series must be 1-d and equal length, got {a.shape} vs {b.shape}")
     if a.size < 2:
         raise ValidationError("series must hold at least 2 values")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValidationError("series must hold finite values")
     return a, b
+
+
+def _scale(*series: np.ndarray) -> float:
+    """1.0, or the largest |value| of the series, of length n, when it passes
+    sqrt(float max / n) / 8: below that, n squares of differences of their
+    values or of deviations from a mean sum to at most a quarter of float
+    max. Dividing by 1.0 changes no bit."""
+    largest = max(float(np.abs(s).max()) for s in series)
+    n = len(series[0])
+    return largest if largest > math.sqrt(np.finfo(np.float64).max / n) / 8 else 1.0
 
 
 def rmse(a, b) -> float:
     a, b = _as_series(a, b)
-    return float(np.sqrt(np.mean((a - b) ** 2)))
+    scale = _scale(a, b)
+    return scale * float(np.sqrt(np.mean((a / scale - b / scale) ** 2)))
 
 
 def pearson(a, b) -> float:
+    """Pearson correlation, computed on each series over its own _scale."""
     a, b = _as_series(a, b)
+    a, b = a / _scale(a), b / _scale(b)
     da = a - a.mean()
     db = b - b.mean()
     na = float(np.linalg.norm(da))
@@ -253,12 +268,14 @@ def paired_t_test(a, b) -> tuple[float, float]:
     The p-value comes from the t distribution with n-1 degrees of freedom,
     evaluated through the regularized incomplete beta function. Zero
     variance of the differences yields t=0, p=1 when the series agree and
-    an infinite t (p=0) when they differ by a constant. `betainc` is
-    imported on first use: only `stats` needs it, and `eval`, which
+    an infinite t (p=0) when they differ by a constant. t is the same for
+    the series over their common _scale, on which it is computed. `betainc`
+    is imported on first use: only `stats` needs it, and `eval`, which
     imports this module, would otherwise load `scipy.special` for nothing.
     """
     a, b = _as_series(a, b)
-    d = a - b
+    scale = _scale(a, b)
+    d = a / scale - b / scale
     n = d.size
     mean = float(d.mean())
     sd = float(d.std(ddof=1))
@@ -277,9 +294,10 @@ def paired_t_test(a, b) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # evaluation file I/O
 
-# Ground-truth rows reuse the detection format minus confidence:
+# Ground-truth rows may drop the confidence, which load_boxes puts back as
+# 1.0 before detstream.read_rows, which reads 7+ columns only, sees them:
 #   frame,x,y,w,h,class            (6 columns)
-#   frame,x,y,w,h,conf,class[,..]  (7+ columns, conf ignored)
+#   frame,x,y,w,h,conf,class[,..]  (7+ columns, a ground truth's conf ignored)
 # Descriptor columns are checked as detection rows' are, then dropped.
 
 
@@ -292,14 +310,16 @@ def load_boxes(
     """Frame-indexed boxes from an evaluation file, order-insensitive.
 
     Frames come in the order of their first row, each frame's rows in file
-    order. Ground truths (require_confidence False) all get confidence 1.0.
+    order. Ground truths (require_confidence False) all get confidence 1.0;
+    a line of theirs with exactly five commas gets it at its last comma.
     The rows are read by detstream.read_rows, as one array when it can vouch
     for them; a bad file raises the ParseError of its first bad row. With
     n_classes given, so does a file with a class id of n_classes or more.
     """
     lines = list(source)
-    frames, boxes, conf, class_ids, _ = read_rows(lines, 1, path,
-                                                  require_confidence=require_confidence)
+    if not require_confidence:
+        lines = [s if s.count(",") != 5 else ",1.0,".join(s.rsplit(",", 1)) for s in lines]
+    frames, boxes, conf, class_ids, _ = read_rows(lines, 1, path)
     bad = np.flatnonzero(class_ids >= n_classes) if n_classes is not None else []
     if len(bad):   # the line of the first: read_rows skips blank and comment lines
         line_no = [i for i, s in enumerate(lines, 1) if s.strip()[:1] not in ("", "#")][bad[0]]

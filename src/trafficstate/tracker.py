@@ -267,10 +267,11 @@ class Tracker:
 
         # stage 2: IoU matching over everything still unmatched, in id order;
         # tracks whose projection is ill-conditioned stay unmatched, as they
-        # do in stage 1, so update_many never sees one
+        # do in stage 1, so update_many never sees one, and so do tracks whose
+        # predicted box has shrunk to no width or height, which have no IoU
         if not len(remaining):
             return rows, cols, remaining
-        usable = ok.copy()
+        usable = ok & (predicted[:, 2:] > 0).all(axis=1)
         usable[rows] = False
         usable = usable.nonzero()[0]
         if len(usable):

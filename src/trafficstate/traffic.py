@@ -245,7 +245,9 @@ INTERVALS_HEADER = "interval\tt_start_s\tt_end_s\tclass\tcount\tflow_vph\tmean_s
 
 
 def write_intervals(out: IO[str], measurements: Sequence[IntervalMeasurement]) -> None:
-    """Tab-delimited interval rows, one per (interval, class) with activity."""
+    """Tab-delimited interval rows, one per (interval, class) with activity; a
+    row whose flow or mean speed is not finite, which parse_intervals would
+    refuse, raises ValidationError before it is written."""
     out.write(INTERVALS_HEADER + "\n")
     for m in measurements:
         classes = sorted(set(m.counts) | set(m.speeds))
@@ -255,11 +257,17 @@ def write_intervals(out: IO[str], measurements: Sequence[IntervalMeasurement]) -
             if count == 0 and not vals:
                 continue
             flow = m.flows.get(k, 0.0)
+            speed = (sum(vals) / len(vals)) * MPS_TO_KMH if vals else math.nan
+            if math.isinf(flow):
+                raise ValidationError(f"interval {m.index}, class {k}: flow_vph is not finite "
+                                      "(count * 3600 / [measure] interval_s)")
+            if math.isinf(speed):
+                raise ValidationError(f"interval {m.index}, class {k}: mean_speed_kmh is not "
+                                      "finite (path length through [calibration] over "
+                                      "frames / [measure] fps)")
             cols = [
                 str(m.index), f"{m.start:.6g}", f"{m.end:.6g}", str(k),
-                str(count), f"{flow:.6g}",
-                f"{(sum(vals) / len(vals)) * MPS_TO_KMH:.6g}" if vals else "nan",
-                str(len(vals)),
+                str(count), f"{flow:.6g}", f"{speed:.6g}", str(len(vals)),
             ]
             out.write("\t".join(cols) + "\n")
 

@@ -580,6 +580,88 @@ def test_eval_class_id_outside_the_catalog_names_file_and_line(tmp_path, capsys,
     assert not (tmp_path / "e").exists()
 
 
+def test_a_shrinking_track_that_coasts_does_not_abort_track(tmp_path):
+    # track 1 shrinks to a height of 2 and coasts, its predicted height
+    # falling to 0 and below, as track 2 is born: stage 2 leaves its
+    # predicted box out of the IoU matching
+    rows = [f"{k},500,500,{(13 - k) / 2},{13 - k},0.9,1" for k in range(1, 12)]
+    rows += [f"{k},100,100,20,40,0.9,2" for k in range(12, 20)]
+    dets = write(tmp_path / "dets.txt", "".join(row + "\n" for row in rows))
+    assert main(["track", "--detections", dets, "--out-dir", str(tmp_path / "out")]) == 0
+    lines = (tmp_path / "out" / "tracks.txt").read_text().splitlines()
+    assert [line.split("\t")[:3] for line in lines if line.split("\t")[1] == "2"] == \
+        [[str(k), "2", "2"] for k in range(14, 20)]
+
+
+# one degenerate track, of class 1, each far from the healthy track of class 2
+DEGENERATE_TRACKS = {
+    "height 1e-300": [f"{f},5000,5000,10,1e-300,0.9,1" for f in range(1, 12)],
+    "height shrinking to 1e-176": [f"{f},5000,5000,10,{10.0 ** (-16 * f)!r},0.9,1"
+                                   for f in range(1, 12)],
+    "aspect 1e-10": [f"{f},5000,5000,1e-9,10,0.9,1" for f in range(1, 12)],
+    "aspect 1e300": [f"{f},5000,5000,1e5,1e-295,0.9,1" for f in range(1, 12)],
+    "corner at -1e5": [f"{f},-1e5,-1e5,10,10,0.9,1" for f in range(1, 12)],
+    "corner at 1e5": [f"{f},1e5,1e5,1e5,1e5,0.9,1" for f in range(1, 12)],
+    "height growing 4x a frame": [f"{f},5000,5000,10,{1e-3 * 4.0 ** f!r},0.9,1"
+                                  for f in range(1, 12)],
+    "shrinking, then coasting": [f"{k},500,500,{(13 - k) / 2},{13 - k},0.9,1"
+                                 for k in range(1, 12)],
+}
+
+
+def healthy_rows(tmp_path, rows, name):
+    """The class-2 rows of tracks.txt from a run on rows, without the track id."""
+    rows = sorted(rows, key=lambda row: int(row.split(",")[0]))
+    dets = write(tmp_path / f"{name}.txt", "".join(row + "\n" for row in rows))
+    assert main(["track", "--detections", dets, "--out-dir", str(tmp_path / name)]) == 0
+    lines = (tmp_path / name / "tracks.txt").read_text().splitlines()[1:]
+    return [row[:1] + row[2:] for row in (line.split("\t") for line in lines) if row[2] == "2"]
+
+
+@pytest.mark.parametrize("case", sorted(DEGENERATE_TRACKS))
+@pytest.mark.parametrize("first", [1, 12], ids=["beside", "born-while-coasting"])
+def test_a_degenerate_track_never_aborts_a_stream(tmp_path, case, first):
+    # the degenerate track lives frames 1-11 and then coasts; the healthy one
+    # moves from frame `first` on, through frames where the other coasts
+    healthy = [f"{f},{100 + 3 * f},100,20,40,0.9,2" for f in range(first, first + 19)]
+    alone = healthy_rows(tmp_path, healthy, "alone")
+    assert len(alone) == 17
+    assert healthy_rows(tmp_path, DEGENERATE_TRACKS[case] + healthy, "both") == alone
+
+
+@pytest.mark.parametrize("measure,error", [
+    ("interval_s = 1\nfps = 1.7e307\nduration_s = 1",
+     "interval 0, class 1: mean_speed_kmh is not finite (path length through [calibration] "
+     "over frames / [measure] fps)"),
+    ("interval_s = 1e-306\nfps = 1e304",
+     "interval 3000, class 1: flow_vph is not finite (count * 3600 / [measure] interval_s)"),
+], ids=["speed", "flow"])
+def test_track_refuses_an_interval_row_stats_would_refuse(tmp_path, capsys, measure, error):
+    # the track crosses the line at x = 1000 px; the flow or the mean speed
+    # of its interval leaves float range, and no output file is left behind
+    dets = write(tmp_path / "dets.txt",
+                 "".join(f"{f},{900 + 3 * f},100,20,40,0.9,1\n" for f in range(1, 80)))
+    cfg = write(tmp_path / "run.ini", "[loi]\nax_px = 1000\nay_px = -400\nbx_px = 1000\n"
+                f"by_px = 400\n[measure]\n{measure}\n")
+    assert main(["track", "--detections", dets, "--config", cfg,
+                 "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_synth_refuses_a_ground_truth_row_stats_would_refuse(tmp_path, capsys):
+    # the agent starts on the line, in intervals of 1e-305 s, so its one
+    # crossing gives a flow past float max; neither file is written
+    spec = edited(edited(edited(SCENARIO, "fps", "1e300"), "duration_s", "3e-300"),
+                  "interval_s", "1e-305").replace("x0_m = 0", "x0_m = 40")
+    spec = spec[:spec.index("[agent.2]")]
+    assert main(["synth", "--spec", write(tmp_path / "s.ini", spec),
+                 "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == ("error: interval 200000, class 2: flow_vph is not "
+                                       "finite (count * 3600 / [measure] interval_s)\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_stats_identical_series(tmp_path):
     rows = ("interval\tt_start_s\tt_end_s\tclass\tcount\tflow_vph\tmean_speed_kmh\tn_speed_tracks\n"
             "0\t0\t60\t1\t3\t180\t30\t3\n"
@@ -629,6 +711,18 @@ def test_stats_hand_fixture(tmp_path):
                 if l.startswith("flow\t0")).split("\t")
     # counts scale by 60 into flows; t is scale-invariant
     assert float(line[5]) == pytest.approx(-1.7320508, abs=1e-4)
+
+
+def test_stats_of_speeds_near_float_max(tmp_path):
+    # squares and sums of these speeds leave float range; the statistics do not
+    head = "interval\tt_start_s\tt_end_s\tclass\tcount\tflow_vph\tmean_speed_kmh\tn_speed_tracks\n"
+    rows = head + "0\t0\t60\t1\t1\t60\t{}\t1\n1\t60\t120\t1\t1\t60\t{}\t1\n"
+    m = write(tmp_path / "m.txt", rows.format("1e300", "2e300"))
+    t = write(tmp_path / "t.txt", rows.format("50", "60"))
+    assert main(["stats", "--measured", m, "--truth", t, "--out-dir", str(tmp_path / "s")]) == 0
+    lines = (tmp_path / "s" / "stats.txt").read_text().splitlines()
+    assert lines[-2:] == ["speed\tall\t2\t1.58114e+300\t1\t3\t0.204833",
+                          "speed\t1\t2\t1.58114e+300\t1\t3\t0.204833"]
 
 
 def test_stats_mismatched_grids_rejected(tmp_path, capsys):
@@ -1059,7 +1153,6 @@ def test_clean_inputs_never_take_the_row_path(tmp_path, monkeypatch):
         assert hashlib.sha256(tracks).hexdigest() == PINNED_TRACKS_SHA256
     # ground truth with every row in the 6-column form, in the 7-column one,
     # and as written, in both: a file that mixes them is read as one array
-    # per column count
     pred_text, gt_text = pinned_eval_texts()
     gt_rows = [line.split(",") for line in gt_text.splitlines()]
     pred = write(tmp_path / "pred.txt", "# predictions\n" + pred_text)

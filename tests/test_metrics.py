@@ -372,6 +372,23 @@ def test_series_validation():
         rmse([1.0], [2.0])
     with pytest.raises(ValidationError):
         pearson([1.0, 2.0], [1.0, 2.0, 3.0])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValidationError, match="finite"):
+            paired_t_test([1.0, bad], [1.0, 2.0])
+
+
+@pytest.mark.parametrize("scale", [1e154, 1e300, 1e308])
+def test_statistics_of_series_near_float_max(scale):
+    # squares, sums and norms of these series leave float range; the
+    # statistics are those of the series scaled down, with no warning
+    rng = np.random.default_rng(25)
+    a, b = rng.uniform(-1, 1, 50), rng.uniform(-1, 1, 50)
+    assert rmse(a * scale, b * scale) == pytest.approx(rmse(a, b) * scale, rel=1e-12)
+    assert pearson(a * scale, b) == pytest.approx(pearson(a, b), rel=1e-12)
+    assert pearson(a * scale, b * scale) == pytest.approx(pearson(a, b), rel=1e-12)
+    t, p = paired_t_test(a * scale, b * scale)
+    assert (t, p) == pytest.approx(paired_t_test(a, b), rel=1e-12)
+    assert paired_t_test([1e300, 2e300], [50.0, 60.0]) == pytest.approx((3.0, 0.204833), rel=1e-5)
 
 
 # -- evaluation I/O ---------------------------------------------------------------------

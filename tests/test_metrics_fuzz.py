@@ -222,6 +222,20 @@ def test_load_boxes_listed_rows_equal_row_oracle(row, require_confidence):
     assert_same_load(GOOD + row + "\n", require_confidence)
 
 
+# the ground-truth short form, which load_boxes gives its confidence before
+# the reader sees it: each line ends a file of descriptor rows, or sits
+# among them; a prediction file (require_confidence) refuses a 6-column row
+@pytest.mark.parametrize("lines", [
+    "1,10,10,5,5,1", "1,10,10,5,5,1\n3,10,10,5,5,1,0,1,1", " 1,10,10,5,5, 1 ",
+    "# 1,10,10,5,5,1", "   \n1,10,10,5,5,0.5,1,1,1", "\t",
+    "1,10,10,5,5,x", "1,10,10,5,5,", "1,10,10,5,5,1\n1,10,10,5,1",
+])
+@pytest.mark.parametrize("require_confidence", [True, False])
+def test_load_boxes_short_form_lines_equal_row_oracle(lines, require_confidence):
+    assert_same_load(GOOD + lines + "\n", require_confidence)
+    assert_same_load(lines + "\n" + GOOD, require_confidence)
+
+
 @settings(derandomize=True, max_examples=500, deadline=None)
 @given(case=eval_file())
 def test_load_boxes_equals_row_oracle(case):
