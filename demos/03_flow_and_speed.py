@@ -45,20 +45,21 @@ tracker = Tracker()
 frames = [tracker.step(frame, DetectionBatch.stack(frame, dets)) for frame, dets in batches]
 
 trajectories = assemble_trajectories(frames, calib)
-measurements = measure_intervals(trajectories, loi, interval_s, spec.fps,
-                                 spec.duration_s)
+# one row per (interval, class) that saw a crossing or a speed
+measured = measure_intervals(trajectories, loi, interval_s, spec.fps, spec.duration_s)
+true = truth.to_measurements()
 
 buf = io.StringIO()
-write_intervals(buf, measurements)
+write_intervals(buf, measured)
 print("measured intervals:")
 print(buf.getvalue())
 
 buf = io.StringIO()
-write_intervals(buf, truth.to_measurements())
+write_intervals(buf, true)
 print("ground truth:")
 print(buf.getvalue())
 
-measured_total = sum(c for m in measurements for c in m.counts.values())
-true_total = sum(c for by in truth.counts.values() for c in by.values())
+measured_total = sum(row.count for row in measured)
+true_total = sum(row.count for row in true)
 print(f"total crossings: measured {measured_total}, true {true_total}")
 assert measured_total == true_total

@@ -43,7 +43,7 @@ _EXPORTS = {
     "motion": ("KalmanFilter",),
     "synth": ("AgentSpec", "GroundTruth", "ScenarioSpec", "generate"),
     "tracker": ("LiveTracks", "Tracker", "TrackerConfig"),
-    "traffic": ("IntervalMeasurement", "LineOfInterest", "Trajectory", "assemble_trajectories",
+    "traffic": ("IntervalRow", "LineOfInterest", "Trajectory", "assemble_trajectories",
                 "measure_intervals"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

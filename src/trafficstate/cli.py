@@ -110,13 +110,10 @@ def cmd_track(detections_path: str, config_path: str | None, out_dir: str) -> in
             last_frame = frames[-1].frame if frames else 0
             duration = cfg.duration_s if cfg.duration_s is not None else last_frame / cfg.fps
             trajectories = traffic.assemble_trajectories(frames, cfg.calibration)
-            measurements = traffic.measure_intervals(
+            # a refused row raises here, before the intervals file is opened
+            rows = traffic.measure_intervals(
                 trajectories, cfg.loi, cfg.interval_s, cfg.fps, duration
             )
-            # rendered before it is written, so that a row write_intervals
-            # refuses leaves no intervals file either
-            intervals = io.StringIO()
-            traffic.write_intervals(intervals, measurements)
         except BaseException:
             # a failed run leaves no partial tracks file behind
             tracks_path.unlink()
@@ -126,7 +123,8 @@ def cmd_track(detections_path: str, config_path: str | None, out_dir: str) -> in
         batches.close()
         if src is not sys.stdin:
             src.close()
-    (out / cfg.intervals_name).write_text(intervals.getvalue(), encoding="utf-8")
+    with open(out / cfg.intervals_name, "w", encoding="utf-8") as f:
+        traffic.write_intervals(f, rows)
     return 0
 
 
@@ -262,13 +260,13 @@ def cmd_synth(spec_path: str, seed: int | None, out_dir: str) -> int:
     if seed is not None:
         spec = dataclasses.replace(spec, seed=seed)
     batches, truth = synth.generate(spec, loi, interval_s)
-    intervals = io.StringIO()   # rendered first, as in track: a refused row leaves no file
-    traffic.write_intervals(intervals, truth.to_measurements())
+    rows = truth.to_measurements()   # a refused row raises here, before any file is opened
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "detections.txt", "w", encoding="utf-8") as f:
         detstream.write_detections(f, batches)
-    (out / "ground_truth.txt").write_text(intervals.getvalue(), encoding="utf-8")
+    with open(out / "ground_truth.txt", "w", encoding="utf-8") as f:
+        traffic.write_intervals(f, rows)
     return 0
 
 

@@ -34,8 +34,7 @@ from .config import (DEFAULTS, RUN_CONFIG_KEYS, ini_value, prefixed, read_calibr
                      read_loi, read_section)
 from .detstream import Detection
 from .errors import ValidationError, positive, require
-from .traffic import (SECONDS_PER_HOUR, IntervalMeasurement, LineOfInterest, interval_count,
-                      interval_grid)
+from .traffic import IntervalRow, LineOfInterest, interval_count, interval_grid, interval_rows
 from .traffic import loi_to_world  # noqa: F401  (kept importable as synth.loi_to_world)
 
 # a scene is generated in memory, frame by frame: bound its frames (11 hours
@@ -124,19 +123,12 @@ class GroundTruth:
     interval_s: float
     total_duration: float
 
-    def to_measurements(self) -> list[IntervalMeasurement]:
-        """Sidecar rows in the same shape the engine's interval output uses."""
-        grid = interval_grid(self.interval_s, self.total_duration)
-        out = []
-        for i, (start, end) in enumerate(grid):
-            m = IntervalMeasurement(index=i, start=start, end=end)
-            for k, c in sorted(self.counts.get(i, {}).items()):
-                m.counts[k] = c
-                m.flows[k] = c * SECONDS_PER_HOUR / self.interval_s
-            for k, vals in sorted(self.speeds.get(i, {}).items()):
-                m.speeds[k] = list(vals)
-            out.append(m)
-        return out
+    def to_measurements(self) -> list[IntervalRow]:
+        """The truth's interval rows, from the builder the engine's rows come from."""
+        return interval_rows(
+            interval_grid(self.interval_s, self.total_duration), self.interval_s,
+            {(i, k): c for i, by in self.counts.items() for k, c in by.items()},
+            {(i, k): v for i, by in self.speeds.items() for k, v in by.items()})
 
 
 def _world_pos(agent: AgentSpec, frame: int, fps: float) -> tuple[float, float]:
@@ -227,9 +219,8 @@ def generate(
 def _ground_truth(spec: ScenarioSpec, loi: LineOfInterest,
                   interval_s: float) -> GroundTruth:
     n_frames = spec.n_frames
-    grid = interval_grid(interval_s, spec.duration_s)
-    n_intervals = len(grid)
-    ends = [end for _, end in grid]
+    starts, ends = (bounds.tolist() for bounds in interval_grid(interval_s, spec.duration_s))
+    n_intervals = len(ends)
     dx, dy = loi.b[0] - loi.a[0], loi.b[1] - loi.a[1]
     trajectories: dict[int, list[tuple[int, float, float]]] = {}
     counts: dict[int, dict[int, int]] = {}
@@ -257,7 +248,7 @@ def _ground_truth(spec: ScenarioSpec, loi: LineOfInterest,
         for f in frames if n_intervals else ():
             t = f / spec.fps
             i = min(bisect_right(ends, t), n_intervals - 1)
-            if grid[i][0] <= t < ends[i] or (i == n_intervals - 1 and t == ends[i]):
+            if starts[i] <= t < ends[i] or (i == n_intervals - 1 and t == ends[i]):
                 held[i] += 1
         for i, n in held.items():
             if n >= 2:

@@ -6,7 +6,10 @@ calibration in one call on arrays, then a stable sort groups them by track
 into slices of one structured array. `measure_intervals` tests every
 segment between a track's consecutive points against a user-defined Line
 of Interest in one elementwise pass, for per-interval, per-class crossing
-counts and flows; per-interval speeds are path length over elapsed time.
+counts; per-interval speeds are path length over elapsed time. Both go
+to `interval_rows`, the one builder of `IntervalRow`s (`synth`'s truth
+goes there too): a row per (interval, class) with a crossing or a speed,
+which `write_intervals` formats and `parse_intervals` reads back.
 
 Time is frame / fps, on the grid of `interval_grid`. The two rules that
 place a time in an interval differ:
@@ -20,7 +23,7 @@ place a time in an interval differ:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, Iterable, Optional, Sequence
 
 import numpy as np
@@ -29,10 +32,8 @@ from .calib import CalibrationParams, to_world
 from .errors import ContractError, ParseError, ValidationError, positive
 from .tracker import LiveTracks
 
-MPS_TO_KMH = 3.6
-SECONDS_PER_HOUR = 3600.0
-# intervals on one grid: each gets a measurement before any is known to hold
-# data, so a long duration over short intervals is refused, not allocated
+# intervals on one grid: its bounds are two arrays of one float an interval
+# (16 MB at the cap), so a long duration over short intervals is refused
 MAX_INTERVALS = 10**6
 
 
@@ -75,15 +76,17 @@ def loi_to_world(loi_px, direction, calib: CalibrationParams) -> LineOfInterest:
 
 
 @dataclass
-class IntervalMeasurement:
-    """Counts, flows and speeds for one time interval."""
+class IntervalRow:
+    """Flow and speed of one class in one interval: one line of an intervals file."""
 
-    index: int
+    interval: int
     start: float
     end: float
-    counts: dict[int, int] = field(default_factory=dict)
-    flows: dict[int, float] = field(default_factory=dict)          # vehicles/hour
-    speeds: dict[int, list[float]] = field(default_factory=dict)   # m/s per track
+    class_id: int
+    count: int
+    flow_vph: float
+    mean_speed_kmh: float  # nan when absent
+    n_speed_tracks: int
 
 
 def assemble_trajectories(
@@ -93,7 +96,9 @@ def assemble_trajectories(
 
     Each track contributes its box centre on each frame, mapped through the
     calibration; a track's class is its label on its last frame.
-    Trajectories come in id order, each holding a view of one array.
+    Trajectories come in id order, each holding a view of one array. A
+    world point that is not finite raises a ValidationError naming the
+    first track and frame that has one.
     """
     if not frames:
         return []
@@ -104,8 +109,15 @@ def assemble_trajectories(
     numbers = [f.frame for f in frames]
     frame_of = np.repeat(np.array(numbers, dtype=np.int64 if max(numbers) < 2**63 else object),
                          [len(f.ids) for f in frames])
-    wx, wy = to_world(boxes[:, 0] + boxes[:, 2] / 2.0,
-                      boxes[:, 1] + boxes[:, 3] / 2.0, calib)
+    with np.errstate(over="ignore", invalid="ignore"):
+        wx, wy = to_world(boxes[:, 0] + boxes[:, 2] / 2.0,
+                          boxes[:, 1] + boxes[:, 3] / 2.0, calib)
+    bad = np.flatnonzero(~(np.isfinite(wx) & np.isfinite(wy)))
+    if len(bad):
+        j = bad[0]
+        raise ValidationError(f"track {ids[j]}, frame {frame_of[j]}: world point "
+                              f"({wx[j]:g}, {wy[j]:g}) is not finite ([calibration] maps "
+                              "the box centre out of float range)")
 
     order = np.argsort(ids, kind="stable")   # keeps each track's points in frame order
     ids = ids[order]
@@ -157,13 +169,40 @@ def interval_count(interval_s: float, total_duration: float) -> int:
     return max(0, math.ceil(n))
 
 
-def interval_grid(interval_s: float, total_duration: float) -> list[tuple[float, float]]:
-    """[start, end) boundaries; the last interval may be partial and is
-    closed at total_duration."""
-    n = interval_count(interval_s, total_duration)
-    return [
-        (i * interval_s, min((i + 1) * interval_s, total_duration)) for i in range(n)
-    ]
+def interval_grid(interval_s: float, total_duration: float) -> tuple[np.ndarray, np.ndarray]:
+    """The starts and ends of the grid's [start, end) intervals: interval i
+    spans i * interval_s to min((i + 1) * interval_s, total_duration), so the
+    last one may be partial; it is closed at total_duration."""
+    edges = np.arange(interval_count(interval_s, total_duration) + 1) * interval_s
+    return edges[:-1], np.minimum(edges[1:], total_duration)
+
+
+def interval_rows(grid: tuple[np.ndarray, np.ndarray], interval_s: float,
+                  counts: dict[tuple[int, int], int],
+                  speeds: dict[tuple[int, int], list[float]]) -> list[IntervalRow]:
+    """One row per (interval, class) key of counts (crossings) or speeds
+    (per-track m/s), in (interval, class) order, on interval_grid's grid.
+
+    The flow is count * 3600 / interval_s vehicles/hour, the mean speed the
+    km/h mean of the speeds summed in their order, nan without one. A flow or
+    mean that is not finite, which parse_intervals would refuse, raises
+    ValidationError."""
+    starts, ends = grid
+    rows = []
+    for i, k in sorted(counts.keys() | speeds.keys()):
+        count, vals = counts.get((i, k), 0), speeds.get((i, k), [])
+        flow = count * 3600.0 / interval_s
+        speed = (sum(vals) / len(vals)) * 3.6 if vals else math.nan
+        if math.isinf(flow):
+            raise ValidationError(f"interval {i}, class {k}: flow_vph is not finite "
+                                  "(count * 3600 / [measure] interval_s)")
+        if vals and not math.isfinite(speed):
+            raise ValidationError(f"interval {i}, class {k}: mean_speed_kmh is not "
+                                  "finite (path length through [calibration] over "
+                                  "frames / [measure] fps)")
+        rows.append(IntervalRow(i, float(starts[i]), float(ends[i]), k, count, flow, speed,
+                                len(vals)))
+    return rows
 
 
 def measure_intervals(
@@ -172,8 +211,9 @@ def measure_intervals(
     interval_s: float,
     fps: float,
     total_duration: float,
-) -> list[IntervalMeasurement]:
-    """Per-interval classified counts, flows (vehicles/hour) and speeds (m/s).
+) -> list[IntervalRow]:
+    """interval_rows of the classified crossings and speeds: one row per
+    (interval, class) with either, none for an interval without.
 
     Frames must strictly increase within each trajectory, as
     assemble_trajectories yields them; a ContractError names the first
@@ -188,14 +228,13 @@ def measure_intervals(
     interval also takes a point at exactly its end. Each interval holding
     two or more of a track's points gets one speed: the path length through
     those points over the seconds between the first and the last.
-    Speeds are listed in trajectory order.
+    interval_rows averages them in trajectory order.
     """
     if not positive(fps):
         raise ValidationError(f"fps must be finite and > 0, got {fps}")
     grid = interval_grid(interval_s, total_duration)
-    measurements = [IntervalMeasurement(i, s, e) for i, (s, e) in enumerate(grid)]
     if not trajectories:
-        return measurements
+        return []
     frame, x, y = (np.concatenate([t.points[name] for t in trajectories])
                    for name in ("frame", "x", "y"))
     track = np.repeat(np.arange(len(trajectories)), [len(t.points) for t in trajectories])
@@ -205,17 +244,18 @@ def measure_intervals(
         j = back[0]
         raise ContractError(f"trajectory {trajectories[track[j]].track_id}: frame {frame[j + 1]} "
                             f"after frame {frame[j]}; frames must strictly increase")
-    if not grid:
-        return measurements
-    last, bounds = len(grid) - 1, np.array(grid)
+    starts, ends = grid
+    if not len(starts):
+        return []
+    last = len(starts) - 1
     t = (frame / fps).astype(np.float64)
     # Python floats overflow to inf and nan without a word; so does this pass
     with np.errstate(over="ignore", invalid="ignore"):
         hits = np.flatnonzero(inner & _crossings(x, y, loi))
         # each point's interval, -1 off the grid; a run of segments [a, b)
         # joins a track's consecutive points a..b in one interval
-        at = np.searchsorted(bounds[:, 0], t, side="right") - 1
-        end = bounds[at, 1]
+        at = np.searchsorted(starts, t, side="right") - 1
+        end = ends[at]
         at[(at < 0) | ~((t < end) | ((at == last) & (t == end)))] = -1
         step = inner & (at[1:] == at[:-1]) & (at[1:] >= 0)
         seg = np.flatnonzero(step)
@@ -230,60 +270,27 @@ def measure_intervals(
             live = live[n[live] > k]
             path[live] += lengths[first[live] + k]
         speed = path / ((frame[b] - frame[a]) / fps).astype(np.float64)
+    counts: dict[tuple[int, int], int] = {}
+    speeds: dict[tuple[int, int], list[float]] = {}
     crossed, first_hit = np.unique(track[hits], return_index=True)
     for i, when in zip(crossed.tolist(), t[hits[first_hit] + 1].tolist()):
         if 0 <= when <= total_duration:
-            m, k = measurements[min(int(when / interval_s), last)], trajectories[i].class_id
-            m.counts[k] = m.counts.get(k, 0) + 1
-            m.flows[k] = m.counts[k] * SECONDS_PER_HOUR / interval_s
+            key = (min(int(when / interval_s), last), trajectories[i].class_id)
+            counts[key] = counts.get(key, 0) + 1
     for i, tr, v in zip(at[a].tolist(), track[a].tolist(), speed.tolist()):
-        measurements[i].speeds.setdefault(trajectories[tr].class_id, []).append(v)
-    return measurements
+        speeds.setdefault((i, trajectories[tr].class_id), []).append(v)
+    return interval_rows(grid, interval_s, counts, speeds)
 
 
 INTERVALS_HEADER = "interval\tt_start_s\tt_end_s\tclass\tcount\tflow_vph\tmean_speed_kmh\tn_speed_tracks"
 
 
-def write_intervals(out: IO[str], measurements: Sequence[IntervalMeasurement]) -> None:
-    """Tab-delimited interval rows, one per (interval, class) with activity; a
-    row whose flow or mean speed is not finite, which parse_intervals would
-    refuse, raises ValidationError before it is written."""
+def write_intervals(out: IO[str], rows: Iterable[IntervalRow]) -> None:
+    """The header, then one tab-delimited line per row."""
     out.write(INTERVALS_HEADER + "\n")
-    for m in measurements:
-        classes = sorted(set(m.counts) | set(m.speeds))
-        for k in classes:
-            count = m.counts.get(k, 0)
-            vals = m.speeds.get(k, [])
-            if count == 0 and not vals:
-                continue
-            flow = m.flows.get(k, 0.0)
-            speed = (sum(vals) / len(vals)) * MPS_TO_KMH if vals else math.nan
-            if math.isinf(flow):
-                raise ValidationError(f"interval {m.index}, class {k}: flow_vph is not finite "
-                                      "(count * 3600 / [measure] interval_s)")
-            if math.isinf(speed):
-                raise ValidationError(f"interval {m.index}, class {k}: mean_speed_kmh is not "
-                                      "finite (path length through [calibration] over "
-                                      "frames / [measure] fps)")
-            cols = [
-                str(m.index), f"{m.start:.6g}", f"{m.end:.6g}", str(k),
-                str(count), f"{flow:.6g}", f"{speed:.6g}", str(len(vals)),
-            ]
-            out.write("\t".join(cols) + "\n")
-
-
-@dataclass
-class IntervalRow:
-    """One parsed row of an intervals file."""
-
-    interval: int
-    start: float
-    end: float
-    class_id: int
-    count: int
-    flow_vph: float
-    mean_speed_kmh: float  # nan when absent
-    n_speed_tracks: int
+    for r in rows:
+        out.write(f"{r.interval}\t{r.start:.6g}\t{r.end:.6g}\t{r.class_id}\t{r.count}\t"
+                  f"{r.flow_vph:.6g}\t{r.mean_speed_kmh:.6g}\t{r.n_speed_tracks}\n")
 
 
 def parse_intervals(source: IO[str] | Iterable[str], path=None) -> list[IntervalRow]:

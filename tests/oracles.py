@@ -34,7 +34,6 @@ from trafficstate.assoc import CostMatrix, solve_assignment
 from trafficstate.calib import to_pixel
 from trafficstate.detstream import Detection
 from trafficstate.errors import NumericalError, ParseError, ValidationError
-from trafficstate.traffic import interval_grid
 
 
 def brute_force_gated_assignment(values: np.ndarray, admissible: np.ndarray):
@@ -428,6 +427,13 @@ def point_rows(rows):
     return np.array(rows, dtype=[("frame", np.int64), ("x", np.float64), ("y", np.float64)])
 
 
+def grid_by_formula(interval_s, total_duration):
+    """[(start, end), ...] of the interval grid: interval i spans i * interval_s
+    to min((i + 1) * interval_s, total_duration)."""
+    n = max(0, math.ceil(total_duration / interval_s - 1e-12))
+    return [(i * interval_s, min((i + 1) * interval_s, total_duration)) for i in range(n)]
+
+
 def measure_by_rescan(trajectories, crosses, interval_s, fps, total_duration):
     """Per-interval counts, flows and speeds, rescanning every track per interval.
 
@@ -442,9 +448,9 @@ def measure_by_rescan(trajectories, crosses, interval_s, fps, total_duration):
     start <= t < end (the last interval also takes t == end) over their
     elapsed time.
     """
-    n = max(0, math.ceil(total_duration / interval_s - 1e-12))
-    out = [dict(start=i * interval_s, end=min((i + 1) * interval_s, total_duration),
-                counts={}, flows={}, speeds={}) for i in range(n)]
+    out = [dict(start=start, end=end, counts={}, flows={}, speeds={})
+           for start, end in grid_by_formula(interval_s, total_duration)]
+    n = len(out)
     for traj in trajectories:
         pts = traj.points.tolist()
         frame = next((f1 for (_, x0, y0), (f1, x1, y1) in zip(pts, pts[1:])
@@ -470,6 +476,28 @@ def measure_by_rescan(trajectories, crosses, interval_s, fps, total_duration):
             elapsed = (inside[-1][0] - inside[0][0]) / fps
             m["speeds"].setdefault(traj.class_id, []).append(path / elapsed)
     return out
+
+
+def rows_from_rescan(measured):
+    """measure_by_rescan's intervals as intervals-file rows: a tuple
+    (interval, start, end, class, count, flow_vph, mean_speed_kmh,
+    n_speed_tracks) for each class with a crossing or a speed, in
+    (interval, class) order; the mean is None without a speed."""
+    rows = []
+    for i, m in enumerate(measured):
+        for k in sorted(m["counts"].keys() | m["speeds"].keys()):
+            speeds = m["speeds"].get(k, [])
+            mean = sum(speeds) / len(speeds) * 3.6 if speeds else None
+            rows.append((i, m["start"], m["end"], k, m["counts"].get(k, 0),
+                         m["flows"].get(k, 0.0), mean, len(speeds)))
+    return rows
+
+
+def row_fields(row):
+    """An IntervalRow as a rows_from_rescan tuple: nan compares as None."""
+    mean = None if math.isnan(row.mean_speed_kmh) else row.mean_speed_kmh
+    return (row.interval, row.start, row.end, row.class_id, row.count, row.flow_vph, mean,
+            row.n_speed_tracks)
 
 
 # -- detection parsing, one row at a time ---------------------------------------
@@ -677,7 +705,7 @@ def generate_by_scan(spec, loi, interval_s):
 
 def _ground_truth_by_scan(spec, loi, interval_s):
     n_frames = spec.n_frames
-    grid = interval_grid(interval_s, spec.duration_s)
+    grid = grid_by_formula(interval_s, spec.duration_s)
     n_intervals = len(grid)
     trajectories, counts, speeds = {}, {}, {}
     for idx, agent in enumerate(spec.agents):

@@ -46,6 +46,10 @@ from trafficstate.traffic import (
 
 from oracles import (
     brute_force_gated_assignment,
+    loi_crossing,
+    measure_by_rescan,
+    row_fields,
+    rows_from_rescan,
     simulate_constant_velocity,
     threshold_enumeration_ap,
 )
@@ -167,7 +171,7 @@ def test_end_to_end_fidelity():
     tracker = Tracker(TrackerConfig())
     frames = [tracker.step(frame, DetectionBatch.stack(frame, dets)) for frame, dets in batches]
     trajectories = assemble_trajectories(frames, calib)
-    measurements = measure_intervals(trajectories, loi, 60.0, spec.fps, spec.duration_s)
+    rows = measure_intervals(trajectories, loi, 60.0, spec.fps, spec.duration_s)
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"engine took {elapsed:.2f}s for 10,000 frames"
 
@@ -186,16 +190,23 @@ def test_end_to_end_fidelity():
     assert all(len(ids) == 1 for ids in agent_ids)
     assert len({ids.pop() for ids in agent_ids}) == 50
 
+    def crossings(rows):
+        return [(r.interval, r.class_id, r.count) for r in rows if r.count]
+
     gt = truth.to_measurements()
-    assert [m.counts for m in measurements] == [m.counts for m in gt]
-    assert sum(c for m in gt for c in m.counts.values()) == 50
-    for me, mg in zip(measurements, gt):
-        assert set(me.speeds) == set(mg.speeds)
-        for k in mg.speeds:
-            got = sorted(me.speeds[k])
-            want = sorted(mg.speeds[k])
+    assert crossings(rows) == crossings(gt)
+    assert sum(r.count for r in gt) == 50
+    # each track's speed, measured by the oracle on the engine's trajectories,
+    # is its agent's to 1e-6 m/s; the engine's rows are the oracle's exactly
+    rescan = measure_by_rescan(trajectories, loi_crossing(loi), 60.0, spec.fps, spec.duration_s)
+    for i, m in enumerate(rescan):
+        truth_speeds = truth.speeds.get(i, {})
+        assert set(m["speeds"]) == set(truth_speeds)
+        for k, speeds in truth_speeds.items():
+            got, want = sorted(m["speeds"][k]), sorted(speeds)
             assert len(got) == len(want)
             assert all(abs(a - b) < 1e-6 for a, b in zip(got, want))
+    assert [row_fields(r) for r in rows] == rows_from_rescan(rescan)
     print(f"  (engine: {elapsed:.2f}s for 10,000 frames, 50 agents)")
 
 

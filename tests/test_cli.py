@@ -649,6 +649,22 @@ def test_track_refuses_an_interval_row_stats_would_refuse(tmp_path, capsys, meas
     assert list((tmp_path / "out").iterdir()) == []
 
 
+def test_track_refuses_a_world_point_out_of_float_range(tmp_path, capsys):
+    # phi = 1e-307 maps the box centres, x >= 923 px, past float max: the run
+    # exits 1 with no NumPy warning (an error under pytest), where it wrote a
+    # row with a nan mean speed that stats refused, and no file is left
+    dets = write(tmp_path / "dets.txt",
+                 "".join(f"{f},{900 + 3 * f},100,20,40,0.9,1\n" for f in range(1, 80)))
+    cfg = write(tmp_path / "run.ini", "[calibration]\nphi = 1e-307\n[loi]\nax_px = 0\n"
+                "ay_px = 0\nbx_px = 0\nby_px = 1000\n[measure]\ninterval_s = 60\n")
+    assert main(["track", "--detections", dets, "--config", cfg,
+                 "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == ("error: track 1, frame 1: world point (inf, 120) is not "
+                                       "finite ([calibration] maps the box centre out of "
+                                       "float range)\n")
+    assert list((tmp_path / "out").iterdir()) == []
+
+
 def test_synth_refuses_a_ground_truth_row_stats_would_refuse(tmp_path, capsys):
     # the agent starts on the line, in intervals of 1e-305 s, so its one
     # crossing gives a flow past float max; neither file is written

@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,12 +10,13 @@ from trafficstate.errors import ContractError, ParseError, ValidationError
 from trafficstate.tracker import LiveTracks
 from trafficstate.traffic import (
     MAX_INTERVALS,
-    IntervalMeasurement,
+    IntervalRow,
     LineOfInterest,
     Trajectory,
     assemble_trajectories,
     interval_count,
     interval_grid,
+    interval_rows,
     measure_intervals,
     parse_intervals,
     write_intervals,
@@ -41,23 +43,28 @@ def traj(track_id, points, class_id=0):
 
 
 def interval_speed(trajectory, interval_s, fps, index=0, total_duration=None):
-    """The trajectory's speed in interval `index` of the grid, None if absent.
+    """The trajectory's mean speed (km/h) in interval `index` of the grid,
+    None if absent.
 
     The grid is one interval long unless total_duration says otherwise.
     """
-    ms = measure_intervals([trajectory], LOI_X0, interval_s, fps,
-                           total_duration or interval_s)
-    speeds = ms[index].speeds.get(trajectory.class_id)
-    if speeds is None:
+    rows = measure_intervals([trajectory], LOI_X0, interval_s, fps,
+                             total_duration or interval_s)
+    row = next((r for r in rows if (r.interval, r.class_id) == (index, trajectory.class_id)),
+               None)
+    if row is None or row.n_speed_tracks == 0:
         return None
-    assert len(speeds) == 1
-    return speeds[0]
+    assert row.n_speed_tracks == 1
+    return row.mean_speed_kmh
 
 
-def written_rows(measurement):
-    buf = io.StringIO()
-    write_intervals(buf, [measurement])
-    return {r.class_id: r for r in parse_intervals(io.StringIO(buf.getvalue()))}
+def crossings(rows):
+    """{(interval, class): count} of the rows that count a crossing."""
+    return {(r.interval, r.class_id): r.count for r in rows if r.count}
+
+
+def rows_of(interval_s, total_duration, counts, speeds):
+    return interval_rows(interval_grid(interval_s, total_duration), interval_s, counts, speeds)
 
 
 # -- trajectory assembly -------------------------------------------------------
@@ -99,12 +106,24 @@ def test_assemble_labels_a_track_by_its_last_frame_and_skips_empty_frames():
     assert assemble_trajectories([live(1), live(2)], IDENTITY) == []
 
 
+def test_assemble_refuses_a_world_point_that_is_not_finite():
+    # a magnification of 1e-307 maps x = 20 px past float max, and x = 0 to 0;
+    # the map runs without a NumPy warning, which is an error under pytest.
+    # The first such point in frame order is named, not the lowest track id
+    calib = CalibrationParams(phi=1e-307, omega=1.0, delta_deg=90.0)
+    frames = [live(1, (2, 0.0, 0.0)), live(2, (2, 0.0, 0.0), (5, 20.0, 0.0)),
+              live(3, (1, 30.0, 0.0), (2, 0.0, 0.0), (5, 20.0, 0.0))]
+    with pytest.raises(ValidationError, match=r"^track 5, frame 2: world point \(inf, 0\) is "
+                                              r"not finite \(\[calibration\] maps the box"):
+        assemble_trajectories(frames, calib)
+
+
 # -- segment crossing ------------------------------------------------------------
 
 def segment_crosses(p, q, loi):
     """Whether a one-segment trajectory p -> q is counted crossing loi."""
-    ms = measure_intervals([traj(1, [(1, *p), (2, *q)])], loi, 1.0, 1.0, 2.0)
-    return sum(c for m in ms for c in m.counts.values()) == 1
+    rows = measure_intervals([traj(1, [(1, *p), (2, *q)])], loi, 1.0, 1.0, 2.0)
+    return sum(r.count for r in rows) == 1
 
 
 def test_segment_crosses_transversal():
@@ -154,24 +173,24 @@ def test_flow_example_12_crossings_720_vph():
         traj(i, [(10 + i, -1.0, float(i)), (11 + i, 1.0, float(i))], class_id=4)
         for i in range(12)
     ]
-    ms = measure_intervals(trajectories, LOI_X0, interval_s=60.0, fps=25.0,
-                           total_duration=60.0)
-    assert len(ms) == 1
-    assert ms[0].counts == {4: 12}
-    assert ms[0].flows[4] == pytest.approx(720.0)
+    rows = measure_intervals(trajectories, LOI_X0, interval_s=60.0, fps=25.0,
+                             total_duration=60.0)
+    assert len(rows) == 1
+    assert crossings(rows) == {(0, 4): 12}
+    assert rows[0].flow_vph == pytest.approx(720.0)
 
 
 def test_oscillating_track_counted_once():
     pts = [(1, -1.0, 0.0), (2, 1.0, 0.0), (3, -1.0, 0.0), (4, 1.0, 0.0)]
-    ms = measure_intervals([traj(1, pts)], LOI_X0, 60.0, 25.0, 60.0)
-    assert ms[0].counts == {0: 1}
+    rows = measure_intervals([traj(1, pts)], LOI_X0, 60.0, 25.0, 60.0)
+    assert crossings(rows) == {(0, 0): 1}
 
 
 def test_crossing_attributed_to_later_frame_interval():
     # crossing segment spans frames 250 -> 251 at 25 fps: t=10.04 s, second interval
     pts = [(250, -1.0, 0.0), (251, 1.0, 0.0)]
-    ms = measure_intervals([traj(1, pts)], LOI_X0, 10.0, 25.0, 30.0)
-    assert ms[0].counts == {} and ms[1].counts == {0: 1}
+    rows = measure_intervals([traj(1, pts)], LOI_X0, 10.0, 25.0, 30.0)
+    assert crossings(rows) == {(1, 0): 1}
 
 
 @pytest.mark.parametrize("frame", [-29, -9])
@@ -180,17 +199,16 @@ def test_a_crossing_before_time_zero_counts_in_no_interval(frame):
     # t = -0.36 s int() rounded it up to 0, the first
     loi = LineOfInterest(a=(0.0, -5.0), b=(0.0, 5.0))
     pts = [(frame - 1, -1.0, 0.0), (frame, 1.0, 0.0)]
-    ms = measure_intervals([traj(1, pts)], loi, 1.0, 25.0, 3.0)
-    assert [m.counts for m in ms] == [{}, {}, {}]
+    assert measure_intervals([traj(1, pts)], loi, 1.0, 25.0, 3.0) == []
 
 
 def test_direction_filter():
     up = LineOfInterest(a=(0.0, -100.0), b=(0.0, 100.0), direction=1)
     down = LineOfInterest(a=(0.0, -100.0), b=(0.0, 100.0), direction=-1)
     rightward = [traj(1, [(1, -1.0, 0.0), (2, 1.0, 0.0)])]
-    ms_up = measure_intervals(rightward, up, 60.0, 25.0, 60.0)
-    ms_down = measure_intervals(rightward, down, 60.0, 25.0, 60.0)
-    counted = [m for m in (ms_up + ms_down) if m.counts]
+    rows_up = measure_intervals(rightward, up, 60.0, 25.0, 60.0)
+    rows_down = measure_intervals(rightward, down, 60.0, 25.0, 60.0)
+    counted = [r for r in (rows_up + rows_down) if r.count]
     assert len(counted) == 1
 
 
@@ -204,11 +222,10 @@ def test_counts_bounded_by_distinct_tracks():
             x += rng.uniform(-2, 2)
             pts.append((f, x, rng.uniform(-50, 50)))
         trajectories.append(traj(tid, pts, class_id=int(rng.integers(0, 3))))
-    ms = measure_intervals(trajectories, LOI_X0, 0.4, 25.0, 39 / 25)
+    rows = measure_intervals(trajectories, LOI_X0, 0.4, 25.0, 39 / 25)
     per_class_total = {}
-    for m in ms:
-        for k, c in m.counts.items():
-            per_class_total[k] = per_class_total.get(k, 0) + c
+    for r in rows:
+        per_class_total[r.class_id] = per_class_total.get(r.class_id, 0) + r.count
     by_class = {}
     for t in trajectories:
         by_class[t.class_id] = by_class.get(t.class_id, 0) + 1
@@ -218,14 +235,12 @@ def test_counts_bounded_by_distinct_tracks():
 
 def test_flow_invariant_under_whole_interval_time_shift():
     pts = [(10, -1.0, 0.0), (11, 1.0, 0.0)]
-    ms1 = measure_intervals([traj(1, pts)], LOI_X0, 2.0, 25.0, 10.0)
+    rows1 = measure_intervals([traj(1, pts)], LOI_X0, 2.0, 25.0, 10.0)
     shifted = [(f + 50, x, y) for f, x, y in pts]  # exactly one 2 s interval
-    ms2 = measure_intervals([traj(1, shifted)], LOI_X0, 2.0, 25.0, 10.0)
-    flows1 = sorted(v for m in ms1 for v in m.flows.values())
-    flows2 = sorted(v for m in ms2 for v in m.flows.values())
-    assert flows1 == flows2
-    i1 = next(m.index for m in ms1 if m.counts)
-    i2 = next(m.index for m in ms2 if m.counts)
+    rows2 = measure_intervals([traj(1, shifted)], LOI_X0, 2.0, 25.0, 10.0)
+    assert sorted(r.flow_vph for r in rows1) == sorted(r.flow_vph for r in rows2)
+    i1 = next(r.interval for r in rows1 if r.count)
+    i2 = next(r.interval for r in rows2 if r.count)
     assert i2 == i1 + 1
 
 
@@ -234,7 +249,7 @@ def test_flow_invariant_under_whole_interval_time_shift():
 def test_interval_speed_uniform_motion():
     pts = [(f, 0.4 * f, 0.0) for f in range(0, 26)]
     v = interval_speed(traj(1, pts), 60.0, fps=25.0)
-    assert v == pytest.approx(10.0)
+    assert v == pytest.approx(36.0)   # 10 m/s
 
 
 def test_interval_speed_stationary():
@@ -249,8 +264,8 @@ def test_interval_speed_single_point_absent():
 def test_interval_speed_uses_only_in_interval_points():
     pts = [(f, 1.0 * f, 0.0) for f in range(1, 101)]
     v = interval_speed(traj(1, pts), 1.0, fps=25.0, index=1, total_duration=4.0)
-    # frames 25..49 fall in [1, 2): 24 steps of 1 m over 24/25 s
-    assert v == pytest.approx(25.0)
+    # frames 25..49 fall in [1, 2): 24 steps of 1 m over 24/25 s, 25 m/s
+    assert v == pytest.approx(90.0)
 
 
 def test_interval_speed_translation_and_rotation_invariant():
@@ -263,46 +278,72 @@ def test_interval_speed_translation_and_rotation_invariant():
     theta = rng.uniform(0, 2 * math.pi)
     c, s = math.cos(theta), math.sin(theta)
     rotated = [(f, c * x - s * y, s * x + c * y) for f, x, y in pts]
-    assert interval_speed(traj(1, shifted), 2.0, 25.0) == pytest.approx(base, abs=1e-9)
-    assert interval_speed(traj(1, rotated), 2.0, 25.0) == pytest.approx(base, abs=1e-9)
+    # 1e-9 m/s, in km/h
+    assert interval_speed(traj(1, shifted), 2.0, 25.0) == pytest.approx(base, abs=3.6e-9)
+    assert interval_speed(traj(1, rotated), 2.0, 25.0) == pytest.approx(base, abs=3.6e-9)
 
 
 def test_interval_speed_doubles_with_fps():
     pts = [(f, 0.5 * f, 0.0) for f in range(1, 40)]
     v1 = interval_speed(traj(1, pts), 100.0, fps=25.0)
     v2 = interval_speed(traj(1, pts), 100.0, fps=50.0)
-    assert v2 == pytest.approx(2.0 * v1, abs=1e-9)
+    assert v2 == pytest.approx(2.0 * v1, abs=3.6e-9)   # 1e-9 m/s, in km/h
 
 
-# -- aggregation ------------------------------------------------------------------
+# -- the row builder ----------------------------------------------------------------
 
 def test_aggregate_mean_and_unit_conversion():
-    m = IntervalMeasurement(index=0, start=0.0, end=60.0)
-    m.speeds = {2: [10.0, 20.0]}
-    row = written_rows(m)[2]
-    assert row.mean_speed_kmh == pytest.approx(54.0)
-    assert row.n_speed_tracks == 2
+    [row] = rows_of(60.0, 60.0, {}, {(0, 2): [10.0, 20.0]})
+    assert row == IntervalRow(0, 0.0, 60.0, 2, 0, 0.0, 54.0, 2)
 
 
 def test_aggregate_empty_class_absent():
-    m = IntervalMeasurement(index=0, start=0.0, end=60.0)
-    m.counts, m.flows, m.speeds = {1: 1}, {1: 60.0}, {}
-    row = written_rows(m)[1]
+    [row] = rows_of(60.0, 60.0, {(0, 1): 1}, {})
+    assert (row.interval, row.class_id, row.count, row.flow_vph) == (0, 1, 1, 60.0)
     assert math.isnan(row.mean_speed_kmh) and row.n_speed_tracks == 0
-    assert written_rows(IntervalMeasurement(index=0, start=0.0, end=60.0)) == {}
+    assert rows_of(60.0, 60.0, {}, {}) == []
 
 
 def test_aggregate_singleton():
-    m = IntervalMeasurement(index=0, start=0.0, end=60.0)
-    m.speeds = {1: [7.5]}
-    assert written_rows(m)[1].mean_speed_kmh == pytest.approx(27.0)
+    [row] = rows_of(60.0, 60.0, {}, {(0, 1): [7.5]})
+    assert row.mean_speed_kmh == 27.0
+
+
+def test_rows_come_in_interval_class_order_with_their_bounds():
+    rows = rows_of(60.0, 150.0, {(2, 0): 1, (0, 3): 2}, {(0, 1): [5.0], (2, 0): [10.0, 5.0]})
+    assert [(r.interval, r.class_id, r.start, r.end, r.count, r.n_speed_tracks)
+            for r in rows] == [(0, 1, 0.0, 60.0, 0, 1), (0, 3, 0.0, 60.0, 2, 0),
+                               (2, 0, 120.0, 150.0, 1, 2)]
+    assert [r.flow_vph for r in rows] == [0.0, 120.0, 60.0]
+    assert rows[2].mean_speed_kmh == (15.0 / 2) * 3.6
+
+
+MEAN_NOT_FINITE = (r"^interval 1, class 4: mean_speed_kmh is not finite \(path length "
+                   r"through \[calibration\] over frames / \[measure\] fps\)$")
+
+
+@pytest.mark.parametrize("interval_s,speeds,error", [
+    (1.0, [1e308, 1e308], MEAN_NOT_FINITE),
+    (1.0, [math.inf], MEAN_NOT_FINITE),
+    (1.0, [math.inf, -math.inf], MEAN_NOT_FINITE),    # a nan mean, which was written
+    (1.0, [math.nan], MEAN_NOT_FINITE),
+    (1e-306, [], r"^interval 0, class 4: flow_vph is not finite "
+                 r"\(count \* 3600 / \[measure\] interval_s\)$"),
+], ids=["overflow", "inf", "inf-inf", "nan", "flow"])
+def test_builder_refuses_a_flow_or_mean_speed_that_is_not_finite(interval_s, speeds, error):
+    with pytest.raises(ValidationError, match=error):
+        rows_of(interval_s, 3 * interval_s, {(0, 4): 1}, {(1, 4): speeds} if speeds else {})
 
 
 # -- interval grid ----------------------------------------------------------------
 
 def test_interval_grid_partial_final():
-    grid = interval_grid(60.0, 150.0)
-    assert grid == [(0.0, 60.0), (60.0, 120.0), (120.0, 150.0)]
+    starts, ends = interval_grid(60.0, 150.0)
+    assert starts.tolist() == [0.0, 60.0, 120.0] and ends.tolist() == [60.0, 120.0, 150.0]
+    # i * interval_s and (i + 1) * interval_s, not a running sum of interval_s
+    starts, ends = interval_grid(0.1, 1.0)
+    assert starts.tolist() == [i * 0.1 for i in range(10)]
+    assert ends.tolist() == [min((i + 1) * 0.1, 1.0) for i in range(10)]
 
 
 def test_interval_grid_validation():
@@ -316,11 +357,26 @@ def test_interval_grid_validation():
         interval_grid(5.0, 1e9)
 
 
+def test_a_long_grid_costs_memory_by_arrays_not_by_objects():
+    # 10^6 intervals of 0.01 s and a 2-point track crossing in one of them:
+    # the grid is two arrays of 8 MB, where an object per interval would
+    # take hundreds of MB
+    assert interval_count(0.01, 10000.0) == MAX_INTERVALS
+    tracemalloc.start()
+    try:
+        rows = measure_intervals([traj(1, [(1, 0.0, 0.0), (2, 1.0, 0.0)])], LOI_X0,
+                                 0.01, 25.0, 10000.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert crossings(rows) == {(8, 0): 1} and len(rows) == 1
+
+
 def test_speed_measured_in_final_closed_interval():
     pts = [(f, 0.4 * f, 0.0) for f in range(45, 51)]  # t in [1.8, 2.0]
-    trajectories = [traj(1, pts)]
-    ms = measure_intervals(trajectories, LOI_X0, 1.0, 25.0, 2.0)
-    assert ms[1].speeds[0] == [pytest.approx(10.0)]
+    assert interval_speed(traj(1, pts), 1.0, 25.0, index=1,
+                          total_duration=2.0) == pytest.approx(36.0)   # 10 m/s
 
 
 # -- file round trip ----------------------------------------------------------------
@@ -330,9 +386,8 @@ def test_write_and_parse_intervals():
         traj(1, [(f, 0.4 * f, 0.0) for f in range(1, 27)], class_id=2),
         traj(2, [(f, -1.0 + 0.5 * f, 10.0) for f in range(1, 27)], class_id=0),
     ]
-    ms = measure_intervals(trajectories, LOI_X0, 60.0, 25.0, 60.0)
     buf = io.StringIO()
-    write_intervals(buf, ms)
+    write_intervals(buf, measure_intervals(trajectories, LOI_X0, 60.0, 25.0, 60.0))
     text = buf.getvalue()
     assert text.splitlines()[0].startswith("interval\t")
     rows = parse_intervals(io.StringIO(text))

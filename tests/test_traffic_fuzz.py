@@ -3,6 +3,8 @@ their row-at-a-time and per-interval rescan oracles.
 
 Needs hypothesis (the `test` extra in pyproject.toml); skipped without it.
 """
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from trafficstate.calib import CalibrationParams  # noqa: E402
+from trafficstate.errors import ValidationError  # noqa: E402
 from trafficstate.tracker import LiveTracks  # noqa: E402
 from trafficstate.traffic import (  # noqa: E402
     LineOfInterest,
@@ -19,7 +22,14 @@ from trafficstate.traffic import (  # noqa: E402
     measure_intervals,
 )
 
-from oracles import assemble_by_rows, loi_crossing, measure_by_rescan, point_rows  # noqa: E402
+from oracles import (  # noqa: E402
+    assemble_by_rows,
+    loi_crossing,
+    measure_by_rescan,
+    point_rows,
+    row_fields,
+    rows_from_rescan,
+)
 
 # round values put frame / fps exactly on interval boundaries; the floats
 # cover everything else in range
@@ -89,12 +99,20 @@ def scene(draw):
 
 
 def assert_matches_rescan(trajectories, loi, fps, interval_s, duration):
+    """The engine's rows are the oracle's, every field exactly; when an oracle
+    row's flow or mean speed is not finite the engine refuses the first such
+    row instead."""
+    want = rows_from_rescan(measure_by_rescan(trajectories, loi_crossing(loi), interval_s,
+                                              fps, duration))
+    refused = next((r for r in want if not math.isfinite(r[5])
+                    or (r[6] is not None and not math.isfinite(r[6]))), None)
+    if refused is not None:
+        with pytest.raises(ValidationError, match=rf"^interval {refused[0]}, class {refused[3]}: "):
+            measure_intervals(trajectories, loi, interval_s, fps, duration)
+        return refused
     got = measure_intervals(trajectories, loi, interval_s, fps, duration)
-    want = measure_by_rescan(trajectories, loi_crossing(loi), interval_s, fps, duration)
-    assert [(m.start, m.end) for m in got] == [(w["start"], w["end"]) for w in want]
-    assert [m.counts for m in got] == [w["counts"] for w in want]
-    assert [m.flows for m in got] == [w["flows"] for w in want]
-    assert [m.speeds for m in got] == [w["speeds"] for w in want]
+    assert [row_fields(r) for r in got] == want
+    return want
 
 
 @settings(max_examples=500, deadline=None, derandomize=True)
@@ -103,15 +121,22 @@ def test_sweep_matches_rescan_oracle(case):
     assert_matches_rescan(*case)
 
 
-def test_overflowing_coordinates_match_the_oracle_without_a_warning():
+@pytest.mark.parametrize("x", [1e308, 4e307])
+def test_overflowing_coordinates_match_the_oracle_without_a_warning(x):
     # a tiny calibration magnification puts world points far enough out that
     # orientation products overflow to inf and inf - inf is nan, as in
-    # Python floats; a NumPy warning here is an error under pytest
+    # Python floats; a NumPy warning here is an error under pytest. Track 1's
+    # path overflows to inf from x = 1e308, so its row is refused; from
+    # x = 4e307 its mean stays finite, and both rows are compared
     loi = LineOfInterest(a=(0.0, -1e200), b=(0.0, 1e200))
     far = [Trajectory(1, 0, point_rows([(1, -1e200, 1e200), (2, 1e200, -1e200),
-                                        (3, 1e308, 0.0), (4, -1e308, 0.0)])),
+                                        (3, x, 0.0), (4, -x, 0.0)])),
            Trajectory(2, 1, point_rows([(1, -1e200, 0.0), (2, 1e200, 0.0)]))]
-    assert_matches_rescan(far, loi, 1.0, 10.0, 4.0)
+    want = assert_matches_rescan(far, loi, 1.0, 10.0, 4.0)
+    if x == 1e308:
+        assert want[:5] == (0, 0.0, 4.0, 0, 1) and want[6] == math.inf
+    else:
+        assert [row[3:5] + row[7:] for row in want] == [(0, 1, 1), (1, 1, 1)]
 
 
 BOX_VALUE = st.floats(-1e5, 1e5, allow_subnormal=False)
