@@ -16,10 +16,12 @@ messages), not with the parser's own checks. Two oracles share code with
 the package under test: cascade_by_age solves each age's
 slice with the engine's `assoc.solve_assignment` (checked against the
 brute-force assignment on its own): what it checks is the split into
-ages, not the solve of a slice. And generate_by_scan places and draws each
-detection with `synth`'s own helpers: what it checks is which agents are
-visited on a frame, in which order, which interval holds each frame, and
-the crossing's direction test.
+ages, not the solve of a slice. And generate_by_scan maps each world
+position to pixels with the engine's `calib.to_pixel` and draws the
+embedding means with `synth`'s own helper: what it checks is the sampled
+positions (scalar `world_pos`), which agents are visited on a frame, in
+which order, which interval holds each frame, and the crossing (scalar
+`segments_intersect` and its direction test).
 """
 
 import itertools
@@ -656,9 +658,38 @@ def _alive_frames(agent, n_frames):
     return range(agent.spawn_frame, last + 1)
 
 
+def world_pos(agent, frame, fps):
+    """An agent's world position on a frame, from its constant velocity."""
+    dt = (frame - agent.spawn_frame) / fps
+    return agent.x0_m + agent.vx_mps * dt, agent.y0_m + agent.vy_mps * dt
+
+
+def segments_intersect(p1, p2, a, b):
+    """Closed-segment intersection by solving the parametric 2x2 system."""
+    rx, ry = p2[0] - p1[0], p2[1] - p1[1]
+    sx, sy = b[0] - a[0], b[1] - a[1]
+    qx, qy = a[0] - p1[0], a[1] - p1[1]
+    denom = rx * sy - ry * sx
+    if denom == 0.0:
+        if qx * ry - qy * rx != 0.0:
+            return False
+        rr = rx * rx + ry * ry
+        if rr == 0.0:
+            return (min(a[0], b[0]) <= p1[0] <= max(a[0], b[0])
+                    and min(a[1], b[1]) <= p1[1] <= max(a[1], b[1]))
+        t0 = (qx * rx + qy * ry) / rr
+        t1 = t0 + (sx * rx + sy * ry) / rr
+        return max(min(t0, t1), 0.0) <= min(max(t0, t1), 1.0)
+    t = (qx * sy - qy * sx) / denom
+    u = (qx * ry - qy * rx) / denom
+    return 0.0 <= t <= 1.0 and 0.0 <= u <= 1.0
+
+
 def generate_by_scan(spec, loi, interval_s):
     """synth.generate, testing every agent for life on every frame, and
-    rescanning each agent's frames once per interval for the ground truth."""
+    rescanning each agent's frames once per interval for the ground truth.
+    The truth has synth.GroundTruth's fields, its trajectories as one list
+    of (frame, x, y) tuples per agent."""
     rng = np.random.default_rng(spec.seed)
     n_frames = spec.n_frames
     occluded = set()
@@ -678,7 +709,7 @@ def generate_by_scan(spec, loi, interval_s):
                 continue
             if spec.miss_prob > 0 and rng.random() < spec.miss_prob:
                 continue
-            wx, wy = synth._world_pos(agent, frame, spec.fps)
+            wx, wy = world_pos(agent, frame, spec.fps)
             cx, cy = to_pixel(wx, wy, spec.calibration)
             if spec.noise_std_px > 0:
                 offset = rng.normal(0.0, spec.noise_std_px, size=2)
@@ -707,15 +738,15 @@ def _ground_truth_by_scan(spec, loi, interval_s):
     n_frames = spec.n_frames
     grid = grid_by_formula(interval_s, spec.duration_s)
     n_intervals = len(grid)
-    trajectories, counts, speeds = {}, {}, {}
-    for idx, agent in enumerate(spec.agents):
+    trajectories, counts, speeds = [], {}, {}
+    for agent in spec.agents:
         frames = _alive_frames(agent, n_frames)
-        traj = [(f, *synth._world_pos(agent, f, spec.fps)) for f in frames]
-        trajectories[idx] = traj
+        traj = [(f, *world_pos(agent, f, spec.fps)) for f in frames]
+        trajectories.append(traj)
 
         crossing_frame = None
         for (f0, x0, y0), (f1, x1, y1) in zip(traj, traj[1:]):
-            if not synth._segments_intersect((x0, y0), (x1, y1), loi.a, loi.b):
+            if not segments_intersect((x0, y0), (x1, y1), loi.a, loi.b):
                 continue
             if loi.direction is not None:
                 cross = (loi.b[0] - loi.a[0]) * (y1 - y0) \
@@ -728,9 +759,8 @@ def _ground_truth_by_scan(spec, loi, interval_s):
         if crossing_frame is not None:
             t = crossing_frame / spec.fps
             if t <= spec.duration_s and n_intervals > 0:
-                i = min(int(t / interval_s), n_intervals - 1)
-                counts.setdefault(i, {})
-                counts[i][agent.class_id] = counts[i].get(agent.class_id, 0) + 1
+                key = (min(int(t / interval_s), n_intervals - 1), agent.class_id)
+                counts[key] = counts.get(key, 0) + 1
 
         for i, (start, end) in enumerate(grid):
             closed_end = i == n_intervals - 1
@@ -740,8 +770,6 @@ def _ground_truth_by_scan(spec, loi, interval_s):
                 or (closed_end and f / spec.fps == end)
             ]
             if len(inside) >= 2:
-                speeds.setdefault(i, {}).setdefault(agent.class_id, []).append(
-                    agent.speed_mps
-                )
+                speeds.setdefault((i, agent.class_id), []).append(agent.speed_mps)
     return synth.GroundTruth(trajectories=trajectories, counts=counts, speeds=speeds,
                              interval_s=interval_s, total_duration=spec.duration_s)

@@ -181,8 +181,8 @@ def test_end_to_end_fidelity():
         for tid, (x, y, w, h) in zip(live.ids.tolist(), live.boxes.tolist()):
             by_key[(live.frame, round(x + w / 2.0, 4), round(y + h / 2.0, 4))] = tid
     agent_ids = [set() for _ in spec.agents]
-    for idx, traj in truth.trajectories.items():
-        for frame, wx, wy in traj:
+    for idx, traj in enumerate(truth.trajectories):
+        for frame, wx, wy in traj.tolist():
             px, py = to_pixel(wx, wy, calib)
             tid = by_key.get((frame, round(px, 4), round(py, 4)))
             if tid is not None:
@@ -200,7 +200,7 @@ def test_end_to_end_fidelity():
     # is its agent's to 1e-6 m/s; the engine's rows are the oracle's exactly
     rescan = measure_by_rescan(trajectories, loi_crossing(loi), 60.0, spec.fps, spec.duration_s)
     for i, m in enumerate(rescan):
-        truth_speeds = truth.speeds.get(i, {})
+        truth_speeds = {k: v for (j, k), v in truth.speeds.items() if j == i}
         assert set(m["speeds"]) == set(truth_speeds)
         for k, speeds in truth_speeds.items():
             got, want = sorted(m["speeds"][k]), sorted(speeds)
@@ -244,8 +244,8 @@ def ids_per_agent(spec, calib):
         per_frame[frame] = [(tid, x + w / 2.0, y + h / 2.0)
                             for tid, (x, y, w, h) in zip(live.ids.tolist(), live.boxes.tolist())]
     out = [set() for _ in spec.agents]
-    for idx, traj in truth.trajectories.items():
-        for frame, wx, wy in traj:
+    for idx, traj in enumerate(truth.trajectories):
+        for frame, wx, wy in traj.tolist():
             px, py = to_pixel(wx, wy, calib)
             best, best_d = None, 10.0
             for tid, u, v in per_frame.get(frame, []):

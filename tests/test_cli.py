@@ -678,6 +678,54 @@ def test_synth_refuses_a_ground_truth_row_stats_would_refuse(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+FAST_AGENT_SCENARIO = """\
+[scenario]
+duration_s = 40
+fps = 0.5
+
+[loi]
+ax_px = 5
+ay_px = -100
+bx_px = 5
+by_px = 100
+
+[measure]
+interval_s = 20
+
+[agent.1]
+class = 1
+x0_m = 0
+y0_m = 0
+vx_mps = 1e307
+vy_mps = 0
+"""
+
+
+@pytest.mark.parametrize("spec,error", [
+    # 1e307 m/s for 18 s leaves float range on frame 10: its box was written as inf
+    (FAST_AGENT_SCENARIO, "agent 0, frame 10: world position (inf, 0) is not finite "
+                          "(x0_m, y0_m, vx_mps, vy_mps and [scenario] fps)"),
+    # a speed past float max: the row builder blamed [calibration] and [measure] fps
+    (edited(edited(FAST_AGENT_SCENARIO, "vx_mps", "1.3e308"), "vy_mps", "1.3e308"),
+     "agent 0: speed inf km/h is not finite (vx_mps, vy_mps)"),
+    # a finite world position that the calibration maps past float max
+    (FAST_AGENT_SCENARIO.replace("[loi]", "[calibration]\nphi = 1e300\n\n[loi]")
+     .replace("1e307", "1").replace("x0_m = 0", "x0_m = 1e10"),
+     "agent 0, frame 1: pixel centre (inf, 0) is not finite ([calibration] maps the world "
+     "position out of float range)"),
+    # a finite centre whose box corner, half a box width to its left, is not
+    (FAST_AGENT_SCENARIO.replace("1e307", "1").replace("x0_m = 0", "x0_m = -1e308")
+     + "box_w_px = 1.7e308\n",
+     "agent 0, frame 1: box corner (-inf, -24) is not finite (the pixel centre less half "
+     "of box_w_px, box_h_px)"),
+], ids=["world position", "speed", "pixel centre", "box corner"])
+def test_synth_refuses_an_agent_out_of_float_range(tmp_path, capsys, spec, error):
+    assert main(["synth", "--spec", write(tmp_path / "s.ini", spec),
+                 "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_stats_identical_series(tmp_path):
     rows = ("interval\tt_start_s\tt_end_s\tclass\tcount\tflow_vph\tmean_speed_kmh\tn_speed_tracks\n"
             "0\t0\t60\t1\t3\t180\t30\t3\n"
@@ -727,6 +775,24 @@ def test_stats_hand_fixture(tmp_path):
                 if l.startswith("flow\t0")).split("\t")
     # counts scale by 60 into flows; t is scale-invariant
     assert float(line[5]) == pytest.approx(-1.7320508, abs=1e-4)
+
+
+def test_stats_counts_an_interval_empty_in_both_files_as_zero_flow(tmp_path):
+    # interval 1 has no row in either file: no crossing against no crossing,
+    # a pair of zeros in the flow series, where it used to drop out (n = 3)
+    head = "interval\tt_start_s\tt_end_s\tclass\tcount\tflow_vph\tmean_speed_kmh\tn_speed_tracks\n"
+
+    def rows(counts):
+        return head + "".join(f"{i}\t{60 * i}\t{60 * i + 60}\t1\t{c}\t{60 * c}\t{40 + i}\t{c}\n"
+                              for i, c in counts)
+    m = write(tmp_path / "m.txt", rows([(0, 2), (2, 1), (3, 3)]))
+    t = write(tmp_path / "t.txt", rows([(0, 1), (2, 1), (3, 2)]))
+    assert main(["stats", "--measured", m, "--truth", t, "--out-dir", str(tmp_path / "s")]) == 0
+    lines = (tmp_path / "s" / "stats.txt").read_text().splitlines()
+    flow_all = lines[1].split("\t")
+    assert flow_all[:4] == ["flow", "all", "4", "42.4264"]
+    # the speed series still pair only the intervals with a speed in both
+    assert lines[3].split("\t")[:3] == ["speed", "all", "3"]
 
 
 def test_stats_of_speeds_near_float_max(tmp_path):

@@ -1,9 +1,11 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from test_bench_outputs import scenes   # bench/scenes.py, loaded from its file
 from trafficstate.calib import CalibrationParams, to_pixel
 from trafficstate.detstream import write_detections
 from trafficstate.errors import ValidationError
@@ -11,6 +13,8 @@ from trafficstate.synth import (
     MAX_EMBEDDING_DIM,
     AgentSpec,
     ScenarioSpec,
+    _ground_truth,
+    _path,
     generate,
     loi_to_world,
     parse_scenario,
@@ -53,7 +57,7 @@ def test_different_seed_differs():
 def test_noiseless_centroids_equal_projected_positions():
     spec = one_agent_spec()
     batches, truth = generate(spec, LOI, 2.0)
-    for (frame, dets), (tf, wx, wy) in zip(batches, truth.trajectories[0]):
+    for (frame, dets), (tf, wx, wy) in zip(batches, truth.trajectories[0].tolist()):
         assert frame == tf and len(dets) == 1
         x, y, w, h = dets[0].bbox
         cx, cy = x + w / 2.0, y + h / 2.0
@@ -67,14 +71,15 @@ def test_ground_truth_count_in_containing_interval():
     # crossing segment's later frame is 51 (t=2.04 s) with 25 fps, interval index 2
     spec = one_agent_spec()
     _, truth = generate(spec, LOI, 1.0)
-    assert truth.counts == {2: {1: 1}}
+    assert truth.counts == {(2, 1): 1}
 
 
 def test_ground_truth_speed_constant():
     spec = one_agent_spec()
     _, truth = generate(spec, LOI, 2.0)
-    for interval, by_class in truth.speeds.items():
-        assert by_class == {1: [pytest.approx(10.0)]}
+    assert sorted(truth.speeds) == [(0, 1), (1, 1)]
+    for speeds in truth.speeds.values():
+        assert speeds == [pytest.approx(10.0)]
 
 
 def test_direction_filter_in_ground_truth():
@@ -83,8 +88,7 @@ def test_direction_filter_in_ground_truth():
     loi_against = LineOfInterest(a=LOI.a, b=LOI.b, direction=1)
     _, t_with = generate(spec, loi_with, 1.0)
     _, t_against = generate(spec, loi_against, 1.0)
-    assert sum(c for by in t_with.counts.values() for c in by.values()) \
-        + sum(c for by in t_against.counts.values() for c in by.values()) == 1
+    assert sum(t_with.counts.values()) + sum(t_against.counts.values()) == 1
 
 
 def test_occlusion_window_drops_detections():
@@ -133,7 +137,25 @@ def test_spawn_and_end_frames_respected():
     batches, truth = generate(spec, LOI, 2.0)
     sizes = {frame: len(dets) for frame, dets in batches}
     assert sizes[9] == 0 and sizes[10] == 1 and sizes[20] == 1 and sizes[21] == 0
-    assert [p[0] for p in truth.trajectories[0]] == list(range(10, 21))
+    assert truth.trajectories[0]["frame"].tolist() == list(range(10, 21))
+
+
+def test_truth_of_a_long_scene_costs_arrays_not_objects():
+    # the bench's sparse_long layout over 5,000 frames: 294 agents, 71,795
+    # agent-frames, whose paths take 1.6 MiB at 24 B a point. Building the
+    # truth peaked at 1.94 MiB under tracemalloc, where a tuple per
+    # agent-frame took 10.5 MiB; the bound leaves half the measured peak again
+    spec = scenes.scenario("sparse_long", 7, scenes.Size(lanes=5, per_lane=0, frames=5000,
+                                                          interval_s=5.0))
+    loi = loi_to_world(scenes.LOI_PX, None, scenes.CALIBRATION)
+    tracemalloc.start()
+    try:
+        truth = _ground_truth(spec, loi, 5.0, [_path(agent, spec) for agent in spec.agents])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(map(len, truth.trajectories)) == 71795
+    assert peak < 3 * 2**20
 
 
 def test_spec_validation():
