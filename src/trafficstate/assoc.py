@@ -4,7 +4,10 @@ Every kernel takes all tracks and detections at once, as the arrays the
 tracker holds. Motion distance is the squared Mahalanobis distance between
 a detection and a track's projected measurement distribution; appearance
 distance is the smallest cosine distance against the track's descriptor
-gallery, a ring buffer in the tracker's shared gallery store. A frame's
+gallery, a ring buffer in the tracker's shared gallery store. A motion
+distance sums its four squares in one fixed order, and an appearance
+distance is one product over a view of the track's filled slots, so a
+pair's distances do not depend on what else is in the call. A frame's
 detections carry descriptors (m, D) all together or not at all, with
 D = 0, in which case no appearance distance is computed. Both distances
 are thresholded into a joint admissibility gate, motion first: appearance
@@ -99,7 +102,9 @@ def motion_distances(y: np.ndarray, s: np.ndarray, ok: np.ndarray,
     the diagonals of their covariances, a column per track, and
     measurements (4, m) holds a column per detection; tracks with ok
     False get +inf. Each residual is whitened componentwise by 1 / sqrt(s),
-    with no matrix factorization, and its squares are summed. A track
+    with no matrix factorization, and its squares are summed in one fixed
+    order, ((w0² + w1²) + w2²) + w3², so that a pair's distance does not
+    depend on the other tracks and detections in the call. A track
     marked ok whose variances are not all positive raises NumericalError.
     Arrays in other shapes raise ContractError: a (1, 4) row per track
     would otherwise broadcast into a wrong (4, 4) result.
@@ -108,25 +113,19 @@ def motion_distances(y: np.ndarray, s: np.ndarray, ok: np.ndarray,
             and ok.shape == y.shape[1:]):
         raise ContractError("motion_distances takes y and s as (4, n), ok as (n,) and "
                             "measurements as (4, m)")
-    if np.count_nonzero(ok) < len(ok):
-        usable = ok.nonzero()[0]
-        d1 = np.full((y.shape[1], measurements.shape[1]), np.inf)
-        d1[usable] = motion_distances(y.take(usable, 1), s.take(usable, 1), ok.take(usable),
-                                      measurements)
-        return d1
+    usable = ok.nonzero()[0]
+    y, s = y.take(usable, 1), s.take(usable, 1)
     # counts the positive variances, so that NaN is rejected too
     if np.count_nonzero(s > 0) < s.size:
         raise NumericalError("projection covariance not positive-definite")
-    # einsum's summation order follows the memory layout: with one
-    # detection it adds the four squares in SIMD lanes, in an order that
-    # depends on the CPU, and with more one after another. So the residuals
-    # are laid out C-ordered (n, 4, m), as the dense form's are, from the
-    # rows of y and s through their transposed views, and summed by the
-    # same einsum
-    white = np.empty((y.shape[1], 4, measurements.shape[1]))
-    np.subtract(measurements, y.T[:, :, None], out=white)
-    white *= (1.0 / np.sqrt(s)).T[:, :, None]
-    return np.einsum("kim,kim->km", white, white)
+    white = measurements[:, None, :] - y[:, :, None]      # (4, u, m), a block per component
+    white *= (1.0 / np.sqrt(s))[:, :, None]
+    d1 = np.full((len(ok), measurements.shape[1]), np.inf)
+    # a square or a sum past float max is +inf, which the finite gate keeps out
+    with np.errstate(over="ignore"):
+        white *= white
+        d1[usable] = ((white[0] + white[1]) + white[2]) + white[3]
+    return d1
 
 
 def appearance_distances(gallery: np.ndarray, rows: np.ndarray, fill: np.ndarray,
@@ -139,26 +138,16 @@ def appearance_distances(gallery: np.ndarray, rows: np.ndarray, fill: np.ndarray
     distance when pairs (n, m) marks it and its track has a member; every
     other entry is undefined and reads NaN.
 
-    Only tracks with a requested pair are read, and only their filled
-    slots: the tracks of one fill f are gathered as one (r, f, D) block,
-    and round k multiplies it by each track's k-th requested descriptor.
-    No block holds more than the tracks' members, however many pairs are
-    requested.
+    Each such pair (i, j) is one (f, D) @ (D,) product over a view of track
+    i's filled slots, 1 - max(gallery[rows[i], :fill[i]] @ descriptors[j]),
+    clipped to [0, 2]: nothing is gathered, only filled slots are read, and
+    a pair's distance does not depend on the other pairs requested.
     """
-    n, m = pairs.shape
-    d2 = np.full((n, m), np.nan)
-    pairs = pairs & (fill > 0)[:, None]
-    count = pairs.sum(axis=1)
-    first = np.cumsum(count) - count
-    wanted = np.nonzero(pairs)[1]                  # requested columns, track by track
-    for f in np.unique(fill[count > 0]):
-        group = np.flatnonzero((count > 0) & (fill == f))
-        block = gallery[rows[group], :f]                               # (r, f, D)
-        for k in range(count[group].max()):
-            # each track's k-th requested column, or its last if it wants fewer
-            cols = wanted[first[group] + np.minimum(k, count[group] - 1)]
-            best = (block @ descriptors[cols, :, None]).max(axis=(1, 2))
-            d2[group, cols] = np.clip(1.0 - best, 0.0, 2.0)
+    d2 = np.full(pairs.shape, np.nan)
+    tracks, cols = np.nonzero(pairs & (fill > 0)[:, None])
+    best = [(gallery[r, :f] @ descriptors[j]).max()
+            for r, f, j in zip(rows[tracks].tolist(), fill[tracks].tolist(), cols.tolist())]
+    d2[tracks, cols] = np.clip(1.0 - np.array(best), 0.0, 2.0)
     return d2
 
 
@@ -193,11 +182,6 @@ def build_cost_matrix(
         raise ValidationError(f"lambda must be in [0,1], got {lam}")
     if not (0 < t1 < np.inf and t2 > 0):
         raise ValidationError("gate thresholds must be positive, the motion gate finite")
-    n, m = y.shape[1], measurements.shape[1]
-    if n == 0 or m == 0:
-        return CostMatrix(values=np.full((n, m), np.inf),
-                          admissible=np.zeros((n, m), dtype=bool))
-
     d1 = motion_distances(y, s, ok, measurements)
     # the rows that are not ok hold +inf, outside the finite gate
     admissible = d1 <= t1

@@ -24,13 +24,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable, Optional, Sequence
+from typing import IO, TYPE_CHECKING, Iterable, Optional, Sequence
 
 import numpy as np
 
 from .calib import CalibrationParams, to_world
 from .errors import ContractError, ParseError, ValidationError, positive
-from .tracker import LiveTracks
+
+if TYPE_CHECKING:   # an annotation only: `stats` need not load the tracker
+    from .tracker import LiveTracks
 
 # intervals on one grid: its bounds are two arrays of one float an interval
 # (16 MB at the cap), so a long duration over short intervals is refused
@@ -323,6 +325,9 @@ def parse_intervals(source: IO[str] | Iterable[str], path=None) -> list[Interval
         if min(row.interval, row.class_id, row.count, row.n_speed_tracks) < 0:
             raise ParseError("interval, class, count and n_speed_tracks must be >= 0",
                              line_no, path)
+        if row.interval >= MAX_INTERVALS:
+            raise ParseError(f"interval {row.interval} is past the last of the "
+                             f"{MAX_INTERVALS} intervals a grid may hold", line_no, path)
         if math.isnan(row.mean_speed_kmh) != (row.n_speed_tracks == 0):
             raise ParseError("mean_speed_kmh must be nan exactly when n_speed_tracks is 0",
                              line_no, path)

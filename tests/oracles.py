@@ -246,8 +246,8 @@ def dense_update_many(means, covs, measurements, y, s, ok):
 
 def cholesky_motion_distances(y, s, ok, measurements):
     """All-pairs squared Mahalanobis distances (n, m) against dense S (n, 4, 4),
-    each residual whitened by the inverse of a Cholesky factor; +inf where
-    ok is False."""
+    each residual whitened by the inverse of a Cholesky factor and its
+    squares summed as ((w0² + w1²) + w2²) + w3²; +inf where ok is False."""
     d1 = np.full((len(y), len(measurements)), np.inf)
     if not ok.any() or len(measurements) == 0:
         return d1
@@ -257,17 +257,20 @@ def cholesky_motion_distances(y, s, ok, measurements):
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"projection covariance not positive-definite: {exc}") from None
     white = np.linalg.inv(chol) @ resid
-    d1[ok] = np.einsum("kim,kim->km", white, white)
+    sq = white * white
+    d1[ok] = ((sq[:, 0] + sq[:, 1]) + sq[:, 2]) + sq[:, 3]
     return d1
 
 
 # -- association distances, one pair at a time ----------------------------------
 
 def mahalanobis_sq(y, s, d):
-    """Squared Mahalanobis distance of measurement d from N(y, s)."""
+    """Squared Mahalanobis distance of measurement d from N(y, s), the
+    squares of the whitened residual summed as ((z0² + z1²) + z2²) + z3²."""
     resid = np.asarray(d, dtype=np.float64) - y
     z = scipy.linalg.solve_triangular(np.linalg.cholesky(s), resid, lower=True)
-    return float(z @ z)
+    sq = z * z
+    return float(((sq[0] + sq[1]) + sq[2]) + sq[3])
 
 
 def cosine_gallery_distance(members, r):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from trafficstate.assoc import (  # noqa: E402
     CostMatrix,
+    appearance_distances,
     build_cost_matrix,
     motion_distances,
     solve_assignment,
@@ -79,6 +80,35 @@ def test_cost_matrix_matches_pairwise_oracle(n, m, dim, cap, lam, coincident, da
     both = cm.admissible & want
     np.testing.assert_allclose(cm.values[both], value[both], rtol=1e-9, atol=1e-12)
     assert (cm.values[~cm.admissible] == np.inf).all()
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(n=st.integers(1, 5), m=st.integers(1, 6), dim=st.integers(1, 8),
+       cap=st.integers(1, 8), data=st.data())
+def test_a_pairs_distances_do_not_depend_on_the_rest_of_the_call(n, m, dim, cap, data):
+    # each pair's distances alone, and each detection's column alone (m = 1),
+    # carry the same bits as inside the call with all n tracks and m detections
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    y = rng.normal(0.0, 50.0, (4, n))
+    s = rng.uniform(0.1, 50.0, (4, n))
+    ok = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    z = rng.normal(0.0, 50.0, (4, m))
+    fill = np.array(data.draw(st.lists(st.integers(0, cap), min_size=n, max_size=n)))
+    rows = rng.permutation(n + 2)[:n]
+    gallery = unit_rows(rng, (n + 2, cap, dim))
+    descs = unit_rows(rng, (m, dim))
+    pairs = rng.random((n, m)) < 0.7
+    d1 = motion_distances(y, s, ok, z)
+    d2 = appearance_distances(gallery, rows, fill, descs, pairs)
+    for j in range(m):
+        assert motion_distances(y, s, ok, z[:, j:j + 1]).tobytes() == d1[:, j:j + 1].tobytes()
+        for i in range(n):
+            one = slice(i, i + 1)
+            alone = motion_distances(y[:, one], s[:, one], ok[one], z[:, j:j + 1])
+            assert alone.tobytes() == d1[i, j].tobytes()
+            alone = appearance_distances(gallery, rows[one], fill[one], descs[j:j + 1],
+                                         pairs[one, j:j + 1])
+            assert alone.tobytes() == d2[i, j].tobytes()
 
 
 # exact ties, values on both sides of 1e5 (a fixed sentinel's size), and

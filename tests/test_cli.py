@@ -18,7 +18,7 @@ from trafficstate.config import default_config_text, parse_config
 from trafficstate.detstream import Detection, DetectionBatch, write_detections
 from trafficstate.errors import NumericalError
 from trafficstate.tracker import Tracker, TrackerConfig
-from trafficstate.traffic import LineOfInterest, parse_intervals
+from trafficstate.traffic import MAX_INTERVALS, LineOfInterest, parse_intervals
 
 SCENARIO = """\
 [scenario]
@@ -854,6 +854,28 @@ def test_stats_rejects_a_second_row_for_an_interval_and_class(tmp_path, capsys):
     assert not (tmp_path / "s").exists()
 
 
+def test_stats_refuses_an_interval_index_past_the_grid_cap(tmp_path, capsys):
+    # the flow series run over every index up to the largest, so one row far
+    # out would make stats build a series of that length
+    head = "interval\tt_start_s\tt_end_s\tclass\tcount\tflow_vph\tmean_speed_kmh\tn_speed_tracks\n"
+
+    def rows(last):
+        return head + "".join(f"{i}\t{60 * i}\t{60 * i + 60}\t0\t1\t60\tnan\t0\n"
+                              for i in (0, last))
+
+    m = write(tmp_path / "m.txt", rows(MAX_INTERVALS))
+    t = write(tmp_path / "t.txt", rows(1))
+    assert main(["stats", "--measured", m, "--truth", t,
+                 "--out-dir", str(tmp_path / "s")]) == 1
+    assert capsys.readouterr().err == \
+        f"error: {m}:3: interval {MAX_INTERVALS} is past the last of the {MAX_INTERVALS} " \
+        "intervals a grid may hold\n"
+    assert not (tmp_path / "s").exists()
+    # the last interval a grid may hold is read
+    assert parse_intervals(io.StringIO(rows(MAX_INTERVALS - 1)))[-1].interval \
+        == MAX_INTERVALS - 1
+
+
 @pytest.mark.parametrize("iou", ["nan", "inf", "1.5", "-1", "-0.01"])
 def test_eval_rejects_an_iou_threshold_outside_0_1(tmp_path, capsys, iou):
     gt = write(tmp_path / "gt.txt", "1,0,0,10,10,0\n")
@@ -982,6 +1004,12 @@ assert cli.main(["eval", "--pred", str(pred), "--gt", str(gt),
                  "--out-dir", str(tmp / "eval")]) == 0
 print(sorted(m for m in sys.modules if m.startswith("trafficstate.")))
 print(scipy_loaded())
+# identical series: their t statistic needs no scipy.special
+rows = "".join(f"{i}\\t{60 * i}\\t{60 * i + 60}\\t0\\t{i}\\t{60 * i}\\tnan\\t0\\n" for i in range(3))
+(tmp / "intervals.txt").write_text(rows)
+assert cli.main(["stats", "--measured", str(tmp / "intervals.txt"),
+                 "--truth", str(tmp / "intervals.txt"), "--out-dir", str(tmp / "stats")]) == 0
+print(sorted(m for m in sys.modules if m.startswith("trafficstate.")))
 assert cli.main(["print-config"]) == 0
 print(scipy_loaded())
 dets = tmp / "dets.txt"
@@ -1007,12 +1035,18 @@ def test_print_config_and_eval_leave_scipy_unloaded_until_track(tmp_path):
     # scipy loads on first use only: print-config and eval load none of it,
     # and neither does a track run in which no two pairs compete for a detection
     lines = run_guard(IMPORT_GUARD, tmp_path)
-    (eval_modules, after_eval), (after_print_config, after_track, confirmed) = lines[:2], lines[-3:]
+    (eval_modules, after_eval, stats_modules), (after_print_config, after_track, confirmed) \
+        = lines[:3], lines[-3:]
     # eval loads only its own layers, after `import trafficstate` and the CLI
     eval_modules = set(ast.literal_eval(eval_modules))
     assert "trafficstate.metrics" in eval_modules
     assert eval_modules.isdisjoint({f"trafficstate.{m}" for m in
                                     ("tracker", "motion", "traffic", "calib", "config")})
+    # stats adds the intervals reader, but no tracker or filter
+    stats_modules = set(ast.literal_eval(stats_modules))
+    assert "trafficstate.traffic" in stats_modules
+    assert stats_modules.isdisjoint({f"trafficstate.{m}" for m in
+                                     ("tracker", "motion", "config")})
     assert after_eval == "[]"
     assert after_print_config == "[]"
     assert after_track == "[]"
