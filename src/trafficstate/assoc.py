@@ -10,13 +10,16 @@ distance is one product over a view of the track's filled slots, so a
 pair's distances do not depend on what else is in the call. A frame's
 detections carry descriptors (m, D) all together or not at all, with
 D = 0, in which case no appearance distance is computed. Both distances
-are thresholded into a joint admissibility gate, motion first: appearance
-distances are computed only for the pairs inside the motion gate, since no
-other pair can be admissible. The gated distances are combined into one
-cost matrix and solved as a linear assignment problem, whose matches and
-leftovers come back as index arrays. The second matching stage uses IoU
-distance instead; its IoU kernel, in the pair form `iou_pairs`, also
-serves detection evaluation in `metrics`.
+are thresholded into a joint admissibility gate, motion first: no pair
+outside the motion gate can be admissible, so the pairs inside it are
+taken once, as index arrays, and only they get an appearance distance,
+gate and combined cost. Appearance distances come in that pair form, one
+product per pair and one maximum reduction over a block of at most
+PRODUCT_BLOCK products. The gated costs form one cost matrix, solved as a
+linear assignment problem, whose matches and leftovers come back as index
+arrays. The second matching stage uses IoU distance instead; its IoU
+kernel, in the pair form `iou_pairs`, also serves detection evaluation in
+`metrics`.
 """
 
 from __future__ import annotations
@@ -34,6 +37,10 @@ DEFAULT_APPEARANCE_GATE = 0.2
 DEFAULT_IOU_GATE = 0.7
 
 GALLERY_CAPACITY = 100
+# The most pair products `appearance_distances` holds at once, 512 kB of
+# float64; above tracker.MAX_GALLERY_CAPACITY, so that one pair's products
+# always fit.
+PRODUCT_BLOCK = 2**16
 
 
 @dataclass
@@ -129,26 +136,41 @@ def motion_distances(y: np.ndarray, s: np.ndarray, ok: np.ndarray,
 
 
 def appearance_distances(gallery: np.ndarray, rows: np.ndarray, fill: np.ndarray,
-                         descriptors: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    """Smallest cosine distances (n, m) over the requested pairs; NaN elsewhere.
+                         descriptors: np.ndarray, tracks: np.ndarray,
+                         cols: np.ndarray) -> np.ndarray:
+    """Smallest cosine distances (k,) of the k pairs (tracks[p], cols[p]).
 
     gallery (S, cap, D) holds unit-norm descriptor buffers: track i's
     members are the first fill[i] slots of gallery[rows[i]]. descriptors
-    (m, D) holds the detections' unit-norm descriptors. A pair gets a
-    distance when pairs (n, m) marks it and its track has a member; every
-    other entry is undefined and reads NaN.
+    (m, D) holds the detections' unit-norm descriptors. Every requested
+    track must have a member; a pair whose track has none raises
+    ContractError.
 
-    Each such pair (i, j) is one (f, D) @ (D,) product over a view of track
-    i's filled slots, 1 - max(gallery[rows[i], :fill[i]] @ descriptors[j]),
-    clipped to [0, 2]: nothing is gathered, only filled slots are read, and
-    a pair's distance does not depend on the other pairs requested.
+    Each pair (i, j) is one (f, D) @ (D,) product over a view of track i's
+    filled slots, gallery[rows[i], :fill[i]].dot(descriptors[j]): nothing
+    is gathered, and only filled slots are read. Each product is written
+    into its place in one buffer of concatenated products, whose maxima,
+    one per pair, come from one np.maximum.reduceat; the distance is
+    1 - max, clipped to [0, 2]. A pair's distance does not depend on the
+    other pairs requested. The buffer holds at most PRODUCT_BLOCK values:
+    the pairs go through it in blocks of PRODUCT_BLOCK // cap, so that many
+    requests against full galleries never hold all their products at once.
     """
-    d2 = np.full(pairs.shape, np.nan)
-    tracks, cols = np.nonzero(pairs & (fill > 0)[:, None])
-    best = [(gallery[r, :f] @ descriptors[j]).max()
-            for r, f, j in zip(rows[tracks].tolist(), fill[tracks].tolist(), cols.tolist())]
-    d2[tracks, cols] = np.clip(1.0 - np.array(best), 0.0, 2.0)
-    return d2
+    best = np.empty(len(tracks))
+    step = max(1, PRODUCT_BLOCK // gallery.shape[1])   # pairs per block
+    for a in range(0, len(tracks), step):
+        block = slice(a, a + step)
+        f = fill.take(tracks[block])
+        if np.count_nonzero(f < 1):
+            raise ContractError("appearance_distances takes only tracks with gallery members")
+        ends = np.cumsum(f)
+        products = np.empty(ends[-1])
+        for r, n, j, end in zip(rows.take(tracks[block]).tolist(), f.tolist(),
+                                cols[block].tolist(), ends.tolist()):
+            gallery[r, :n].dot(descriptors[j], out=products[end - n:end])
+        best[block] = np.maximum.reduceat(products, ends - f)
+    np.subtract(1.0, best, out=best)
+    return np.clip(best, 0.0, 2.0, out=best)
 
 
 def build_cost_matrix(
@@ -169,14 +191,16 @@ def build_cost_matrix(
     Tracks come as in `motion_distances` and `appearance_distances`, and
     detections as their (4, m) measurement vectors plus descriptors (m, D),
     with D = 0 when the detections carry none. The motion gate goes first:
-    only a pair inside it can be admissible, so only such a pair gets an
-    appearance distance. cost = lam * d_motion + (1 - lam) * d_appearance
-    on admissible pairs; everything else holds +inf. Pairs for which no
-    appearance distance exists (no gallery member or no descriptor) fall
-    back to motion-only cost and a motion-only gate; when no pair has both,
-    `appearance_distances` is not called at all. Both
-    gates must be positive and the motion gate t1 finite: the tracks that
-    are not ok get a motion distance of +inf, which a finite gate keeps out.
+    only a pair inside it can be admissible, so the pairs inside it whose
+    track has a gallery member are taken once, as index arrays, and only
+    they get an appearance distance, gate and combined cost.
+    cost = lam * d_motion + (1 - lam) * d_appearance on admissible pairs;
+    everything else holds +inf. Pairs for which no appearance distance
+    exists (no gallery member or no descriptor) keep motion-only cost and
+    a motion-only gate; when no pair has both, `appearance_distances` is
+    not called at all. Both gates must be positive and the motion gate t1
+    finite: the tracks that are not ok get a motion distance of +inf,
+    which a finite gate keeps out.
     """
     if not 0.0 <= lam <= 1.0:
         raise ValidationError(f"lambda must be in [0,1], got {lam}")
@@ -189,12 +213,12 @@ def build_cost_matrix(
     if not (descriptors.shape[1] and np.count_nonzero(fill)):
         return CostMatrix(values=values, admissible=admissible)
     # the pairs inside the motion gate that have an appearance distance
-    defined = admissible & (fill > 0)[:, None]
-    d2 = appearance_distances(gallery, rows, fill, descriptors, defined)
-    admissible &= ~defined | (d2 <= t2)
-    values[~admissible] = np.inf
-    both = defined & admissible
-    values[both] = lam * d1[both] + (1.0 - lam) * d2[both]
+    tracks, cols = np.nonzero(admissible & (fill > 0)[:, None])
+    d2 = appearance_distances(gallery, rows, fill, descriptors, tracks, cols)
+    inside = d2 <= t2
+    admissible[tracks, cols] = inside
+    values[tracks, cols] = np.where(inside, lam * values[tracks, cols] + (1.0 - lam) * d2,
+                                    np.inf)
     return CostMatrix(values=values, admissible=admissible)
 
 
@@ -285,7 +309,8 @@ def _assign(values: np.ndarray, admissible: np.ndarray, levels: np.ndarray | Non
         cols = np.concatenate([cols, open_cols[sub_cols[keep]]])
     else:
         open_levels = levels[open_rows]
-        for level in np.unique(open_levels):
+        # sorted from a set: np.unique would load numpy.ma on first use
+        for level in sorted(set(open_levels.tolist())):
             group = open_rows[open_levels == level]
             block = np.ix_(group, open_cols)
             sub_rows, sub_cols = _assign(values[block], admissible[block], None)

@@ -21,7 +21,7 @@ from .detstream import ClassCatalog, DetectionBatch
 from .errors import NumericalError, ParseError, ValidationError
 
 if TYPE_CHECKING:
-    from .tracker import Tracker
+    from .tracker import LiveTracks, Tracker
     from .traffic import IntervalRow
 
 TRACKS_HEADER = "frame\tid\tclass\tu\tv\tw\th"
@@ -75,6 +75,25 @@ def _frames_to_step(batches, tracker: Tracker):
         last = frame
 
 
+def _track_rows(live: LiveTracks) -> str:
+    """The tracks.txt rows of one frame's confirmed tracks: frame, id,
+    class, box centre and size, each float as %.6g.
+
+    The frame's rows come from one %-format of the row template, with the
+    frame number written in, repeated once per row; %.6g writes a float as
+    the format spec .6g does.
+    """
+    c = live.confirmed
+    boxes = live.boxes[c]
+    k = len(boxes)
+    fields = [None] * (6 * k)
+    fields[0::6] = live.ids[c].tolist()
+    fields[1::6] = live.class_ids[c].tolist()
+    fields[2::6], fields[3::6] = (boxes[:, :2] + boxes[:, 2:] / 2.0).T.tolist()
+    fields[4::6], fields[5::6] = boxes[:, 2:].T.tolist()
+    return (f"{live.frame}\t%d\t%d\t%.6g\t%.6g\t%.6g\t%.6g\n" * k) % tuple(fields)
+
+
 def cmd_track(detections_path: str, config_path: str | None, out_dir: str) -> int:
     from . import traffic
     from .config import parse_config
@@ -100,13 +119,7 @@ def cmd_track(detections_path: str, config_path: str | None, out_dir: str) -> in
                 for frame, batch in _frames_to_step(batches, tracker):
                     live = tracker.step(frame, batch)
                     frames.append(live)
-                    c = live.confirmed
-                    for track_id, class_id, (x, y, w, h) in zip(
-                            live.ids[c].tolist(), live.class_ids[c].tolist(),
-                            live.boxes[c].tolist()):
-                        u, v = x + w / 2.0, y + h / 2.0
-                        tf.write(f"{frame}\t{track_id}\t{class_id}\t"
-                                 f"{u:.6g}\t{v:.6g}\t{w:.6g}\t{h:.6g}\n")
+                    tf.write(_track_rows(live))
             last_frame = frames[-1].frame if frames else 0
             duration = cfg.duration_s if cfg.duration_s is not None else last_frame / cfg.fps
             trajectories = traffic.assemble_trajectories(frames, cfg.calibration)

@@ -231,9 +231,11 @@ class Tracker:
 
     def _class_columns(self, class_ids: np.ndarray) -> np.ndarray:
         """Vote columns of the given class ids, adding columns for new classes."""
-        new = set(class_ids.tolist()).difference(self._classes.tolist())
+        known = self._classes.tolist()
+        new = set(class_ids.tolist()).difference(known)
         if new:
-            classes = np.union1d(self._classes, list(new))
+            # sorted from the set: np.union1d would load numpy.ma on first use
+            classes = np.array(sorted(new.union(known)), dtype=np.int64)
             votes = np.zeros((len(classes), len(self._ids)), dtype=np.int64)
             votes[classes.searchsorted(self._classes)] = self._votes
             self._classes, self._votes = classes, votes

@@ -6,7 +6,9 @@ definition-scanning for the interpolated precision, one-track, one-pair
 scalar forms of the engine's batched Kalman, distance and IoU kernels,
 the Kalman steps and the Mahalanobis distance batched in their dense
 8-by-8 form with LAPACK calls, which the engine's elementwise block form
-must match bit for bit, the calibration transform with its trigonometry
+must match bit for bit, the gallery cosine distance with one product and
+one max per pair, which the engine's blocked reduction must match bit for
+bit, the calibration transform with its trigonometry
 evaluated afresh on every call, trajectory assembly one track row at a
 time, detection parsing one row at a time, detection evaluation one
 `Detection` row at a time, evaluation files read one row at a time, and
@@ -277,6 +279,15 @@ def cosine_gallery_distance(members, r):
     """Smallest cosine distance between query r and any gallery member row."""
     dots = [float(np.dot(m, r)) for m in members]
     return min(2.0, max(0.0, 1.0 - max(dots)))
+
+
+def appearance_by_pairs(gallery, rows, fill, descriptors, tracks, cols):
+    """`assoc.appearance_distances` with a product and a max per pair:
+    1 - max(gallery[rows[i], :fill[i]] @ descriptors[j]) for each pair
+    (tracks[p], cols[p]), clipped to [0, 2]."""
+    best = [(gallery[r, :f] @ descriptors[j]).max()
+            for r, f, j in zip(rows[tracks].tolist(), fill[tracks].tolist(), cols.tolist())]
+    return np.clip(1.0 - np.array(best, dtype=np.float64), 0.0, 2.0)
 
 
 def gate(d1, d2, t1, t2):

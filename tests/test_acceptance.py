@@ -126,16 +126,16 @@ def test_distance_identities():
         v = rng.normal(size=16)
         members.append(v / np.linalg.norm(v))
     members = np.array(members)[None]   # one gallery buffer, in row 0
-    row, pair = np.array([0]), np.ones((1, 1), bool)
+    row, pair = np.array([0]), (np.array([0]), np.array([0]))
     for _ in range(200):
         q = rng.normal(size=16)
         q /= np.linalg.norm(q)
-        d2 = appearance_distances(members, row, np.array([50]), q[None], pair)
-        assert 0.0 <= d2[0, 0] <= 2.0
+        d2 = appearance_distances(members, row, np.array([50]), q[None], *pair)
+        assert 0.0 <= d2[0] <= 2.0
     exact = np.zeros(16)
     exact[3] = 1.0
-    d2 = appearance_distances(exact[None, None], row, np.array([1]), exact[None], pair)
-    assert d2[0, 0] == 0.0
+    d2 = appearance_distances(exact[None, None], row, np.array([1]), exact[None], *pair)
+    assert d2[0] == 0.0
 
 
 # -- 4: end-to-end tracking fidelity ------------------------------------------------

@@ -20,6 +20,7 @@ from trafficstate.errors import ContractError, NumericalError, ValidationError
 from trafficstate.tracker import Tracker, TrackerConfig
 
 from oracles import (
+    appearance_by_pairs,
     brute_force_gated_assignment,
     cosine_gallery_distance,
     gate,
@@ -66,10 +67,12 @@ def members_of(tracker, row):
 
 
 def cosine(members, r):
-    """Engine distance of one query from one gallery, or None if undefined."""
+    """Engine distance of one query from one gallery."""
     r = np.asarray(r, float)
-    d2 = appearance_distances(*store([members], len(r)), r[None], np.ones((1, 1), bool))
-    return None if np.isnan(d2[0, 0]) else d2[0, 0]
+    zero = np.zeros(1, np.int64)
+    d2 = appearance_distances(*store([members], len(r)), r[None], zero, zero)
+    assert d2.shape == (1,)
+    return d2[0]
 
 
 def cost_matrix(projections, galleries, dets, lam, **gates):
@@ -162,7 +165,10 @@ def test_cosine_takes_min_over_members():
 
 
 def test_cosine_empty_gallery_is_undefined():
-    assert cosine(np.empty((0, 2)), [1.0, 0.0]) is None
+    # a track with no member has no appearance distance, so the kernel
+    # refuses the pair; the cost matrix never asks for one
+    with pytest.raises(ContractError):
+        cosine(np.empty((0, 2)), [1.0, 0.0])
 
 
 def test_cosine_defined_only_on_requested_pairs():
@@ -171,11 +177,11 @@ def test_cosine_defined_only_on_requested_pairs():
     members = [unit_rows(rng, (2, 4)), unit_rows(rng, (2, 4)), unit_rows(rng, (1, 4))]
     descs = unit_rows(rng, (3, 4))
     pairs = np.array([[False, True, False], [True, True, True], [True, False, False]])
-    d2 = appearance_distances(*store(members, 4), descs, pairs)
-    assert np.isnan(d2[~pairs]).all()
-    for i, j in zip(*np.nonzero(pairs)):
-        assert d2[i, j] == pytest.approx(cosine_gallery_distance(members[i], descs[j]),
-                                         abs=1e-12)
+    tracks, cols = np.nonzero(pairs)
+    d2 = appearance_distances(*store(members, 4), descs, tracks, cols)
+    assert d2.shape == (len(tracks),)
+    for d, i, j in zip(d2, tracks, cols):
+        assert d == pytest.approx(cosine_gallery_distance(members[i], descs[j]), abs=1e-12)
 
 
 def test_cosine_range_bounds():
@@ -432,13 +438,14 @@ def test_cost_matrix_asks_appearance_only_inside_the_motion_gate(monkeypatch):
     kernel = assoc.appearance_distances
 
     def spy(*args):
-        asked.append(args[-1].copy())
+        asked.append(args[-2:])
         return kernel(*args)
 
     monkeypatch.setattr(assoc, "appearance_distances", spy)
     cm = cost_matrix(projections + [None], galleries + [[[1.0, 0.0]]], dets, lam=0.0)
     inside = np.array([[True, False], [False, True], [False, False]])
-    assert len(asked) == 1 and np.array_equal(asked[0], inside)
+    assert len(asked) == 1
+    assert [a.tolist() for a in asked[0]] == [a.tolist() for a in np.nonzero(inside)]
     assert np.array_equal(cm.admissible, inside)
 
 
@@ -448,7 +455,9 @@ def cost_by_appearance_path(y, s, ok, z, gallery, rows, fill, descs, lam, t1, t2
     d1 = motion_distances(y, s, ok, z)
     motion_ok = ok[:, None] & (d1 <= t1)
     defined = (fill > 0)[:, None] & (descs.shape[1] > 0)
-    d2 = appearance_distances(gallery, rows, fill, descs, motion_ok & defined)
+    d2 = np.full(d1.shape, np.nan)
+    asked = motion_ok & defined
+    d2[asked] = appearance_distances(gallery, rows, fill, descs, *np.nonzero(asked))
     admissible = motion_ok & np.where(defined, d2 <= t2, True)
     values = np.full(d1.shape, np.inf)
     values[admissible] = np.where(defined, lam * d1 + (1.0 - lam) * d2, d1)[admissible]
@@ -531,6 +540,28 @@ def test_all_pairs_in_gate_stays_within_the_stacked_footprint(fills):
     assert cm.admissible.all()
     np.testing.assert_allclose(cm.values, want, rtol=0, atol=1e-12)
     assert peak <= stacked_peak
+
+
+# 480 x 480 coincident pairs against full 100-slot galleries: all of their
+# products at once would take 184 MB. Measured at 2.9 MB: the (k,) result,
+# 1.8 MB, and one block of PRODUCT_BLOCK products, 0.5 MB.
+ALL_PAIRS_PEAK_BOUND = 4 * 10**6
+
+
+def test_appearance_distances_on_all_pairs_stays_within_its_bound():
+    rng = np.random.default_rng(11)
+    n, cap, dim = 480, 100, 64
+    gallery = unit_rows(rng, (n, cap, dim))
+    rows, fill = rng.permutation(n), np.full(n, cap)
+    descs = unit_rows(rng, (n, dim))
+    tracks, cols = np.nonzero(np.ones((n, n), bool))
+    assert len(tracks) * cap > 100 * assoc.PRODUCT_BLOCK
+    d2, peak = traced_peak(lambda: appearance_distances(gallery, rows, fill, descs,
+                                                        tracks, cols))
+    assert peak < ALL_PAIRS_PEAK_BOUND
+    some = rng.choice(len(tracks), 200, replace=False)
+    assert d2[some].tobytes() \
+        == appearance_by_pairs(gallery, rows, fill, descs, tracks[some], cols[some]).tobytes()
 
 
 # -- assignment --------------------------------------------------------------------

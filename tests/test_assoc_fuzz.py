@@ -2,6 +2,8 @@
 
 Needs hypothesis (the `test` extra in pyproject.toml); skipped without it.
 """
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from trafficstate import assoc  # noqa: E402
 from trafficstate.assoc import (  # noqa: E402
     CostMatrix,
     appearance_distances,
@@ -18,6 +21,7 @@ from trafficstate.assoc import (  # noqa: E402
 )
 
 from oracles import (  # noqa: E402
+    appearance_by_pairs,
     brute_force_gated_assignment,
     cascade_by_age,
     cosine_gallery_distance,
@@ -97,18 +101,60 @@ def test_a_pairs_distances_do_not_depend_on_the_rest_of_the_call(n, m, dim, cap,
     rows = rng.permutation(n + 2)[:n]
     gallery = unit_rows(rng, (n + 2, cap, dim))
     descs = unit_rows(rng, (m, dim))
-    pairs = rng.random((n, m)) < 0.7
+    # as the cost matrix asks: only tracks with a gallery member
+    pairs = (rng.random((n, m)) < 0.7) & (fill > 0)[:, None]
     d1 = motion_distances(y, s, ok, z)
-    d2 = appearance_distances(gallery, rows, fill, descs, pairs)
+    d2 = np.full((n, m), np.nan)
+    d2[pairs] = appearance_distances(gallery, rows, fill, descs, *np.nonzero(pairs))
+    zero = np.zeros(1, np.int64)
     for j in range(m):
         assert motion_distances(y, s, ok, z[:, j:j + 1]).tobytes() == d1[:, j:j + 1].tobytes()
         for i in range(n):
             one = slice(i, i + 1)
             alone = motion_distances(y[:, one], s[:, one], ok[one], z[:, j:j + 1])
             assert alone.tobytes() == d1[i, j].tobytes()
-            alone = appearance_distances(gallery, rows[one], fill[one], descs[j:j + 1],
-                                         pairs[one, j:j + 1])
-            assert alone.tobytes() == d2[i, j].tobytes()
+            if pairs[i, j]:
+                alone = appearance_distances(gallery, rows[one], fill[one], descs[j:j + 1],
+                                             zero, zero)
+                assert alone.tobytes() == d2[i, j].tobytes()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(n=st.integers(1, 5), m=st.integers(1, 6), cap=st.integers(1, 150),
+       dim=st.one_of(st.just(1), st.integers(1, 128)),
+       block=st.sampled_from([1, 2, 7, 150, assoc.PRODUCT_BLOCK]), data=st.data())
+def test_appearance_pairs_equal_the_per_pair_oracle(n, m, cap, dim, block, data):
+    # fills of 1 and of the capacity, tracks asked for several detections,
+    # no pair at all, and pair lists that cross the block bound, which the
+    # smaller blocks make a few pairs long
+    fill = np.array(data.draw(st.lists(st.one_of(st.sampled_from([1, cap]),
+                                                 st.integers(1, cap)),
+                                       min_size=n, max_size=n)))
+    pairs = np.array(data.draw(st.lists(st.booleans(), min_size=n * m, max_size=n * m)))
+    tracks, cols = np.nonzero(pairs.reshape(n, m))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    # the tracker's layout, NaN past each fill so that any slot read past it would show
+    rows = rng.permutation(n + 2)[:n]
+    gallery = np.full((n + 2, cap, dim), np.nan)
+    gallery[rows] = np.where(np.arange(cap)[:, None] < fill[:, None, None],
+                             unit_rows(rng, (n, cap, dim)), np.nan)
+    args = (gallery, rows, fill, unit_rows(rng, (m, dim)), tracks, cols)
+    with mock.patch.object(assoc, "PRODUCT_BLOCK", block):
+        got = appearance_distances(*args)
+    assert got.dtype == np.float64 and got.shape == tracks.shape
+    assert got.tobytes() == appearance_by_pairs(*args).tobytes()
+
+
+def test_appearance_pairs_across_the_block_bound_equal_the_oracle():
+    # 2,400 pairs against full 100-slot galleries cross PRODUCT_BLOCK
+    # several times, with track 0 asked for every detection
+    rng = np.random.default_rng(5)
+    n, m, cap, dim = 40, 60, 100, 64
+    gallery, rows, fill = unit_rows(rng, (n, cap, dim)), rng.permutation(n), np.full(n, cap)
+    tracks, cols = np.nonzero(np.ones((n, m), bool))
+    assert len(tracks) * cap > 3 * assoc.PRODUCT_BLOCK
+    args = (gallery, rows, fill, unit_rows(rng, (m, dim)), tracks, cols)
+    assert appearance_distances(*args).tobytes() == appearance_by_pairs(*args).tobytes()
 
 
 # exact ties, values on both sides of 1e5 (a fixed sentinel's size), and

@@ -996,6 +996,9 @@ import trafficstate, trafficstate.cli as cli
 def scipy_loaded():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
+def ma_loaded():
+    return "numpy.ma" in sys.modules
+
 tmp = Path(sys.argv[1])
 pred, gt = tmp / "pred.txt", tmp / "gt.txt"
 pred.write_text("1,2,3,5,10,0.9,0\\n1,40,3,5,10,0.8,1\\n")
@@ -1004,20 +1007,24 @@ assert cli.main(["eval", "--pred", str(pred), "--gt", str(gt),
                  "--out-dir", str(tmp / "eval")]) == 0
 print(sorted(m for m in sys.modules if m.startswith("trafficstate.")))
 print(scipy_loaded())
+print(ma_loaded())
 # identical series: their t statistic needs no scipy.special
 rows = "".join(f"{i}\\t{60 * i}\\t{60 * i + 60}\\t0\\t{i}\\t{60 * i}\\tnan\\t0\\n" for i in range(3))
 (tmp / "intervals.txt").write_text(rows)
 assert cli.main(["stats", "--measured", str(tmp / "intervals.txt"),
                  "--truth", str(tmp / "intervals.txt"), "--out-dir", str(tmp / "stats")]) == 0
 print(sorted(m for m in sys.modules if m.startswith("trafficstate.")))
+print(ma_loaded())
 assert cli.main(["print-config"]) == 0
 print(scipy_loaded())
+print(ma_loaded())
 dets = tmp / "dets.txt"
 # 1 px a frame keeps consecutive boxes at IoU 2/3, so both tracks confirm
 dets.write_text("".join(f"{f},{10 + f},10,5,10,0.9,0\\n{f},{10 + f},60,5,10,0.9,1\\n"
                         for f in range(1, 6)))
 assert cli.main(["track", "--detections", str(dets), "--out-dir", str(tmp / "track")]) == 0
 print(scipy_loaded())
+print(ma_loaded())
 rows = (tmp / "track" / "tracks.txt").read_text().splitlines()[1:]
 print(sorted((r.split("\\t")[0], r.split("\\t")[1]) for r in rows))
 """
@@ -1035,8 +1042,13 @@ def test_print_config_and_eval_leave_scipy_unloaded_until_track(tmp_path):
     # scipy loads on first use only: print-config and eval load none of it,
     # and neither does a track run in which no two pairs compete for a detection
     lines = run_guard(IMPORT_GUARD, tmp_path)
-    (eval_modules, after_eval, stats_modules), (after_print_config, after_track, confirmed) \
-        = lines[:3], lines[-3:]
+    (eval_modules, after_eval, ma_after_eval, stats_modules, ma_after_stats), \
+        (after_print_config, ma_after_print_config, after_track, ma_after_track, confirmed) \
+        = lines[:5], lines[-5:]
+    # no command loads numpy.ma, which np.unique and np.union1d import on
+    # first use; it takes longer to import than the tracker's own modules
+    assert [ma_after_eval, ma_after_stats, ma_after_print_config, ma_after_track] \
+        == ["False"] * 4
     # eval loads only its own layers, after `import trafficstate` and the CLI
     eval_modules = set(ast.literal_eval(eval_modules))
     assert "trafficstate.metrics" in eval_modules

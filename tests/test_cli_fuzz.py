@@ -1,19 +1,21 @@
 """Fuzzed detection input, run config values and scenario values through
-the `track` and `synth` commands.
+the `track` and `synth` commands, and the number format of `tracks.txt`.
 
 Needs hypothesis (the `test` extra in pyproject.toml); skipped without it.
 """
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from trafficstate.cli import main  # noqa: E402
+from trafficstate.cli import _track_rows, main  # noqa: E402
 from trafficstate.config import default_config_text  # noqa: E402
+from trafficstate.tracker import LiveTracks  # noqa: E402
 
 # fields that parse, fields that parse to out-of-range or non-finite values,
 # and fields that do not parse
@@ -135,3 +137,39 @@ def test_one_fuzzed_scenario_value_exits_cleanly(line_no, value):
         spec.write_text(with_value(SMALL_SCENARIO, line_no, value), encoding="utf-8")
         code = main(["synth", "--spec", str(spec), "--out-dir", str(Path(tmp) / "out")])
     assert code in (0, 1)
+
+
+# tracks.txt formats each frame's rows with one %-format; its floats must
+# read as the format spec .6g writes them
+@settings(max_examples=2000, deadline=None, derandomize=True)
+@given(x=st.floats())
+@example(x=0.0)
+@example(x=-0.0)
+@example(x=float("nan"))
+@example(x=float("inf"))
+@example(x=float("-inf"))
+@example(x=5e-324)
+@example(x=2.2250738585072014e-308)
+@example(x=1e16)
+@example(x=-1e16)
+@example(x=999999.5)
+@example(x=1.7976931348623157e308)
+def test_percent_g_writes_every_double_as_the_format_spec(x):
+    assert "%.6g" % x == f"{x:.6g}"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(frame=st.integers(1, 10**9), data=st.data())
+def test_a_frames_track_rows_are_the_rows_written_one_by_one(frame, data):
+    n = data.draw(st.integers(0, 6))
+    boxes = np.array(data.draw(st.lists(st.floats(-1e6, 1e6), min_size=4 * n,
+                                        max_size=4 * n))).reshape(n, 4)
+    confirmed = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), bool)
+    live = LiveTracks(frame=frame, ids=np.arange(1, n + 1) * 7, confirmed=confirmed,
+                      class_ids=np.arange(n) % 3, boxes=boxes)
+    want = "".join(f"{frame}\t{i}\t{c}\t{x + w / 2.0:.6g}\t{y + h / 2.0:.6g}\t"
+                   f"{w:.6g}\t{h:.6g}\n"
+                   for i, c, (x, y, w, h) in zip(live.ids[confirmed].tolist(),
+                                                 live.class_ids[confirmed].tolist(),
+                                                 boxes[confirmed].tolist()))
+    assert _track_rows(live) == want
