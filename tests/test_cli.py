@@ -1,4 +1,5 @@
 import ast
+import gc
 import hashlib
 import io
 import os
@@ -1458,3 +1459,110 @@ def test_eval_output_bytes_are_pinned_with_tied_confidences(tmp_path):
     confusion = (tmp_path / "out" / "confusion_matrix.txt").read_bytes()
     assert hashlib.sha256(report).hexdigest() == PINNED_TIED_EVAL_REPORT_SHA256
     assert hashlib.sha256(confusion).hexdigest() == PINNED_TIED_CONFUSION_SHA256
+
+
+# the CLI run as `python -m trafficstate.cli` runs it; an exit handler,
+# registered first and so run last, writes the frozen object count and
+# whether a child process is left to the file named by the first argument
+PROCESS_ENTRY = """
+import atexit, gc, os, runpy, sys
+
+def report(path=sys.argv[1]):
+    try:
+        os.waitpid(-1, os.WNOHANG)
+        child = "child left"
+    except ChildProcessError:
+        child = "no child"
+    with open(path, "w") as f:
+        f.write(f"{gc.get_freeze_count()} {child}")
+
+atexit.register(report)
+sys.argv = ["trafficstate", *sys.argv[2:]]
+runpy.run_module("trafficstate.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def process_args(tmp_path, case: str, out: str) -> list[str]:
+    """The CLI arguments of a case, its inputs written under tmp_path.
+
+    The track stream is the pinned scene, then the same rows 100 frames
+    later: more rows than a chunk, with descriptors, so track forks its
+    reader. In track-bad-row the reader's second chunk holds a bad row.
+    """
+    if case == "print-config":
+        return ["print-config"]
+    if case == "eval":
+        pred_text, gt_text = pinned_eval_texts()
+        return ["eval", "--pred", write(tmp_path / "pred.txt", pred_text),
+                "--gt", write(tmp_path / "gt.txt", gt_text), "--out-dir", str(tmp_path / out)]
+    lines = pinned_scene_text().splitlines(keepends=True)
+    lines += [f"{int(frame) + 100},{rest}" for frame, rest in
+              (line.split(",", 1) for line in lines)]
+    assert detstream.CHUNK_ROWS < 1500 < len(lines)
+    if case == "track-bad-row":
+        lines[1500] = lines[1500].replace(",", ",nan,", 1)
+    return ["track", "--detections", write(tmp_path / f"{case}.txt", "".join(lines)),
+            "--config", write(tmp_path / "run.ini", PINNED_RUN_CONFIG),
+            "--out-dir", str(tmp_path / out)]
+
+
+def run_process(argv) -> subprocess.CompletedProcess:
+    src = str(Path(trafficstate.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+
+
+def written(out: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(out.glob("*"))}
+
+
+@pytest.mark.parametrize("case", ["print-config", "eval", "track-bad-row"])
+def test_only_the_process_entry_freezes_and_it_leaves_no_child(tmp_path, capsys, case):
+    # main() leaves the caller's collector as it found it
+    frozen = gc.get_freeze_count()
+    code = main(process_args(tmp_path, case, "main"))
+    assert gc.get_freeze_count() == frozen
+    err = capsys.readouterr().err
+    report = tmp_path / "report.txt"
+    proc = run_process(["-c", PROCESS_ENTRY, str(report),
+                        *process_args(tmp_path, case, "process")])
+    assert (proc.returncode, proc.stderr) == (code, err)
+    count, child = report.read_text().split(" ", 1)
+    assert int(count) > 0
+    assert child == "no child"
+
+
+@pytest.mark.parametrize("case", ["print-config", "eval", "track", "track-bad-row"])
+def test_the_process_entry_writes_what_main_writes(tmp_path, capsys, case):
+    # the entry freezes what is left once main() returns, so no finalizer of
+    # a frozen object runs: every output must be closed by then
+    code = main(process_args(tmp_path, case, "main"))
+    out, err = capsys.readouterr()
+    assert_no_child_left()
+    proc = run_process(["-m", "trafficstate.cli", *process_args(tmp_path, case, "process")])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+    assert written(tmp_path / "process") == written(tmp_path / "main")
+    if case == "print-config":
+        assert out == default_config_text()
+    elif case == "eval":
+        assert set(written(tmp_path / "main")) == {"eval_report.txt", "confusion_matrix.txt"}
+    elif case == "track":
+        assert set(written(tmp_path / "main")) == {"tracks.txt", "intervals.txt"}
+    else:
+        assert code == 1
+        assert err.startswith(f"error: {tmp_path / 'track-bad-row.txt'}:1501: ")
+        assert written(tmp_path / "main") == {}
+
+
+def test_the_console_script_runs_what_the_main_block_runs():
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as f:
+        scripts = tomllib.load(f)["project"]["scripts"]
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    (block,) = [node for node in tree.body if isinstance(node, ast.If)
+                and ast.unparse(node.test) == "__name__ == '__main__'"]
+    (statement,) = block.body
+    # sys.exit(<entry>())
+    assert ast.unparse(statement.value.func) == "sys.exit"
+    (call,) = statement.value.args
+    assert scripts == {"trafficstate": f"trafficstate.cli:{ast.unparse(call.func)}"}
