@@ -10,12 +10,14 @@ number of embedding columns. Rows must arrive in non-decreasing frame
 order so the stream can be consumed online.
 
 `read_rows` is the one reader of this row format, for detection streams
-and evaluation files alike. It reads a block of lines with one
-`np.loadtxt` call and checks every row at once with `_valid_rows`; a
-block that read cannot vouch for goes through `_parse_rows`, one row at a
-time, so values and error messages are exactly those of a row-at-a-time
-parse. `metrics.load_boxes` feeds it a whole evaluation file, with each
-6-column ground-truth row already given its confidence column.
+and evaluation files alike. numpy converts a block of lines with one
+`np.loadtxt` call; only a block holding text that numpy refuses is
+converted one row at a time (`_parse_rows`). One pass of the row rules
+(`HEAD_RULES`, `DESCRIPTOR_RULES`, `STREAM_RULES`) over the converted
+columns accepts the block, or raises the error of its first bad row, the
+one a row-at-a-time parse raises. `metrics.load_boxes` feeds it a whole
+evaluation file, with each 6-column ground-truth row already given its
+confidence column.
 
 `parse_detections` runs in two stages. The chunk stage (`_chunks`) feeds
 `read_rows` CHUNK_ROWS lines at a time and carries the stream's width and
@@ -37,6 +39,7 @@ import os
 import pickle
 import signal
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import islice
 from typing import IO, Iterable, Iterator, Optional, Sequence
@@ -158,18 +161,18 @@ def normalize_appearance(v: np.ndarray) -> np.ndarray:
 
     Vectors already unit-norm within 1e-9 pass through unchanged, so
     serialization round-trips bit for bit. The raw values are looked at
-    only when the norm is 0 or not finite: non-finite values are rejected,
-    as is the zero vector, and a finite descriptor whose squared sum
-    overflows or underflows is first divided by its largest |value|.
+    only when the norm is 0 or not finite: a descriptor that breaks one of
+    DESCRIPTOR_RULES is rejected, and a finite descriptor whose squared
+    sum overflows or underflows is first divided by its largest |value|.
     """
     v = np.asarray(v, dtype=np.float64)
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(v))
     if norm == 0.0 or not np.isfinite(norm):
-        if not np.isfinite(v).all():
-            raise ValidationError("non-finite embedding value")
-        if not v.any():
-            raise ValidationError("appearance descriptor has zero norm")
+        row = _Rows(descriptors=v[None])
+        for test, message in DESCRIPTOR_RULES:
+            if not test(row)[0]:
+                raise ValidationError(message(row))
         v = v / np.abs(v).max()
         norm = float(np.linalg.norm(v))
     if abs(norm - 1.0) <= UNIT_NORM_TOL:
@@ -177,60 +180,48 @@ def normalize_appearance(v: np.ndarray) -> np.ndarray:
     return v / norm
 
 
-def _parse_head(parts: Sequence[str], line_no: int, path):
-    """(frame, x, y, w, h, conf, class_id) from a row's first 7 fields, checked."""
-    try:
-        frame = int(parts[0])
-        x, y, w, h = map(float, parts[1:5])
-        conf = float(parts[5])
-        class_id = int(parts[6])
-    except ValueError as exc:
-        raise ParseError(f"unparseable field ({exc})", line_no, path) from None
-
-    # written as not (in range) so that NaN is rejected too
-    if not (abs(x) <= MAX_BOX_PX and abs(y) <= MAX_BOX_PX
-            and abs(w) <= MAX_BOX_PX and abs(h) <= MAX_BOX_PX):
-        raise ParseError(f"bounding box values must be finite and within "
-                         f"±{MAX_BOX_PX:g} px, got {(x, y, w, h)}", line_no, path)
-    if frame < 1:
-        raise ParseError(f"frame index must be >= 1, got {frame}", line_no, path)
-    if not 0 <= class_id <= MAX_CLASS_ID:
-        raise ParseError(f"class id must be in [0, {MAX_CLASS_ID}], got {class_id}",
-                         line_no, path)
-    if not (w > 0 and h > 0):
-        raise ParseError(f"bounding box width/height must be positive, got ({w}, {h})",
-                         line_no, path)
-    if not 0.0 <= conf <= 1.0:
-        raise ParseError(f"confidence must be in [0,1], got {conf}", line_no, path)
-    return frame, x, y, w, h, conf, class_id
-
-
-def _valid_rows(frames: np.ndarray, boxes: np.ndarray, confidence: np.ndarray,
-                class_ids: np.ndarray, descriptors: np.ndarray) -> np.ndarray:
-    """(n,) bool: which rows pass _parse_head's checks and _parse_embedding's.
-
-    frames and class_ids are (n,) int64, boxes (n, 4), confidence (n,) and
-    descriptors (n, D) float64, D >= 0. The tests are _parse_head's, written
-    so that NaN fails each; normalize_appearance accepts exactly the finite
-    descriptors that are not all zero.
-    """
-    ok = (np.abs(boxes) <= MAX_BOX_PX).all(axis=1) & (boxes[:, 2:] > 0).all(axis=1)
-    ok &= (frames >= 1) & (class_ids >= 0) & (confidence >= 0.0) & (confidence <= 1.0)
-    if descriptors.shape[1]:
-        ok &= np.isfinite(descriptors).all(axis=1) & descriptors.any(axis=1)
-    return ok
+# The input contract's row rules, in the order a row is held to them, each
+# as (test, message). test(rows) is which of rows keep the rule, written so
+# that NaN breaks it; rows is a _Rows: the columns of n rows as read_rows
+# returns them, with a stream's embedding width and the frame of the row
+# before the first. message(row) is the error of a one-row _Rows that breaks
+# it. Rows without descriptors skip DESCRIPTOR_RULES, and the rows of an
+# evaluation file skip STREAM_RULES.
+_Rows = namedtuple("_Rows", "frames boxes confidence class_ids descriptors width last",
+                   defaults=(None,) * 7)
+HEAD_RULES = (
+    (lambda r: (np.abs(r.boxes) <= MAX_BOX_PX).all(axis=1),
+     lambda r: f"bounding box values must be finite and within ±{MAX_BOX_PX:g} px, "
+               f"got {tuple(r.boxes[0].tolist())}"),
+    (lambda r: r.frames >= 1,
+     lambda r: f"frame index must be >= 1, got {int(r.frames[0])}"),
+    (lambda r: (r.class_ids >= 0) & (r.class_ids <= MAX_CLASS_ID),
+     lambda r: f"class id must be in [0, {MAX_CLASS_ID}], got {int(r.class_ids[0])}"),
+    (lambda r: (r.boxes[:, 2:] > 0).all(axis=1),
+     lambda r: "bounding box width/height must be positive, got ({}, {})".format(
+         *r.boxes[0, 2:].tolist())),
+    (lambda r: (r.confidence >= 0.0) & (r.confidence <= 1.0),
+     lambda r: f"confidence must be in [0,1], got {float(r.confidence[0])}"),
+)
+DESCRIPTOR_RULES = (
+    (lambda r: np.isfinite(r.descriptors).all(axis=1), lambda r: "non-finite embedding value"),
+    (lambda r: r.descriptors.any(axis=1), lambda r: "appearance descriptor has zero norm"),
+)
+STREAM_RULES = (
+    (lambda r: r.descriptors.shape[1] == r.width,
+     lambda r: f"embedding dimension {r.descriptors.shape[1]} does not match expected {r.width}"),
+    # each frame against the one before it, the first against last
+    (lambda r: np.concatenate((r.frames[:1] >= (r.frames[:1] if r.last is None else r.last),
+                               r.frames[1:] >= r.frames[:-1])),
+     lambda r: f"frame {int(r.frames[0])} after frame {int(r.last)}; "
+               "stream must be ordered by frame"),
+)
 
 
-def _parse_embedding(fields: Sequence[str], line_no: int, path) -> np.ndarray:
-    """One row's descriptor, checked and scaled to unit norm."""
-    try:
-        raw = np.array([float(p) for p in fields], dtype=np.float64)
-    except ValueError as exc:
-        raise ParseError(f"unparseable embedding ({exc})", line_no, path) from None
-    try:
-        return normalize_appearance(raw)
-    except ValidationError as exc:
-        raise ParseError(str(exc), line_no, path) from None
+def numbered_rows(lines: Sequence[str], line_no: int) -> list[tuple[int, str]]:
+    """(line number, stripped text) of each of lines that holds a row, the
+    first of lines being line line_no: blank and '#' lines hold none."""
+    return [(n, s) for n, s in enumerate(map(str.strip, lines), line_no) if s and s[0] != "#"]
 
 
 def read_rows(lines: Sequence[str], line_no: int, path,
@@ -244,41 +235,62 @@ def read_rows(lines: Sequence[str], line_no: int, path,
     Otherwise the rows go on from a detection stream's, and stream is
     (embedding width, last frame) of those rows, each None before the
     first: every row must carry that many embedding columns and keep frame
-    order, and descriptors come at unit norm. The rows are read as one
-    array when _read_block can vouch for them, else by _parse_rows, which
-    raises the first bad row's error.
+    order, and descriptors come at unit norm.
+
+    numpy converts the rows (_read_block); only text it refuses is converted
+    one row at a time (_parse_rows). One pass of the row rules over the
+    columns then accepts them, or raises the error that a row-at-a-time
+    parse raises first. The rules build one mask; a row's are looked at
+    one by one only once a row breaks one.
     """
     # loadtxt skips empty lines itself; comment lines are dropped here, only
     # when there is a '#' at all, since stripping every line adds a tenth
     rows = lines
     if "#" in "".join(lines):
-        rows = [s for s in map(str.strip, lines) if s and not s.startswith("#")]
-    columns = _read_block(rows, stream)
+        rows = [s for _, s in numbered_rows(lines, line_no)]
+    columns, error = _read_block(rows), None
     if columns is None:
-        columns = _parse_rows(lines, line_no, path, stream)
-    return columns
-
-
-def _read_block(rows: Sequence[str], stream: Optional[tuple]) -> Optional[tuple[np.ndarray, ...]]:
-    """read_rows' columns from one np.loadtxt call, or None when that read
-    cannot vouch for every row.
-
-    The columns are those of the first row: frame and class as int64, the
-    rest as float64. numpy's int and float parsers accept a subset of what
-    int() and float() accept, with the same values, and loadtxt rejects a
-    row of another width and an embedded newline. So a read that raises or
-    warns of nothing, whose rows all pass _valid_rows and keep the stream's
-    width and order, is what _parse_rows would return. A descriptor whose
-    batched norm is within half the unit tolerance of 1 is kept as it is,
-    as normalize_appearance would keep it; every other one goes through
-    normalize_appearance.
-    """
+        columns, error = _parse_rows(lines, line_no, path, stream)
     width, last = stream or (None, None)
+    dim = columns[4].shape[1]
+    checked = _Rows(*columns, dim if width is None else width, last)
+    rules = HEAD_RULES + (DESCRIPTOR_RULES if dim else ())
+    rules += () if stream is None else STREAM_RULES
+    ok = np.ones(len(checked.frames), dtype=bool)
+    for test, _ in rules:
+        ok &= test(checked)
+    if not ok.all():
+        i = int(ok.argmin())
+        row = _Rows(*(c[i:i + 1] for c in columns), checked.width,
+                    checked.frames[i - 1] if i else last)
+        message = next(text(row) for test, text in rules if not np.all(test(row)))
+        raise ParseError(message, numbered_rows(lines, line_no)[i][0], path)
+    if error is not None:
+        raise error
+    frames, boxes, confidence, class_ids, descriptors = columns
+    if stream is None:
+        descriptors = np.empty((len(frames), 0))
+    elif dim:
+        # a batched norm within half the tolerance keeps a descriptor as
+        # normalize_appearance would; it scales every other one
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(descriptors, axis=1)
+        for i in np.flatnonzero(np.abs(norms - 1.0) > UNIT_NORM_TOL / 2):
+            descriptors[i] = normalize_appearance(descriptors[i])
+    return tuple(c.copy() for c in (frames, boxes, confidence, class_ids, descriptors))
+
+
+def _read_block(rows: Sequence[str]) -> Optional[tuple[np.ndarray, ...]]:
+    """The columns of rows from one np.loadtxt call, as wide as the first
+    row: frame and class as int64, the rest as float64. None when numpy
+    refuses some of their text. numpy's int and float parsers accept a
+    subset of what int() and float() accept, with the same values, and
+    loadtxt rejects a row of another width and an embedded newline. So a
+    read that raises or warns of nothing gives _parse_rows' columns.
+    """
     n_cols = next((s for s in rows if s.strip()), "").count(",") + 1
-    if n_cols < 7 or (width is not None and n_cols != 7 + width):
-        return None
-    fields = [("frame", "i8"), ("box", "f8", (4,)), ("conf", "f8"), ("class", "i8")]
-    fields += [("descriptor", "f8", (n_cols - 7,))] if n_cols > 7 else []
+    fields = [("frame", "i8"), ("box", "f8", (4,)), ("conf", "f8"), ("class", "i8"),
+              ("descriptor", "f8", (max(n_cols - 7, 0),))]
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -286,64 +298,71 @@ def _read_block(rows: Sequence[str], stream: Optional[tuple]) -> Optional[tuple[
                                ndmin=1)
     except (ValueError, Warning):
         return None
-    n = len(block)
-    frames = block["frame"]
-    descriptors = block["descriptor"] if n_cols > 7 else np.empty((n, 0))
-    if not _valid_rows(frames, block["box"], block["conf"], block["class"], descriptors).all():
-        return None
-    if stream is None:
-        descriptors = np.empty((n, 0))
-    elif (frames[1:] < frames[:-1]).any() or (last is not None and frames[0] < last):
-        return None
-    elif n_cols > 7:
-        with np.errstate(over="ignore"):
-            norms = np.linalg.norm(descriptors, axis=1)
-        for i in np.flatnonzero(np.abs(norms - 1.0) > UNIT_NORM_TOL / 2):
-            descriptors[i] = normalize_appearance(descriptors[i])
-    return tuple(c.copy() for c in (frames, block["box"], block["conf"], block["class"],
-                                    descriptors))
+    return block["frame"], block["box"], block["conf"], block["class"], block["descriptor"]
 
 
 def _parse_rows(lines: Sequence[str], line_no: int, path,
-                stream: Optional[tuple]) -> tuple[np.ndarray, ...]:
-    """read_rows' columns one row at a time: a row's columns, head and
-    descriptor, then a stream row's width and frame order, are checked
-    before the next row is read."""
-    width, last = stream or (None, None)
-    heads, descriptors = [], []
-    for line_no, line in enumerate(lines, start=line_no):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+                stream: Optional[tuple]) -> tuple[tuple, Optional[ParseError]]:
+    """(columns, error): read_rows' columns converted by int() and float()
+    one row at a time, as wide as the first row, up to the first row that
+    cannot be converted, and that row's error, or None.
+
+    A row cannot be converted when it has too few columns, a field that
+    int() or float() refuses, or, in a stream, an embedding width other
+    than the first row's. Its error is that of the first rule it breaks
+    before that, else its own: read_rows reads its head alone before its
+    embedding values, and the whole row, against the first row's width,
+    before its width, which the width rule rejects. An evaluation row's
+    descriptor is checked, then dropped, so only its largest |value| is
+    kept (1.0 when there is none): finite and non-zero exactly when the
+    descriptor is.
+    """
+    width, heads, descriptors, stop = None, [], [], None
+    for line_no, line in numbered_rows(lines, line_no):
         parts = line.split(",")
         if stream is None and len(parts) == 6:
-            raise ParseError("prediction rows need a confidence column", line_no, path)
+            stop = "prediction rows need a confidence column", None, None
+            break
         if len(parts) < 7:
-            raise ParseError(f"expected at least {6 if stream is None else 7} "
-                             f"comma-separated columns, got {len(parts)}", line_no, path)
-        head = _parse_head(parts, line_no, path)
-        heads.append(head)
-        descriptor = _parse_embedding(parts[7:], line_no, path) if len(parts) > 7 else None
+            stop = (f"expected at least {6 if stream is None else 7} comma-separated "
+                    f"columns, got {len(parts)}", None, None)
+            break
+        try:
+            head = (int(parts[0]), *map(float, parts[1:5]), float(parts[5]), int(parts[6]))
+        except ValueError as exc:
+            stop = f"unparseable field ({exc})", None, None
+            break
+        try:
+            descriptor = [float(p) for p in parts[7:]]
+        except ValueError as exc:
+            stop = f"unparseable embedding ({exc})", ",".join(parts[:7]), None
+            break
         if stream is None:
-            continue
-        width = len(parts) - 7 if width is None else width
-        if len(parts) - 7 != width:
-            raise ParseError(f"embedding dimension {len(parts) - 7} does not match "
-                             f"expected {width}", line_no, path)
-        if last is not None and head[0] < last:
-            raise ParseError(f"frame {head[0]} after frame {last}; stream must be "
-                             "ordered by frame", line_no, path)
-        last = head[0]
-        if width:
-            descriptors.append(descriptor)
+            descriptor = [np.abs(descriptor).max() if descriptor else 1.0]
+        elif width is None:
+            width = len(descriptor)
+        elif len(descriptor) != width:
+            stop = None, line, (width, None)
+            break
+        heads.append(head)
+        descriptors.append(descriptor)
     n = len(heads)
-    frames = [head[0] for head in heads]
-    # frames have no upper bound: int64 unless one does not fit
-    frames = np.array(frames, dtype=np.int64 if max(frames, default=1) < 2**63 else object)
+    # frames have no upper bound, and a class id past int64 must reach its rule
+    frames, class_ids = (
+        np.array(v, dtype=object if any(abs(x) >= 2**63 for x in v) else np.int64)
+        for v in ([head[k] for head in heads] for k in (0, 6)))
     fields = np.array([head[1:6] for head in heads], dtype=np.float64).reshape(n, 5)
-    class_ids = np.array([head[6] for head in heads], dtype=np.int64)
-    appearance = np.array(descriptors, dtype=np.float64).reshape(n, width or 0)
-    return frames, fields[:, :4], fields[:, 4], class_ids, appearance
+    descriptors = np.array(descriptors, dtype=np.float64).reshape(n, -1 if n else 0)
+    columns = frames, fields[:, :4], fields[:, 4], class_ids, descriptors
+    if stop is None:
+        return columns, None
+    message, row, row_stream = stop
+    try:
+        if row is not None:
+            read_rows([row], line_no, path, row_stream)
+    except ParseError as exc:
+        return columns, exc
+    return columns, ParseError(message, line_no, path)
 
 
 def _chunks(lines: Iterator[str], path) -> Iterator[tuple[tuple[np.ndarray, ...], bool]]:

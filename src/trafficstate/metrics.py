@@ -24,7 +24,7 @@ from typing import IO, Iterable, Optional, Sequence
 import numpy as np
 
 from .assoc import iou_pairs
-from .detstream import DetectionBatch, read_rows
+from .detstream import DetectionBatch, numbered_rows, read_rows
 from .errors import NumericalError, ParseError, ValidationError
 
 DEFAULT_IOU_THRESHOLD = 0.5
@@ -312,8 +312,8 @@ def load_boxes(
     Frames come in the order of their first row, each frame's rows in file
     order. Ground truths (require_confidence False) all get confidence 1.0;
     a line of theirs with exactly five commas gets it at its last comma.
-    The rows are read by detstream.read_rows, as one array when it can vouch
-    for them; a bad file raises the ParseError of its first bad row. With
+    The rows are read by detstream.read_rows; a bad file raises the
+    ParseError of its first bad row. With
     n_classes given, so does a file with a class id of n_classes or more.
     """
     lines = list(source)
@@ -321,10 +321,9 @@ def load_boxes(
         lines = [s if s.count(",") != 5 else ",1.0,".join(s.rsplit(",", 1)) for s in lines]
     frames, boxes, conf, class_ids, _ = read_rows(lines, 1, path)
     bad = np.flatnonzero(class_ids >= n_classes) if n_classes is not None else []
-    if len(bad):   # the line of the first: read_rows skips blank and comment lines
-        line_no = [i for i, s in enumerate(lines, 1) if s.strip()[:1] not in ("", "#")][bad[0]]
+    if len(bad):
         raise ParseError(f"class id {class_ids[bad[0]]} outside the {n_classes}-class catalog",
-                         line_no, path)
+                         numbered_rows(lines, 1)[bad[0]][0], path)
     n = len(frames)
     if not n:
         return {}

@@ -16,6 +16,8 @@ from trafficstate.detstream import (
 )
 from trafficstate.errors import ParseError, ValidationError
 
+from oracles import parse_by_rows
+
 
 def parse_all(text, **kwargs):
     return list(parse_detections(io.StringIO(text), **kwargs))
@@ -331,3 +333,50 @@ def test_without_fork_the_stream_is_read_in_process(monkeypatch):
     for (_, a), (_, b) in zip(in_process, forked):
         for name in DetectionBatch.__slots__:
             assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
+# -- rule breaks in text numpy reads ------------------------------------------------
+
+GOOD = "1,10,10,5,5,0.9,0,0.6,0.8"
+
+
+def after_notes(bad):
+    """A row, a comment and a blank line, then the bad row, on line 4."""
+    return [GOOD, "# note", "", bad]
+
+
+# (lines per chunk, lines): the last line is the first bad row; at the default
+# 1024 lines per chunk each stream is one chunk
+RULE_BREAKS = [
+    pytest.param(1024, after_notes("1,2e5,10,5,5,0.9,1,0.6,0.8"), id="box out of range"),
+    pytest.param(1024, after_notes("0,30,10,5,5,0.9,1,0.6,0.8"), id="frame 0"),
+    pytest.param(1024, after_notes("1,30,10,5,5,0.9,-1,0.6,0.8"), id="class -1"),
+    pytest.param(1024, after_notes("1,30,10,0,5,0.9,1,0.6,0.8"), id="width 0"),
+    pytest.param(1024, after_notes("1,30,10,5,5,1.5,1,0.6,0.8"), id="confidence 1.5"),
+    pytest.param(1024, after_notes("1,30,10,5,5,0.9,1,nan,0.8"), id="nan descriptor"),
+    pytest.param(1024, after_notes("1,30,10,5,5,0.9,1,0,0"), id="zero descriptor"),
+    pytest.param(1024, ["2" + GOOD[1:], "# note", "", GOOD], id="frame order within a chunk"),
+    # the bad row opens the second chunk of 3 lines, behind the first's last frame
+    pytest.param(3, [GOOD, "3" + GOOD[1:], "3" + GOOD[1:], "# note", "", "2" + GOOD[1:]],
+                 id="frame order across chunks"),
+]
+
+
+@pytest.mark.parametrize("chunk_rows,lines", RULE_BREAKS)
+def test_rule_breaks_numpy_reads_are_diagnosed_without_the_row_parse(chunk_rows, lines,
+                                                                     monkeypatch):
+    # the array read is enough to name the first bad row and the first rule it
+    # breaks, with the row-at-a-time oracle's message and line
+    def row_path(*args, **kwargs):
+        raise AssertionError("rule break diagnosed by the row parse")
+
+    text = "\n".join(lines + ["5" + GOOD[1:]]) + "\n"
+    with pytest.raises(ParseError) as want:
+        list(parse_by_rows(io.StringIO(text), path="dets.txt"))
+    assert str(want.value).startswith(f"dets.txt:{len(lines)}: ")
+    monkeypatch.setattr(detstream, "_parse_rows", row_path)
+    monkeypatch.setattr(detstream, "CHUNK_ROWS", chunk_rows)
+    with pytest.raises(ParseError) as got:
+        list(parse_detections(io.StringIO(text), path="dets.txt"))
+    assert str(got.value) == str(want.value)
+    assert_no_child_left()

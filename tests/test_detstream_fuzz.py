@@ -102,6 +102,7 @@ VALID = [
     pytest.param(with_row(1, "1,30,10,5,5,0.2,1,5e-324,5e-324"), id="subnormal"),
     pytest.param("# header\n\n" + "\n\n".join(BASE) + "\n", id="comments and blanks"),
     pytest.param("1,10,10,5,5,0.9,0\n1,20,10,5,5,0.1,3\n4,10,10,5,5,1,0\n", id="no descriptors"),
+    pytest.param(with_row(4, f"{2**63},32,10,5,5,0.9,1,+1, 0 "), id="frame past int64"),
 ] + [pytest.param(with_row(1, f"1,30,10,5,5,0.2,1,{scaled(s)}"), id=f"norm {s!r}")
      for s in NEAR_ONE]
 
@@ -128,6 +129,24 @@ CORRUPT = [
     pytest.param(with_row(4, "1,32,10,5,5,0.9,1,1,1e999"), id="order error after a bad embedding"),
     pytest.param(with_row(4, "3,32,10,5,5,0.9,1,1,2,x"), id="dimension error after a bad token"),
     pytest.param(with_row(3, "3,12,10,5"), id="short row after a good frame"),
+    # a rule break that numpy reads, and a row only int() and float() convert
+    pytest.param(with_row(3, "x,12,10,5,5,0.9,0,0.6,0.8",
+                          BASE[:1] + ["1,30,10,5,5,1.5,1,3,4"] + BASE[2:]),
+                 id="head error before an unparseable field"),
+    pytest.param(with_row(3, "3,12,10,5,5,0.9,0,1_0,0.8",
+                          BASE[:1] + ["1,30,10,5,5,1.5,1,3,4"] + BASE[2:]),
+                 id="head error before a converted row"),
+    pytest.param(with_row(3, "3,12,10,5,5,1.5,0,0.6,0.8",
+                          BASE[:1] + ["1,30,10,5,5,0.2,1,1_0,4"] + BASE[2:]),
+                 id="converted row before a head error"),
+    pytest.param(with_row(1, "1,30,10,5,5,1.5,1,x,4"), id="head error on a bad embedding"),
+    pytest.param(with_row(1, "1,30,10,5,5,1.5,1,3"), id="head error on a narrower row"),
+    pytest.param(with_row(1, "1,30,10,5,5,0.2,1,0,0,0"), id="zero vector on a wider row"),
+    pytest.param(with_row(1, "1,30,10,5,5,0.2,1,1_0"), id="narrower converted row"),
+    pytest.param(with_row(1, f"1,30,10,5,5,0.2,{2**63},3,4"), id="class id past int64"),
+    pytest.param(with_row(3, "3,12,10,5,5,0.9,0,0.6,0.8",
+                          BASE[:2] + [f"{2**63},50,10,5,5,0.9,2,0.6,-0.8"] + BASE[3:]),
+                 id="frame after one past int64"),
 ]
 
 
@@ -169,6 +188,7 @@ def test_near_unit_rows_keep_the_row_parsers_bits():
 
 FORMATS = [repr, "{:.17g}".format, "{:.6g}".format, "{:+.3e}".format]
 TOKENS = ["1_0", "nan", "1e400", "0x10", "-inf", "", " 2.5 ", "0", "1#2"]
+HEAD_TOKENS = ["1.5", "0", "-1", "nan", "x", "1_0", "+2", " 3 ", str(2**63)]
 
 
 @st.composite
@@ -220,7 +240,9 @@ def stream(draw):
         elif kind == "order":
             row[0] = str(max(1, int(row[0]) - 1))
         elif kind == "head":
-            row[draw(st.integers(0, 6))] = draw(st.sampled_from(["1.5", "0", "-1", "nan", "x"]))
+            # rule breaks, and tokens that int() and float() accept and numpy may
+            # refuse, so that a converted row can fall before, on or after a break
+            row[draw(st.integers(0, 6))] = draw(st.sampled_from(HEAD_TOKENS))
         elif kind == "comment":
             rows.insert(i, ["# note"])
     min_confidence = draw(st.sampled_from([0.0, 0.3, 0.6]))
