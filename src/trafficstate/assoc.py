@@ -121,17 +121,21 @@ def motion_distances(y: np.ndarray, s: np.ndarray, ok: np.ndarray,
         raise ContractError("motion_distances takes y and s as (4, n), ok as (n,) and "
                             "measurements as (4, m)")
     usable = ok.nonzero()[0]
-    y, s = y.take(usable, 1), s.take(usable, 1)
+    if len(usable) < len(ok):
+        y, s = y.take(usable, 1), s.take(usable, 1)
     # counts the positive variances, so that NaN is rejected too
     if np.count_nonzero(s > 0) < s.size:
         raise NumericalError("projection covariance not positive-definite")
     white = measurements[:, None, :] - y[:, :, None]      # (4, u, m), a block per component
     white *= (1.0 / np.sqrt(s))[:, :, None]
-    d1 = np.full((len(ok), measurements.shape[1]), np.inf)
     # a square or a sum past float max is +inf, which the finite gate keeps out
     with np.errstate(over="ignore"):
         white *= white
-        d1[usable] = ((white[0] + white[1]) + white[2]) + white[3]
+        d = ((white[0] + white[1]) + white[2]) + white[3]
+    if len(usable) == len(ok):
+        return d
+    d1 = np.full((len(ok), measurements.shape[1]), np.inf)
+    d1[usable] = d
     return d1
 
 
@@ -268,27 +272,25 @@ def solve_assignment(cost: CostMatrix, levels: np.ndarray | None = None) -> Assi
     so the forced pairs are still taken in one pass, and only the contested
     rows go through the levels, over the contested columns.
     """
-    n, m = cost.shape
-    rows, cols = _assign(cost.values, cost.admissible, levels)
-    taken_rows, taken_cols = np.zeros(n, dtype=bool), np.zeros(m, dtype=bool)
-    taken_rows[rows] = True
-    taken_cols[cols] = True
+    rows, cols, row_pairs, col_pairs = _assign(cost.values, cost.admissible, levels)
     matches = np.empty((len(rows), 2), dtype=np.int64)
     matches[:, 0], matches[:, 1] = rows, cols
-    return AssignmentResult(matches, (~taken_rows).nonzero()[0], (~taken_cols).nonzero()[0])
+    return AssignmentResult(matches, (row_pairs == 0).nonzero()[0], (col_pairs == 0).nonzero()[0])
 
 
 def _assign(values: np.ndarray, admissible: np.ndarray, levels: np.ndarray | None):
-    """(rows, cols) of `solve_assignment`'s matched pairs, rows ascending."""
+    """(rows, cols) of `solve_assignment`'s matched pairs, rows ascending,
+    and the number of them in each row and in each column, 0 or 1."""
     n, m = admissible.shape
     rows, cols = admissible.nonzero()   # row-major, so rows ascend
     # a pair is forced when it is the only admissible one in its row and
     # in its column; the counts come from the admissible pairs, not from
     # the whole matrix
-    forced = (np.bincount(rows, minlength=n)[rows] == 1) \
-        & (np.bincount(cols, minlength=m)[cols] == 1)
-    if np.count_nonzero(forced) == len(rows):   # every admissible pair is forced
-        return rows, cols
+    row_pairs, col_pairs = np.bincount(rows, minlength=n), np.bincount(cols, minlength=m)
+    # every pair is forced when the pairs hold as many rows, and columns, as pairs
+    if np.count_nonzero(row_pairs) == np.count_nonzero(col_pairs) == len(rows):
+        return rows, cols, row_pairs, col_pairs
+    forced = (row_pairs[rows] == 1) & (col_pairs[cols] == 1)
     open_rows = np.bincount(rows[~forced], minlength=n).nonzero()[0]
     open_cols = np.bincount(cols[~forced], minlength=m).nonzero()[0]
     rows, cols = rows[forced], cols[forced]
@@ -313,9 +315,10 @@ def _assign(values: np.ndarray, admissible: np.ndarray, levels: np.ndarray | Non
         for level in sorted(set(open_levels.tolist())):
             group = open_rows[open_levels == level]
             block = np.ix_(group, open_cols)
-            sub_rows, sub_cols = _assign(values[block], admissible[block], None)
+            sub_rows, sub_cols, _, _ = _assign(values[block], admissible[block], None)
             rows = np.concatenate([rows, group[sub_rows]])
             cols = np.concatenate([cols, open_cols[sub_cols]])
             open_cols = np.delete(open_cols, sub_cols)
     order = np.argsort(rows)
-    return rows[order], cols[order]
+    rows, cols = rows[order], cols[order]
+    return rows, cols, np.bincount(rows, minlength=n), np.bincount(cols, minlength=m)

@@ -15,6 +15,11 @@ of an object in a reference cycle runs at exit: every command closes the
 files it writes, and reaps the detection reader, before `main()` returns.
 `main()` itself leaves the collector as it found it, for tests and library
 callers, and an uncaught exception skips the freeze.
+
+Every input file is checked to be UTF-8 by `detstream.check_utf8`: whole
+when it is read whole, and a detection stream chunk by chunk, by the chunk
+stage of `detstream.parse_detections`. `track` writes tracks.txt a block of
+frames at a time, BLOCK_ROWS rows or more per %-format, the last at the end.
 """
 
 from __future__ import annotations
@@ -23,10 +28,11 @@ import argparse
 import dataclasses
 import gc
 import io
-import re
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable, Iterator
+
+import numpy as np
 
 from . import detstream
 from .detstream import ClassCatalog, DetectionBatch
@@ -37,25 +43,13 @@ if TYPE_CHECKING:
     from .traffic import IntervalRow
 
 TRACKS_HEADER = "frame\tid\tclass\tu\tv\tw\th"
-
-
-# a byte that is not UTF-8, as errors="surrogateescape" decodes it
-_NOT_UTF8 = re.compile("[\udc80-\udcff]")
-
-
-def _check_utf8(text: str, line_no: int, path: str) -> str:
-    """text, read with errors="surrogateescape" from line line_no of path on;
-    a byte that is not UTF-8 raises the ParseError naming the first one."""
-    bad = None if text.isascii() else _NOT_UTF8.search(text)
-    if bad is not None:
-        raise ParseError(f"not UTF-8 text (byte 0x{ord(bad.group()) - 0xDC00:02x})",
-                         line_no + text.count("\n", 0, bad.start()), path)
-    return text
+# tracks.txt rows per %-format: a block of frames closes once it holds this many
+BLOCK_ROWS = 1024
 
 
 def _read_text(path: str) -> str:
-    return _check_utf8(Path(path).read_text(encoding="utf-8", errors="surrogateescape"),
-                       1, path)
+    return detstream.check_utf8(
+        Path(path).read_text(encoding="utf-8", errors="surrogateescape"), 1, path)
 
 
 def _open_detections(path: str):
@@ -64,12 +58,6 @@ def _open_detections(path: str):
             sys.stdin.reconfigure(errors="surrogateescape")
         return sys.stdin
     return open(path, "r", encoding="utf-8", errors="surrogateescape")
-
-
-def _utf8_lines(lines, path: str):
-    """lines, each checked by _check_utf8 as it is reached."""
-    for line_no, line in enumerate(lines, start=1):
-        yield line if line.isascii() else _check_utf8(line, line_no, path)
 
 
 def _frames_to_step(batches, tracker: Tracker):
@@ -87,23 +75,37 @@ def _frames_to_step(batches, tracker: Tracker):
         last = frame
 
 
-def _track_rows(live: LiveTracks) -> str:
-    """The tracks.txt rows of one frame's confirmed tracks: frame, id,
-    class, box centre and size, each float as %.6g.
-
-    The frame's rows come from one %-format of the row template, with the
-    frame number written in, repeated once per row; %.6g writes a float as
-    the format spec .6g does.
-    """
-    c = live.confirmed
-    boxes = live.boxes[c]
-    k = len(boxes)
-    fields = [None] * (6 * k)
-    fields[0::6] = live.ids[c].tolist()
-    fields[1::6] = live.class_ids[c].tolist()
+def _track_rows(block: list[tuple[LiveTracks, int]]) -> str:
+    """The tracks.txt rows of frames given with their counts of confirmed
+    tracks: frame, id, class, box centre and size, each float as %.6g, which
+    writes it as the format spec .6g does. One %-format fills each frame's
+    row template, its frame number written in, repeated once per row."""
+    template = "".join([f"{live.frame}\t%d\t%d\t%.6g\t%.6g\t%.6g\t%.6g\n" * k
+                        for live, k in block])
+    c = np.concatenate([live.confirmed for live, _ in block])
+    boxes = np.concatenate([live.boxes for live, _ in block])[c]
+    fields = [None] * (6 * len(boxes))
+    fields[0::6] = np.concatenate([live.ids for live, _ in block])[c].tolist()
+    fields[1::6] = np.concatenate([live.class_ids for live, _ in block])[c].tolist()
     fields[2::6], fields[3::6] = (boxes[:, :2] + boxes[:, 2:] / 2.0).T.tolist()
     fields[4::6], fields[5::6] = boxes[:, 2:].T.tolist()
-    return (f"{live.frame}\t%d\t%d\t%.6g\t%.6g\t%.6g\t%.6g\n" * k) % tuple(fields)
+    return template % tuple(fields)
+
+
+def _write_tracks(out, steps: Iterable[LiveTracks]) -> Iterator[LiveTracks]:
+    """Each of steps, whose tracks.txt rows go to out a block of frames at a
+    time: a block closes once it holds BLOCK_ROWS rows, and when steps end."""
+    block, rows = [], 0
+    for live in steps:
+        k = np.count_nonzero(live.confirmed)
+        block.append((live, k))
+        rows += k
+        if rows >= BLOCK_ROWS:
+            out.write(_track_rows(block))
+            block, rows = [], 0
+        yield live
+    if block:
+        out.write(_track_rows(block))
 
 
 def cmd_track(detections_path: str, config_path: str | None, out_dir: str) -> int:
@@ -116,22 +118,17 @@ def cmd_track(detections_path: str, config_path: str | None, out_dir: str) -> in
     out.mkdir(parents=True, exist_ok=True)
 
     tracker = Tracker(cfg.tracker)
-    frames = []
     tracks_path = out / cfg.tracks_name
     src = _open_detections(detections_path)
-    batches = detstream.parse_detections(
-        _utf8_lines(src, detections_path), min_confidence=cfg.confidence_floor,
-        path=detections_path,
-    )
+    batches = detstream.parse_detections(src, min_confidence=cfg.confidence_floor,
+                                         path=detections_path)
     try:
         tf = open(tracks_path, "w", encoding="utf-8")
         try:
             with tf:
                 tf.write(TRACKS_HEADER + "\n")
-                for frame, batch in _frames_to_step(batches, tracker):
-                    live = tracker.step(frame, batch)
-                    frames.append(live)
-                    tf.write(_track_rows(live))
+                frames = list(_write_tracks(tf, (tracker.step(frame, batch) for frame, batch
+                                                 in _frames_to_step(batches, tracker))))
             last_frame = frames[-1].frame if frames else 0
             duration = cfg.duration_s if cfg.duration_s is not None else last_frame / cfg.fps
             trajectories = traffic.assemble_trajectories(frames, cfg.calibration)

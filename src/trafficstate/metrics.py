@@ -88,9 +88,15 @@ def match_to_ground_truth(
     rows, cols = rows[order], cols[order]
     same = detections.class_ids[rows] == ground_truths.class_ids[cols]
     for column, pairs in enumerate((same, slice(None))):
+        r, c = rows[pairs], cols[pairs]
+        # a pair alone among its detection's candidates and its ground
+        # truth's is claimed in any order; only the others need the loop
+        alone = (np.bincount(r, minlength=len(detections))[r] == 1) \
+            & (np.bincount(c, minlength=len(ground_truths))[c] == 1)
+        claimed[r[alone], column] = c[alone]
         claims: dict[int, int] = {}
         taken: set[int] = set()
-        for i, j in zip(rows[pairs].tolist(), cols[pairs].tolist()):
+        for i, j in zip(r[~alone].tolist(), c[~alone].tolist()):
             if i not in claims and j not in taken:
                 claims[i] = j
                 taken.add(j)

@@ -185,25 +185,25 @@ class Tracker:
             self._gallery[self._store.take(rows), pushed % cfg.gallery_capacity] = \
                 descriptors.take(cols, 0)
             self._pushed[rows] = pushed + 1
-        self._votes[class_cols[cols], rows] += 1
+        np.add.at(self._votes, (class_cols[cols], rows), 1)
         self._hits[rows] += 1
         self._misses[rows] = 0
         out_boxes[rows] = boxes.take(cols, 0)
 
         # an unmatched track dies if it is tentative or past max_age; a track
         # gets a hit only on a frame it is matched, so an unmatched one is as
-        # tentative as it was before this frame
-        misses = self._misses
-        dead = (misses > 0) & (self._hits < cfg.n_init) | (misses > cfg.max_age)
+        # tentative as it was before this frame. No track misses 2**62 frames
+        confirmed = self._hits >= cfg.n_init
+        dead = self._misses > confirmed * min(cfg.max_age, 2**62)
         if np.count_nonzero(dead):
             self._free += self._store[dead].tolist()
             alive = (~dead).nonzero()[0]
             for name in _TRACK_ARRAYS:
                 setattr(self, name, getattr(self, name).take(alive, -1))
-            out_boxes = out_boxes.take(alive, 0)
+            out_boxes, confirmed = out_boxes.take(alive, 0), confirmed.take(alive)
         # with no live track there may be no class column to take an argmax over
         top = self._votes.argmax(axis=0) if len(self._ids) else np.empty(0, np.int64)
-        return LiveTracks(frame=frame, ids=self._ids, confirmed=self._hits >= cfg.n_init,
+        return LiveTracks(frame=frame, ids=self._ids, confirmed=confirmed,
                           class_ids=self._classes[top], boxes=out_boxes)
 
     # -- internals -------------------------------------------------------------

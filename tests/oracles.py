@@ -10,7 +10,7 @@ must match bit for bit, the gallery cosine distance with one product and
 one max per pair, which the engine's blocked reduction must match bit for
 bit, the calibration transform with its trigonometry
 evaluated afresh on every call, trajectory assembly one track row at a
-time, detection parsing one row at a time, detection evaluation one
+time, tracks.txt rows written one row at a time, detection parsing one row at a time, detection evaluation one
 `Detection` row at a time, evaluation files read one row at a time, and
 the matching cascade one miss age at a time. The row parsers check each
 field against the input contract restated here (its bounds and
@@ -514,6 +514,21 @@ def row_fields(row):
     mean = None if math.isnan(row.mean_speed_kmh) else row.mean_speed_kmh
     return (row.interval, row.start, row.end, row.class_id, row.count, row.flow_vph, mean,
             row.n_speed_tracks)
+
+
+# -- tracks.txt rows, one row at a time -------------------------------------------
+
+def track_rows_by_rows(frames):
+    """The tracks.txt rows of frame-ordered LiveTracks records, one row of
+    one confirmed track at a time, each float through the format spec .6g."""
+    out = []
+    for live in frames:
+        for i, k, (x, y, w, h), c in zip(live.ids.tolist(), live.class_ids.tolist(),
+                                         live.boxes.tolist(), live.confirmed.tolist()):
+            if c:
+                out.append(f"{live.frame}\t{i}\t{k}\t{x + w / 2.0:.6g}\t{y + h / 2.0:.6g}\t"
+                           f"{w:.6g}\t{h:.6g}\n")
+    return "".join(out)
 
 
 # -- detection parsing, one row at a time ---------------------------------------

@@ -291,6 +291,53 @@ def test_first_bad_line_wins_over_a_byte_that_is_not_utf8(tmp_path, capsys, monk
     assert list((tmp_path / "out").glob("*")) == []
 
 
+# (line with a byte that is not UTF-8, line with a row error or None, the
+# line reported, its message): in chunks of 3 lines, lines 7-9 are the third
+# chunk, which a forked reader reads
+NOT_UTF8_AT_CHUNK_EDGES = [
+    pytest.param(7, None, 7, "not UTF-8 text (byte 0xe9)", id="chunk's first line"),
+    pytest.param(9, None, 9, "not UTF-8 text (byte 0xe9)", id="chunk's last line"),
+    pytest.param(8, 7, 7, "confidence must be in [0,1], got 1.5", id="after a row error"),
+    pytest.param(7, 8, 7, "not UTF-8 text (byte 0xe9)", id="before a row error"),
+]
+
+
+@pytest.mark.parametrize("reader", ["in process", "forked"])
+@pytest.mark.parametrize("stdin", [False, True], ids=["file", "stdin"])
+@pytest.mark.parametrize("byte_line,bad_row,line,message", NOT_UTF8_AT_CHUNK_EDGES)
+def test_a_byte_that_is_not_utf8_at_a_chunk_edge(tmp_path, capsys, monkeypatch, reader, stdin,
+                                                 byte_line, bad_row, line, message):
+    # the chunk stage checks each chunk's text; a row error on an earlier line
+    # of the chunk wins, in the reader process too, which only streams with
+    # descriptors get
+    monkeypatch.setattr(detstream, "CHUNK_ROWS", 3)
+    vec = "," + ",".join(["0.25"] * 16) if reader == "forked" else ""
+    lines = [f"{f},{10 + f},10,20,40,0.9,3{vec}\n".encode() for f in range(1, 13)]
+    if bad_row is not None:
+        lines[bad_row - 1] = lines[bad_row - 1].replace(b",0.9,", b",1.5,")
+    lines[byte_line - 1] = lines[byte_line - 1].replace(b",3", b",\xe93", 1)
+    data = b"".join(lines)
+    path = str(tmp_path / "dets.txt")
+    Path(path).write_bytes(data)
+    if stdin:
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        path = "-"
+    fork, readers = os.fork, []
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            readers.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    assert main(["track", "--detections", path, "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {path}:{line}: {message}\n"
+    assert list((tmp_path / "out").glob("*")) == []
+    assert len(readers) == (reader == "forked")
+    assert_no_child_left()
+
+
 def test_every_documented_key_is_known(tmp_path):
     # print-config's keys, the reference-object keys it shows commented out,
     # and the run configs of the benchmark's `track` workloads
@@ -1262,6 +1309,36 @@ def test_track_on_stdin_writes_the_bytes_of_the_same_file_by_path(tmp_path):
         assert (tmp_path / "stdin" / name).read_bytes() == (tmp_path / "path" / name).read_bytes()
     tracks = (tmp_path / "stdin" / "tracks.txt").read_bytes()
     assert hashlib.sha256(tracks).hexdigest() == PINNED_TRACKS_SHA256
+
+
+@pytest.mark.parametrize("size", [1, 2, 7])
+def test_track_bytes_do_not_depend_on_chunk_or_block_sizes(tmp_path, monkeypatch, size):
+    # a stream with descriptors, comments and blank lines, births, deaths,
+    # and frames with no row: one gap shorter than max_age, which the live
+    # tracks coast through, and one longer, which ends them
+    lines = pinned_scene_text().splitlines(keepends=True)
+    lines = [s for s in lines if int(s.split(",", 1)[0]) not in {*range(40, 42),
+                                                                 *range(60, 66)}]
+    for k in range(len(lines) - 1, 0, -37):
+        lines[k:k] = ["# a note\n", "\n"]
+    dets = write(tmp_path / "dets.txt", "".join(lines))
+    cfg = write(tmp_path / "run.ini", PINNED_RUN_CONFIG)
+    argv = ["track", "--detections", dets, "--config", cfg, "--out-dir"]
+    assert main(argv + [str(tmp_path / "default")]) == 0
+    monkeypatch.setattr(detstream, "CHUNK_ROWS", size)
+    monkeypatch.setattr(cli, "BLOCK_ROWS", size)
+    assert main(argv + [str(tmp_path / "small")]) == 0
+    for name in ("tracks.txt", "intervals.txt"):
+        want = (tmp_path / "default" / name).read_bytes()
+        assert (tmp_path / "small" / name).read_bytes() == want
+    tracks = (tmp_path / "default" / "tracks.txt").read_text(encoding="utf-8").splitlines()
+    frames = sorted({int(row.split("\t")[0]) for row in tracks[1:]})
+    # rows on the frames of the short gap and on the first max_age frames of
+    # the long one; then the tracks are gone, and the next are confirmed on
+    # the third frame after the gap
+    assert {40, 41, 60, 61, 62} <= set(frames) and not {63, 64, 65, 66, 67} & set(frames)
+    assert len({row.split("\t")[1] for row in tracks[1:]}) > 10
+    assert_no_child_left()
 
 
 def test_clean_inputs_never_take_the_row_path(tmp_path, monkeypatch):

@@ -1,10 +1,13 @@
 """Fuzzed detection input, run config values and scenario values through
-the `track` and `synth` commands, and the number format of `tracks.txt`.
+the `track` and `synth` commands, and the number format of `tracks.txt`
+and its rows written a block of frames at a time.
 
 Needs hypothesis (the `test` extra in pyproject.toml); skipped without it.
 """
+import io
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,9 +16,12 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from trafficstate.cli import _track_rows, main  # noqa: E402
+from trafficstate import cli  # noqa: E402
+from trafficstate.cli import _write_tracks, main  # noqa: E402
 from trafficstate.config import default_config_text  # noqa: E402
 from trafficstate.tracker import LiveTracks  # noqa: E402
+
+from oracles import track_rows_by_rows  # noqa: E402
 
 # fields that parse, fields that parse to out-of-range or non-finite values,
 # and fields that do not parse
@@ -172,4 +178,44 @@ def test_a_frames_track_rows_are_the_rows_written_one_by_one(frame, data):
                    for i, c, (x, y, w, h) in zip(live.ids[confirmed].tolist(),
                                                  live.class_ids[confirmed].tolist(),
                                                  boxes[confirmed].tolist()))
-    assert _track_rows(live) == want
+    out = io.StringIO()
+    assert list(_write_tracks(out, [live])) == [live]
+    assert out.getvalue() == want
+
+
+# doubles whose %.6g form is easy to get wrong: signed zero, subnormals,
+# halfway cases, the switch to exponent form, and sums that round
+EDGE_FLOATS = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-5, 0.0001, 999999.5, 9999995.0,
+               123456.5, 1e16, -1e16, 0.1 + 0.2, float("nan")]
+
+
+@st.composite
+def live_frames(draw):
+    """Frame-ordered LiveTracks records: some with no track, some with no
+    confirmed one, frames past int64 among them."""
+    frames = sorted(set(draw(st.lists(st.one_of(st.integers(1, 40), st.integers(1, 2**70)),
+                                      max_size=12))))
+    out = []
+    for frame in frames:
+        n = draw(st.integers(0, 5))
+        values = draw(st.lists(st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(-1e6, 1e6)),
+                               min_size=4 * n, max_size=4 * n))
+        confirmed = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        out.append(LiveTracks(frame=frame, ids=np.array(draw(st.lists(
+                                  st.integers(1, 2**62), min_size=n, max_size=n)), np.int64),
+                              confirmed=np.array(confirmed, bool),
+                              class_ids=np.array(draw(st.lists(
+                                  st.integers(0, 13), min_size=n, max_size=n)), np.int64),
+                              boxes=np.array(values).reshape(n, 4)))
+    return out
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(frames=live_frames(), block_rows=st.one_of(st.integers(1, 8), st.just(cli.BLOCK_ROWS)))
+def test_rows_written_a_block_at_a_time_are_the_rows_written_one_by_one(frames, block_rows):
+    # a block closes once it holds block_rows rows, so small limits close
+    # blocks mid-run, on frames with and without confirmed tracks
+    out = io.StringIO()
+    with mock.patch.object(cli, "BLOCK_ROWS", block_rows):
+        assert list(_write_tracks(out, frames)) == frames
+    assert out.getvalue() == track_rows_by_rows(frames)

@@ -1,7 +1,8 @@
 """Batched detection evaluation against the row-at-a-time evaluation oracle,
 average precision against threshold enumeration, the array read of
-evaluation files against the row-at-a-time reader, and matching over the
-boxes that meet against matching over the full IoU matrix.
+evaluation files against the row-at-a-time reader, matching over the
+boxes that meet against matching over the full IoU matrix, and the claims
+taken without the greedy loop against the loop.
 
 Needs hypothesis (the `test` extra in pyproject.toml); skipped without it.
 """
@@ -26,7 +27,12 @@ from trafficstate.metrics import (  # noqa: E402
     match_to_ground_truth,
 )
 
-from oracles import evaluate_by_rows, load_boxes_by_rows, threshold_enumeration_ap  # noqa: E402
+from oracles import (  # noqa: E402
+    evaluate_by_rows,
+    greedy_match,
+    load_boxes_by_rows,
+    threshold_enumeration_ap,
+)
 from test_metrics import engine_labels  # noqa: E402
 
 N_CLASSES = 3
@@ -330,3 +336,17 @@ def test_pruned_matching_equals_dense(instance, iou_threshold):
     assert np.array_equal(iou_pairs(dets.boxes, gts.boxes, rows, cols), overlaps[rows, cols])
     assert np.array_equal(match_to_ground_truth(dets, gts, iou_threshold),
                           dense_claims(dets, gts, iou_threshold))
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(rows=frame_rows(1), iou_threshold=st.sampled_from([0.0, 0.3, 0.5, 0.7, 1.0]))
+def test_claims_equal_the_plain_greedy_loop(rows, iou_threshold):
+    # detections that copy one ground truth contest it, grid boxes tie on IoU
+    # and round confidences tie in the order; a pair alone among its
+    # detection's and its ground truth's candidates is claimed without the
+    # loop, and every claim must be the plain loop's
+    dets, gts = rows
+    claimed = match_to_ground_truth(DetectionBatch.stack(1, dets), DetectionBatch.stack(1, gts),
+                                    iou_threshold)
+    assert claimed[:, 0].tolist() == greedy_match(dets, gts, iou_threshold, same_class=True)
+    assert claimed[:, 1].tolist() == greedy_match(dets, gts, iou_threshold, same_class=False)
