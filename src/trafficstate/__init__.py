@@ -7,15 +7,10 @@ measure classified flow and speed over a counting line (`traffic`).
 `metrics` evaluates detection quality and measurement agreement; `synth`
 builds synthetic scenes with exact ground truth.
 
-Past its first chunk of lines, `detstream.parse_detections` parses a
-stream whose rows carry appearance descriptors in a forked reader
-process, one chunk ahead of the tracker; a stream without them is parsed
-in-process.
 Importing the package sets OPENBLAS_NUM_THREADS to 1 unless it is set
 already; this takes effect only when the package is imported before
 numpy. The package's largest BLAS call is a 100 x 64 product, so a BLAS
-worker thread only adds CPU (its spin at numpy's import), and the
-process forks with one thread.
+worker thread only adds CPU (its spin at numpy's import).
 """
 
 import os

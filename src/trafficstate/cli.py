@@ -12,14 +12,17 @@ collector is enabled; walking the ~22k objects that numpy and the package
 load made a `print-config` child's exit take about 18 ms, against 4 ms
 once they are frozen. Frozen objects are never collected, so no finalizer
 of an object in a reference cycle runs at exit: every command closes the
-files it writes, and reaps the detection reader, before `main()` returns.
+files it reads and writes before `main()` returns.
 `main()` itself leaves the collector as it found it, for tests and library
 callers, and an uncaught exception skips the freeze.
 
 Every input file is checked to be UTF-8 by `detstream.check_utf8`: whole
 when it is read whole, and a detection stream chunk by chunk, by the chunk
-stage of `detstream.parse_detections`. `track` writes tracks.txt a block of
-frames at a time, BLOCK_ROWS rows or more per %-format, the last at the end.
+stage of `detstream.parse_detections`, in the command's own process.
+`track` writes tracks.txt a block of frames at a time, BLOCK_ROWS rows or
+more per %-format, the last at the end. With duration_s blank, its total
+duration is the last detection frame over fps, and a grid of more than
+traffic.MAX_INTERVALS intervals is refused naming the config and [measure].
 """
 
 from __future__ import annotations
@@ -110,7 +113,7 @@ def _write_tracks(out, steps: Iterable[LiveTracks]) -> Iterator[LiveTracks]:
 
 def cmd_track(detections_path: str, config_path: str | None, out_dir: str) -> int:
     from . import traffic
-    from .config import parse_config
+    from .config import parse_config, prefixed
     from .tracker import Tracker
 
     cfg = parse_config(_read_text(config_path), config_path) if config_path else parse_config("")
@@ -129,8 +132,14 @@ def cmd_track(detections_path: str, config_path: str | None, out_dir: str) -> in
                 tf.write(TRACKS_HEADER + "\n")
                 frames = list(_write_tracks(tf, (tracker.step(frame, batch) for frame, batch
                                                  in _frames_to_step(batches, tracker))))
-            last_frame = frames[-1].frame if frames else 0
-            duration = cfg.duration_s if cfg.duration_s is not None else last_frame / cfg.fps
+            duration = cfg.duration_s
+            if duration is None:
+                last_frame = frames[-1].frame if frames else 0
+                duration = last_frame / cfg.fps
+                with prefixed(f"{config_path or 'default config'}: [measure] duration_s is "
+                              f"blank, so the total duration is the last detection frame, "
+                              f"{last_frame}, over fps = {cfg.fps}:"):
+                    traffic.interval_count(cfg.interval_s, duration)
             trajectories = traffic.assemble_trajectories(frames, cfg.calibration)
             # a refused row raises here, before the intervals file is opened
             rows = traffic.measure_intervals(
@@ -141,8 +150,6 @@ def cmd_track(detections_path: str, config_path: str | None, out_dir: str) -> in
             tracks_path.unlink()
             raise
     finally:
-        # ends the detection reader process, if the stream did not end it
-        batches.close()
         if src is not sys.stdin:
             src.close()
     with open(out / cfg.intervals_name, "w", encoding="utf-8") as f:

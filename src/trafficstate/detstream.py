@@ -22,27 +22,18 @@ one a row-at-a-time parse raises. `metrics.load_boxes` feeds it a whole
 evaluation file, with each 6-column ground-truth row already given its
 confidence column.
 
-`parse_detections` runs in two stages. The chunk stage (`_chunks`) feeds
-`read_rows` CHUNK_ROWS lines at a time, so a stream is checked for UTF-8
-once per chunk, and carries the stream's width and frame order across
-chunks. When the stream goes on past its first chunk and its rows carry
-descriptors, the rest is read in a reader process forked then
-(`_read_ahead`), which sends each chunk's columns back as one pickle over
-a pipe and parses the next chunk while the caller works on this one; a
-stream without descriptors parses cheaply enough to stay in the caller's
-process. The frame stage, in the caller's process, applies
-the confidence floor and yields one `DetectionBatch` of arrays per frame.
+`parse_detections` runs in two stages, both in the calling process. The
+chunk stage (`_chunks`) feeds `read_rows` CHUNK_ROWS lines at a time, so
+a stream is checked for UTF-8 once per chunk, and carries the stream's
+width and frame order across chunks. The frame stage applies the
+confidence floor and yields one `DetectionBatch` of arrays per frame.
 `Detection` is the one-row form that `synth` writes;
 `DetectionBatch.stack` turns a frame's list of them into a batch.
 """
 
 from __future__ import annotations
 
-import gc
-import os
-import pickle
 import re
-import signal
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass
@@ -390,11 +381,10 @@ def _parse_rows(lines: Sequence[str], line_no: int, path,
     return columns, ParseError(message, line_no, path)
 
 
-def _chunks(lines: Iterator[str], path) -> Iterator[tuple[tuple[np.ndarray, ...], bool]]:
-    """The chunk stage: for each CHUNK_ROWS lines that hold a row, read_rows'
-    columns and whether the stream may go on (the chunk was full), the
-    stream's width and frame order carried from chunk to chunk. A bad
-    chunk raises the error of its first bad line."""
+def _chunks(lines: Iterator[str], path) -> Iterator[tuple[np.ndarray, ...]]:
+    """The chunk stage: read_rows' columns of each CHUNK_ROWS lines that hold
+    a row, the stream's width and frame order carried from chunk to chunk.
+    A bad chunk raises the error of its first bad line."""
     line_no, stream, full = 1, (None, None), True
     while full:
         chunk = list(islice(lines, CHUNK_ROWS))
@@ -403,71 +393,7 @@ def _chunks(lines: Iterator[str], path) -> Iterator[tuple[tuple[np.ndarray, ...]
         full = len(chunk) == CHUNK_ROWS
         if len(columns[0]):
             stream = (columns[4].shape[1], int(columns[0][-1]))
-            yield columns, full
-
-
-def _read_ahead(chunks: Iterator[tuple]) -> Iterator[tuple[np.ndarray, ...]]:
-    """The columns of chunks. The first chunk is read here; when the stream
-    may go on past it and its rows carry descriptors, a reader process
-    forked then reads the rest while the caller works on the chunk before.
-
-    A stream within one chunk leaves nothing to overlap, and a fork costs
-    milliseconds, so it is read here whole. So is a stream without
-    descriptors: its 7-column rows parse in a small share of the caller's
-    time, and the reader would spend more CPU on that parse, its pickles
-    and the copy-on-write faults it causes than the caller saves: forked for
-    the bench's sparse_long stream at seed 7, it was faster in 3 of 16
-    alternated `track` runs, medians 0.523 s against 0.549 s (2 vCPUs). It is
-    also read here where os.fork does not exist. The reader sends one
-    pickle per chunk over a pipe, (columns, None), then (None, error)
-    with what iterating chunks raised, or None at its end; that error is
-    raised here, after the chunks before it. The pipe holds less than a
-    chunk of 64-d rows, so the reader runs about one chunk ahead. It ends
-    only through os._exit, so it flushes no buffer it inherited (a
-    half-written output file) and runs no exit handler. When this
-    generator ends, fails or is closed, the reader is killed if it still
-    runs, and reaped.
-    """
-    columns, more = next(chunks, (None, False))
-    if not more or not columns[4].shape[1] or not hasattr(os, "fork"):
-        if columns is not None:
             yield columns
-        yield from (columns for columns, _ in chunks)
-        return
-    read_end, write_end = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        try:
-            os.close(read_end)
-            # the inherited objects are never collected here, so none of
-            # their finalizers runs and their pages stay shared
-            gc.freeze()
-            with open(write_end, "wb") as out:
-                error = None
-                try:
-                    for columns, _ in chunks:
-                        out.write(pickle.dumps((columns, None), pickle.HIGHEST_PROTOCOL))
-                        out.flush()
-                except BaseException as exc:
-                    error = exc
-                out.write(pickle.dumps((None, error), pickle.HIGHEST_PROTOCOL))
-        finally:
-            os._exit(0)
-    os.close(write_end)
-    try:
-        with open(read_end, "rb") as messages:
-            while columns is not None:
-                yield columns
-                try:
-                    columns, error = pickle.load(messages)
-                except (EOFError, pickle.UnpicklingError):
-                    raise OSError("the detection reader process ended before "
-                                  "the stream did") from None
-        if error is not None:
-            raise error
-    finally:
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
 
 
 def parse_detections(
@@ -486,32 +412,26 @@ def parse_detections(
     first: the same message, at the same line. A line with a byte that is
     not UTF-8 (as errors="surrogateescape" reads it) is such an error.
 
-    The chunk stage (_chunks) reads source; after the first chunk, when
-    the stream goes on and carries descriptors, it runs in a forked reader
-    process (_read_ahead), one chunk ahead of this frame stage, which
-    applies the confidence floor and splits the rows into frames.
+    The chunk stage (_chunks) reads source; this frame stage applies the
+    confidence floor and splits each chunk's rows into frames.
     """
-    chunks = _read_ahead(_chunks(iter(source), path))
     held: Optional[DetectionBatch] = None   # the last frame read so far
-    try:
-        for frames, *columns in chunks:
-            keep = columns[1] >= min_confidence
-            if not keep.all():
-                columns = [c[keep] for c in columns]
-            # each frame's run of rows, and the part of the kept rows it spans
-            bounds = np.concatenate(([0], np.flatnonzero(frames[1:] != frames[:-1]) + 1,
-                                     [len(frames)]))
-            cuts = np.concatenate(([0], np.cumsum(keep)))[bounds].tolist()
-            for s, a, b in zip(bounds[:-1].tolist(), cuts[:-1], cuts[1:]):
-                frame, rows = int(frames[s]), [c[a:b] for c in columns]
-                if held is not None and held.frame == frame:   # the frame goes on
-                    rows = [np.concatenate(pair) for pair in zip(
-                        (held.boxes, held.confidence, held.class_ids, held.appearance), rows)]
-                elif held is not None:
-                    yield held.frame, held
-                held = DetectionBatch(frame, *rows)
-    finally:
-        chunks.close()
+    for frames, *columns in _chunks(iter(source), path):
+        keep = columns[1] >= min_confidence
+        if not keep.all():
+            columns = [c[keep] for c in columns]
+        # each frame's run of rows, and the part of the kept rows it spans
+        bounds = np.concatenate(([0], np.flatnonzero(frames[1:] != frames[:-1]) + 1,
+                                 [len(frames)]))
+        cuts = np.concatenate(([0], np.cumsum(keep)))[bounds].tolist()
+        for s, a, b in zip(bounds[:-1].tolist(), cuts[:-1], cuts[1:]):
+            frame, rows = int(frames[s]), [c[a:b] for c in columns]
+            if held is not None and held.frame == frame:   # the frame goes on
+                rows = [np.concatenate(pair) for pair in zip(
+                    (held.boxes, held.confidence, held.class_ids, held.appearance), rows)]
+            elif held is not None:
+                yield held.frame, held
+            held = DetectionBatch(frame, *rows)
     if held is not None:
         yield held.frame, held
 

@@ -21,6 +21,8 @@ from trafficstate.errors import NumericalError
 from trafficstate.tracker import Tracker, TrackerConfig
 from trafficstate.traffic import MAX_INTERVALS, LineOfInterest, parse_intervals
 
+from conftest import assert_no_child_left
+
 SCENARIO = """\
 [scenario]
 fps = 25
@@ -293,7 +295,7 @@ def test_first_bad_line_wins_over_a_byte_that_is_not_utf8(tmp_path, capsys, monk
 
 # (line with a byte that is not UTF-8, line with a row error or None, the
 # line reported, its message): in chunks of 3 lines, lines 7-9 are the third
-# chunk, which a forked reader reads
+# chunk
 NOT_UTF8_AT_CHUNK_EDGES = [
     pytest.param(7, None, 7, "not UTF-8 text (byte 0xe9)", id="chunk's first line"),
     pytest.param(9, None, 9, "not UTF-8 text (byte 0xe9)", id="chunk's last line"),
@@ -302,16 +304,15 @@ NOT_UTF8_AT_CHUNK_EDGES = [
 ]
 
 
-@pytest.mark.parametrize("reader", ["in process", "forked"])
+@pytest.mark.parametrize("columns", [7, 23], ids=["7 columns", "23 columns"])
 @pytest.mark.parametrize("stdin", [False, True], ids=["file", "stdin"])
 @pytest.mark.parametrize("byte_line,bad_row,line,message", NOT_UTF8_AT_CHUNK_EDGES)
-def test_a_byte_that_is_not_utf8_at_a_chunk_edge(tmp_path, capsys, monkeypatch, reader, stdin,
+def test_a_byte_that_is_not_utf8_at_a_chunk_edge(tmp_path, capsys, monkeypatch, columns, stdin,
                                                  byte_line, bad_row, line, message):
     # the chunk stage checks each chunk's text; a row error on an earlier line
-    # of the chunk wins, in the reader process too, which only streams with
-    # descriptors get
+    # of the chunk wins, with descriptors or without
     monkeypatch.setattr(detstream, "CHUNK_ROWS", 3)
-    vec = "," + ",".join(["0.25"] * 16) if reader == "forked" else ""
+    vec = "," + ",".join(["0.25"] * (columns - 7)) if columns > 7 else ""
     lines = [f"{f},{10 + f},10,20,40,0.9,3{vec}\n".encode() for f in range(1, 13)]
     if bad_row is not None:
         lines[bad_row - 1] = lines[bad_row - 1].replace(b",0.9,", b",1.5,")
@@ -322,19 +323,9 @@ def test_a_byte_that_is_not_utf8_at_a_chunk_edge(tmp_path, capsys, monkeypatch, 
     if stdin:
         monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
         path = "-"
-    fork, readers = os.fork, []
-
-    def counted_fork():
-        pid = fork()
-        if pid:
-            readers.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counted_fork)
     assert main(["track", "--detections", path, "--out-dir", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == f"error: {path}:{line}: {message}\n"
     assert list((tmp_path / "out").glob("*")) == []
-    assert len(readers) == (reader == "forked")
     assert_no_child_left()
 
 
@@ -356,11 +347,18 @@ def test_every_documented_key_is_known(tmp_path):
 
 def test_interval_cap_leaves_no_tracks_file(tmp_path, capsys):
     # duration_s comes from the last frame, which sets a grid past the cap
-    # only once every frame has been tracked and written
-    dets = write(tmp_path / "dets.txt", "1,10,10,5,5,0.9,0\n100000000000,11,10,5,5,0.9,0\n")
-    assert main(["track", "--detections", dets, "--out-dir", str(tmp_path / "out")]) == 1
-    assert "intervals" in capsys.readouterr().err
-    assert list((tmp_path / "out").iterdir()) == []
+    # only once every frame has been tracked and written; the error says so,
+    # naming the config, or the default one
+    dets = write(tmp_path / "dets.txt", "1,10,10,5,5,0.9,0\n1000000000000,10,10,5,5,0.9,0\n")
+    run_ini = write(tmp_path / "run.ini", "[measure]\ninterval_s = 60\nfps = 25\n")
+    for config, args in (("default config", []), (run_ini, ["--config", run_ini])):
+        out = tmp_path / "out"
+        assert main(["track", "--detections", dets, "--out-dir", str(out), *args]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {config}: [measure] duration_s is blank, so the total duration is the "
+            "last detection frame, 1000000000000, over fps = 25.0: interval_s = 60.0 over a "
+            "total duration of 40000000000.0 s gives more than 1000000 intervals\n")
+        assert list(out.iterdir()) == []
 
 
 def test_tracks_rows_hold_box_centre_and_size(tmp_path):
@@ -1247,13 +1245,7 @@ def test_track_output_bytes_are_pinned_for_a_stream_without_descriptors(tmp_path
         assert hashlib.sha256(intervals).hexdigest() == PINNED_PLAIN_INTERVALS_SHA256
 
 
-def assert_no_child_left():
-    # a reader neither reaped nor ended shows here as (0, 0) or its (pid, status)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def test_a_bad_row_past_the_second_chunk_leaves_no_tracks_file_and_no_reader(
+def test_a_bad_row_past_the_second_chunk_leaves_no_tracks_file_and_no_child(
         tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(detstream, "CHUNK_ROWS", 4)
     lines = pinned_scene_text().splitlines(keepends=True)[:20]
@@ -1265,9 +1257,8 @@ def test_a_bad_row_past_the_second_chunk_leaves_no_tracks_file_and_no_reader(
     assert_no_child_left()
 
 
-def test_a_failed_step_ends_the_reader(tmp_path, capsys, monkeypatch):
-    # the reader is still running, a chunk ahead and blocked on the pipe,
-    # when the tracker fails on the second frame
+def test_a_failed_step_leaves_no_output_and_no_child(tmp_path, capsys, monkeypatch):
+    # the tracker fails on the second frame, with most of the stream unread
     step = Tracker.step
 
     def failing_step(self, frame, batch):
@@ -1285,7 +1276,7 @@ def test_a_failed_step_ends_the_reader(tmp_path, capsys, monkeypatch):
     assert_no_child_left()
 
 
-# track, with chunks of 7 lines, so that the reader process crosses chunks
+# track, with chunks of 7 lines, so that the stream crosses chunks
 SMALL_CHUNKS_TRACK = """
 import sys
 from trafficstate import cli, detstream
@@ -1295,7 +1286,7 @@ sys.exit(cli.main(sys.argv[1:]))
 
 
 def test_track_on_stdin_writes_the_bytes_of_the_same_file_by_path(tmp_path):
-    # standard input is a file descriptor here, read by the reader process
+    # standard input is the child process's file descriptor here
     src = str(Path(trafficstate.__file__).resolve().parents[1])
     cfg = write(tmp_path / "run.ini", PINNED_RUN_CONFIG)
     dets = write(tmp_path / "dets.txt", pinned_scene_text())
@@ -1563,8 +1554,8 @@ def process_args(tmp_path, case: str, out: str) -> list[str]:
     """The CLI arguments of a case, its inputs written under tmp_path.
 
     The track stream is the pinned scene, then the same rows 100 frames
-    later: more rows than a chunk, with descriptors, so track forks its
-    reader. In track-bad-row the reader's second chunk holds a bad row.
+    later: more rows than a chunk, with descriptors. In track-bad-row the
+    second chunk holds a bad row.
     """
     if case == "print-config":
         return ["print-config"]

@@ -16,6 +16,7 @@ from trafficstate.detstream import (
 )
 from trafficstate.errors import ParseError, ValidationError
 
+from conftest import assert_no_child_left
 from oracles import parse_by_rows
 
 
@@ -245,18 +246,12 @@ def test_format_detection_round_trips_exactly():
     assert np.array_equal(batch.appearance[0], det.appearance)
 
 
-# -- the reader process ------------------------------------------------------------
-
-
-def assert_no_child_left():
-    # a reader neither reaped nor ended shows here as (0, 0) or its (pid, status)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+# -- chunks ----------------------------------------------------------------------
 
 
 def long_stream(frames=30, per_frame=100):
-    """frames × per_frame rows with 16-d descriptors: several chunks, and more
-    than a pipe holds, so a reader one chunk ahead is still running."""
+    """frames × per_frame rows with 16-d descriptors: several chunks at the
+    default sizes."""
     vec = ",".join(["0.25"] * 16)
     return "".join(f"{f},{10 + k},10,5,5,0.9,0,{vec}\n"
                    for f in range(1, frames + 1) for k in range(per_frame))
@@ -270,15 +265,10 @@ def test_a_stream_within_one_chunk_is_read_without_a_reader(monkeypatch):
     assert [f for f, _ in parse_all(long_stream(frames=4, per_frame=3))] == [1, 2, 3, 4]
 
 
-def test_a_stream_without_descriptors_is_read_in_process(monkeypatch):
-    # several chunks of 7-column rows: their parse is cheap, so no reader is forked
-    def no_fork():
-        raise AssertionError("forked for a stream without descriptors")
-
+def test_a_stream_without_descriptors_reads_alike_in_chunks(monkeypatch):
     text = "".join(f"{f},{10 + 30 * k},10,5,5,0.9,{k}\n" for f in range(1, 6) for k in range(3))
     whole = parse_all(text)
     monkeypatch.setattr(detstream, "CHUNK_ROWS", 4)
-    monkeypatch.setattr(os, "fork", no_fork)
     chunked = parse_all(text)
     assert [f for f, _ in chunked] == [f for f, _ in whole] == [1, 2, 3, 4, 5]
     for (_, a), (_, b) in zip(chunked, whole):
@@ -286,23 +276,41 @@ def test_a_stream_without_descriptors_is_read_in_process(monkeypatch):
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
-def test_a_stream_with_descriptors_forks_one_reader(monkeypatch):
+def test_64d_rows_over_several_chunks_parse_in_this_process_as_the_oracle_does(monkeypatch):
+    # 8 chunks of 5 lines, frames of 3 rows split across their edges
+    def no_fork():
+        raise AssertionError("forked to parse a detection stream")
+
+    rng = np.random.default_rng(5)
+    text = "".join(f"{f},{10 + 30 * k},10,5,5,{0.5 + 0.1 * k},{k},"
+                   + ",".join(map(repr, rng.normal(size=64).tolist())) + "\n"
+                   for f in range(1, 14) for k in range(3))
+    monkeypatch.setattr(detstream, "CHUNK_ROWS", 5)
+    monkeypatch.setattr(os, "fork", no_fork)
+    got = parse_all(text)
+    want = [(frame, DetectionBatch.stack(frame, dets))
+            for frame, dets in parse_by_rows(io.StringIO(text))]
+    assert [f for f, _ in got] == [f for f, _ in want] == list(range(1, 14))
+    for (_, a), (_, b) in zip(got, want):
+        assert a.appearance.shape == (3, 64)
+        for name in DetectionBatch.__slots__:
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
+def test_without_fork_the_stream_is_read_in_process(monkeypatch):
+    # a platform without os.fork reads the same batches
     monkeypatch.setattr(detstream, "CHUNK_ROWS", 4)
-    fork, readers = os.fork, []
-
-    def counted_fork():
-        pid = fork()
-        if pid:
-            readers.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counted_fork)
-    assert [f for f, _ in parse_all(long_stream(frames=5, per_frame=3))] == [1, 2, 3, 4, 5]
-    assert len(readers) == 1
-    assert_no_child_left()
+    text = long_stream(frames=4, per_frame=3)
+    with_fork = parse_all(text)
+    monkeypatch.delattr(os, "fork")
+    without_fork = parse_all(text)
+    assert [f for f, _ in without_fork] == [f for f, _ in with_fork] == [1, 2, 3, 4]
+    for (_, a), (_, b) in zip(without_fork, with_fork):
+        for name in DetectionBatch.__slots__:
+            assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
-def test_closing_the_stream_after_one_batch_leaves_no_reader():
+def test_closing_the_stream_after_one_batch_leaves_no_child():
     batches = parse_detections(io.StringIO(long_stream()))
     frame, batch = next(batches)
     assert frame == 1 and len(batch) == 100
@@ -321,18 +329,6 @@ def test_a_bad_row_past_the_first_chunks_is_raised_after_their_frames(monkeypatc
     # chunk 3 (lines 9-12) holds the bad row: frames 1 and 2 end before it
     assert frames == [1, 2]
     assert_no_child_left()
-
-
-def test_without_fork_the_stream_is_read_in_process(monkeypatch):
-    monkeypatch.setattr(detstream, "CHUNK_ROWS", 4)
-    text = long_stream(frames=4, per_frame=3)
-    forked = parse_all(text)
-    monkeypatch.delattr(os, "fork")
-    in_process = parse_all(text)
-    assert [f for f, _ in in_process] == [f for f, _ in forked] == [1, 2, 3, 4]
-    for (_, a), (_, b) in zip(in_process, forked):
-        for name in DetectionBatch.__slots__:
-            assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
 # -- rule breaks in text numpy reads ------------------------------------------------
