@@ -1,13 +1,15 @@
 """Track-to-detection association: distances, gating, cost matrix, solver.
 
-Every kernel takes all tracks and detections at once, as the arrays the
-tracker holds. Motion distance is the squared Mahalanobis distance between
-a detection and a track's projected measurement distribution; appearance
-distance is the smallest cosine distance against the track's descriptor
-gallery, a ring buffer in the tracker's shared gallery store. A motion
-distance sums its four squares in one fixed order, and an appearance
-distance is one product over a view of the track's filled slots, so a
-pair's distances do not depend on what else is in the call. A frame's
+Every kernel takes its tracks and detections at once, as arrays in the
+tracker's layout; the stage-1 kernels take only the tracks that can
+match, the confirmed ones whose projection is usable. Motion distance is
+the squared Mahalanobis distance between a detection and a track's
+projected measurement distribution; appearance distance is the smallest
+cosine distance against the track's descriptor gallery, a ring buffer in
+the tracker's shared gallery store. A motion distance sums its four
+squares in one fixed order, and an appearance distance is one product
+over a view of the track's filled slots, so a pair's distances do not
+depend on what else is in the call. A frame's
 detections carry descriptors (m, D) all together or not at all, with
 D = 0, in which case no appearance distance is computed. Both distances
 are thresholded into a joint admissibility gate, motion first: no pair
@@ -101,42 +103,32 @@ def iou_pairs(a, b, rows, cols) -> np.ndarray:
     return _iou(*a[rows].T, *b[cols].T)
 
 
-def motion_distances(y: np.ndarray, s: np.ndarray, ok: np.ndarray,
-                     measurements: np.ndarray) -> np.ndarray:
+def motion_distances(y: np.ndarray, s: np.ndarray, measurements: np.ndarray) -> np.ndarray:
     """All-pairs squared Mahalanobis distances (n, m).
 
     y (4, n) and s (4, n) are the tracks' projected measurement means and
     the diagonals of their covariances, a column per track, and
-    measurements (4, m) holds a column per detection; tracks with ok
-    False get +inf. Each residual is whitened componentwise by 1 / sqrt(s),
-    with no matrix factorization, and its squares are summed in one fixed
-    order, ((w0² + w1²) + w2²) + w3², so that a pair's distance does not
-    depend on the other tracks and detections in the call. A track
-    marked ok whose variances are not all positive raises NumericalError.
-    Arrays in other shapes raise ContractError: a (1, 4) row per track
-    would otherwise broadcast into a wrong (4, 4) result.
+    measurements (4, m) holds a column per detection. Each residual is
+    whitened componentwise by 1 / sqrt(s), with no matrix factorization,
+    and its squares are summed in one fixed order,
+    ((w0² + w1²) + w2²) + w3², so that a pair's distance does not depend
+    on the other tracks and detections in the call. A track whose
+    variances are not all positive raises NumericalError. Arrays in other
+    shapes raise ContractError: a (1, 4) row per track would otherwise
+    broadcast into a wrong (4, 4) result.
     """
-    if not (y.shape[0] == measurements.shape[0] == 4 and s.shape == y.shape
-            and ok.shape == y.shape[1:]):
-        raise ContractError("motion_distances takes y and s as (4, n), ok as (n,) and "
+    if not (y.shape[0] == measurements.shape[0] == 4 and s.shape == y.shape):
+        raise ContractError("motion_distances takes y and s as (4, n) and "
                             "measurements as (4, m)")
-    usable = ok.nonzero()[0]
-    if len(usable) < len(ok):
-        y, s = y.take(usable, 1), s.take(usable, 1)
     # counts the positive variances, so that NaN is rejected too
     if np.count_nonzero(s > 0) < s.size:
         raise NumericalError("projection covariance not positive-definite")
-    white = measurements[:, None, :] - y[:, :, None]      # (4, u, m), a block per component
+    white = measurements[:, None, :] - y[:, :, None]      # (4, n, m), a block per component
     white *= (1.0 / np.sqrt(s))[:, :, None]
     # a square or a sum past float max is +inf, which the finite gate keeps out
     with np.errstate(over="ignore"):
         white *= white
-        d = ((white[0] + white[1]) + white[2]) + white[3]
-    if len(usable) == len(ok):
-        return d
-    d1 = np.full((len(ok), measurements.shape[1]), np.inf)
-    d1[usable] = d
-    return d1
+        return ((white[0] + white[1]) + white[2]) + white[3]
 
 
 def appearance_distances(gallery: np.ndarray, rows: np.ndarray, fill: np.ndarray,
@@ -180,7 +172,6 @@ def appearance_distances(gallery: np.ndarray, rows: np.ndarray, fill: np.ndarray
 def build_cost_matrix(
     y: np.ndarray,
     s: np.ndarray,
-    ok: np.ndarray,
     measurements: np.ndarray,
     gallery: np.ndarray,
     rows: np.ndarray,
@@ -203,15 +194,14 @@ def build_cost_matrix(
     exists (no gallery member or no descriptor) keep motion-only cost and
     a motion-only gate; when no pair has both, `appearance_distances` is
     not called at all. Both gates must be positive and the motion gate t1
-    finite: the tracks that are not ok get a motion distance of +inf,
-    which a finite gate keeps out.
+    finite: a motion distance past float max is +inf, which a finite gate
+    keeps out.
     """
     if not 0.0 <= lam <= 1.0:
         raise ValidationError(f"lambda must be in [0,1], got {lam}")
     if not (0 < t1 < np.inf and t2 > 0):
         raise ValidationError("gate thresholds must be positive, the motion gate finite")
-    d1 = motion_distances(y, s, ok, measurements)
-    # the rows that are not ok hold +inf, outside the finite gate
+    d1 = motion_distances(y, s, measurements)
     admissible = d1 <= t1
     values = np.where(admissible, d1, np.inf)
     if not (descriptors.shape[1] and np.count_nonzero(fill)):

@@ -23,9 +23,9 @@ Every live track is projected into measurement space, and its predicted
 box computed, once per frame; the projection serves both matching stages
 and the Kalman update, the box stage 2 and the output of a track left
 unmatched. Stage 1 builds one gated motion/appearance cost matrix per
-frame, with a row per live track, in which only the confirmed tracks can
-be admissible, and solves it once, as a cascade that prefers recently
-updated tracks. A pair alone in its row and its column
+frame, with a row per track that can match, a confirmed one whose
+projection is usable, and solves it once, as a cascade that prefers
+recently updated tracks. A pair alone in its row and its column
 of the whole matrix would win its miss age's slice too, so all such
 forced pairs are taken in one pass; rows with no admissible cell go
 straight to stage 2; only rows with contested cells are solved age by
@@ -246,25 +246,27 @@ class Tracker:
         """Two-stage matching of the live tracks, projected as (y, s, ok),
         with predicted boxes (n, 4).
 
-        Stage 1 builds one gated cost matrix per frame, over all live tracks
-        and all detections, where only the confirmed tracks whose projection
-        is usable can be admissible, and solves it once, as a cascade over
-        the tracks' miss ages: the forced pairs of the whole matrix are
-        taken in one pass, rows with no admissible cell go on to stage 2,
-        and only rows with contested cells are solved age by age, freshest
-        first (see `assoc.solve_assignment`).
+        Stage 1 takes its candidates once, the confirmed tracks whose
+        projection is usable, as track rows, and builds one gated cost
+        matrix per frame over them and all detections. It solves it once,
+        as a cascade over the candidates' miss ages: the forced pairs of
+        the whole matrix are taken in one pass, rows with no admissible
+        cell go on to stage 2, and only rows with contested cells are
+        solved age by age, freshest first (see `assoc.solve_assignment`).
+        Its matched rows map back to track rows through the candidates.
 
         Returns (matched rows, their detection indices, unmatched detection
         indices), all as index arrays.
         """
         cfg = self.config
+        cand = (ok & (self._hits >= cfg.n_init)).nonzero()[0]
         cost = assoc.build_cost_matrix(
-            y, s, ok & (self._hits >= cfg.n_init), measurements,
-            self._gallery, self._store, np.minimum(self._pushed, cfg.gallery_capacity),
+            y.take(cand, 1), s.take(cand, 1), measurements, self._gallery,
+            self._store.take(cand), np.minimum(self._pushed.take(cand), cfg.gallery_capacity),
             descriptors, lam=cfg.cost_lambda, t1=cfg.motion_gate, t2=cfg.appearance_gate,
         )
-        result = assoc.solve_assignment(cost, self._misses)
-        rows, cols = result.matches[:, 0], result.matches[:, 1]
+        result = assoc.solve_assignment(cost, self._misses.take(cand))
+        rows, cols = cand.take(result.matches[:, 0]), result.matches[:, 1]
         remaining = result.unmatched_detections
 
         # stage 2: IoU matching over everything still unmatched, in id order;

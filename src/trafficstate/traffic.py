@@ -322,9 +322,14 @@ def parse_intervals(source: IO[str] | Iterable[str], path=None) -> list[Interval
             raise ParseError("t_start_s, t_end_s and flow_vph must be finite", line_no, path)
         if math.isinf(row.mean_speed_kmh):
             raise ParseError("mean_speed_kmh must be finite or nan", line_no, path)
-        if min(row.interval, row.class_id, row.count, row.n_speed_tracks) < 0:
-            raise ParseError("interval, class, count and n_speed_tracks must be >= 0",
-                             line_no, path)
+        # a nan mean speed compares False, as it should
+        if min(row.interval, row.class_id, row.count, row.n_speed_tracks, row.flow_vph) < 0 \
+                or row.mean_speed_kmh < 0:
+            raise ParseError("interval, class, count, flow_vph, mean_speed_kmh and "
+                             "n_speed_tracks must be >= 0", line_no, path)
+        if row.end <= row.start:
+            raise ParseError(f"interval {row.interval} ends at {row.end:g} s, not after "
+                             f"its start at {row.start:g} s", line_no, path)
         if row.interval >= MAX_INTERVALS:
             raise ParseError(f"interval {row.interval} is past the last of the "
                              f"{MAX_INTERVALS} intervals a grid may hold", line_no, path)

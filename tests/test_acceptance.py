@@ -113,12 +113,11 @@ def test_kalman_convergence():
 @criterion(3, "Mahalanobis/cosine distance identities")
 def test_distance_identities():
     rng = np.random.default_rng(103)
-    one = np.array([True])
     for _ in range(1000):
         sigma2 = float(rng.uniform(0.05, 100.0))
         y = rng.normal(scale=50.0, size=4)
         d = rng.normal(scale=50.0, size=4)
-        got = motion_distances(y[:, None], sigma2 * np.ones((4, 1)), one, d[:, None])[0, 0]
+        got = motion_distances(y[:, None], sigma2 * np.ones((4, 1)), d[:, None])[0, 0]
         want = float((d - y) @ (d - y)) / sigma2
         assert abs(got - want) <= 1e-9 * max(1.0, want)
     members = []

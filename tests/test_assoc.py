@@ -1,3 +1,4 @@
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -42,7 +43,7 @@ def mahalanobis(y, s, d):
     covariance is given by its diagonal s (4,); the engine takes each as a
     column (4, 1)."""
     return motion_distances(np.asarray(y, float)[:, None], np.asarray(s, float)[:, None],
-                            np.array([True]), np.asarray(d, float)[:, None])[0, 0]
+                            np.asarray(d, float)[:, None])[0, 0]
 
 
 def store(galleries, dim):
@@ -76,19 +77,18 @@ def cosine(members, r):
 
 
 def cost_matrix(projections, galleries, dets, lam, **gates):
-    """build_cost_matrix over (y, s) projections (None: unusable), s the
-    (4,) covariance diagonal, gallery member lists and Detection objects;
-    the engine takes the projections as columns, y and s (4, n)."""
-    ok = np.array([p is not None for p in projections])
-    y = np.array([p[0] if p is not None else np.zeros(4) for p in projections], float).T
-    s = np.array([p[1] if p is not None else np.ones(4) for p in projections], float).T
+    """build_cost_matrix over (y, s) projections, s the (4,) covariance
+    diagonal, gallery member lists and Detection objects; the engine takes
+    the projections as columns, y and s (4, n)."""
+    y = np.array([p[0] for p in projections], float).reshape(-1, 4).T
+    s = np.array([p[1] for p in projections], float).reshape(-1, 4).T
     # as in a DetectionBatch, every detection carries a descriptor or none does
     present = [d.appearance for d in dets if d.appearance is not None]
     assert len(present) in (0, len(dets))
     descs = np.array(present, float).reshape(len(dets), -1) if present \
         else np.empty((len(dets), 0))
     boxes = np.array([d.bbox for d in dets], float).reshape(-1, 4)
-    return build_cost_matrix(y, s, ok, measurements_of(boxes),
+    return build_cost_matrix(y, s, measurements_of(boxes),
                              *store(galleries, descs.shape[1]), descs, lam=lam, **gates)
 
 
@@ -141,8 +141,8 @@ def test_motion_distances_rejects_a_row_per_track(n, m):
     # into a wrong answer for n and m of 1 or 4, and fail elsewhere
     y, s, z = np.zeros((n, 4)), np.ones((n, 4)), np.ones((m, 4))
     with pytest.raises(ContractError):
-        motion_distances(y, s, np.ones(n, bool), z)
-    assert motion_distances(y.T, s.T, np.ones(n, bool), z.T).shape == (n, m)
+        motion_distances(y, s, z)
+    assert motion_distances(y.T, s.T, z.T).shape == (n, m)
 
 
 # -- gallery + cosine distance ------------------------------------------------
@@ -213,13 +213,16 @@ def test_gallery_ring_buffer_counts_pushes_not_hits(monkeypatch):
                  True, True, False]
     fills = []
     build = assoc.build_cost_matrix
+    signature = inspect.signature(build)
 
     def spy(*args, **kwargs):
-        fills.append(args[6].copy())
+        fills.append(signature.bind(*args, **kwargs).arguments["fill"].copy())
         return build(*args, **kwargs)
 
     monkeypatch.setattr(assoc, "build_cost_matrix", spy)
-    tr = Tracker(TrackerConfig(gallery_capacity=3))
+    # stage 1 takes confirmed tracks only, so n_init 1 makes the track one
+    # of its rows from frame 2 on
+    tr = Tracker(TrackerConfig(gallery_capacity=3, n_init=1))
     pushed = []
     for frame, carries in enumerate(with_desc, start=1):
         d = unit([np.cos(0.05 * len(pushed)), np.sin(0.05 * len(pushed))]) if carries else None
@@ -325,8 +328,8 @@ def test_gate_rejects_bad_thresholds():
         gate_pair(1.0, 0.1, 0.0, 1.0)
     with pytest.raises(ValidationError):
         gate_pair(1.0, 0.1, 1.0, -1.0)
-    # an infinite motion gate would admit the rows whose projection is
-    # unusable, whose motion distances are +inf
+    # an infinite motion gate would admit a pair whose motion distance
+    # overflowed to +inf
     with pytest.raises(ValidationError):
         gate_pair(1.0, 0.1, np.inf, 1.0)
     with pytest.raises(ValidationError, match="motion_gate"):
@@ -425,14 +428,9 @@ def test_cost_matrix_gating_sets_sentinel():
     assert cm.values[0, 0] == np.inf
 
 
-def test_cost_matrix_unusable_projection_row():
-    cm = cost_matrix([None], [[]], [det((0, 0, 10, 10))], lam=1.0)
-    assert not cm.admissible.any()
-
-
 def test_cost_matrix_asks_appearance_only_inside_the_motion_gate(monkeypatch):
     # each track's own detection is the only one inside its motion gate, and
-    # the third track's projection is unusable, so it is inside none
+    # the third track is far from both, so it is inside none
     projections, galleries, dets = two_track_setup()
     asked = []
     kernel = assoc.appearance_distances
@@ -442,18 +440,19 @@ def test_cost_matrix_asks_appearance_only_inside_the_motion_gate(monkeypatch):
         return kernel(*args)
 
     monkeypatch.setattr(assoc, "appearance_distances", spy)
-    cm = cost_matrix(projections + [None], galleries + [[[1.0, 0.0]]], dets, lam=0.0)
+    far = ([500, 0, 1, 10], np.ones(4))
+    cm = cost_matrix(projections + [far], galleries + [[[1.0, 0.0]]], dets, lam=0.0)
     inside = np.array([[True, False], [False, True], [False, False]])
     assert len(asked) == 1
     assert [a.tolist() for a in asked[0]] == [a.tolist() for a in np.nonzero(inside)]
     assert np.array_equal(cm.admissible, inside)
 
 
-def cost_by_appearance_path(y, s, ok, z, gallery, rows, fill, descs, lam, t1, t2):
+def cost_by_appearance_path(y, s, z, gallery, rows, fill, descs, lam, t1, t2):
     """build_cost_matrix's result with appearance_distances always asked,
     even when no pair can have an appearance distance."""
-    d1 = motion_distances(y, s, ok, z)
-    motion_ok = ok[:, None] & (d1 <= t1)
+    d1 = motion_distances(y, s, z)
+    motion_ok = d1 <= t1
     defined = (fill > 0)[:, None] & (descs.shape[1] > 0)
     d2 = np.full(d1.shape, np.nan)
     asked = motion_ok & defined
@@ -466,16 +465,16 @@ def cost_by_appearance_path(y, s, ok, z, gallery, rows, fill, descs, lam, t1, t2
 
 @pytest.mark.parametrize("case", ["no descriptors", "empty galleries"])
 def test_cost_matrix_skips_appearance_when_no_pair_has_one(monkeypatch, case):
-    # three tracks, one with an unusable projection, against three
+    # three tracks, one outside every motion gate, against three
     # detections; a column per track and per detection
-    y = np.array([[0.0, 0, 1, 10], [50, 0, 1, 10], [0, 0, 1, 10]]).T
-    s, ok = np.ones((4, 3)), np.array([True, True, False])
+    y = np.array([[0.0, 0, 1, 10], [50, 0, 1, 10], [250, 0, 1, 10]]).T
+    s = np.ones((4, 3))
     z = np.array([[0.5, 0, 1, 10], [50, 1, 1, 10], [500, 0, 1, 10]]).T
     gallery = np.tile(np.array([1.0, 0.0]), (4, 5, 1))
     rows = np.array([3, 0, 2])
     fill = np.array([2, 5, 1]) if case == "no descriptors" else np.zeros(3, np.int64)
     descs = np.empty((3, 0)) if case == "no descriptors" else np.tile([0.6, 0.8], (3, 1))
-    args = (y, s, ok, z, gallery, rows, fill, descs)
+    args = (y, s, z, gallery, rows, fill, descs)
     want_values, want_admissible = cost_by_appearance_path(*args, lam=0.3, t1=9.0, t2=0.2)
     asked = []
     monkeypatch.setattr(assoc, "appearance_distances", lambda *a: asked.append(a))
@@ -492,18 +491,18 @@ def unit_rows(rng, shape):
     return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
-def stacked_stage1(y, s, ok, z, gallery, rows, fill, descriptors, t1, t2):
+def stacked_stage1(y, s, z, gallery, rows, fill, descriptors, t1, t2):
     """Stage-1 costs at lam 0 in the all-pairs layout the gated path must not
     outgrow: the cost matrix allocated up front, the motion distances of
     every pair, then every track's members stacked, times every
     descriptor, reduced per track."""
     values = np.full((y.shape[1], z.shape[1]), np.inf)
-    d1 = motion_distances(y, s, ok, z)
+    d1 = motion_distances(y, s, z)
     track, slot = np.nonzero(np.arange(gallery.shape[1]) < fill[:, None])
     stacked = gallery[rows[track], slot]                                  # (sum fill, D)
     best = np.maximum.reduceat(stacked @ descriptors.T, np.cumsum(fill) - fill, axis=0)
     d2 = np.clip(1.0 - best, 0.0, 2.0)
-    admissible = ok[:, None] & (d1 <= t1) & (d2 <= t2)
+    admissible = (d1 <= t1) & (d2 <= t2)
     values[admissible] = d2[admissible]
     return values
 
@@ -533,8 +532,7 @@ def test_all_pairs_in_gate_stays_within_the_stacked_footprint(fills):
     gallery = unit_rows(rng, (2 * n, cap, dim))
     y = np.tile([[5.0], [5.0], [1.0], [10.0]], (1, n))
     s = np.ones((4, n))
-    ok = np.ones(n, bool)
-    args = (y, s, ok, np.tile(y[:, :1], (1, m)), gallery, rows, fill, unit_rows(rng, (m, dim)))
+    args = (y, s, np.tile(y[:, :1], (1, m)), gallery, rows, fill, unit_rows(rng, (m, dim)))
     cm, peak = traced_peak(lambda: build_cost_matrix(*args, lam=0.0, t2=2.0))
     want, stacked_peak = traced_peak(lambda: stacked_stage1(*args, CHI2_95_4DOF, 2.0))
     assert cm.admissible.all()

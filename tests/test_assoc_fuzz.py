@@ -60,9 +60,11 @@ def test_cost_matrix_matches_pairwise_oracle(n, m, dim, cap, lam, coincident, da
     rows = rng.permutation(n + 2)[:n]
     gallery = np.full((n + 2, cap, dim), np.nan)
     gallery[rows] = np.where(np.arange(cap)[:, None] < fill[:, None, None], members, np.nan)
-    # the engine takes tracks and detections as columns, (4, n) and (4, m)
-    cm = build_cost_matrix(y.T.copy(), s.T.copy(), ok, z.T.copy(), gallery, rows, fill, descs,
-                           lam=lam, t1=t1, t2=t2)
+    # the engine takes tracks and detections as columns, (4, n) and (4, m),
+    # and, as the tracker passes them, only the tracks that can match
+    u = ok.nonzero()[0]
+    cm = build_cost_matrix(y[u].T.copy(), s[u].T.copy(), z.T.copy(), gallery, rows[u], fill[u],
+                           descs, lam=lam, t1=t1, t2=t2)
 
     want = np.zeros((n, m), bool)
     value = np.full((n, m), np.inf)
@@ -79,7 +81,10 @@ def test_cost_matrix_matches_pairwise_oracle(n, m, dim, cap, lam, coincident, da
                 want[i, j] = True
                 value[i, j] = lam * d1 + (1.0 - lam) * d2 if defined else d1
     if coincident:
-        assert (motion_distances(y.T.copy(), s.T.copy(), ok, z.T.copy())[ok] == 0.0).all()
+        assert (motion_distances(y[u].T.copy(), s[u].T.copy(), z.T.copy()) == 0.0).all()
+    # the oracle's rows of the tracks passed
+    want, value, near = want[u], value[u], near[u]
+    assert cm.shape == (len(u), m)
     assert np.array_equal(cm.admissible[~near], want[~near])
     both = cm.admissible & want
     np.testing.assert_allclose(cm.values[both], value[both], rtol=1e-9, atol=1e-12)
@@ -91,7 +96,8 @@ def test_cost_matrix_matches_pairwise_oracle(n, m, dim, cap, lam, coincident, da
        cap=st.integers(1, 8), data=st.data())
 def test_a_pairs_distances_do_not_depend_on_the_rest_of_the_call(n, m, dim, cap, data):
     # each pair's distances alone, and each detection's column alone (m = 1),
-    # carry the same bits as inside the call with all n tracks and m detections
+    # carry the same bits as inside the call with all the usable of the n
+    # tracks, taken as the tracker takes them, and m detections
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     y = rng.normal(0.0, 50.0, (4, n))
     s = rng.uniform(0.1, 50.0, (4, n))
@@ -103,16 +109,21 @@ def test_a_pairs_distances_do_not_depend_on_the_rest_of_the_call(n, m, dim, cap,
     descs = unit_rows(rng, (m, dim))
     # as the cost matrix asks: only tracks with a gallery member
     pairs = (rng.random((n, m)) < 0.7) & (fill > 0)[:, None]
-    d1 = motion_distances(y, s, ok, z)
+    usable = ok.nonzero()[0]
+    y_usable, s_usable = y.take(usable, 1), s.take(usable, 1)
+    d1 = np.full((n, m), np.nan)
+    d1[usable] = motion_distances(y_usable, s_usable, z)
     d2 = np.full((n, m), np.nan)
     d2[pairs] = appearance_distances(gallery, rows, fill, descs, *np.nonzero(pairs))
     zero = np.zeros(1, np.int64)
     for j in range(m):
-        assert motion_distances(y, s, ok, z[:, j:j + 1]).tobytes() == d1[:, j:j + 1].tobytes()
+        column = motion_distances(y_usable, s_usable, z[:, j:j + 1])
+        assert column.tobytes() == d1[usable, j:j + 1].tobytes()
         for i in range(n):
             one = slice(i, i + 1)
-            alone = motion_distances(y[:, one], s[:, one], ok[one], z[:, j:j + 1])
-            assert alone.tobytes() == d1[i, j].tobytes()
+            if ok[i]:
+                alone = motion_distances(y[:, one], s[:, one], z[:, j:j + 1])
+                assert alone.tobytes() == d1[i, j].tobytes()
             if pairs[i, j]:
                 alone = appearance_distances(gallery, rows[one], fill[one], descs[j:j + 1],
                                              zero, zero)

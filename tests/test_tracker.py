@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -308,6 +310,46 @@ def test_ill_conditioned_track_is_left_unmatched(h):
         live = tr.step(frame, stack(frame, dets))
         assert live.ids.tolist() == [frame]
         assert live.confirmed.tolist() == [False]
+
+
+@pytest.mark.parametrize("case", ["tentative", "ill-conditioned"])
+def test_stage_one_gets_only_the_tracks_that_can_match(monkeypatch, case):
+    # stage 1's kernels get the projections of exactly the confirmed tracks
+    # whose projection is usable: a tentative track, and a confirmed one
+    # whose sub-pixel box makes its projection ill-conditioned, are left
+    # out, the latter unmatched, so that its detection starts a new track
+    build = assoc.build_cost_matrix
+    signature = inspect.signature(build)
+    left_out = []
+
+    def spy(*args, **kwargs):
+        y = signature.bind(*args, **kwargs).arguments["y"]
+        # the tracker's state is predicted, and not yet updated, at this point
+        projected, _, ok = tr.kf.project_many(tr._mean, tr._cov)
+        confirmed = tr._hits >= tr.config.n_init
+        want = projected[:, ok & confirmed]
+        assert y.shape == want.shape and y.tobytes() == want.tobytes()
+        left_out.append((np.count_nonzero(ok & ~confirmed), np.count_nonzero(~ok & confirmed)))
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(assoc, "build_cost_matrix", spy)
+    if case == "tentative":
+        # track 2 joins on frame 3, while track 1 is confirmed from frame 4
+        tr = Tracker()
+        frames = [[det(f, 100 + 2 * f, 50)] + ([det(f, 400, 50)] if f >= 3 else [])
+                  for f in range(1, 6)]
+        want_ids = [[1], [1], [1, 2], [1, 2], [1, 2]]
+    else:
+        # track 2 is confirmed at birth, and ill-conditioned from then on
+        tr = Tracker(TrackerConfig(n_init=1))
+        frames = [[det(f, 100 + 2 * f, 50),
+                   Detection(frame=f, class_id=0, bbox=(300.0, 50.0, 1.0, 1e-7), confidence=0.9)]
+                  for f in range(1, 3)]
+        want_ids = [[1, 2], [1, 2, 3]]
+    for frame, dets in enumerate(frames, start=1):
+        assert tr.step(frame, stack(frame, dets)).ids.tolist() == want_ids[frame - 1]
+    tentative, ill_conditioned = np.sum(left_out, axis=0)
+    assert (tentative > 0, ill_conditioned > 0) == (case == "tentative", case != "tentative")
 
 
 @pytest.mark.parametrize("bbox", [(0.0, 0.0, 0.0, 10.0), (0.0, 0.0, 5.0, 0.0),

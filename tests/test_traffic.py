@@ -414,6 +414,10 @@ def test_write_and_parse_intervals():
     "0\t0\t60\t1\t1\t60\tnan\t3",      # a speed must exist with speed tracks
     "0\t0\t60\t1\t1\t60\t30\t0",       # and must not exist without them
     "-1\t60\t0\t-4\t1\t60\tnan\t3",
+    "0\t0\t60\t1\t1\t-3600\t30\t1",  # flow_vph: count x 3600 / interval_s
+    "0\t0\t60\t1\t1\t60\t-10\t1",    # mean_speed_kmh: path length over time
+    "1\t2\t1\t1\t1\t60\t30\t1",      # an interval ends after it starts
+    "1\t2\t2\t1\t1\t60\t30\t1",
 ])
 def test_parse_intervals_rejects_non_finite_and_negative_values(row):
     with pytest.raises(ParseError) as exc:
