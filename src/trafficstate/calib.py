@@ -42,7 +42,8 @@ class CalibrationParams:
     def __post_init__(self):
         require(self, "phi omega", positive, "finite and > 0")
         require(self, "x0 y0", math.isfinite, "finite")
-        require(self, "delta_deg", lambda v: 0.0 < v < 180.0, "strictly between 0 and 180")
+        require(self, "delta_deg", lambda v: 0.0 < v < 180.0 and math.isfinite(_sin_cot(v)[1]),
+                "strictly between 0 and 180, with a sine that is not 0 and a finite cotangent")
 
 
 @dataclass(frozen=True)
@@ -123,9 +124,9 @@ def _sincosdg(x: float) -> tuple[float, float]:
 
 @lru_cache
 def _sin_cot(delta_deg: float) -> tuple[float, float]:
-    """(sin(delta), cot(delta)) of an angle in degrees."""
+    """(sin(delta), cot(delta)) of an angle in degrees; cot is inf where sin is 0."""
     sin_d, cos_d = _sincosdg(delta_deg)
-    return sin_d, cos_d / sin_d
+    return sin_d, cos_d / sin_d if sin_d else math.inf
 
 
 def to_world(x, y, p: CalibrationParams):

@@ -17,8 +17,8 @@ files it reads and writes before `main()` returns.
 callers, and an uncaught exception skips the freeze.
 
 Every input file is checked to be UTF-8 by `detstream.check_utf8`: whole
-when it is read whole, and a detection stream chunk by chunk, by the chunk
-stage of `detstream.parse_detections`, in the command's own process.
+when it is read whole, and a detection stream chunk by chunk, by
+`detstream.parse_detections`, in the command's own process.
 `track` writes tracks.txt a block of frames at a time, BLOCK_ROWS rows or
 more per %-format, the last at the end. With duration_s blank, its total
 duration is the last detection frame over fps, and a grid of more than

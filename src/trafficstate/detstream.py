@@ -22,13 +22,11 @@ one a row-at-a-time parse raises. `metrics.load_boxes` feeds it a whole
 evaluation file, with each 6-column ground-truth row already given its
 confidence column.
 
-`parse_detections` runs in two stages, both in the calling process. The
-chunk stage (`_chunks`) feeds `read_rows` CHUNK_ROWS lines at a time, so
-a stream is checked for UTF-8 once per chunk, and carries the stream's
-width and frame order across chunks. The frame stage applies the
-confidence floor and yields one `DetectionBatch` of arrays per frame.
-`Detection` is the one-row form that `synth` writes;
-`DetectionBatch.stack` turns a frame's list of them into a batch.
+`parse_detections` reads a stream in one loop, in the calling process,
+CHUNK_ROWS lines per `read_rows` call (so UTF-8 is checked once per
+chunk), and yields one `DetectionBatch` of arrays per frame. `Detection`
+is the one-row form that `synth` writes; `DetectionBatch.stack` turns a
+frame's list of them into a batch.
 """
 
 from __future__ import annotations
@@ -48,6 +46,9 @@ from .errors import ContractError, ParseError, ValidationError
 # far from float overflow in the filter, and the tallest boxes still
 # project to a covariance within motion.MAX_CONDITION.
 MAX_BOX_PX = 1e5
+# Least h of a detection stream, in pixels: w / h, the aspect ratio the tracker
+# measures, stays below 1e305, far enough from float max for its whitened residual.
+MIN_BOX_H = 1e-300
 
 # Registered road-user classes of the default catalog; override per run.
 DEFAULT_CLASS_NAMES = (
@@ -207,6 +208,8 @@ DESCRIPTOR_RULES = (
     (lambda r: r.descriptors.any(axis=1), lambda r: "appearance descriptor has zero norm"),
 )
 STREAM_RULES = (
+    (lambda r: r.boxes[:, 3] >= MIN_BOX_H,
+     lambda r: f"bounding box height must be at least {MIN_BOX_H:g} px, got {r.boxes[0, 3]}"),
     (lambda r: r.descriptors.shape[1] == r.width,
      lambda r: f"embedding dimension {r.descriptors.shape[1]} does not match expected {r.width}"),
     # each frame against the one before it, the first against last
@@ -381,21 +384,6 @@ def _parse_rows(lines: Sequence[str], line_no: int, path,
     return columns, ParseError(message, line_no, path)
 
 
-def _chunks(lines: Iterator[str], path) -> Iterator[tuple[np.ndarray, ...]]:
-    """The chunk stage: read_rows' columns of each CHUNK_ROWS lines that hold
-    a row, the stream's width and frame order carried from chunk to chunk.
-    A bad chunk raises the error of its first bad line."""
-    line_no, stream, full = 1, (None, None), True
-    while full:
-        chunk = list(islice(lines, CHUNK_ROWS))
-        columns = read_rows(chunk, line_no, path, stream)
-        line_no += len(chunk)
-        full = len(chunk) == CHUNK_ROWS
-        if len(columns[0]):
-            stream = (columns[4].shape[1], int(columns[0][-1]))
-            yield columns
-
-
 def parse_detections(
     source: IO[str] | Iterable[str],
     min_confidence: float = 0.0,
@@ -411,12 +399,16 @@ def parse_detections(
     bad stream raises the ParseError a row-at-a-time parse would raise
     first: the same message, at the same line. A line with a byte that is
     not UTF-8 (as errors="surrogateescape" reads it) is such an error.
-
-    The chunk stage (_chunks) reads source; this frame stage applies the
-    confidence floor and splits each chunk's rows into frames.
     """
+    lines, line_no, stream, full = iter(source), 1, (None, None), True
     held: Optional[DetectionBatch] = None   # the last frame read so far
-    for frames, *columns in _chunks(iter(source), path):
+    while full:
+        chunk = list(islice(lines, CHUNK_ROWS))
+        frames, *columns = read_rows(chunk, line_no, path, stream)
+        line_no, full = line_no + len(chunk), len(chunk) == CHUNK_ROWS
+        if not len(frames):
+            continue
+        stream = (columns[3].shape[1], int(frames[-1]))
         keep = columns[1] >= min_confidence
         if not keep.all():
             columns = [c[keep] for c in columns]

@@ -91,6 +91,8 @@ class ScenarioSpec:
         require(self, "duration_s fps", positive, "finite and > 0")
         if not self.duration_s * self.fps <= MAX_FRAMES:
             raise ValidationError(f"duration_s * fps must be at most {MAX_FRAMES} frames")
+        require(self, "fps", lambda v: math.isfinite(self.n_frames / v),
+                f"large enough that the last frame's time, {self.n_frames} / fps, is finite")
         require(self, "miss_prob", lambda v: 0.0 <= v < 1.0, "in [0, 1)")
         require(self, "noise_std_px embedding_noise_std", lambda v: 0 <= v <= MAX_NOISE_STD,
                 f"in [0, {MAX_NOISE_STD:g}]")

@@ -53,7 +53,7 @@ from typing import Optional
 import numpy as np
 
 from . import assoc, motion
-from .detstream import MAX_BOX_PX, UNIT_NORM_TOL, DetectionBatch
+from .detstream import MAX_BOX_PX, MIN_BOX_H, UNIT_NORM_TOL, DetectionBatch
 from .errors import ContractError, ValidationError, positive, require
 
 DEFAULT_MAX_AGE = 3
@@ -63,9 +63,8 @@ DEFAULT_LAMBDA = 0.0
 # capacity is bounded: 100 times assoc.GALLERY_CAPACITY
 MAX_GALLERY_CAPACITY = 10**4
 
-# Lower bounds of a detection box (x, y, w, h): the parser's, with w, h > 0
-# written as at least the smallest positive float.
-_BOX_LOW = np.array([-MAX_BOX_PX, -MAX_BOX_PX] + 2 * [np.nextafter(0.0, 1.0)])
+# Lower bounds of a detection box (x, y, w, h): the stream parser's.
+_BOX_LOW = np.array([-MAX_BOX_PX, -MAX_BOX_PX, np.nextafter(0.0, 1.0), MIN_BOX_H])
 
 # Per-track arrays, all indexed by their last axis; births append to them
 # and deletions drop their tracks, together.
@@ -150,10 +149,10 @@ class Tracker:
         if batch.frame != frame:
             raise ContractError(f"batch for frame {batch.frame} stepped as frame {frame}")
         boxes = batch.boxes
-        # the parser's bounds: NaN fails them, and no square of a value overflows
+        # the parser's bounds: NaN fails them, and neither w / h nor a square overflows
         if np.count_nonzero((boxes >= _BOX_LOW) & (boxes <= MAX_BOX_PX)) < boxes.size:
-            raise ValidationError(f"detection boxes must lie within ±{MAX_BOX_PX:g} px, "
-                                  "with positive width and height")
+            raise ValidationError(f"detection boxes must lie within ±{MAX_BOX_PX:g} px, with a "
+                                  f"positive width and a height of at least {MIN_BOX_H:g} px")
         descriptors = self._descriptors(batch.appearance)
         self._last_frame = frame
 

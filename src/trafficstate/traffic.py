@@ -219,7 +219,7 @@ def measure_intervals(
 
     Frames must strictly increase within each trajectory, as
     assemble_trajectories yields them; a ContractError names the first
-    track where they do not. A point's time is frame / fps.
+    track where they do not. A point's time, frame / fps, must be finite.
 
     Crossings: a track counts once, at the later frame of its first segment
     that crosses the line and passes the direction filter. A crossing at
@@ -250,9 +250,14 @@ def measure_intervals(
     if not len(starts):
         return []
     last = len(starts) - 1
-    t = (frame / fps).astype(np.float64)
     # Python floats overflow to inf and nan without a word; so does this pass
     with np.errstate(over="ignore", invalid="ignore"):
+        t = (frame / fps).astype(np.float64)
+        bad = np.flatnonzero(~np.isfinite(t))[:1].tolist()
+        if bad:
+            raise ValidationError(f"track {trajectories[track[bad[0]]].track_id}, frame "
+                                  f"{frame[bad[0]]}: time frame / fps is not finite ([measure] "
+                                  f"fps = {fps:g} puts the frame out of float range)")
         hits = np.flatnonzero(inner & _crossings(x, y, loi))
         # each point's interval, -1 off the grid; a run of segments [a, b)
         # joins a track's consecutive points a..b in one interval

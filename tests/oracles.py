@@ -536,6 +536,7 @@ def track_rows_by_rows(frames):
 # are what these oracles check.
 
 MAX_BOX_PX = 1e5
+MIN_BOX_H = 1e-300
 MAX_CLASS_ID = 2**63 - 1
 UNIT_NORM_TOL = 1e-9
 
@@ -605,9 +606,9 @@ def parse_by_rows(source, min_confidence=0.0, path=None):
     """Yield (frame, [Detection, ...]) per frame of a detection stream.
 
     Each row is split in full and parsed alone by parse_row, its
-    descriptor read with float() and normalized by itself; its dimension
-    and frame order are checked after that, and rows below min_confidence
-    are dropped only then.
+    descriptor read with float() and normalized by itself; its height's
+    lower bound, dimension and frame order are checked after that, and
+    rows below min_confidence are dropped only then.
     """
     embed_dim = None
     current_frame = None
@@ -624,6 +625,9 @@ def parse_by_rows(source, min_confidence=0.0, path=None):
                 line_no, path,
             )
         frame, det, dim = parse_row(parts, line_no, path)
+        if det.bbox[3] < MIN_BOX_H:
+            raise ParseError(f"bounding box height must be at least {MIN_BOX_H:g} px, "
+                             f"got {det.bbox[3]}", line_no, path)
 
         if embed_dim is None:
             embed_dim = dim

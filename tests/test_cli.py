@@ -179,6 +179,9 @@ BAD_FILES = [pytest.param("track", edited(SPARSE_LONG_RUN_CONFIG, key, value), n
     ("fps", "1e-320", "[measure] fps must be large enough"),
     ("duration_s", "inf", "[measure] duration_s"),
     ("duration_s", "1e9", "[measure] interval_s = 5.0 over"),
+    # the degree sine underflows to 0: the transform divided by it
+    ("delta_deg", "5e-324", "[calibration] delta_deg must be strictly between 0 and 180, "
+                            "with a sine that is not 0"),
 ]] + [
     pytest.param("track", SPARSE_LONG_RUN_CONFIG + "\n[tracking]\ngallery_capacity = 1"
                  + "0" * 40 + "\n", "[tracking] gallery_capacity", id="track gallery 1e40"),
@@ -198,6 +201,12 @@ BAD_FILES = [pytest.param("track", edited(SPARSE_LONG_RUN_CONFIG, key, value), n
     ("occlusion without last_frame", SCENARIO + "\n[occlusion.1]\nagent = 0\nfirst_frame = 3\n",
      "[occlusion.1] last_frame"),
     ("no [loi]", re.sub(r"\[loi\][^[]*", "", SCENARIO), "[loi] ax_px"),
+    ("delta_deg = 1e-322", edited(SCENARIO, "delta_deg", "1e-322"),
+     "[calibration] delta_deg must be strictly between 0 and 180, with a sine that is not 0"),
+    # one frame, whose time 1 / fps overflows: the ground truth's did
+    ("fps = 5e-309", edited(edited(edited(SCENARIO, "fps", "5e-309"), "duration_s", "1.79e308"),
+                            "interval_s", "1e303"),
+     "[scenario] fps must be large enough that the last frame's time, 1 / fps, is finite"),
 ]] + [pytest.param("track", text, named, id=f"track {name}") for name, text, named in [
     # a misspelt key or section would otherwise leave its setting at the default
     ("interval", "[measure]\ninterval = 5\n", "[measure] interval: unknown key"),
@@ -711,6 +720,22 @@ def test_track_refuses_a_world_point_out_of_float_range(tmp_path, capsys):
     assert list((tmp_path / "out").iterdir()) == []
 
 
+def test_track_refuses_a_frame_whose_time_leaves_float_range(tmp_path, capsys):
+    # 1 / fps is finite, but 2 / fps is not: the run exits 1 naming the track,
+    # the frame and fps, where frame / fps warned of an overflow and wrote an
+    # intervals file that held only its header
+    dets = write(tmp_path / "dets.txt",
+                 "".join(f"{f},{900 + 3 * f},100,20,40,0.9,1\n" for f in range(1, 4)))
+    cfg = write(tmp_path / "run.ini",
+                edited(edited(RUN_CONFIG, "fps", "1e-308"), "duration_s", "10"))
+    assert main(["track", "--detections", dets, "--config", cfg,
+                 "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == ("error: track 1, frame 2: time frame / fps is not "
+                                       "finite ([measure] fps = 1e-308 puts the frame out "
+                                       "of float range)\n")
+    assert list((tmp_path / "out").iterdir()) == []
+
+
 def test_synth_refuses_a_ground_truth_row_stats_would_refuse(tmp_path, capsys):
     # the agent starts on the line, in intervals of 1e-305 s, so its one
     # crossing gives a flow past float max; neither file is written
@@ -993,6 +1018,26 @@ def test_malformed_row_names_file_and_line(tmp_path, capsys, command, row):
         argv = ["eval", "--pred", bad, "--gt", write(tmp_path / "gt.txt", "1,2,3,5,10,0\n")]
     assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 1
     assert f"{bad}:2:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("h", [1e-300, float(np.nextafter(1e-300, 0))],
+                         ids=["at the bound", "below it"])
+def test_track_refuses_a_box_height_whose_aspect_could_overflow(tmp_path, capsys, h):
+    # the widest box over the least height accepted, 1e5 / 1e-300, stays far
+    # inside float range; a row below the bound exits 1 at its line, where
+    # the tracker's w / h overflowed with a NumPy warning (an error here).
+    # eval forms no aspect, and reads the same row
+    row = f"2,10,10,100000,{h!r},0.9,0"
+    dets = write(tmp_path / "dets.txt", f"1,2,3,5,10,0.9,0\n{row}\n")
+    code = main(["track", "--detections", dets, "--out-dir", str(tmp_path / "out")])
+    if h < 1e-300:
+        assert code == 1
+        assert capsys.readouterr().err == (f"error: {dets}:2: bounding box height must be at "
+                                           f"least 1e-300 px, got {h!r}\n")
+    else:
+        assert code == 0
+    assert main(["eval", "--pred", dets, "--gt", write(tmp_path / "gt.txt", f"{row}\n"),
+                 "--out-dir", str(tmp_path / "eval")]) == 0
 
 
 @pytest.mark.parametrize("row", ["1,10,10,5,5,0.9,0,1e308,1e308",

@@ -51,6 +51,8 @@ FUZZ_ROWS = st.lists(FUZZ_ROW, max_size=10).map(lambda rows: [
 # a sub-pixel box seen in consecutive frames: its tentative track's
 # innovation covariance is ill-conditioned when stage 2 would match it
 @example(lines=["1,0,0,1,1e-38,0.9,0", "2,0,0,1,1e-38,0.9,0"])
+# a height so small that w / h overflows
+@example(lines=["1,0,0,1,5e-324,0.9,0"])
 def test_fuzzed_detection_lines_exit_cleanly(lines):
     with tempfile.TemporaryDirectory() as tmp:
         dets = Path(tmp) / "dets.txt"
@@ -60,8 +62,9 @@ def test_fuzzed_detection_lines_exit_cleanly(lines):
 
 
 # a value of every kind: non-finite, blank, unparsable, fractional, negative,
-# zero, small, huge, and an integer far beyond int64
-FUZZ_VALUES = ["nan", "inf", "-inf", "", "x", "1.5", "-1", "0", "2", "1e308", "9" * 40]
+# zero, small, huge, tiny, subnormal, and an integer far beyond int64
+FUZZ_VALUES = ["nan", "inf", "-inf", "", "x", "1.5", "-1", "0", "2", "1e308", "1e-308", "5e-324",
+               "9" * 40]
 
 SMALL_SCENARIO = """\
 [scenario]

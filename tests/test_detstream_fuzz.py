@@ -103,6 +103,7 @@ VALID = [
     pytest.param("# header\n\n" + "\n\n".join(BASE) + "\n", id="comments and blanks"),
     pytest.param("1,10,10,5,5,0.9,0\n1,20,10,5,5,0.1,3\n4,10,10,5,5,1,0\n", id="no descriptors"),
     pytest.param(with_row(4, f"{2**63},32,10,5,5,0.9,1,+1, 0 "), id="frame past int64"),
+    pytest.param(with_row(1, "1,30,10,1e5,1e-300,0.2,1,3,4"), id="least height"),
 ] + [pytest.param(with_row(1, f"1,30,10,5,5,0.2,1,{scaled(s)}"), id=f"norm {s!r}")
      for s in NEAR_ONE]
 
@@ -147,6 +148,12 @@ CORRUPT = [
     pytest.param(with_row(3, "3,12,10,5,5,0.9,0,0.6,0.8",
                           BASE[:2] + [f"{2**63},50,10,5,5,0.9,2,0.6,-0.8"] + BASE[3:]),
                  id="frame after one past int64"),
+    pytest.param(with_row(1, "1,30,10,5,1e-301,0.2,1,3,4"), id="height below the bound"),
+    pytest.param(with_row(1, "1,30,10,5,5e-324,0.2,1,3,4,5"), id="height error on a wider row"),
+    pytest.param(with_row(4, "1,32,10,5,1e-320,0.9,1,1,0"),
+                 id="height error before an order error"),
+    pytest.param(with_row(1, "1,30,10,5,1e-320,0.2,1,nan,4"),
+                 id="embedding error before a height error"),
 ]
 
 
@@ -237,9 +244,10 @@ def stream(draw):
             row[draw(st.integers(7, len(row) - 1))] = draw(st.sampled_from(TOKENS))
         elif kind == "zero" and len(row) > 7:
             row[7:] = ["0"] * (len(row) - 7)
-        elif kind == "order":
+        # a comment row, inserted below, has no frame or head to edit
+        elif kind == "order" and len(row) >= 7:
             row[0] = str(max(1, int(row[0]) - 1))
-        elif kind == "head":
+        elif kind == "head" and len(row) >= 7:
             # rule breaks, and tokens that int() and float() accept and numpy may
             # refuse, so that a converted row can fall before, on or after a break
             row[draw(st.integers(0, 6))] = draw(st.sampled_from(HEAD_TOKENS))

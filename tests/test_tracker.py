@@ -354,11 +354,12 @@ def test_stage_one_gets_only_the_tracks_that_can_match(monkeypatch, case):
 
 @pytest.mark.parametrize("bbox", [(0.0, 0.0, 0.0, 10.0), (0.0, 0.0, 5.0, 0.0),
                                   (0.0, 0.0, -5.0, 10.0), (0.0, float("nan"), 5.0, 10.0),
-                                  (float("inf"), 0.0, 5.0, 10.0), (0.0, 0.0, 1e200, 1e200)])
+                                  (float("inf"), 0.0, 5.0, 10.0), (0.0, 0.0, 1e200, 1e200),
+                                  (0.0, 0.0, 5.0, 1e-301)])
 def test_step_rejects_degenerate_box(bbox):
     # checked once, as arrays, before any arithmetic: a zero height raises
-    # ValidationError, not a divide-by-zero warning, a huge box no overflow
-    # warning, and no state changes
+    # ValidationError, not a divide-by-zero warning, a huge box or a height
+    # below the parser's bound no overflow warning, and no state changes
     tr = Tracker()
     tr.step(1, stack(1, [det(1, 50, 50)]))
     with pytest.raises(ValidationError):
